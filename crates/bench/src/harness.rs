@@ -375,177 +375,6 @@ pub fn print_parallel_scaling(rows: &[ParallelScalingRow]) {
     print!("{}", render_table(&["SF", "batch", "threads=1", "N", "threads=N", "speedup"], &body));
 }
 
-// ------------------------------------------------------- Pipeline scaling
-
-/// The pipeline benchmark statement: scan → filter → hash-join probe →
-/// grouped aggregate over the road network — the shape the morsel-driven
-/// executor fuses into a single pipeline (the join build side and the
-/// final sort are breakers). Integer aggregates only, so the result is
-/// byte-identical at every thread count *and* morsel granularity.
-pub const PIPELINE_SCALING_SQL: &str = "SELECT r1.minutes AS bucket, COUNT(*) AS n, \
-     SUM(r2.minutes) AS total, MIN(r2.dst) AS lo, MAX(r2.dst) AS hi \
-     FROM roads r1 JOIN roads r2 ON r1.dst = r2.src \
-     WHERE r1.minutes > 3 AND r2.minutes <= 7 \
-     GROUP BY r1.minutes ORDER BY bucket";
-
-/// One row of the pipeline-scaling benchmark.
-#[derive(Debug, Clone)]
-pub struct PipelineScalingRow {
-    /// Edge rows in the generated road network.
-    pub edges: usize,
-    /// Worker threads of the parallel measurements.
-    pub threads: usize,
-    /// Morsel granularity (`SET morsel_rows`) of the pipelined runs.
-    pub morsel_rows: usize,
-    /// Barrier executor (`SET pipeline = off`), 1 thread.
-    pub barrier_seq: Duration,
-    /// Barrier executor, N threads.
-    pub barrier_par: Duration,
-    /// Pipelined executor (`SET pipeline = on`), 1 thread.
-    pub pipeline_seq: Duration,
-    /// Pipelined executor, N threads.
-    pub pipeline_par: Duration,
-}
-
-impl PipelineScalingRow {
-    /// Barrier vs pipelined wall clock at N threads — the headline number.
-    pub fn speedup_vs_barrier(&self) -> f64 {
-        self.barrier_par.as_secs_f64() / self.pipeline_par.as_secs_f64().max(1e-12)
-    }
-
-    /// Pipelined executor thread scaling: 1 thread vs N.
-    pub fn thread_scaling(&self) -> f64 {
-        self.pipeline_seq.as_secs_f64() / self.pipeline_par.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Generate a `width × height` road grid and load it as table `roads`.
-/// Returns the database and the edge-row count.
-pub fn load_road_network(width: u32, height: u32, seed: u64) -> (Database, usize) {
-    let roads = gsql_datagen::road::grid_network(width, height, 9, seed);
-    let db = Database::new();
-    db.execute(
-        "CREATE TABLE roads (src INTEGER NOT NULL, dst INTEGER NOT NULL, \
-         minutes INTEGER NOT NULL)",
-    )
-    .expect("fresh database");
-    let mut batch = String::new();
-    for row in roads.rows() {
-        if !batch.is_empty() {
-            batch.push_str(", ");
-        }
-        batch.push_str(&format!("({}, {}, {})", row[0], row[1], row[2]));
-        if batch.len() > 200_000 {
-            db.execute(&format!("INSERT INTO roads VALUES {batch}")).expect("road load");
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        db.execute(&format!("INSERT INTO roads VALUES {batch}")).expect("road load");
-    }
-    (db, roads.row_count())
-}
-
-/// Average latency of the pipeline statement in a session configured with
-/// the given executor and width; also returns the materialized result so
-/// callers can assert cross-configuration identity.
-fn measure_pipeline_statement(
-    db: &Database,
-    reps: usize,
-    threads: usize,
-    pipeline: bool,
-    morsel_rows: usize,
-) -> (Duration, Vec<Vec<Value>>) {
-    let session = db.session();
-    session.set("threads", &threads.to_string()).expect("valid threads setting");
-    session.set("pipeline", if pipeline { "on" } else { "off" }).expect("valid pipeline setting");
-    session.set("morsel_rows", &morsel_rows.to_string()).expect("valid morsel_rows setting");
-    let stmt = session.prepare(PIPELINE_SCALING_SQL).expect("benchmark query must parse");
-    // The warm-up run doubles as the result sample.
-    let warm = stmt.query(&session, &[]).expect("benchmark query must execute");
-    let rows: Vec<Vec<Value>> = (0..warm.row_count()).map(|i| warm.row(i)).collect();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        stmt.execute(&session, &[]).expect("benchmark query must execute");
-    }
-    (t0.elapsed() / reps.max(1) as u32, rows)
-}
-
-/// The morsel-driven pipeline benchmark: the fused
-/// scan→filter→probe→aggregate statement over generated road data, run in
-/// four sessions — barrier executor (`pipeline = off`) and pipelined
-/// executor (`pipeline = on`), each at 1 thread and at `threads` — and
-/// asserting all four produce byte-identical result tables.
-pub fn run_pipeline_scaling(
-    width: u32,
-    height: u32,
-    reps: usize,
-    threads: usize,
-    morsel_rows: usize,
-    seed: u64,
-) -> PipelineScalingRow {
-    let (db, edges) = load_road_network(width, height, seed);
-    let mut times = Vec::with_capacity(4);
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for (pipeline, t) in [(false, 1), (false, threads), (true, 1), (true, threads)] {
-        let (elapsed, rows) = measure_pipeline_statement(&db, reps, t, pipeline, morsel_rows);
-        match &reference {
-            None => reference = Some(rows),
-            Some(expected) => assert_eq!(
-                expected, &rows,
-                "pipeline={pipeline} threads={t} must return byte-identical results"
-            ),
-        }
-        times.push(elapsed);
-    }
-    PipelineScalingRow {
-        edges,
-        threads,
-        morsel_rows,
-        barrier_seq: times[0],
-        barrier_par: times[1],
-        pipeline_seq: times[2],
-        pipeline_par: times[3],
-    }
-}
-
-/// Print the pipeline-scaling benchmark.
-pub fn print_pipeline_scaling(row: &PipelineScalingRow) {
-    println!(
-        "Pipeline scaling: fused scan->filter->probe->aggregate over {} road edges \
-         (morsel_rows = {})",
-        row.edges, row.morsel_rows
-    );
-    let body = vec![
-        vec![
-            "barrier (pipeline = off)".to_string(),
-            fmt_duration(row.barrier_seq),
-            format!("{}", row.threads),
-            fmt_duration(row.barrier_par),
-            format!(
-                "{:.2}x",
-                row.barrier_seq.as_secs_f64() / row.barrier_par.as_secs_f64().max(1e-12)
-            ),
-        ],
-        vec![
-            "pipelined (pipeline = on)".to_string(),
-            fmt_duration(row.pipeline_seq),
-            format!("{}", row.threads),
-            fmt_duration(row.pipeline_par),
-            format!("{:.2}x", row.thread_scaling()),
-        ],
-    ];
-    print!(
-        "{}",
-        render_table(&["executor", "threads=1", "N", "threads=N", "thread scaling"], &body)
-    );
-    println!(
-        "pipelined vs barrier at {} threads: {:.2}x; results byte-identical in all four sessions.",
-        row.threads,
-        row.speedup_vs_barrier()
-    );
-}
-
 // ---------------------------------------------------------------- Ablations
 
 /// One row of the baseline ablation.
@@ -695,17 +524,6 @@ mod tests {
         assert_eq!(ps.len(), 1);
         assert!(ps[0].sequential > Duration::ZERO && ps[0].parallel > Duration::ZERO);
         assert!(ps[0].speedup() > 0.0);
-    }
-
-    /// The pipeline benchmark asserts cross-configuration byte-identity
-    /// internally; the smoke test keeps that assertion (and the road
-    /// loader) exercised under `cargo test`.
-    #[test]
-    fn pipeline_scaling_smoke() {
-        let row = run_pipeline_scaling(12, 12, 2, 4, 37, 5);
-        assert!(row.edges > 0);
-        assert!(row.barrier_par > Duration::ZERO && row.pipeline_par > Duration::ZERO);
-        assert!(row.speedup_vs_barrier() > 0.0 && row.thread_scaling() > 0.0);
     }
 
     /// The batched statement must return identical result sets under

@@ -16,12 +16,7 @@
 //! * `ablation_graph_index` — per-query graph construction vs the §6
 //!   graph index;
 //! * `parallel_scaling` — many-source batched Q13 with `SET threads = 1`
-//!   vs `SET threads = N` (also takes `--batch` and `--threads`); with
-//!   `--pipeline`, the morsel-driven scenario instead: barrier vs
-//!   pipelined executor on a fused scan→filter→hash-join→aggregate road
-//!   workload (`--width`/`--height`/`--morsel-rows`/`--smoke`/`--json`).
-//!
-//! Criterion micro-benchmarks live under `benches/`.
+//!   vs `SET threads = N` (also takes `--batch` and `--threads`).
 
 pub mod harness;
 pub mod queries;

@@ -41,11 +41,11 @@ pub struct SessionSettings {
     /// `0` disables caching). Default 64.
     pub plan_cache_size: usize,
     /// Degree of parallelism for execution (`SET threads = n`, n ≥ 1).
-    /// Source-parallel graph traversals, the parallel CSR build and the
-    /// row-parallel operators (filter, hash join, distinct) all use this
-    /// width; `1` takes the exact sequential code path. Default: the
-    /// `GSQL_THREADS` environment variable when set, otherwise the number
-    /// of available hardware threads.
+    /// Source-parallel graph traversals, the parallel CSR build, the morsel
+    /// pipelines and the row-parallel breakers (sort, distinct) all use
+    /// this width; `1` runs everything inline on the calling thread.
+    /// Default: the `GSQL_THREADS` environment variable when set, otherwise
+    /// the number of available hardware threads.
     pub threads: usize,
     /// Per-statement wall-clock budget in milliseconds (`SET timeout_ms =
     /// n`; `0` disables). The deadline starts when statement execution
@@ -54,13 +54,6 @@ pub struct SessionSettings {
     /// with [`crate::Error::Timeout`] instead of running to completion.
     /// Default unlimited.
     pub timeout_ms: Option<u64>,
-    /// Execute plans through the push-based morsel-driven pipeline engine
-    /// (`SET pipeline = on|off`). Off falls back to the barrier-per-operator
-    /// model (one fan-out + materialized table per operator). Results are
-    /// bit-identical either way; only scheduling changes. Default: the
-    /// `GSQL_PIPELINE` environment variable when set (`on`/`off`),
-    /// otherwise on.
-    pub pipeline: bool,
     /// Rows per morsel for pipelined execution (`SET morsel_rows = n`,
     /// n ≥ 1). Morsel boundaries depend only on this value and the input
     /// size — never the worker count — so per-morsel partials merged in
@@ -91,7 +84,6 @@ impl Default for SessionSettings {
             plan_cache_size: 64,
             threads: gsql_parallel::default_threads(),
             timeout_ms: None,
-            pipeline: default_pipeline(),
             morsel_rows: gsql_parallel::default_morsel_rows(),
             trace: default_trace(),
             slow_query_ms: None,
@@ -101,7 +93,7 @@ impl Default for SessionSettings {
 
 /// Process-wide default for the `trace` setting: `GSQL_TRACE` when set to a
 /// recognizable level, otherwise off. Cached after the first call (mirrors
-/// [`default_pipeline`]). CI runs a suite leg under `GSQL_TRACE=verbose` to
+/// [`default_path_index`]). CI runs a suite leg under `GSQL_TRACE=verbose` to
 /// prove tracing never perturbs results.
 fn default_trace() -> TraceLevel {
     static CACHE: std::sync::OnceLock<TraceLevel> = std::sync::OnceLock::new();
@@ -110,20 +102,6 @@ fn default_trace() -> TraceLevel {
             .ok()
             .and_then(|v| TraceLevel::parse(v.trim()))
             .unwrap_or_default()
-    })
-}
-
-/// Process-wide default for the `pipeline` setting: `GSQL_PIPELINE` when
-/// set to a recognizable boolean, otherwise on. Cached after the first call
-/// (mirrors [`default_path_index`]). CI can pin the suite to the barrier
-/// model so the fallback path cannot rot.
-fn default_pipeline() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let value = std::env::var("GSQL_PIPELINE")
-            .map(|v| v.trim().to_ascii_lowercase())
-            .unwrap_or_default();
-        !matches!(value.as_str(), "off" | "false" | "0")
     })
 }
 
@@ -147,11 +125,10 @@ impl SessionSettings {
     /// listing is deterministic. A regression test destructures the struct
     /// exhaustively against this list: adding a setting without listing it
     /// here fails the build.
-    pub const NAMES: [&'static str; 10] = [
+    pub const NAMES: [&'static str; 9] = [
         "graph_index",
         "morsel_rows",
         "path_index",
-        "pipeline",
         "plan_cache_size",
         "row_limit",
         "slow_query_ms",
@@ -192,7 +169,6 @@ impl SessionSettings {
                 let n = parse_u64(name, value)?;
                 self.timeout_ms = if n == 0 { None } else { Some(n) };
             }
-            "pipeline" => self.pipeline = parse_bool(name, value)?,
             "trace" => {
                 self.trace = TraceLevel::parse(value).ok_or_else(|| {
                     bind_err!("setting 'trace' expects off/on/verbose, got '{value}'")
@@ -226,7 +202,6 @@ impl SessionSettings {
             "plan_cache_size" => Ok(self.plan_cache_size.to_string()),
             "threads" => Ok(self.threads.to_string()),
             "timeout_ms" => Ok(self.timeout_ms.unwrap_or(0).to_string()),
-            "pipeline" => Ok(render_bool(self.pipeline)),
             "trace" => Ok(self.trace.as_str().to_string()),
             "slow_query_ms" => Ok(self.slow_query_ms.unwrap_or(0).to_string()),
             "morsel_rows" => Ok(self.morsel_rows.to_string()),
@@ -333,8 +308,7 @@ pub struct PipelineStat {
 pub struct ExecStats {
     /// One entry per executed operator.
     pub ops: Vec<OpStats>,
-    /// One entry per executed pipeline (morsel-driven execution only), in
-    /// completion order.
+    /// One entry per executed pipeline, in completion order.
     pub pipelines: Vec<PipelineStat>,
 }
 
@@ -589,22 +563,9 @@ impl<'a> ExecContext<'a> {
         self.settings.threads.max(1)
     }
 
-    /// True when plans execute through the morsel-driven pipeline engine.
-    pub fn pipeline_enabled(&self) -> bool {
-        self.settings.pipeline
-    }
-
     /// Rows per morsel for pipelined execution (at least 1).
     pub fn morsel_rows(&self) -> usize {
         self.settings.morsel_rows.max(1)
-    }
-
-    /// Record one completed pipeline's morsel statistics (no-op unless
-    /// `EXPLAIN ANALYZE` is collecting).
-    pub(crate) fn record_pipeline_stat(&self, stat: PipelineStat) {
-        if let Some(cell) = &self.stats {
-            cell.lock().expect("stats lock").record_pipeline(stat);
-        }
     }
 
     /// The statistics collector, when enabled.
@@ -723,15 +684,6 @@ mod tests {
         assert_eq!(s.timeout_ms, None);
         assert_eq!(s.get("timeout_ms").unwrap(), "0");
 
-        // (The default itself comes from GSQL_PIPELINE, so only the
-        // round-trips are asserted here.)
-        s.set("pipeline", "off").unwrap();
-        assert!(!s.pipeline);
-        assert_eq!(s.get("pipeline").unwrap(), "off");
-        s.set("PIPELINE", "on").unwrap();
-        assert!(s.pipeline);
-        assert!(s.set("pipeline", "diagonal").is_err());
-
         assert!(s.morsel_rows >= 1, "default morsel_rows must be positive");
         s.set("morsel_rows", "7").unwrap();
         assert_eq!(s.morsel_rows, 7);
@@ -783,12 +735,11 @@ mod tests {
             plan_cache_size: _,
             threads: _,
             timeout_ms: _,
-            pipeline: _,
             morsel_rows: _,
             trace: _,
             slow_query_ms: _,
         } = s;
-        const FIELDS: usize = 10;
+        const FIELDS: usize = 9;
         assert_eq!(
             SessionSettings::NAMES.len(),
             FIELDS,

@@ -1,35 +1,23 @@
-//! Hash aggregation, sequential and hash-partitioned parallel.
+//! Hash aggregation as a pipeline sink: each morsel folds into a mergeable
+//! [`AggPartial`] ([`aggregate_morsel`]), and [`AggMerger`] folds the
+//! partials **in morsel-index order**.
 //!
-//! With `threads > 1` and enough rows, grouped aggregation partitions the
-//! input by a deterministic hash of the group key (the same fixed-key
-//! `DefaultHasher` digest the distinct operator uses): every row of a
-//! group lands in exactly one partition, partitions aggregate
-//! independently on the `gsql-parallel` pool, and the per-partition group
-//! lists merge by first-seen row order. Rows inside a partition are
-//! processed in ascending input order, so every accumulator — including
-//! float sums, whose value depends on addition order — sees exactly the
-//! row sequence the sequential scan would feed it: the output is
-//! bit-identical at every thread count. Errors are sequential-identical
-//! too: the parallel phases evaluate keys and arguments in a different
-//! interleaving, so on any failure the input is re-aggregated
-//! sequentially and that error is the one surfaced.
+//! Morsels are in row order and each partial lists its groups in
+//! first-seen order, so the merged group order is the global first-seen
+//! order of a sequential scan. Accumulators merge in that same order, so
+//! every result — including float sums, whose value depends on addition
+//! order — depends only on the morsel boundaries (input size and
+//! `morsel_rows`), never on the thread count.
 
 use crate::error::{exec_err, Error};
 use crate::exec::expression::eval;
 use crate::plan::{AggCall, AggFunc, BoundExpr, PlanSchema};
-use gsql_parallel::Pool;
 use gsql_storage::value::HashableValue;
 use gsql_storage::{Table, Value};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
-
-/// Minimum rows before grouped aggregation fans out over the pool (below
-/// this, the hash pass costs more than the parallelism wins back).
-const PARALLEL_MIN_ROWS: usize = 512;
 
 /// Running state of one aggregate within one group.
 #[derive(Debug)]
@@ -187,61 +175,11 @@ impl AggState {
     }
 }
 
-/// One group's accumulators plus DISTINCT bookkeeping.
+/// One group's merged accumulators plus DISTINCT bookkeeping.
 struct GroupState {
-    /// First input row that opened the group (global first-seen order).
-    first_row: usize,
     keys: Vec<Value>,
     states: Vec<AggState>,
     distinct_seen: Vec<Option<HashSet<HashableValue>>>,
-}
-
-/// Aggregate a subset of rows (ascending order), returning the groups in
-/// first-seen order. This is the whole input for the sequential path and
-/// one hash partition for the parallel path — the row subset fully
-/// determines the result, so both paths share it.
-fn aggregate_rows(
-    input: &Table,
-    rows: impl Iterator<Item = usize>,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    params: &[Value],
-) -> Result<Vec<GroupState>> {
-    let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
-    let mut groups: Vec<GroupState> = Vec::new();
-    for row in rows {
-        let mut key_vals = Vec::with_capacity(group.len());
-        for g in group {
-            key_vals.push(eval(g, input, row, params)?);
-        }
-        let key: Vec<HashableValue> = key_vals.iter().cloned().map(HashableValue).collect();
-        let slot = *index.entry(key).or_insert_with(|| {
-            groups.push(GroupState {
-                first_row: row,
-                keys: key_vals,
-                states: aggs.iter().map(AggState::new).collect(),
-                distinct_seen: aggs
-                    .iter()
-                    .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
-                    .collect(),
-            });
-            groups.len() - 1
-        });
-        let entry = &mut groups[slot];
-        for (i, call) in aggs.iter().enumerate() {
-            let arg = match &call.arg {
-                Some(e) => Some(eval(e, input, row, params)?),
-                None => None,
-            };
-            if let (Some(seen), Some(v)) = (&mut entry.distinct_seen[i], &arg) {
-                if v.is_null() || !seen.insert(HashableValue(v.clone())) {
-                    continue; // duplicate (or NULL) under DISTINCT
-                }
-            }
-            entry.states[i].update(arg.as_ref())?;
-        }
-    }
-    Ok(groups)
 }
 
 /// One group's **morsel-local** partial: accumulators fed only this
@@ -337,7 +275,6 @@ impl<'a> AggMerger<'a> {
                 Some(&slot) => slot,
                 None => {
                     self.groups.push(GroupState {
-                        first_row: self.groups.len(),
                         keys,
                         states: self.aggs.iter().map(AggState::new).collect(),
                         distinct_seen: self
@@ -369,13 +306,12 @@ impl<'a> AggMerger<'a> {
         Ok(())
     }
 
-    /// Finish into the output table (same tail as [`execute_aggregate`],
-    /// including the one-row result of a global aggregate over no input).
+    /// Finish into the output table. A global aggregate (`group_empty`)
+    /// over no input still yields one row.
     pub fn finish(self, group_empty: bool, schema: &PlanSchema) -> Result<Arc<Table>> {
         let mut groups = self.groups;
         if group_empty && groups.is_empty() {
             groups.push(GroupState {
-                first_row: 0,
                 keys: Vec::new(),
                 states: self.aggs.iter().map(AggState::new).collect(),
                 distinct_seen: vec![None; self.aggs.len()],
@@ -391,106 +327,6 @@ impl<'a> AggMerger<'a> {
         }
         Ok(Arc::new(out))
     }
-}
-
-/// Deterministic digest of one row's group key (fixed-key [`DefaultHasher`]
-/// over the [`HashableValue`] cells — the same scheme the distinct
-/// operator's row hash uses), so the parallel partitioning is identical on
-/// every run and thread count.
-fn group_key_hash(input: &Table, row: usize, group: &[BoundExpr], params: &[Value]) -> Result<u64> {
-    let mut h = DefaultHasher::new();
-    for g in group {
-        HashableValue(eval(g, input, row, params)?).hash(&mut h);
-    }
-    Ok(h.finish())
-}
-
-/// The hash-partitioned parallel path for grouped aggregation: groups in
-/// global first-seen order, or `None` when any evaluation failed (the
-/// caller re-runs sequentially to surface the sequential error).
-fn parallel_grouped(
-    input: &Table,
-    n: usize,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    params: &[Value],
-    pool: &Pool,
-) -> Option<Vec<GroupState>> {
-    // Phase 1 (parallel): digest every row's group key, chunk-wise.
-    let digests: Vec<Result<Vec<u64>>> = pool.map_chunks(n, |range| {
-        range.map(|row| group_key_hash(input, row, group, params)).collect()
-    });
-    let mut hashes: Vec<u64> = Vec::with_capacity(n);
-    for chunk in digests {
-        hashes.extend(chunk.ok()?);
-    }
-    // Phase 2 (sequential, cheap): route rows to partitions. Same key
-    // ⇒ same digest ⇒ same partition, so no group spans partitions.
-    let parts = pool.threads();
-    let mut rows_by_part: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (row, &digest) in hashes.iter().enumerate() {
-        rows_by_part[(digest % parts as u64) as usize].push(row);
-    }
-    // Phase 3 (parallel): aggregate each partition independently.
-    let partials: Vec<Result<Vec<GroupState>>> = pool.map(parts, |p| {
-        aggregate_rows(input, rows_by_part[p].iter().copied(), group, aggs, params)
-    });
-    // Phase 4: merge the partial states into global first-seen order.
-    let mut groups: Vec<GroupState> = Vec::new();
-    for part in partials {
-        groups.extend(part.ok()?);
-    }
-    groups.sort_by_key(|g| g.first_row);
-    Some(groups)
-}
-
-/// Execute hash aggregation; `threads > 1` enables the hash-partitioned
-/// parallel path for grouped aggregation over large inputs (bit-identical
-/// to sequential — see the module docs).
-pub fn execute_aggregate(
-    input: &Table,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    schema: &PlanSchema,
-    params: &[Value],
-    threads: usize,
-) -> Result<Arc<Table>> {
-    let n = input.row_count();
-    let pool = Pool::new(threads);
-    let parallel = if !pool.is_sequential() && !group.is_empty() && n >= PARALLEL_MIN_ROWS {
-        parallel_grouped(input, n, group, aggs, params, &pool)
-    } else {
-        None
-    };
-    let mut groups = match parallel {
-        Some(groups) => groups,
-        // Either the input is small/sequential, or the parallel path hit an
-        // evaluation error: re-run sequentially so the surfaced error is
-        // exactly the one the sequential scan reports (the parallel phases
-        // evaluate keys and arguments in a different interleaving, so their
-        // first error may come from a later row).
-        None => aggregate_rows(input, 0..n, group, aggs, params)?,
-    };
-
-    // Global aggregation over an empty input still yields one row.
-    if group.is_empty() && groups.is_empty() {
-        groups.push(GroupState {
-            first_row: 0,
-            keys: Vec::new(),
-            states: aggs.iter().map(AggState::new).collect(),
-            distinct_seen: vec![None; aggs.len()],
-        });
-    }
-
-    let mut out = Table::empty(schema.to_storage_schema());
-    for state in groups {
-        let mut row = state.keys;
-        for s in state.states {
-            row.push(s.finish());
-        }
-        out.append_row(row).map_err(Error::Storage)?;
-    }
-    Ok(Arc::new(out))
 }
 
 #[cfg(test)]
@@ -516,18 +352,30 @@ mod tests {
         BoundExpr::Column { index: i, ty }
     }
 
-    fn run(group: &[BoundExpr], aggs: &[AggCall], names: &[(&str, DataType)]) -> Table {
-        let t = input();
+    /// Aggregate the way the pipeline does: one partial per two-row morsel,
+    /// merged in morsel order.
+    fn aggregate(
+        t: &Table,
+        group: &[BoundExpr],
+        aggs: &[AggCall],
+        names: &[(&str, DataType)],
+    ) -> Table {
         let mut schema = PlanSchema::default();
         for (n, ty) in names {
             schema.push(PlanColumn::new(*n, *ty));
         }
-        Arc::try_unwrap(execute_aggregate(&t, group, aggs, &schema, &[], 1).unwrap()).unwrap()
+        let mut merger = AggMerger::new(aggs);
+        for start in (0..t.row_count()).step_by(2) {
+            let morsel = start..(start + 2).min(t.row_count());
+            merger.push(aggregate_morsel(t, morsel, group, aggs, &[]).unwrap()).unwrap();
+        }
+        Arc::try_unwrap(merger.finish(group.is_empty(), &schema).unwrap()).unwrap()
     }
 
     #[test]
     fn grouped_count_and_sum() {
-        let out = run(
+        let out = aggregate(
+            &input(),
             &[col(0, DataType::Varchar)],
             &[
                 AggCall {
@@ -555,42 +403,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_error_is_the_sequential_error() {
-        // SUM over a VARCHAR column fails on every row with a message
-        // naming the row's value; the parallel path must surface exactly
-        // the error the sequential scan reports (the first row's), not
-        // whichever partition errors first.
-        let mut t = Table::empty(Schema::new(vec![
-            ColumnDef::new("g", DataType::Int),
-            ColumnDef::new("x", DataType::Varchar),
-        ]));
-        for i in 0..2000usize {
-            t.append_row(vec![Value::Int((i % 17) as i64), Value::from(format!("s{i}"))]).unwrap();
-        }
-        let group = [col(0, DataType::Int)];
-        let aggs = [AggCall {
-            func: AggFunc::Sum,
-            arg: Some(col(1, DataType::Varchar)),
-            distinct: false,
-            out_ty: DataType::Int,
-        }];
-        let mut schema = PlanSchema::default();
-        schema.push(PlanColumn::new("g", DataType::Int));
-        schema.push(PlanColumn::new("s", DataType::Int));
-        let seq = execute_aggregate(&t, &group, &aggs, &schema, &[], 1).unwrap_err();
-        assert!(seq.to_string().contains("s0"), "{seq}");
-        for threads in [2, 8] {
-            let par = execute_aggregate(&t, &group, &aggs, &schema, &[], threads).unwrap_err();
-            assert_eq!(par.to_string(), seq.to_string(), "threads {threads}");
-        }
-    }
-
-    #[test]
     fn global_aggregate_over_empty_input() {
         let t = Table::empty(Schema::new(vec![ColumnDef::new("x", DataType::Int)]));
-        let mut schema = PlanSchema::default();
-        schema.push(PlanColumn::new("n", DataType::Int));
-        schema.push(PlanColumn::new("m", DataType::Int));
         let aggs = [
             AggCall { func: AggFunc::CountStar, arg: None, distinct: false, out_ty: DataType::Int },
             AggCall {
@@ -600,7 +414,7 @@ mod tests {
                 out_ty: DataType::Int,
             },
         ];
-        let out = execute_aggregate(&t, &[], &aggs, &schema, &[], 4).unwrap();
+        let out = aggregate(&t, &[], &aggs, &[("n", DataType::Int), ("m", DataType::Int)]);
         assert_eq!(out.row_count(), 1);
         assert_eq!(out.row(0)[0], Value::Int(0));
         assert!(out.row(0)[1].is_null());
@@ -608,7 +422,8 @@ mod tests {
 
     #[test]
     fn min_max_avg() {
-        let out = run(
+        let out = aggregate(
+            &input(),
             &[],
             &[
                 AggCall {
@@ -638,71 +453,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grouped_aggregation_matches_sequential() {
-        // Enough rows to cross PARALLEL_MIN_ROWS, NULL keys, float AVG
-        // (addition-order sensitive) and DISTINCT state all included.
-        let mut t = Table::empty(Schema::new(vec![
-            ColumnDef::new("g", DataType::Int),
-            ColumnDef::new("x", DataType::Double),
-        ]));
-        for i in 0..4000usize {
-            let g = if i % 97 == 0 { Value::Null } else { Value::Int((i % 23) as i64) };
-            t.append_row(vec![g, Value::Double((i as f64) * 0.31 - 500.0)]).unwrap();
-        }
-        let group = [col(0, DataType::Int)];
-        let aggs = [
-            AggCall { func: AggFunc::CountStar, arg: None, distinct: false, out_ty: DataType::Int },
-            AggCall {
-                func: AggFunc::Sum,
-                arg: Some(col(1, DataType::Double)),
-                distinct: false,
-                out_ty: DataType::Double,
-            },
-            AggCall {
-                func: AggFunc::Avg,
-                arg: Some(col(1, DataType::Double)),
-                distinct: false,
-                out_ty: DataType::Double,
-            },
-            AggCall {
-                func: AggFunc::Count,
-                arg: Some(col(1, DataType::Double)),
-                distinct: true,
-                out_ty: DataType::Int,
-            },
-        ];
-        let mut schema = PlanSchema::default();
-        for (n, ty) in [
-            ("g", DataType::Int),
-            ("n", DataType::Int),
-            ("s", DataType::Double),
-            ("a", DataType::Double),
-            ("d", DataType::Int),
-        ] {
-            schema.push(PlanColumn::new(n, ty));
-        }
-        let seq = execute_aggregate(&t, &group, &aggs, &schema, &[], 1).unwrap();
-        for threads in [2, 3, 8] {
-            let par = execute_aggregate(&t, &group, &aggs, &schema, &[], threads).unwrap();
-            assert_eq!(par.row_count(), seq.row_count(), "threads {threads}");
-            for r in 0..seq.row_count() {
-                assert_eq!(par.row(r), seq.row(r), "threads {threads} row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn count_distinct() {
-        let out = run(
+    fn count_and_sum_distinct() {
+        // The duplicate 2s sit in different morsels, so the dedup under test
+        // is the merger's, not the morsel-local one.
+        let distinct = |func| AggCall {
+            func,
+            arg: Some(col(1, DataType::Int)),
+            distinct: true,
+            out_ty: DataType::Int,
+        };
+        let out = aggregate(
+            &input(),
             &[],
-            &[AggCall {
-                func: AggFunc::Count,
-                arg: Some(col(1, DataType::Int)),
-                distinct: true,
-                out_ty: DataType::Int,
-            }],
-            &[("n", DataType::Int)],
+            &[distinct(AggFunc::Count), distinct(AggFunc::Sum)],
+            &[("n", DataType::Int), ("s", DataType::Int)],
         );
         assert_eq!(out.row(0)[0], Value::Int(4)); // {1, 2, 10, 20}
+        assert_eq!(out.row(0)[1], Value::Int(33));
     }
 }

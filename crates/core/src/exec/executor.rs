@@ -1,24 +1,29 @@
 //! The plan executor.
 //!
-//! Fully materializing, column-at-a-time — the MonetDB execution model the
-//! paper's prototype lives in. Each operator consumes `Arc<Table>` snapshots
-//! and produces a new materialized table; `Arc` keeps base-table scans and
-//! path row-references zero-copy.
+//! Column-at-a-time over `Arc<Table>` snapshots — the MonetDB execution
+//! model the paper's prototype lives in; `Arc` keeps base-table scans and
+//! path row-references zero-copy. This module walks the plan and owns the
+//! sources (scan, VALUES) and the materializing breakers (sort, DISTINCT,
+//! UNION, UNNEST; the graph operators live in `graph_op.rs`). Every
+//! streaming shape — filter, project, join, aggregate, limit — runs in the
+//! morsel-driven engine of `pipeline.rs`, the only implementation of those
+//! operators.
 //!
 //! The executor is driven by an [`ExecContext`]: catalog, `?` parameters,
 //! graph indexes, session settings (row-limit guard, graph-index flag,
 //! degree of parallelism) and — for `EXPLAIN ANALYZE` — a thread-safe
 //! per-operator statistics collector.
 //!
-//! The plan walk itself is single-threaded; **inside** the data-parallel
-//! operators (filter, hash join, distinct, graph traversals) work fans out
+//! The plan walk itself is single-threaded; **inside** pipelines and the
+//! data-parallel breakers (sort, distinct, graph traversals) work fans out
 //! over a scoped pool of `threads` workers and merges back in input order,
 //! so results are bit-for-bit identical to `threads = 1`.
 
 use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
-use crate::exec::expression::{eval, eval_const, eval_filter_indices, eval_to_column};
-use crate::exec::{aggregate, graph_op, join, pipeline, unnest};
+use crate::exec::expression::{eval, eval_const, eval_to_column};
+use crate::exec::pipeline::{self, Extra};
+use crate::exec::{graph_op, unnest};
 use crate::plan::{BoundExpr, LogicalPlan, SortKey};
 use gsql_obs::TraceValue;
 use gsql_parallel::Pool;
@@ -57,10 +62,21 @@ impl<'a> Executor<'a> {
     /// session row limit is set, any operator output exceeding it aborts
     /// the query.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {
-        // The statement deadline is checked once per operator here — the
-        // executor's operator loop — and at finer grain inside the graph
-        // traversal batches (see `graph_op`), so timeouts interrupt long
-        // statements mid-flight.
+        self.execute_with_extras(plan, &[]).map(|(table, _)| table)
+    }
+
+    /// [`Executor::execute`], plus one extra column per `extras` entry: the
+    /// expression evaluated over the plan's output rows. A pipeline root
+    /// evaluates them per morsel inside its fused pass where it can; every
+    /// other shape evaluates them over the finished table.
+    pub(crate) fn execute_with_extras(
+        &self,
+        plan: &LogicalPlan,
+        extras: &[Extra<'_>],
+    ) -> Result<(Arc<Table>, Vec<Column>)> {
+        // The statement deadline is checked once per operator here and at
+        // finer grain inside the morsel loop and the graph traversal
+        // batches, so timeouts interrupt long statements mid-flight.
         self.ctx.check_deadline()?;
         // Verbose tracing opens one span per operator. The plan walk is
         // single-threaded, so save/restore of the parent pointer nests
@@ -72,18 +88,18 @@ impl<'a> Executor<'a> {
             None
         };
         let result = match self.ctx.stats_cell() {
-            None => self.execute_inner(plan),
+            None => self.execute_inner(plan, extras),
             Some(cell) => {
                 let depth = self.depth.get();
                 let idx = cell.lock().expect("stats lock").begin(plan.node_label(), depth);
                 self.depth.set(depth + 1);
                 let t0 = Instant::now();
-                let result = self.execute_inner(plan);
+                let result = self.execute_inner(plan, extras);
                 self.depth.set(depth);
                 // Operator bodies may have left extra detail (e.g. ALT
                 // settled-vertex counts); it belongs to this operator.
                 let detail = self.ctx.take_op_detail();
-                if let Ok(t) = &result {
+                if let Ok((t, _)) = &result {
                     cell.lock().expect("stats lock").finish(
                         idx,
                         t.row_count(),
@@ -98,7 +114,7 @@ impl<'a> Executor<'a> {
             self.ctx.swap_trace_parent(prev);
             if let Some(t) = self.ctx.trace() {
                 match &result {
-                    Ok(table) => t.end_with(
+                    Ok((table, _)) => t.end_with(
                         id,
                         vec![("rows".to_string(), TraceValue::from(table.row_count() as i64))],
                     ),
@@ -106,9 +122,9 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let out = result?;
+        let (out, cols) = result?;
         self.ctx.check_row_limit(out.row_count(), || plan.node_label())?;
-        Ok(out)
+        Ok((out, cols))
     }
 
     /// The stats depth assigned to children of the operator currently being
@@ -129,34 +145,37 @@ impl<'a> Executor<'a> {
         result
     }
 
-    fn execute_inner(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {
-        // Streaming operator shapes go through the morsel-driven pipeline
-        // engine first. Timeouts abort outright; any other pipeline error
-        // falls through to the barrier operators below, which re-run the
-        // node sequentially-deterministically so surfaced error messages
-        // are identical to `pipeline = off`.
-        if self.ctx.pipeline_enabled() && pipeline::fusable_root(plan) {
-            match pipeline::execute(self, plan) {
-                Ok(t) => return Ok(t),
-                Err(e @ Error::Timeout { .. }) => return Err(e),
-                Err(_) => {}
-            }
-        }
+    fn execute_inner(
+        &self,
+        plan: &LogicalPlan,
+        extras: &[Extra<'_>],
+    ) -> Result<(Arc<Table>, Vec<Column>)> {
         let params = self.ctx.params();
-        match plan {
+        // Set by the pipeline engine when it evaluated `extras` in-pass.
+        let mut fused_extras = None;
+        let table = match plan {
+            LogicalPlan::Filter { .. }
+            | LogicalPlan::Project { .. }
+            | LogicalPlan::Join { .. }
+            | LogicalPlan::Aggregate { .. }
+            | LogicalPlan::Limit { .. } => {
+                let (table, cols) = pipeline::execute(self, plan, extras)?;
+                fused_extras = cols;
+                table
+            }
             LogicalPlan::SingleRow => {
                 let mut t = Table::empty(gsql_storage::Schema::default());
                 t.append_row(Vec::new()).map_err(Error::Storage)?;
-                Ok(Arc::new(t))
+                Arc::new(t)
             }
             LogicalPlan::Scan { table, .. } => {
-                self.ctx.catalog().get(table).map_err(Error::Storage)
+                self.ctx.catalog().get(table).map_err(Error::Storage)?
             }
             LogicalPlan::IndexedGraph { table, .. }
             | LogicalPlan::PathIndexedGraph { table, .. } => {
                 // Reached only when a graph operator did not consume the
                 // node (or the index was dropped): scan the base table.
-                self.ctx.catalog().get(table).map_err(Error::Storage)
+                self.ctx.catalog().get(table).map_err(Error::Storage)?
             }
             LogicalPlan::Values { rows, schema } => {
                 let mut t = Table::empty(schema.to_storage_schema());
@@ -165,66 +184,38 @@ impl<'a> Executor<'a> {
                         row.iter().map(|e| eval_const(e, params)).collect::<Result<_>>()?;
                     t.append_row(values).map_err(Error::Storage)?;
                 }
-                Ok(Arc::new(t))
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let t = self.execute(input)?;
-                let keep = eval_filter_indices(predicate, &t, params, self.ctx.threads())?;
-                if keep.len() == t.row_count() {
-                    return Ok(t); // nothing filtered: reuse the snapshot
-                }
-                Ok(Arc::new(t.take(&keep)))
-            }
-            LogicalPlan::Project { input, exprs, schema } => {
-                let t = self.execute(input)?;
-                let storage_schema = schema.to_storage_schema();
-                let mut columns = Vec::with_capacity(exprs.len());
-                for (e, def) in exprs.iter().zip(storage_schema.columns()) {
-                    columns.push(eval_to_column(e, &t, params, def.ty)?);
-                }
-                Table::from_columns(storage_schema, columns).map(Arc::new).map_err(Error::Storage)
-            }
-            LogicalPlan::Join { left, right, kind, on, schema } => {
-                let l = self.execute(left)?;
-                let r = self.execute(right)?;
-                join::execute_join(&l, &r, *kind, on.as_ref(), schema, params, self.ctx.threads())
+                Arc::new(t)
             }
             LogicalPlan::GraphSelect { .. } | LogicalPlan::GraphJoin { .. } => {
-                graph_op::execute(self, plan)
-            }
-            LogicalPlan::Aggregate { input, group, aggs, schema } => {
-                let t = self.execute(input)?;
-                aggregate::execute_aggregate(&t, group, aggs, schema, params, self.ctx.threads())
+                graph_op::execute(self, plan)?
             }
             LogicalPlan::Sort { input, keys } => {
                 let t = self.execute(input)?;
-                Ok(Arc::new(sort_table(&t, keys, params, self.ctx.threads())?))
-            }
-            LogicalPlan::Limit { input, limit, offset } => {
-                let t = self.execute(input)?;
-                let n = t.row_count();
-                let start = (*offset).min(n);
-                let end = match limit {
-                    Some(l) => (start + l).min(n),
-                    None => n,
-                };
-                Ok(Arc::new(t.slice_rows(start..end)))
+                Arc::new(sort_table(&t, keys, params, self.ctx.threads())?)
             }
             LogicalPlan::Distinct { input } => {
                 let t = self.execute(input)?;
-                Ok(Arc::new(distinct_table(&t, self.ctx.threads())?))
+                Arc::new(distinct_table(&t, self.ctx.threads())?)
             }
             LogicalPlan::Union { left, right, all } => {
                 let l = self.execute(left)?;
                 let r = self.execute(right)?;
                 debug_assert!(*all, "binder wraps UNION (distinct) in a Distinct node");
-                union_tables(&l, &r)
+                union_tables(&l, &r)?
             }
             LogicalPlan::Unnest { input, path_col, with_ordinality, preserve_empty, schema } => {
                 let t = self.execute(input)?;
-                unnest::execute_unnest(&t, *path_col, *with_ordinality, *preserve_empty, schema)
+                unnest::execute_unnest(&t, *path_col, *with_ordinality, *preserve_empty, schema)?
             }
-        }
+        };
+        let extra_cols = match fused_extras {
+            Some(cols) => cols,
+            None => extras
+                .iter()
+                .map(|(e, ty)| eval_to_column(e, &table, params, *ty))
+                .collect::<Result<_>>()?,
+        };
+        Ok((table, extra_cols))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Runtime expression evaluation.
 //!
 //! Values flow as [`Value`]s with SQL three-valued logic. Column-at-a-time
-//! wrappers ([`eval_to_column`], [`eval_filter_indices`]) provide fast paths
+//! wrappers ([`eval_to_column`], [`eval_filter_range`]) provide fast paths
 //! for bare column references and constants, which dominate the graph
 //! workloads (edge keys are plain columns, `CHEAPEST SUM(1)` is a constant).
 
@@ -374,41 +374,9 @@ fn vectorized_arith(col: Column, op: BinaryOp, k: Value, col_left: bool) -> Resu
     }
 }
 
-/// Evaluate a predicate over every row, returning the indices where it is
-/// true (NULL and false are dropped — SQL filter semantics).
-///
-/// With `threads > 1` the row-at-a-time fallback evaluates contiguous row
-/// chunks in parallel and concatenates the surviving indices in chunk
-/// order, so the result is identical to the sequential scan (a sequential
-/// scan reports the error of the earliest failing row; the parallel path
-/// surfaces the earliest failing *chunk*'s error, which is the same shape
-/// of error on the same predicate).
-pub fn eval_filter_indices(
-    predicate: &BoundExpr,
-    table: &Table,
-    params: &[Value],
-    threads: usize,
-) -> Result<Vec<usize>> {
-    if let Some(mask) = predicate_mask(predicate, table, 0..table.row_count(), params)? {
-        return Ok(mask.iter().enumerate().filter_map(|(i, &b)| b.then_some(i)).collect());
-    }
-    let chunks = gsql_parallel::Pool::new(threads).try_map_chunks(
-        table.row_count(),
-        |range| -> Result<Vec<usize>> {
-            let mut keep = Vec::new();
-            for row in range {
-                if eval(predicate, table, row, params)? == Value::Bool(true) {
-                    keep.push(row);
-                }
-            }
-            Ok(keep)
-        },
-    )?;
-    Ok(chunks.into_iter().flatten().collect())
-}
-
-/// Range-restricted [`eval_filter_indices`]: the kept **global** row
-/// indices within `range` of `table`, in ascending order. Runs on the
+/// Evaluate a predicate over the rows in `range` of `table`, returning the
+/// **global** row indices where it is true, in ascending order (NULL and
+/// false are dropped — SQL filter semantics). Runs on the
 /// calling thread — pipeline workers call this once per morsel, so the
 /// parallelism lives in the morsel scheduling, not here. The columnar
 /// `column ⋈ constant` mask fast path applies to the range alone.
@@ -1055,7 +1023,7 @@ mod tests {
             ),
         ];
         for e in cases {
-            let fast = eval_filter_indices(&e, &t, &[], 1).unwrap();
+            let fast = eval_filter_range(&e, &t, 0..t.row_count(), &[]).unwrap();
             let mut slow = Vec::new();
             for row in 0..t.row_count() {
                 if eval(&e, &t, row, &[]).unwrap() == Value::Bool(true) {
@@ -1070,7 +1038,7 @@ mod tests {
     fn filter_mask_null_constant_matches_scalar() {
         let t = numbers_table();
         let e = binary(col_ref(0, DataType::Int), BinaryOp::Eq, lit(Value::Null));
-        assert!(eval_filter_indices(&e, &t, &[], 1).unwrap().is_empty());
+        assert!(eval_filter_range(&e, &t, 0..t.row_count(), &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -1085,6 +1053,6 @@ mod tests {
             BinaryOp::Lt,
             lit(Value::Date(Date::parse("2011-01-01").unwrap())),
         );
-        assert_eq!(eval_filter_indices(&e, &t, &[], 1).unwrap(), vec![0, 1]);
+        assert_eq!(eval_filter_range(&e, &t, 0..t.row_count(), &[]).unwrap(), vec![0, 1]);
     }
 }

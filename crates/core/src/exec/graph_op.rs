@@ -20,7 +20,6 @@ use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
-use crate::exec::pipeline;
 use crate::path_index::PathIndexData;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use gsql_graph::batch::CostValue;
@@ -657,41 +656,18 @@ fn execute_graph_select(
     specs: &[CheapestSpec],
     schema: &PlanSchema,
 ) -> Result<Arc<Table>> {
-    // Fused path: when the input is a pipelinable chain, the vertex
-    // expressions X/Y are evaluated per morsel inside the input's own
-    // fused pass — no second full-table expression sweep over an
-    // intermediate table. The graph is obtained first because the extra
-    // columns are typed by the edge key. Otherwise: materialize the input,
-    // then map X/Y into the dense domain, dropping rows whose endpoints
-    // are not vertices (the "initial filtering" of §3.1).
-    let (input_table, x_col, y_col, graph, from_index, accel_data) =
-        if pipeline::fusion_eligible(ex.ctx(), input) {
-            let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-            let key_ty = graph.edges.schema().column(src_key).ty;
-            let (input_table, mut cols) = match pipeline::execute_with_extra_columns(
-                ex,
-                input,
-                &[(source, key_ty), (dest, key_ty)],
-            )? {
-                Some(fused) => fused,
-                None => {
-                    let t = ex.execute(input)?;
-                    let x = eval_to_column(source, &t, ex.ctx().params(), key_ty)?;
-                    let y = eval_to_column(dest, &t, ex.ctx().params(), key_ty)?;
-                    (t, vec![x, y])
-                }
-            };
-            let y_col = cols.pop().expect("two extra columns");
-            let x_col = cols.pop().expect("two extra columns");
-            (input_table, x_col, y_col, graph, from_index, accel_data)
-        } else {
-            let input_table = ex.execute(input)?;
-            let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-            let key_ty = graph.edges.schema().column(src_key).ty;
-            let x_col = eval_to_column(source, &input_table, ex.ctx().params(), key_ty)?;
-            let y_col = eval_to_column(dest, &input_table, ex.ctx().params(), key_ty)?;
-            (input_table, x_col, y_col, graph, from_index, accel_data)
-        };
+    // The graph comes first because the vertex expressions X/Y are typed by
+    // the edge key. They are evaluated together with the input — per morsel
+    // inside the input's own fused pass when it is a pipeline, so no second
+    // full-table expression sweep runs over an intermediate table — and
+    // then mapped into the dense domain, dropping rows whose endpoints are
+    // not vertices (the "initial filtering" of §3.1).
+    let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
+    let key_ty = graph.edges.schema().column(src_key).ty;
+    let (input_table, mut cols) =
+        ex.execute_with_extras(input, &[(source, key_ty), (dest, key_ty)])?;
+    let y_col = cols.pop().expect("two extra columns");
+    let x_col = cols.pop().expect("two extra columns");
     let mut candidates: Vec<usize> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     for row in 0..input_table.row_count() {
@@ -743,27 +719,14 @@ fn execute_graph_join(
 ) -> Result<Arc<Table>> {
     // GraphJoin is the batched many-to-many shape; a covering path index
     // serves the whole distinct-source × distinct-dest matrix through the
-    // bucket-CH / multi-target-ALT tier below. Pipelinable sides evaluate
-    // their vertex expression inside their own fused pass (see
-    // `execute_graph_select`); that reorders graph acquisition first, so
-    // only do it when a side actually fuses.
-    let ctx = ex.ctx();
-    let fuse = pipeline::fusion_eligible(ctx, left) || pipeline::fusion_eligible(ctx, right);
-    let (left_table, right_table, x_col, y_col, graph, from_index, accel_data) = if fuse {
-        let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = graph.edges.schema().column(src_key).ty;
-        let (left_table, x_col) = graph_side(ex, left, source, key_ty)?;
-        let (right_table, y_col) = graph_side(ex, right, dest, key_ty)?;
-        (left_table, right_table, x_col, y_col, graph, from_index, accel_data)
-    } else {
-        let left_table = ex.execute(left)?;
-        let right_table = ex.execute(right)?;
-        let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = graph.edges.schema().column(src_key).ty;
-        let x_col = eval_to_column(source, &left_table, ctx.params(), key_ty)?;
-        let y_col = eval_to_column(dest, &right_table, ctx.params(), key_ty)?;
-        (left_table, right_table, x_col, y_col, graph, from_index, accel_data)
-    };
+    // bucket-CH / multi-target-ALT tier below. Each side evaluates its
+    // vertex expression along with its rows (see `execute_graph_select`).
+    let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
+    let key_ty = graph.edges.schema().column(src_key).ty;
+    let (left_table, mut x_cols) = ex.execute_with_extras(left, &[(source, key_ty)])?;
+    let (right_table, mut y_cols) = ex.execute_with_extras(right, &[(dest, key_ty)])?;
+    let x_col = x_cols.pop().expect("one extra column");
+    let y_col = y_cols.pop().expect("one extra column");
 
     // Distinct vertex ids on each side, with their row lists.
     let mut left_ids: Vec<(usize, u32)> = Vec::new();
@@ -825,27 +788,6 @@ fn execute_graph_join(
     columns.extend(right_table.columns().iter().map(|c| c.take(&right_rows)));
     append_spec_columns(&mut columns, &spec_results, &kept_pairs, &graph.edges)?;
     Table::from_columns(schema.to_storage_schema(), columns).map(Arc::new).map_err(Error::Storage)
-}
-
-/// Execute one side of a graph join, evaluating its vertex expression in
-/// the side's fused pipeline pass when possible.
-fn graph_side(
-    ex: &Executor<'_>,
-    side: &LogicalPlan,
-    expr: &BoundExpr,
-    key_ty: DataType,
-) -> Result<(Arc<Table>, Column)> {
-    match pipeline::execute_with_extra_columns(ex, side, &[(expr, key_ty)])? {
-        Some((t, mut cols)) => {
-            let col = cols.pop().expect("one extra column");
-            Ok((t, col))
-        }
-        None => {
-            let t = ex.execute(side)?;
-            let col = eval_to_column(expr, &t, ex.ctx().params(), key_ty)?;
-            Ok((t, col))
-        }
-    }
 }
 
 /// Append the cost (and path) columns for every spec.

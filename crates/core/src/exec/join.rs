@@ -1,12 +1,15 @@
-//! Join execution: hash join for equi-conditions, nested loop otherwise.
+//! Join execution: a build-once, probe-per-morsel [`JoinProbe`] — hash
+//! probing for equi-conditions, nested-loop probing otherwise (a cross
+//! product is the nested loop with no condition).
 //!
-//! The hash join parallelizes over row partitions: build-side keys are
-//! evaluated chunk-parallel before the (cheap, sequential) table insert,
-//! and the probe side is partitioned into contiguous left-row chunks whose
-//! match lists concatenate in chunk order — the output pair list is
-//! identical to a sequential probe.
+//! The build side is a pipeline breaker: its keys are evaluated
+//! chunk-parallel and inserted sequentially in row order, so candidate
+//! lists are ordered exactly as a sequential build would order them. Probe
+//! parallelism lives in the morsel scheduling (`exec/pipeline.rs`): each
+//! morsel probes its own left rows and the pair lists concatenate in
+//! morsel order.
 
-use crate::error::{exec_err, Error};
+use crate::error::Error;
 use crate::exec::expression::{eval, eval_row, PairRow};
 use crate::plan::{BinaryOp, BoundExpr, JoinKind, PlanSchema};
 use gsql_parallel::Pool;
@@ -17,69 +20,21 @@ use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Execute a join between two materialized inputs over `threads` workers
-/// (`1` = sequential).
-pub fn execute_join(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    on: Option<&BoundExpr>,
-    schema: &PlanSchema,
-    params: &[Value],
-    threads: usize,
-) -> Result<Arc<Table>> {
-    let n_left = left.schema().len();
-    let mut pairs: Vec<(usize, Option<usize>)> = Vec::new();
-
-    match on {
-        None => {
-            // Cross product.
-            if kind != JoinKind::Cross {
-                return Err(exec_err!("non-cross join without a condition"));
-            }
-            for i in 0..left.row_count() {
-                for j in 0..right.row_count() {
-                    pairs.push((i, Some(j)));
-                }
-            }
-        }
-        Some(cond) => {
-            let (equi, residual) = split_equi_keys(cond, n_left);
-            let pool = Pool::new(threads);
-            if equi.is_empty() {
-                nested_loop(left, right, kind, cond, n_left, params, &pool, &mut pairs)?;
-            } else {
-                hash_join(
-                    left,
-                    right,
-                    kind,
-                    &equi,
-                    residual.as_ref(),
-                    n_left,
-                    params,
-                    &pool,
-                    &mut pairs,
-                )?;
-            }
-        }
-    }
-
-    materialize_pairs(left, right, &pairs, schema).map(Arc::new)
-}
-
-/// The probe-side half of an equi join, prepared once and probed many times
-/// — the pipeline engine builds this as a **breaker** (the build side is
-/// fully executed and hashed before the probe pipeline starts) and then
-/// probes it morsel by morsel with per-worker pair lists.
+/// The build side of a join, prepared once and probed many times — the
+/// pipeline engine builds this as a **breaker** (the build side is fully
+/// executed and hashed before the probe pipeline starts) and then probes
+/// it morsel by morsel with per-worker pair lists.
 pub(crate) struct JoinProbe {
     /// The materialized build (right) side.
     pub right: Arc<Table>,
     kind: JoinKind,
-    /// Equi-key expression pairs; empty means nested-loop probing on
-    /// `residual` alone.
+    /// Column count of the probe (left) side: pair-row ordinals at or past
+    /// it address `right`.
+    n_left: usize,
+    /// Equi-key expression pairs; empty means nested-loop probing.
     equi: Vec<(BoundExpr, BoundExpr)>,
     /// Residual predicate over the joined pair row (the full condition for
-    /// nested-loop probes).
+    /// nested-loop probes; `None` with no equi keys is a cross product).
     residual: Option<BoundExpr>,
     /// Hash table from equi key to build-side rows, in ascending row order.
     ht: HashMap<Vec<HashableValue>, Vec<usize>>,
@@ -88,35 +43,59 @@ pub(crate) struct JoinProbe {
 impl JoinProbe {
     /// Build the hash table over `right` (key evaluation chunk-parallel,
     /// insertion sequential in row order — identical candidate ordering to
-    /// a sequential build).
+    /// a sequential build). Every chunk runs to completion and the first
+    /// chunk's error wins, so a failing key surfaces the earliest failing
+    /// row's error at every thread count.
     pub fn build(
         right: Arc<Table>,
         kind: JoinKind,
-        on: &BoundExpr,
+        on: Option<&BoundExpr>,
         n_left: usize,
         params: &[Value],
         pool: &Pool,
     ) -> Result<JoinProbe> {
-        let (equi, residual) = split_equi_keys(on, n_left);
+        let (equi, residual) = match on {
+            Some(cond) => split_equi_keys(cond, n_left),
+            None => (Vec::new(), None),
+        };
         let mut ht: HashMap<Vec<HashableValue>, Vec<usize>> = HashMap::new();
         if !equi.is_empty() {
-            let build_keys: Vec<Option<Vec<HashableValue>>> = pool
-                .try_map_chunks(
-                    right.row_count(),
-                    |range| -> Result<Vec<Option<Vec<HashableValue>>>> {
-                        range.map(|j| key_of(&equi, true, &right, j, params)).collect()
-                    },
-                )?
-                .into_iter()
-                .flatten()
-                .collect();
-            for (j, key) in build_keys.into_iter().enumerate() {
-                if let Some(key) = key {
-                    ht.entry(key).or_default().push(j);
+            let chunks = pool.map_chunks(right.row_count(), |range| {
+                range
+                    .map(|j| key_of(&equi, true, &right, j, params))
+                    .collect::<Result<Vec<Option<Vec<HashableValue>>>>>()
+            });
+            let mut j = 0;
+            for chunk in chunks {
+                for key in chunk? {
+                    if let Some(key) = key {
+                        ht.entry(key).or_default().push(j);
+                    }
+                    j += 1;
                 }
             }
         }
-        Ok(JoinProbe { right, kind, equi, residual, ht })
+        Ok(JoinProbe { right, kind, n_left, equi, residual, ht })
+    }
+
+    /// True when the pair `(left_row, right_row)` passes the residual
+    /// predicate (vacuously, when there is none).
+    fn residual_holds(
+        &self,
+        left: &Table,
+        left_row: usize,
+        right_row: usize,
+        params: &[Value],
+    ) -> Result<bool> {
+        let Some(residual) = &self.residual else { return Ok(true) };
+        let pair = PairRow {
+            left,
+            left_row,
+            right: &self.right,
+            right_row: Some(right_row),
+            n_left: self.n_left,
+        };
+        Ok(eval_row(residual, &pair, params)? == Value::Bool(true))
     }
 
     /// Probe one batch of left rows (ascending), appending `(left_row,
@@ -126,52 +105,26 @@ impl JoinProbe {
         &self,
         left: &Table,
         rows: impl Iterator<Item = usize>,
-        n_left: usize,
         params: &[Value],
         pairs: &mut Vec<(usize, Option<usize>)>,
     ) -> Result<()> {
+        let all_right = 0..self.right.row_count();
         for i in rows {
-            let mut matched = false;
+            let before = pairs.len();
             if self.equi.is_empty() {
-                // Nested-loop probe on the full condition.
-                let cond = self.residual.as_ref().expect("nested-loop probe has a condition");
-                for j in 0..self.right.row_count() {
-                    let ctx = PairRow {
-                        left,
-                        left_row: i,
-                        right: &self.right,
-                        right_row: Some(j),
-                        n_left,
-                    };
-                    if eval_row(cond, &ctx, params)? == Value::Bool(true) {
-                        matched = true;
+                for j in all_right.clone() {
+                    if self.residual_holds(left, i, j, params)? {
                         pairs.push((i, Some(j)));
                     }
                 }
             } else if let Some(key) = key_of(&self.equi, false, left, i, params)? {
-                if let Some(candidates) = self.ht.get(key.as_slice()) {
-                    for &j in candidates {
-                        let ok = match &self.residual {
-                            None => true,
-                            Some(res) => {
-                                let ctx = PairRow {
-                                    left,
-                                    left_row: i,
-                                    right: &self.right,
-                                    right_row: Some(j),
-                                    n_left,
-                                };
-                                eval_row(res, &ctx, params)? == Value::Bool(true)
-                            }
-                        };
-                        if ok {
-                            matched = true;
-                            pairs.push((i, Some(j)));
-                        }
+                for &j in self.ht.get(key.as_slice()).map_or(&[][..], Vec::as_slice) {
+                    if self.residual_holds(left, i, j, params)? {
+                        pairs.push((i, Some(j)));
                     }
                 }
             }
-            if !matched && self.kind == JoinKind::LeftOuter {
+            if pairs.len() == before && self.kind == JoinKind::LeftOuter {
                 pairs.push((i, None));
             }
         }
@@ -270,112 +223,6 @@ fn key_of(
     Ok(Some(key))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    equi: &[(BoundExpr, BoundExpr)],
-    residual: Option<&BoundExpr>,
-    n_left: usize,
-    params: &[Value],
-    pool: &Pool,
-    pairs: &mut Vec<(usize, Option<usize>)>,
-) -> Result<()> {
-    // Build phase: key evaluation — the expression-heavy part — runs
-    // chunk-parallel; the table insert stays sequential in row order, so
-    // every candidate list is ordered by right row exactly as a sequential
-    // build would produce.
-    let build_keys: Vec<Option<Vec<HashableValue>>> = pool
-        .try_map_chunks(right.row_count(), |range| -> Result<Vec<Option<Vec<HashableValue>>>> {
-            range.map(|j| key_of(equi, true, right, j, params)).collect()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut ht: HashMap<&[HashableValue], Vec<usize>> = HashMap::new();
-    for (j, key) in build_keys.iter().enumerate() {
-        if let Some(key) = key {
-            ht.entry(key.as_slice()).or_default().push(j);
-        }
-    }
-
-    // Probe phase: contiguous left-row partitions, each emitting its own
-    // ordered pair list; concatenation in partition order reproduces the
-    // sequential probe output.
-    let partitions =
-        pool.try_map_chunks(left.row_count(), |range| -> Result<Vec<(usize, Option<usize>)>> {
-            let mut local = Vec::new();
-            for i in range {
-                let mut matched = false;
-                if let Some(key) = key_of(equi, false, left, i, params)? {
-                    if let Some(candidates) = ht.get(key.as_slice()) {
-                        for &j in candidates {
-                            let ok = match residual {
-                                None => true,
-                                Some(res) => {
-                                    let ctx = PairRow {
-                                        left,
-                                        left_row: i,
-                                        right,
-                                        right_row: Some(j),
-                                        n_left,
-                                    };
-                                    eval_row(res, &ctx, params)? == Value::Bool(true)
-                                }
-                            };
-                            if ok {
-                                matched = true;
-                                local.push((i, Some(j)));
-                            }
-                        }
-                    }
-                }
-                if !matched && kind == JoinKind::LeftOuter {
-                    local.push((i, None));
-                }
-            }
-            Ok(local)
-        })?;
-    pairs.extend(partitions.into_iter().flatten());
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nested_loop(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    cond: &BoundExpr,
-    n_left: usize,
-    params: &[Value],
-    pool: &Pool,
-    pairs: &mut Vec<(usize, Option<usize>)>,
-) -> Result<()> {
-    // Parallel over left-row partitions; right side scanned per row as in
-    // the sequential loop, output concatenated in partition order.
-    let partitions =
-        pool.try_map_chunks(left.row_count(), |range| -> Result<Vec<(usize, Option<usize>)>> {
-            let mut local = Vec::new();
-            for i in range {
-                let mut matched = false;
-                for j in 0..right.row_count() {
-                    let ctx = PairRow { left, left_row: i, right, right_row: Some(j), n_left };
-                    if eval_row(cond, &ctx, params)? == Value::Bool(true) {
-                        matched = true;
-                        local.push((i, Some(j)));
-                    }
-                }
-                if !matched && kind == JoinKind::LeftOuter {
-                    local.push((i, None));
-                }
-            }
-            Ok(local)
-        })?;
-    pairs.extend(partitions.into_iter().flatten());
-    Ok(())
-}
-
 /// Materialize the joined pairs into an output table.
 pub(crate) fn materialize_pairs(
     left: &Table,
@@ -440,13 +287,31 @@ mod tests {
         }
     }
 
+    /// Join the way the pipeline does: build once, then probe the left
+    /// rows in one-row morsels whose pair lists concatenate in morsel order.
+    fn join(
+        l: &Table,
+        r: &Table,
+        kind: JoinKind,
+        on: Option<&BoundExpr>,
+        schema: &PlanSchema,
+    ) -> Table {
+        let right = Arc::new(r.clone());
+        let probe =
+            JoinProbe::build(right, kind, on, l.schema().len(), &[], &Pool::new(2)).unwrap();
+        let mut pairs = Vec::new();
+        for row in 0..l.row_count() {
+            probe.probe_rows(l, row..row + 1, &[], &mut pairs).unwrap();
+        }
+        materialize_pairs(l, &probe.right, &pairs, schema).unwrap()
+    }
+
     #[test]
-    fn inner_hash_join_matches() {
+    fn inner_equi_join_matches() {
         let l = table("l", &[(1, "a"), (2, "b"), (3, "c")]);
         let r = table("r", &[(2, "x"), (3, "y"), (3, "z"), (4, "w")]);
         let schema = out_schema(&l, &r);
-        let out =
-            execute_join(&l, &r, JoinKind::Inner, Some(&eq_cond(0, 2)), &schema, &[], 1).unwrap();
+        let out = join(&l, &r, JoinKind::Inner, Some(&eq_cond(0, 2)), &schema);
         assert_eq!(out.row_count(), 3); // 2-x, 3-y, 3-z
     }
 
@@ -463,8 +328,7 @@ mod tests {
             pc.nullable = true;
             schema.push(pc);
         }
-        let out = execute_join(&l, &r, JoinKind::LeftOuter, Some(&eq_cond(0, 2)), &schema, &[], 1)
-            .unwrap();
+        let out = join(&l, &r, JoinKind::LeftOuter, Some(&eq_cond(0, 2)), &schema);
         assert_eq!(out.row_count(), 2);
         // Row for id=1 has NULLs on the right.
         let row = out.row(0);
@@ -478,12 +342,16 @@ mod tests {
         let l = table("l", &[(1, "a"), (2, "b")]);
         let r = table("r", &[(10, "x"), (20, "y"), (30, "z")]);
         let schema = out_schema(&l, &r);
-        let out = execute_join(&l, &r, JoinKind::Cross, None, &schema, &[], 1).unwrap();
+        let out = join(&l, &r, JoinKind::Cross, None, &schema);
         assert_eq!(out.row_count(), 6);
+        // Left-major order: every right row under the first left row first.
+        assert_eq!(out.row(2)[0], Value::Int(1));
+        assert_eq!(out.row(2)[2], Value::Int(30));
+        assert_eq!(out.row(3)[0], Value::Int(2));
     }
 
     #[test]
-    fn nested_loop_for_inequality() {
+    fn inequality_join_scans_the_build_side() {
         let l = table("l", &[(1, "a"), (5, "b")]);
         let r = table("r", &[(2, "x"), (4, "y")]);
         let schema = out_schema(&l, &r);
@@ -492,7 +360,7 @@ mod tests {
             op: BinaryOp::Lt,
             right: Box::new(BoundExpr::Column { index: 2, ty: DataType::Int }),
         };
-        let out = execute_join(&l, &r, JoinKind::Inner, Some(&cond), &schema, &[], 1).unwrap();
+        let out = join(&l, &r, JoinKind::Inner, Some(&cond), &schema);
         assert_eq!(out.row_count(), 2); // 1<2, 1<4
     }
 
@@ -507,59 +375,8 @@ mod tests {
         let mut schema = PlanSchema::default();
         schema.push(PlanColumn::new("a", DataType::Int));
         schema.push(PlanColumn::new("b", DataType::Int));
-        let out =
-            execute_join(&l, &r, JoinKind::Inner, Some(&eq_cond(0, 1)), &schema, &[], 1).unwrap();
+        let out = join(&l, &r, JoinKind::Inner, Some(&eq_cond(0, 1)), &schema);
         assert_eq!(out.row_count(), 1); // only 1 = 1
-    }
-
-    #[test]
-    fn parallel_join_matches_sequential() {
-        // Enough rows to split into several chunks; duplicate keys to
-        // exercise candidate-list ordering.
-        let lrows: Vec<(i64, String)> = (0..1200).map(|i| (i % 37, format!("l{i}"))).collect();
-        let rrows: Vec<(i64, String)> = (0..900).map(|i| (i % 41, format!("r{i}"))).collect();
-        let lref: Vec<(i64, &str)> = lrows.iter().map(|(i, s)| (*i, s.as_str())).collect();
-        let rref: Vec<(i64, &str)> = rrows.iter().map(|(i, s)| (*i, s.as_str())).collect();
-        let l = table("l", &lref);
-        let r = table("r", &rref);
-        let schema = out_schema(&l, &r);
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
-            let schema = if kind == JoinKind::LeftOuter {
-                let mut s = PlanSchema::default();
-                for c in l.schema().columns() {
-                    s.push(PlanColumn::new(c.name.clone(), c.ty));
-                }
-                for c in r.schema().columns() {
-                    let mut pc = PlanColumn::new(c.name.clone(), c.ty);
-                    pc.nullable = true;
-                    s.push(pc);
-                }
-                s
-            } else {
-                schema.clone()
-            };
-            let seq = execute_join(&l, &r, kind, Some(&eq_cond(0, 2)), &schema, &[], 1).unwrap();
-            for threads in [2, 8] {
-                let par = execute_join(&l, &r, kind, Some(&eq_cond(0, 2)), &schema, &[], threads)
-                    .unwrap();
-                assert_eq!(par.row_count(), seq.row_count(), "{kind:?} threads {threads}");
-                for i in 0..seq.row_count() {
-                    assert_eq!(par.row(i), seq.row(i), "{kind:?} threads {threads} row {i}");
-                }
-            }
-        }
-        // Nested-loop path (inequality condition).
-        let cond = BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column { index: 0, ty: DataType::Int }),
-            op: BinaryOp::Lt,
-            right: Box::new(BoundExpr::Column { index: 2, ty: DataType::Int }),
-        };
-        let seq = execute_join(&l, &r, JoinKind::Inner, Some(&cond), &schema, &[], 1).unwrap();
-        let par = execute_join(&l, &r, JoinKind::Inner, Some(&cond), &schema, &[], 4).unwrap();
-        assert_eq!(par.row_count(), seq.row_count());
-        for i in 0..seq.row_count() {
-            assert_eq!(par.row(i), seq.row(i), "nested-loop row {i}");
-        }
     }
 
     #[test]
@@ -577,7 +394,7 @@ mod tests {
                 right: Box::new(BoundExpr::Literal(Value::from("keep"))),
             }),
         };
-        let out = execute_join(&l, &r, JoinKind::Inner, Some(&cond), &schema, &[], 1).unwrap();
+        let out = join(&l, &r, JoinKind::Inner, Some(&cond), &schema);
         assert_eq!(out.row_count(), 1);
         assert_eq!(out.row(0)[1], Value::from("keep"));
     }

@@ -1,4 +1,5 @@
-//! Physical execution: fully materialized, column-at-a-time operators.
+//! Physical execution: column-at-a-time, morsel-driven pipelines between
+//! materializing breakers.
 
 pub mod aggregate;
 pub mod executor;

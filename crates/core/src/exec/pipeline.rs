@@ -1,33 +1,34 @@
-//! Push-based, morsel-driven pipeline execution.
+//! Push-based, morsel-driven pipeline execution — the engine's only
+//! implementation of filter, project, join, aggregate and limit.
 //!
-//! The barrier model (`executor.rs`) runs every operator as its own
-//! fan-out with a full materialized table between stages. This module
-//! replaces that for the streaming operator shapes: a plan rooted at a
-//! filter, project, join, aggregate or limit is decomposed into a
+//! A plan rooted at one of those operators is decomposed into a
 //! **pipeline** — a fused chain of streaming operators over one source —
 //! terminated by a **sink**. Workers pull fixed-size morsels (contiguous
 //! row ranges of the source) from a shared [`MorselQueue`] and run each
 //! morsel through the whole fused chain to completion in worker-local
-//! state; the sink's per-morsel partials merge sequentially **in
+//! state; the sink consumes the per-morsel partials sequentially **in
 //! morsel-index order**.
 //!
-//! Pipelines break at the classic breakers: a hash-join **build** side is
+//! Pipelines break at the classic breakers: a join's **build** side is
 //! fully executed and hashed before its probe pipeline starts; aggregates
 //! and limits are sinks; sort, DISTINCT, UNION, UNNEST and the graph
-//! operators stay materializing barrier nodes (their *inputs* still
-//! execute as pipelines).
+//! operators are materializing nodes in `executor.rs`/`graph_op.rs`
+//! (their *inputs* still execute as pipelines).
 //!
 //! Determinism contract: morsel boundaries depend only on the input size
-//! and `morsel_rows` — never the worker count — and the merge consumes
+//! and `morsel_rows` — never the worker count — and the sink consumes
 //! partials in morsel-index order, so every result (including float
-//! aggregates) is bit-identical at every thread count. Error messages are
-//! kept sequential-identical the same way the parallel aggregate does it:
-//! on any non-timeout pipeline error the executor re-runs the node through
-//! the barrier path and surfaces *that* error.
+//! aggregates) is bit-identical at every thread count. Errors follow the
+//! same rule: a failing morsel stops the queue, the morsels already handed
+//! out (always a prefix of the morsel sequence) run to completion, and the
+//! in-order walk surfaces the error of the **lowest morsel index** — the
+//! one `threads = 1` would have hit first. The row-limit guard is evaluated
+//! in that walk too, so its message is thread-count independent. Only a
+//! statement timeout pre-empts the walk.
 
-use crate::context::PipelineStat;
+use crate::context::{ExecContext, PipelineStat};
 use crate::error::Error;
-use crate::exec::expression::{eval, eval_filter_indices, eval_filter_range, eval_to_column};
+use crate::exec::expression::{eval, eval_filter_range, eval_to_column};
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
@@ -35,31 +36,27 @@ use gsql_obs::TraceValue;
 use gsql_parallel::{MorselQueue, Pool};
 use gsql_storage::{Column, DataType, Table, Value};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
 
+/// An extra output column requested alongside a plan's result: an
+/// expression over the plan's output rows and its result type. The graph
+/// operators derive their source/dest vertex columns this way.
+pub(crate) type Extra<'e> = (&'e BoundExpr, DataType);
+
 /// True when `plan` is a shape this module executes as a pipeline root.
-/// (Joins need a condition: a bare cross product stays on the barrier
-/// path.)
 pub(crate) fn fusable_root(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => true,
-        LogicalPlan::Join { on, .. } => on.is_some(),
-        LogicalPlan::Aggregate { .. } | LogicalPlan::Limit { .. } => true,
-        _ => false,
-    }
+    fusable_op(plan) || matches!(plan, LogicalPlan::Aggregate { .. } | LogicalPlan::Limit { .. })
 }
 
 /// True when `plan` can be a fused (streaming) member of a chain.
 fn fusable_op(plan: &LogicalPlan) -> bool {
     matches!(
         plan,
-        LogicalPlan::Filter { .. }
-            | LogicalPlan::Project { .. }
-            | LogicalPlan::Join { on: Some(_), .. }
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } | LogicalPlan::Join { .. }
     )
 }
 
@@ -79,8 +76,10 @@ enum SinkSpec<'p> {
 struct FusedOp<'p> {
     node: &'p LogicalPlan,
     kind: OpKind<'p>,
-    /// Cumulative output rows across all morsels (row-limit guard + stats).
-    rows: AtomicUsize,
+    /// Output rows across all morsels run so far, in completion order: the
+    /// row-limit guard's early-stop signal only. The guard's verdict and
+    /// the reported row counts come from the morsel-ordered walk.
+    produced: AtomicUsize,
 }
 
 enum OpKind<'p> {
@@ -89,11 +88,10 @@ enum OpKind<'p> {
         exprs: &'p [BoundExpr],
         schema: &'p PlanSchema,
     },
-    /// Probe against a built hash table; the build (right) side plan is
+    /// Probe against a built join side; the build (right) side plan is
     /// executed as a breaker before the pipeline starts.
     Probe {
         probe: JoinProbe,
-        n_left: usize,
         schema: &'p PlanSchema,
     },
 }
@@ -108,9 +106,7 @@ struct Decomposed<'p> {
     source: &'p LogicalPlan,
 }
 
-/// Split `plan` into sink, fused chain and source. Returns `None` when the
-/// decomposition would be a no-op (a Table-sink root with nothing fusable
-/// never reaches here because `fusable_root` gates it).
+/// Split `plan` into sink, fused chain and source.
 fn decompose(plan: &LogicalPlan) -> Decomposed<'_> {
     let (sink, mut node) = match plan {
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
@@ -155,22 +151,33 @@ impl Batch {
     }
 }
 
-/// A sink-side partial for one morsel.
-enum MorselOut {
+/// What the sink keeps of one morsel.
+enum Part {
     Batch(Batch),
     Agg(aggregate::AggPartial),
 }
 
-/// Run one morsel through the fused chain (innermost op first).
+/// One morsel's complete outcome, consumed by the morsel-ordered walk.
+struct MorselOut {
+    part: Part,
+    /// The requested [`Extra`] columns over this morsel's output, when they
+    /// ride in the fused pass (empty otherwise).
+    extras: Vec<Column>,
+    /// Output rows of each fused op for this morsel, indexed like the chain.
+    op_rows: Vec<usize>,
+}
+
+/// Run one morsel through the fused chain (innermost op first), returning
+/// the outermost op's batch and every op's output row count.
 fn run_chain(
     source: &Table,
     morsel: Range<usize>,
     ops: &[FusedOp<'_>],
     params: &[Value],
-    row_limit: Option<u64>,
-) -> Result<Batch> {
+) -> Result<(Batch, Vec<usize>)> {
     let mut batch = Batch::Range(morsel);
-    for op in ops.iter().rev() {
+    let mut op_rows = vec![0; ops.len()];
+    for (i, op) in ops.iter().enumerate().rev() {
         batch = match (&op.kind, batch) {
             (OpKind::Filter(pred), Batch::Range(r)) => {
                 Batch::Rows(eval_filter_range(pred, source, r, params)?)
@@ -185,7 +192,7 @@ fn run_chain(
                 Batch::Rows(keep)
             }
             (OpKind::Filter(pred), Batch::Table(t)) => {
-                let keep = eval_filter_indices(pred, &t, params, 1)?;
+                let keep = eval_filter_range(pred, &t, 0..t.row_count(), params)?;
                 if keep.len() == t.row_count() {
                     Batch::Table(t)
                 } else {
@@ -205,261 +212,341 @@ fn run_chain(
                 }
                 Batch::Table(Table::from_columns(storage, columns).map_err(Error::Storage)?)
             }
-            (OpKind::Probe { probe, n_left, schema }, batch) => {
+            (OpKind::Probe { probe, schema }, batch) => {
                 let mut pairs = Vec::new();
                 let joined = match &batch {
                     Batch::Range(r) => {
-                        probe.probe_rows(source, r.clone(), *n_left, params, &mut pairs)?;
+                        probe.probe_rows(source, r.clone(), params, &mut pairs)?;
                         materialize_pairs(source, &probe.right, &pairs, schema)?
                     }
                     Batch::Rows(rows) => {
-                        probe.probe_rows(
-                            source,
-                            rows.iter().copied(),
-                            *n_left,
-                            params,
-                            &mut pairs,
-                        )?;
+                        probe.probe_rows(source, rows.iter().copied(), params, &mut pairs)?;
                         materialize_pairs(source, &probe.right, &pairs, schema)?
                     }
                     Batch::Table(t) => {
-                        probe.probe_rows(t, 0..t.row_count(), *n_left, params, &mut pairs)?;
+                        probe.probe_rows(t, 0..t.row_count(), params, &mut pairs)?;
                         materialize_pairs(t, &probe.right, &pairs, schema)?
                     }
                 };
                 Batch::Table(joined)
             }
         };
-        let produced = op.rows.fetch_add(batch.len(), Ordering::Relaxed) + batch.len();
-        if let Some(limit) = row_limit {
-            if produced as u64 > limit {
-                return Err(Error::Exec(format!(
-                    "row limit exceeded: operator {} produced {produced} rows \
-                     (SET row_limit = {limit}; 0 disables)",
-                    op.node.node_label()
-                )));
-            }
-        }
+        op_rows[i] = batch.len();
     }
-    Ok(batch)
+    Ok((batch, op_rows))
 }
 
-/// Execute a fusable plan through the morsel pipeline. The caller
-/// (`Executor::execute_inner`) falls back to the barrier path on any
-/// non-timeout error so surfaced errors stay sequential-identical.
-pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
+/// How one pipeline's morsels were scheduled (trace and `EXPLAIN ANALYZE`
+/// detail; never influences results).
+struct Schedule {
+    /// Morsels processed by each participating worker.
+    per_worker: Vec<usize>,
+    queue_wait: Duration,
+    queue_wait_max: Duration,
+}
+
+impl Schedule {
+    fn morsels(&self) -> usize {
+        self.per_worker.iter().sum()
+    }
+
+    fn min_per_worker(&self) -> usize {
+        self.per_worker.iter().copied().min().unwrap_or(0)
+    }
+
+    fn max_per_worker(&self) -> usize {
+        self.per_worker.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// The morsel loop: cut `0..rows` into morsels, run `per_morsel` over each
+/// on up to `pool` workers, and return every handed-out morsel's outcome in
+/// morsel-index order (a prefix of the morsel sequence).
+///
+/// A failing morsel stops the queue, but morsels already grabbed — always a
+/// contiguous prefix, by the queue's atomic cursor — run to completion, so
+/// the first `Err` in the returned order is the one a sequential run hits
+/// first. `per_morsel` may stop the queue itself once its answer is
+/// decided (LIMIT, row-limit guard). Only an expired statement deadline
+/// aborts the run outright.
+fn run_morsels<T: Send>(
+    ctx: &ExecContext<'_>,
+    pool: &Pool,
+    rows: usize,
+    per_morsel: impl Fn(&MorselQueue, Range<usize>) -> Result<T> + Sync,
+) -> Result<(Vec<Result<T>>, Schedule)> {
+    let queue = MorselQueue::new(rows, ctx.morsel_rows());
+    // All morsels exist the moment the queue does (it partitions a row
+    // range), so a morsel's queue wait is grab time minus this instant.
+    let queue_born = Instant::now();
+    let metrics = ctx.metrics().map(Arc::as_ref);
+    let deadline = ctx.deadline();
+    let workers = pool.threads().min(queue.morsel_count()).max(1);
+
+    type WorkerOut<T> = (Vec<(usize, Result<T>)>, Duration, Duration);
+    let worker_results: Vec<Result<WorkerOut<T>>> = pool.broadcast(workers, |_w| {
+        let mut local = Vec::new();
+        let mut wait_total = Duration::ZERO;
+        let mut wait_max = Duration::ZERO;
+        while let Some(m) = queue.next() {
+            let wait = queue_born.elapsed();
+            wait_total += wait;
+            wait_max = wait_max.max(wait);
+            if let Some(reg) = metrics {
+                reg.observe_queue_wait_us(wait.as_micros() as u64);
+            }
+            if deadline.is_some_and(|d| d.expired()) {
+                queue.stop();
+                return Err(ctx.timeout_error());
+            }
+            let outcome = per_morsel(&queue, m.rows);
+            if outcome.is_err() {
+                queue.stop();
+            }
+            local.push((m.index, outcome));
+        }
+        Ok((local, wait_total, wait_max))
+    });
+
+    let mut schedule = Schedule {
+        per_worker: Vec::with_capacity(worker_results.len()),
+        queue_wait: Duration::ZERO,
+        queue_wait_max: Duration::ZERO,
+    };
+    let mut indexed = Vec::new();
+    for r in worker_results {
+        let (local, wait_total, wait_max) = r?;
+        schedule.per_worker.push(local.len());
+        indexed.extend(local);
+        schedule.queue_wait += wait_total;
+        schedule.queue_wait_max = schedule.queue_wait_max.max(wait_max);
+    }
+    indexed.sort_unstable_by_key(|(idx, _)| *idx);
+    Ok((indexed.into_iter().map(|(_, outcome)| outcome).collect(), schedule))
+}
+
+/// What a finished pipeline hands back to [`execute`].
+struct Finished {
+    table: Arc<Table>,
+    /// The [`Extra`] columns, when they rode in the fused pass.
+    extras: Option<Vec<Column>>,
+    /// Output rows of each fused op over the morsels the sink consumed.
+    op_rows: Vec<usize>,
+    schedule: Schedule,
+}
+
+/// Execute a pipeline root (see [`fusable_root`]) together with `extras`.
+///
+/// The extra columns come back as `Some` when the root's output is the
+/// concatenation of materialized morsel outputs — they are then evaluated
+/// per morsel in the same fused pass, while the morsel is hot in cache, and
+/// the caller is spared a second full-table expression sweep. Otherwise
+/// `None`: the caller evaluates them over the returned table.
+pub(crate) fn execute(
+    ex: &Executor<'_>,
+    plan: &LogicalPlan,
+    extras: &[Extra<'_>],
+) -> Result<(Arc<Table>, Option<Vec<Column>>)> {
     let ctx = ex.ctx();
     let dec = decompose(plan);
-    let stats_on = ctx.stats_cell().is_some();
     let t0 = Instant::now();
 
     // Reserve stats slots for the fused chain top-down, so the rendered
-    // tree keeps the barrier model's pre-order. The root's own slot was
-    // already begun by `Executor::execute`; `Executor`'s depth points one
-    // below the root here.
+    // tree is in plan pre-order. The root's own slot was already begun by
+    // the executor, whose depth points one below the root here.
     let base_depth = ex.depth_for_stats();
+    let table_sink = usize::from(matches!(dec.sink, SinkSpec::Table));
     let chain_slots: Vec<Option<usize>> = dec
         .chain
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            if !stats_on || std::ptr::eq(*node, plan) {
-                return None;
+            if std::ptr::eq(*node, plan) {
+                return None; // the root itself for Table sinks (already recorded)
             }
-            let cell = ctx.stats_cell().expect("stats on");
-            // Chain position i sits i nodes below the root; position 0 is
-            // the root itself for Table sinks (already recorded).
-            let depth = base_depth + i - usize::from(matches!(dec.sink, SinkSpec::Table));
-            Some(cell.lock().expect("stats lock").begin(node.node_label(), depth))
+            // Chain position i sits i nodes below the root.
+            let depth = base_depth + i - table_sink;
+            ctx.stats_cell()
+                .map(|cell| cell.lock().expect("stats lock").begin(node.node_label(), depth))
         })
         .collect();
 
     // Execute the source (breaker boundary) with the right stats depth.
-    let source_depth = base_depth + dec.chain.len()
-        - usize::from(matches!(dec.sink, SinkSpec::Table) && !dec.chain.is_empty());
+    let source_depth =
+        base_depth + dec.chain.len() - usize::from(table_sink == 1 && !dec.chain.is_empty());
     let source = ex.execute_at_depth(dec.source, source_depth)?;
-
-    // Build the probe hash tables bottom-up (pre-order places the deepest
-    // join's build side first).
     let pool = Pool::new(ctx.threads());
     let ops = build_fused_ops(ex, &dec, &pool, base_depth)?;
 
-    // The morsel loop.
-    let queue = MorselQueue::new(source.row_count(), ctx.morsel_rows());
-    // All morsels exist the moment the queue does (it partitions a row
-    // range), so a morsel's queue wait is grab time minus this instant.
-    let queue_born = Instant::now();
-    let metrics = ctx.metrics().map(Arc::as_ref);
-    let workers = pool.threads().min(queue.morsel_count()).max(1);
+    let span = ctx.trace_begin("pipeline");
+    let result = run_pipeline(ctx, &dec, plan, &source, &ops, &pool, extras);
+    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        match &result {
+            Ok(Finished { schedule, .. }) => t.end_with(
+                id,
+                vec![
+                    ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
+                    ("morsels".to_string(), TraceValue::from(schedule.morsels())),
+                    ("workers".to_string(), TraceValue::from(schedule.per_worker.len())),
+                    ("min_per_worker".to_string(), TraceValue::from(schedule.min_per_worker())),
+                    ("max_per_worker".to_string(), TraceValue::from(schedule.max_per_worker())),
+                    (
+                        "queue_wait_us".to_string(),
+                        TraceValue::Int(schedule.queue_wait.as_micros() as i64),
+                    ),
+                ],
+            ),
+            Err(_) => t.end(id),
+        }
+    }
+    let Finished { table, extras, op_rows, schedule } = result?;
+
+    if let Some(reg) = ctx.metrics() {
+        reg.record_pipeline(schedule.morsels() as u64);
+    }
+    if let Some(cell) = ctx.stats_cell() {
+        let elapsed = t0.elapsed();
+        let mut stats = cell.lock().expect("stats lock");
+        for (slot, rows) in chain_slots.iter().zip(&op_rows) {
+            if let Some(slot) = slot {
+                stats.finish(*slot, *rows, elapsed, None);
+            }
+        }
+        stats.record_pipeline(PipelineStat {
+            label: pipeline_label(&dec),
+            morsels: schedule.morsels(),
+            min_per_worker: schedule.min_per_worker(),
+            max_per_worker: schedule.max_per_worker(),
+            workers: schedule.per_worker.len(),
+            elapsed,
+            queue_wait: schedule.queue_wait,
+            queue_wait_max: schedule.queue_wait_max,
+        });
+    }
+    Ok((table, extras))
+}
+
+/// The morsel loop over `source` and the morsel-ordered walk into the sink.
+fn run_pipeline(
+    ctx: &ExecContext<'_>,
+    dec: &Decomposed<'_>,
+    plan: &LogicalPlan,
+    source: &Arc<Table>,
+    ops: &[FusedOp<'_>],
+    pool: &Pool,
+    extras: &[Extra<'_>],
+) -> Result<Finished> {
     let params = ctx.params();
     let row_limit = ctx.settings().row_limit;
-    let deadline = ctx.deadline();
-    let produced = AtomicUsize::new(0);
+    let materializing = chain_materializes(&dec.chain);
+    let fuse_extras = materializing && matches!(dec.sink, SinkSpec::Table);
+    // Rows a LIMIT sink needs before upstream production can stop.
     let limit_target = match &dec.sink {
         SinkSpec::Limit { limit: Some(l), offset } => Some(offset + l),
         _ => None,
     };
-    let poisoned = AtomicBool::new(false);
-    let sink = &dec.sink;
-    let source_ref: &Table = &source;
-    let ops_ref: &[FusedOp<'_>] = &ops;
-    let pipe_span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "pipeline"));
+    let sunk = AtomicUsize::new(0);
 
-    type PipelineWorkerOut = (Vec<(usize, MorselOut)>, Duration, Duration);
-    let worker_results: Vec<std::result::Result<PipelineWorkerOut, Error>> =
-        pool.broadcast(workers, |_w| {
-            let mut local: Vec<(usize, MorselOut)> = Vec::new();
-            let mut wait_total = Duration::ZERO;
-            let mut wait_max = Duration::ZERO;
-            while let Some(m) = queue.next() {
-                let wait = queue_born.elapsed();
-                wait_total += wait;
-                wait_max = wait_max.max(wait);
-                if let Some(reg) = metrics {
-                    reg.observe_queue_wait_us(wait.as_micros() as u64);
-                }
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(Error::Timeout { limit_ms: d.limit_ms });
-                    }
-                }
-                let out = (|| -> Result<MorselOut> {
-                    let batch = run_chain(source_ref, m.rows.clone(), ops_ref, params, row_limit)?;
-                    match sink {
-                        SinkSpec::Table | SinkSpec::Limit { .. } => {
-                            if let Some(target) = limit_target {
-                                let total = produced.fetch_add(batch.len(), Ordering::Relaxed)
-                                    + batch.len();
-                                if total >= target {
-                                    // Enough rows: stop handing out morsels.
-                                    queue.stop();
-                                }
-                            }
-                            Ok(MorselOut::Batch(batch))
-                        }
-                        SinkSpec::Agg { group, aggs, .. } => {
-                            let partial = match &batch {
-                                Batch::Range(r) => aggregate::aggregate_morsel(
-                                    source_ref,
-                                    r.clone(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                                Batch::Rows(rows) => aggregate::aggregate_morsel(
-                                    source_ref,
-                                    rows.iter().copied(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                                Batch::Table(t) => aggregate::aggregate_morsel(
-                                    t,
-                                    0..t.row_count(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                            };
-                            Ok(MorselOut::Agg(partial))
-                        }
-                    }
-                })();
-                match out {
-                    Ok(o) => local.push((m.index, o)),
-                    Err(e) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                }
-            }
-            Ok((local, wait_total, wait_max))
-        });
-
-    // Per-worker morsel counts for the pipeline stat, then the partials.
-    let mut per_worker: Vec<usize> = Vec::with_capacity(worker_results.len());
-    let mut items: Vec<(usize, MorselOut)> = Vec::new();
-    let mut queue_wait = Duration::ZERO;
-    let mut queue_wait_max = Duration::ZERO;
-    let mut first_err: Option<Error> = None;
-    for r in worker_results {
-        match r {
-            Ok((local, wait_total, wait_max)) => {
-                per_worker.push(local.len());
-                items.extend(local);
-                queue_wait += wait_total;
-                queue_wait_max = queue_wait_max.max(wait_max);
-            }
-            Err(e @ Error::Timeout { .. }) => return Err(e),
-            Err(e) => {
-                per_worker.push(0);
-                if first_err.is_none() {
-                    first_err = Some(e);
+    let (outcomes, schedule) = run_morsels(ctx, pool, source.row_count(), |queue, rows| {
+        let (batch, op_rows) = run_chain(source, rows, ops, params)?;
+        // Early stops. Both only cut the queue short; the walk below
+        // decides, in morsel order, what the morsels that did run mean.
+        if let Some(limit) = row_limit {
+            for (op, n) in ops.iter().zip(&op_rows) {
+                if (op.produced.fetch_add(*n, Ordering::Relaxed) + n) as u64 > limit {
+                    queue.stop();
                 }
             }
         }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    items.sort_unstable_by_key(|(idx, _)| *idx);
-
-    // Merge in morsel-index order.
-    let out = merge(&dec, plan, &source, items, ctx.params())?;
-
-    let morsels: usize = per_worker.iter().sum();
-    if let Some(reg) = metrics {
-        reg.record_pipeline(morsels as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
-        t.end_with(
-            id,
-            vec![
-                ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
-                ("morsels".to_string(), TraceValue::from(morsels)),
-                ("workers".to_string(), TraceValue::from(per_worker.len())),
-                (
-                    "min_per_worker".to_string(),
-                    TraceValue::from(per_worker.iter().copied().min().unwrap_or(0)),
-                ),
-                (
-                    "max_per_worker".to_string(),
-                    TraceValue::from(per_worker.iter().copied().max().unwrap_or(0)),
-                ),
-                ("queue_wait_us".to_string(), TraceValue::Int(queue_wait.as_micros() as i64)),
-            ],
-        );
-    }
-    if stats_on {
-        let elapsed = t0.elapsed();
-        if let Some(cell) = ctx.stats_cell() {
-            let mut stats = cell.lock().expect("stats lock");
-            for (slot, op) in chain_slots.iter().zip(&ops) {
-                if let Some(slot) = slot {
-                    stats.finish(*slot, op.rows.load(Ordering::Relaxed), elapsed, None);
-                }
+        if let Some(target) = limit_target {
+            if sunk.fetch_add(batch.len(), Ordering::Relaxed) + batch.len() >= target {
+                queue.stop();
             }
         }
-        ctx.record_pipeline_stat(PipelineStat {
-            label: pipeline_label(&dec),
-            morsels,
-            min_per_worker: per_worker.iter().copied().min().unwrap_or(0),
-            max_per_worker: per_worker.iter().copied().max().unwrap_or(0),
-            workers: per_worker.len(),
-            elapsed: t0.elapsed(),
-            queue_wait,
-            queue_wait_max,
-        });
+        let mut extra_cols = Vec::new();
+        if fuse_extras {
+            let Batch::Table(t) = &batch else {
+                unreachable!("a materializing chain yields table batches")
+            };
+            for (e, ty) in extras {
+                extra_cols.push(eval_to_column(e, t, params, *ty)?);
+            }
+        }
+        let part = match &dec.sink {
+            SinkSpec::Table | SinkSpec::Limit { .. } => Part::Batch(batch),
+            SinkSpec::Agg { group, aggs, .. } => Part::Agg(match &batch {
+                Batch::Range(r) => {
+                    aggregate::aggregate_morsel(source, r.clone(), group, aggs, params)?
+                }
+                Batch::Rows(rows) => {
+                    aggregate::aggregate_morsel(source, rows.iter().copied(), group, aggs, params)?
+                }
+                Batch::Table(t) => {
+                    aggregate::aggregate_morsel(t, 0..t.row_count(), group, aggs, params)?
+                }
+            }),
+        };
+        Ok(MorselOut { part, extras: extra_cols, op_rows })
+    })?;
+
+    // The walk: consume outcomes in morsel-index order, exactly as far as a
+    // sequential run would have got — up to the first error, the first
+    // row-limit violation, or the morsel that satisfies the LIMIT.
+    let mut merger = match &dec.sink {
+        SinkSpec::Agg { aggs, .. } => Some(aggregate::AggMerger::new(aggs)),
+        _ => None,
+    };
+    let mut batches: Vec<Batch> = Vec::new();
+    let mut extra_parts: Vec<Vec<Column>> = Vec::new();
+    let mut sunk_rows = 0usize;
+    let mut op_rows = vec![0usize; ops.len()];
+    for outcome in outcomes {
+        if limit_target.is_some_and(|target| sunk_rows >= target) {
+            break;
+        }
+        let out = outcome?;
+        for (i, op) in ops.iter().enumerate().rev() {
+            op_rows[i] += out.op_rows[i];
+            ctx.check_row_limit(op_rows[i], || op.node.node_label())?;
+        }
+        match (out.part, &mut merger) {
+            (Part::Agg(partial), Some(merger)) => merger.push(partial)?,
+            (Part::Batch(batch), None) => {
+                sunk_rows += batch.len();
+                batches.push(batch);
+                extra_parts.push(out.extras);
+            }
+            _ => unreachable!("aggregate sinks fold aggregate partials, the others batches"),
+        }
     }
-    Ok(out)
+
+    let mut table = match (&dec.sink, merger) {
+        (SinkSpec::Agg { group, schema, .. }, Some(merger)) => {
+            merger.finish(group.is_empty(), schema)?
+        }
+        _ => concat_batches(plan, source, batches, materializing)?,
+    };
+    if let SinkSpec::Limit { limit, offset } = &dec.sink {
+        let n = table.row_count();
+        let start = (*offset).min(n);
+        let end = limit.map_or(n, |l| (start + l).min(n));
+        if start != 0 || end != n {
+            table = Arc::new(table.slice_rows(start..end));
+        }
+    }
+    let extras = if fuse_extras {
+        let mut cols: Vec<Column> = extras.iter().map(|(_, ty)| Column::empty(*ty)).collect();
+        for part in &extra_parts {
+            for (c, src) in cols.iter_mut().zip(part) {
+                c.extend_from(src).map_err(Error::Storage)?;
+            }
+        }
+        Some(cols)
+    } else {
+        None
+    };
+    Ok(Finished { table, extras, op_rows, schedule })
 }
-
-/// Dummy predicate used as a placeholder while probe builds run.
-static FALSE_PREDICATE: BoundExpr = BoundExpr::Literal(Value::Bool(false));
 
 /// Instantiate the fused operators for a decomposed chain, executing each
 /// join's build (right) side as a breaker. Build sides run deepest-join
@@ -470,235 +557,30 @@ fn build_fused_ops<'p>(
     pool: &Pool,
     base_depth: usize,
 ) -> Result<Vec<FusedOp<'p>>> {
-    let ctx = ex.ctx();
     let mut ops: Vec<FusedOp<'p>> = Vec::with_capacity(dec.chain.len());
-    for node in &dec.chain {
+    for (i, &node) in dec.chain.iter().enumerate().rev() {
         let kind = match node {
             LogicalPlan::Filter { predicate, .. } => OpKind::Filter(predicate),
             LogicalPlan::Project { exprs, schema, .. } => OpKind::Project { exprs, schema },
-            LogicalPlan::Join { .. } => {
-                OpKind::Filter(&FALSE_PREDICATE) // replaced by the build pass below
+            LogicalPlan::Join { left, right, kind, on, schema } => {
+                let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
+                let built = ex.execute_at_depth(right, depth)?;
+                let probe = JoinProbe::build(
+                    built,
+                    *kind,
+                    on.as_ref(),
+                    left.schema().len(),
+                    ex.ctx().params(),
+                    pool,
+                )?;
+                OpKind::Probe { probe, schema }
             }
             _ => unreachable!("chain holds fusable ops only"),
         };
-        ops.push(FusedOp { node, kind, rows: AtomicUsize::new(0) });
+        ops.push(FusedOp { node, kind, produced: AtomicUsize::new(0) });
     }
-    for i in (0..dec.chain.len()).rev() {
-        if let LogicalPlan::Join { left, right, kind, on, schema } = dec.chain[i] {
-            let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
-            let built = ex.execute_at_depth(right, depth)?;
-            let probe = JoinProbe::build(
-                built,
-                *kind,
-                on.as_ref().expect("fused joins carry a condition"),
-                left.schema().len(),
-                ctx.params(),
-                pool,
-            )?;
-            ops[i].kind = OpKind::Probe { probe, n_left: left.schema().len(), schema };
-        }
-    }
+    ops.reverse();
     Ok(ops)
-}
-
-/// True when [`execute_with_extra_columns`] would take the fused path for
-/// `plan`. The graph operators check this before reordering graph
-/// acquisition ahead of their input's execution (they need the vertex key
-/// type to type the extra columns).
-pub(crate) fn fusion_eligible(ctx: &crate::context::ExecContext<'_>, plan: &LogicalPlan) -> bool {
-    if !ctx.pipeline_enabled() || ctx.stats_cell().is_some() || !fusable_root(plan) {
-        return false;
-    }
-    let dec = decompose(plan);
-    matches!(dec.sink, SinkSpec::Table) && chain_materializes(&dec.chain)
-}
-
-/// Pipeline `plan` and evaluate `extras` (expression over the plan's
-/// output, result type) against each morsel's output **in the same fused
-/// pass**, while the morsel is hot in cache. The graph operators use this
-/// to derive their source/dest vertex columns without a second full-table
-/// expression sweep over an intermediate materialized input.
-///
-/// Returns `None` when the plan does not take the fused path — the caller
-/// falls back to execute-then-evaluate. Non-timeout pipeline errors also
-/// return `None`, so the barrier re-run surfaces its deterministic error
-/// message. Disabled while `EXPLAIN ANALYZE` collects statistics (the
-/// barrier path keeps per-operator stats exact).
-pub(crate) fn execute_with_extra_columns(
-    ex: &Executor<'_>,
-    plan: &LogicalPlan,
-    extras: &[(&BoundExpr, DataType)],
-) -> Result<Option<(Arc<Table>, Vec<Column>)>> {
-    if !fusion_eligible(ex.ctx(), plan) {
-        return Ok(None);
-    }
-    match fused_with_extras(ex, plan, extras) {
-        Ok(v) => Ok(Some(v)),
-        Err(e @ Error::Timeout { .. }) => Err(e),
-        Err(_) => Ok(None),
-    }
-}
-
-fn fused_with_extras(
-    ex: &Executor<'_>,
-    plan: &LogicalPlan,
-    extras: &[(&BoundExpr, DataType)],
-) -> Result<(Arc<Table>, Vec<Column>)> {
-    let ctx = ex.ctx();
-    let dec = decompose(plan);
-    let source = ex.execute(dec.source)?;
-    let pool = Pool::new(ctx.threads());
-    let ops = build_fused_ops(ex, &dec, &pool, ex.depth_for_stats())?;
-
-    let queue = MorselQueue::new(source.row_count(), ctx.morsel_rows());
-    let queue_born = Instant::now();
-    let metrics = ctx.metrics().map(Arc::as_ref);
-    let workers = pool.threads().min(queue.morsel_count()).max(1);
-    let params = ctx.params();
-    let row_limit = ctx.settings().row_limit;
-    let deadline = ctx.deadline();
-    let poisoned = AtomicBool::new(false);
-    let source_ref: &Table = &source;
-    let ops_ref: &[FusedOp<'_>] = &ops;
-    let pipe_span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "pipeline"));
-
-    type ExtraItem = (usize, Table, Vec<Column>);
-    let worker_results: Vec<std::result::Result<Vec<ExtraItem>, Error>> =
-        pool.broadcast(workers, |_w| {
-            let mut local: Vec<ExtraItem> = Vec::new();
-            while let Some(m) = queue.next() {
-                if let Some(reg) = metrics {
-                    reg.observe_queue_wait_us(queue_born.elapsed().as_micros() as u64);
-                }
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(Error::Timeout { limit_ms: d.limit_ms });
-                    }
-                }
-                let out = (|| -> Result<(Table, Vec<Column>)> {
-                    let batch = run_chain(source_ref, m.rows.clone(), ops_ref, params, row_limit)?;
-                    let Batch::Table(t) = batch else {
-                        unreachable!("a materializing chain yields table batches")
-                    };
-                    let mut cols = Vec::with_capacity(extras.len());
-                    for (e, ty) in extras {
-                        cols.push(eval_to_column(e, &t, params, *ty)?);
-                    }
-                    Ok((t, cols))
-                })();
-                match out {
-                    Ok((t, cols)) => local.push((m.index, t, cols)),
-                    Err(e) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(local)
-        });
-
-    let mut items: Vec<ExtraItem> = Vec::new();
-    let mut first_err: Option<Error> = None;
-    for r in worker_results {
-        match r {
-            Ok(local) => items.extend(local),
-            Err(e @ Error::Timeout { .. }) => return Err(e),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    items.sort_unstable_by_key(|(idx, _, _)| *idx);
-    if let Some(reg) = metrics {
-        reg.record_pipeline(items.len() as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
-        t.end_with(
-            id,
-            vec![
-                ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
-                ("morsels".to_string(), TraceValue::from(items.len())),
-                ("workers".to_string(), TraceValue::from(workers)),
-            ],
-        );
-    }
-
-    // Concatenate morsel tables and their extra columns in morsel order.
-    let storage = plan.schema().to_storage_schema();
-    let mut columns: Vec<Column> = storage.columns().iter().map(|d| Column::empty(d.ty)).collect();
-    let mut extra_cols: Vec<Column> = extras.iter().map(|(_, ty)| Column::empty(*ty)).collect();
-    for (_, t, cols) in &items {
-        for (c, src) in columns.iter_mut().zip(t.columns()) {
-            c.extend_from(src).map_err(Error::Storage)?;
-        }
-        for (c, src) in extra_cols.iter_mut().zip(cols) {
-            c.extend_from(src).map_err(Error::Storage)?;
-        }
-    }
-    let table = Table::from_columns(storage, columns).map(Arc::new).map_err(Error::Storage)?;
-    // The fused path bypasses `Executor::execute`'s root bookkeeping, so
-    // enforce the row limit on the concatenated output here.
-    ctx.check_row_limit(table.row_count(), || plan.node_label())?;
-    Ok((table, extra_cols))
-}
-
-/// Merge the morsel partials (already sorted by morsel index) into the
-/// root's output.
-fn merge(
-    dec: &Decomposed<'_>,
-    plan: &LogicalPlan,
-    source: &Arc<Table>,
-    items: Vec<(usize, MorselOut)>,
-    params: &[Value],
-) -> Result<Arc<Table>> {
-    match &dec.sink {
-        SinkSpec::Agg { group, aggs, schema } => {
-            let mut merger = aggregate::AggMerger::new(aggs);
-            for (_, out) in items {
-                let MorselOut::Agg(partial) = out else {
-                    unreachable!("agg sink receives agg partials")
-                };
-                merger.push(partial)?;
-            }
-            let _ = params;
-            merger.finish(group.is_empty(), schema)
-        }
-        SinkSpec::Table => {
-            let materializing = chain_materializes(&dec.chain);
-            concat_batches(plan, source, items.into_iter().map(|(_, o)| o), None, materializing)
-        }
-        SinkSpec::Limit { limit, offset } => {
-            let materializing = chain_materializes(&dec.chain);
-            let take_until = limit.map(|l| offset + l);
-            let full = concat_batches(
-                plan,
-                source,
-                items.into_iter().map(|(_, o)| o),
-                take_until,
-                materializing,
-            )?;
-            let n = full.row_count();
-            let start = (*offset).min(n);
-            let end = match limit {
-                Some(l) => (start + l).min(n),
-                None => n,
-            };
-            if start == 0 && end == n {
-                Ok(full)
-            } else {
-                Ok(Arc::new(full.slice_rows(start..end)))
-            }
-        }
-    }
 }
 
 /// True when the fused chain changes the row shape (project or probe),
@@ -708,50 +590,25 @@ fn chain_materializes(chain: &[&LogicalPlan]) -> bool {
     chain.iter().any(|n| matches!(n, LogicalPlan::Project { .. } | LogicalPlan::Join { .. }))
 }
 
-/// Concatenate batch partials in morsel order. Index batches merge into one
+/// Concatenate batches in morsel order. Index batches merge into one
 /// gather (with the keep-all fast path returning the source snapshot);
-/// table batches splice column-at-a-time. `take_until` caps the
-/// concatenation for limit sinks (later rows can never be needed).
+/// table batches splice column-at-a-time.
 fn concat_batches(
     plan: &LogicalPlan,
     source: &Arc<Table>,
-    batches: impl Iterator<Item = MorselOut>,
-    take_until: Option<usize>,
+    batches: Vec<Batch>,
     materializing: bool,
 ) -> Result<Arc<Table>> {
-    let mut indices: Vec<usize> = Vec::new();
-    let mut tables: Vec<Table> = Vec::new();
-    let mut total = 0usize;
-    for out in batches {
-        let MorselOut::Batch(batch) = out else { unreachable!("table sink receives batches") };
-        if let Some(cap) = take_until {
-            if total >= cap {
-                break;
-            }
-        }
-        match batch {
-            Batch::Range(r) => {
-                total += r.len();
-                indices.extend(r);
-            }
-            Batch::Rows(rows) => {
-                total += rows.len();
-                indices.extend(rows);
-            }
-            Batch::Table(t) => {
-                total += t.row_count();
-                tables.push(t);
-            }
-        }
-    }
     if materializing {
-        debug_assert!(indices.is_empty(), "a materializing chain produces table batches");
         // `Limit::schema()` delegates to its input, so `plan.schema()` is
         // the outermost fused op's output shape for every sink kind.
         let storage = plan.schema().to_storage_schema();
         let mut columns: Vec<Column> =
             storage.columns().iter().map(|d| Column::empty(d.ty)).collect();
-        for t in &tables {
+        for batch in &batches {
+            let Batch::Table(t) = batch else {
+                unreachable!("a materializing chain yields table batches")
+            };
             for (c, src) in columns.iter_mut().zip(t.columns()) {
                 c.extend_from(src).map_err(Error::Storage)?;
             }
@@ -759,9 +616,16 @@ fn concat_batches(
         return Table::from_columns(storage, columns).map(Arc::new).map_err(Error::Storage);
     }
     // Index batches: all rows reference the pipeline source.
+    let mut indices: Vec<usize> = Vec::new();
+    for batch in batches {
+        match batch {
+            Batch::Range(r) => indices.extend(r),
+            Batch::Rows(rows) => indices.extend(rows),
+            Batch::Table(_) => unreachable!("a non-materializing chain yields index batches"),
+        }
+    }
     if indices.len() == source.row_count() {
-        // Nothing filtered: reuse the source snapshot (same fast path the
-        // barrier filter has).
+        // Nothing filtered: reuse the source snapshot.
         return Ok(Arc::clone(source));
     }
     Ok(Arc::new(source.take(&indices)))
@@ -794,12 +658,8 @@ fn short_label(node: &LogicalPlan) -> String {
 
 /// `EXPLAIN` rendering with pipeline annotations: members of each pipeline
 /// (sink, fused ops, leaf source) carry ` [pipeline N]`; materializing
-/// internal nodes carry ` [breaker]`. With the pipeline engine off the
-/// plain plan text is returned unchanged.
-pub fn explain_with_pipelines(plan: &LogicalPlan, pipeline_on: bool) -> String {
-    if !pipeline_on {
-        return plan.explain();
-    }
+/// internal nodes carry ` [breaker]`.
+pub fn explain_with_pipelines(plan: &LogicalPlan) -> String {
     let mut out = String::new();
     let mut next_id = 0usize;
     annotate(plan, &mut out, 0, &mut next_id);

@@ -759,8 +759,7 @@ impl<'db> Session<'db> {
                 let ctx = self.ctx(params, deadline);
                 let plan = Binder::new(&ctx).bind_query(q)?;
                 let plan = optimize_with(plan, &ctx);
-                let text =
-                    crate::exec::pipeline::explain_with_pipelines(&plan, ctx.pipeline_enabled());
+                let text = crate::exec::pipeline::explain_with_pipelines(&plan);
                 text_table("plan", text.lines())
             }
             ast::Statement::ExplainAnalyze(q) => {

@@ -34,7 +34,7 @@
 //! * `GET /health` — liveness probe.
 //! * `GET /stats` — plan-cache hit rates, in-flight gauge, per-endpoint
 //!   latency counters, and the worker sessions' execution granularity
-//!   (`pipeline`, `morsel_rows`, `threads`). A thin JSON view over the
+//!   (`morsel_rows`, `threads`). A thin JSON view over the
 //!   same [`gsql_obs::Registry`] instruments `/metrics` exposes.
 //! * `GET /metrics` — every engine and server instrument in Prometheus
 //!   text exposition format.
@@ -621,14 +621,13 @@ fn stats_body(db: &Database, session: &Session<'_>, stats: &ServerStats) -> Stri
                 ("stats".to_string(), endpoint(&stats.stats_endpoint)),
             ]),
         ),
-        // How this worker's session executes queries: with the pipelined
-        // executor, sessions interleave at morsel granularity rather than
-        // whole-operator granularity, so these knobs bound how long one
-        // query can hold the pool before another gets worker time.
+        // How this worker's session executes queries: sessions interleave
+        // at morsel granularity, so these knobs bound how long one query
+        // can hold the pool before another gets worker time.
         (
             "execution".to_string(),
             Json::Object(
-                ["pipeline", "morsel_rows", "threads"]
+                ["morsel_rows", "threads"]
                     .iter()
                     .map(|&name| {
                         let value = session.setting(name).unwrap_or_default();

@@ -70,7 +70,6 @@ fn metrics_count_queries_pipelines_and_traversals() {
         let m = db.metrics();
         let session = db.session();
         session.set("threads", threads).unwrap();
-        session.set("pipeline", "on").unwrap();
 
         let base_ok = m.queries_total(QueryVerb::Select, QueryOutcome::Ok);
         let base_err = m.queries_total(QueryVerb::Select, QueryOutcome::Error);
@@ -167,7 +166,6 @@ fn trace_records_span_tree_for_pipeline_and_graph_join() {
     db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let session = db.session();
     session.set("trace", "on").unwrap();
-    session.set("pipeline", "on").unwrap();
 
     // Fused pipeline shape.
     session.query("SELECT id FROM people WHERE grp = 2").unwrap();
@@ -237,6 +235,55 @@ fn trace_records_span_tree_for_pipeline_and_graph_join() {
         .unwrap_or_else(|| panic!("no pipeline summary in:\n{full}"));
     assert!(pipeline_line.contains("queue-wait avg="), "line was: {pipeline_line}");
     assert!(pipeline_line.contains("max="), "line was: {pipeline_line}");
+}
+
+/// Count the spans whose name starts with `prefix` anywhere in a forest.
+fn count_spans(spans: &[Json], prefix: &str) -> usize {
+    spans
+        .iter()
+        .map(|span| {
+            let own =
+                span.get("name").and_then(Json::as_str).is_some_and(|n| n.starts_with(prefix));
+            let below =
+                span.get("children").and_then(Json::as_array).map_or(0, |c| count_spans(c, prefix));
+            usize::from(own) + below
+        })
+        .sum()
+}
+
+/// A failing statement executes once. The nested shape below fails with a
+/// division by zero on its last row, deep inside the inner pipeline; the
+/// verbose trace of that one statement must show the table scanned once
+/// and no more pipelines than the plan has (no operator is re-run to
+/// reproduce the error).
+#[test]
+fn failing_statement_executes_each_operator_once() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (g INTEGER NOT NULL, x INTEGER NOT NULL)").unwrap();
+    let n = 2000;
+    let rows: Vec<String> = (0..n).map(|r| format!("({}, {})", r % 97, r + 1)).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    let session = db.session();
+    session.set("trace", "verbose").unwrap();
+    session.set("threads", "4").unwrap();
+    session.set("morsel_rows", "64").unwrap();
+    // Project -> Filter -> Project -> Aggregate -> Project -> Filter -> Scan.
+    let err = session
+        .query(&format!(
+            "SELECT r.g, r.s + 1 FROM (\
+                SELECT q.g, SUM(q.y) AS s FROM (\
+                    SELECT t.g, 1000000 / (t.x - {n}) AS y FROM t WHERE t.x > 0) q \
+                GROUP BY q.g) r \
+             WHERE r.s >= 0"
+        ))
+        .unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    let doc =
+        json::parse(&session.last_trace_json().expect("failed statements trace too")).unwrap();
+    let roots = doc.as_array().unwrap();
+    assert_eq!(count_spans(roots, "Scan"), 1, "the table is scanned once: {doc:?}");
+    let pipelines = count_spans(roots, "pipeline");
+    assert!((1..=2).contains(&pipelines), "{pipelines} pipeline spans: {doc:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +529,6 @@ fn tracing_preserves_thread_equivalence() {
     let run = |threads: &str, trace: &str| -> Vec<String> {
         let session = db.session();
         session.set("threads", threads).unwrap();
-        session.set("pipeline", "on").unwrap();
         session.set("trace", trace).unwrap();
         battery.iter().map(|sql| render(&session.query(sql).unwrap())).collect()
     };

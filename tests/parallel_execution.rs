@@ -244,48 +244,18 @@ fn pipelined_plans_identical_across_thread_counts() {
         let reference = {
             let s = db.session();
             s.set("threads", "1").unwrap();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             s.query(&sql).unwrap()
         };
         for threads in ["2", "4", "8"] {
             let s = db.session();
             s.set("threads", threads).unwrap();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             let t = s.query(&sql).unwrap();
             assert_eq!(t.row_count(), reference.row_count(), "threads {threads}: {sql}");
             for r in 0..reference.row_count() {
                 assert_eq!(t.row(r), reference.row(r), "threads {threads} row {r}: {sql}");
             }
-        }
-    }
-}
-
-/// Pipelined execution must agree with the barrier engine. `morsel_rows`
-/// is pinned high enough that every input here fits one morsel (the
-/// environment may shrink the default — CI runs with GSQL_MORSEL_ROWS=7),
-/// so even float accumulation order matches the sequential fold exactly.
-#[test]
-fn pipeline_matches_barrier_engine() {
-    let db = build_db();
-    for sql in queries().into_iter().chain(pipeline_queries()) {
-        let barrier = {
-            let s = db.session();
-            s.set("pipeline", "off").unwrap();
-            s.set("threads", "4").unwrap();
-            s.query(&sql).unwrap()
-        };
-        let pipelined = {
-            let s = db.session();
-            s.set("pipeline", "on").unwrap();
-            s.set("threads", "4").unwrap();
-            s.set("morsel_rows", "1000000").unwrap();
-            s.query(&sql).unwrap()
-        };
-        assert_eq!(pipelined.row_count(), barrier.row_count(), "{sql}");
-        for r in 0..barrier.row_count() {
-            assert_eq!(pipelined.row(r), barrier.row(r), "row {r}: {sql}");
         }
     }
 }
@@ -306,14 +276,12 @@ fn integer_results_invariant_to_morsel_size() {
     for sql in sqls {
         let reference = {
             let s = db.session();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             s.set("threads", "8").unwrap();
             s.query(sql).unwrap()
         };
         for morsel_rows in ["1", "64", "100000"] {
             let s = db.session();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", morsel_rows).unwrap();
             s.set("threads", "8").unwrap();
             let t = s.query(sql).unwrap();
@@ -333,12 +301,11 @@ fn limit_short_circuit_is_exact_under_concurrency() {
     let db = build_db();
     let all = {
         let s = db.session();
-        s.set("pipeline", "off").unwrap();
+        s.set("threads", "1").unwrap();
         s.query("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2").unwrap()
     };
     for (limit, offset) in [(1usize, 0usize), (10, 0), (25, 100), (1000, 0), (50, 380)] {
         let s = db.session();
-        s.set("pipeline", "on").unwrap();
         s.set("morsel_rows", "7").unwrap();
         s.set("threads", "8").unwrap();
         let t = s
@@ -355,12 +322,11 @@ fn limit_short_circuit_is_exact_under_concurrency() {
 }
 
 /// `EXPLAIN` annotates pipeline membership; breakers (sort, distinct,
-/// graph ops) stay barrier nodes and are labelled as such.
+/// graph ops) are labelled as such.
 #[test]
 fn explain_annotates_pipelines_and_breakers() {
     let db = build_db();
     let session = db.session();
-    session.set("pipeline", "on").unwrap();
     let plan = session
         .query("EXPLAIN SELECT e.s % 13 AS g, COUNT(*) AS n FROM e GROUP BY e.s % 13 ORDER BY g")
         .unwrap();
@@ -369,15 +335,6 @@ fn explain_annotates_pipelines_and_breakers() {
     assert!(all.contains("[pipeline 0]"), "no pipeline annotation:\n{all}");
     assert!(all.contains("Sort"), "{all}");
     assert!(all.contains("[breaker]"), "no breaker annotation:\n{all}");
-
-    // With the engine off the plain plan comes back.
-    session.set("pipeline", "off").unwrap();
-    let plan = session
-        .query("EXPLAIN SELECT e.s % 13 AS g, COUNT(*) AS n FROM e GROUP BY e.s % 13 ORDER BY g")
-        .unwrap();
-    let text: Vec<String> = (0..plan.row_count()).map(|i| plan.row(i)[0].to_string()).collect();
-    let all = text.join("\n");
-    assert!(!all.contains("[pipeline"), "pipeline annotation with engine off:\n{all}");
 }
 
 #[test]
@@ -402,5 +359,90 @@ fn threads_setting_is_session_local() {
     assert_eq!(ta.row_count(), tb.row_count());
     for i in 0..ta.row_count() {
         assert_eq!(ta.row(i), tb.row(i));
+    }
+}
+
+/// The error text of `sql` under `SET threads = <threads>` with 7-row
+/// morsels (dozens of morsels over the tables below, so workers race).
+fn error_at(db: &Database, sql: &str, threads: &str) -> String {
+    let s = db.session();
+    s.set("threads", threads).unwrap();
+    s.set("morsel_rows", "7").unwrap();
+    match s.query(sql) {
+        Ok(t) => panic!("expected an error, got {} row(s): {sql}", t.row_count()),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// Errors are as deterministic as results: the morsel holding row 3 fails
+/// with `division by zero`, a much later morsel (row 500) with an integer
+/// overflow, and whichever worker gets where first, the statement reports
+/// the lowest morsel's error — the same text at every thread count, from
+/// one execution. The overflow sits in the *inner* operator each time, so
+/// an operator-at-a-time run over the whole input would have surfaced it
+/// instead.
+#[test]
+fn lowest_morsel_error_wins_at_every_thread_count() {
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE f (id INTEGER NOT NULL, k INTEGER NOT NULL, x INTEGER NOT NULL, \
+         big INTEGER NOT NULL)",
+    )
+    .unwrap();
+    let rows: Vec<String> = (0..600)
+        .map(|id| {
+            let x = if id == 3 { 0 } else { 1 };
+            let big = if id == 500 { i64::MAX } else { 1 };
+            format!("({id}, 0, {x}, {big})")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO f VALUES {}", rows.join(", "))).unwrap();
+    db.execute("CREATE TABLE one (k INTEGER NOT NULL, z INTEGER NOT NULL)").unwrap();
+    db.execute("INSERT INTO one VALUES (0, 0)").unwrap();
+
+    for sql in [
+        // Both failures inside one filter / one projection.
+        "SELECT f.id FROM f WHERE 100 / f.x + f.big * 2 > 0",
+        "SELECT 100 / f.x + f.big * 2 FROM f",
+        // Overflow in the filter, division in the projection above it.
+        "SELECT 100 / f.x FROM f WHERE f.big * 2 > 0",
+        // Overflow in the join residual, division in the projection.
+        "SELECT 100 / a.x FROM f a JOIN one o ON a.k = o.k AND a.big * 2 > o.z",
+        // Overflow in the filter, division in the aggregate argument.
+        "SELECT SUM(100 / f.x) FROM f WHERE f.big * 2 > 0",
+    ] {
+        let reference = error_at(&db, sql, "1");
+        assert!(reference.contains("division by zero"), "not the row-3 error: {reference}\n{sql}");
+        for threads in ["2", "4", "8"] {
+            assert_eq!(error_at(&db, sql, threads), reference, "threads {threads}: {sql}");
+        }
+    }
+}
+
+/// The row-limit guard is evaluated in morsel order, so its message — the
+/// operator it names and the row count it reports — does not depend on
+/// which worker finishes first.
+#[test]
+fn row_limit_message_is_identical_across_thread_counts() {
+    let db = Database::new();
+    db.execute("CREATE TABLE small (id INTEGER NOT NULL, k INTEGER NOT NULL)").unwrap();
+    let rows: Vec<String> = (0..10).map(|id| format!("({id}, {})", id % 2)).collect();
+    db.execute(&format!("INSERT INTO small VALUES {}", rows.join(", "))).unwrap();
+    // Both inputs fit the limit; the 50-row join output (35 of them from
+    // the first 7-row morsel) does not.
+    let sql = "SELECT a.id, b.id FROM small a JOIN small b ON a.k = b.k";
+    let message = |threads: &str| {
+        let s = db.session();
+        s.set("threads", threads).unwrap();
+        s.set("morsel_rows", "7").unwrap();
+        s.set("row_limit", "10").unwrap();
+        s.query(sql).unwrap_err().to_string()
+    };
+    let reference = message("1");
+    assert!(reference.contains("row limit exceeded"), "{reference}");
+    assert!(reference.contains("Join"), "names the join: {reference}");
+    assert!(reference.contains("produced 35 rows"), "{reference}");
+    for threads in ["2", "4", "8"] {
+        assert_eq!(message(threads), reference, "threads {threads}");
     }
 }

@@ -175,23 +175,24 @@ fn health_stats_and_routing() {
 fn stats_reports_worker_execution_granularity() {
     let db = social_db();
     let settings = vec![
-        ("pipeline".to_string(), "on".to_string()),
         ("morsel_rows".to_string(), "1024".to_string()),
+        ("threads".to_string(), "3".to_string()),
     ];
     let server = start(&db, ServerConfig { settings, ..ServerConfig::default() });
     let resp = client::get(server.addr(), "/stats").unwrap();
     assert_eq!(resp.status, 200);
     let doc = json::parse(&resp.body).unwrap();
     let exec = doc.get("execution").expect("stats has execution");
-    assert_eq!(exec.get("pipeline").and_then(Json::as_str), Some("on"));
     assert_eq!(exec.get("morsel_rows").and_then(Json::as_str), Some("1024"));
-    assert!(exec.get("threads").and_then(Json::as_str).is_some());
+    assert_eq!(exec.get("threads").and_then(Json::as_str), Some("3"));
+    assert!(exec.get("pipeline").is_none(), "the retired knob is not reported: {exec:?}");
     server.shutdown();
 }
 
-/// Per-request `pipeline` / `morsel_rows` overrides select the executor
-/// for one statement only, and every configuration returns identical
-/// rows (the engine's determinism contract, observed through HTTP).
+/// Per-request `morsel_rows` / `threads` overrides reshape the morsel
+/// schedule for one statement only, and every configuration returns
+/// identical rows (the engine's determinism contract, observed through
+/// HTTP). The retired `pipeline` knob is an unknown setting: 400.
 #[test]
 fn pipeline_overrides_are_per_request_and_results_identical() {
     let db = social_db();
@@ -200,12 +201,12 @@ fn pipeline_overrides_are_per_request_and_results_identical() {
                GROUP BY f.dst ORDER BY f.dst";
     let mut bodies = Vec::new();
     for settings in [
-        Json::Object(vec![("pipeline".to_string(), Json::from("off"))]),
+        Json::Object(vec![("threads".to_string(), Json::Int(1))]),
         Json::Object(vec![
-            ("pipeline".to_string(), Json::from("on")),
+            ("threads".to_string(), Json::Int(4)),
             ("morsel_rows".to_string(), Json::Int(1)),
         ]),
-        Json::Object(vec![("pipeline".to_string(), Json::from("on"))]),
+        Json::Object(Vec::new()),
     ] {
         let body = Json::Object(vec![
             ("sql".to_string(), Json::from(sql)),
@@ -218,6 +219,19 @@ fn pipeline_overrides_are_per_request_and_results_identical() {
     }
     assert_eq!(bodies[0], bodies[1]);
     assert_eq!(bodies[0], bodies[2]);
+    // The overrides did not stick to the worker's session.
+    let stats = json::parse(&client::get(server.addr(), "/stats").unwrap().body).unwrap();
+    let exec = stats.get("execution").expect("stats has execution");
+    assert_ne!(exec.get("morsel_rows").and_then(Json::as_str), Some("1"));
+
+    let body = Json::Object(vec![
+        ("sql".to_string(), Json::from(sql)),
+        ("settings".to_string(), Json::Object(vec![("pipeline".to_string(), Json::from("off"))])),
+    ])
+    .encode();
+    let resp = client::post(server.addr(), "/query", &body).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("unknown setting 'pipeline'"), "{}", resp.body);
     server.shutdown();
 }
 

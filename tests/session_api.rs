@@ -88,9 +88,6 @@ fn set_graph_index_off_changes_explain_plan() {
 fn explain_analyze_reports_rows_and_time_for_graph_join() {
     let db = social_db();
     let session = db.session();
-    // Pin the pipelined executor on: the per-pipeline morsel summary
-    // asserted below must not depend on the GSQL_PIPELINE env default.
-    session.set("pipeline", "on").unwrap();
     let t = session
         .query_with_params(
             "EXPLAIN ANALYZE \
@@ -368,6 +365,12 @@ fn set_show_statements() {
     assert!(all.row_count() >= 3);
     assert!(session.execute("SET no_such_option = 1").is_err());
     assert!(session.query("SHOW no_such_option").is_err());
+    // The executor-selection knob is gone: there is one engine, and its
+    // retired setting is an ordinary unknown option.
+    let err = session.execute("SET pipeline = off").unwrap_err();
+    assert!(err.to_string().contains("unknown setting 'pipeline'"), "{err}");
+    let err = session.query("SHOW pipeline").unwrap_err();
+    assert!(err.to_string().contains("unknown setting 'pipeline'"), "{err}");
     // Settings live only in their session; a fresh one is pristine.
     assert_eq!(db.session().setting("row_limit").unwrap(), "0");
 }
