@@ -5,7 +5,7 @@
 //! default in every CI configuration.
 
 use gsql_accel::{alt_bidirectional, Landmarks};
-use gsql_graph::{bfs, dijkstra_int, reverse_csr_with_threads, Csr};
+use gsql_graph::{bfs, dijkstra_int, reverse_csr, Csr};
 use rand::prelude::*;
 
 struct Case {
@@ -21,7 +21,7 @@ fn random_case(rng: &mut StdRng, max_n: u32, max_m: usize) -> Case {
     let dst: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
     let raw: Vec<i64> = (0..m).map(|_| rng.gen_range(1..100)).collect();
     let graph = Csr::from_edges(n, &src, &dst).unwrap();
-    let reverse = reverse_csr_with_threads(&graph, 2);
+    let reverse = reverse_csr(&graph);
     Case { graph, reverse, raw }
 }
 
@@ -110,7 +110,7 @@ fn dense_and_sparse_extremes() {
         }
     }
     let g = Csr::from_edges(n, &src, &dst).unwrap();
-    let r = reverse_csr_with_threads(&g, 4);
+    let r = reverse_csr(&g);
     let lm = Landmarks::build(&g, &r, None, 8, 4);
     for s in 0..n {
         for d in 0..n {

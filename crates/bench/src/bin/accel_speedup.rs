@@ -114,8 +114,8 @@ fn main() {
 
     // ---------------------------------------------- graph-runtime layer
     let t = cfg.threads;
-    let graph = gsql_graph::Csr::from_edges_with_threads(cfg.vertices(), &src, &dst, t).unwrap();
-    let reverse = gsql_graph::reverse_csr_with_threads(&graph, t);
+    let graph = gsql_graph::Csr::from_edges(cfg.vertices(), &src, &dst).unwrap();
+    let reverse = gsql_graph::reverse_csr(&graph);
     let wf = graph.permute_weights_int_with_threads(&weights, t).unwrap();
     let wb = reverse.permute_weights_int_with_threads(&weights, t).unwrap();
 

@@ -163,63 +163,6 @@ pub fn print_table1(rows: &[Table1Row]) {
     );
 }
 
-// ---------------------------------------------------------------- Figure 1a
-
-/// One measurement of Figure 1a.
-#[derive(Debug, Clone)]
-pub struct Fig1aRow {
-    /// Scale factor.
-    pub sf: f64,
-    /// Dataset sizes (for context).
-    pub vertices: u64,
-    /// Directed edges.
-    pub edges: u64,
-    /// Average latency of Q13 (unweighted shortest path).
-    pub q13: Duration,
-    /// Average latency of the weighted Q14 variant.
-    pub q14: Duration,
-}
-
-/// Regenerate Figure 1a: average per-query latency of Q13 and the Q14
-/// variant across scale factors.
-pub fn run_fig1a(cfg: &BenchConfig) -> Vec<Fig1aRow> {
-    let mut rows = Vec::new();
-    for &sf in &cfg.sfs {
-        let d = load_dataset(sf, cfg.seed);
-        let pairs = sample_pairs(cfg.reps, d.num_persons, cfg.seed ^ 0xf16a);
-        // One warm-up each, outside the measurement (JIT-free but warms
-        // allocator and page cache).
-        measure_query(&d.db, queries::Q13, &pairs[..1.min(pairs.len())]);
-        let q13 = measure_query(&d.db, queries::Q13, &pairs);
-        let q14 = measure_query(&d.db, queries::Q14_VARIANT, &pairs);
-        rows.push(Fig1aRow { sf, vertices: d.num_persons, edges: d.num_edges, q13, q14 });
-    }
-    rows
-}
-
-/// Print Figure 1a as a table (the paper plots it on a log scale).
-pub fn print_fig1a(rows: &[Fig1aRow]) {
-    println!("Figure 1a: average latency per query (single pair per query)");
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let ratio = r.q14.as_secs_f64() / r.q13.as_secs_f64().max(1e-12);
-            vec![
-                format!("{}", r.sf),
-                format!("{}", r.vertices),
-                format!("{}", r.edges),
-                fmt_duration(r.q13),
-                fmt_duration(r.q14),
-                format!("{ratio:.2}x"),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["SF", "|V|", "|E|", "Q13 unweighted", "Q14var weighted", "Q14/Q13"], &body)
-    );
-}
-
 // ---------------------------------------------------------------- Figure 1b
 
 /// One series point of Figure 1b.
@@ -449,56 +392,6 @@ pub fn print_ablation_baselines(rows: &[AblationBaselineRow]) {
     );
 }
 
-/// One row of the graph-index ablation.
-#[derive(Debug, Clone)]
-pub struct AblationIndexRow {
-    /// Scale factor.
-    pub sf: f64,
-    /// Average Q13 latency without an index (CSR built per query).
-    pub without_index: Duration,
-    /// Average Q13 latency with `CREATE GRAPH INDEX` (cached CSR).
-    pub with_index: Duration,
-}
-
-/// Compare per-query graph construction against the §6 graph index.
-pub fn run_ablation_graph_index(cfg: &BenchConfig) -> Vec<AblationIndexRow> {
-    let mut rows = Vec::new();
-    for &sf in &cfg.sfs {
-        let d = load_dataset(sf, cfg.seed);
-        let pairs = sample_pairs(cfg.reps, d.num_persons, cfg.seed ^ 0x1dce);
-        let without_index = measure_query(&d.db, queries::Q13, &pairs);
-        d.db.execute("CREATE GRAPH INDEX friends_graph ON friends EDGE (src, dst)")
-            .expect("index creation");
-        // One warm-up query so one-time setup attributable to the index
-        // (e.g. the lazy reverse CSR used by bidirectional BFS) is built
-        // outside the measurement, like the index itself.
-        measure_query(&d.db, queries::Q13, &pairs[..1]);
-        let with_index = measure_query(&d.db, queries::Q13, &pairs);
-        rows.push(AblationIndexRow { sf, without_index, with_index });
-    }
-    rows
-}
-
-/// Print the graph-index ablation.
-pub fn print_ablation_graph_index(rows: &[AblationIndexRow]) {
-    println!("Ablation 2: per-query graph construction vs CREATE GRAPH INDEX (Q13)");
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.sf),
-                fmt_duration(r.without_index),
-                fmt_duration(r.with_index),
-                format!(
-                    "{:.1}x",
-                    r.without_index.as_secs_f64() / r.with_index.as_secs_f64().max(1e-12)
-                ),
-            ]
-        })
-        .collect();
-    print!("{}", render_table(&["SF", "no index", "graph index", "speedup"], &body));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,15 +404,10 @@ mod tests {
         let t1 = run_table1(&cfg);
         assert_eq!(t1.len(), 1);
         assert!(t1[0].vertices > 0 && t1[0].edges > 0);
-        let f1a = run_fig1a(&cfg);
-        assert_eq!(f1a.len(), 1);
-        assert!(f1a[0].q13 > Duration::ZERO);
         let f1b = run_fig1b(&cfg, &[1, 4]);
         assert_eq!(f1b.len(), 2);
         let ab = run_ablation_baselines(&cfg);
         assert!(ab[0].seminaive > Duration::ZERO);
-        let ai = run_ablation_graph_index(&cfg);
-        assert!(ai[0].with_index <= ai[0].without_index * 50);
         let ps = run_parallel_scaling(&cfg, 8, 4);
         assert_eq!(ps.len(), 1);
         assert!(ps[0].sequential > Duration::ZERO && ps[0].parallel > Duration::ZERO);

@@ -8,13 +8,9 @@
 //! the full sweep):
 //!
 //! * `table1` — graph sizes per scale factor (paper Table 1);
-//! * `fig1a` — average latency per query, Q13 vs the weighted Q14 variant
-//!   (paper Figure 1a);
 //! * `fig1b` — latency per pair at batch sizes 1…128 (paper Figure 1b);
 //! * `ablation_baselines` — native operator vs the §1 "customary" SQL
 //!   strategies;
-//! * `ablation_graph_index` — per-query graph construction vs the §6
-//!   graph index;
 //! * `parallel_scaling` — many-source batched Q13 with `SET threads = 1`
 //!   vs `SET threads = N` (also takes `--batch` and `--threads`).
 

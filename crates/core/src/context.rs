@@ -12,7 +12,7 @@ use crate::path_index::PathIndexRegistry;
 use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, NO_SPAN};
 use gsql_storage::{Catalog, Value};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,11 +41,12 @@ pub struct SessionSettings {
     /// `0` disables caching). Default 64.
     pub plan_cache_size: usize,
     /// Degree of parallelism for execution (`SET threads = n`, n ≥ 1).
-    /// Source-parallel graph traversals, the parallel CSR build, the morsel
-    /// pipelines and the row-parallel breakers (sort, distinct) all use
-    /// this width; `1` runs everything inline on the calling thread.
-    /// Default: the `GSQL_THREADS` environment variable when set, otherwise
-    /// the number of available hardware threads.
+    /// Source-parallel graph traversals, the morsel pipelines and the
+    /// row-parallel breakers (sort, distinct) all use this width; `1` runs
+    /// everything inline on the calling thread. The graph build is
+    /// sequential at every width. Default: the `GSQL_THREADS` environment
+    /// variable when set, otherwise the number of available hardware
+    /// threads.
     pub threads: usize,
     /// Per-statement wall-clock budget in milliseconds (`SET timeout_ms =
     /// n`; `0` disables). The deadline starts when statement execution
@@ -320,17 +321,21 @@ impl ExecStats {
     }
 
     /// Fill in an operator's results.
-    pub(crate) fn finish(
-        &mut self,
-        idx: usize,
-        rows: usize,
-        elapsed: Duration,
-        detail: Option<String>,
-    ) {
+    pub(crate) fn finish(&mut self, idx: usize, rows: usize, elapsed: Duration) {
         let op = &mut self.ops[idx];
         op.rows = rows;
         op.elapsed = elapsed;
-        op.detail = detail;
+    }
+
+    /// Append operator-specific detail to an operator's line. An operator
+    /// may leave several (a graph build, then the accelerated search's
+    /// counts); they are printed in the order recorded.
+    pub(crate) fn add_detail(&mut self, idx: usize, detail: String) {
+        let slot = &mut self.ops[idx].detail;
+        *slot = Some(match slot.take() {
+            Some(earlier) => format!("{earlier}, {detail}"),
+            None => detail,
+        });
     }
 
     /// Record one completed pipeline's morsel statistics.
@@ -403,10 +408,12 @@ pub struct ExecContext<'a> {
     settings: SessionSettings,
     deadline: Option<Deadline>,
     stats: Option<Mutex<ExecStats>>,
-    /// Detail text set by the operator currently executing (e.g. ALT
-    /// settled-vertex counts), claimed by the executor when it records the
-    /// operator's statistics. Only populated when stats are collected.
-    pending_detail: Mutex<Option<String>>,
+    /// The statistics slot of the operator whose body is running, so detail
+    /// it records (a graph build, ALT settled-vertex counts) lands on its
+    /// own line however many input operators ran in between. An atomic for
+    /// the same reason as `trace_parent`; only meaningful when stats are
+    /// collected.
+    current_op: AtomicUsize,
     /// The engine-wide metrics registry, when attached by a session. All
     /// hot-path instruments are relaxed atomics, so recording never
     /// perturbs results or thread-equivalence.
@@ -434,7 +441,7 @@ impl<'a> ExecContext<'a> {
             settings: SessionSettings::default(),
             deadline: None,
             stats: None,
-            pending_detail: Mutex::new(None),
+            current_op: AtomicUsize::new(usize::MAX),
             metrics: None,
             trace: None,
             trace_parent: AtomicU32::new(NO_SPAN),
@@ -517,14 +524,18 @@ impl<'a> ExecContext<'a> {
     /// Record extra statistics detail for the operator currently executing
     /// (no-op unless `EXPLAIN ANALYZE` is collecting).
     pub(crate) fn record_op_detail(&self, detail: String) {
-        if self.stats.is_some() {
-            *self.pending_detail.lock().expect("detail lock") = Some(detail);
+        if let Some(cell) = &self.stats {
+            let op = self.current_op.load(Ordering::Relaxed);
+            if op != usize::MAX {
+                cell.lock().expect("stats lock").add_detail(op, detail);
+            }
         }
     }
 
-    /// Claim the pending operator detail (executor side).
-    pub(crate) fn take_op_detail(&self) -> Option<String> {
-        self.pending_detail.lock().expect("detail lock").take()
+    /// Mark `op` as the statistics slot of the operator now executing,
+    /// returning the previous one so the executor can restore it.
+    pub(crate) fn swap_current_op(&self, op: usize) -> usize {
+        self.current_op.swap(op, Ordering::Relaxed)
     }
 
     /// The session settings in effect.
@@ -787,8 +798,10 @@ mod tests {
         let mut stats = ExecStats::default();
         let a = stats.begin("Filter x".into(), 0);
         let b = stats.begin("Scan t".into(), 1);
-        stats.finish(b, 10, Duration::from_micros(50), None);
-        stats.finish(a, 3, Duration::from_micros(120), Some("settled=7 (alt)".into()));
+        stats.finish(b, 10, Duration::from_micros(50));
+        stats.add_detail(a, "graph build: V=4, E=3, dict=int, 0.01 ms".into());
+        stats.add_detail(a, "settled=7 (alt)".into());
+        stats.finish(a, 3, Duration::from_micros(120));
         stats.record_pipeline(PipelineStat {
             label: "scan t -> filter".into(),
             morsels: 9,
@@ -801,7 +814,9 @@ mod tests {
         });
         let text = stats.render();
         assert!(text.contains("Filter x (rows=3"));
-        assert!(text.contains("settled=7 (alt))"));
+        assert!(
+            text.contains("time=120us, graph build: V=4, E=3, dict=int, 0.01 ms, settled=7 (alt))")
+        );
         assert!(text.contains("  Scan t (rows=10"));
         assert!(text.contains("Pipeline 0: scan t -> filter (morsels=9"), "{text}");
         assert!(text.contains("per-worker min=1 max=5 of 3 worker(s)"), "{text}");

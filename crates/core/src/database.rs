@@ -353,13 +353,13 @@ impl Database {
 
     pub(crate) fn create_graph_index_stmt(
         &self,
+        ctx: &ExecContext<'_>,
         name: &str,
         table: &str,
         src_col: &str,
         dst_col: &str,
-        threads: usize,
     ) -> Result<QueryResult> {
-        self.indexes.create_index(&self.catalog, name, table, src_col, dst_col, threads)?;
+        self.indexes.create_index(ctx, name, table, src_col, dst_col)?;
         Ok(QueryResult::Ok)
     }
 
@@ -371,6 +371,7 @@ impl Database {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn create_path_index_stmt(
         &self,
+        ctx: &ExecContext<'_>,
         name: &str,
         table: &str,
         src_col: &str,
@@ -378,10 +379,9 @@ impl Database {
         weight_col: Option<&str>,
         kind: crate::path_index::PathIndexKind,
         if_not_exists: bool,
-        threads: usize,
     ) -> Result<QueryResult> {
         self.path_indexes.create_index(
-            &self.catalog,
+            ctx,
             name,
             table,
             src_col,
@@ -389,7 +389,6 @@ impl Database {
             weight_col,
             kind,
             if_not_exists,
-            threads,
         )?;
         Ok(QueryResult::Ok)
     }

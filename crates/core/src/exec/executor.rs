@@ -93,19 +93,15 @@ impl<'a> Executor<'a> {
                 let depth = self.depth.get();
                 let idx = cell.lock().expect("stats lock").begin(plan.node_label(), depth);
                 self.depth.set(depth + 1);
+                // Detail the operator body records (a graph build, ALT
+                // settled-vertex counts) belongs to this operator's slot.
+                let outer = self.ctx.swap_current_op(idx);
                 let t0 = Instant::now();
                 let result = self.execute_inner(plan, extras);
+                self.ctx.swap_current_op(outer);
                 self.depth.set(depth);
-                // Operator bodies may have left extra detail (e.g. ALT
-                // settled-vertex counts); it belongs to this operator.
-                let detail = self.ctx.take_op_detail();
                 if let Ok((t, _)) = &result {
-                    cell.lock().expect("stats lock").finish(
-                        idx,
-                        t.row_count(),
-                        t0.elapsed(),
-                        detail,
-                    );
+                    cell.lock().expect("stats lock").finish(idx, t.row_count(), t0.elapsed());
                 }
                 result
             }

@@ -22,16 +22,16 @@ use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
 use crate::path_index::PathIndexData;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
+use crate::vertex_dict::VertexDict;
 use gsql_graph::batch::CostValue;
 use gsql_graph::{
     BatchComputer, Csr, GraphError, PairResult, TraversalKind, TraversalObserver, WeightSpec,
 };
 use gsql_obs::{EngineMetrics, TraceValue};
-use gsql_storage::value::HashableValue;
 use gsql_storage::{Column, ColumnBuilder, DataType, PathValue, Table, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
 
@@ -48,8 +48,8 @@ pub struct MaterializedGraph {
     pub edges: Arc<Table>,
     /// The CSR over dense vertex ids.
     pub csr: Csr,
-    /// Vertex value → dense id.
-    pub dict: HashMap<HashableValue, u32>,
+    /// Vertex value ↔ dense id.
+    pub(crate) dict: VertexDict,
     /// Ordinal of the source key column in `edges`.
     pub src_key: usize,
     /// Ordinal of the destination key column in `edges`.
@@ -59,19 +59,13 @@ pub struct MaterializedGraph {
     /// much as the forward CSR, so it is only materialized for graphs that
     /// outlive one query (graph indices).
     reverse: std::sync::OnceLock<Csr>,
-    /// Degree of parallelism the graph was built with; reused for the lazy
-    /// reverse CSR (parallel construction is bit-identical to sequential,
-    /// so this only affects speed).
-    build_threads: usize,
 }
 
 impl MaterializedGraph {
-    /// Map a vertex value to its dense id, if it is a vertex of the graph.
+    /// Map a vertex value to its dense id, if it is a vertex of the graph
+    /// (SQL equality: `Double(3.0)` finds key `3`; NULL finds nothing).
     pub fn lookup(&self, v: &Value) -> Option<u32> {
-        if v.is_null() {
-            return None;
-        }
-        self.dict.get(&HashableValue(v.clone())).copied()
+        self.dict.lookup(v)
     }
 
     /// Number of vertices.
@@ -87,8 +81,7 @@ impl MaterializedGraph {
     /// The reverse CSR, built on first use and cached for the graph's
     /// lifetime.
     pub fn reverse(&self) -> &Csr {
-        self.reverse
-            .get_or_init(|| gsql_graph::reverse_csr_with_threads(&self.csr, self.build_threads))
+        self.reverse.get_or_init(|| gsql_graph::reverse_csr(&self.csr))
     }
 
     /// Reassemble a graph from persisted parts (warm restart). The reverse
@@ -98,13 +91,13 @@ impl MaterializedGraph {
         edges: Arc<Table>,
         csr: Csr,
         reverse: Csr,
-        dict: HashMap<HashableValue, u32>,
+        dict: VertexDict,
         src_key: usize,
         dst_key: usize,
     ) -> MaterializedGraph {
         let slot = std::sync::OnceLock::new();
         slot.set(reverse).expect("fresh OnceLock");
-        MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot, build_threads: 1 }
+        MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot }
     }
 }
 
@@ -122,49 +115,27 @@ pub(crate) fn null_filtered_edges(edges: Arc<Table>, src_key: usize, dst_key: us
     Arc::new(edges.take(&keep))
 }
 
-/// [`build_graph_with_threads`] with the sequential build.
-pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<MaterializedGraph> {
-    build_graph_with_threads(edges, src_key, dst_key, 1)
-}
-
 /// Build a [`MaterializedGraph`] from a materialized edge table.
 ///
 /// This is the construction cost that the paper's evaluation shows
 /// dominating single-pair query latency (§4) and that batching (Fig. 1b)
-/// and graph indices (§6) amortize. The CSR's counting sort + prefix sum
-/// run over `threads` workers (bit-identical to sequential); the vertex
-/// dictionary stays sequential (dense ids are assigned in first-seen
-/// order).
-pub fn build_graph_with_threads(
-    edges: Arc<Table>,
-    src_key: usize,
-    dst_key: usize,
-    threads: usize,
-) -> Result<MaterializedGraph> {
+/// and graph indices (§6) amortize: encode the key columns through the
+/// [`VertexDict`] (dense ids in first-seen order), then one sequential
+/// counting sort over ids that are in range by construction.
+pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<MaterializedGraph> {
     // Exclude edges with NULL endpoints so the snapshot's row ids equal the
     // CSR's edge-row ids.
     let edges = null_filtered_edges(edges, src_key, dst_key);
-
-    let src_col = edges.column(src_key);
-    let dst_col = edges.column(dst_key);
-    let n_rows = edges.row_count();
-
-    // Vertex dictionary over S ∪ D, assigning dense ids in first-seen order.
-    let mut dict: HashMap<HashableValue, u32> = HashMap::new();
-    let mut src_ids = Vec::with_capacity(n_rows);
-    let mut dst_ids = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        let s = src_col.get(i);
-        let d = dst_col.get(i);
-        let next = dict.len() as u32;
-        let sid = *dict.entry(HashableValue(s)).or_insert(next);
-        let next = dict.len() as u32;
-        let did = *dict.entry(HashableValue(d)).or_insert(next);
-        src_ids.push(sid);
-        dst_ids.push(did);
+    // Vertex ids and edge-row ids are u32 throughout the graph library.
+    if edges.row_count() > (u32::MAX / 2) as usize {
+        return Err(exec_err!(
+            "edge table has {} rows; a graph holds at most {}",
+            edges.row_count(),
+            u32::MAX / 2
+        ));
     }
-    let csr = Csr::from_edges_with_threads(dict.len() as u32, &src_ids, &dst_ids, threads)
-        .map_err(Error::Graph)?;
+    let (dict, src_ids, dst_ids) = VertexDict::encode(edges.column(src_key), edges.column(dst_key));
+    let csr = Csr::from_dense_edges(dict.len() as u32, &src_ids, &dst_ids);
     Ok(MaterializedGraph {
         edges,
         csr,
@@ -172,8 +143,79 @@ pub fn build_graph_with_threads(
         src_key,
         dst_key,
         reverse: std::sync::OnceLock::new(),
-        build_threads: threads.max(1),
     })
+}
+
+/// Alias of [`build_graph`], kept for the committed benchmark, which
+/// compiles against this name. The width is ignored: the chunk-parallel
+/// counting sort it used to select did not beat the sequential one on any
+/// benchmark workload (4.3 vs 2.8 ms at SNB SF 1's 362 k edges on two
+/// threads, 193 vs 167 ms at 8.4 M edges; README, "Graph construction") and
+/// was deleted.
+pub fn build_graph_with_threads(
+    edges: Arc<Table>,
+    src_key: usize,
+    dst_key: usize,
+    _threads: usize,
+) -> Result<MaterializedGraph> {
+    build_graph(edges, src_key, dst_key)
+}
+
+/// Who asked for a graph build — the `source` label of
+/// `gsql_graph_builds_total` and of the `graph_build` span.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BuildSource {
+    /// An unindexed statement building its own graph.
+    Statement,
+    /// `CREATE GRAPH INDEX` or a lazy graph-index rebuild.
+    GraphIndex,
+    /// `CREATE PATH INDEX` or a lazy path-index rebuild.
+    PathIndex,
+}
+
+impl BuildSource {
+    fn as_str(self) -> &'static str {
+        match self {
+            BuildSource::Statement => "statement",
+            BuildSource::GraphIndex => "graph_index",
+            BuildSource::PathIndex => "path_index",
+        }
+    }
+}
+
+/// [`build_graph`], made visible: a `graph_build` span under the current
+/// trace parent, the build counter and duration histogram, and the
+/// `graph build: …` detail `EXPLAIN ANALYZE` prints on the graph operator.
+/// Every build the engine runs goes through here.
+pub(crate) fn build_graph_observed(
+    ctx: &ExecContext<'_>,
+    source: BuildSource,
+    edges: Arc<Table>,
+    src_key: usize,
+    dst_key: usize,
+) -> Result<MaterializedGraph> {
+    let span = ctx.trace_begin("graph_build");
+    let t0 = Instant::now();
+    let result = build_graph(edges, src_key, dst_key);
+    let elapsed = t0.elapsed();
+    if let Some(m) = ctx.metrics() {
+        m.record_graph_build(source.as_str(), elapsed.as_micros() as u64);
+    }
+    let mut attrs = vec![("source".to_string(), TraceValue::from(source.as_str()))];
+    if let Ok(graph) = &result {
+        let (v, e, dict) = (graph.num_vertices(), graph.num_edges(), graph.dict.kind());
+        attrs.push(("edges".to_string(), TraceValue::from(e as i64)));
+        attrs.push(("vertices".to_string(), TraceValue::from(v as i64)));
+        attrs.push(("dict".to_string(), TraceValue::from(dict)));
+        ctx.record_op_detail(format!(
+            "graph build: V={v}, E={e}, dict={dict}, {:.2} ms",
+            elapsed.as_secs_f64() * 1e3
+        ));
+    }
+    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        t.end_with(id, attrs);
+    }
+    result
 }
 
 /// How one `CHEAPEST SUM` spec is actually executed.
@@ -442,7 +484,7 @@ fn obtain_graph(
     if let (LogicalPlan::PathIndexedGraph { index, .. }, Some(registry)) =
         (edge, ctx.path_indexes())
     {
-        if let Some(data) = registry.data_by_name(ctx.catalog(), index, ctx.threads())? {
+        if let Some(data) = registry.data_by_name(ctx, index)? {
             let graph = Arc::clone(&data.graph);
             return Ok((graph, true, Some(data)));
         }
@@ -450,28 +492,20 @@ fn obtain_graph(
         // built into the PathIndexedGraph executor arm.
     }
     if let (LogicalPlan::IndexedGraph { index, .. }, Some(registry)) = (edge, ctx.indexes()) {
-        if let Some(graph) = registry.graph_by_name(ctx.catalog(), index, ctx.threads())? {
+        if let Some(graph) = registry.graph_by_name(ctx, index)? {
             return Ok((graph, true, None));
         }
     }
     if let (LogicalPlan::Scan { table, schema }, Some(registry)) = (edge, ctx.indexes()) {
         let src_name = &schema.column(src_key).name;
         let dst_name = &schema.column(dst_key).name;
-        if let Some(graph) = registry.lookup(
-            ctx.catalog(),
-            table,
-            src_name,
-            dst_name,
-            src_key,
-            dst_key,
-            ctx.threads(),
-        )? {
+        if let Some(graph) = registry.lookup(ctx, table, src_name, dst_name, src_key, dst_key)? {
             return Ok((graph, true, None));
         }
     }
     let edges = ex.execute(edge)?;
-    let threads = ctx.threads();
-    Ok((Arc::new(build_graph_with_threads(edges, src_key, dst_key, threads)?), false, None))
+    let graph = build_graph_observed(ctx, BuildSource::Statement, edges, src_key, dst_key)?;
+    Ok((Arc::new(graph), false, None))
 }
 
 /// Run a single-pair batch through the accelerated search (ALT or CH,
@@ -765,16 +799,20 @@ fn execute_graph_join(
         Some(result) => result,
         None => run_specs(&graph, &pairs, specs, ex.ctx(), from_index)?,
     };
-    let pair_index: HashMap<(u32, u32), usize> =
-        pairs.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
+    // `pairs` is the row-major product of two sorted, deduplicated arrays,
+    // so a pair's position is its endpoints' ranks.
+    let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");
+    let right_ranks: Vec<usize> =
+        right_ids.iter().map(|&(_, did)| rank(&distinct_dst, did)).collect();
 
     // Emit matching (left row, right row) pairs.
     let mut left_rows: Vec<usize> = Vec::new();
     let mut right_rows: Vec<usize> = Vec::new();
     let mut kept_pairs: Vec<usize> = Vec::new();
     for &(li, sid) in &left_ids {
-        for &(ri, did) in &right_ids {
-            let pi = pair_index[&(sid, did)];
+        let row_base = rank(&distinct_src, sid) * distinct_dst.len();
+        for (&(ri, _), &dst_rank) in right_ids.iter().zip(&right_ranks) {
+            let pi = row_base + dst_rank;
             if reachable[pi] {
                 left_rows.push(li);
                 right_rows.push(ri);

@@ -409,7 +409,7 @@ pub(crate) fn execute(
         let mut stats = cell.lock().expect("stats lock");
         for (slot, rows) in chain_slots.iter().zip(&op_rows) {
             if let Some(slot) = slot {
-                stats.finish(*slot, *rows, elapsed, None);
+                stats.finish(*slot, *rows, elapsed);
             }
         }
         stats.record_pipeline(PipelineStat {

@@ -13,9 +13,9 @@
 //! INSERT/DELETE/UPDATE bumps the version, and the next query that needs
 //! the graph rebuilds it (lazy invalidation).
 
+use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
-use crate::exec::graph_op::{build_graph_with_threads, MaterializedGraph};
-use gsql_storage::Catalog;
+use crate::exec::graph_op::{build_graph_observed, BuildSource, MaterializedGraph};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -89,16 +89,15 @@ impl GraphIndexRegistry {
     }
 
     /// Fetch the (fresh) graph of the index named `name`, rebuilding a
-    /// stale cache entry with `threads` workers (a session's `threads`
-    /// setting — `1` keeps the rebuild sequential; parallel builds are
-    /// bit-identical). Returns `None` when the index no longer exists —
+    /// stale cache entry (observed through `ctx`: span, metrics, `EXPLAIN
+    /// ANALYZE` detail). Returns `None` when the index no longer exists —
     /// callers fall back to building the graph from the base table.
     pub fn graph_by_name(
         &self,
-        catalog: &Catalog,
+        ctx: &ExecContext<'_>,
         name: &str,
-        threads: usize,
     ) -> Result<Option<Arc<MaterializedGraph>>> {
+        let catalog = ctx.catalog();
         let key = name.to_ascii_lowercase();
         let (table, src_col, dst_col) = {
             let inner = self.inner.read().expect("registry lock poisoned");
@@ -122,11 +121,12 @@ impl GraphIndexRegistry {
         let dst_key = schema
             .index_of(&dst_col)
             .ok_or_else(|| bind_err!("no column '{dst_col}' in table '{table}'"))?;
-        let graph = Arc::new(build_graph_with_threads(
+        let graph = Arc::new(build_graph_observed(
+            ctx,
+            BuildSource::GraphIndex,
             Arc::clone(&entry.table),
             src_key,
             dst_key,
-            threads,
         )?);
         let mut inner = self.inner.write().expect("registry lock poisoned");
         if let Some(e) = inner.get_mut(&key) {
@@ -143,16 +143,16 @@ impl GraphIndexRegistry {
         Ok(Some(graph))
     }
 
-    /// Create an index and build its graph eagerly with `threads` workers.
+    /// Create an index and build its graph eagerly.
     pub fn create_index(
         &self,
-        catalog: &Catalog,
+        ctx: &ExecContext<'_>,
         name: &str,
         table: &str,
         src_col: &str,
         dst_col: &str,
-        threads: usize,
     ) -> Result<()> {
+        let catalog = ctx.catalog();
         let key = name.to_ascii_lowercase();
         let entry = catalog.entry(table).map_err(Error::Storage)?;
         let schema = entry.table.schema();
@@ -172,11 +172,12 @@ impl GraphIndexRegistry {
         if !s_ty.is_vertex_key() {
             return Err(bind_err!("type {s_ty} cannot be used as a graph vertex key"));
         }
-        let graph = Arc::new(build_graph_with_threads(
+        let graph = Arc::new(build_graph_observed(
+            ctx,
+            BuildSource::GraphIndex,
             Arc::clone(&entry.table),
             src_key,
             dst_key,
-            threads,
         )?);
 
         let mut inner = self.inner.write().expect("registry lock poisoned");
@@ -275,19 +276,18 @@ impl GraphIndexRegistry {
     }
 
     /// Find a fresh graph for `(table, src, dst)`, rebuilding a stale cache
-    /// entry (with `threads` workers) if there is a matching index. Returns
-    /// `None` when no index covers this edge configuration.
-    #[allow(clippy::too_many_arguments)]
+    /// entry if there is a matching index. Returns `None` when no index
+    /// covers this edge configuration.
     pub fn lookup(
         &self,
-        catalog: &Catalog,
+        ctx: &ExecContext<'_>,
         table: &str,
         src_col: &str,
         dst_col: &str,
         src_key: usize,
         dst_key: usize,
-        threads: usize,
     ) -> Result<Option<Arc<MaterializedGraph>>> {
+        let catalog = ctx.catalog();
         let table_key = table.to_ascii_lowercase();
         let name = {
             let inner = self.inner.read().expect("registry lock poisoned");
@@ -311,11 +311,12 @@ impl GraphIndexRegistry {
         };
         // Stale: rebuild outside the read lock.
         let entry = catalog.entry(table).map_err(Error::Storage)?;
-        let graph = Arc::new(build_graph_with_threads(
+        let graph = Arc::new(build_graph_observed(
+            ctx,
+            BuildSource::GraphIndex,
             Arc::clone(&entry.table),
             src_key,
             dst_key,
-            threads,
         )?);
         let mut inner = self.inner.write().expect("registry lock poisoned");
         if let Some(e) = inner.get_mut(&name) {
@@ -335,7 +336,7 @@ impl GraphIndexRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsql_storage::{ColumnDef, DataType, Schema, Value};
+    use gsql_storage::{Catalog, ColumnDef, DataType, Schema, Value};
 
     fn setup() -> (Catalog, GraphIndexRegistry) {
         let catalog = Catalog::new();
@@ -357,37 +358,41 @@ mod tests {
         (catalog, GraphIndexRegistry::new())
     }
 
+    fn ctx(catalog: &Catalog) -> ExecContext<'_> {
+        ExecContext::new(catalog, &[], None)
+    }
+
     #[test]
     fn create_and_lookup() {
         let (catalog, reg) = setup();
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
-        let g = reg.lookup(&catalog, "friends", "src", "dst", 0, 1, 2).unwrap().unwrap();
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
+        let g = reg.lookup(&ctx(&catalog), "friends", "src", "dst", 0, 1).unwrap().unwrap();
         assert_eq!(g.num_edges(), 2);
         // Same Arc is returned while the table is unchanged.
-        let g2 = reg.lookup(&catalog, "friends", "src", "dst", 0, 1, 2).unwrap().unwrap();
+        let g2 = reg.lookup(&ctx(&catalog), "friends", "src", "dst", 0, 1).unwrap().unwrap();
         assert!(Arc::ptr_eq(&g, &g2));
     }
 
     #[test]
     fn lookup_misses_for_other_columns() {
         let (catalog, reg) = setup();
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
         // Reversed direction is a different graph: no index hit.
-        assert!(reg.lookup(&catalog, "friends", "dst", "src", 1, 0, 2).unwrap().is_none());
-        assert!(reg.lookup(&catalog, "other", "src", "dst", 0, 1, 2).unwrap().is_none());
+        assert!(reg.lookup(&ctx(&catalog), "friends", "dst", "src", 1, 0).unwrap().is_none());
+        assert!(reg.lookup(&ctx(&catalog), "other", "src", "dst", 0, 1).unwrap().is_none());
     }
 
     #[test]
     fn table_mutation_invalidates() {
         let (catalog, reg) = setup();
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
-        let g1 = reg.lookup(&catalog, "friends", "src", "dst", 0, 1, 2).unwrap().unwrap();
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
+        let g1 = reg.lookup(&ctx(&catalog), "friends", "src", "dst", 0, 1).unwrap().unwrap();
         catalog.update("friends", |t| t.append_row(vec![Value::Int(3), Value::Int(4)])).unwrap();
-        let g2 = reg.lookup(&catalog, "friends", "src", "dst", 0, 1, 2).unwrap().unwrap();
+        let g2 = reg.lookup(&ctx(&catalog), "friends", "src", "dst", 0, 1).unwrap().unwrap();
         assert!(!Arc::ptr_eq(&g1, &g2));
         assert_eq!(g2.num_edges(), 3);
         // And the rebuilt graph is cached again.
-        let g3 = reg.lookup(&catalog, "friends", "src", "dst", 0, 1, 2).unwrap().unwrap();
+        let g3 = reg.lookup(&ctx(&catalog), "friends", "src", "dst", 0, 1).unwrap().unwrap();
         assert!(Arc::ptr_eq(&g2, &g3));
     }
 
@@ -395,14 +400,14 @@ mod tests {
     fn version_bumps_on_create_and_drop() {
         let (catalog, reg) = setup();
         assert_eq!(reg.version(), 0);
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
         assert_eq!(reg.version(), 1);
         reg.drop_index("gi").unwrap();
         assert_eq!(reg.version(), 2);
         // Dropping a missing index does not bump.
         assert!(reg.drop_index("gi").is_err());
         assert_eq!(reg.version(), 2);
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
         reg.drop_indexes_for_table("friends");
         assert_eq!(reg.version(), 4);
         reg.drop_indexes_for_table("friends"); // nothing left: no bump
@@ -412,27 +417,27 @@ mod tests {
     #[test]
     fn find_index_and_graph_by_name() {
         let (catalog, reg) = setup();
-        reg.create_index(&catalog, "GI", "friends", "src", "dst", 2).unwrap();
+        reg.create_index(&ctx(&catalog), "GI", "friends", "src", "dst").unwrap();
         assert_eq!(reg.find_index("FRIENDS", "SRC", "DST"), Some("gi".to_string()));
         assert_eq!(reg.find_index("friends", "dst", "src"), None);
-        let g = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        let g = reg.graph_by_name(&ctx(&catalog), "gi").unwrap().unwrap();
         assert_eq!(g.num_edges(), 2);
         // Mutation invalidates; graph_by_name rebuilds.
         catalog.update("friends", |t| t.append_row(vec![Value::Int(3), Value::Int(4)])).unwrap();
-        let g2 = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        let g2 = reg.graph_by_name(&ctx(&catalog), "gi").unwrap().unwrap();
         assert_eq!(g2.num_edges(), 3);
         // A dropped index yields None (executor falls back to scanning).
         reg.drop_index("gi").unwrap();
-        assert!(reg.graph_by_name(&catalog, "gi", 2).unwrap().is_none());
+        assert!(reg.graph_by_name(&ctx(&catalog), "gi").unwrap().is_none());
     }
 
     #[test]
     fn validation_errors() {
         let (catalog, reg) = setup();
-        assert!(reg.create_index(&catalog, "gi", "nope", "src", "dst", 2).is_err());
-        assert!(reg.create_index(&catalog, "gi", "friends", "zzz", "dst", 2).is_err());
-        reg.create_index(&catalog, "gi", "friends", "src", "dst", 2).unwrap();
-        assert!(reg.create_index(&catalog, "GI", "friends", "src", "dst", 2).is_err());
+        assert!(reg.create_index(&ctx(&catalog), "gi", "nope", "src", "dst").is_err());
+        assert!(reg.create_index(&ctx(&catalog), "gi", "friends", "zzz", "dst").is_err());
+        reg.create_index(&ctx(&catalog), "gi", "friends", "src", "dst").unwrap();
+        assert!(reg.create_index(&ctx(&catalog), "GI", "friends", "src", "dst").is_err());
         assert!(reg.drop_index("missing").is_err());
         reg.drop_index("gi").unwrap();
         assert!(reg.index_names().is_empty());

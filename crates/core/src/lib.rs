@@ -65,6 +65,7 @@ pub mod path_index;
 pub(crate) mod persist;
 pub mod plan;
 pub mod session;
+pub(crate) mod vertex_dict;
 
 pub use context::{Deadline, ExecContext, ExecStats, OpStats, SessionSettings};
 pub use database::{Database, QueryResult};

@@ -25,8 +25,9 @@
 //! schema_version), so cached plans that decided for or against a path
 //! index are invalidated by `CREATE`/`DROP PATH INDEX`.
 
+use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
-use crate::exec::graph_op::{build_graph_with_threads, MaterializedGraph};
+use crate::exec::graph_op::{build_graph_observed, BuildSource, MaterializedGraph};
 use gsql_accel::{
     alt_multi_target, ch_many_to_many, ch_query, AltMultiResult, ContractionHierarchy, Landmarks,
 };
@@ -435,14 +436,14 @@ impl PathIndexRegistry {
     }
 
     /// Fetch the (fresh) data of the index named `name`, rebuilding a stale
-    /// cache entry with `threads` workers. `None` when the index no longer
-    /// exists — callers fall back to the unaccelerated path.
+    /// cache entry with the context's `threads` workers. `None` when the
+    /// index no longer exists — callers fall back to the unaccelerated path.
     pub fn data_by_name(
         &self,
-        catalog: &Catalog,
+        ctx: &ExecContext<'_>,
         name: &str,
-        threads: usize,
     ) -> Result<Option<Arc<PathIndexData>>> {
+        let catalog = ctx.catalog();
         let key = name.to_ascii_lowercase();
         let (table, src_col, dst_col, weight_col, kind) = {
             let inner = self.inner.read().expect("registry lock poisoned");
@@ -465,15 +466,8 @@ impl PathIndexRegistry {
         };
         // Stale: rebuild outside the read lock.
         let entry = catalog.entry(&table).map_err(Error::Storage)?;
-        let data = Arc::new(build_data(
-            catalog,
-            &table,
-            &src_col,
-            &dst_col,
-            weight_col.as_deref(),
-            kind,
-            threads,
-        )?);
+        let data =
+            Arc::new(build_data(ctx, &table, &src_col, &dst_col, weight_col.as_deref(), kind)?);
         self.builds.fetch_add(1, Ordering::AcqRel);
         let mut inner = self.inner.write().expect("registry lock poisoned");
         if let Some(e) = inner.get_mut(&key) {
@@ -492,13 +486,13 @@ impl PathIndexRegistry {
         Ok(Some(data))
     }
 
-    /// Create an index and build its acceleration data eagerly with
-    /// `threads` workers. With `if_not_exists`, creating over an existing
-    /// name is a no-op (returns `Ok` without building).
+    /// Create an index and build its acceleration data eagerly with the
+    /// context's `threads` workers. With `if_not_exists`, creating over an
+    /// existing name is a no-op (returns `Ok` without building).
     #[allow(clippy::too_many_arguments)]
     pub fn create_index(
         &self,
-        catalog: &Catalog,
+        ctx: &ExecContext<'_>,
         name: &str,
         table: &str,
         src_col: &str,
@@ -506,8 +500,8 @@ impl PathIndexRegistry {
         weight_col: Option<&str>,
         kind: PathIndexKind,
         if_not_exists: bool,
-        threads: usize,
     ) -> Result<()> {
+        let catalog = ctx.catalog();
         let key = name.to_ascii_lowercase();
         if let PathIndexKind::Landmarks(k) = kind {
             if k == 0 || k > MAX_LANDMARKS {
@@ -559,8 +553,7 @@ impl PathIndexRegistry {
             }
         };
         let kind = effective_kind(kind);
-        let data =
-            Arc::new(build_data(catalog, table, src_col, dst_col, weight_col, kind, threads)?);
+        let data = Arc::new(build_data(ctx, table, src_col, dst_col, weight_col, kind)?);
         self.builds.fetch_add(1, Ordering::AcqRel);
 
         let mut inner = self.inner.write().expect("registry lock poisoned");
@@ -704,15 +697,15 @@ impl PathIndexRegistry {
 /// Build the full per-index data set: graph, reverse CSR, validated slot
 /// weights, and the acceleration structure of the requested kind.
 fn build_data(
-    catalog: &Catalog,
+    ctx: &ExecContext<'_>,
     table: &str,
     src_col: &str,
     dst_col: &str,
     weight_col: Option<&str>,
     kind: PathIndexKind,
-    threads: usize,
 ) -> Result<PathIndexData> {
-    let entry = catalog.entry(table).map_err(Error::Storage)?;
+    let threads = ctx.threads();
+    let entry = ctx.catalog().entry(table).map_err(Error::Storage)?;
     let schema = entry.table.schema();
     let src_key = schema
         .index_of(src_col)
@@ -724,8 +717,13 @@ fn build_data(
         .map(|w| schema.index_of(w).ok_or_else(|| bind_err!("no column '{w}' in table '{table}'")))
         .transpose()?;
 
-    let graph =
-        Arc::new(build_graph_with_threads(Arc::clone(&entry.table), src_key, dst_key, threads)?);
+    let graph = Arc::new(build_graph_observed(
+        ctx,
+        BuildSource::PathIndex,
+        Arc::clone(&entry.table),
+        src_key,
+        dst_key,
+    )?);
     let reverse = graph.reverse(); // force + cache the reverse CSR now
 
     let (weights_fwd, weights_bwd) = match weight_key {
@@ -804,6 +802,11 @@ mod tests {
         (catalog, PathIndexRegistry::new())
     }
 
+    fn ctx(catalog: &Catalog, threads: usize) -> ExecContext<'_> {
+        let settings = crate::context::SessionSettings { threads, ..Default::default() };
+        ExecContext::new(catalog, &[], None).with_settings(settings)
+    }
+
     fn create(
         reg: &PathIndexRegistry,
         catalog: &Catalog,
@@ -811,7 +814,7 @@ mod tests {
         weight: Option<&str>,
         kind: PathIndexKind,
     ) -> Result<()> {
-        reg.create_index(catalog, name, "roads", "a", "b", weight, kind, false, 2)
+        reg.create_index(&ctx(catalog, 2), name, "roads", "a", "b", weight, kind, false)
     }
 
     #[test]
@@ -824,7 +827,7 @@ mod tests {
             let meta =
                 reg.find_indexes("ROADS", "A", "B").into_iter().find(|m| m.name == name).unwrap();
             assert_eq!(meta.weight_key, Some(2));
-            let data = reg.data_by_name(&catalog, name, 2).unwrap().unwrap();
+            let data = reg.data_by_name(&ctx(&catalog, 2), name).unwrap().unwrap();
             assert_eq!(data.graph.num_edges(), 4);
             assert!(data.weight_slices().is_some());
             // Exact accelerated distance through the cheap 1→2→3 route.
@@ -833,7 +836,7 @@ mod tests {
             let (dist, _) = data.search(s, d);
             assert_eq!(dist, Some(10), "{name}");
             // Unchanged table: same Arc on the next fetch.
-            let again = reg.data_by_name(&catalog, name, 2).unwrap().unwrap();
+            let again = reg.data_by_name(&ctx(&catalog, 2), name).unwrap().unwrap();
             assert!(Arc::ptr_eq(&data, &again));
         }
     }
@@ -842,14 +845,14 @@ mod tests {
     fn mutation_invalidates_and_rebuilds() {
         let (catalog, reg) = setup();
         create(&reg, &catalog, "pi", None, PathIndexKind::Landmarks(3)).unwrap();
-        let d1 = reg.data_by_name(&catalog, "pi", 1).unwrap().unwrap();
+        let d1 = reg.data_by_name(&ctx(&catalog, 1), "pi").unwrap().unwrap();
         catalog
             .update("roads", |t| t.append_row(vec![Value::Int(4), Value::Int(5), Value::Int(2)]))
             .unwrap();
-        let d2 = reg.data_by_name(&catalog, "pi", 1).unwrap().unwrap();
+        let d2 = reg.data_by_name(&ctx(&catalog, 1), "pi").unwrap().unwrap();
         assert!(!Arc::ptr_eq(&d1, &d2));
         assert_eq!(d2.graph.num_edges(), 5);
-        let d3 = reg.data_by_name(&catalog, "pi", 1).unwrap().unwrap();
+        let d3 = reg.data_by_name(&ctx(&catalog, 1), "pi").unwrap().unwrap();
         assert!(Arc::ptr_eq(&d2, &d3));
     }
 
@@ -857,15 +860,23 @@ mod tests {
     fn validation_errors() {
         let (catalog, reg) = setup();
         let lm = PathIndexKind::Landmarks(2);
-        assert!(reg.create_index(&catalog, "pi", "nope", "a", "b", None, lm, false, 1).is_err());
-        assert!(reg.create_index(&catalog, "pi", "roads", "zzz", "b", None, lm, false, 1).is_err());
         assert!(reg
-            .create_index(&catalog, "pi", "roads", "a", "b", Some("zzz"), lm, false, 1)
+            .create_index(&ctx(&catalog, 1), "pi", "nope", "a", "b", None, lm, false)
+            .is_err());
+        assert!(reg
+            .create_index(&ctx(&catalog, 1), "pi", "roads", "zzz", "b", None, lm, false)
+            .is_err());
+        assert!(reg
+            .create_index(&ctx(&catalog, 1), "pi", "roads", "a", "b", Some("zzz"), lm, false)
             .is_err());
         let zero = PathIndexKind::Landmarks(0);
-        assert!(reg.create_index(&catalog, "pi", "roads", "a", "b", None, zero, false, 1).is_err());
+        assert!(reg
+            .create_index(&ctx(&catalog, 1), "pi", "roads", "a", "b", None, zero, false)
+            .is_err());
         let over = PathIndexKind::Landmarks(MAX_LANDMARKS + 1);
-        assert!(reg.create_index(&catalog, "pi", "roads", "a", "b", None, over, false, 1).is_err());
+        assert!(reg
+            .create_index(&ctx(&catalog, 1), "pi", "roads", "a", "b", None, over, false)
+            .is_err());
         create(&reg, &catalog, "pi", None, lm).unwrap();
         assert!(create(&reg, &catalog, "PI", None, lm).is_err());
         assert!(reg.drop_index("missing", false).is_err());
@@ -882,7 +893,7 @@ mod tests {
         // that leaves the registry version untouched (no plan invalidation).
         assert!(create(&reg, &catalog, "pi", None, PathIndexKind::Contraction).is_err());
         reg.create_index(
-            &catalog,
+            &ctx(&catalog, 1),
             "PI",
             "roads",
             "a",
@@ -890,7 +901,6 @@ mod tests {
             None,
             PathIndexKind::Landmarks(2),
             true,
-            1,
         )
         .unwrap();
         assert_eq!(reg.version(), v);
@@ -925,7 +935,7 @@ mod tests {
             .unwrap();
         let rows = reg.list(&catalog);
         assert!(rows.iter().all(|r| r.status == "stale"), "{rows:?}");
-        reg.data_by_name(&catalog, "pa", 1).unwrap().unwrap();
+        reg.data_by_name(&ctx(&catalog, 1), "pa").unwrap().unwrap();
         let rows = reg.list(&catalog);
         assert_eq!(rows[0].status, "built");
         assert_eq!(rows[1].status, "stale");
@@ -946,7 +956,7 @@ mod tests {
             .unwrap();
         let err = reg
             .create_index(
-                &catalog,
+                &ctx(&catalog, 1),
                 "pi",
                 "fe",
                 "s",
@@ -954,7 +964,6 @@ mod tests {
                 Some("w"),
                 PathIndexKind::Landmarks(2),
                 false,
-                1,
             )
             .unwrap_err();
         assert!(err.to_string().contains("INTEGER"), "{err}");

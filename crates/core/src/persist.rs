@@ -32,12 +32,11 @@ use crate::path_index::{
     AccelIndex, PathIndexData, PathIndexKind, PathIndexRegistry, PathIndexSnapshotEntry,
 };
 use crate::session::Session;
+use crate::vertex_dict::VertexDict;
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
 use gsql_graph::Csr;
 use gsql_storage::persist::{ByteReader, ByteWriter};
-use gsql_storage::value::HashableValue;
 use gsql_storage::{SnapshotData, SnapshotTable, StorageError, Table, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -265,10 +264,7 @@ fn encode_built_data(w: &mut ByteWriter, data: &PathIndexData) -> Result<()> {
     w.put_usize(graph.src_key);
     w.put_usize(graph.dst_key);
     // Dictionary values in dense-id order (ids are 0..n contiguous).
-    let mut vals = vec![Value::Null; graph.dict.len()];
-    for (hv, &id) in &graph.dict {
-        vals[id as usize] = hv.0.clone();
-    }
+    let vals = graph.dict.values();
     w.put_usize(vals.len());
     for v in &vals {
         put_value(w, v)?;
@@ -541,11 +537,8 @@ fn decode_built_data(
     if weight_key.is_some() != weights_fwd.is_some() {
         return Err(corrupt("persisted weights disagree with the declared weight column"));
     }
-    let dict: HashMap<HashableValue, u32> =
-        vals.into_iter().enumerate().map(|(i, v)| (HashableValue(v), i as u32)).collect();
-    if dict.len() != csr.num_vertices() as usize {
-        return Err(corrupt("persisted dictionary contains duplicate vertex values"));
-    }
+    let key_type = edges.schema().column(src_key).ty;
+    let dict = VertexDict::from_values(key_type, vals).map_err(corrupt)?;
     let graph =
         Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
     let data = PathIndexData { graph, accel, weight_key, weights_fwd, weights_bwd };
@@ -603,5 +596,75 @@ fn get_opt_i64s(r: &mut ByteReader<'_>) -> Result<Option<Vec<i64>>> {
             }
             Ok(Some(vals))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-memory database with one built path index of each kind over an
+    /// `INTEGER`-keyed and a `VARCHAR`-keyed edge table.
+    fn indexed_db() -> Database {
+        let db = Database::new();
+        for sql in [
+            "CREATE TABLE roads (a INTEGER, b INTEGER, len INTEGER NOT NULL)",
+            "INSERT INTO roads VALUES (1001, 1002, 5), (1002, 1003, 5), (1001, 1003, 20), \
+             (1003, 1004, 1), (NULL, 1001, 1)",
+            "CREATE TABLE flights (org VARCHAR, dst VARCHAR, mins INTEGER NOT NULL)",
+            "INSERT INTO flights VALUES ('AMS', 'LIS', 170), ('LIS', 'JFK', 420), \
+             ('AMS', 'JFK', 500), ('JFK', 'AMS', 430)",
+            "CREATE PATH INDEX ri ON roads EDGE (a, b) WEIGHT len USING CONTRACTION",
+            "CREATE PATH INDEX fi ON flights EDGE (org, dst) WEIGHT mins USING LANDMARKS(2)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn path_section_encode_decode_encode_is_byte_stable() {
+        let db = indexed_db();
+        let first = encode_path_section(db.path_indexes()).unwrap();
+        // Decoding re-registers both entries from the bytes alone; their
+        // tables are unchanged, so the built data is installed, not dropped.
+        restore_path_section(&db, &first).unwrap();
+        let entries = db.path_indexes().snapshot_entries();
+        assert_eq!(entries.len(), 2);
+        for e in &entries {
+            let (_, data) = e.built.as_ref().expect("restored built");
+            let want = if e.name == "ri" { "int" } else { "generic" };
+            assert_eq!(data.graph.dict.kind(), want, "{}", e.name);
+        }
+        assert_eq!(encode_path_section(db.path_indexes()).unwrap(), first);
+    }
+
+    #[test]
+    fn repeated_dictionary_value_is_corrupt_not_a_panic() {
+        let db = indexed_db();
+        let mut bytes = encode_path_section(db.path_indexes()).unwrap();
+        for (first, second) in [(Value::Int(1001), Value::Int(1002)), ("AMS".into(), "LIS".into())]
+        {
+            let (mut pair, mut repeated) = (ByteWriter::new(), ByteWriter::new());
+            put_value(&mut pair, &first).unwrap();
+            put_value(&mut pair, &second).unwrap();
+            put_value(&mut repeated, &first).unwrap();
+            put_value(&mut repeated, &first).unwrap();
+            let (pair, repeated) = (pair.into_bytes(), repeated.into_bytes());
+            assert_eq!(pair.len(), repeated.len(), "same-width keys keep the framing intact");
+            let at = bytes
+                .windows(pair.len())
+                .position(|w| w == pair.as_slice())
+                .expect("dictionary values are stored in id order");
+            let saved = bytes[at..at + pair.len()].to_vec();
+            bytes[at..at + pair.len()].copy_from_slice(&repeated);
+            let err = restore_path_section(&db, &bytes).unwrap_err();
+            assert!(
+                matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains("duplicate")),
+                "{first}: {err}"
+            );
+            bytes[at..at + pair.len()].copy_from_slice(&saved);
+        }
+        restore_path_section(&db, &bytes).unwrap();
     }
 }

@@ -830,8 +830,8 @@ impl<'db> Session<'db> {
                 self.db.run_update(&ctx, table, assignments, filter.as_ref())
             }
             ast::Statement::CreateGraphIndex { name, table, src_col, dst_col } => {
-                let threads = self.settings.borrow().threads;
-                self.db.create_graph_index_stmt(name, table, src_col, dst_col, threads)
+                let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
+                self.db.create_graph_index_stmt(&ctx, name, table, src_col, dst_col)
             }
             ast::Statement::DropGraphIndex { name } => self.db.drop_graph_index_stmt(name),
             ast::Statement::CreatePathIndex {
@@ -843,7 +843,7 @@ impl<'db> Session<'db> {
                 method,
                 if_not_exists,
             } => {
-                let threads = self.settings.borrow().threads;
+                let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
                 let kind = match method {
                     ast::PathIndexMethod::Landmarks(k) => {
                         crate::path_index::PathIndexKind::Landmarks(*k)
@@ -853,6 +853,7 @@ impl<'db> Session<'db> {
                     }
                 };
                 self.db.create_path_index_stmt(
+                    &ctx,
                     name,
                     table,
                     src_col,
@@ -860,7 +861,6 @@ impl<'db> Session<'db> {
                     weight_col.as_deref(),
                     kind,
                     *if_not_exists,
-                    threads,
                 )
             }
             ast::Statement::DropPathIndex { name, if_exists } => {

@@ -11,64 +11,36 @@
 
 use crate::csr::Csr;
 use crate::{NO_EDGE, NO_VERTEX};
-use gsql_parallel::{Pool, SharedSlice};
 
 /// Build the reverse graph: edge `u -> v` becomes `v -> u`, keeping the
 /// same original edge-row ids (so paths found backwards still reference the
 /// original edge table).
+///
+/// A direct transpose: in-degree histogram, prefix sum, then one scatter
+/// walking the forward slots in order — so each reversed adjacency list is
+/// ordered by forward slot.
 pub fn reverse_csr(graph: &Csr) -> Csr {
-    reverse_csr_with_threads(graph, 1)
-}
-
-/// [`reverse_csr`] over a scoped worker pool: the flipped edge list, the
-/// counting-sort rebuild ([`Csr::from_edges_with_threads`]) and the
-/// row-id remap all parallelize over disjoint ranges, so the result is
-/// bit-for-bit identical to the sequential build. `threads <= 1` is the
-/// exact sequential path.
-pub fn reverse_csr_with_threads(graph: &Csr, threads: usize) -> Csr {
-    let m = graph.num_edges();
-    let n = graph.num_vertices();
-    let pool = Pool::new(threads);
-
-    // Flip the edge list, slot-major: position p holds the reverse of CSR
-    // slot p, exactly the order the sequential vertex walk would produce.
-    let mut src = vec![0u32; m];
-    let mut dst = vec![0u32; m];
-    let mut slot_order = vec![0u32; m];
-    {
-        let src_out = SharedSlice::new(&mut src);
-        let order_out = SharedSlice::new(&mut slot_order);
-        pool.for_each_chunk(m, |range| {
-            for p in range {
-                // SAFETY: each position written once, by this chunk only.
-                unsafe {
-                    src_out.write(p, graph.target(p));
-                    order_out.write(p, graph.edge_row(p));
-                }
-            }
-        });
-        let dst_out = SharedSlice::new(&mut dst);
-        pool.for_each_chunk(n as usize, |range| {
-            for v in range {
-                for p in graph.edge_range(v as u32) {
-                    // SAFETY: slot ranges of distinct vertices are disjoint.
-                    unsafe { dst_out.write(p, v as u32) };
-                }
-            }
-        });
+    let n = graph.num_vertices() as usize;
+    let mut offsets = vec![0usize; n + 1];
+    for &t in &graph.targets {
+        offsets[t as usize + 1] += 1;
     }
-
-    // `Csr::from_edges` assigns row id = position in the input arrays; we
-    // need the *original* row ids, so build a CSR over positions and remap.
-    let csr = Csr::from_edges_with_threads(n, &src, &dst, threads).expect("valid reversal");
-    let rows: Vec<u32> = pool
-        .map_chunks(m, |range| {
-            range.map(|pos| slot_order[csr.edge_row(pos) as usize]).collect::<Vec<u32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    csr.with_edge_rows(rows)
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut targets = vec![0u32; graph.num_edges()];
+    let mut edge_rows = vec![0u32; graph.num_edges()];
+    let mut cursor = offsets[..n].to_vec();
+    for u in 0..n {
+        for p in graph.offsets[u]..graph.offsets[u + 1] {
+            let t = graph.targets[p] as usize;
+            let slot = cursor[t];
+            cursor[t] += 1;
+            targets[slot] = u as u32;
+            edge_rows[slot] = graph.edge_rows[p];
+        }
+    }
+    Csr { offsets, targets, edge_rows }
 }
 
 /// Result of a bidirectional search.

@@ -19,11 +19,11 @@ use gsql_parallel::{Pool, SharedSlice};
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes the out-edges of `v` in
     /// [`Csr::targets`] / [`Csr::edge_rows`]. Length `n + 1`.
-    offsets: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
     /// Destination vertex of each CSR slot.
-    targets: Vec<u32>,
+    pub(crate) targets: Vec<u32>,
     /// Original edge-table row id of each CSR slot.
-    edge_rows: Vec<u32>,
+    pub(crate) edge_rows: Vec<u32>,
 }
 
 impl Csr {
@@ -31,8 +31,8 @@ impl Csr {
     ///
     /// Edge `i` runs `src[i] -> dst[i]` and keeps row id `i`. Duplicate
     /// edges and self-loops are preserved (they are legitimate rows of the
-    /// edge table). Construction is the counting-sort + prefix-sum pass the
-    /// paper describes; `O(|V| + |E|)`.
+    /// edge table). This is the checked constructor: it validates the
+    /// arrays, then runs [`Csr::from_dense_edges`].
     pub fn from_edges(num_vertices: u32, src: &[u32], dst: &[u32]) -> Result<Csr> {
         if src.len() != dst.len() {
             return Err(GraphError::LengthMismatch(format!(
@@ -41,131 +41,45 @@ impl Csr {
                 dst.len()
             )));
         }
-        let n = num_vertices as usize;
         for &v in src.iter().chain(dst.iter()) {
             if v >= num_vertices {
                 return Err(GraphError::VertexOutOfRange { id: v, n: num_vertices });
             }
         }
-        // Counting sort on the source column.
-        let mut counts = vec![0usize; n + 1];
+        Ok(Csr::from_dense_edges(num_vertices, src, dst))
+    }
+
+    /// The trusted constructor, for callers whose ids are `< num_vertices`
+    /// by construction (a vertex dictionary's output): the counting sort +
+    /// prefix sum the paper describes, `O(|V| + |E|)`, with no validation
+    /// pass. Sequential on purpose — a chunk-parallel variant did not beat
+    /// this loop on any benchmark workload (README, "Graph construction").
+    ///
+    /// # Panics
+    /// Panics on arrays of different lengths and (index out of bounds) on a
+    /// source id `>= num_vertices`; use [`Csr::from_edges`] for input that
+    /// has not been checked.
+    pub fn from_dense_edges(num_vertices: u32, src: &[u32], dst: &[u32]) -> Csr {
+        assert_eq!(src.len(), dst.len(), "one destination per source");
+        debug_assert!(src.iter().chain(dst).all(|&v| v < num_vertices));
+        let n = num_vertices as usize;
+        let mut offsets = vec![0usize; n + 1];
         for &s in src {
-            counts[s as usize + 1] += 1;
+            offsets[s as usize + 1] += 1;
         }
         for v in 0..n {
-            counts[v + 1] += counts[v];
+            offsets[v + 1] += offsets[v];
         }
-        let offsets = counts.clone();
         let mut targets = vec![0u32; src.len()];
         let mut edge_rows = vec![0u32; src.len()];
-        let mut cursor = counts;
+        let mut cursor = offsets[..n].to_vec();
         for (row, (&s, &d)) in src.iter().zip(dst).enumerate() {
             let slot = cursor[s as usize];
             cursor[s as usize] += 1;
             targets[slot] = d;
             edge_rows[slot] = row as u32;
         }
-        Ok(Csr { offsets, targets, edge_rows })
-    }
-
-    /// [`Csr::from_edges`] with a parallel counting sort over edge chunks.
-    ///
-    /// The classic two-pass scheme: every chunk counts its sources into a
-    /// local histogram; a per-vertex exclusive prefix across the chunk
-    /// histograms gives each chunk its disjoint cursor base; the scatter
-    /// pass then places every chunk's edges without synchronization. Chunks
-    /// are contiguous in row order, so the result — including the stable
-    /// within-source row order — is **bit-for-bit identical** to the
-    /// sequential build. `threads <= 1` takes the sequential path exactly.
-    pub fn from_edges_with_threads(
-        num_vertices: u32,
-        src: &[u32],
-        dst: &[u32],
-        threads: usize,
-    ) -> Result<Csr> {
-        let pool = Pool::new(threads);
-        if pool.is_sequential() || pool.chunks(src.len().min(dst.len())).len() <= 1 {
-            return Csr::from_edges(num_vertices, src, dst);
-        }
-        if src.len() != dst.len() {
-            return Err(GraphError::LengthMismatch(format!(
-                "src has {} entries, dst has {}",
-                src.len(),
-                dst.len()
-            )));
-        }
-        let n = num_vertices as usize;
-        let m = src.len();
-        // Validation in two passes (all of src, then all of dst), so the
-        // reported error matches the sequential scan order.
-        for column in [src, dst] {
-            pool.try_map_chunks(m, |range| {
-                for &v in &column[range] {
-                    if v >= num_vertices {
-                        return Err(GraphError::VertexOutOfRange { id: v, n: num_vertices });
-                    }
-                }
-                Ok(())
-            })?;
-        }
-
-        // One chunk list drives both the histogram and the scatter pass;
-        // the cursor bases below are only valid for exactly these ranges.
-        let chunks = pool.chunks(m);
-        // Pass 1: per-chunk source histograms.
-        let mut histograms: Vec<Vec<usize>> = pool.map(chunks.len(), |ci| {
-            let mut counts = vec![0usize; n];
-            for &s in &src[chunks[ci].clone()] {
-                counts[s as usize] += 1;
-            }
-            counts
-        });
-        // Global offsets (prefix sum over the summed histograms).
-        let mut offsets = vec![0usize; n + 1];
-        for h in &histograms {
-            for (v, &c) in h.iter().enumerate() {
-                offsets[v + 1] += c;
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        // Exclusive prefix across chunks: histogram `c` becomes chunk `c`'s
-        // cursor base (sequential order: all earlier chunks' edges of the
-        // same source come first — exactly the stable sequential placement).
-        let mut running: Vec<usize> = offsets[..n].to_vec();
-        for h in histograms.iter_mut() {
-            for (hv, rv) in h.iter_mut().zip(running.iter_mut()) {
-                let count = *hv;
-                *hv = *rv;
-                *rv += count;
-            }
-        }
-        // Pass 2: scatter. Slot ranges are disjoint across chunks by
-        // construction of the cursor bases.
-        let mut targets = vec![0u32; m];
-        let mut edge_rows = vec![0u32; m];
-        {
-            let targets_out = SharedSlice::new(&mut targets);
-            let rows_out = SharedSlice::new(&mut edge_rows);
-            let bases: Vec<std::sync::Mutex<Vec<usize>>> =
-                histograms.into_iter().map(std::sync::Mutex::new).collect();
-            pool.map(chunks.len(), |ci| {
-                let mut cursor = bases[ci].lock().expect("cursor lock");
-                for row in chunks[ci].clone() {
-                    let s = src[row] as usize;
-                    let slot = cursor[s];
-                    cursor[s] += 1;
-                    // SAFETY: counting-sort slots are disjoint across rows
-                    // and chunks; each slot is written exactly once.
-                    unsafe {
-                        targets_out.write(slot, dst[row]);
-                        rows_out.write(slot, row as u32);
-                    }
-                }
-            });
-        }
-        Ok(Csr { offsets, targets, edge_rows })
+        Csr { offsets, targets, edge_rows }
     }
 
     /// Borrow the raw CSR arrays `(offsets, targets, edge_rows)` for
@@ -235,18 +149,6 @@ impl Csr {
     /// Iterate `(csr_slot, target_vertex)` over the out-edges of `v`.
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.edge_range(v).map(move |slot| (slot, self.targets[slot]))
-    }
-
-    /// Replace the per-slot edge-row ids (used by
-    /// [`reverse_csr`](crate::bidir::reverse_csr) to keep original row ids
-    /// through a reversal).
-    ///
-    /// # Panics
-    /// Panics when `rows` does not have one entry per edge.
-    pub fn with_edge_rows(mut self, rows: Vec<u32>) -> Csr {
-        assert_eq!(rows.len(), self.num_edges(), "one row id per CSR slot");
-        self.edge_rows = rows;
-        self
     }
 
     /// Permute a per-row weight array into CSR slot order, validating the

@@ -25,9 +25,10 @@
 //!
 //! The runtime is **source-parallel**: distinct-source groups spread across
 //! a scoped worker pool (gsql-parallel) with per-worker scratch arenas, and
-//! CSR construction/reversal use a parallel counting sort. Every parallel
-//! path produces output bit-for-bit identical to its sequential form, and
-//! one thread restores the sequential code exactly.
+//! the weight gather chunks over CSR slots. Every parallel path produces
+//! output bit-for-bit identical to its sequential form, and one thread
+//! restores the sequential code exactly. CSR construction and reversal are
+//! one sequential counting sort each.
 
 pub mod batch;
 pub mod bfs;
@@ -40,7 +41,7 @@ pub mod radix_heap;
 
 pub use batch::{BatchComputer, PairResult, WeightSpec};
 pub use bfs::{bfs, bfs_into, BfsResult, BfsScratch};
-pub use bidir::{bidirectional_bfs, reverse_csr, reverse_csr_with_threads, BidirResult};
+pub use bidir::{bidirectional_bfs, reverse_csr, BidirResult};
 pub use csr::Csr;
 pub use dijkstra::{
     dijkstra_float, dijkstra_float_into, dijkstra_int, dijkstra_int_into, DijkstraFloatResult,

@@ -4,7 +4,7 @@
 //! (The sibling `properties.rs` holds the proptest variants; this file uses
 //! the offline `rand` shim so it runs in the default test suite.)
 
-use gsql_graph::{reverse_csr, reverse_csr_with_threads, BatchComputer, Csr, WeightSpec};
+use gsql_graph::{BatchComputer, Csr, WeightSpec};
 use rand::prelude::*;
 
 /// A deterministic random graph with `n` vertices and `m` edges.
@@ -12,46 +12,6 @@ fn random_graph(rng: &mut StdRng, n: u32, m: usize) -> (Vec<u32>, Vec<u32>) {
     let src: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
     let dst: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
     (src, dst)
-}
-
-#[test]
-fn csr_parallel_build_is_bit_identical() {
-    let mut rng = StdRng::seed_from_u64(42);
-    // Sizes straddling the parallel chunking threshold.
-    for (n, m) in [(5u32, 12usize), (40, 700), (120, 3000), (400, 20_000)] {
-        let (src, dst) = random_graph(&mut rng, n, m);
-        let sequential = Csr::from_edges(n, &src, &dst).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let parallel = Csr::from_edges_with_threads(n, &src, &dst, threads).unwrap();
-            assert_eq!(parallel, sequential, "n={n} m={m} threads={threads}");
-        }
-    }
-}
-
-#[test]
-fn csr_parallel_build_reports_same_errors() {
-    let n = 10u32;
-    let m = 5000usize;
-    let mut src: Vec<u32> = (0..m as u32).map(|i| i % n).collect();
-    let dst: Vec<u32> = (0..m as u32).map(|i| (i + 1) % n).collect();
-    src[4000] = 99; // out of range, deep inside a later chunk
-    let seq = Csr::from_edges(n, &src, &dst).unwrap_err();
-    let par = Csr::from_edges_with_threads(n, &src, &dst, 4).unwrap_err();
-    assert_eq!(seq.to_string(), par.to_string());
-}
-
-#[test]
-fn reverse_csr_parallel_is_bit_identical() {
-    let mut rng = StdRng::seed_from_u64(7);
-    for (n, m) in [(6u32, 15usize), (80, 2000), (300, 12_000)] {
-        let (src, dst) = random_graph(&mut rng, n, m);
-        let g = Csr::from_edges(n, &src, &dst).unwrap();
-        let sequential = reverse_csr(&g);
-        for threads in [2, 4, 8] {
-            let parallel = reverse_csr_with_threads(&g, threads);
-            assert_eq!(parallel, sequential, "n={n} m={m} threads={threads}");
-        }
-    }
 }
 
 #[test]

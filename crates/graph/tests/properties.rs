@@ -207,19 +207,6 @@ proptest! {
         }
     }
 
-    /// The parallel counting-sort CSR build is bit-identical to the
-    /// sequential build.
-    #[test]
-    fn parallel_csr_build_matches_sequential((n, edges) in graph_strategy()) {
-        let src: Vec<u32> = edges.iter().map(|e| e.0).collect();
-        let dst: Vec<u32> = edges.iter().map(|e| e.1).collect();
-        let seq = Csr::from_edges(n, &src, &dst).unwrap();
-        for threads in [2usize, 8] {
-            let par = Csr::from_edges_with_threads(n, &src, &dst, threads).unwrap();
-            prop_assert_eq!(&par, &seq);
-        }
-    }
-
     /// Radix heap pops keys in nondecreasing order for any monotone input.
     #[test]
     fn radix_heap_sorts(mut keys in prop::collection::vec(0u64..1_000_000, 1..200)) {

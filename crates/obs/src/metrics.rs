@@ -470,6 +470,10 @@ impl QueryOutcome {
 pub const ACCEL_KINDS: [&str; 7] =
     ["bfs", "dijkstra", "bidir-bfs", "alt", "ch", "alt-multi", "ch-m2m"];
 
+/// Who asked for a graph build: the `source` label of
+/// `gsql_graph_builds_total` (see [`EngineMetrics::record_graph_build`]).
+const BUILD_SOURCES: [&str; 3] = ["statement", "graph_index", "path_index"];
+
 /// The typed catalog of engine-wide instruments, all registered on one
 /// [`Registry`]. Owned by the `Database`; every layer records through it.
 #[derive(Debug)]
@@ -490,6 +494,8 @@ pub struct EngineMetrics {
     queue_wait: Arc<Histogram>,
     traversals: [Arc<Counter>; 7],
     settled: [Arc<Histogram>; 7],
+    graph_builds: [Arc<Counter>; 3],
+    graph_build_duration: Arc<Histogram>,
     /// WAL records appended by the durability layer.
     pub wal_appends: Arc<Counter>,
     /// Framed bytes written to the WAL (headers included).
@@ -558,6 +564,18 @@ impl EngineMetrics {
                 &settled_buckets(),
             )
         });
+        let graph_builds = std::array::from_fn(|s| {
+            registry.counter_with(
+                "gsql_graph_builds_total",
+                "Graphs built from an edge table (dictionary + CSR), by who asked.",
+                &[("source", BUILD_SOURCES[s])],
+            )
+        });
+        let graph_build_duration = registry.histogram(
+            "gsql_graph_build_duration_microseconds",
+            "Wall time of one graph build in microseconds.",
+            &latency_buckets_us(),
+        );
         let wal_appends =
             registry.counter("gsql_wal_appends_total", "WAL records appended by the engine.");
         let wal_bytes = registry
@@ -592,6 +610,8 @@ impl EngineMetrics {
             queue_wait,
             traversals,
             settled,
+            graph_builds,
+            graph_build_duration,
             wal_appends,
             wal_bytes,
             checkpoint_duration,
@@ -675,6 +695,21 @@ impl EngineMetrics {
     /// Settled-vertex snapshot for a kind.
     pub fn settled_snapshot(&self, kind: &str) -> Option<HistogramSnapshot> {
         ACCEL_KINDS.iter().position(|&n| n == kind).map(|k| self.settled[k].snapshot())
+    }
+
+    /// Record one graph build asked for by `source` (`statement`,
+    /// `graph_index` or `path_index`; unknown sources are ignored, like
+    /// unknown traversal kinds) and how long it took.
+    pub fn record_graph_build(&self, source: &str, micros: u64) {
+        if let Some(s) = BUILD_SOURCES.iter().position(|&n| n == source) {
+            self.graph_builds[s].inc();
+            self.graph_build_duration.observe(micros);
+        }
+    }
+
+    /// Graph builds recorded for a source (`0` for unknown sources).
+    pub fn graph_builds_total(&self, source: &str) -> u64 {
+        BUILD_SOURCES.iter().position(|&n| n == source).map_or(0, |s| self.graph_builds[s].get())
     }
 }
 
@@ -774,6 +809,9 @@ mod tests {
         m.observe_queue_wait_us(42);
         m.record_traversal("ch", 99);
         m.record_traversal("not-a-kind", 1); // ignored, not a panic
+        m.record_graph_build("graph_index", 6_500);
+        assert_eq!(m.graph_builds_total("graph_index"), 1);
+        assert_eq!(m.graph_builds_total("statement"), 0);
         assert_eq!(m.queries_total(QueryVerb::Select, QueryOutcome::Ok), 1);
         assert_eq!(m.traversals_total("ch"), 1);
         assert_eq!(m.traversals_total("bfs"), 0);
@@ -791,6 +829,8 @@ mod tests {
             "gsql_pipeline_queue_wait_microseconds",
             "gsql_traversals_total",
             "gsql_traversal_settled_vertices",
+            "gsql_graph_builds_total",
+            "gsql_graph_build_duration_microseconds",
         ] {
             assert!(text.contains(&format!("# TYPE {family} ")), "missing {family}");
         }

@@ -259,35 +259,6 @@ impl Pool {
         })
     }
 
-    /// Fallible [`Pool::map_chunks`] with fail-fast: once any chunk errors,
-    /// chunks that have not yet started are skipped, and the error of the
-    /// **earliest completed failing chunk** is returned. On a single failing
-    /// chunk this is exactly the error a sequential left-to-right loop would
-    /// surface; when several chunks fail concurrently, the earliest of the
-    /// ones that actually ran wins.
-    pub fn try_map_chunks<T: Send, E: Send>(
-        &self,
-        len: usize,
-        f: impl Fn(Range<usize>) -> Result<T, E> + Sync,
-    ) -> Result<Vec<T>, E> {
-        let poisoned = std::sync::atomic::AtomicBool::new(false);
-        let results: Vec<Option<Result<T, E>>> = self.map_chunks(len, |range| {
-            if poisoned.load(Ordering::Relaxed) {
-                return None; // another chunk already failed: skip the work
-            }
-            let r = f(range);
-            if r.is_err() {
-                poisoned.store(true, Ordering::Relaxed);
-            }
-            Some(r)
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for r in results.into_iter().flatten() {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-
     /// Map every index of `0..len` through `f` with dynamic scheduling:
     /// workers steal the next index from a shared atomic cursor, so
     /// irregular per-item costs balance automatically. Results are returned
@@ -490,32 +461,6 @@ mod tests {
         assert_eq!(out.iter().map(|&(_, i)| i).collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
         let total_inits = inits.load(Ordering::Relaxed);
         assert!((1..=4).contains(&total_inits), "one init per worker, got {total_inits}");
-    }
-
-    #[test]
-    fn try_map_chunks_reports_single_failing_chunk_error() {
-        let pool = Pool::new(4);
-        // One poisoned chunk: the reported error is deterministic and
-        // matches what a sequential scan would surface.
-        let r: Result<Vec<()>, usize> = pool.try_map_chunks(4096, |range| {
-            if range.contains(&1500) {
-                Err(range.start)
-            } else {
-                Ok(())
-            }
-        });
-        let err = r.unwrap_err();
-        assert!(err <= 1500, "failing chunk must contain item 1500, got start {err}");
-    }
-
-    #[test]
-    fn try_map_chunks_ok_and_error_paths() {
-        let pool = Pool::new(4);
-        let ok: Result<Vec<usize>, ()> = pool.try_map_chunks(4096, |r| Ok(r.len()));
-        assert_eq!(ok.unwrap().iter().sum::<usize>(), 4096);
-        // Sequential pool: plain left-to-right error.
-        let seq: Result<Vec<()>, usize> = Pool::sequential().try_map_chunks(100, |r| Err(r.start));
-        assert_eq!(seq.unwrap_err(), 0);
     }
 
     #[test]

@@ -286,6 +286,81 @@ fn failing_statement_executes_each_operator_once() {
     assert!((1..=2).contains(&pipelines), "{pipelines} pipeline spans: {doc:?}");
 }
 
+/// The graph build — most of an unindexed statement's time — is visible
+/// wherever it runs: one `graph_build` span per build (none on a warm
+/// indexed read), a `gsql_graph_builds_total{source}` tick, and a
+/// `graph build: …` note on the graph operator's `EXPLAIN ANALYZE` line.
+#[test]
+fn graph_build_is_visible_from_every_build_site() {
+    let db = graph_db();
+    let m = db.metrics();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    let q13 = "SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (s, d)";
+    let args = [Value::Int(1), Value::Int(40)];
+    let build_spans = |what: &str| {
+        let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+        let roots = doc.as_array().unwrap();
+        let span = find_span(roots, "graph_build").cloned();
+        (count_spans(roots, "graph_build"), span, format!("{what}: {doc:?}"))
+    };
+
+    // Unindexed: the statement builds its own graph, once.
+    session.query_with_params(q13, &args).unwrap();
+    let (count, span, doc) = build_spans("unindexed Q13");
+    assert_eq!(count, 1, "{doc}");
+    let span = span.unwrap();
+    assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("statement"), "{doc}");
+    assert_eq!(attr(&span, "dict").and_then(Json::as_str), Some("int"), "{doc}");
+    assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(400), "{doc}");
+    assert!(attr(&span, "vertices").and_then(Json::as_i64).unwrap_or(0) > 1, "{doc}");
+    assert!(attr(&span, "threads").is_none(), "the build has no width: {doc}");
+    assert_eq!(m.graph_builds_total("statement"), 1);
+
+    // CREATE GRAPH INDEX is a build too (DDL statements trace it).
+    session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    let (count, span, doc) = build_spans("CREATE GRAPH INDEX");
+    assert_eq!(count, 1, "{doc}");
+    assert_eq!(attr(&span.unwrap(), "source").and_then(Json::as_str), Some("graph_index"));
+    assert_eq!(m.graph_builds_total("graph_index"), 1);
+
+    // A warm indexed read builds nothing.
+    session.query_with_params(q13, &args).unwrap();
+    let (count, _, doc) = build_spans("warm indexed Q13");
+    assert_eq!(count, 0, "{doc}");
+    assert_eq!(m.graph_builds_total("graph_index"), 1);
+
+    // The first indexed read after a write pays the lazy rebuild.
+    session.execute("INSERT INTO e VALUES (1, 40, 1)").unwrap();
+    session.query_with_params(q13, &args).unwrap();
+    let (count, span, doc) = build_spans("indexed Q13 after INSERT");
+    assert_eq!(count, 1, "{doc}");
+    let span = span.unwrap();
+    assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("graph_index"), "{doc}");
+    assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(401), "{doc}");
+    assert_eq!(m.graph_builds_total("graph_index"), 2);
+    assert_eq!(m.graph_builds_total("statement"), 1, "indexed reads never build per statement");
+
+    // EXPLAIN ANALYZE attributes the build to the graph operator, not to
+    // the input operators that run after it.
+    for (setting, rebuilt) in [("off", true), ("on", false)] {
+        session.set("graph_index", setting).unwrap();
+        let t = session
+            .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) WHERE 1 REACHES 40 OVER e EDGE (s, d)")
+            .unwrap();
+        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+        let noted: Vec<&String> = lines.iter().filter(|l| l.contains("graph build:")).collect();
+        if rebuilt {
+            assert_eq!(noted.len(), 1, "{lines:?}");
+            assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
+            assert!(noted[0].contains("V=") && noted[0].contains("E=401"), "{lines:?}");
+            assert!(noted[0].contains("dict=int") && noted[0].contains(" ms"), "{lines:?}");
+        } else {
+            assert!(noted.is_empty(), "a fresh index builds nothing: {lines:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Slow-query log
 // ---------------------------------------------------------------------------
@@ -425,7 +500,7 @@ fn metrics_endpoint_renders_valid_exposition() {
     }
     assert!(samples.len() > 20, "expected a populated exposition, got {}", samples.len());
 
-    // Engine families: queries, plan cache, pipelines, traversals.
+    // Engine families: queries, plan cache, pipelines, traversals, builds.
     for family in [
         "# TYPE gsql_queries_total counter",
         "# TYPE gsql_query_duration_microseconds histogram",
@@ -436,6 +511,8 @@ fn metrics_endpoint_renders_valid_exposition() {
         "# TYPE gsql_pipeline_morsels_total counter",
         "# TYPE gsql_traversals_total counter",
         "# TYPE gsql_traversal_settled_vertices histogram",
+        "# TYPE gsql_graph_builds_total counter",
+        "# TYPE gsql_graph_build_duration_microseconds histogram",
         // Serving tier: admission control and per-endpoint latency.
         "# TYPE gsql_http_admitted_total counter",
         "# TYPE gsql_http_responded_total counter",

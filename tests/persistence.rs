@@ -39,6 +39,15 @@ fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     (0..t.row_count()).map(|i| t.row(i)).collect()
 }
 
+/// [`rows`] through a session that pins `path_index = on`, for tests that
+/// assert accelerated behaviour whatever `GSQL_PATH_INDEX` says.
+fn rows_accelerated(db: &Database, sql: &str) -> Vec<Vec<Value>> {
+    let session = db.session();
+    session.set("path_index", "on").unwrap();
+    let t = session.query(sql).unwrap();
+    (0..t.row_count()).map(|i| t.row(i)).collect()
+}
+
 const ROADS: &str = "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)";
 const ROAD_ROWS: &str = "INSERT INTO e VALUES (1,2,5), (2,3,5), (1,3,20), (3,4,1)";
 const CHEAPEST: &str = "SELECT CHEAPEST SUM(f: f.w) AS cost WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
@@ -81,7 +90,7 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
     assert_eq!(rows(&db, "SELECT * FROM e"), before, "snapshot restores tables byte-identically");
     assert_eq!(db.schema_version(), version);
     // The plan still picks the index...
-    let plan = rows(&db, &format!("EXPLAIN {CHEAPEST}"));
+    let plan = rows_accelerated(&db, &format!("EXPLAIN {CHEAPEST}"));
     assert!(
         plan.iter().any(|r| matches!(&r[0], Value::Str(s) if s.contains("PathIndex"))),
         "expected an accelerated plan, got {plan:?}"
@@ -89,7 +98,74 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
     // ...and both indexes report built without any rebuild having run.
     let listing = db.path_indexes().list(db.catalog());
     assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
-    assert_eq!(rows(&db, CHEAPEST), expected);
+    assert_eq!(rows_accelerated(&db, CHEAPEST), expected);
+    assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
+}
+
+/// Both dictionary representations round-trip: a path index over an
+/// `INTEGER`-keyed and one over a `VARCHAR`-keyed edge table answer the
+/// same after checkpoint → reopen, with no build work in the new process.
+#[test]
+fn int_and_varchar_keyed_path_indexes_survive_reopen() {
+    // Cost-only shapes: these are the ones the optimizer routes through the
+    // path index, so they resolve their endpoints in the restored dictionary.
+    let queries: Vec<String> = [("'AMS'", "'JFK'"), ("'JFK'", "'LIS'"), ("'LIS'", "'XXX'")]
+        .iter()
+        .map(|(x, y)| {
+            format!(
+                "SELECT CHEAPEST SUM(f: f.mins) AS cost \
+                 WHERE {x} REACHES {y} OVER flights f EDGE (org, dst)"
+            )
+        })
+        .chain([CHEAPEST.to_string()])
+        .collect();
+    let answers = |db: &Database| -> Vec<Vec<Vec<Value>>> {
+        queries
+            .iter()
+            .map(|sql| {
+                let plan = rows_accelerated(db, &format!("EXPLAIN {sql}"));
+                assert!(
+                    plan.iter().any(|r| matches!(&r[0], Value::Str(s) if s.contains("PathIndex"))),
+                    "expected an accelerated plan for {sql}, got {plan:?}"
+                );
+                rows_accelerated(db, sql)
+            })
+            .collect()
+    };
+    let dir = TempDir::new("keys");
+    let before = {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(ROADS).unwrap();
+        db.execute(ROAD_ROWS).unwrap();
+        db.execute("CREATE TABLE flights (org VARCHAR, dst VARCHAR, mins INTEGER NOT NULL)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO flights VALUES ('AMS', 'LIS', 170), ('LIS', 'JFK', 420), \
+             ('AMS', 'JFK', 700), ('JFK', 'AMS', 430), (NULL, 'AMS', 1)",
+        )
+        .unwrap();
+        db.execute("CREATE PATH INDEX pe ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+        db.execute(
+            "CREATE PATH INDEX pf ON flights EDGE (org, dst) WEIGHT mins USING LANDMARKS(2)",
+        )
+        .unwrap();
+        let before = answers(&db);
+        assert_eq!(
+            before,
+            vec![
+                vec![vec![Value::Int(590)]],
+                vec![vec![Value::Int(600)]],
+                vec![],
+                vec![vec![Value::Int(11)]]
+            ]
+        );
+        db.execute("CHECKPOINT").unwrap();
+        before
+    };
+    let db = Database::open(dir.path()).unwrap();
+    let listing = db.path_indexes().list(db.catalog());
+    assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
+    assert_eq!(answers(&db), before);
     assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
 }
 
@@ -143,7 +219,7 @@ fn stale_persisted_index_falls_back_to_rebuild() {
     assert_eq!(db.path_indexes().builds(), 0);
     // The query sees the new edge — the stale persisted structure must not
     // serve it — and triggers exactly one lazy rebuild.
-    assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(2)]]);
+    assert_eq!(rows_accelerated(&db, CHEAPEST), vec![vec![Value::Int(2)]]);
     assert_eq!(db.path_indexes().builds(), 1);
 }
 
