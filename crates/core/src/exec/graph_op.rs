@@ -23,9 +23,11 @@ use crate::exec::expression::{eval_const, eval_to_column};
 use crate::path_index::PathIndexData;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use crate::vertex_dict::VertexDict;
+use crate::weight_cache::{self, WeightCache};
 use gsql_graph::batch::CostValue;
 use gsql_graph::{
-    BatchComputer, Csr, GraphError, PairResult, TraversalKind, TraversalObserver, WeightSpec,
+    BatchComputer, Csr, GraphError, PairResult, PreparedWeights, TraversalKind, TraversalObserver,
+    WeightSpec,
 };
 use gsql_obs::{EngineMetrics, TraceValue};
 use gsql_storage::{Column, ColumnBuilder, DataType, PathValue, Table, Value};
@@ -40,7 +42,9 @@ type Result<T> = std::result::Result<T, Error>;
 ///
 /// This is also what a `CREATE GRAPH INDEX` caches (paper §6 future work):
 /// "these indices will store the full graph, ready to be used when a query
-/// matches the edge table that generated the graph".
+/// matches the edge table that generated the graph". The artifacts are
+/// layered — dictionary ⊂ CSR ⊂ reverse CSR ⊂ weight vectors — and the last
+/// two are filled in lazily, only on graphs that outlive one statement.
 #[derive(Debug)]
 pub struct MaterializedGraph {
     /// Edge-table snapshot. Rows with NULL endpoints are excluded, so CSR
@@ -59,6 +63,9 @@ pub struct MaterializedGraph {
     /// much as the forward CSR, so it is only materialized for graphs that
     /// outlive one query (graph indices).
     reverse: std::sync::OnceLock<Csr>,
+    /// Prepared `CHEAPEST SUM` weight vectors, see [`WeightCache`]. Like
+    /// `reverse`, only used when the graph came from an index.
+    weights: WeightCache,
 }
 
 impl MaterializedGraph {
@@ -86,7 +93,9 @@ impl MaterializedGraph {
 
     /// Reassemble a graph from persisted parts (warm restart). The reverse
     /// CSR is installed eagerly — a restored path index must answer its
-    /// first query without any build work.
+    /// first query without any build work. Weight vectors are not
+    /// persisted: the cache starts empty and the first weighted query
+    /// after the reopen evaluates its expression again.
     pub(crate) fn from_saved(
         edges: Arc<Table>,
         csr: Csr,
@@ -97,7 +106,8 @@ impl MaterializedGraph {
     ) -> MaterializedGraph {
         let slot = std::sync::OnceLock::new();
         slot.set(reverse).expect("fresh OnceLock");
-        MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot }
+        let weights = WeightCache::default();
+        MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot, weights }
     }
 }
 
@@ -143,6 +153,7 @@ pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<
         src_key,
         dst_key,
         reverse: std::sync::OnceLock::new(),
+        weights: WeightCache::default(),
     })
 }
 
@@ -226,14 +237,20 @@ enum SpecRun {
         /// The constant weight (validated > 0).
         scale: Value,
     },
-    /// Per-edge weights.
-    Weighted(WeightSpec),
+    /// Per-edge weights, validated and in CSR slot order.
+    Weighted(Arc<PreparedWeights>),
 }
 
-/// Build the execution form of a weight spec over the edge snapshot.
-fn prepare_spec(spec: &CheapestSpec, edges: &Table, params: &[Value]) -> Result<SpecRun> {
+/// Build the execution form of a weight spec over the graph's edge snapshot.
+fn prepare_spec(
+    spec: &CheapestSpec,
+    graph: &MaterializedGraph,
+    computer: &BatchComputer<'_>,
+    ctx: &ExecContext<'_>,
+    from_index: bool,
+) -> Result<SpecRun> {
     if spec.weight.is_constant() {
-        let v = eval_const(&spec.weight, params)?;
+        let v = eval_const(&spec.weight, ctx.params())?;
         let positive = match &v {
             Value::Int(x) => *x > 0,
             Value::Double(x) => *x > 0.0 && x.is_finite(),
@@ -247,22 +264,81 @@ fn prepare_spec(spec: &CheapestSpec, edges: &Table, params: &[Value]) -> Result<
         }
         return Ok(SpecRun::Hops { scale: v });
     }
-    let col = eval_to_column(&spec.weight, edges, params, spec.weight_ty)?;
-    match &col {
-        Column::Int(vals, validity) => {
-            if let Some(row) = (0..vals.len()).find(|&i| !validity.get(i)) {
-                return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
-            }
-            Ok(SpecRun::Weighted(WeightSpec::Int(vals.clone())))
-        }
-        Column::Double(vals, validity) => {
-            if let Some(row) = (0..vals.len()).find(|&i| !validity.get(i)) {
-                return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
-            }
-            Ok(SpecRun::Weighted(WeightSpec::Float(vals.clone())))
-        }
-        other => Err(exec_err!("CHEAPEST SUM weight must be numeric, found {}", other.data_type())),
+    let span = ctx.trace_begin("weights");
+    let t0 = Instant::now();
+    let result = slot_weights(spec, graph, computer, ctx, from_index);
+    let cached = matches!(result, Ok((_, true)));
+    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        t.end_with(
+            id,
+            vec![
+                ("cached".to_string(), TraceValue::from(if cached { "true" } else { "false" })),
+                ("edges".to_string(), TraceValue::from(graph.num_edges())),
+            ],
+        );
     }
+    let (weights, _) = result?;
+    ctx.record_op_detail(if cached {
+        format!("weights: E={}, cached", graph.num_edges())
+    } else {
+        format!(
+            "weights: E={}, evaluated in {:.2} ms",
+            graph.num_edges(),
+            t0.elapsed().as_secs_f64() * 1e3
+        )
+    });
+    Ok(SpecRun::Weighted(weights))
+}
+
+/// The per-edge weights of `spec` in `graph`'s slot order, and whether they
+/// came from the graph's weight cache.
+///
+/// Only graphs that outlive the statement (`from_index`) consult the cache;
+/// an ad-hoc graph dies with its statement, so caching on it would be a
+/// copy nobody reads. On a miss the expression is evaluated over every
+/// edge, NULL-checked, validated strictly positive and permuted — any
+/// failure is returned and nothing is stored, so it repeats on the next
+/// statement exactly as it did before there was a cache.
+fn slot_weights(
+    spec: &CheapestSpec,
+    graph: &MaterializedGraph,
+    computer: &BatchComputer<'_>,
+    ctx: &ExecContext<'_>,
+    from_index: bool,
+) -> Result<(Arc<PreparedWeights>, bool)> {
+    let params = ctx.params();
+    let key = if from_index { weight_cache::constants(&spec.weight, params) } else { None };
+    if let Some(constants) = &key {
+        let hit = graph.weights.get(&spec.weight, constants);
+        if let Some(m) = ctx.metrics() {
+            m.record_weight_cache(hit.is_some());
+        }
+        if let Some(weights) = hit {
+            return Ok((weights, true));
+        }
+    }
+    let col = eval_to_column(&spec.weight, &graph.edges, params, spec.weight_ty)?;
+    if col.null_count() > 0 {
+        let row = (0..col.len()).find(|&i| col.is_null(i)).expect("a NULL was counted");
+        return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
+    }
+    // The evaluated column's buffer moves into the spec: no second copy.
+    let weight_spec = match col {
+        Column::Int(vals, _) => WeightSpec::Int(vals),
+        Column::Double(vals, _) => WeightSpec::Float(vals),
+        other => {
+            return Err(exec_err!(
+                "CHEAPEST SUM weight must be numeric, found {}",
+                other.data_type()
+            ))
+        }
+    };
+    let weights = Arc::new(computer.prepare(&weight_spec).map_err(Error::Graph)?);
+    if let Some(constants) = &key {
+        let metrics = ctx.metrics().map(Arc::as_ref);
+        graph.weights.insert(&spec.weight, constants, Arc::clone(&weights), metrics);
+    }
+    Ok((weights, false))
 }
 
 /// Bridges the graph library's per-traversal callbacks onto the engine
@@ -350,9 +426,11 @@ fn run_specs(
     from_index: bool,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
     let observer = MetricsObserver::new(ctx.metrics().map(Arc::as_ref));
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
+    // The `weights` span of a weighted spec nests under `traversal`.
+    let span = ctx.trace_begin("traversal").map(|id| (id, ctx.swap_trace_parent(id)));
     let result = run_specs_observed(graph, pairs, specs, ctx, from_index, &observer);
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+    if let (Some(t), Some((id, outer))) = (ctx.trace(), span) {
+        ctx.swap_trace_parent(outer);
         let (traversals, settled) = observer.totals();
         t.end_with(
             id,
@@ -375,7 +453,6 @@ fn run_specs_observed(
     from_index: bool,
     observer: &MetricsObserver<'_>,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
-    let params = ctx.params();
     let computer = BatchComputer::new(&graph.csr)
         .with_threads(ctx.threads())
         .with_deadline(ctx.deadline_instant())
@@ -398,26 +475,32 @@ fn run_specs_observed(
     }
     let mut all = Vec::with_capacity(specs.len());
     for spec in specs {
-        let run = prepare_spec(spec, &graph.edges, params)?;
-        let (weight_spec, scale) = match run {
-            SpecRun::Hops { scale } => (WeightSpec::Unweighted, Some(scale)),
-            SpecRun::Weighted(w) => (w, None),
-        };
-        let results = if bidir_eligible && matches!(weight_spec, WeightSpec::Unweighted) {
-            let (s, d) = pairs[0];
-            let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-            observer
-                .traversal(TraversalKind::BidirBfs, hit.as_ref().map_or(0, |h| h.settled as usize));
-            vec![match hit {
-                Some(hit) => PairResult {
-                    reachable: true,
-                    cost: Some(CostValue::Int(hit.dist as i64)),
-                    path: spec.want_path.then_some(hit.path),
-                },
-                None => PairResult { reachable: false, cost: None, path: None },
-            }]
-        } else {
-            computer.compute(pairs, &weight_spec, spec.want_path).map_err(|e| graph_err(ctx, e))?
+        let (results, scale) = match prepare_spec(spec, graph, &computer, ctx, from_index)? {
+            SpecRun::Hops { scale } if bidir_eligible => {
+                let (s, d) = pairs[0];
+                let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
+                observer.traversal(
+                    TraversalKind::BidirBfs,
+                    hit.as_ref().map_or(0, |h| h.settled as usize),
+                );
+                let result = match hit {
+                    Some(hit) => PairResult {
+                        reachable: true,
+                        cost: Some(CostValue::Int(hit.dist as i64)),
+                        path: spec.want_path.then_some(hit.path),
+                    },
+                    None => PairResult { reachable: false, cost: None, path: None },
+                };
+                (vec![result], Some(scale))
+            }
+            SpecRun::Hops { scale } => {
+                let results = computer.compute(pairs, &WeightSpec::Unweighted, spec.want_path);
+                (results.map_err(|e| graph_err(ctx, e))?, Some(scale))
+            }
+            SpecRun::Weighted(weights) => {
+                let results = computer.compute_prepared(pairs, &weights, spec.want_path);
+                (results.map_err(|e| graph_err(ctx, e))?, None)
+            }
         };
         all.push(SpecResults {
             results,

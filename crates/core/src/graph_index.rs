@@ -11,7 +11,11 @@
 //! [`MaterializedGraph`] (snapshot + dictionary + CSR) for that base table.
 //! The cache is keyed on the catalog's per-table **version counter**: any
 //! INSERT/DELETE/UPDATE bumps the version, and the next query that needs
-//! the graph rebuilds it (lazy invalidation).
+//! the graph rebuilds it (lazy invalidation). What a statement derives from
+//! the graph and its edge table alone — the reverse CSR, the prepared weight
+//! vectors of `CHEAPEST SUM` expressions ([`crate::weight_cache`]) — lives
+//! on the cached graph itself and so shares that lifetime: one table
+//! version.
 
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};

@@ -66,6 +66,7 @@ pub(crate) mod persist;
 pub mod plan;
 pub mod session;
 pub(crate) mod vertex_dict;
+pub(crate) mod weight_cache;
 
 pub use context::{Deadline, ExecContext, ExecStats, OpStats, SessionSettings};
 pub use database::{Database, QueryResult};

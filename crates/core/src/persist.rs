@@ -19,6 +19,10 @@
 //!   restart answers accelerated queries with **zero** rebuild work. A
 //!   version mismatch (the snapshot predates later WAL mutations) simply
 //!   restores the definition and leaves the usual lazy rebuild to run.
+//!   The weight vectors a graph caches for `CHEAPEST SUM`
+//!   ([`crate::weight_cache`]) are not written by either section: every
+//!   restored graph starts with an empty cache and the first weighted
+//!   query after a reopen evaluates its expression again.
 //!
 //! Every decode path is bounds-checked and cross-validated (vector
 //! lengths, CSR invariants, kind tags); corrupt bytes surface as

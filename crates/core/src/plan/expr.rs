@@ -314,8 +314,9 @@ impl BoundExpr {
         cols
     }
 
-    /// Pre-order traversal.
-    pub fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+    /// Pre-order traversal. The nodes handed to `f` borrow from `self`, so
+    /// a visitor may keep them.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a BoundExpr)) {
         f(self);
         match self {
             BoundExpr::Literal(_) | BoundExpr::Column { .. } | BoundExpr::Param(_) => {}

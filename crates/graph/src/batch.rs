@@ -26,8 +26,8 @@ use std::collections::HashMap;
 /// Weight specification for one `CHEAPEST SUM` evaluation.
 ///
 /// Weight vectors are indexed by **original edge-table row id** (the order
-/// the edge table was materialized in), not CSR slot order; the computer
-/// permutes and validates them once per batch.
+/// the edge table was materialized in), not CSR slot order;
+/// [`BatchComputer::prepare`] validates and permutes them.
 #[derive(Debug, Clone)]
 pub enum WeightSpec {
     /// No weights: BFS, cost = hop count. This is what `CHEAPEST SUM(1)`
@@ -73,6 +73,39 @@ pub struct PairResult {
 impl PairResult {
     fn unreachable() -> PairResult {
         PairResult { reachable: false, cost: None, path: None }
+    }
+}
+
+/// A [`WeightSpec`] made ready for traversal over one particular [`Csr`]:
+/// every weight validated strictly positive and gathered into CSR slot
+/// order. Only [`BatchComputer::prepare`] builds one, so holding a value is
+/// the proof of validation; it depends on the graph alone (not on the
+/// pairs), which is what lets a caller keep it for as long as the graph
+/// lives and run any number of batches over it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedWeights(Slots);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Slots {
+    None,
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+}
+
+impl PreparedWeights {
+    /// Edges of the graph the weights were prepared for (`None` when
+    /// unweighted: those fit any graph).
+    fn edges(&self) -> Option<usize> {
+        match &self.0 {
+            Slots::None => None,
+            Slots::Int(w) => Some(w.len()),
+            Slots::Float(w) => Some(w.len()),
+        }
+    }
+
+    /// Heap bytes held by the slot vector (`8 × edges`; 0 when unweighted).
+    pub fn bytes(&self) -> usize {
+        self.edges().map_or(0, |m| m * 8)
     }
 }
 
@@ -130,15 +163,45 @@ impl<'g> BatchComputer<'g> {
         self.threads
     }
 
-    /// Compute results for every `(source, dest)` pair.
+    /// Validate `spec`'s weights and gather them into this graph's CSR slot
+    /// order — the only part of a batch whose cost is O(edges) rather than
+    /// O(search). Weights must be strictly positive (and not NaN): the
+    /// earliest offending slot raises [`GraphError::NonPositiveWeight`], the
+    /// paper's runtime exception, at every thread count. The gather
+    /// parallelizes over the computer's pool; `threads = 1` is sequential.
+    pub fn prepare(&self, spec: &WeightSpec) -> Result<PreparedWeights> {
+        Ok(PreparedWeights(match spec {
+            WeightSpec::Unweighted => Slots::None,
+            WeightSpec::Int(w) => {
+                Slots::Int(self.graph.permute_weights_int_with_threads(w, self.threads)?)
+            }
+            WeightSpec::Float(w) => {
+                Slots::Float(self.graph.permute_weights_float_with_threads(w, self.threads)?)
+            }
+        }))
+    }
+
+    /// Compute results for every `(source, dest)` pair:
+    /// [`BatchComputer::prepare`] then [`BatchComputer::compute_prepared`].
     ///
-    /// * `spec` selects the algorithm (BFS / int Dijkstra / float Dijkstra)
-    ///   and carries the per-row weights, which are validated to be strictly
-    ///   positive (a [`GraphError::NonPositiveWeight`] is raised otherwise —
-    ///   the paper's runtime exception).
-    /// * When `compute_paths` is false the traversals still run (that is
-    ///   how the paper's library assesses reachability) but no path vectors
-    ///   are materialized.
+    /// `spec` selects the algorithm (BFS / int Dijkstra / float Dijkstra)
+    /// and carries the per-row weights.
+    pub fn compute(
+        &self,
+        pairs: &[(u32, u32)],
+        spec: &WeightSpec,
+        compute_paths: bool,
+    ) -> Result<Vec<PairResult>> {
+        self.compute_prepared(pairs, &self.prepare(spec)?, compute_paths)
+    }
+
+    /// Compute results for every `(source, dest)` pair over weights
+    /// [`BatchComputer::prepare`]d for this graph (a vector prepared for a
+    /// graph with a different edge count is a [`GraphError::LengthMismatch`]).
+    ///
+    /// When `compute_paths` is false the traversals still run (that is how
+    /// the paper's library assesses reachability) but no path vectors are
+    /// materialized.
     ///
     /// Pairs are grouped by source; each distinct source costs one traversal
     /// with early exit once all its destinations are settled. Duplicate
@@ -146,12 +209,18 @@ impl<'g> BatchComputer<'g> {
     /// is deduplicated up front and the shared result cloned back into every
     /// input position. Groups run on the configured worker pool; results are
     /// always in input-pair order.
-    pub fn compute(
+    pub fn compute_prepared(
         &self,
         pairs: &[(u32, u32)],
-        spec: &WeightSpec,
+        weights: &PreparedWeights,
         compute_paths: bool,
     ) -> Result<Vec<PairResult>> {
+        if let Some(m) = weights.edges().filter(|&m| m != self.graph.num_edges()) {
+            return Err(GraphError::LengthMismatch(format!(
+                "weights prepared for {m} edges used on a graph with {}",
+                self.graph.num_edges()
+            )));
+        }
         let mut first_of: HashMap<(u32, u32), usize> = HashMap::with_capacity(pairs.len());
         let mut uniq: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
         let mut slot: Vec<usize> = Vec::with_capacity(pairs.len());
@@ -164,19 +233,19 @@ impl<'g> BatchComputer<'g> {
             slot.push(s);
         }
         if uniq.len() == pairs.len() {
-            return self.compute_all(pairs, spec, compute_paths);
+            return self.compute_all(pairs, weights, compute_paths);
         }
-        let uniq_results = self.compute_all(&uniq, spec, compute_paths)?;
+        let uniq_results = self.compute_all(&uniq, weights, compute_paths)?;
         Ok(slot.into_iter().map(|s| uniq_results[s].clone()).collect())
     }
 
-    /// [`BatchComputer::compute`] without the duplicate fast path: every
-    /// pair is traversed as given (pairs within one source group still
+    /// [`BatchComputer::compute_prepared`] without the duplicate fast path:
+    /// every pair is traversed as given (pairs within one source group still
     /// share that group's single traversal).
     fn compute_all(
         &self,
         pairs: &[(u32, u32)],
-        spec: &WeightSpec,
+        weights: &PreparedWeights,
         compute_paths: bool,
     ) -> Result<Vec<PairResult>> {
         let n = self.graph.num_vertices();
@@ -188,17 +257,6 @@ impl<'g> BatchComputer<'g> {
                 return Err(GraphError::VertexOutOfRange { id: d, n });
             }
         }
-        // Permute + validate weights once for the whole batch (the gather
-        // parallelizes over the computer's pool; threads = 1 is sequential).
-        let permuted: PermutedWeights = match spec {
-            WeightSpec::Unweighted => PermutedWeights::None,
-            WeightSpec::Int(w) => {
-                PermutedWeights::Int(self.graph.permute_weights_int_with_threads(w, self.threads)?)
-            }
-            WeightSpec::Float(w) => PermutedWeights::Float(
-                self.graph.permute_weights_float_with_threads(w, self.threads)?,
-            ),
-        };
 
         // Group pair indices by source vertex: `order[range]` holds the
         // input indices of one distinct-source group.
@@ -235,7 +293,7 @@ impl<'g> BatchComputer<'g> {
             let (source, ref range) = groups[gi];
             let group = &order[range.clone()];
             let targets: Vec<u32> = group.iter().map(|&i| pairs[i].1).collect();
-            self.run_group(source, &targets, group, &permuted, compute_paths, scratch)
+            self.run_group(source, &targets, group, weights, compute_paths, scratch)
         });
         if expired.load(std::sync::atomic::Ordering::Relaxed) {
             return Err(GraphError::DeadlineExceeded);
@@ -262,13 +320,13 @@ impl<'g> BatchComputer<'g> {
         source: u32,
         targets: &[u32],
         group: &[usize],
-        weights: &PermutedWeights,
+        weights: &PreparedWeights,
         compute_paths: bool,
         scratch: &mut GroupScratch,
     ) -> Vec<(usize, PairResult)> {
         let mut out = Vec::with_capacity(group.len());
-        match weights {
-            PermutedWeights::None => {
+        match &weights.0 {
+            Slots::None => {
                 bfs_into(self.graph, source, targets, &mut scratch.bfs);
                 if let Some(obs) = self.observer {
                     obs.traversal(TraversalKind::Bfs, scratch.bfs.settled_count());
@@ -298,7 +356,7 @@ impl<'g> BatchComputer<'g> {
                     ));
                 }
             }
-            PermutedWeights::Int(w) => {
+            Slots::Int(w) => {
                 dijkstra_int_into(self.graph, source, targets, w, &mut scratch.int);
                 if let Some(obs) = self.observer {
                     obs.traversal(TraversalKind::Dijkstra, scratch.int.settled_count());
@@ -328,7 +386,7 @@ impl<'g> BatchComputer<'g> {
                     ));
                 }
             }
-            PermutedWeights::Float(w) => {
+            Slots::Float(w) => {
                 dijkstra_float_into(self.graph, source, targets, w, &mut scratch.float);
                 if let Some(obs) = self.observer {
                     obs.traversal(TraversalKind::Dijkstra, scratch.float.settled_count());
@@ -370,12 +428,6 @@ struct GroupScratch {
     bfs: BfsScratch,
     int: DijkstraIntScratch,
     float: DijkstraFloatScratch,
-}
-
-enum PermutedWeights {
-    None,
-    Int(Vec<i64>),
-    Float(Vec<f64>),
 }
 
 #[cfg(test)]

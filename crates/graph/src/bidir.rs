@@ -55,96 +55,125 @@ pub struct BidirResult {
     pub settled: u32,
 }
 
+/// One direction's working memory. `parent`/`edge` are only ever read for
+/// vertices labelled in the current search, so `dist` is the one arena that
+/// needs resetting — sparsely, through `touched`.
+#[derive(Debug, Default)]
+struct Side {
+    dist: Vec<u32>,
+    parent: Vec<u32>,
+    /// ORIGINAL edge rows (not CSR slots: the two sides index different CSRs).
+    edge: Vec<u32>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl Side {
+    /// Forget the previous search (O(vertices it labelled)), fit the arenas
+    /// to `n` vertices and label `root` at distance 0.
+    fn start(&mut self, n: usize, root: u32) {
+        for &v in &self.touched {
+            self.dist[v as usize] = u32::MAX;
+        }
+        self.touched.clear();
+        self.dist.resize(n, u32::MAX);
+        self.parent.resize(n, NO_VERTEX);
+        self.edge.resize(n, NO_EDGE);
+        self.frontier.clear();
+        self.next.clear(); // a search that met mid-level left its partial next level
+        self.frontier.push(root);
+        self.dist[root as usize] = 0;
+        self.touched.push(root);
+    }
+}
+
+thread_local! {
+    /// Forward and backward [`Side`]s, kept per thread: a search labels a
+    /// few hundred vertices, so allocating and filling six `n`-sized arrays
+    /// per call would cost more than the search itself.
+    static SCRATCH: std::cell::RefCell<[Side; 2]> = Default::default();
+}
+
 /// Bidirectional BFS from `source` to `dest` over `forward` and its
 /// reversal `backward` (as built by [`reverse_csr`]).
 ///
 /// Returns `None` when `dest` is unreachable. `source == dest` yields the
 /// empty path, mirroring the engine's zero-hop semantics.
+///
+/// The search alternates whole levels, always growing the smaller frontier,
+/// and stops at the **first** vertex labelled from both sides. That meeting
+/// is optimal: while the forward ball is complete to depth `f`, the
+/// backward ball to depth `b`, and the two are disjoint, every path has at
+/// least `f + b + 1` edges (a shorter one would have a vertex in both
+/// balls); a vertex labelled `f + 1` from one side that the other side
+/// already holds (at depth ≤ `b`) closes a path of at most that length.
 pub fn bidirectional_bfs(
     forward: &Csr,
     backward: &Csr,
     source: u32,
     dest: u32,
 ) -> Option<BidirResult> {
-    let n = forward.num_vertices() as usize;
     debug_assert_eq!(backward.num_vertices(), forward.num_vertices());
     if source == dest {
         return Some(BidirResult { dist: 0, path: Vec::new(), settled: 1 });
     }
-    // dist/parent per direction; parent_edge stores ORIGINAL edge rows.
-    let mut dist_f = vec![u32::MAX; n];
-    let mut dist_b = vec![u32::MAX; n];
-    let mut par_f = vec![NO_VERTEX; n];
-    let mut par_b = vec![NO_VERTEX; n];
-    let mut edge_f = vec![NO_EDGE; n];
-    let mut edge_b = vec![NO_EDGE; n];
-    dist_f[source as usize] = 0;
-    dist_b[dest as usize] = 0;
-    let mut frontier_f = vec![source];
-    let mut frontier_b = vec![dest];
-    let mut settled: u32 = 2;
+    SCRATCH.with(|scratch| {
+        let [fwd, bwd] = &mut *scratch.borrow_mut();
+        let n = forward.num_vertices() as usize;
+        fwd.start(n, source);
+        bwd.start(n, dest);
 
-    // Best meeting so far: (total distance, meeting vertex).
-    let mut best: Option<(u32, u32)> = None;
-    let mut depth_f = 0u32;
-    let mut depth_b = 0u32;
-
-    while !frontier_f.is_empty() && !frontier_b.is_empty() {
-        // The sum of completed depths bounds any undiscovered path; once a
-        // meeting is at most that bound it is optimal.
-        if let Some((d, _)) = best {
-            if d <= depth_f + depth_b + 1 {
-                break;
-            }
-        }
-        // Expand the smaller frontier (classic balancing heuristic).
-        let expand_forward = frontier_f.len() <= frontier_b.len();
-        let (graph, frontier, dist_mine, dist_other, par, edge, depth) = if expand_forward {
-            (forward, &mut frontier_f, &mut dist_f, &dist_b, &mut par_f, &mut edge_f, &mut depth_f)
-        } else {
-            (backward, &mut frontier_b, &mut dist_b, &dist_f, &mut par_b, &mut edge_b, &mut depth_b)
-        };
-        let mut next = Vec::new();
-        for &u in frontier.iter() {
-            let du = dist_mine[u as usize];
-            for (slot, v) in graph.neighbors(u) {
-                let vi = v as usize;
-                if dist_mine[vi] != u32::MAX {
-                    continue;
-                }
-                dist_mine[vi] = du + 1;
-                settled += 1;
-                par[vi] = u;
-                edge[vi] = graph.edge_row(slot);
-                if dist_other[vi] != u32::MAX {
-                    let total = dist_mine[vi] + dist_other[vi];
-                    if best.is_none_or(|(b, _)| total < b) {
-                        best = Some((total, v));
+        let mut meet = None;
+        'search: while !fwd.frontier.is_empty() && !bwd.frontier.is_empty() {
+            // Expand the smaller frontier (classic balancing heuristic).
+            let (graph, mine, other) = if fwd.frontier.len() <= bwd.frontier.len() {
+                (forward, &mut *fwd, &*bwd)
+            } else {
+                (backward, &mut *bwd, &*fwd)
+            };
+            let Side { dist, parent, edge, frontier, next, touched } = mine;
+            for &u in frontier.iter() {
+                let du = dist[u as usize];
+                for (slot, v) in graph.neighbors(u) {
+                    let vi = v as usize;
+                    if dist[vi] != u32::MAX {
+                        continue;
                     }
+                    dist[vi] = du + 1;
+                    parent[vi] = u;
+                    edge[vi] = graph.edge_row(slot);
+                    touched.push(v);
+                    if other.dist[vi] != u32::MAX {
+                        meet = Some(v);
+                        break 'search;
+                    }
+                    next.push(v);
                 }
-                next.push(v);
             }
+            std::mem::swap(frontier, next);
+            next.clear();
         }
-        *frontier = next;
-        *depth += 1;
-    }
 
-    let (dist, meet) = best?;
-    // Stitch: source ~> meet (forward parents, reversed walk), then
-    // meet ~> dest (backward parents walk forward).
-    let mut path = Vec::with_capacity(dist as usize);
-    let mut v = meet;
-    while v != source {
-        path.push(edge_f[v as usize]);
-        v = par_f[v as usize];
-    }
-    path.reverse();
-    let mut v = meet;
-    while v != dest {
-        path.push(edge_b[v as usize]);
-        v = par_b[v as usize];
-    }
-    Some(BidirResult { dist, path, settled })
+        let meet = meet?;
+        let dist = fwd.dist[meet as usize] + bwd.dist[meet as usize];
+        // Stitch: source ~> meet (forward parents, reversed walk), then
+        // meet ~> dest (backward parents walk forward).
+        let mut path = Vec::with_capacity(dist as usize);
+        let mut v = meet;
+        while v != source {
+            path.push(fwd.edge[v as usize]);
+            v = fwd.parent[v as usize];
+        }
+        path.reverse();
+        let mut v = meet;
+        while v != dest {
+            path.push(bwd.edge[v as usize]);
+            v = bwd.parent[v as usize];
+        }
+        let settled = (fwd.touched.len() + bwd.touched.len()) as u32;
+        Some(BidirResult { dist, path, settled })
+    })
 }
 
 #[cfg(test)]
@@ -239,5 +268,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stops_at_the_first_meeting_on_a_dense_graph() {
+        // Degree ≈ 16 over 4 000 vertices: a plain BFS labels most of the
+        // graph before it finds the destination; two balls that stop the
+        // moment they touch label a small fraction of it. The scratch is
+        // the thread's, shared with every other search of this test.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(2017);
+        let n: u32 = 4_000;
+        let m = 64_000;
+        let src: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
+        let dst: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
+        let g = Csr::from_edges(n, &src, &dst).unwrap();
+        let rev = reverse_csr(&g);
+        let (mut bidir_settled, mut bfs_settled) = (0u64, 0u64);
+        for _ in 0..50 {
+            let s = rng.gen_range(0..n);
+            let d = rng.gen_range(0..n);
+            let mut uni = crate::bfs::BfsScratch::new();
+            crate::bfs::bfs_into(&g, s, &[d], &mut uni);
+            bfs_settled += uni.settled_count() as u64;
+            match bidirectional_bfs(&g, &rev, s, d) {
+                None => assert_eq!(uni.dist[d as usize], u32::MAX, "pair ({s},{d})"),
+                Some(r) => {
+                    assert_eq!(r.dist, uni.dist[d as usize], "pair ({s},{d})");
+                    assert!(r.settled < n, "pair ({s},{d}) labelled {} of {n}", r.settled);
+                    bidir_settled += u64::from(r.settled);
+                    let mut at = s;
+                    for &row in &r.path {
+                        assert_eq!(src[row as usize], at);
+                        at = dst[row as usize];
+                    }
+                    assert_eq!(at, d);
+                }
+            }
+        }
+        assert!(
+            bidir_settled * 4 < bfs_settled,
+            "bidirectional labelled {bidir_settled}, early-exit BFS {bfs_settled}"
+        );
+    }
+
+    #[test]
+    fn scratch_survives_graphs_of_different_sizes() {
+        // Large, then small, then large again on one thread: labels left by
+        // one search must not leak into the next, whatever the arena size.
+        let big = Csr::from_edges(6, &[0, 1, 2, 3, 4], &[1, 2, 3, 4, 5]).unwrap();
+        let big_rev = reverse_csr(&big);
+        let small = Csr::from_edges(2, &[1], &[0]).unwrap();
+        let small_rev = reverse_csr(&small);
+        assert_eq!(bidirectional_bfs(&big, &big_rev, 0, 5).unwrap().path, vec![0, 1, 2, 3, 4]);
+        assert!(bidirectional_bfs(&small, &small_rev, 0, 1).is_none());
+        assert_eq!(bidirectional_bfs(&small, &small_rev, 1, 0).unwrap().dist, 1);
+        assert!(bidirectional_bfs(&big, &big_rev, 5, 0).is_none());
+        assert_eq!(bidirectional_bfs(&big, &big_rev, 2, 4).unwrap().path, vec![2, 3]);
     }
 }

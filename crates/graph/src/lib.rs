@@ -39,7 +39,7 @@ pub mod error;
 pub mod path;
 pub mod radix_heap;
 
-pub use batch::{BatchComputer, PairResult, WeightSpec};
+pub use batch::{BatchComputer, PairResult, PreparedWeights, WeightSpec};
 pub use bfs::{bfs, bfs_into, BfsResult, BfsScratch};
 pub use bidir::{bidirectional_bfs, reverse_csr, BidirResult};
 pub use csr::Csr;

@@ -87,6 +87,65 @@ fn chunked_batches_concatenate_to_whole_batch() {
     }
 }
 
+/// Weights prepared once serve any number of batches: `prepare` +
+/// `compute_prepared` equals `compute` on every batch, at every thread
+/// count, whichever width did the preparing; a bad vector fails in
+/// `prepare` with `compute`'s error, and a vector prepared for another
+/// graph is refused, not indexed out of bounds.
+#[test]
+fn prepared_weights_reused_across_batches_match_compute() {
+    let mut rng = StdRng::seed_from_u64(362);
+    for _ in 0..15 {
+        let n: u32 = rng.gen_range(2..60);
+        let m: usize = rng.gen_range(1..300);
+        let (src, dst) = random_graph(&mut rng, n, m);
+        let g = Csr::from_edges(n, &src, &dst).unwrap();
+        let weights_int: Vec<i64> = (0..m).map(|_| rng.gen_range(1..50)).collect();
+        let weights_float: Vec<f64> = weights_int.iter().map(|&w| w as f64 * 0.5).collect();
+        let specs = [
+            WeightSpec::Unweighted,
+            WeightSpec::Int(weights_int.clone()),
+            WeightSpec::Float(weights_float),
+        ];
+        let batches: Vec<Vec<(u32, u32)>> = (0..3)
+            .map(|_| {
+                let len = rng.gen_range(1..40);
+                (0..len).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect()
+            })
+            .collect();
+        for spec in &specs {
+            let prepared = BatchComputer::new(&g).prepare(spec).unwrap();
+            for threads in [1, 2, 4] {
+                let computer = BatchComputer::new(&g).with_threads(threads);
+                assert_eq!(computer.prepare(spec).unwrap(), prepared, "threads {threads}");
+                for pairs in &batches {
+                    let whole = computer.compute(pairs, spec, true).unwrap();
+                    let split = computer.compute_prepared(pairs, &prepared, true).unwrap();
+                    assert_eq!(split.len(), whole.len());
+                    for (i, (a, b)) in split.iter().zip(&whole).enumerate() {
+                        assert_eq!(a.reachable, b.reachable, "threads {threads} pair {i}");
+                        assert_eq!(a.cost, b.cost, "threads {threads} pair {i}");
+                        assert_eq!(a.path, b.path, "threads {threads} pair {i}");
+                    }
+                }
+            }
+        }
+
+        let mut bad = weights_int.clone();
+        let at = rng.gen_range(0..m);
+        bad[at] = 0;
+        let computer = BatchComputer::new(&g).with_threads(4);
+        let from_prepare = computer.prepare(&WeightSpec::Int(bad.clone())).unwrap_err();
+        let from_compute = computer.compute(&[(0, 0)], &WeightSpec::Int(bad), false).unwrap_err();
+        assert_eq!(from_prepare, from_compute);
+
+        let other = Csr::from_edges(n, &src[..m - 1], &dst[..m - 1]).unwrap();
+        let foreign = BatchComputer::new(&g).prepare(&WeightSpec::Int(weights_int)).unwrap();
+        let err = BatchComputer::new(&other).compute_prepared(&[(0, 0)], &foreign, false);
+        assert!(err.unwrap_err().to_string().contains("prepared for"));
+    }
+}
+
 #[test]
 fn batch_errors_are_thread_count_independent() {
     let g = Csr::from_edges(4, &[0, 1, 2], &[1, 2, 3]).unwrap();

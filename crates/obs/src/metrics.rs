@@ -496,6 +496,12 @@ pub struct EngineMetrics {
     settled: [Arc<Histogram>; 7],
     graph_builds: [Arc<Counter>; 3],
     graph_build_duration: Arc<Histogram>,
+    /// Indexed weighted statements served a resident weight vector.
+    pub weight_cache_hits: Arc<Counter>,
+    /// Indexed weighted statements that had to evaluate their weights.
+    pub weight_cache_misses: Arc<Counter>,
+    /// Bytes of weight vectors resident across all graphs.
+    pub weight_cache_bytes: Arc<Gauge>,
     /// WAL records appended by the durability layer.
     pub wal_appends: Arc<Counter>,
     /// Framed bytes written to the WAL (headers included).
@@ -576,6 +582,18 @@ impl EngineMetrics {
             "Wall time of one graph build in microseconds.",
             &latency_buckets_us(),
         );
+        let weight_cache_hits = registry.counter(
+            "gsql_weight_cache_hits_total",
+            "CHEAPEST SUM weight vectors served from the graph's weight cache.",
+        );
+        let weight_cache_misses = registry.counter(
+            "gsql_weight_cache_misses_total",
+            "CHEAPEST SUM weight vectors evaluated because the graph's weight cache had none.",
+        );
+        let weight_cache_bytes = registry.gauge(
+            "gsql_weight_cache_bytes",
+            "Bytes of prepared weight vectors resident on materialized graphs.",
+        );
         let wal_appends =
             registry.counter("gsql_wal_appends_total", "WAL records appended by the engine.");
         let wal_bytes = registry
@@ -612,6 +630,9 @@ impl EngineMetrics {
             settled,
             graph_builds,
             graph_build_duration,
+            weight_cache_hits,
+            weight_cache_misses,
+            weight_cache_bytes,
             wal_appends,
             wal_bytes,
             checkpoint_duration,
@@ -647,6 +668,15 @@ impl EngineMetrics {
             self.plan_cache_hits.inc();
         } else {
             self.plan_cache_misses.inc();
+        }
+    }
+
+    /// Record a weight-cache lookup on an indexed graph.
+    pub fn record_weight_cache(&self, hit: bool) {
+        if hit {
+            self.weight_cache_hits.inc();
+        } else {
+            self.weight_cache_misses.inc();
         }
     }
 
@@ -810,6 +840,9 @@ mod tests {
         m.record_traversal("ch", 99);
         m.record_traversal("not-a-kind", 1); // ignored, not a panic
         m.record_graph_build("graph_index", 6_500);
+        m.record_weight_cache(true);
+        m.record_weight_cache(false);
+        m.weight_cache_bytes.add(2_896_000);
         assert_eq!(m.graph_builds_total("graph_index"), 1);
         assert_eq!(m.graph_builds_total("statement"), 0);
         assert_eq!(m.queries_total(QueryVerb::Select, QueryOutcome::Ok), 1);
@@ -831,10 +864,16 @@ mod tests {
             "gsql_traversal_settled_vertices",
             "gsql_graph_builds_total",
             "gsql_graph_build_duration_microseconds",
+            "gsql_weight_cache_hits_total",
+            "gsql_weight_cache_misses_total",
+            "gsql_weight_cache_bytes",
         ] {
             assert!(text.contains(&format!("# TYPE {family} ")), "missing {family}");
         }
         assert!(text.contains("gsql_queries_total{verb=\"select\",outcome=\"ok\"} 1\n"));
         assert!(text.contains("gsql_traversals_total{kind=\"ch\"} 1\n"));
+        assert!(text.contains("gsql_weight_cache_hits_total 1\n"));
+        assert!(text.contains("gsql_weight_cache_misses_total 1\n"));
+        assert!(text.contains("gsql_weight_cache_bytes 2896000\n"));
     }
 }

@@ -148,3 +148,61 @@ fn concurrent_index_creation_and_queries() {
         h.join().expect("thread panicked");
     }
 }
+
+#[test]
+fn concurrent_weighted_queries_share_one_weight_vector_and_agree() {
+    // Eight threads released together onto one indexed weighted statement
+    // over a cold graph: whoever gets there first evaluates the weights
+    // (several may — a miss does not block the others), everyone answers
+    // what the unindexed statement answers, and afterwards it is all hits.
+    let db = Arc::new(Database::new());
+    let rows: Vec<String> = (0..400u64)
+        .map(|i| {
+            let x = i.wrapping_mul(0x9e3779b97f4a7c15) >> 17;
+            format!("({}, {}, {})", i % 100, (i + 1 + x % 7) % 100, x % 16 + 1)
+        })
+        .collect();
+    db.execute_script(&format!(
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL);
+         INSERT INTO e VALUES {};",
+        rows.join(", ")
+    ))
+    .unwrap();
+    let sql = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
+               WHERE ? REACHES ? OVER e f EDGE (s, d)";
+    let render = |t: &gsql::Table| -> String {
+        t.rows().map(|r| format!("{} via {}\n", r[0], r[1])).collect()
+    };
+    let pairs: Vec<(i64, i64)> = (0..20).map(|i| ((i * 7) % 100, (i * 13 + 1) % 100)).collect();
+    let expected: Vec<String> = pairs
+        .iter()
+        .map(|&(s, d)| render(&db.query_with_params(sql, &[Value::Int(s), Value::Int(d)]).unwrap()))
+        .collect();
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+
+    const THREADS: usize = 8;
+    let start = Arc::new(std::sync::Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (db, start) = (Arc::clone(&db), Arc::clone(&start));
+            let (pairs, expected) = (pairs.clone(), expected.clone());
+            std::thread::spawn(move || {
+                let session = db.session();
+                let stmt = session.prepare(sql).unwrap();
+                start.wait();
+                for (i, &(s, d)) in pairs.iter().enumerate() {
+                    let got = stmt.query(&session, &[Value::Int(s), Value::Int(d)]).unwrap();
+                    assert_eq!(render(&got), expected[i], "thread {t}: {s} -> {d}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker panicked");
+    }
+    let m = db.metrics();
+    let (hits, misses) = (m.weight_cache_hits.get(), m.weight_cache_misses.get());
+    assert_eq!(hits + misses, (THREADS * pairs.len()) as u64);
+    assert!((1..=THREADS as u64).contains(&misses), "{misses} misses");
+    assert_eq!(m.weight_cache_bytes.get(), 8 * 400, "racing misses keep one vector, not one each");
+}

@@ -361,6 +361,76 @@ fn graph_build_is_visible_from_every_build_site() {
     }
 }
 
+/// An indexed weighted statement says whether it evaluated its weights or
+/// found them on the graph: a `weights` span under `traversal` carrying
+/// `cached` and `edges`, hit/miss counters and a resident-bytes gauge, and a
+/// `weights: …` note on the graph operator's `EXPLAIN ANALYZE` line.
+#[test]
+fn weight_cache_is_visible_in_trace_metrics_and_explain() {
+    let db = graph_db();
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    let m = db.metrics();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    let q14 = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
+               WHERE ? REACHES ? OVER e f EDGE (s, d)";
+    let args = [Value::Int(1), Value::Int(40)];
+    let weights_span = |session: &gsql::Session<'_>, what: &str| {
+        let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+        let roots = doc.as_array().unwrap();
+        assert_eq!(count_spans(roots, "weights"), 1, "{what}: {doc:?}");
+        let traversal = find_span(roots, "traversal").expect("traversal span");
+        let children = traversal.get("children").and_then(Json::as_array).expect("children");
+        let span = find_span(children, "weights")
+            .unwrap_or_else(|| panic!("{what}: `weights` nests under `traversal`: {doc:?}"));
+        assert_eq!(attr(span, "edges").and_then(Json::as_i64), Some(400), "{what}");
+        attr(span, "cached").and_then(Json::as_str).map(str::to_string)
+    };
+
+    session.query_with_params(q14, &args).unwrap();
+    assert_eq!(weights_span(&session, "cold").as_deref(), Some("false"));
+    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (0, 1));
+    session.query_with_params(q14, &args).unwrap();
+    assert_eq!(weights_span(&session, "warm").as_deref(), Some("true"));
+    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+    assert_eq!(m.weight_cache_bytes.get(), 8 * 400);
+    let text = m.registry().render();
+    assert!(text.contains("gsql_weight_cache_hits_total 1\n"), "{text}");
+    assert!(text.contains("gsql_weight_cache_misses_total 1\n"), "{text}");
+    assert!(text.contains("gsql_weight_cache_bytes 3200\n"), "{text}");
+
+    // An unindexed statement evaluates every time and leaves the counters
+    // alone; a constant weight has no weights at all.
+    session.set("graph_index", "off").unwrap();
+    session.query_with_params(q14, &args).unwrap();
+    assert_eq!(weights_span(&session, "ad hoc").as_deref(), Some("false"));
+    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+    session.set("graph_index", "on").unwrap();
+    session
+        .query_with_params("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)", &args)
+        .unwrap();
+    let doc = json::parse(&session.last_trace_json().unwrap()).unwrap();
+    assert_eq!(count_spans(doc.as_array().unwrap(), "weights"), 0, "{doc:?}");
+
+    let explain = |session: &gsql::Session<'_>| -> String {
+        let t = session
+            .query(
+                "EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w + 1) AS cost \
+                 WHERE 1 REACHES 40 OVER e f EDGE (s, d)",
+            )
+            .unwrap();
+        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+        let noted: Vec<&String> = lines.iter().filter(|l| l.contains("weights:")).collect();
+        assert_eq!(noted.len(), 1, "{lines:?}");
+        assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
+        noted[0].clone()
+    };
+    let cold = explain(&session);
+    assert!(cold.contains("weights: E=400, evaluated in ") && cold.contains(" ms"), "{cold}");
+    let warm = explain(&session);
+    assert!(warm.contains("weights: E=400, cached"), "{warm}");
+}
+
 // ---------------------------------------------------------------------------
 // 3. Slow-query log
 // ---------------------------------------------------------------------------
@@ -500,7 +570,8 @@ fn metrics_endpoint_renders_valid_exposition() {
     }
     assert!(samples.len() > 20, "expected a populated exposition, got {}", samples.len());
 
-    // Engine families: queries, plan cache, pipelines, traversals, builds.
+    // Engine families: queries, plan cache, pipelines, traversals, builds,
+    // weight cache.
     for family in [
         "# TYPE gsql_queries_total counter",
         "# TYPE gsql_query_duration_microseconds histogram",
@@ -513,6 +584,9 @@ fn metrics_endpoint_renders_valid_exposition() {
         "# TYPE gsql_traversal_settled_vertices histogram",
         "# TYPE gsql_graph_builds_total counter",
         "# TYPE gsql_graph_build_duration_microseconds histogram",
+        "# TYPE gsql_weight_cache_hits_total counter",
+        "# TYPE gsql_weight_cache_misses_total counter",
+        "# TYPE gsql_weight_cache_bytes gauge",
         // Serving tier: admission control and per-endpoint latency.
         "# TYPE gsql_http_admitted_total counter",
         "# TYPE gsql_http_responded_total counter",

@@ -342,3 +342,39 @@ fn import_csv_survives_restart() {
         vec![vec![Value::Int(1), Value::from("ada")], vec![Value::Int(2), Value::from("grace")],]
     );
 }
+
+/// Weight vectors are not persisted: a reopened database answers an
+/// indexed weighted query the same as before the restart, evaluating the
+/// weight expression once more and then never again.
+#[test]
+fn weight_cache_starts_empty_after_reopen_and_recomputes_once() {
+    const WEIGHTED: &str = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
+                            WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
+    let render = |db: &Database| -> String {
+        let t = db.query(WEIGHTED).unwrap();
+        t.rows().map(|r| format!("{} via {}\n", r[0], r[1])).collect()
+    };
+    let dir = TempDir::new("weights");
+    let expected = {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(ROADS).unwrap();
+        db.execute(ROAD_ROWS).unwrap();
+        db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+        let expected = render(&db);
+        assert_eq!(render(&db), expected);
+        let m = db.metrics();
+        assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+        db.execute("CHECKPOINT").unwrap();
+        expected
+    };
+    assert!(expected.starts_with("22 via "), "1 -> 2 -> 3 -> 4 at doubled weights: {expected}");
+
+    let db = Database::open(dir.path()).unwrap();
+    let m = db.metrics();
+    assert_eq!(m.weight_cache_bytes.get(), 0, "nothing restored");
+    assert_eq!(render(&db), expected);
+    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (0, 1));
+    assert_eq!(render(&db), expected);
+    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+    assert_eq!(m.weight_cache_bytes.get(), 8 * 4);
+}
