@@ -419,7 +419,7 @@ fn main() {
     let t0 = Instant::now();
     let post_details = settled_details(&ddb, restart_pairs);
     let warm_queries = t0.elapsed();
-    assert_eq!(ddb.path_indexes().builds(), 0, "warm start must not rebuild the CH index");
+    assert_eq!(ddb.indexes().builds(), 0, "warm start must not rebuild the CH index");
     assert_eq!(
         pre_details, post_details,
         "accelerated plans must settle identically across a restart"

@@ -1,14 +1,13 @@
 //! Per-query execution context and session settings.
 //!
 //! [`ExecContext`] bundles everything a single statement execution needs —
-//! catalog, `?` parameter values, graph-index registry, session settings,
+//! catalog, `?` parameter values, index registry, session settings,
 //! and an optional per-operator statistics collector — and is threaded
 //! through binder → optimizer → executor instead of loose arguments. It is
 //! the engine-side counterpart of a [`crate::Session`].
 
 use crate::error::{bind_err, Error};
-use crate::graph_index::GraphIndexRegistry;
-use crate::path_index::PathIndexRegistry;
+use crate::index::{IndexRegistry, IndexSpace};
 use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, NO_SPAN};
 use gsql_storage::{Catalog, Value};
 use std::fmt::Write as _;
@@ -27,11 +26,10 @@ pub struct SessionSettings {
     /// Use registered graph indexes during planning (`SET graph_index =
     /// on|off`). Default on.
     pub graph_index: bool,
-    /// Use registered ALT path indexes during planning (`SET path_index =
-    /// on|off`): eligible point-to-point shortest-path plans route through
-    /// goal-directed bidirectional A*. Default: the `GSQL_PATH_INDEX`
-    /// environment variable when set (`on`/`off`), otherwise on. Results
-    /// are identical either way; only the work per query changes.
+    /// Use registered path indexes during planning (`SET path_index =
+    /// on|off`): eligible shortest-path plans route through the index's
+    /// acceleration layer (ALT or CH). Default on. Results are identical
+    /// either way; only the work per query changes.
     pub path_index: bool,
     /// Guard against runaway intermediate results: error as soon as any
     /// operator produces more than this many rows (`SET row_limit = n`;
@@ -80,7 +78,7 @@ impl Default for SessionSettings {
     fn default() -> SessionSettings {
         SessionSettings {
             graph_index: true,
-            path_index: default_path_index(),
+            path_index: true,
             row_limit: None,
             plan_cache_size: 64,
             threads: gsql_parallel::default_threads(),
@@ -93,9 +91,9 @@ impl Default for SessionSettings {
 }
 
 /// Process-wide default for the `trace` setting: `GSQL_TRACE` when set to a
-/// recognizable level, otherwise off. Cached after the first call (mirrors
-/// [`default_path_index`]). CI runs a suite leg under `GSQL_TRACE=verbose` to
-/// prove tracing never perturbs results.
+/// recognizable level, otherwise off. Cached after the first call. CI runs a
+/// suite leg under `GSQL_TRACE=verbose` to prove tracing never perturbs
+/// results.
 fn default_trace() -> TraceLevel {
     static CACHE: std::sync::OnceLock<TraceLevel> = std::sync::OnceLock::new();
     *CACHE.get_or_init(|| {
@@ -103,21 +101,6 @@ fn default_trace() -> TraceLevel {
             .ok()
             .and_then(|v| TraceLevel::parse(v.trim()))
             .unwrap_or_default()
-    })
-}
-
-/// Process-wide default for the `path_index` setting: `GSQL_PATH_INDEX`
-/// when set to a recognizable boolean, otherwise on. Cached after the first
-/// call (mirrors `gsql_parallel::default_threads`). CI uses the off value
-/// to run the whole suite over the Dijkstra fallback path.
-fn default_path_index() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        // Same case-insensitivity as `SET path_index` (parse_bool).
-        let value = std::env::var("GSQL_PATH_INDEX")
-            .map(|v| v.trim().to_ascii_lowercase())
-            .unwrap_or_default();
-        !matches!(value.as_str(), "off" | "false" | "0")
     })
 }
 
@@ -403,8 +386,7 @@ fn fmt_duration(d: Duration) -> String {
 pub struct ExecContext<'a> {
     catalog: &'a Catalog,
     params: &'a [Value],
-    indexes: Option<&'a GraphIndexRegistry>,
-    path_indexes: Option<&'a PathIndexRegistry>,
+    indexes: Option<&'a IndexRegistry>,
     settings: SessionSettings,
     deadline: Option<Deadline>,
     stats: Option<Mutex<ExecStats>>,
@@ -431,13 +413,12 @@ impl<'a> ExecContext<'a> {
     pub fn new(
         catalog: &'a Catalog,
         params: &'a [Value],
-        indexes: Option<&'a GraphIndexRegistry>,
+        indexes: Option<&'a IndexRegistry>,
     ) -> ExecContext<'a> {
         ExecContext {
             catalog,
             params,
             indexes,
-            path_indexes: None,
             settings: SessionSettings::default(),
             deadline: None,
             stats: None,
@@ -446,12 +427,6 @@ impl<'a> ExecContext<'a> {
             trace: None,
             trace_parent: AtomicU32::new(NO_SPAN),
         }
-    }
-
-    /// Attach the path-index registry (builder style).
-    pub fn with_path_indexes(mut self, registry: &'a PathIndexRegistry) -> ExecContext<'a> {
-        self.path_indexes = Some(registry);
-        self
     }
 
     /// Replace the settings (builder style).
@@ -501,33 +476,25 @@ impl<'a> ExecContext<'a> {
         self.params
     }
 
-    /// The graph-index registry, unless disabled by
-    /// [`SessionSettings::graph_index`].
-    pub fn indexes(&self) -> Option<&'a GraphIndexRegistry> {
-        if self.settings.graph_index {
-            self.indexes
-        } else {
-            None
-        }
+    /// The index registry for the indexes of `space`, unless the session
+    /// disabled them ([`SessionSettings::graph_index`] /
+    /// [`SessionSettings::path_index`]).
+    pub fn indexes(&self, space: IndexSpace) -> Option<&'a IndexRegistry> {
+        let enabled = match space {
+            IndexSpace::Graph => self.settings.graph_index,
+            IndexSpace::Path => self.settings.path_index,
+        };
+        self.indexes.filter(|_| enabled)
     }
 
-    /// The path-index registry, unless disabled by
-    /// [`SessionSettings::path_index`].
-    pub fn path_indexes(&self) -> Option<&'a PathIndexRegistry> {
-        if self.settings.path_index {
-            self.path_indexes
-        } else {
-            None
-        }
-    }
-
-    /// Record extra statistics detail for the operator currently executing
-    /// (no-op unless `EXPLAIN ANALYZE` is collecting).
-    pub(crate) fn record_op_detail(&self, detail: String) {
+    /// Record extra statistics detail for the operator currently executing.
+    /// `detail` only runs when `EXPLAIN ANALYZE` is collecting, so the hot
+    /// path never formats.
+    pub(crate) fn record_op_detail(&self, detail: impl FnOnce() -> String) {
         if let Some(cell) = &self.stats {
             let op = self.current_op.load(Ordering::Relaxed);
             if op != usize::MAX {
-                cell.lock().expect("stats lock").add_detail(op, detail);
+                cell.lock().expect("stats lock").add_detail(op, detail());
             }
         }
     }
@@ -652,6 +619,7 @@ mod tests {
     fn settings_set_get_roundtrip() {
         let mut s = SessionSettings::default();
         assert!(s.graph_index);
+        assert!(s.path_index, "no environment variable changes the default");
         s.set("graph_index", "off").unwrap();
         assert!(!s.graph_index);
         assert_eq!(s.get("graph_index").unwrap(), "off");

@@ -1,6 +1,6 @@
 //! The shared database and its convenience API.
 //!
-//! A [`Database`] owns the catalog and the graph-index registry and is
+//! A [`Database`] owns the catalog and the index registry and is
 //! safe to share across threads. All statement execution happens through
 //! [`Session`]s (see [`crate::session`]); the `execute`/`query` methods
 //! here are thin wrappers that open a temporary session, so simple callers
@@ -13,9 +13,8 @@ use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{cast_value, eval};
-use crate::graph_index::GraphIndexRegistry;
+use crate::index::IndexRegistry;
 use crate::optimize::optimize_with;
-use crate::path_index::PathIndexRegistry;
 use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
 use crate::session::{PreparedStatement, Session, SharedPlanCache};
 use gsql_obs::{EngineMetrics, SlowLog};
@@ -73,8 +72,7 @@ impl QueryResult {
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
-    indexes: GraphIndexRegistry,
-    path_indexes: PathIndexRegistry,
+    indexes: IndexRegistry,
     shared_plan_cache: Arc<SharedPlanCache>,
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
@@ -113,8 +111,8 @@ impl Database {
     /// Open (or create) a **durable** database rooted at `dir`.
     ///
     /// Recovery runs here: the latest valid snapshot is loaded (tables,
-    /// version counters, graph-index definitions, and built path-index
-    /// acceleration structures for warm-start), the WAL suffix is replayed
+    /// version counters, index definitions, and built path-index
+    /// acceleration layers for warm-start), the WAL suffix is replayed
     /// statement by statement, and a torn tail — a partial record from a
     /// crash mid-append — is truncated. The resulting engine state,
     /// including [`Database::schema_version`] and every plan-cache
@@ -234,23 +232,17 @@ impl Database {
         &self.catalog
     }
 
-    /// The graph-index registry.
-    pub fn graph_indexes(&self) -> &GraphIndexRegistry {
+    /// The registry of graph and path indexes.
+    pub fn indexes(&self) -> &IndexRegistry {
         &self.indexes
-    }
-
-    /// The path-index (ALT) registry.
-    pub fn path_indexes(&self) -> &PathIndexRegistry {
-        &self.path_indexes
     }
 
     /// The structural version of the database: changes whenever a table,
     /// graph index or path index is created or dropped — through SQL
-    /// statements or the [`Catalog`] / [`GraphIndexRegistry`] /
-    /// [`PathIndexRegistry`] APIs directly (e.g. bulk loaders). Cached
-    /// plans bind to one version and are invalidated when it moves.
+    /// statements or the [`Catalog`] API directly (e.g. bulk loaders).
+    /// Cached plans bind to one version and are invalidated when it moves.
     pub fn schema_version(&self) -> u64 {
-        self.catalog.ddl_version() + self.indexes.version() + self.path_indexes.version()
+        self.catalog.ddl_version() + self.indexes.version()
     }
 
     /// Execute a single statement without parameters.
@@ -346,55 +338,7 @@ impl Database {
 
     pub(crate) fn drop_table_stmt(&self, name: &str) -> Result<QueryResult> {
         self.catalog.drop_table(name).map_err(Error::Storage)?;
-        self.indexes.drop_indexes_for_table(name);
-        self.path_indexes.drop_indexes_for_table(name);
-        Ok(QueryResult::Ok)
-    }
-
-    pub(crate) fn create_graph_index_stmt(
-        &self,
-        ctx: &ExecContext<'_>,
-        name: &str,
-        table: &str,
-        src_col: &str,
-        dst_col: &str,
-    ) -> Result<QueryResult> {
-        self.indexes.create_index(ctx, name, table, src_col, dst_col)?;
-        Ok(QueryResult::Ok)
-    }
-
-    pub(crate) fn drop_graph_index_stmt(&self, name: &str) -> Result<QueryResult> {
-        self.indexes.drop_index(name)?;
-        Ok(QueryResult::Ok)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn create_path_index_stmt(
-        &self,
-        ctx: &ExecContext<'_>,
-        name: &str,
-        table: &str,
-        src_col: &str,
-        dst_col: &str,
-        weight_col: Option<&str>,
-        kind: crate::path_index::PathIndexKind,
-        if_not_exists: bool,
-    ) -> Result<QueryResult> {
-        self.path_indexes.create_index(
-            ctx,
-            name,
-            table,
-            src_col,
-            dst_col,
-            weight_col,
-            kind,
-            if_not_exists,
-        )?;
-        Ok(QueryResult::Ok)
-    }
-
-    pub(crate) fn drop_path_index_stmt(&self, name: &str, if_exists: bool) -> Result<QueryResult> {
-        self.path_indexes.drop_index(name, if_exists)?;
+        self.indexes.drop_table(name);
         Ok(QueryResult::Ok)
     }
 

@@ -167,8 +167,7 @@ impl<'a> Executor<'a> {
             LogicalPlan::Scan { table, .. } => {
                 self.ctx.catalog().get(table).map_err(Error::Storage)?
             }
-            LogicalPlan::IndexedGraph { table, .. }
-            | LogicalPlan::PathIndexedGraph { table, .. } => {
+            LogicalPlan::IndexedGraph { table, .. } => {
                 // Reached only when a graph operator did not consume the
                 // node (or the index was dropped): scan the base table.
                 self.ctx.catalog().get(table).map_err(Error::Storage)?

@@ -20,7 +20,8 @@ use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
-use crate::path_index::PathIndexData;
+use crate::index::{AccelLayer, IndexSpace};
+use crate::optimize::spec_accel_eligible;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use crate::vertex_dict::VertexDict;
 use crate::weight_cache::{self, WeightCache};
@@ -218,10 +219,10 @@ pub(crate) fn build_graph_observed(
         attrs.push(("edges".to_string(), TraceValue::from(e as i64)));
         attrs.push(("vertices".to_string(), TraceValue::from(v as i64)));
         attrs.push(("dict".to_string(), TraceValue::from(dict)));
-        ctx.record_op_detail(format!(
-            "graph build: V={v}, E={e}, dict={dict}, {:.2} ms",
-            elapsed.as_secs_f64() * 1e3
-        ));
+        ctx.record_op_detail(|| {
+            let ms = elapsed.as_secs_f64() * 1e3;
+            format!("graph build: V={v}, E={e}, dict={dict}, {ms:.2} ms")
+        });
     }
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
         t.end_with(id, attrs);
@@ -229,41 +230,38 @@ pub(crate) fn build_graph_observed(
     result
 }
 
-/// How one `CHEAPEST SUM` spec is actually executed.
-enum SpecRun {
-    /// Constant weight: run BFS and scale the hop count. `CHEAPEST SUM(1)`
-    /// is the paper's unweighted shortest path.
-    Hops {
-        /// The constant weight (validated > 0).
-        scale: Value,
-    },
-    /// Per-edge weights, validated and in CSR slot order.
-    Weighted(Arc<PreparedWeights>),
+/// The scale of a constant-weight spec, or `None` for per-edge weights —
+/// the one validation of a constant `CHEAPEST SUM` weight (strictly
+/// positive and finite). A constant spec runs as a hop search whose count
+/// is scaled; `CHEAPEST SUM(1)` is the paper's unweighted shortest path.
+fn hop_scale(spec: &CheapestSpec, params: &[Value]) -> Result<Option<Value>> {
+    if !spec.weight.is_constant() {
+        return Ok(None);
+    }
+    let v = eval_const(&spec.weight, params)?;
+    let positive = match &v {
+        Value::Int(x) => *x > 0,
+        Value::Double(x) => *x > 0.0 && x.is_finite(),
+        _ => false,
+    };
+    if !positive {
+        return Err(Error::Graph(GraphError::NonPositiveWeight {
+            edge_row: 0,
+            weight: v.to_string(),
+        }));
+    }
+    Ok(Some(v))
 }
 
-/// Build the execution form of a weight spec over the graph's edge snapshot.
-fn prepare_spec(
+/// The per-edge weights of `spec` over the graph's edge snapshot, in CSR
+/// slot order, recorded as a `weights` span and an `EXPLAIN ANALYZE` note.
+fn prepare_weights(
     spec: &CheapestSpec,
     graph: &MaterializedGraph,
     computer: &BatchComputer<'_>,
     ctx: &ExecContext<'_>,
     from_index: bool,
-) -> Result<SpecRun> {
-    if spec.weight.is_constant() {
-        let v = eval_const(&spec.weight, ctx.params())?;
-        let positive = match &v {
-            Value::Int(x) => *x > 0,
-            Value::Double(x) => *x > 0.0 && x.is_finite(),
-            _ => false,
-        };
-        if !positive {
-            return Err(Error::Graph(GraphError::NonPositiveWeight {
-                edge_row: 0,
-                weight: v.to_string(),
-            }));
-        }
-        return Ok(SpecRun::Hops { scale: v });
-    }
+) -> Result<Arc<PreparedWeights>> {
     let span = ctx.trace_begin("weights");
     let t0 = Instant::now();
     let result = slot_weights(spec, graph, computer, ctx, from_index);
@@ -278,16 +276,15 @@ fn prepare_spec(
         );
     }
     let (weights, _) = result?;
-    ctx.record_op_detail(if cached {
-        format!("weights: E={}, cached", graph.num_edges())
-    } else {
-        format!(
-            "weights: E={}, evaluated in {:.2} ms",
-            graph.num_edges(),
-            t0.elapsed().as_secs_f64() * 1e3
-        )
+    ctx.record_op_detail(|| {
+        if cached {
+            format!("weights: E={}, cached", graph.num_edges())
+        } else {
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            format!("weights: E={}, evaluated in {ms:.2} ms", graph.num_edges())
+        }
     });
-    Ok(SpecRun::Weighted(weights))
+    Ok(weights)
 }
 
 /// The per-edge weights of `spec` in `graph`'s slot order, and whether they
@@ -341,10 +338,11 @@ fn slot_weights(
     Ok((weights, false))
 }
 
-/// Bridges the graph library's per-traversal callbacks onto the engine
-/// metrics registry, while accumulating totals for the enclosing trace
-/// span. Called from the traversal worker pool, so both sinks are relaxed
-/// atomics — nothing here influences results.
+/// Bridges every traversal — the graph library's per-traversal callbacks
+/// and the accelerated searches — onto the engine metrics registry, while
+/// accumulating totals for the enclosing trace span. Called from the
+/// traversal worker pool, so both sinks are relaxed atomics — nothing here
+/// influences results.
 struct MetricsObserver<'m> {
     metrics: Option<&'m EngineMetrics>,
     traversals: AtomicU64,
@@ -356,6 +354,16 @@ impl<'m> MetricsObserver<'m> {
         MetricsObserver { metrics, traversals: AtomicU64::new(0), settled: AtomicU64::new(0) }
     }
 
+    /// One traversal of `kind` (one of [`gsql_obs::ACCEL_KINDS`]) settled
+    /// `settled` vertices.
+    fn record(&self, kind: &str, settled: usize) {
+        if let Some(m) = self.metrics {
+            m.record_traversal(kind, settled as u64);
+        }
+        self.traversals.fetch_add(1, Ordering::Relaxed);
+        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+    }
+
     fn totals(&self) -> (u64, u64) {
         (self.traversals.load(Ordering::Relaxed), self.settled.load(Ordering::Relaxed))
     }
@@ -363,11 +371,7 @@ impl<'m> MetricsObserver<'m> {
 
 impl TraversalObserver for MetricsObserver<'_> {
     fn traversal(&self, kind: TraversalKind, settled: usize) {
-        if let Some(m) = self.metrics {
-            m.record_traversal(kind.as_str(), settled as u64);
-        }
-        self.traversals.fetch_add(1, Ordering::Relaxed);
-        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+        self.record(kind.as_str(), settled);
     }
 }
 
@@ -409,97 +413,168 @@ impl SpecResults {
     }
 }
 
-/// Run all specs (or a plain reachability probe) over a pair batch.
+/// How the hop specs of a statement — constant weights, or the bare
+/// reachability probe — are answered. Outside [`Tier::Accel`], a spec with
+/// per-edge weights always runs Dijkstra per distinct source.
+#[derive(Debug, Clone, Copy)]
+enum Tier<'l> {
+    /// One accelerated search answers every spec: the layer's
+    /// point-to-point search for one pair, its many-to-many tier for more.
+    Accel(&'l AccelLayer),
+    /// Early-exit bidirectional BFS over the graph and its reverse CSR.
+    BidirBfs,
+    /// One BFS per distinct source ([`BatchComputer`]).
+    Bfs,
+}
+
+/// The traversal dispatcher: the tier that answers `pairs` pairs for
+/// `specs` over a graph that came from an index (`from_index`), with an
+/// acceleration `layer` attached or not — plus the kind (one of
+/// [`gsql_obs::ACCEL_KINDS`]) and the reason the `traversal` span and the
+/// operator's `EXPLAIN ANALYZE` line report. The first matching rule wins:
 ///
-/// `from_index` marks graphs that outlive the query (graph indices); those
-/// may use the bidirectional-BFS fast path for single-pair unweighted
-/// requests, amortizing the reverse-CSR construction across queries.
-/// The context supplies the `?` parameters, the worker-pool width for the
-/// distinct-source traversals (results merged in input order — identical
-/// to sequential) and the statement deadline, polled between traversal
-/// groups so a timeout interrupts a long batch mid-flight.
+/// | shape | tier | kind | reason |
+/// | --- | --- | --- | --- |
+/// | the layer covers every spec, one pair | accelerated point search | `alt` / `ch` | path index covers every spec |
+/// | the layer covers every spec, more pairs | accelerated many-to-many | `alt-multi` / `ch-m2m` | path index covers every spec |
+/// | a spec has per-edge weights | Dijkstra for it; hop specs by the rules below | `dijkstra` | per-edge weights |
+/// | indexed graph, one pair | bidirectional BFS | `bidir-bfs` | indexed single pair, hop weights |
+/// | indexed graph, other pair counts | BFS per source | `bfs` | pair batch, hop weights |
+/// | graph built for this statement | BFS per source | `bfs` | ad-hoc graph, hop weights |
+///
+/// A layer covers a spec that asks for no path and whose weight is a
+/// constant over a hop index, or the index's own weight column
+/// ([`spec_accel_eligible`]).
+fn dispatch<'l>(
+    pairs: usize,
+    specs: &[CheapestSpec],
+    from_index: bool,
+    layer: Option<&'l AccelLayer>,
+) -> (Tier<'l>, &'static str, &'static str) {
+    let covered = |l: &&AccelLayer| specs.iter().all(|s| spec_accel_eligible(s, l.weight_key));
+    if let Some(layer) = layer.filter(covered).filter(|_| pairs > 0) {
+        return (Tier::Accel(layer), layer.kind(pairs), "path index covers every spec");
+    }
+    let tier = if from_index && pairs == 1 { Tier::BidirBfs } else { Tier::Bfs };
+    if specs.iter().any(|s| !s.weight.is_constant()) {
+        return (tier, TraversalKind::Dijkstra.as_str(), "per-edge weights");
+    }
+    let (bidir, bfs) = (TraversalKind::BidirBfs.as_str(), TraversalKind::Bfs.as_str());
+    match (tier, from_index) {
+        (Tier::BidirBfs, _) => (tier, bidir, "indexed single pair, hop weights"),
+        (_, true) => (tier, bfs, "pair batch, hop weights"),
+        _ => (tier, bfs, "ad-hoc graph, hop weights"),
+    }
+}
+
+/// Run every spec (or the bare reachability probe) over a pair batch — the
+/// one traversal entry point. [`dispatch`] picks the tier; the work runs in
+/// one `traversal` span (a per-edge spec's `weights` span nests under it)
+/// that carries the kind and reason, and every traversal is counted through
+/// one [`MetricsObserver`]. The context supplies the `?` parameters, the
+/// worker-pool width (results merged in input order — identical to
+/// sequential) and the statement deadline, polled between traversal groups
+/// so a timeout interrupts a long batch mid-flight.
 fn run_specs(
+    ctx: &ExecContext<'_>,
     graph: &MaterializedGraph,
+    from_index: bool,
+    layer: Option<&AccelLayer>,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
-    ctx: &ExecContext<'_>,
-    from_index: bool,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
+    let (tier, kind, reason) = dispatch(pairs.len(), specs, from_index, layer);
     let observer = MetricsObserver::new(ctx.metrics().map(Arc::as_ref));
-    // The `weights` span of a weighted spec nests under `traversal`.
     let span = ctx.trace_begin("traversal").map(|id| (id, ctx.swap_trace_parent(id)));
-    let result = run_specs_observed(graph, pairs, specs, ctx, from_index, &observer);
+    let result = traverse(ctx, graph, from_index, tier, pairs, specs, &observer);
     if let (Some(t), Some((id, outer))) = (ctx.trace(), span) {
         ctx.swap_trace_parent(outer);
         let (traversals, settled) = observer.totals();
         t.end_with(
             id,
             vec![
+                ("kind".to_string(), TraceValue::from(kind)),
+                ("reason".to_string(), TraceValue::from(reason)),
                 ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
                 ("traversals".to_string(), TraceValue::from(traversals as i64)),
                 ("settled".to_string(), TraceValue::from(settled as i64)),
             ],
         );
     }
+    ctx.record_op_detail(|| format!("traversal: {kind} ({reason})"));
     result
 }
 
-/// [`run_specs`] body, with every traversal reported to `observer`.
-fn run_specs_observed(
+/// [`run_specs`] body: run `tier` for every spec.
+fn traverse(
+    ctx: &ExecContext<'_>,
     graph: &MaterializedGraph,
+    from_index: bool,
+    tier: Tier<'_>,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
-    ctx: &ExecContext<'_>,
-    from_index: bool,
     observer: &MetricsObserver<'_>,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
     let computer = BatchComputer::new(&graph.csr)
         .with_threads(ctx.threads())
         .with_deadline(ctx.deadline_instant())
         .with_observer(Some(observer));
-    let bidir_eligible = from_index && pairs.len() == 1;
-    if specs.is_empty() {
-        if bidir_eligible {
-            let (s, d) = pairs[0];
-            let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-            observer
-                .traversal(TraversalKind::BidirBfs, hit.as_ref().map_or(0, |h| h.settled as usize));
-            return Ok((vec![hit.is_some()], Vec::new()));
-        }
-        // Reachability only: BFS, paths discarded (paper §3.2).
-        let results = computer
-            .compute(pairs, &WeightSpec::Unweighted, false)
-            .map_err(|e| graph_err(ctx, e))?;
-        let reachable = results.iter().map(|r| r.reachable).collect();
-        return Ok((reachable, Vec::new()));
-    }
-    let mut all = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let (results, scale) = match prepare_spec(spec, graph, &computer, ctx, from_index)? {
-            SpecRun::Hops { scale } if bidir_eligible => {
+    let hop_search = |want_path: bool| -> Result<Vec<PairResult>> {
+        match tier {
+            Tier::Accel(layer) => {
+                let run = layer
+                    .search(pairs, ctx.threads(), ctx.deadline_instant())
+                    .ok_or_else(|| ctx.timeout_error())?;
+                observer.record(layer.kind(pairs.len()), run.settled);
+                ctx.record_op_detail(|| layer.detail(&run, pairs.len()));
+                let cost = |d: Option<u64>| d.map(|c| CostValue::Int(c as i64));
+                Ok(run
+                    .dist
+                    .iter()
+                    .map(|&d| PairResult { reachable: d.is_some(), cost: cost(d), path: None })
+                    .collect())
+            }
+            Tier::BidirBfs => {
                 let (s, d) = pairs[0];
                 let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-                observer.traversal(
-                    TraversalKind::BidirBfs,
-                    hit.as_ref().map_or(0, |h| h.settled as usize),
-                );
-                let result = match hit {
+                let settled = hit.as_ref().map_or(0, |h| h.settled as usize);
+                observer.traversal(TraversalKind::BidirBfs, settled);
+                Ok(vec![match hit {
                     Some(hit) => PairResult {
                         reachable: true,
                         cost: Some(CostValue::Int(hit.dist as i64)),
-                        path: spec.want_path.then_some(hit.path),
+                        path: want_path.then_some(hit.path),
                     },
                     None => PairResult { reachable: false, cost: None, path: None },
-                };
-                (vec![result], Some(scale))
+                }])
             }
-            SpecRun::Hops { scale } => {
-                let results = computer.compute(pairs, &WeightSpec::Unweighted, spec.want_path);
-                (results.map_err(|e| graph_err(ctx, e))?, Some(scale))
-            }
-            SpecRun::Weighted(weights) => {
-                let results = computer.compute_prepared(pairs, &weights, spec.want_path);
-                (results.map_err(|e| graph_err(ctx, e))?, None)
+            Tier::Bfs => computer
+                .compute(pairs, &WeightSpec::Unweighted, want_path)
+                .map_err(|e| graph_err(ctx, e)),
+        }
+    };
+    if specs.is_empty() {
+        // Reachability only: paths discarded (paper §3.2).
+        let results = hop_search(false)?;
+        return Ok((results.iter().map(|r| r.reachable).collect(), Vec::new()));
+    }
+    // The accelerated tier answers every spec with one search: constant
+    // specs over a hop index, the weight column over a weighted one.
+    let mut accelerated: Option<Vec<PairResult>> = None;
+    let mut all = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let scale = hop_scale(spec, ctx.params())?;
+        let results = match (tier, &scale) {
+            (Tier::Accel(_), _) => match &accelerated {
+                Some(results) => results.clone(),
+                None => accelerated.insert(hop_search(false)?).clone(),
+            },
+            (_, Some(_)) => hop_search(spec.want_path)?,
+            (_, None) => {
+                let weights = prepare_weights(spec, graph, &computer, ctx, from_index)?;
+                computer
+                    .compute_prepared(pairs, &weights, spec.want_path)
+                    .map_err(|e| graph_err(ctx, e))?
             }
         };
         all.push(SpecResults {
@@ -547,218 +622,29 @@ pub fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
     }
 }
 
-/// Obtain the graph for an edge plan — from a matching, fresh path or
-/// graph index when one exists, otherwise by building it now.
-///
-/// Index usage comes in three flavours: the optimizer-planned
-/// [`LogicalPlan::PathIndexedGraph`] hint (the returned [`PathIndexData`]
-/// carries the acceleration index — ALT landmarks or a contraction
-/// hierarchy), the optimizer-planned [`LogicalPlan::IndexedGraph`] hint,
-/// and a runtime lookup for plain `Scan` edges (plans produced without a
-/// session context). All honour the context's index flags, whose accessors
-/// return `None` when the setting is off.
+/// The graph of an edge plan: served by the index an [`LogicalPlan::
+/// IndexedGraph`] node names — with the acceleration layer of a path index
+/// — when its setting is on and it still exists, otherwise built now from
+/// the edge plan (which scans the base table when the index was dropped
+/// since planning). The flag says whether the graph came from an index.
 fn obtain_graph(
     ex: &Executor<'_>,
     edge: &LogicalPlan,
     src_key: usize,
     dst_key: usize,
-) -> Result<(Arc<MaterializedGraph>, bool, Option<Arc<PathIndexData>>)> {
+) -> Result<(Arc<MaterializedGraph>, bool, Option<Arc<AccelLayer>>)> {
     let ctx = ex.ctx();
-    if let (LogicalPlan::PathIndexedGraph { index, .. }, Some(registry)) =
-        (edge, ctx.path_indexes())
-    {
-        if let Some(data) = registry.data_by_name(ctx, index)? {
-            let graph = Arc::clone(&data.graph);
-            return Ok((graph, true, Some(data)));
-        }
-        // Index dropped since planning: fall through to the scan fallback
-        // built into the PathIndexedGraph executor arm.
-    }
-    if let (LogicalPlan::IndexedGraph { index, .. }, Some(registry)) = (edge, ctx.indexes()) {
-        if let Some(graph) = registry.graph_by_name(ctx, index)? {
-            return Ok((graph, true, None));
-        }
-    }
-    if let (LogicalPlan::Scan { table, schema }, Some(registry)) = (edge, ctx.indexes()) {
-        let src_name = &schema.column(src_key).name;
-        let dst_name = &schema.column(dst_key).name;
-        if let Some(graph) = registry.lookup(ctx, table, src_name, dst_name, src_key, dst_key)? {
-            return Ok((graph, true, None));
+    if let LogicalPlan::IndexedGraph { index, accel, .. } = edge {
+        let space = if accel.is_some() { IndexSpace::Path } else { IndexSpace::Graph };
+        if let Some(registry) = ctx.indexes(space) {
+            if let Some((graph, layer)) = registry.resolve(ctx, space, index)? {
+                return Ok((graph, true, layer));
+            }
         }
     }
     let edges = ex.execute(edge)?;
     let graph = build_graph_observed(ctx, BuildSource::Statement, edges, src_key, dst_key)?;
     Ok((Arc::new(graph), false, None))
-}
-
-/// Run a single-pair batch through the accelerated search (ALT or CH,
-/// whichever the index was built as) when the index covers every spec.
-/// Returns `None` when any spec turns out ineligible at runtime (e.g. the
-/// index was recreated with a different weight column between planning and
-/// execution) — the caller falls back to the plain traversals, which are
-/// always correct.
-fn run_specs_accel(
-    ex: &Executor<'_>,
-    data: &PathIndexData,
-    pair: (u32, u32),
-    specs: &[CheapestSpec],
-    params: &[Value],
-) -> Result<Option<(Vec<bool>, Vec<SpecResults>)>> {
-    if !specs.iter().all(|s| crate::optimize::spec_accel_eligible(s, data.weight_key)) {
-        return Ok(None);
-    }
-    let ctx = ex.ctx();
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let (s, d) = pair;
-    let mut settled_total = 0usize;
-    let mut all = Vec::with_capacity(specs.len());
-    let mut reachable = Vec::new();
-    if specs.is_empty() {
-        // Reachability probe: one accelerated search over the index's
-        // native weights; a finite distance means connected.
-        let (dist, settled) = data.search(s, d);
-        settled_total += settled;
-        reachable.push(dist.is_some());
-    }
-    if !specs.is_empty() {
-        // Mirrors `prepare_spec`: a constant weight scales the hop count
-        // (validated strictly positive with the same error), a matching
-        // weight column uses the index's prevalidated weights. Eligibility
-        // pins constant specs to hop indexes, so every spec is served by
-        // the index's native search — hop distances there — and one search
-        // covers them all.
-        let mut scales = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let scale = if spec.weight.is_constant() {
-                let v = eval_const(&spec.weight, params)?;
-                let positive = match &v {
-                    Value::Int(x) => *x > 0,
-                    Value::Double(x) => *x > 0.0 && x.is_finite(),
-                    _ => false,
-                };
-                if !positive {
-                    return Err(Error::Graph(GraphError::NonPositiveWeight {
-                        edge_row: 0,
-                        weight: v.to_string(),
-                    }));
-                }
-                Some(v)
-            } else {
-                None
-            };
-            scales.push(scale);
-        }
-        let (dist, settled) = data.search(s, d);
-        settled_total += settled;
-        reachable.push(dist.is_some());
-        for (spec, scale) in specs.iter().zip(scales) {
-            all.push(SpecResults {
-                results: vec![PairResult {
-                    reachable: dist.is_some(),
-                    cost: dist.map(|c| CostValue::Int(c as i64)),
-                    path: None,
-                }],
-                scale,
-                want_path: false,
-                cost_ty: spec.weight_ty,
-            });
-        }
-    }
-    if let Some(m) = ctx.metrics() {
-        m.record_traversal(data.kind_name(), settled_total as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        t.end_with(
-            id,
-            vec![
-                ("kind".to_string(), TraceValue::from(data.kind_name())),
-                ("pairs".to_string(), TraceValue::from(1i64)),
-                ("settled".to_string(), TraceValue::from(settled_total as i64)),
-            ],
-        );
-    }
-    ctx.record_op_detail(data.analyze_detail(settled_total));
-    Ok(Some((reachable, all)))
-}
-
-/// Run a multi-pair batch through the index's many-to-many tier: bucket
-/// CH (`S + T` upward searches for the whole matrix) or multi-target ALT
-/// (one goal-directed search per distinct source). Same eligibility and
-/// fallback contract as [`run_specs_accel`]; costs are bit-identical to
-/// the per-source Dijkstra fallback at every thread count. An expired
-/// statement deadline surfaces as the statement's timeout error, matching
-/// `BatchComputer`.
-fn run_specs_accel_batch(
-    ex: &Executor<'_>,
-    data: &PathIndexData,
-    pairs: &[(u32, u32)],
-    specs: &[CheapestSpec],
-    params: &[Value],
-) -> Result<Option<(Vec<bool>, Vec<SpecResults>)>> {
-    if !specs.iter().all(|s| crate::optimize::spec_accel_eligible(s, data.weight_key)) {
-        return Ok(None);
-    }
-    // Validate constant scales up front (mirrors `prepare_spec`, same
-    // error), before any traversal work runs.
-    let mut scales = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let scale = if spec.weight.is_constant() {
-            let v = eval_const(&spec.weight, params)?;
-            let positive = match &v {
-                Value::Int(x) => *x > 0,
-                Value::Double(x) => *x > 0.0 && x.is_finite(),
-                _ => false,
-            };
-            if !positive {
-                return Err(Error::Graph(GraphError::NonPositiveWeight {
-                    edge_row: 0,
-                    weight: v.to_string(),
-                }));
-            }
-            Some(v)
-        } else {
-            None
-        };
-        scales.push(scale);
-    }
-    let ctx = ex.ctx();
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let batch = data
-        .search_batch(pairs, ctx.threads(), ctx.deadline_instant())
-        .ok_or_else(|| ctx.timeout_error())?;
-    if let Some(m) = ctx.metrics() {
-        m.record_traversal(batch.kind, batch.settled as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        t.end_with(
-            id,
-            vec![
-                ("kind".to_string(), TraceValue::from(batch.kind)),
-                ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
-                ("settled".to_string(), TraceValue::from(batch.settled as i64)),
-            ],
-        );
-    }
-    let reachable: Vec<bool> = batch.dist.iter().map(|d| d.is_some()).collect();
-    let mut all = Vec::with_capacity(specs.len());
-    for (spec, scale) in specs.iter().zip(scales) {
-        all.push(SpecResults {
-            results: batch
-                .dist
-                .iter()
-                .map(|d| PairResult {
-                    reachable: d.is_some(),
-                    cost: d.map(|c| CostValue::Int(c as i64)),
-                    path: None,
-                })
-                .collect(),
-            scale,
-            want_path: false,
-            cost_ty: spec.weight_ty,
-        });
-    }
-    ctx.record_op_detail(batch.detail);
-    Ok(Some((reachable, all)))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -779,7 +665,7 @@ fn execute_graph_select(
     // full-table expression sweep runs over an intermediate table — and
     // then mapped into the dense domain, dropping rows whose endpoints are
     // not vertices (the "initial filtering" of §3.1).
-    let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
+    let (graph, from_index, layer) = obtain_graph(ex, edge, src_key, dst_key)?;
     let key_ty = graph.edges.schema().column(src_key).ty;
     let (input_table, mut cols) =
         ex.execute_with_extras(input, &[(source, key_ty), (dest, key_ty)])?;
@@ -795,22 +681,8 @@ fn execute_graph_select(
         candidates.push(row);
         pairs.push((sid, did));
     }
-
-    // Requests route through the accelerated search when a covering path
-    // index is attached — single pairs through the point-to-point tier,
-    // multi-pair batches through the many-to-many tier; everything else
-    // (ineligible specs, dropped index) takes the plain traversals.
-    let accelerated = match (&accel_data, pairs.len()) {
-        (Some(data), 1) => run_specs_accel(ex, data, pairs[0], specs, ex.ctx().params())?,
-        (Some(data), n) if n > 1 => {
-            run_specs_accel_batch(ex, data, &pairs, specs, ex.ctx().params())?
-        }
-        _ => None,
-    };
-    let (reachable, spec_results) = match accelerated {
-        Some(result) => result,
-        None => run_specs(&graph, &pairs, specs, ex.ctx(), from_index)?,
-    };
+    let (reachable, spec_results) =
+        run_specs(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
 
     let kept: Vec<usize> = (0..pairs.len()).filter(|&i| reachable[i]).collect();
     let kept_input_rows: Vec<usize> = kept.iter().map(|&i| candidates[i]).collect();
@@ -818,7 +690,7 @@ fn execute_graph_select(
     let mut columns: Vec<Column> =
         input_table.columns().iter().map(|c| c.take(&kept_input_rows)).collect();
     append_spec_columns(&mut columns, &spec_results, &kept, &graph.edges)?;
-    Table::from_columns(schema.to_storage_schema(), columns).map(Arc::new).map_err(Error::Storage)
+    output_table(schema, columns, kept.len())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -834,11 +706,10 @@ fn execute_graph_join(
     specs: &[CheapestSpec],
     schema: &PlanSchema,
 ) -> Result<Arc<Table>> {
-    // GraphJoin is the batched many-to-many shape; a covering path index
-    // serves the whole distinct-source × distinct-dest matrix through the
-    // bucket-CH / multi-target-ALT tier below. Each side evaluates its
-    // vertex expression along with its rows (see `execute_graph_select`).
-    let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
+    // GraphJoin is the batched many-to-many shape: the pairs are the whole
+    // distinct-source × distinct-dest matrix. Each side evaluates its vertex
+    // expression along with its rows (see `execute_graph_select`).
+    let (graph, from_index, layer) = obtain_graph(ex, edge, src_key, dst_key)?;
     let key_ty = graph.edges.schema().column(src_key).ty;
     let (left_table, mut x_cols) = ex.execute_with_extras(left, &[(source, key_ty)])?;
     let (right_table, mut y_cols) = ex.execute_with_extras(right, &[(dest, key_ty)])?;
@@ -872,16 +743,8 @@ fn execute_graph_join(
             pairs.push((s, d));
         }
     }
-    let accelerated = match &accel_data {
-        Some(data) if !pairs.is_empty() => {
-            run_specs_accel_batch(ex, data, &pairs, specs, ex.ctx().params())?
-        }
-        _ => None,
-    };
-    let (reachable, spec_results) = match accelerated {
-        Some(result) => result,
-        None => run_specs(&graph, &pairs, specs, ex.ctx(), from_index)?,
-    };
+    let (reachable, spec_results) =
+        run_specs(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
     // `pairs` is the row-major product of two sorted, deduplicated arrays,
     // so a pair's position is its endpoints' ranks.
     let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");
@@ -908,7 +771,18 @@ fn execute_graph_join(
         left_table.columns().iter().map(|c| c.take(&left_rows)).collect();
     columns.extend(right_table.columns().iter().map(|c| c.take(&right_rows)));
     append_spec_columns(&mut columns, &spec_results, &kept_pairs, &graph.edges)?;
-    Table::from_columns(schema.to_storage_schema(), columns).map(Arc::new).map_err(Error::Storage)
+    output_table(schema, columns, kept_pairs.len())
+}
+
+/// The operator's result table of `rows` rows. Without any column — a bare
+/// `SELECT 1 WHERE x REACHES y …` over no input columns — the row count is
+/// all the answer there is, and is set explicitly.
+fn output_table(schema: &PlanSchema, columns: Vec<Column>, rows: usize) -> Result<Arc<Table>> {
+    let schema = schema.to_storage_schema();
+    if columns.is_empty() {
+        return Ok(Arc::new(Table::empty(schema).take(&vec![0; rows])));
+    }
+    Table::from_columns(schema, columns).map(Arc::new).map_err(Error::Storage)
 }
 
 /// Append the cost (and path) columns for every spec.

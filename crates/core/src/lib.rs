@@ -14,13 +14,14 @@
 //! * nested-table path values stored as edge-row references, flattened by
 //!   `UNNEST [WITH ORDINALITY]` (§3.3 — ordinality is listed as
 //!   unimplemented in the paper; we support it);
-//! * `CREATE GRAPH INDEX` — the §6 future-work graph index with
-//!   version-based invalidation;
+//! * `CREATE GRAPH INDEX` / `CREATE PATH INDEX` — the §6 future-work graph
+//!   index with version-based invalidation, and acceleration layers (ALT,
+//!   contraction hierarchies) on the same shared graph;
 //! * the §1 "customary method" baselines used by the ablation benchmarks.
 //!
 //! ## Entry points
 //!
-//! A [`Database`] is the shared, thread-safe store (catalog + graph-index
+//! A [`Database`] is the shared, thread-safe store (catalog + index
 //! registry). Work happens through a [`Session`], which owns connection
 //! state: `SET`/`SHOW` settings, a plan cache keyed by SQL text and
 //! invalidated by [`Database::schema_version`], and `EXPLAIN ANALYZE`
@@ -59,9 +60,8 @@ pub mod context;
 pub mod database;
 pub mod error;
 pub mod exec;
-pub mod graph_index;
+pub mod index;
 pub mod optimize;
-pub mod path_index;
 pub(crate) mod persist;
 pub mod plan;
 pub mod session;
@@ -72,8 +72,7 @@ pub use context::{Deadline, ExecContext, ExecStats, OpStats, SessionSettings};
 pub use database::{Database, QueryResult};
 pub use error::Error;
 pub use exec::{build_graph, build_graph_with_threads, MaterializedGraph};
-pub use graph_index::GraphIndexRegistry;
-pub use path_index::{PathIndexData, PathIndexMeta, PathIndexRegistry};
+pub use index::{IndexRegistry, IndexSpace, PathIndexKind};
 pub use plan::LogicalPlan;
 pub use session::{PlanCacheStats, PreparedStatement, Session, SharedPlanCache};
 

@@ -13,7 +13,8 @@
 //!    that never materializes the product.
 
 use crate::context::ExecContext;
-use crate::plan::{BinaryOp, BoundExpr, JoinKind, LogicalPlan};
+use crate::index::{IndexSpace, PathIndexKind};
+use crate::plan::{BinaryOp, BoundExpr, CheapestSpec, JoinKind, LogicalPlan};
 
 /// Optimize a plan (applies all rules bottom-up until a fixpoint).
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
@@ -27,37 +28,22 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Context-aware optimization: the structural rules of [`optimize`], plus
-/// index selection — when the session's `path_index` setting is on, an
-/// eligible graph select or graph join whose edge scan is covered by a
-/// registered path index routes through
-/// [`LogicalPlan::PathIndexedGraph`]; when `graph_index` is on, remaining
-/// graph-operator edge scans covered by a graph index become
-/// [`LogicalPlan::IndexedGraph`]. Both decisions are visible in `EXPLAIN`,
-/// so `SET path_index = off` / `SET graph_index = off` change the rendered
-/// plan.
+/// index selection — a graph operator's edge scan covered by an index the
+/// session has enabled becomes [`LogicalPlan::IndexedGraph`]. A path index
+/// whose layer covers every spec wins over a graph index (same graph, plus
+/// the accelerated search). The decision is visible in `EXPLAIN`, so `SET
+/// path_index = off` / `SET graph_index = off` change the rendered plan.
 pub fn optimize_with(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
-    let mut plan = optimize(plan);
-    // Path indexes first: they subsume the graph index (same cached graph)
-    // and add the goal-directed search, so an eligible plan prefers them.
-    if let Some(registry) = ctx.path_indexes() {
-        plan = annotate_path_indexed_edges(plan, registry);
-    }
-    match ctx.indexes() {
-        Some(registry) => annotate_indexed_edges(plan, registry),
-        None => plan,
-    }
+    annotate_indexed_edges(optimize(plan), ctx)
 }
 
 /// True when a `CHEAPEST SUM` spec can be answered by an acceleration
-/// index with `weight_key`: no path requested (an accelerated search may
+/// layer with `weight_key`: no path requested (an accelerated search may
 /// legitimately pick a different equal-cost path than Dijkstra, and
 /// results must stay byte-identical), and the weight is either constant
 /// (hop scaling — only valid over a hop index) or exactly the index's
 /// integer weight column.
-pub(crate) fn spec_accel_eligible(
-    spec: &crate::plan::CheapestSpec,
-    weight_key: Option<usize>,
-) -> bool {
+pub(crate) fn spec_accel_eligible(spec: &CheapestSpec, weight_key: Option<usize>) -> bool {
     if spec.want_path {
         return false;
     }
@@ -70,50 +56,49 @@ pub(crate) fn spec_accel_eligible(
     )
 }
 
-/// Replace the edge scan of eligible graph operators with
-/// [`LogicalPlan::PathIndexedGraph`]. Both shapes qualify: point-to-point
-/// `GraphSelect` routes through the single-pair accelerated search, and
-/// the batched many-to-many `GraphJoin` (and multi-pair selects) through
-/// the bucket-based CH / multi-target ALT batch tier.
-fn annotate_path_indexed_edges(
-    plan: LogicalPlan,
-    registry: &crate::path_index::PathIndexRegistry,
-) -> LogicalPlan {
-    use crate::path_index::PathIndexKind;
-    let plan = map_children(plan, |p| annotate_path_indexed_edges(p, registry));
-    let edge_to_index = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize, specs: &[_]| {
-        if let LogicalPlan::Scan { table, schema: edge_schema } = edge.as_ref() {
-            let src_name = &edge_schema.column(src_key).name;
-            let dst_name = &edge_schema.column(dst_key).name;
-            // Several indexes may cover this edge configuration
-            // (hop-distance vs weighted, ALT vs CH). Of the ones whose
-            // weight configuration serves every spec, a contraction
-            // hierarchy beats a landmark index (near-constant search cones
-            // vs goal-directed pruning); within a kind, name order keeps
-            // the choice deterministic.
-            let eligible: Vec<_> = registry
-                .find_indexes(table, src_name, dst_name)
-                .into_iter()
-                .filter(|meta| specs.iter().all(|s| spec_accel_eligible(s, meta.weight_key)))
-                .collect();
-            let chosen = eligible
-                .iter()
-                .find(|meta| meta.kind == PathIndexKind::Contraction)
-                .or_else(|| eligible.first());
-            if let Some(meta) = chosen {
-                return Box::new(LogicalPlan::PathIndexedGraph {
-                    index: meta.name.clone(),
-                    table: table.clone(),
-                    kind: meta.kind,
-                    schema: edge_schema.clone(),
-                });
+/// The index that serves an edge scan over `(table, src, dst)` for `specs`:
+/// of the path indexes whose layer covers every spec, a contraction
+/// hierarchy beats a landmark index (near-constant search cones vs
+/// goal-directed pruning) and name order breaks ties; otherwise the first
+/// graph index by name.
+fn choose_index(
+    ctx: &ExecContext<'_>,
+    table: &str,
+    src: &str,
+    dst: &str,
+    specs: &[CheapestSpec],
+) -> Option<(String, Option<PathIndexKind>)> {
+    let covering =
+        |space| ctx.indexes(space).map(|r| r.covering(space, table, src, dst)).unwrap_or_default();
+    let path: Vec<(String, PathIndexKind)> = covering(IndexSpace::Path)
+        .into_iter()
+        .filter_map(|def| def.accel.map(|a| (def.name, a.weight_key, a.kind)))
+        .filter(|(_, weight_key, _)| specs.iter().all(|s| spec_accel_eligible(s, *weight_key)))
+        .map(|(name, _, kind)| (name, kind))
+        .collect();
+    let chosen = path.iter().find(|(_, kind)| *kind == PathIndexKind::Contraction).or(path.first());
+    match chosen {
+        Some((name, kind)) => Some((name.clone(), Some(*kind))),
+        None => covering(IndexSpace::Graph).into_iter().next().map(|def| (def.name, None)),
+    }
+}
+
+/// Recursively replace index-covered edge scans under graph operators.
+fn annotate_indexed_edges(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
+    let plan = map_children(plan, |p| annotate_indexed_edges(p, ctx));
+    let index_edge = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize, specs: &[_]| {
+        if let LogicalPlan::Scan { table, schema } = edge.as_ref() {
+            let (src, dst) = (&schema.column(src_key).name, &schema.column(dst_key).name);
+            if let Some((index, accel)) = choose_index(ctx, table, src, dst, specs) {
+                let (table, schema) = (table.clone(), schema.clone());
+                return Box::new(LogicalPlan::IndexedGraph { index, table, accel, schema });
             }
         }
         edge
     };
     match plan {
         LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema } => {
-            let edge = edge_to_index(edge, src_key, dst_key, &specs);
+            let edge = index_edge(edge, src_key, dst_key, &specs);
             LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema }
         }
         LogicalPlan::GraphJoin {
@@ -127,7 +112,7 @@ fn annotate_path_indexed_edges(
             specs,
             schema,
         } => {
-            let edge = edge_to_index(edge, src_key, dst_key, &specs);
+            let edge = index_edge(edge, src_key, dst_key, &specs);
             LogicalPlan::GraphJoin {
                 left,
                 right,
@@ -144,64 +129,6 @@ fn annotate_path_indexed_edges(
     }
 }
 
-/// Recursively replace indexed edge scans under graph operators.
-fn annotate_indexed_edges(
-    plan: LogicalPlan,
-    registry: &crate::graph_index::GraphIndexRegistry,
-) -> LogicalPlan {
-    let plan = map_children(plan, |p| annotate_indexed_edges(p, registry));
-    let edge_to_index = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize| {
-        if let LogicalPlan::Scan { table, schema } = edge.as_ref() {
-            let src_name = &schema.column(src_key).name;
-            let dst_name = &schema.column(dst_key).name;
-            if let Some(index) = registry.find_index(table, src_name, dst_name) {
-                return Box::new(LogicalPlan::IndexedGraph {
-                    index,
-                    table: table.clone(),
-                    schema: schema.clone(),
-                });
-            }
-        }
-        edge
-    };
-    match plan {
-        LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema } => {
-            LogicalPlan::GraphSelect {
-                input,
-                edge: edge_to_index(edge, src_key, dst_key),
-                src_key,
-                dst_key,
-                source,
-                dest,
-                specs,
-                schema,
-            }
-        }
-        LogicalPlan::GraphJoin {
-            left,
-            right,
-            edge,
-            src_key,
-            dst_key,
-            source,
-            dest,
-            specs,
-            schema,
-        } => LogicalPlan::GraphJoin {
-            left,
-            right,
-            edge: edge_to_index(edge, src_key, dst_key),
-            src_key,
-            dst_key,
-            source,
-            dest,
-            specs,
-            schema,
-        },
-        other => other,
-    }
-}
-
 fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     // Recurse into children first (bottom-up).
     let plan = map_children(plan, rewrite);
@@ -213,9 +140,7 @@ fn rewrite(plan: LogicalPlan) -> LogicalPlan {
 fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
     use LogicalPlan::*;
     match plan {
-        SingleRow | Scan { .. } | IndexedGraph { .. } | PathIndexedGraph { .. } | Values { .. } => {
-            plan
-        }
+        SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => plan,
         Filter { input, predicate } => Filter { input: Box::new(f(*input)), predicate },
         Project { input, exprs, schema } => Project { input: Box::new(f(*input)), exprs, schema },
         Join { left, right, kind, on, schema } => {

@@ -11,14 +11,19 @@
 //!   re-executes it through a session), and `import_csv` bulk appends are
 //!   logged as raw rows. Statements are logged *after* they succeed, so
 //!   replay is deterministic — a failed statement never reaches the log.
-//! * **Snapshot sections** serialize the graph-index and path-index
-//!   registries. Graph-index entries persist their definitions only (the
-//!   CSR is cheap to rebuild lazily); path-index entries persist the full
-//!   built acceleration structures — landmark distance vectors or CH
-//!   shortcut CSRs — stamped with the owning table's version, so a warm
-//!   restart answers accelerated queries with **zero** rebuild work. A
-//!   version mismatch (the snapshot predates later WAL mutations) simply
-//!   restores the definition and leaves the usual lazy rebuild to run.
+//! * **Snapshot sections** serialize the index registry in two sections,
+//!   one per DDL name space. Graph-index entries persist their definitions
+//!   only; path-index entries persist the full built acceleration layer —
+//!   graph, landmark distance vectors or CH shortcut CSRs — stamped with
+//!   the owning table's version, so a warm restart answers accelerated
+//!   queries with **zero** rebuild work, and a restored layer's graph also
+//!   serves every graph index over the same edges. A version mismatch (the
+//!   snapshot predates later WAL mutations) simply restores the definition
+//!   and leaves the usual lazy rebuild to run. The registry's structural
+//!   counter is written into the graph section's header (the path
+//!   section's header holds 0); restore adds the two headers, so a data
+//!   directory that split the counter across both reopens at the same
+//!   `schema_version`.
 //!   The weight vectors a graph caches for `CHEAPEST SUM`
 //!   ([`crate::weight_cache`]) are not written by either section: every
 //!   restored graph starts with an empty cache and the first weighted
@@ -31,9 +36,8 @@
 use crate::database::Database;
 use crate::error::Error;
 use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
-use crate::graph_index::{GraphIndexRegistry, GraphIndexSnapshot};
-use crate::path_index::{
-    AccelIndex, PathIndexData, PathIndexKind, PathIndexRegistry, PathIndexSnapshotEntry,
+use crate::index::{
+    AccelDef, AccelIndex, AccelLayer, IndexDef, IndexRegistry, IndexSpace, PathIndexKind, Stamped,
 };
 use crate::session::Session;
 use crate::vertex_dict::VertexDict;
@@ -45,9 +49,9 @@ use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Snapshot section holding the graph-index registry.
+/// Snapshot section holding the graph indexes.
 pub(crate) const GRAPH_SECTION: &str = "graph_indexes";
-/// Snapshot section holding the path-index registry.
+/// Snapshot section holding the path indexes.
 pub(crate) const PATH_SECTION: &str = "path_indexes";
 
 /// WAL record tag: a mutating statement (SQL text + parameters).
@@ -205,65 +209,68 @@ pub(crate) fn capture_snapshot(db: &Database) -> std::result::Result<SnapshotDat
         .map(|(name, e)| SnapshotTable { name, version: e.version, table: e.table })
         .collect();
     let sections = vec![
-        (GRAPH_SECTION.to_string(), encode_graph_section(db.graph_indexes())),
-        (PATH_SECTION.to_string(), encode_path_section(db.path_indexes())?),
+        (GRAPH_SECTION.to_string(), encode_graph_section(db.indexes())),
+        (PATH_SECTION.to_string(), encode_path_section(db.indexes())?),
     ];
     Ok(SnapshotData { ddl_version: db.catalog().ddl_version(), tables, sections })
 }
 
-fn encode_graph_section(reg: &GraphIndexRegistry) -> Vec<u8> {
-    let entries = reg.snapshot_entries();
+/// The definition prefix every entry of both sections starts with.
+fn put_def(w: &mut ByteWriter, def: &IndexDef) {
+    w.put_str(&def.name);
+    w.put_str(&def.table);
+    w.put_str(&def.src_col);
+    w.put_str(&def.dst_col);
+}
+
+fn encode_graph_section(reg: &IndexRegistry) -> Vec<u8> {
+    let entries = reg.snapshot_entries(IndexSpace::Graph);
     let mut w = ByteWriter::new();
     w.put_u64(reg.version());
     w.put_usize(entries.len());
-    for e in entries {
-        w.put_str(&e.name);
-        w.put_str(&e.table);
-        w.put_str(&e.src_col);
-        w.put_str(&e.dst_col);
+    for (def, _) in &entries {
+        put_def(&mut w, def);
     }
     w.into_bytes()
 }
 
-fn encode_path_section(reg: &PathIndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
-    let entries = reg.snapshot_entries();
+fn encode_path_section(reg: &IndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
+    let entries = reg.snapshot_entries(IndexSpace::Path);
     let mut w = ByteWriter::new();
-    w.put_u64(reg.version());
+    // The structural counter travels in the graph section's header.
+    w.put_u64(0);
     w.put_usize(entries.len());
-    for e in entries {
-        w.put_str(&e.name);
-        w.put_str(&e.table);
-        w.put_str(&e.src_col);
-        w.put_str(&e.dst_col);
-        put_opt_str(&mut w, e.weight_col.as_deref());
-        match e.weight_key {
+    for (def, built) in &entries {
+        put_def(&mut w, def);
+        let accel = def.accel.as_ref().expect("a path index declares its layer");
+        put_opt_str(&mut w, accel.weight_col.as_deref());
+        match accel.weight_key {
             None => w.put_u8(0),
             Some(k) => {
                 w.put_u8(1);
                 w.put_usize(k);
             }
         }
-        match e.kind {
+        match accel.kind {
             PathIndexKind::Landmarks(k) => {
                 w.put_u8(0);
                 w.put_u32(k);
             }
             PathIndexKind::Contraction => w.put_u8(1),
         }
-        match &e.built {
+        match built {
             None => w.put_u8(0),
-            Some((table_version, data)) => {
+            Some((table_version, layer)) => {
                 w.put_u8(1);
                 w.put_u64(*table_version);
-                encode_built_data(&mut w, data)
-                    .map_err(|e| StorageError::Internal(e.to_string()))?;
+                encode_layer(&mut w, layer).map_err(|e| StorageError::Internal(e.to_string()))?;
             }
         }
     }
     Ok(w.into_bytes())
 }
 
-fn encode_built_data(w: &mut ByteWriter, data: &PathIndexData) -> Result<()> {
+fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
     let graph = &data.graph;
     w.put_usize(graph.src_key);
     w.put_usize(graph.dst_key);
@@ -370,94 +377,75 @@ pub(crate) fn restore_snapshot(db: &Database, snap: SnapshotData) -> Result<()> 
     for t in snap.tables {
         db.catalog().restore_table(&t.name, t.table, t.version).map_err(Error::Storage)?;
     }
+    let mut version = 0u64;
     for (name, bytes) in &snap.sections {
-        match name.as_str() {
-            GRAPH_SECTION => restore_graph_section(db, bytes)?,
-            PATH_SECTION => restore_path_section(db, bytes)?,
+        let header = match name.as_str() {
+            GRAPH_SECTION => restore_section(db, bytes, IndexSpace::Graph)?,
+            PATH_SECTION => restore_section(db, bytes, IndexSpace::Path)?,
             other => return Err(corrupt(format!("unknown snapshot section '{other}'"))),
-        }
+        };
+        version = version.checked_add(header).ok_or_else(|| corrupt("index counters overflow"))?;
     }
+    db.indexes().set_version(version);
     Ok(())
 }
 
-fn restore_graph_section(db: &Database, bytes: &[u8]) -> Result<()> {
+/// Re-register one section's entries; returns the structural counter its
+/// header carries.
+fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u64().map_err(Error::Storage)?;
     let count = r.get_usize().map_err(Error::Storage)?;
     for _ in 0..count {
-        db.graph_indexes().restore_entry(GraphIndexSnapshot {
+        let mut def = IndexDef {
             name: r.get_str().map_err(Error::Storage)?,
             table: r.get_str().map_err(Error::Storage)?,
             src_col: r.get_str().map_err(Error::Storage)?,
             dst_col: r.get_str().map_err(Error::Storage)?,
-        });
-    }
-    if !r.is_exhausted() {
-        return Err(corrupt("trailing bytes in graph-index section"));
-    }
-    db.graph_indexes().set_version(version);
-    Ok(())
-}
-
-fn restore_path_section(db: &Database, bytes: &[u8]) -> Result<()> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.get_u64().map_err(Error::Storage)?;
-    let count = r.get_usize().map_err(Error::Storage)?;
-    for _ in 0..count {
-        let name = r.get_str().map_err(Error::Storage)?;
-        let table = r.get_str().map_err(Error::Storage)?;
-        let src_col = r.get_str().map_err(Error::Storage)?;
-        let dst_col = r.get_str().map_err(Error::Storage)?;
-        let weight_col = match r.get_u8().map_err(Error::Storage)? {
-            0 => None,
-            _ => Some(r.get_str().map_err(Error::Storage)?),
+            accel: None,
         };
-        let weight_key = match r.get_u8().map_err(Error::Storage)? {
-            0 => None,
-            _ => Some(r.get_usize().map_err(Error::Storage)?),
-        };
-        let kind = match r.get_u8().map_err(Error::Storage)? {
-            0 => PathIndexKind::Landmarks(r.get_u32().map_err(Error::Storage)?),
-            1 => PathIndexKind::Contraction,
-            other => return Err(corrupt(format!("unknown path-index kind tag {other}"))),
-        };
-        let built = match r.get_u8().map_err(Error::Storage)? {
-            0 => None,
-            _ => {
+        let mut built = None;
+        if space == IndexSpace::Path {
+            let weight_col = match r.get_u8().map_err(Error::Storage)? {
+                0 => None,
+                _ => Some(r.get_str().map_err(Error::Storage)?),
+            };
+            let weight_key = match r.get_u8().map_err(Error::Storage)? {
+                0 => None,
+                _ => Some(r.get_usize().map_err(Error::Storage)?),
+            };
+            let kind = match r.get_u8().map_err(Error::Storage)? {
+                0 => PathIndexKind::Landmarks(r.get_u32().map_err(Error::Storage)?),
+                1 => PathIndexKind::Contraction,
+                other => return Err(corrupt(format!("unknown path-index kind tag {other}"))),
+            };
+            if r.get_u8().map_err(Error::Storage)? != 0 {
                 let table_version = r.get_u64().map_err(Error::Storage)?;
-                decode_built_data(db, &table, kind, weight_key, table_version, &mut r)?
+                built = decode_layer(db, &def.table, kind, weight_key, table_version, &mut r)?;
             }
-        };
-        db.path_indexes().restore_entry(PathIndexSnapshotEntry {
-            name,
-            table,
-            src_col,
-            dst_col,
-            weight_col,
-            weight_key,
-            kind,
-            built,
-        });
+            def.accel = Some(AccelDef { weight_col, weight_key, kind });
+        }
+        db.indexes().restore(def, built);
     }
     if !r.is_exhausted() {
-        return Err(corrupt("trailing bytes in path-index section"));
+        let section = if space == IndexSpace::Graph { "graph-index" } else { "path-index" };
+        return Err(corrupt(format!("trailing bytes in {section} section")));
     }
-    db.path_indexes().set_version(version);
-    Ok(())
+    Ok(version)
 }
 
-/// Decode one persisted built index. The payload is always consumed (so the
+/// Decode one persisted layer. The payload is always consumed (so the
 /// reader stays aligned for the next entry); the result is `None` — restore
 /// the definition, rebuild lazily — when the owning table's version moved
-/// past the one the index was built against.
-fn decode_built_data(
+/// past the one the layer was built against.
+fn decode_layer(
     db: &Database,
     table: &str,
     kind: PathIndexKind,
     weight_key: Option<usize>,
     table_version: u64,
     r: &mut ByteReader<'_>,
-) -> Result<Option<(u64, Arc<PathIndexData>)>> {
+) -> Result<Stamped<AccelLayer>> {
     let src_key = r.get_usize().map_err(Error::Storage)?;
     let dst_key = r.get_usize().map_err(Error::Storage)?;
     let n = r.get_usize().map_err(Error::Storage)?;
@@ -545,8 +533,8 @@ fn decode_built_data(
     let dict = VertexDict::from_values(key_type, vals).map_err(corrupt)?;
     let graph =
         Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
-    let data = PathIndexData { graph, accel, weight_key, weights_fwd, weights_bwd };
-    Ok(Some((table_version, Arc::new(data))))
+    let layer = AccelLayer { graph, accel, weight_key, weights_fwd, weights_bwd };
+    Ok(Some((table_version, Arc::new(layer))))
 }
 
 fn decode_csr(r: &mut ByteReader<'_>) -> Result<Csr> {
@@ -629,24 +617,24 @@ mod tests {
     #[test]
     fn path_section_encode_decode_encode_is_byte_stable() {
         let db = indexed_db();
-        let first = encode_path_section(db.path_indexes()).unwrap();
+        let first = encode_path_section(db.indexes()).unwrap();
         // Decoding re-registers both entries from the bytes alone; their
-        // tables are unchanged, so the built data is installed, not dropped.
-        restore_path_section(&db, &first).unwrap();
-        let entries = db.path_indexes().snapshot_entries();
+        // tables are unchanged, so the built layer is installed, not dropped.
+        assert_eq!(restore_section(&db, &first, IndexSpace::Path).unwrap(), 0);
+        let entries = db.indexes().snapshot_entries(IndexSpace::Path);
         assert_eq!(entries.len(), 2);
-        for e in &entries {
-            let (_, data) = e.built.as_ref().expect("restored built");
-            let want = if e.name == "ri" { "int" } else { "generic" };
-            assert_eq!(data.graph.dict.kind(), want, "{}", e.name);
+        for (def, layer) in &entries {
+            let (_, layer) = layer.as_ref().expect("restored built");
+            let want = if def.name == "ri" { "int" } else { "generic" };
+            assert_eq!(layer.graph.dict.kind(), want, "{}", def.name);
         }
-        assert_eq!(encode_path_section(db.path_indexes()).unwrap(), first);
+        assert_eq!(encode_path_section(db.indexes()).unwrap(), first);
     }
 
     #[test]
     fn repeated_dictionary_value_is_corrupt_not_a_panic() {
         let db = indexed_db();
-        let mut bytes = encode_path_section(db.path_indexes()).unwrap();
+        let mut bytes = encode_path_section(db.indexes()).unwrap();
         for (first, second) in [(Value::Int(1001), Value::Int(1002)), ("AMS".into(), "LIS".into())]
         {
             let (mut pair, mut repeated) = (ByteWriter::new(), ByteWriter::new());
@@ -662,13 +650,13 @@ mod tests {
                 .expect("dictionary values are stored in id order");
             let saved = bytes[at..at + pair.len()].to_vec();
             bytes[at..at + pair.len()].copy_from_slice(&repeated);
-            let err = restore_path_section(&db, &bytes).unwrap_err();
+            let err = restore_section(&db, &bytes, IndexSpace::Path).unwrap_err();
             assert!(
                 matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains("duplicate")),
                 "{first}: {err}"
             );
             bytes[at..at + pair.len()].copy_from_slice(&saved);
         }
-        restore_path_section(&db, &bytes).unwrap();
+        restore_section(&db, &bytes, IndexSpace::Path).unwrap();
     }
 }

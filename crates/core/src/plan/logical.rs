@@ -149,40 +149,24 @@ pub enum LogicalPlan {
         /// Output schema (columns qualified by table name or alias).
         schema: PlanSchema,
     },
-    /// An edge table served from a registered graph index (paper §6).
+    /// An edge table served from a registered index (paper §6).
     ///
     /// Produced by the optimizer: when a graph operator's edge child is a
     /// plain `Scan` whose `(table, src, dst)` configuration matches a
-    /// registered index — and the session's `graph_index` setting is on —
-    /// the scan is replaced by this node. The executor fetches the cached
-    /// [`crate::exec::MaterializedGraph`] instead of rebuilding it; if the
-    /// index has been dropped since planning it falls back to scanning
-    /// `table`.
+    /// registered index the session has enabled, the scan is replaced by
+    /// this node. A graph index (`accel: None`, `EXPLAIN` shows `GraphIndex
+    /// gi ON t`) serves the cached [`crate::exec::MaterializedGraph`]; a
+    /// path index (`PathIndex pi ON t (ALT|CH)`) serves the same graph plus
+    /// its acceleration layer, which the executor's traversal dispatcher
+    /// uses for the specs it covers. If the index has been dropped since
+    /// planning the executor scans `table` instead.
     IndexedGraph {
         /// The index name.
         index: String,
         /// The indexed base table (used as fallback).
         table: String,
-        /// Output schema (identical to the underlying scan's).
-        schema: PlanSchema,
-    },
-    /// An edge table served from a registered **path index**: the enclosing
-    /// graph operator is point-to-point eligible, so the executor routes
-    /// single-pair requests through the index's accelerated search —
-    /// goal-directed bidirectional A* for an ALT index, bidirectional
-    /// upward Dijkstra with stall-on-demand for a contraction hierarchy —
-    /// falling back to Dijkstra when the index is gone or the request is
-    /// not a single pair. Produced by the optimizer when the session's
-    /// `path_index` setting is on; when several kinds cover a query the
-    /// contraction hierarchy wins (stronger pruning), visible in the
-    /// `EXPLAIN` label's kind suffix.
-    PathIndexedGraph {
-        /// The path-index name.
-        index: String,
-        /// The indexed base table (used as fallback).
-        table: String,
-        /// The index kind the optimizer chose (shown in `EXPLAIN`).
-        kind: crate::path_index::PathIndexKind,
+        /// The acceleration kind of a path index; `None` for a graph index.
+        accel: Option<crate::index::PathIndexKind>,
         /// Output schema (identical to the underlying scan's).
         schema: PlanSchema,
     },
@@ -337,7 +321,6 @@ impl LogicalPlan {
             }
             Scan { schema, .. }
             | IndexedGraph { schema, .. }
-            | PathIndexedGraph { schema, .. }
             | Values { schema, .. }
             | Project { schema, .. }
             | Join { schema, .. }
@@ -372,11 +355,7 @@ impl LogicalPlan {
     pub fn children(&self) -> Vec<&LogicalPlan> {
         use LogicalPlan::*;
         match self {
-            SingleRow
-            | Scan { .. }
-            | IndexedGraph { .. }
-            | PathIndexedGraph { .. }
-            | Values { .. } => Vec::new(),
+            SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => Vec::new(),
             Filter { input, .. }
             | Project { input, .. }
             | Aggregate { input, .. }
@@ -399,10 +378,10 @@ impl LogicalPlan {
                 let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
                 format!("Scan {table} [{}]", names.join(", "))
             }
-            LogicalPlan::IndexedGraph { index, table, .. } => {
+            LogicalPlan::IndexedGraph { index, table, accel: None, .. } => {
                 format!("GraphIndex {index} ON {table}")
             }
-            LogicalPlan::PathIndexedGraph { index, table, kind, .. } => {
+            LogicalPlan::IndexedGraph { index, table, accel: Some(kind), .. } => {
                 format!("PathIndex {index} ON {table} ({})", kind.label())
             }
             LogicalPlan::Values { rows, .. } => format!("Values ({} rows)", rows.len()),

@@ -46,6 +46,7 @@ use crate::context::{Deadline, ExecContext, SessionSettings};
 use crate::database::{Database, QueryResult};
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
+use crate::index::{IndexSpace, PathIndexKind};
 use crate::optimize::optimize_with;
 use crate::plan::LogicalPlan;
 use gsql_obs::{
@@ -553,8 +554,7 @@ impl<'db> Session<'db> {
     where
         'db: 'a,
     {
-        ExecContext::new(self.db.catalog(), params, Some(self.db.graph_indexes()))
-            .with_path_indexes(self.db.path_indexes())
+        ExecContext::new(self.db.catalog(), params, Some(self.db.indexes()))
             .with_settings(self.settings.borrow().clone())
             .with_deadline(deadline)
             .with_metrics(Some(Arc::clone(self.db.metrics())))
@@ -831,9 +831,13 @@ impl<'db> Session<'db> {
             }
             ast::Statement::CreateGraphIndex { name, table, src_col, dst_col } => {
                 let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
-                self.db.create_graph_index_stmt(&ctx, name, table, src_col, dst_col)
+                self.db.indexes().create(&ctx, name, table, src_col, dst_col, None, false)?;
+                Ok(QueryResult::Ok)
             }
-            ast::Statement::DropGraphIndex { name } => self.db.drop_graph_index_stmt(name),
+            ast::Statement::DropGraphIndex { name } => {
+                self.db.indexes().drop_index(IndexSpace::Graph, name, false)?;
+                Ok(QueryResult::Ok)
+            }
             ast::Statement::CreatePathIndex {
                 name,
                 table,
@@ -845,26 +849,24 @@ impl<'db> Session<'db> {
             } => {
                 let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
                 let kind = match method {
-                    ast::PathIndexMethod::Landmarks(k) => {
-                        crate::path_index::PathIndexKind::Landmarks(*k)
-                    }
-                    ast::PathIndexMethod::Contraction => {
-                        crate::path_index::PathIndexKind::Contraction
-                    }
+                    ast::PathIndexMethod::Landmarks(k) => PathIndexKind::Landmarks(*k),
+                    ast::PathIndexMethod::Contraction => PathIndexKind::Contraction,
                 };
-                self.db.create_path_index_stmt(
+                let accel = Some((weight_col.as_deref(), kind));
+                self.db.indexes().create(
                     &ctx,
                     name,
                     table,
                     src_col,
                     dst_col,
-                    weight_col.as_deref(),
-                    kind,
+                    accel,
                     *if_not_exists,
-                )
+                )?;
+                Ok(QueryResult::Ok)
             }
             ast::Statement::DropPathIndex { name, if_exists } => {
-                self.db.drop_path_index_stmt(name, *if_exists)
+                self.db.indexes().drop_index(IndexSpace::Path, name, *if_exists)?;
+                Ok(QueryResult::Ok)
             }
             ast::Statement::Checkpoint => {
                 // Not dispatched under the shared commit lock (see
@@ -884,7 +886,7 @@ impl<'db> Session<'db> {
                     ColumnDef::not_null("kind", DataType::Varchar),
                     ColumnDef::not_null("status", DataType::Varchar),
                 ]));
-                for row in self.db.path_indexes().list(self.db.catalog()) {
+                for row in self.db.indexes().list(self.db.catalog()) {
                     t.append_row(vec![
                         Value::from(row.name),
                         Value::from(row.table),

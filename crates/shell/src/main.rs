@@ -22,7 +22,7 @@
 //! curl -d '{"sql": "SELECT 1"}' http://127.0.0.1:7432/query
 //! ```
 
-use gsql_core::{Database, QueryResult, Session};
+use gsql_core::{Database, IndexSpace, QueryResult, Session};
 use gsql_datagen::{SnbDataset, SnbParams};
 use gsql_server::{serve, ServerConfig};
 use std::io::{BufRead, Write};
@@ -188,7 +188,7 @@ fn run_meta(db: &Database, command: &str) -> bool {
                     Err(_) => println!("{name}"),
                 }
             }
-            let indexes = db.graph_indexes().index_names();
+            let indexes = db.indexes().index_names(IndexSpace::Graph);
             if !indexes.is_empty() {
                 println!("graph indexes: {}", indexes.join(", "));
             }

@@ -44,7 +44,7 @@
 //! ```
 
 pub use gsql_core::{
-    Database, Deadline, Error, ExecContext, ExecStats, GraphIndexRegistry, LogicalPlan,
+    Database, Deadline, Error, ExecContext, ExecStats, IndexRegistry, IndexSpace, LogicalPlan,
     PlanCacheStats, PreparedStatement, QueryResult, Result, Session, SessionSettings,
     SharedPlanCache,
 };

@@ -5,10 +5,9 @@
 //! valid Prometheus exposition text, and tracing never perturbs results
 //! (thread-equivalence with the collector on).
 //!
-//! Assertions are tolerant of the CI environment matrix: `GSQL_PATH_INDEX`
-//! / `GSQL_PATH_INDEX_KIND` change which traversal kinds fire (so kind
-//! labels are asserted only when present), and `GSQL_TRACE=verbose` adds
-//! per-operator spans (so span counts are lower bounds, never exact).
+//! Assertions are tolerant of the CI environment matrix where it matters:
+//! `GSQL_TRACE=verbose` adds per-operator spans (so span counts are lower
+//! bounds, never exact).
 
 use gsql::{Database, Value};
 use gsql_obs::{QueryOutcome, QueryVerb, SlowLog, SlowQueryRecord, ACCEL_KINDS};
@@ -49,11 +48,6 @@ fn graph_db() -> Database {
     }
     db.execute(&format!("INSERT INTO people VALUES {people}")).unwrap();
     db
-}
-
-/// Sum of traversal counters across every accelerator kind.
-fn traversals_all_kinds(m: &gsql_obs::EngineMetrics) -> u64 {
-    ACCEL_KINDS.iter().map(|k| m.traversals_total(k)).sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -118,19 +112,19 @@ fn metrics_count_queries_pipelines_and_traversals() {
             "threads {threads}: repeated SQL must hit the plan cache"
         );
 
-        // A shortest-path query records at least one traversal under some
-        // accelerator kind (which kind depends on the index environment).
-        let base_trav = traversals_all_kinds(m);
+        // An unindexed single-source hop query is one BFS, and no other
+        // kind moves.
+        let before: Vec<u64> = ACCEL_KINDS.iter().map(|k| m.traversals_total(k)).collect();
         session
             .query_with_params(
                 "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
                 &[Value::Int(1), Value::Int(40)],
             )
             .unwrap();
-        assert!(
-            traversals_all_kinds(m) > base_trav,
-            "threads {threads}: traversal counters must grow"
-        );
+        for (kind, before) in ACCEL_KINDS.iter().zip(before) {
+            let want = before + u64::from(*kind == "bfs");
+            assert_eq!(m.traversals_total(kind), want, "threads {threads}: {kind} traversals");
+        }
     }
 }
 
@@ -208,11 +202,14 @@ fn trace_records_span_tree_for_pipeline_and_graph_join() {
         attr(traversal, "settled").and_then(Json::as_i64).is_some(),
         "traversal span counts settled vertices: {traversal:?}"
     );
-    // The kind label is present exactly when an accelerator ran (absent
-    // under GSQL_PATH_INDEX=off); when present it must be a known kind.
-    if let Some(kind) = attr(traversal, "kind").and_then(Json::as_str) {
-        assert!(ACCEL_KINDS.contains(&kind), "unknown traversal kind {kind:?}");
-    }
+    // The dispatcher's choice and its reason: the CH index covers the
+    // weighted spec, and a graph join is many pairs.
+    assert_eq!(attr(traversal, "kind").and_then(Json::as_str), Some("ch-m2m"), "{traversal:?}");
+    assert_eq!(
+        attr(traversal, "reason").and_then(Json::as_str),
+        Some("path index covers every spec"),
+        "{traversal:?}"
+    );
 
     // The repeated statement is served from the plan cache and says so.
     session.query(batch).unwrap();
@@ -429,6 +426,89 @@ fn weight_cache_is_visible_in_trace_metrics_and_explain() {
     assert!(cold.contains("weights: E=400, evaluated in ") && cold.contains(" ms"), "{cold}");
     let warm = explain(&session);
     assert!(warm.contains("weights: E=400, cached"), "{warm}");
+}
+
+/// Creating a graph index under a name that is taken fails before any
+/// build: no `graph_build` span, no counter tick.
+#[test]
+fn duplicate_create_graph_index_builds_nothing() {
+    let db = graph_db();
+    let m = db.metrics();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    assert_eq!(m.graph_builds_total("graph_index"), 1);
+    let err = session.execute("CREATE GRAPH INDEX GI ON e EDGE (d, s)").unwrap_err();
+    assert!(err.to_string().contains("graph index 'GI' already exists"), "{err}");
+    let doc = json::parse(&session.last_trace_json().expect("failed DDL traces too")).unwrap();
+    assert_eq!(count_spans(doc.as_array().unwrap(), "graph_build"), 0, "{doc:?}");
+    assert_eq!(m.graph_builds_total("graph_index"), 1);
+}
+
+/// A graph index and a path index over the same edges share one graph per
+/// table version: the second create reuses the first one's graph, and after
+/// a write, reading through both costs one graph build and one layer build,
+/// whichever reads first.
+#[test]
+fn graph_and_path_index_share_one_build_per_table_version() {
+    let db = graph_db();
+    let m = db.metrics();
+    let graph_builds = || m.graph_builds_total("graph_index") + m.graph_builds_total("path_index");
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) USING CONTRACTION").unwrap();
+    assert_eq!((graph_builds(), db.indexes().builds()), (1, 1));
+    let session = db.session();
+    let via_path = "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)";
+    let via_graph = "SELECT CHEAPEST SUM(1) AS (c, p) WHERE ? REACHES ? OVER e EDGE (s, d)";
+    let plan = |sql: &str| session.plan(&sql.replace('?', "1")).unwrap().explain();
+    assert!(plan(via_path).contains("PathIndex pc ON e (CH)"), "{}", plan(via_path));
+    assert!(plan(via_graph).contains("GraphIndex gi ON e"), "{}", plan(via_graph));
+    let args = [Value::Int(1), Value::Int(40)];
+    for (round, order) in [[via_path, via_graph], [via_graph, via_path]].into_iter().enumerate() {
+        session.execute(&format!("INSERT INTO e VALUES ({round}, 41, 1)")).unwrap();
+        let before = (graph_builds(), db.indexes().builds());
+        for sql in order {
+            session.query_with_params(sql, &args).unwrap();
+        }
+        let after = (graph_builds(), db.indexes().builds());
+        assert_eq!(after, (before.0 + 1, before.1 + 1), "round {round}");
+    }
+}
+
+/// The graph operator's `EXPLAIN ANALYZE` line ends with the traversal the
+/// dispatcher chose and why.
+#[test]
+fn explain_analyze_names_the_traversal_and_why() {
+    let db = graph_db();
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+    let session = db.session();
+    let line = |sql: &str| -> String {
+        let t = session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+        let graph_op = lines.iter().find(|l| l.trim_start().starts_with("Graph"));
+        graph_op.unwrap_or_else(|| panic!("no graph operator line: {lines:?}")).clone()
+    };
+    let batch = |spec: &str| {
+        format!(
+            "WITH pairs (a, b) AS (VALUES (1, 40), (2, 30)) SELECT pairs.a, {spec} \
+             FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)"
+        )
+    };
+    let point = |spec: &str| format!("SELECT {spec} WHERE 1 REACHES 40 OVER e f EDGE (s, d)");
+    for (sql, tail) in [
+        (point("CHEAPEST SUM(f: f.w)"), "ch (path index covers every spec)"),
+        (batch("CHEAPEST SUM(f: f.w)"), "ch-m2m (path index covers every spec)"),
+        (point("CHEAPEST SUM(1)"), "bidir-bfs (indexed single pair, hop weights)"),
+        (batch("CHEAPEST SUM(1)"), "bfs (pair batch, hop weights)"),
+        (point("CHEAPEST SUM(f: f.w) AS (c, p)"), "dijkstra (per-edge weights)"),
+    ] {
+        let line = line(&sql);
+        assert!(line.ends_with(&format!(", traversal: {tail})")), "{sql}\n{line}");
+    }
+    session.set("graph_index", "off").unwrap();
+    let line = line(&point("CHEAPEST SUM(1)"));
+    assert!(line.ends_with(", traversal: bfs (ad-hoc graph, hop weights))"), "{line}");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,13 +5,7 @@
 //! batched (multi-pair / GraphJoin) shapes — invalidation on edge
 //! mutation, and `EXPLAIN ANALYZE` settled-node reporting.
 
-use gsql::{Database, Value};
-
-/// True when `GSQL_PATH_INDEX_KIND` forces every index to one kind (the CI
-/// contraction run): kind-specific EXPLAIN assertions are relaxed there.
-fn kind_forced() -> bool {
-    std::env::var("GSQL_PATH_INDEX_KIND").map(|v| !v.trim().is_empty()).unwrap_or(false)
-}
+use gsql::{Database, IndexSpace, Value};
 
 /// A deterministic layered digraph with integer weights: dense enough to
 /// give ALT something to prune, sparse enough to stay fast. A `people`
@@ -133,7 +127,7 @@ fn ddl_create_drop_and_errors() {
     assert!(db.execute("DROP PATH INDEX pw").is_err());
     // DROP TABLE sweeps the remaining index away.
     db.execute("DROP TABLE e").unwrap();
-    assert!(db.path_indexes().index_names().is_empty());
+    assert!(db.indexes().index_names(IndexSpace::Path).is_empty());
 }
 
 #[test]
@@ -141,9 +135,6 @@ fn explain_shows_accelerated_plan_and_respects_toggle() {
     let db = build_db();
     db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
     let session = db.session();
-    // The CI fallback run exports GSQL_PATH_INDEX=off; this test is about
-    // the accelerated plan shape, so opt in explicitly.
-    session.execute("SET path_index = on").unwrap();
     let hops = "SELECT CHEAPEST SUM(1) WHERE 0 REACHES 9 OVER e EDGE (s, d)";
     let weighted = "SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)";
     // The weighted index covers the matching weight column but not hops.
@@ -157,7 +148,6 @@ fn explain_shows_accelerated_plan_and_respects_toggle() {
     db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(4)").unwrap();
     // Two indexes cover (e, s, d) now; weighted-vs-hop eligibility decides.
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let hop_plan = session.plan(hops).unwrap().explain();
     assert!(hop_plan.contains("PathIndex"), "hop plan not accelerated:\n{hop_plan}");
     // Path-producing queries must never be accelerated: the bidirectional
@@ -224,7 +214,6 @@ fn reverse_direction_index_accelerates_reverse_queries() {
     let db = build_db();
     db.execute("CREATE PATH INDEX ph ON e EDGE (d, s) USING LANDMARKS(4)").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let reverse = "SELECT CHEAPEST SUM(1) WHERE 0 REACHES 9 OVER e EDGE (d, s)";
     let forward = "SELECT CHEAPEST SUM(1) WHERE 0 REACHES 9 OVER e EDGE (s, d)";
     assert!(session.plan(reverse).unwrap().explain().contains("PathIndex ph"));
@@ -238,7 +227,6 @@ fn edge_mutation_invalidates_index_and_cached_plans() {
     db.execute("INSERT INTO e VALUES (1, 2), (2, 3), (3, 4), (4, 5)").unwrap();
     db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(3)").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let sql = "SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (s, d)";
     let stmt = session.prepare(sql).unwrap();
     let params = [Value::Int(1), Value::Int(5)];
@@ -267,15 +255,13 @@ fn explain_analyze_reports_settled_nodes() {
     let db = build_db();
     db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let plan = session
         .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)")
         .unwrap();
     let text: Vec<String> = (0..plan.row_count()).map(|i| plan.row(i)[0].to_string()).collect();
     let all = text.join("\n");
     assert!(all.contains("settled="), "settled count missing:\n{all}");
-    // The CI contraction run forces CH builds, which report `(ch, …)`.
-    assert!(all.contains("(alt") || all.contains("(ch"), "accel marker missing:\n{all}");
+    assert!(all.contains("(alt, landmarks=6)"), "accel marker missing:\n{all}");
     // The fallback run reports no ALT detail.
     session.execute("SET path_index = off").unwrap();
     let plan = session
@@ -314,10 +300,8 @@ fn contraction_ddl_show_indexes_and_if_exists() {
     assert_eq!(t.row(0)[1], Value::from("e"));
     assert_eq!(t.row(0)[3], Value::from("built"));
     assert_eq!(t.row(1)[0], Value::from("ph"));
-    if !kind_forced() {
-        assert_eq!(t.row(0)[2], Value::from("contraction"));
-        assert_eq!(t.row(1)[2], Value::from("landmarks(4)"));
-    }
+    assert_eq!(t.row(0)[2], Value::from("contraction"));
+    assert_eq!(t.row(1)[2], Value::from("landmarks(4)"));
     // A table mutation flips the listing to stale; the data rebuilds
     // lazily on the next accelerated query, not in SHOW itself.
     db.execute("INSERT INTO e VALUES (0, 1, 1)").unwrap();
@@ -339,22 +323,13 @@ fn explain_prefers_contraction_over_landmarks() {
     db.execute("CREATE PATH INDEX pa ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
     let weighted = "SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)";
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let plan = session.plan(weighted).unwrap().explain();
-    assert!(plan.contains("PathIndex pa ON e"), "landmark plan missing:\n{plan}");
-    if !kind_forced() {
-        assert!(plan.contains("(ALT)"), "kind label missing:\n{plan}");
-    }
-    // A CH index covering the same query beats the landmark index, and the
-    // choice is visible in EXPLAIN. (Under GSQL_PATH_INDEX_KIND both
-    // indexes are built as the forced kind and name order decides, so the
-    // kind-selection assertion only holds in the default configuration.)
+    assert!(plan.contains("PathIndex pa ON e (ALT)"), "landmark plan missing:\n{plan}");
+    // A CH index covering the same query beats the landmark index (which
+    // sorts first by name), and the choice is visible in EXPLAIN.
     db.execute("CREATE PATH INDEX pz ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let plan = session.plan(weighted).unwrap().explain();
-    assert!(plan.contains("PathIndex"), "acceleration lost:\n{plan}");
-    if !kind_forced() {
-        assert!(plan.contains("PathIndex pz ON e (CH)"), "CH not preferred:\n{plan}");
-    }
+    assert!(plan.contains("PathIndex pz ON e (CH)"), "CH not preferred:\n{plan}");
     // Dropping the CH index falls back to the landmark index.
     db.execute("DROP PATH INDEX pz").unwrap();
     let plan = session.plan(weighted).unwrap().explain();
@@ -412,7 +387,6 @@ fn contraction_mutation_invalidates_index_and_cached_plans() {
     db.execute("INSERT INTO e VALUES (1, 2), (2, 3), (3, 4), (4, 5)").unwrap();
     db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) USING CONTRACTION").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let sql = "SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (s, d)";
     let stmt = session.prepare(sql).unwrap();
     let params = [Value::Int(1), Value::Int(5)];
@@ -439,19 +413,13 @@ fn explain_analyze_reports_ch_settled_and_shortcuts() {
     let db = build_db();
     db.execute("CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let plan = session
         .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)")
         .unwrap();
     let text: Vec<String> = (0..plan.row_count()).map(|i| plan.row(i)[0].to_string()).collect();
     let all = text.join("\n");
     assert!(all.contains("settled="), "settled count missing:\n{all}");
-    if kind_forced() {
-        // A forced-landmarks run reports the ALT detail instead.
-        assert!(all.contains("(ch") || all.contains("(alt"), "accel marker missing:\n{all}");
-    } else {
-        assert!(all.contains("(ch, shortcuts="), "ch detail missing:\n{all}");
-    }
+    assert!(all.contains("(ch, shortcuts="), "ch detail missing:\n{all}");
 }
 
 #[test]
@@ -497,7 +465,6 @@ fn explain_analyze_reports_batch_detail() {
     let db = build_db();
     db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let sql = "EXPLAIN ANALYZE \
                WITH pairs (a, b) AS (VALUES (0, 9), (1, 17), (2, 33), (140, 7)) \
                SELECT pairs.a, pairs.b, CHEAPEST SUM(f: f.w) AS cost \
@@ -508,23 +475,12 @@ fn explain_analyze_reports_batch_detail() {
     };
     let all = collect(&session);
     assert!(all.contains("settled="), "settled count missing:\n{all}");
-    if kind_forced() {
-        // A forced kind may turn the landmark DDL into a CH build.
-        assert!(
-            all.contains("(alt-multi, landmarks=") || all.contains("(ch-m2m, buckets="),
-            "batch marker missing:\n{all}"
-        );
-    } else {
-        assert!(all.contains("(alt-multi, landmarks="), "alt-multi detail missing:\n{all}");
-    }
+    assert!(all.contains("(alt-multi, landmarks="), "alt-multi detail missing:\n{all}");
     // A CH index covering the same query wins, and the detail line flips
     // to the bucket tier.
     db.execute("CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let all = collect(&session);
-    assert!(
-        all.contains("(ch-m2m, buckets=") || (kind_forced() && all.contains("(alt-multi")),
-        "ch-m2m detail missing:\n{all}"
-    );
+    assert!(all.contains("(ch-m2m, buckets="), "ch-m2m detail missing:\n{all}");
     // The fallback run reports no batch detail.
     session.execute("SET path_index = off").unwrap();
     let all = collect(&session);
@@ -538,7 +494,6 @@ fn batch_mutation_invalidates_index() {
     db.execute("INSERT INTO e VALUES (1, 2), (2, 3), (3, 4), (4, 5)").unwrap();
     db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(3)").unwrap();
     let session = db.session();
-    session.execute("SET path_index = on").unwrap();
     let sql = "WITH pairs (a, b) AS (VALUES (1, 5), (2, 5)) \
                SELECT pairs.a, pairs.b, CHEAPEST SUM(1) AS hops \
                FROM pairs WHERE pairs.a REACHES pairs.b OVER e EDGE (s, d)";

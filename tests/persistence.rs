@@ -3,7 +3,7 @@
 //! built path index answers accelerated queries with **zero** rebuild
 //! work and results byte-identical to the pre-restart process.
 
-use gsql_core::Database;
+use gsql_core::{Database, IndexSpace};
 use gsql_storage::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,15 +39,6 @@ fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     (0..t.row_count()).map(|i| t.row(i)).collect()
 }
 
-/// [`rows`] through a session that pins `path_index = on`, for tests that
-/// assert accelerated behaviour whatever `GSQL_PATH_INDEX` says.
-fn rows_accelerated(db: &Database, sql: &str) -> Vec<Vec<Value>> {
-    let session = db.session();
-    session.set("path_index", "on").unwrap();
-    let t = session.query(sql).unwrap();
-    (0..t.row_count()).map(|i| t.row(i)).collect()
-}
-
 const ROADS: &str = "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)";
 const ROAD_ROWS: &str = "INSERT INTO e VALUES (1,2,5), (2,3,5), (1,3,20), (3,4,1)";
 const CHEAPEST: &str = "SELECT CHEAPEST SUM(f: f.w) AS cost WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
@@ -66,7 +57,7 @@ fn wal_only_restart_roundtrip() {
     let db = Database::open(dir.path()).unwrap();
     assert_eq!(rows(&db, "SELECT * FROM e"), before);
     assert_eq!(db.schema_version(), version);
-    assert_eq!(db.graph_indexes().index_names(), vec!["gi".to_string()]);
+    assert_eq!(db.indexes().index_names(IndexSpace::Graph), vec!["gi".to_string()]);
     assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(11)]]);
 }
 
@@ -79,7 +70,7 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
         db.execute(ROAD_ROWS).unwrap();
         db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
         db.execute("CREATE PATH INDEX pa ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
-        assert!(db.path_indexes().builds() >= 2);
+        assert!(db.indexes().builds() >= 2);
         let expected = rows(&db, CHEAPEST);
         let t = db.query("CHECKPOINT").unwrap();
         assert_eq!(t.row(0)[0], Value::from("checkpoint written (epoch 1)"));
@@ -90,16 +81,16 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
     assert_eq!(rows(&db, "SELECT * FROM e"), before, "snapshot restores tables byte-identically");
     assert_eq!(db.schema_version(), version);
     // The plan still picks the index...
-    let plan = rows_accelerated(&db, &format!("EXPLAIN {CHEAPEST}"));
+    let plan = rows(&db, &format!("EXPLAIN {CHEAPEST}"));
     assert!(
         plan.iter().any(|r| matches!(&r[0], Value::Str(s) if s.contains("PathIndex"))),
         "expected an accelerated plan, got {plan:?}"
     );
     // ...and both indexes report built without any rebuild having run.
-    let listing = db.path_indexes().list(db.catalog());
+    let listing = db.indexes().list(db.catalog());
     assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
-    assert_eq!(rows_accelerated(&db, CHEAPEST), expected);
-    assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
+    assert_eq!(rows(&db, CHEAPEST), expected);
+    assert_eq!(db.indexes().builds(), 0, "warm start must not rebuild");
 }
 
 /// Both dictionary representations round-trip: a path index over an
@@ -123,12 +114,12 @@ fn int_and_varchar_keyed_path_indexes_survive_reopen() {
         queries
             .iter()
             .map(|sql| {
-                let plan = rows_accelerated(db, &format!("EXPLAIN {sql}"));
+                let plan = rows(db, &format!("EXPLAIN {sql}"));
                 assert!(
                     plan.iter().any(|r| matches!(&r[0], Value::Str(s) if s.contains("PathIndex"))),
                     "expected an accelerated plan for {sql}, got {plan:?}"
                 );
-                rows_accelerated(db, sql)
+                rows(db, sql)
             })
             .collect()
     };
@@ -163,10 +154,10 @@ fn int_and_varchar_keyed_path_indexes_survive_reopen() {
         before
     };
     let db = Database::open(dir.path()).unwrap();
-    let listing = db.path_indexes().list(db.catalog());
+    let listing = db.indexes().list(db.catalog());
     assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
     assert_eq!(answers(&db), before);
-    assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
+    assert_eq!(db.indexes().builds(), 0, "warm start must not rebuild");
 }
 
 #[test]
@@ -214,13 +205,13 @@ fn stale_persisted_index_falls_back_to_rebuild() {
         db.execute("INSERT INTO e VALUES (1, 4, 2)").unwrap();
     }
     let db = Database::open(dir.path()).unwrap();
-    let listing = db.path_indexes().list(db.catalog());
+    let listing = db.indexes().list(db.catalog());
     assert_eq!(listing[0].status, "stale", "{listing:?}");
-    assert_eq!(db.path_indexes().builds(), 0);
+    assert_eq!(db.indexes().builds(), 0);
     // The query sees the new edge — the stale persisted structure must not
     // serve it — and triggers exactly one lazy rebuild.
-    assert_eq!(rows_accelerated(&db, CHEAPEST), vec![vec![Value::Int(2)]]);
-    assert_eq!(db.path_indexes().builds(), 1);
+    assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(2)]]);
+    assert_eq!(db.indexes().builds(), 1);
 }
 
 #[test]
@@ -377,4 +368,113 @@ fn weight_cache_starts_empty_after_reopen_and_recomputes_once() {
     assert_eq!(render(&db), expected);
     assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
     assert_eq!(m.weight_cache_bytes.get(), 8 * 4);
+}
+
+/// After a warm reopen, a restored path index's graph also serves a graph
+/// index over the same edges: answering through either builds nothing.
+#[test]
+fn restored_path_index_graph_serves_the_graph_index() {
+    const WITH_PATH: &str = "SELECT CHEAPEST SUM(f: f.w) AS (cost, path) \
+                             WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
+    let dir = TempDir::new("shared");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(ROADS).unwrap();
+        db.execute(ROAD_ROWS).unwrap();
+        db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+        db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+        db.execute("CHECKPOINT").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let plan = rows(&db, &format!("EXPLAIN {WITH_PATH}"));
+    assert!(plan.iter().any(|r| r[0] == Value::from("    GraphIndex gi ON e")), "{plan:?}");
+    assert_eq!(rows(&db, WITH_PATH)[0][0], Value::Int(11));
+    assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(11)]]);
+    let m = db.metrics();
+    let builds = ["statement", "graph_index", "path_index"].map(|s| m.graph_builds_total(s));
+    assert_eq!((builds, db.indexes().builds()), ([0, 0, 0], 0), "a warm reopen builds nothing");
+}
+
+/// A data directory written before graph and path indexes shared one
+/// registry — it split the structural counter across both snapshot
+/// sections — reopens with the same schema version, names, listing and
+/// answers, building nothing but the one path index its WAL made stale.
+///
+/// The fixture was written from this script, then checkpointed before the
+/// last `INSERT`:
+///
+/// ```sql
+/// CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL);
+/// INSERT INTO e VALUES (1,2,5), (2,3,5), (1,3,20), (3,4,1);
+/// CREATE TABLE flights (org VARCHAR, dst VARCHAR, mins INTEGER NOT NULL);
+/// INSERT INTO flights VALUES ('AMS', 'LIS', 170), ('LIS', 'JFK', 420),
+///   ('AMS', 'JFK', 700), ('JFK', 'AMS', 430), (NULL, 'AMS', 1);
+/// CREATE TABLE r (a INTEGER, b INTEGER);
+/// INSERT INTO r VALUES (1, 2), (2, 3), (3, 4), (4, 5);
+/// CREATE GRAPH INDEX gi ON e EDGE (s, d);
+/// CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION;
+/// CREATE GRAPH INDEX gf ON flights EDGE (org, dst);
+/// CREATE PATH INDEX pf ON flights EDGE (org, dst) WEIGHT mins USING LANDMARKS(2);
+/// CREATE PATH INDEX ph ON r EDGE (a, b) USING LANDMARKS(2);
+/// CREATE GRAPH INDEX pc ON r EDGE (a, b);
+/// CHECKPOINT;
+/// INSERT INTO r VALUES (1, 4);
+/// ```
+#[test]
+fn data_dir_with_split_index_counters_reopens_unchanged() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/two_registry_data_dir");
+    let dir = TempDir::new("fixture");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    for file in std::fs::read_dir(&fixture).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), dir.path().join(file.file_name())).unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(db.schema_version(), 9);
+    assert_eq!(db.indexes().index_names(IndexSpace::Graph), ["gf", "gi", "pc"]);
+    let listing: Vec<(String, String, &str)> =
+        db.indexes().list(db.catalog()).into_iter().map(|l| (l.name, l.kind, l.status)).collect();
+    let row = |n: &str, k: &str, s| (n.to_string(), k.to_string(), s);
+    assert_eq!(
+        listing,
+        [
+            row("pc", "contraction", "built"),
+            row("pf", "landmarks(2)", "built"),
+            row("ph", "landmarks(2)", "stale")
+        ]
+    );
+    // Every statement plans as it did in the process that wrote the
+    // directory, and answers the same.
+    for (sql, index, want) in [
+        ("SELECT CHEAPEST SUM(f: f.w) AS cost WHERE 1 REACHES 4 OVER e f EDGE (s, d)", "PathIndex pc ON e (CH)", 11),
+        ("SELECT CHEAPEST SUM(f: f.w) AS (cost, path) WHERE 1 REACHES 4 OVER e f EDGE (s, d)", "GraphIndex gi ON e", 11),
+        ("SELECT CHEAPEST SUM(f: f.mins) AS cost WHERE 'AMS' REACHES 'JFK' OVER flights f EDGE (org, dst)", "PathIndex pf ON flights (ALT)", 590),
+        ("SELECT CHEAPEST SUM(f: f.mins) AS cost WHERE 'JFK' REACHES 'LIS' OVER flights f EDGE (org, dst)", "PathIndex pf ON flights (ALT)", 600),
+        ("SELECT CHEAPEST SUM(1) AS hops WHERE 'LIS' REACHES 'AMS' OVER flights EDGE (org, dst)", "GraphIndex gf ON flights", 2),
+    ] {
+        let plan = rows(&db, &format!("EXPLAIN {sql}"));
+        assert!(plan.iter().any(|r| r[0] == Value::from(format!("    {index}"))), "{sql}: {plan:?}");
+        assert_eq!(rows(&db, sql)[0][0], Value::Int(want), "{sql}");
+    }
+    let path = rows(
+        &db,
+        "SELECT CHEAPEST SUM(f: f.w) AS (cost, path) WHERE 1 REACHES 4 OVER e f EDGE (s, d)",
+    );
+    let Value::Path(path) = &path[0][1] else { panic!("{path:?}") };
+    assert_eq!(path.rows, [0, 1, 3]);
+    let m = db.metrics();
+    let graph_builds =
+        || ["statement", "graph_index", "path_index"].map(|s| m.graph_builds_total(s));
+    assert_eq!(
+        (graph_builds(), db.indexes().builds()),
+        ([0, 0, 0], 0),
+        "restored indexes built nothing"
+    );
+    // The index the WAL made stale rebuilds once, on its first query.
+    let sql = "SELECT CHEAPEST SUM(1) AS hops WHERE 1 REACHES 5 OVER r EDGE (a, b)";
+    let plan = rows(&db, &format!("EXPLAIN {sql}"));
+    assert!(plan.iter().any(|r| r[0] == Value::from("    PathIndex ph ON r (ALT)")), "{plan:?}");
+    assert_eq!(rows(&db, sql), vec![vec![Value::Int(2)]]);
+    assert_eq!((graph_builds(), db.indexes().builds()), ([0, 0, 1], 1));
 }
