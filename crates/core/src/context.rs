@@ -1,18 +1,17 @@
 //! Per-query execution context and session settings.
 //!
 //! [`ExecContext`] bundles everything a single statement execution needs —
-//! catalog, `?` parameter values, index registry, session settings,
-//! and an optional per-operator statistics collector — and is threaded
+//! catalog, `?` parameter values, index registry, session settings, the
+//! metrics registry and the statement's trace collector — and is threaded
 //! through binder → optimizer → executor instead of loose arguments. It is
 //! the engine-side counterpart of a [`crate::Session`].
 
 use crate::error::{bind_err, Error};
 use crate::index::{IndexRegistry, IndexSpace};
-use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, NO_SPAN};
+use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, TraceValue, NO_SPAN};
 use gsql_storage::{Catalog, Value};
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
@@ -64,8 +63,7 @@ pub struct SessionSettings {
     /// records one span per statement phase (parse → bind → optimize →
     /// execute), per pipeline and per traversal batch; `verbose` adds one
     /// span per operator. Tracing never changes plan shape or results —
-    /// only observation. Default: the `GSQL_TRACE` environment variable
-    /// when set, otherwise off.
+    /// only observation. Default off.
     pub trace: TraceLevel,
     /// Slow-query threshold in milliseconds (`SET slow_query_ms = n`; `0`
     /// disables). A statement whose wall time meets the threshold emits one
@@ -84,24 +82,10 @@ impl Default for SessionSettings {
             threads: gsql_parallel::default_threads(),
             timeout_ms: None,
             morsel_rows: gsql_parallel::default_morsel_rows(),
-            trace: default_trace(),
+            trace: TraceLevel::Off,
             slow_query_ms: None,
         }
     }
-}
-
-/// Process-wide default for the `trace` setting: `GSQL_TRACE` when set to a
-/// recognizable level, otherwise off. Cached after the first call. CI runs a
-/// suite leg under `GSQL_TRACE=verbose` to prove tracing never perturbs
-/// results.
-fn default_trace() -> TraceLevel {
-    static CACHE: std::sync::OnceLock<TraceLevel> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GSQL_TRACE")
-            .ok()
-            .and_then(|v| TraceLevel::parse(v.trim()))
-            .unwrap_or_default()
-    })
 }
 
 impl SessionSettings {
@@ -240,143 +224,6 @@ impl Deadline {
     }
 }
 
-/// Execution statistics of one operator instance, recorded by the executor
-/// when statistics collection is enabled (`EXPLAIN ANALYZE`).
-#[derive(Debug, Clone)]
-pub struct OpStats {
-    /// The operator's one-line plan label (same text as `EXPLAIN`).
-    pub label: String,
-    /// Nesting depth in the executed plan tree.
-    pub depth: usize,
-    /// Output row count.
-    pub rows: usize,
-    /// Inclusive wall time (operator plus its inputs).
-    pub elapsed: Duration,
-    /// Operator-specific extra detail, e.g. the settled-vertex count of an
-    /// ALT-accelerated graph operator (`settled=12 (alt)`).
-    pub detail: Option<String>,
-}
-
-/// Execution statistics of one morsel-driven pipeline, recorded by the
-/// pipeline engine when statistics collection is enabled.
-#[derive(Debug, Clone)]
-pub struct PipelineStat {
-    /// The fused chain's human label, e.g. `scan people -> filter -> probe`.
-    pub label: String,
-    /// Total morsels processed by this pipeline.
-    pub morsels: usize,
-    /// Fewest morsels any participating worker processed.
-    pub min_per_worker: usize,
-    /// Most morsels any participating worker processed.
-    pub max_per_worker: usize,
-    /// Workers that participated (grabbed at least zero morsels — the
-    /// broadcast width).
-    pub workers: usize,
-    /// Wall time from first morsel grab to sink merge completion.
-    pub elapsed: Duration,
-    /// Summed time morsels sat in the queue before a worker pulled them
-    /// (queue creation to grab). Divide by `morsels` for the average.
-    pub queue_wait: Duration,
-    /// The single longest queue wait of any morsel.
-    pub queue_wait_max: Duration,
-}
-
-/// Per-operator statistics of one executed statement, in execution
-/// (pre-)order. Operators that were skipped at runtime — e.g. an edge-table
-/// scan satisfied by a graph index — do not appear.
-///
-/// The collector lives behind a [`Mutex`] in [`ExecContext`], so operator
-/// bodies may run work on a pool of threads while the (single-threaded)
-/// plan walk records begin/finish events.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    /// One entry per executed operator.
-    pub ops: Vec<OpStats>,
-    /// One entry per executed pipeline, in completion order.
-    pub pipelines: Vec<PipelineStat>,
-}
-
-impl ExecStats {
-    /// Reserve the slot for an operator about to run; returns its index.
-    pub(crate) fn begin(&mut self, label: String, depth: usize) -> usize {
-        self.ops.push(OpStats { label, depth, rows: 0, elapsed: Duration::ZERO, detail: None });
-        self.ops.len() - 1
-    }
-
-    /// Fill in an operator's results.
-    pub(crate) fn finish(&mut self, idx: usize, rows: usize, elapsed: Duration) {
-        let op = &mut self.ops[idx];
-        op.rows = rows;
-        op.elapsed = elapsed;
-    }
-
-    /// Append operator-specific detail to an operator's line. An operator
-    /// may leave several (a graph build, then the accelerated search's
-    /// counts); they are printed in the order recorded.
-    pub(crate) fn add_detail(&mut self, idx: usize, detail: String) {
-        let slot = &mut self.ops[idx].detail;
-        *slot = Some(match slot.take() {
-            Some(earlier) => format!("{earlier}, {detail}"),
-            None => detail,
-        });
-    }
-
-    /// Record one completed pipeline's morsel statistics.
-    pub(crate) fn record_pipeline(&mut self, stat: PipelineStat) {
-        self.pipelines.push(stat);
-    }
-
-    /// Render the annotated plan tree (`EXPLAIN ANALYZE` output): one line
-    /// per executed operator with output rows and inclusive wall time,
-    /// followed by one line per executed pipeline with morsel counts and
-    /// per-worker distribution.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for op in &self.ops {
-            let detail = match &op.detail {
-                Some(d) => format!(", {d}"),
-                None => String::new(),
-            };
-            let _ = writeln!(
-                out,
-                "{}{} (rows={}, time={}{detail})",
-                "  ".repeat(op.depth),
-                op.label,
-                op.rows,
-                fmt_duration(op.elapsed),
-            );
-        }
-        for (i, p) in self.pipelines.iter().enumerate() {
-            let avg_wait =
-                if p.morsels > 0 { p.queue_wait / p.morsels as u32 } else { Duration::ZERO };
-            let _ = writeln!(
-                out,
-                "Pipeline {i}: {} (morsels={}, per-worker min={} max={} of {} worker(s), \
-                 queue-wait avg={} max={}, time={})",
-                p.label,
-                p.morsels,
-                p.min_per_worker,
-                p.max_per_worker,
-                p.workers,
-                fmt_duration(avg_wait),
-                fmt_duration(p.queue_wait_max),
-                fmt_duration(p.elapsed),
-            );
-        }
-        out
-    }
-}
-
-/// Compact human duration (micros below 10ms, millis beyond).
-fn fmt_duration(d: Duration) -> String {
-    let us = d.as_micros();
-    if us < 10_000 {
-        format!("{us}us")
-    } else {
-        format!("{:.2}ms", us as f64 / 1000.0)
-    }
-}
-
 /// Everything one statement execution needs, bundled.
 ///
 /// A [`crate::Session`] builds one `ExecContext` per statement; the
@@ -389,18 +236,12 @@ pub struct ExecContext<'a> {
     indexes: Option<&'a IndexRegistry>,
     settings: SessionSettings,
     deadline: Option<Deadline>,
-    stats: Option<Mutex<ExecStats>>,
-    /// The statistics slot of the operator whose body is running, so detail
-    /// it records (a graph build, ALT settled-vertex counts) lands on its
-    /// own line however many input operators ran in between. An atomic for
-    /// the same reason as `trace_parent`; only meaningful when stats are
-    /// collected.
-    current_op: AtomicUsize,
     /// The engine-wide metrics registry, when attached by a session. All
     /// hot-path instruments are relaxed atomics, so recording never
     /// perturbs results or thread-equivalence.
     metrics: Option<Arc<EngineMetrics>>,
-    /// The per-statement trace collector, when `SET trace` is on.
+    /// The per-statement trace collector, when `SET trace` is on or the
+    /// statement is `EXPLAIN ANALYZE`.
     trace: Option<Arc<TraceCollector>>,
     /// The span new child spans attach under ([`NO_SPAN`] = root). An
     /// atomic so the single-threaded plan walk can save/swap/restore it
@@ -409,7 +250,7 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// A context with default settings and no statistics collection.
+    /// A context with default settings, no metrics and no tracing.
     pub fn new(
         catalog: &'a Catalog,
         params: &'a [Value],
@@ -421,8 +262,6 @@ impl<'a> ExecContext<'a> {
             indexes,
             settings: SessionSettings::default(),
             deadline: None,
-            stats: None,
-            current_op: AtomicUsize::new(usize::MAX),
             metrics: None,
             trace: None,
             trace_parent: AtomicU32::new(NO_SPAN),
@@ -432,12 +271,6 @@ impl<'a> ExecContext<'a> {
     /// Replace the settings (builder style).
     pub fn with_settings(mut self, settings: SessionSettings) -> ExecContext<'a> {
         self.settings = settings;
-        self
-    }
-
-    /// Enable per-operator statistics collection (builder style).
-    pub fn with_stats(mut self) -> ExecContext<'a> {
-        self.stats = Some(Mutex::new(ExecStats::default()));
         self
     }
 
@@ -487,24 +320,6 @@ impl<'a> ExecContext<'a> {
         self.indexes.filter(|_| enabled)
     }
 
-    /// Record extra statistics detail for the operator currently executing.
-    /// `detail` only runs when `EXPLAIN ANALYZE` is collecting, so the hot
-    /// path never formats.
-    pub(crate) fn record_op_detail(&self, detail: impl FnOnce() -> String) {
-        if let Some(cell) = &self.stats {
-            let op = self.current_op.load(Ordering::Relaxed);
-            if op != usize::MAX {
-                cell.lock().expect("stats lock").add_detail(op, detail());
-            }
-        }
-    }
-
-    /// Mark `op` as the statistics slot of the operator now executing,
-    /// returning the previous one so the executor can restore it.
-    pub(crate) fn swap_current_op(&self, op: usize) -> usize {
-        self.current_op.swap(op, Ordering::Relaxed)
-    }
-
     /// The session settings in effect.
     pub fn settings(&self) -> &SessionSettings {
         &self.settings
@@ -546,11 +361,6 @@ impl<'a> ExecContext<'a> {
         self.settings.morsel_rows.max(1)
     }
 
-    /// The statistics collector, when enabled.
-    pub(crate) fn stats_cell(&self) -> Option<&Mutex<ExecStats>> {
-        self.stats.as_ref()
-    }
-
     /// The engine metrics registry, when a session attached one.
     pub(crate) fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
         self.metrics.as_ref()
@@ -561,9 +371,11 @@ impl<'a> ExecContext<'a> {
         self.trace.as_ref()
     }
 
-    /// True when the statement traces at [`TraceLevel::Verbose`].
+    /// True when the statement's collector records one span per operator
+    /// ([`TraceLevel::Verbose`]) — the only switch for per-operator
+    /// recording.
     pub(crate) fn trace_verbose(&self) -> bool {
-        self.trace.is_some() && self.settings.trace == TraceLevel::Verbose
+        self.trace.as_ref().is_some_and(|t| t.level() == TraceLevel::Verbose)
     }
 
     /// The span id new child spans attach under ([`NO_SPAN`] = root).
@@ -583,12 +395,24 @@ impl<'a> ExecContext<'a> {
         self.trace.as_ref().map(|t| t.begin(self.trace_parent(), name))
     }
 
-    /// Extract the collected statistics (empty if collection was off).
-    pub fn take_stats(&self) -> ExecStats {
-        self.stats
-            .as_ref()
-            .map(|s| std::mem::take(&mut *s.lock().expect("stats lock")))
-            .unwrap_or_default()
+    /// Close a span whose work produced a table — an operator's, or the
+    /// statement's `execute` — recording the table's `rows` when it
+    /// succeeded.
+    pub(crate) fn end_op_span(&self, id: SpanId, rows: Option<usize>) {
+        if let Some(t) = &self.trace {
+            match rows {
+                Some(n) => t.end_with(id, vec![("rows".to_string(), TraceValue::from(n))]),
+                None => t.end(id),
+            }
+        }
+    }
+
+    /// Attach an attribute to the current trace parent (no-op when tracing
+    /// is off).
+    pub(crate) fn trace_attr(&self, key: &str, value: TraceValue) {
+        if let Some(t) = &self.trace {
+            t.attr(self.trace_parent(), key, value);
+        }
     }
 
     /// Enforce the session row limit on one operator's output. The label is
@@ -671,8 +495,7 @@ mod tests {
         assert!(err.to_string().contains("positive integer"), "{err}");
         assert_eq!(s.morsel_rows, 7, "failed sets leave the value unchanged");
 
-        // (The default itself comes from GSQL_TRACE, so only the
-        // round-trips are asserted here.)
+        assert_eq!(s.trace, TraceLevel::Off, "no environment variable changes the default");
         s.set("trace", "on").unwrap();
         assert_eq!(s.trace, TraceLevel::On);
         assert_eq!(s.get("trace").unwrap(), "on");
@@ -759,35 +582,5 @@ mod tests {
         assert!(ctx.check_row_limit(2, || "Scan".to_string()).is_ok());
         let err = ctx.check_row_limit(3, || "Scan".to_string()).unwrap_err();
         assert!(err.to_string().contains("row limit exceeded"));
-    }
-
-    #[test]
-    fn stats_render_indents_by_depth() {
-        let mut stats = ExecStats::default();
-        let a = stats.begin("Filter x".into(), 0);
-        let b = stats.begin("Scan t".into(), 1);
-        stats.finish(b, 10, Duration::from_micros(50));
-        stats.add_detail(a, "graph build: V=4, E=3, dict=int, 0.01 ms".into());
-        stats.add_detail(a, "settled=7 (alt)".into());
-        stats.finish(a, 3, Duration::from_micros(120));
-        stats.record_pipeline(PipelineStat {
-            label: "scan t -> filter".into(),
-            morsels: 9,
-            min_per_worker: 1,
-            max_per_worker: 5,
-            workers: 3,
-            elapsed: Duration::from_micros(80),
-            queue_wait: Duration::from_micros(45),
-            queue_wait_max: Duration::from_micros(20),
-        });
-        let text = stats.render();
-        assert!(text.contains("Filter x (rows=3"));
-        assert!(
-            text.contains("time=120us, graph build: V=4, E=3, dict=int, 0.01 ms, settled=7 (alt))")
-        );
-        assert!(text.contains("  Scan t (rows=10"));
-        assert!(text.contains("Pipeline 0: scan t -> filter (morsels=9"), "{text}");
-        assert!(text.contains("per-worker min=1 max=5 of 3 worker(s)"), "{text}");
-        assert!(text.contains("queue-wait avg=5us max=20us"), "{text}");
     }
 }

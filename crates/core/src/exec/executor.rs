@@ -11,8 +11,9 @@
 //!
 //! The executor is driven by an [`ExecContext`]: catalog, `?` parameters,
 //! graph indexes, session settings (row-limit guard, graph-index flag,
-//! degree of parallelism) and — for `EXPLAIN ANALYZE` — a thread-safe
-//! per-operator statistics collector.
+//! degree of parallelism) and the statement's trace collector, which at
+//! verbose level records one span per operator — the record `EXPLAIN
+//! ANALYZE` is rendered from.
 //!
 //! The plan walk itself is single-threaded; **inside** pipelines and the
 //! data-parallel breakers (sort, distinct, graph traversals) work fans out
@@ -25,29 +26,24 @@ use crate::exec::expression::{eval, eval_const, eval_to_column};
 use crate::exec::pipeline::{self, Extra};
 use crate::exec::{graph_op, unnest};
 use crate::plan::{BoundExpr, LogicalPlan, SortKey};
-use gsql_obs::TraceValue;
 use gsql_parallel::Pool;
 use gsql_storage::{Column, Table, Value};
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
 
 /// Executes logical plans against an [`ExecContext`].
 pub struct Executor<'a> {
     ctx: &'a ExecContext<'a>,
-    /// Current plan depth, tracked for statistics indentation.
-    depth: Cell<usize>,
 }
 
 impl<'a> Executor<'a> {
     /// Create an executor over a context.
     pub fn new(ctx: &'a ExecContext<'a>) -> Executor<'a> {
-        Executor { ctx, depth: Cell::new(0) }
+        Executor { ctx }
     }
 
     /// The execution context.
@@ -57,10 +53,10 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan to a materialized table.
     ///
-    /// When the context collects statistics, every call records the
-    /// operator's label, depth, output rows and inclusive wall time; when a
-    /// session row limit is set, any operator output exceeding it aborts
-    /// the query.
+    /// Under a verbose trace every call records one span named by the
+    /// operator's label, nested under its parent operator's span, with its
+    /// output `rows`; when a session row limit is set, any operator output
+    /// exceeding it aborts the query.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {
         self.execute_with_extras(plan, &[]).map(|(table, _)| table)
     }
@@ -87,58 +83,14 @@ impl<'a> Executor<'a> {
         } else {
             None
         };
-        let result = match self.ctx.stats_cell() {
-            None => self.execute_inner(plan, extras),
-            Some(cell) => {
-                let depth = self.depth.get();
-                let idx = cell.lock().expect("stats lock").begin(plan.node_label(), depth);
-                self.depth.set(depth + 1);
-                // Detail the operator body records (a graph build, ALT
-                // settled-vertex counts) belongs to this operator's slot.
-                let outer = self.ctx.swap_current_op(idx);
-                let t0 = Instant::now();
-                let result = self.execute_inner(plan, extras);
-                self.ctx.swap_current_op(outer);
-                self.depth.set(depth);
-                if let Ok((t, _)) = &result {
-                    cell.lock().expect("stats lock").finish(idx, t.row_count(), t0.elapsed());
-                }
-                result
-            }
-        };
+        let result = self.execute_inner(plan, extras);
         if let Some((id, prev)) = op_span {
             self.ctx.swap_trace_parent(prev);
-            if let Some(t) = self.ctx.trace() {
-                match &result {
-                    Ok((table, _)) => t.end_with(
-                        id,
-                        vec![("rows".to_string(), TraceValue::from(table.row_count() as i64))],
-                    ),
-                    Err(_) => t.end(id),
-                }
-            }
+            self.ctx.end_op_span(id, result.as_ref().ok().map(|(table, _)| table.row_count()));
         }
         let (out, cols) = result?;
         self.ctx.check_row_limit(out.row_count(), || plan.node_label())?;
         Ok((out, cols))
-    }
-
-    /// The stats depth assigned to children of the operator currently being
-    /// executed (the pipeline module synthesizes fused-operator slots at
-    /// explicit depths).
-    pub(crate) fn depth_for_stats(&self) -> usize {
-        self.depth.get()
-    }
-
-    /// Execute a sub-plan with its root recorded at an explicit stats
-    /// depth. Used by the pipeline engine, whose fused chains flatten the
-    /// recursion the depth counter normally tracks.
-    pub(crate) fn execute_at_depth(&self, plan: &LogicalPlan, depth: usize) -> Result<Arc<Table>> {
-        let prev = self.depth.get();
-        self.depth.set(depth);
-        let result = self.execute(plan);
-        self.depth.set(prev);
-        result
     }
 
     fn execute_inner(

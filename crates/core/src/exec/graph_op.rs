@@ -196,8 +196,8 @@ impl BuildSource {
 }
 
 /// [`build_graph`], made visible: a `graph_build` span under the current
-/// trace parent, the build counter and duration histogram, and the
-/// `graph build: …` detail `EXPLAIN ANALYZE` prints on the graph operator.
+/// trace parent (which `EXPLAIN ANALYZE` prints as the graph operator's
+/// `graph build: …` note) plus the build counter and duration histogram.
 /// Every build the engine runs goes through here.
 pub(crate) fn build_graph_observed(
     ctx: &ExecContext<'_>,
@@ -209,22 +209,16 @@ pub(crate) fn build_graph_observed(
     let span = ctx.trace_begin("graph_build");
     let t0 = Instant::now();
     let result = build_graph(edges, src_key, dst_key);
-    let elapsed = t0.elapsed();
     if let Some(m) = ctx.metrics() {
-        m.record_graph_build(source.as_str(), elapsed.as_micros() as u64);
-    }
-    let mut attrs = vec![("source".to_string(), TraceValue::from(source.as_str()))];
-    if let Ok(graph) = &result {
-        let (v, e, dict) = (graph.num_vertices(), graph.num_edges(), graph.dict.kind());
-        attrs.push(("edges".to_string(), TraceValue::from(e as i64)));
-        attrs.push(("vertices".to_string(), TraceValue::from(v as i64)));
-        attrs.push(("dict".to_string(), TraceValue::from(dict)));
-        ctx.record_op_detail(|| {
-            let ms = elapsed.as_secs_f64() * 1e3;
-            format!("graph build: V={v}, E={e}, dict={dict}, {ms:.2} ms")
-        });
+        m.record_graph_build(source.as_str(), t0.elapsed().as_micros() as u64);
     }
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        let mut attrs = vec![("source".to_string(), TraceValue::from(source.as_str()))];
+        if let Ok(graph) = &result {
+            attrs.push(("edges".to_string(), TraceValue::from(graph.num_edges())));
+            attrs.push(("vertices".to_string(), TraceValue::from(graph.num_vertices() as usize)));
+            attrs.push(("dict".to_string(), TraceValue::from(graph.dict.kind())));
+        }
         t.end_with(id, attrs);
     }
     result
@@ -254,7 +248,8 @@ fn hop_scale(spec: &CheapestSpec, params: &[Value]) -> Result<Option<Value>> {
 }
 
 /// The per-edge weights of `spec` over the graph's edge snapshot, in CSR
-/// slot order, recorded as a `weights` span and an `EXPLAIN ANALYZE` note.
+/// slot order, recorded as a `weights` span (the `weights: …` note of
+/// `EXPLAIN ANALYZE`).
 fn prepare_weights(
     spec: &CheapestSpec,
     graph: &MaterializedGraph,
@@ -263,7 +258,6 @@ fn prepare_weights(
     from_index: bool,
 ) -> Result<Arc<PreparedWeights>> {
     let span = ctx.trace_begin("weights");
-    let t0 = Instant::now();
     let result = slot_weights(spec, graph, computer, ctx, from_index);
     let cached = matches!(result, Ok((_, true)));
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
@@ -275,16 +269,7 @@ fn prepare_weights(
             ],
         );
     }
-    let (weights, _) = result?;
-    ctx.record_op_detail(|| {
-        if cached {
-            format!("weights: E={}, cached", graph.num_edges())
-        } else {
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            format!("weights: E={}, evaluated in {ms:.2} ms", graph.num_edges())
-        }
-    });
-    Ok(weights)
+    result.map(|(weights, _)| weights)
 }
 
 /// The per-edge weights of `spec` in `graph`'s slot order, and whether they
@@ -430,8 +415,9 @@ enum Tier<'l> {
 /// The traversal dispatcher: the tier that answers `pairs` pairs for
 /// `specs` over a graph that came from an index (`from_index`), with an
 /// acceleration `layer` attached or not — plus the kind (one of
-/// [`gsql_obs::ACCEL_KINDS`]) and the reason the `traversal` span and the
-/// operator's `EXPLAIN ANALYZE` line report. The first matching rule wins:
+/// [`gsql_obs::ACCEL_KINDS`]) and the reason the `traversal` span (and so
+/// the operator's `EXPLAIN ANALYZE` line) reports. The first matching rule
+/// wins:
 ///
 /// | shape | tier | kind | reason |
 /// | --- | --- | --- | --- |
@@ -501,7 +487,6 @@ fn run_specs(
             ],
         );
     }
-    ctx.record_op_detail(|| format!("traversal: {kind} ({reason})"));
     result
 }
 
@@ -526,7 +511,8 @@ fn traverse(
                     .search(pairs, ctx.threads(), ctx.deadline_instant())
                     .ok_or_else(|| ctx.timeout_error())?;
                 observer.record(layer.kind(pairs.len()), run.settled);
-                ctx.record_op_detail(|| layer.detail(&run, pairs.len()));
+                let (key, value) = layer.shape(&run, pairs.len());
+                ctx.trace_attr(key, TraceValue::from(value));
                 let cost = |d: Option<u64>| d.map(|c| CostValue::Int(c as i64));
                 Ok(run
                     .dist

@@ -3,6 +3,7 @@
 
 pub mod aggregate;
 pub mod executor;
+pub(crate) mod explain;
 pub mod expression;
 pub mod graph_op;
 pub mod join;

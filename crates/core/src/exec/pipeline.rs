@@ -26,13 +26,13 @@
 //! in that walk too, so its message is thread-count independent. Only a
 //! statement timeout pre-empts the walk.
 
-use crate::context::{ExecContext, PipelineStat};
+use crate::context::ExecContext;
 use crate::error::Error;
 use crate::exec::expression::{eval, eval_filter_range, eval_to_column};
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
-use gsql_obs::TraceValue;
+use gsql_obs::{SpanId, TraceValue};
 use gsql_parallel::{MorselQueue, Pool};
 use gsql_storage::{Column, DataType, Table, Value};
 use std::ops::Range;
@@ -349,81 +349,107 @@ pub(crate) fn execute(
 ) -> Result<(Arc<Table>, Option<Vec<Column>>)> {
     let ctx = ex.ctx();
     let dec = decompose(plan);
-    let t0 = Instant::now();
-
-    // Reserve stats slots for the fused chain top-down, so the rendered
-    // tree is in plan pre-order. The root's own slot was already begun by
-    // the executor, whose depth points one below the root here.
-    let base_depth = ex.depth_for_stats();
-    let table_sink = usize::from(matches!(dec.sink, SinkSpec::Table));
-    let chain_slots: Vec<Option<usize>> = dec
-        .chain
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            if std::ptr::eq(*node, plan) {
-                return None; // the root itself for Table sinks (already recorded)
-            }
-            // Chain position i sits i nodes below the root.
-            let depth = base_depth + i - table_sink;
-            ctx.stats_cell()
-                .map(|cell| cell.lock().expect("stats lock").begin(node.node_label(), depth))
-        })
-        .collect();
-
-    // Execute the source (breaker boundary) with the right stats depth.
-    let source_depth =
-        base_depth + dec.chain.len() - usize::from(table_sink == 1 && !dec.chain.is_empty());
-    let source = ex.execute_at_depth(dec.source, source_depth)?;
-    let pool = Pool::new(ctx.threads());
-    let ops = build_fused_ops(ex, &dec, &pool, base_depth)?;
-
-    let span = ctx.trace_begin("pipeline");
-    let result = run_pipeline(ctx, &dec, plan, &source, &ops, &pool, extras);
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        match &result {
-            Ok(Finished { schedule, .. }) => t.end_with(
-                id,
-                vec![
-                    ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
-                    ("morsels".to_string(), TraceValue::from(schedule.morsels())),
-                    ("workers".to_string(), TraceValue::from(schedule.per_worker.len())),
-                    ("min_per_worker".to_string(), TraceValue::from(schedule.min_per_worker())),
-                    ("max_per_worker".to_string(), TraceValue::from(schedule.max_per_worker())),
-                    (
-                        "queue_wait_us".to_string(),
-                        TraceValue::Int(schedule.queue_wait.as_micros() as i64),
-                    ),
-                ],
-            ),
-            Err(_) => t.end(id),
-        }
-    }
-    let Finished { table, extras, op_rows, schedule } = result?;
-
+    let spans = ChainSpans::open(ctx, &dec, plan);
+    let result = execute_decomposed(ex, &dec, plan, extras, &spans);
+    spans.close(ctx, result.as_ref().ok().map(|f| f.op_rows.as_slice()));
+    let Finished { table, extras, schedule, .. } = result?;
     if let Some(reg) = ctx.metrics() {
         reg.record_pipeline(schedule.morsels() as u64);
     }
-    if let Some(cell) = ctx.stats_cell() {
-        let elapsed = t0.elapsed();
-        let mut stats = cell.lock().expect("stats lock");
-        for (slot, rows) in chain_slots.iter().zip(&op_rows) {
-            if let Some(slot) = slot {
-                stats.finish(*slot, *rows, elapsed);
+    Ok((table, extras))
+}
+
+/// The verbose-trace spans of a fused chain's operators. The root's span is
+/// the executor's; every chain member below it gets one, opened top-down
+/// before anything runs so each nests under the one above it, and the
+/// source and each join's build side run with their owning chain span as
+/// trace parent — so the span tree has the plan's shape. Empty (and free)
+/// unless the statement traces verbosely.
+struct ChainSpans {
+    /// The trace parent on entry: the root operator's span.
+    root: SpanId,
+    /// Chain position `i`'s own span; `None` for a table sink's root.
+    own: Vec<Option<SpanId>>,
+}
+
+impl ChainSpans {
+    fn open(ctx: &ExecContext<'_>, dec: &Decomposed<'_>, plan: &LogicalPlan) -> ChainSpans {
+        let root = ctx.trace_parent();
+        let mut own = Vec::new();
+        if let Some(t) = ctx.trace().filter(|_| ctx.trace_verbose()) {
+            let mut parent = root;
+            for node in &dec.chain {
+                let id = (!std::ptr::eq(*node, plan)).then(|| t.begin(parent, &node.node_label()));
+                parent = id.unwrap_or(parent);
+                own.push(id);
             }
         }
-        stats.record_pipeline(PipelineStat {
-            label: pipeline_label(&dec),
-            morsels: schedule.morsels(),
-            min_per_worker: schedule.min_per_worker(),
-            max_per_worker: schedule.max_per_worker(),
-            workers: schedule.per_worker.len(),
-            elapsed,
-            queue_wait: schedule.queue_wait,
-            queue_wait_max: schedule.queue_wait_max,
-        });
+        ChainSpans { root, own }
     }
-    Ok((table, extras))
+
+    /// Run `f` with chain position `pos`'s span as trace parent (`None`:
+    /// the innermost, which owns the source).
+    fn under<T>(&self, ctx: &ExecContext<'_>, pos: Option<usize>, f: impl FnOnce() -> T) -> T {
+        if self.own.is_empty() {
+            return f();
+        }
+        let own = match pos {
+            Some(i) => self.own[i],
+            None => self.own.last().copied().flatten(),
+        };
+        let outer = ctx.swap_trace_parent(own.unwrap_or(self.root));
+        let result = f();
+        ctx.swap_trace_parent(outer);
+        result
+    }
+
+    /// Close the spans innermost first, with each op's rows on success.
+    fn close(&self, ctx: &ExecContext<'_>, op_rows: Option<&[usize]>) {
+        for (i, id) in self.own.iter().enumerate().rev() {
+            if let Some(id) = id {
+                ctx.end_op_span(*id, op_rows.map(|rows| rows[i]));
+            }
+        }
+    }
+}
+
+/// [`execute`] body: the source and build sides (breakers), then the
+/// morsel loop, in a `pipeline` span that times the loop alone.
+fn execute_decomposed(
+    ex: &Executor<'_>,
+    dec: &Decomposed<'_>,
+    plan: &LogicalPlan,
+    extras: &[Extra<'_>],
+    spans: &ChainSpans,
+) -> Result<Finished> {
+    let ctx = ex.ctx();
+    let source = spans.under(ctx, None, || ex.execute(dec.source))?;
+    let pool = Pool::new(ctx.threads());
+    let ops = build_fused_ops(ex, dec, &pool, spans)?;
+
+    let span = ctx.trace_begin("pipeline");
+    let result = run_pipeline(ctx, dec, plan, &source, &ops, &pool, extras);
+    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        match &result {
+            Ok(Finished { schedule, .. }) => {
+                let us = |d: Duration| TraceValue::Int(d.as_micros() as i64);
+                t.end_with(
+                    id,
+                    vec![
+                        ("label".to_string(), TraceValue::from(pipeline_label(dec))),
+                        ("morsels".to_string(), TraceValue::from(schedule.morsels())),
+                        ("workers".to_string(), TraceValue::from(schedule.per_worker.len())),
+                        ("min_per_worker".to_string(), TraceValue::from(schedule.min_per_worker())),
+                        ("max_per_worker".to_string(), TraceValue::from(schedule.max_per_worker())),
+                        ("queue_wait_us".to_string(), us(schedule.queue_wait)),
+                        ("queue_wait_max_us".to_string(), us(schedule.queue_wait_max)),
+                    ],
+                )
+            }
+            Err(_) => t.end(id),
+        }
+    }
+    result
 }
 
 /// The morsel loop over `source` and the morsel-ordered walk into the sink.
@@ -549,13 +575,13 @@ fn run_pipeline(
 }
 
 /// Instantiate the fused operators for a decomposed chain, executing each
-/// join's build (right) side as a breaker. Build sides run deepest-join
-/// first so the stats tree keeps execution pre-order.
+/// join's build (right) side as a breaker under its join's span. Build
+/// sides run deepest-join first, after the source.
 fn build_fused_ops<'p>(
     ex: &Executor<'_>,
     dec: &Decomposed<'p>,
     pool: &Pool,
-    base_depth: usize,
+    spans: &ChainSpans,
 ) -> Result<Vec<FusedOp<'p>>> {
     let mut ops: Vec<FusedOp<'p>> = Vec::with_capacity(dec.chain.len());
     for (i, &node) in dec.chain.iter().enumerate().rev() {
@@ -563,8 +589,7 @@ fn build_fused_ops<'p>(
             LogicalPlan::Filter { predicate, .. } => OpKind::Filter(predicate),
             LogicalPlan::Project { exprs, schema, .. } => OpKind::Project { exprs, schema },
             LogicalPlan::Join { left, right, kind, on, schema } => {
-                let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
-                let built = ex.execute_at_depth(right, depth)?;
+                let built = spans.under(ex.ctx(), Some(i), || ex.execute(right))?;
                 let probe = JoinProbe::build(
                     built,
                     *kind,

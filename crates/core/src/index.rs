@@ -714,18 +714,14 @@ impl AccelLayer {
         }
     }
 
-    /// The `EXPLAIN ANALYZE` detail of `run` over `pairs` pairs:
-    /// `settled=N (alt, landmarks=k)`, `settled=N (ch, shortcuts=S)`,
-    /// `settled=N (alt-multi, landmarks=k)` or `settled=N (ch-m2m,
-    /// buckets=B)`.
-    pub(crate) fn detail(&self, run: &AccelRun, pairs: usize) -> String {
-        let (kind, settled) = (self.kind(pairs), run.settled);
+    /// The size of the structure that answered `run` over `pairs` pairs,
+    /// as a `traversal` span attribute: `landmarks` for ALT, `shortcuts`
+    /// for a CH point search, `buckets` (entries) for CH many-to-many.
+    pub(crate) fn shape(&self, run: &AccelRun, pairs: usize) -> (&'static str, usize) {
         match &self.accel {
-            AccelIndex::Alt(lm) => format!("settled={settled} ({kind}, landmarks={})", lm.len()),
-            AccelIndex::Ch(ch) if pairs == 1 => {
-                format!("settled={settled} ({kind}, shortcuts={})", ch.shortcuts())
-            }
-            AccelIndex::Ch(_) => format!("settled={settled} ({kind}, buckets={})", run.buckets),
+            AccelIndex::Alt(lm) => ("landmarks", lm.len()),
+            AccelIndex::Ch(ch) if pairs == 1 => ("shortcuts", ch.shortcuts()),
+            AccelIndex::Ch(_) => ("buckets", run.buckets),
         }
     }
 }

@@ -24,8 +24,8 @@
 //! A [`Database`] is the shared, thread-safe store (catalog + index
 //! registry). Work happens through a [`Session`], which owns connection
 //! state: `SET`/`SHOW` settings, a plan cache keyed by SQL text and
-//! invalidated by [`Database::schema_version`], and `EXPLAIN ANALYZE`
-//! statistics. [`Session::prepare`] returns a [`PreparedStatement`] whose
+//! invalidated by [`Database::schema_version`], and statement traces (which
+//! `EXPLAIN ANALYZE` renders). [`Session::prepare`] returns a [`PreparedStatement`] whose
 //! repeated executions skip parse/bind/optimize entirely — the shape the
 //! paper's repeated parameterized shortest-path workload wants.
 //!
@@ -68,7 +68,7 @@ pub mod session;
 pub(crate) mod vertex_dict;
 pub(crate) mod weight_cache;
 
-pub use context::{Deadline, ExecContext, ExecStats, OpStats, SessionSettings};
+pub use context::{Deadline, ExecContext, SessionSettings};
 pub use database::{Database, QueryResult};
 pub use error::Error;
 pub use exec::{build_graph, build_graph_with_threads, MaterializedGraph};

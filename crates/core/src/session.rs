@@ -14,9 +14,8 @@
 //!   guards against runaway intermediate results, `plan_cache_size` sizes
 //!   the cache, `threads` sets the degree of parallelism for traversals
 //!   and row-parallel operators (`1` = exact sequential execution);
-//! * `EXPLAIN ANALYZE` executes a query with per-operator statistics
-//!   collection and renders the plan annotated with row counts and wall
-//!   time.
+//! * `EXPLAIN ANALYZE` executes a query under a verbose trace and renders
+//!   the span tree as the plan annotated with row counts and wall time.
 //!
 //! Sessions are cheap; open one per connection/thread. The shared
 //! [`Database`] itself is thread-safe.
@@ -50,8 +49,8 @@ use crate::index::{IndexSpace, PathIndexKind};
 use crate::optimize::optimize_with;
 use crate::plan::LogicalPlan;
 use gsql_obs::{
-    EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceValue,
-    NO_SPAN,
+    EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceLevel,
+    TraceValue, NO_SPAN,
 };
 use gsql_parser::{ast, parse_sql, parse_statement};
 use gsql_storage::{ColumnDef, DataType, Schema, Table, Value};
@@ -585,10 +584,11 @@ impl<'db> Session<'db> {
         }
         let ctx = self.ctx(params, None);
         let span = trace.map(|(t, root)| (t, t.begin(root, "bind")));
-        let plan = Binder::new(&ctx).bind_query(q)?;
+        let plan = Binder::new(&ctx).bind_query(q);
         if let Some((t, id)) = span {
             t.end(id);
         }
+        let plan = plan?;
         let span = trace.map(|(t, root)| (t, t.begin(root, "optimize")));
         let plan = Arc::new(optimize_with(plan, &ctx));
         if let Some((t, id)) = span {
@@ -618,8 +618,11 @@ impl<'db> Session<'db> {
 
     /// Execute one statement under an already-started deadline: the
     /// observability wrapper around the dispatcher. Times the statement,
-    /// opens the statement trace span when tracing is on, records the
-    /// verb/outcome/latency metrics, and arms the slow-query log.
+    /// opens the statement trace span when tracing is on — and, at operator
+    /// grain, for every `EXPLAIN ANALYZE`, which is rendered from it —
+    /// records the verb/outcome/latency metrics, and arms the slow-query
+    /// log. Only a statement traced by the `trace` setting lands in the
+    /// trace ring and the slow-log span summary.
     fn run_statement_at(
         &self,
         sql_key: Option<&str>,
@@ -632,7 +635,11 @@ impl<'db> Session<'db> {
         self.pending_fingerprint.set(None);
         let verb = statement_verb(statement);
         let level = self.settings.borrow().trace;
-        let collector = level.enabled().then(|| Arc::new(TraceCollector::new(level)));
+        let record = match statement {
+            ast::Statement::ExplainAnalyze(_) => TraceLevel::Verbose,
+            _ => level,
+        };
+        let collector = record.enabled().then(|| Arc::new(TraceCollector::new(record)));
         let root = match &collector {
             Some(t) => {
                 let id = t.begin(NO_SPAN, "statement");
@@ -655,6 +662,9 @@ impl<'db> Session<'db> {
         self.db.metrics().record_query(verb, outcome, elapsed.as_micros() as u64);
         if let Some(t) = &collector {
             t.end_with(root, vec![("outcome".to_string(), TraceValue::from(outcome.as_str()))]);
+        }
+        let traced = collector.filter(|_| level.enabled());
+        if let Some(t) = &traced {
             let mut ring = self.traces.borrow_mut();
             if ring.len() >= TRACE_RING {
                 ring.pop_front();
@@ -685,7 +695,7 @@ impl<'db> Session<'db> {
                         .into_iter()
                         .map(|(n, v)| (n.to_string(), v))
                         .collect(),
-                    spans: collector.as_ref().map(|t| t.root_summary()).unwrap_or_default(),
+                    spans: traced.as_ref().map(|t| t.root_summary()).unwrap_or_default(),
                 });
             }
         }
@@ -726,8 +736,26 @@ impl<'db> Session<'db> {
         self.dispatch_inner(sql_key, statement, params, deadline, collector, root)
     }
 
+    /// Execute a query plan in an `execute` span under `root` (carrying the
+    /// result's `rows`) when tracing, returning the span id too.
+    fn execute_plan(
+        &self,
+        plan: &LogicalPlan,
+        params: &[Value],
+        deadline: Option<Deadline>,
+        collector: Option<&Arc<TraceCollector>>,
+        root: SpanId,
+    ) -> (Result<Arc<Table>>, SpanId) {
+        let execute = collector.map_or(NO_SPAN, |t| t.begin(root, "execute"));
+        let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), execute);
+        let table = Executor::new(&ctx).execute(plan);
+        ctx.end_op_span(execute, table.as_ref().ok().map(|table| table.row_count()));
+        (table, execute)
+    }
+
     /// The statement dispatcher proper. `collector`/`root` carry the trace
-    /// context when `SET trace` is on (`root` is the statement span).
+    /// context when `SET trace` is on or the statement is `EXPLAIN ANALYZE`
+    /// (`root` is the statement span).
     fn dispatch_inner(
         &self,
         sql_key: Option<&str>,
@@ -744,15 +772,7 @@ impl<'db> Session<'db> {
                 if self.settings.borrow().slow_query_ms.is_some() {
                     self.pending_fingerprint.set(Some(plan_fingerprint(&plan)));
                 }
-                let exec_span = collector.map(|t| (t, t.begin(root, "execute")));
-                let mut ctx = self.ctx(params, deadline);
-                if let Some((t, id)) = &exec_span {
-                    ctx = ctx.with_trace(Some(Arc::clone(t)), *id);
-                }
-                let table = Executor::new(&ctx).execute(&plan);
-                if let Some((t, id)) = exec_span {
-                    t.end(id);
-                }
+                let (table, _) = self.execute_plan(&plan, params, deadline, collector, root);
                 Ok(QueryResult::Table(table?))
             }
             ast::Statement::Explain(q) => {
@@ -763,16 +783,14 @@ impl<'db> Session<'db> {
                 text_table("plan", text.lines())
             }
             ast::Statement::ExplainAnalyze(q) => {
-                let ctx = self.ctx(params, deadline).with_stats();
+                let ctx = self.ctx(params, deadline);
                 let plan = Binder::new(&ctx).bind_query(q)?;
                 let plan = optimize_with(plan, &ctx);
-                let t0 = std::time::Instant::now();
-                let result = Executor::new(&ctx).execute(&plan)?;
-                let total = t0.elapsed();
-                let stats = ctx.take_stats();
-                let mut lines: Vec<String> = stats.render().lines().map(str::to_string).collect();
-                lines.push(format!("Result: {} row(s) in {:?}", result.row_count(), total));
-                text_table("plan", lines.iter().map(String::as_str))
+                let (table, execute) = self.execute_plan(&plan, params, deadline, collector, root);
+                table?;
+                let t = collector.expect("run_statement_at traces every EXPLAIN ANALYZE");
+                let text = t.read(|forest| crate::exec::explain::explain_analyze(forest, execute));
+                text_table("plan", text.lines())
             }
             ast::Statement::Set { name, value } => {
                 self.set(name, &set_value_text(value))?;

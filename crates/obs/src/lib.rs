@@ -12,7 +12,8 @@
 //!   instruments (queries by verb/outcome, plan cache, pipelines, per-kind
 //!   traversals with settled-vertex histograms).
 //! * [`trace`] — per-query hierarchical spans ([`TraceCollector`]) recorded
-//!   when `SET trace = on|verbose`, rendered as a nested JSON tree.
+//!   when `SET trace = on|verbose` and for `EXPLAIN ANALYZE`, read as a
+//!   [`SpanForest`] and rendered as a nested JSON tree.
 //! * [`slowlog`] — a bounded in-memory ring ([`SlowLog`]) of structured
 //!   JSON records for queries that exceeded `SET slow_query_ms`.
 //!
@@ -30,7 +31,7 @@ pub use metrics::{
     HistogramSnapshot, QueryOutcome, QueryVerb, Registry, ACCEL_KINDS,
 };
 pub use slowlog::{SlowLog, SlowQueryRecord};
-pub use trace::{SpanId, TraceCollector, TraceLevel, TraceValue, MAX_SPANS, NO_SPAN};
+pub use trace::{SpanForest, SpanId, TraceCollector, TraceLevel, TraceValue, MAX_SPANS, NO_SPAN};
 
 /// Escape `s` for inclusion inside a double-quoted JSON string.
 pub fn json_escape(s: &str) -> String {

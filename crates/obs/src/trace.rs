@@ -1,10 +1,12 @@
 //! Per-query hierarchical tracing.
 //!
 //! A [`TraceCollector`] is created per statement when `SET trace =
-//! on|verbose`; engine layers open spans around parse/bind/optimize/
-//! execute, each pipeline, and each traversal batch. Spans form a tree via
-//! parent ids and render as nested JSON, returned through the session API
-//! and inline in HTTP responses.
+//! on|verbose` (and, verbose, for every `EXPLAIN ANALYZE`); engine layers
+//! open spans around parse/bind/optimize/execute, each pipeline, and each
+//! traversal batch. Spans form a tree via parent ids and are read through
+//! one accessor, [`TraceCollector::read`]: rendered as nested JSON
+//! (returned through the session API and inline in HTTP responses), as the
+//! slow-log summary, and as `EXPLAIN ANALYZE` text.
 //!
 //! Tracing never alters execution: collectors only append to a
 //! mutex-guarded buffer, and the buffer is bounded ([`MAX_SPANS`]) so a
@@ -24,7 +26,7 @@ pub const NO_SPAN: u32 = u32::MAX;
 /// Span identifier within one collector.
 pub type SpanId = u32;
 
-/// Trace verbosity, settable via `SET trace` or the `GSQL_TRACE` env var.
+/// Trace verbosity, settable via `SET trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// No collection (the default).
@@ -101,7 +103,8 @@ struct Span {
     parent: u32,
     name: String,
     start_us: u64,
-    dur_us: u64,
+    /// `None` while the span is open.
+    dur_us: Option<u64>,
     attrs: Vec<(String, TraceValue)>,
 }
 
@@ -140,7 +143,13 @@ impl TraceCollector {
             return NO_SPAN;
         }
         let id = spans.len() as u32;
-        spans.push(Span { parent, name: name.to_string(), start_us, dur_us: 0, attrs: Vec::new() });
+        spans.push(Span {
+            parent,
+            name: name.to_string(),
+            start_us,
+            dur_us: None,
+            attrs: Vec::new(),
+        });
         id
     }
 
@@ -157,7 +166,7 @@ impl TraceCollector {
         let now_us = self.origin.elapsed().as_micros() as u64;
         let mut spans = self.spans.lock().expect("trace poisoned");
         if let Some(span) = spans.get_mut(id as usize) {
-            span.dur_us = now_us.saturating_sub(span.start_us);
+            span.dur_us = Some(now_us.saturating_sub(span.start_us));
             span.attrs.extend(attrs);
         }
     }
@@ -178,45 +187,92 @@ impl TraceCollector {
         self.spans.lock().expect("trace poisoned").len()
     }
 
+    /// Read the recorded spans as a forest (under the buffer lock). Every
+    /// rendering of a trace — the JSON document, the slow-log summary,
+    /// `EXPLAIN ANALYZE` — goes through here.
+    pub fn read<R>(&self, f: impl FnOnce(&SpanForest<'_>) -> R) -> R {
+        let spans = self.spans.lock().expect("trace poisoned");
+        let mut children: Vec<Vec<SpanId>> = vec![Vec::new(); spans.len()];
+        let mut roots: Vec<SpanId> = Vec::new();
+        for (i, span) in spans.iter().enumerate() {
+            if span.parent == NO_SPAN || span.parent as usize >= spans.len() {
+                roots.push(i as SpanId);
+            } else {
+                children[span.parent as usize].push(i as SpanId);
+            }
+        }
+        f(&SpanForest { spans: &spans, children, roots })
+    }
+
     /// `(name, dur_us)` of every root span, in start order — the summary
     /// embedded in slow-query-log records.
     pub fn root_summary(&self) -> Vec<(String, u64)> {
-        let spans = self.spans.lock().expect("trace poisoned");
-        spans.iter().filter(|s| s.parent == NO_SPAN).map(|s| (s.name.clone(), s.dur_us)).collect()
+        self.read(|forest| {
+            let summary = |&id: &SpanId| (forest.name(id).to_string(), forest.dur_us(id));
+            forest.roots().iter().map(summary).collect()
+        })
     }
 
     /// Render the span forest as a JSON array of nested span objects:
     /// `[{"name":…,"start_us":…,"dur_us":…,"attrs":{…},"children":[…]}]`.
+    /// A span still open renders `"dur_us":null`.
     pub fn to_json(&self) -> String {
-        let spans = self.spans.lock().expect("trace poisoned");
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        let mut roots: Vec<usize> = Vec::new();
-        for (i, span) in spans.iter().enumerate() {
-            if span.parent == NO_SPAN || span.parent as usize >= spans.len() {
-                roots.push(i);
-            } else {
-                children[span.parent as usize].push(i);
+        self.read(|forest| {
+            let mut out = String::from("[");
+            for (i, &root) in forest.roots().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_span(forest, root, &mut out);
             }
-        }
-        let mut out = String::from("[");
-        for (i, &root) in roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_span(&spans, &children, root, &mut out);
-        }
-        out.push(']');
-        out
+            out.push(']');
+            out
+        })
     }
 }
 
-fn render_span(spans: &[Span], children: &[Vec<usize>], i: usize, out: &mut String) {
-    let span = &spans[i];
+/// A read-only view of one collector's spans: ids are start order, and
+/// every child list is in start order too.
+pub struct SpanForest<'a> {
+    spans: &'a [Span],
+    children: Vec<Vec<SpanId>>,
+    roots: Vec<SpanId>,
+}
+
+impl<'a> SpanForest<'a> {
+    /// Spans without a (recorded) parent.
+    pub fn roots(&self) -> &[SpanId] {
+        &self.roots
+    }
+
+    /// The children of `id`.
+    pub fn children(&self, id: SpanId) -> &[SpanId] {
+        &self.children[id as usize]
+    }
+
+    /// The span's name.
+    pub fn name(&self, id: SpanId) -> &'a str {
+        &self.spans[id as usize].name
+    }
+
+    /// The span's duration in microseconds (0 while it is open).
+    pub fn dur_us(&self, id: SpanId) -> u64 {
+        self.spans[id as usize].dur_us.unwrap_or(0)
+    }
+
+    /// The span's attribute `key`, if recorded.
+    pub fn attr(&self, id: SpanId, key: &str) -> Option<&'a TraceValue> {
+        self.spans[id as usize].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+fn render_span(forest: &SpanForest<'_>, id: SpanId, out: &mut String) {
+    let span = &forest.spans[id as usize];
+    let dur = span.dur_us.map_or_else(|| "null".to_string(), |d| d.to_string());
     out.push_str(&format!(
-        "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
+        "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{dur}",
         crate::json_escape(&span.name),
         span.start_us,
-        span.dur_us
     ));
     if !span.attrs.is_empty() {
         out.push_str(",\"attrs\":{");
@@ -232,13 +288,14 @@ fn render_span(spans: &[Span], children: &[Vec<usize>], i: usize, out: &mut Stri
         }
         out.push('}');
     }
-    if !children[i].is_empty() {
+    let children = forest.children(id);
+    if !children.is_empty() {
         out.push_str(",\"children\":[");
-        for (j, &c) in children[i].iter().enumerate() {
+        for (j, &c) in children.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            render_span(spans, children, c, out);
+            render_span(forest, c, out);
         }
         out.push(']');
     }
@@ -281,6 +338,22 @@ mod tests {
         assert!(json.contains("\"attrs\":{\"kind\":\"ch\"}"));
         assert_eq!(t.root_summary().len(), 1);
         assert_eq!(t.root_summary()[0].0, "execute");
+        t.read(|forest| {
+            assert_eq!(forest.roots(), &[root]);
+            assert_eq!(forest.children(root), &[child, sibling]);
+            assert_eq!(forest.name(sibling), "traversal");
+            assert!(matches!(forest.attr(child, "morsels"), Some(TraceValue::Int(4))));
+            assert!(forest.attr(child, "kind").is_none());
+        });
+    }
+
+    #[test]
+    fn open_spans_render_a_null_duration() {
+        let t = TraceCollector::new(TraceLevel::On);
+        let root = t.begin(NO_SPAN, "statement");
+        assert!(t.to_json().contains("\"dur_us\":null"), "{}", t.to_json());
+        t.end(root);
+        assert!(!t.to_json().contains("null"), "{}", t.to_json());
     }
 
     #[test]

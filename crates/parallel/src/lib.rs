@@ -1,9 +1,10 @@
 //! # gsql-parallel
 //!
 //! The engine's data-parallel runtime: a small **scoped worker pool** over
-//! `std::thread::scope`, with `parallel_for` / `parallel_map` primitives
-//! over index ranges. No external dependencies (the build environment is
-//! offline, like the `rand-shim` crate).
+//! `std::thread::scope`, the morsel queue pipelines pull from, and the
+//! process-wide `threads` / `morsel_rows` defaults. No external
+//! dependencies (the build environment is offline, like the `rand-shim`
+//! crate).
 //!
 //! Design constraints, driven by the engine:
 //!
@@ -16,15 +17,17 @@
 //! * **Scoped borrows** — workers borrow the caller's data (`&Csr`,
 //!   `&Table`, …) directly; nothing is `'static` or reference-counted.
 //!
-//! Two scheduling shapes are provided:
+//! Three scheduling shapes are provided:
 //!
-//! * [`Pool::for_each_chunk`] / [`Pool::map_chunks`] — *static* contiguous
-//!   chunking, for uniform per-item work (filters, column scans, counting
-//!   sorts). Chunk results concatenate in chunk order.
+//! * [`Pool::map_chunks`] — *static* contiguous chunking, for uniform
+//!   per-item work (sort runs, row hashing, join builds, weight
+//!   permutation). Chunk results concatenate in chunk order.
 //! * [`Pool::map`] / [`Pool::map_with`] — *dynamic* index stealing over an
 //!   atomic cursor, for irregular per-item work (one graph traversal per
 //!   distinct source). `map_with` gives every worker a private scratch
 //!   state (e.g. a distance/visited arena) created once per worker.
+//! * [`Pool::broadcast`] — one call per worker, the pipeline driver's
+//!   shape over a shared [`MorselQueue`].
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -46,7 +49,7 @@ pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 pub const MAX_THREADS: usize = 1024;
 
 /// Number of hardware threads available to this process (at least 1).
-pub fn available_threads() -> usize {
+fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -230,13 +233,6 @@ impl Pool {
         out
     }
 
-    /// Run `f` over each chunk of `0..len`, in parallel.
-    pub fn for_each_chunk(&self, len: usize, f: impl Fn(Range<usize>) + Sync) {
-        self.map_chunks(len, |r| {
-            f(r);
-        });
-    }
-
     /// Map each chunk of `0..len` through `f`; results are returned in
     /// chunk (= index) order, so concatenating them reproduces the
     /// sequential output exactly.
@@ -336,17 +332,6 @@ impl Pool {
             out
         })
     }
-}
-
-/// Run `f` over each chunk of `0..len` on a fresh [`Pool`] of `threads`.
-pub fn parallel_for(threads: usize, len: usize, f: impl Fn(Range<usize>) + Sync) {
-    Pool::new(threads).for_each_chunk(len, f);
-}
-
-/// Map `0..len` through `f` on a fresh [`Pool`] of `threads`, dynamic
-/// scheduling, results in index order.
-pub fn parallel_map<T: Send>(threads: usize, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    Pool::new(threads).map(len, f)
 }
 
 /// A shareable view over a mutable slice for **disjoint** parallel scatter
@@ -483,7 +468,7 @@ mod tests {
     fn shared_slice_disjoint_scatter() {
         let mut data = vec![0u32; 5000];
         let shared = SharedSlice::new(&mut data);
-        Pool::new(4).for_each_chunk(5000, |r| {
+        Pool::new(4).map_chunks(5000, |r| {
             for i in r {
                 // Reversal permutation: disjoint target slots.
                 unsafe { shared.write(4999 - i, i as u32) };
@@ -492,16 +477,6 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v as usize, 4999 - i);
         }
-    }
-
-    #[test]
-    fn parallel_for_and_map_free_functions() {
-        let counter = AtomicU64::new(0);
-        parallel_for(4, 2048, |r| {
-            counter.fetch_add(r.len() as u64, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 2048);
-        assert_eq!(parallel_map(3, 5, |i| i * i), vec![0, 1, 4, 9, 16]);
     }
 
     #[test]

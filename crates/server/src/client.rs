@@ -1,6 +1,6 @@
 //! A tiny blocking HTTP client — just enough for the integration tests and
-//! the `serve_load` benchmark to talk to [`crate::serve`] without an
-//! external dependency.
+//! the `serve_mixed` benchmark workload to talk to [`crate::serve`] without
+//! an external dependency.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -32,12 +32,10 @@
 //!   `"trace": true` to get the statement's span tree inline under
 //!   `"trace"` (see `SET trace` in gsql-core).
 //! * `GET /health` — liveness probe.
-//! * `GET /stats` — plan-cache hit rates, in-flight gauge, per-endpoint
-//!   latency counters, and the worker sessions' execution granularity
-//!   (`morsel_rows`, `threads`). A thin JSON view over the
-//!   same [`gsql_obs::Registry`] instruments `/metrics` exposes.
 //! * `GET /metrics` — every engine and server instrument in Prometheus
-//!   text exposition format.
+//!   text exposition format (plan cache, admission, in-flight gauge,
+//!   per-endpoint latency, …). The worker sessions' settings are read with
+//!   `SHOW` over `/query`.
 //! * `GET /slowlog` — the bounded ring of slow-query records (`SET
 //!   slow_query_ms`), newest last.
 //!
@@ -389,22 +387,20 @@ fn handle_connection(
                 (status, body, &stats.query, JSON)
             }
             ("GET", "/health") => (200, r#"{"status":"ok"}"#.to_string(), &stats.health, JSON),
-            ("GET", "/stats") => (200, stats_body(db, session, stats), &stats.stats_endpoint, JSON),
             ("GET", "/metrics") => {
                 (200, db.metrics().registry().render(), &stats.metrics_endpoint, PROM)
             }
             ("GET", "/slowlog") => {
                 (200, db.slow_log().render_json(), &stats.slowlog_endpoint, JSON)
             }
-            (_, "/query" | "/health" | "/stats" | "/metrics" | "/slowlog") => {
+            (_, "/query" | "/health" | "/metrics" | "/slowlog") => {
                 (405, error_body("method not allowed on this endpoint"), &stats.other, JSON)
             }
             _ => (404, error_body("no such endpoint"), &stats.other, JSON),
         },
     };
     // Record before writing, so a client that saw the response (and may
-    // immediately GET /stats or /metrics from another worker) finds it
-    // counted.
+    // immediately GET /metrics from another worker) finds it counted.
     settle(endpoint);
     let _ = http::write_response_typed(&mut conn, status, &body, content_type, &[]);
 }
@@ -578,66 +574,6 @@ fn value_to_json(v: &Value) -> Json {
         // Dates and nested-table paths serialize as their SQL text.
         other => Json::from(other.to_string()),
     }
-}
-
-/// The `/stats` JSON body — a thin view over the same registry
-/// instruments `/metrics` renders, so the two surfaces can never drift
-/// apart (the old implementation kept a second set of atomics here).
-fn stats_body(db: &Database, session: &Session<'_>, stats: &ServerStats) -> String {
-    let cache = db.shared_plan_cache().stats();
-    let metrics = db.metrics();
-    let endpoint = |e: &stats::EndpointStats| {
-        let snap = e.snapshot();
-        Json::Object(vec![
-            ("requests".to_string(), Json::from(snap.count)),
-            ("avg_micros".to_string(), Json::from(snap.sum.checked_div(snap.count).unwrap_or(0))),
-            ("max_micros".to_string(), Json::from(snap.max)),
-        ])
-    };
-    // Read responded before admitted so the pair can only understate
-    // responded, never show responded > admitted.
-    let responded = stats.responded.get();
-    Json::Object(vec![
-        (
-            "plan_cache".to_string(),
-            Json::Object(vec![
-                ("hits".to_string(), Json::from(metrics.plan_cache_hits.get())),
-                ("misses".to_string(), Json::from(metrics.plan_cache_misses.get())),
-                ("invalidations".to_string(), Json::from(metrics.plan_cache_invalidations.get())),
-                ("entries".to_string(), Json::from(cache.entries)),
-            ]),
-        ),
-        ("admitted".to_string(), Json::from(stats.admitted.get())),
-        ("responded".to_string(), Json::from(responded)),
-        ("refused".to_string(), Json::from(stats.refused.get())),
-        ("in_flight".to_string(), Json::from(stats.in_flight.get())),
-        ("query_errors".to_string(), Json::from(stats.query_errors.get())),
-        ("query_timeouts".to_string(), Json::from(stats.query_timeouts.get())),
-        (
-            "endpoints".to_string(),
-            Json::Object(vec![
-                ("query".to_string(), endpoint(&stats.query)),
-                ("health".to_string(), endpoint(&stats.health)),
-                ("stats".to_string(), endpoint(&stats.stats_endpoint)),
-            ]),
-        ),
-        // How this worker's session executes queries: sessions interleave
-        // at morsel granularity, so these knobs bound how long one query
-        // can hold the pool before another gets worker time.
-        (
-            "execution".to_string(),
-            Json::Object(
-                ["morsel_rows", "threads"]
-                    .iter()
-                    .map(|&name| {
-                        let value = session.setting(name).unwrap_or_default();
-                        (name.to_string(), Json::from(value.as_str()))
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .encode()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Server-level counters — thin handles into the engine-wide
-//! [`gsql_obs::Registry`], so `/stats` and `/metrics` read the **same**
-//! instruments and nothing is double-booked.
+//! [`gsql_obs::Registry`], so `/metrics` renders them with every engine
+//! instrument and nothing is double-booked.
 //!
 //! Two of these counters carry the graceful-shutdown invariant: every
 //! *admitted* connection (accepted and enqueued) must end up *responded*
@@ -11,7 +11,7 @@
 //! request-duration histogram's total count equals `responded` at every
 //! instant, not just at shutdown.
 
-use gsql_obs::{latency_buckets_us, Counter, EngineMetrics, Gauge, Histogram, HistogramSnapshot};
+use gsql_obs::{latency_buckets_us, Counter, EngineMetrics, Gauge, Histogram};
 use std::sync::Arc;
 
 /// Latency/throughput view over one endpoint's request-duration histogram
@@ -39,11 +39,6 @@ impl EndpointStats {
     pub fn record(&self, micros: u64) {
         self.latency.observe(micros);
     }
-
-    /// Point-in-time latency distribution (count / sum / max).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.latency.snapshot()
-    }
 }
 
 /// Counters shared by the acceptor and every worker, registered in the
@@ -70,7 +65,6 @@ pub struct ServerStats {
     pub queue_wait: Arc<Histogram>,
     pub query: EndpointStats,
     pub health: EndpointStats,
-    pub stats_endpoint: EndpointStats,
     pub metrics_endpoint: EndpointStats,
     pub slowlog_endpoint: EndpointStats,
     /// Everything that never reached a real endpoint: unparseable or
@@ -115,7 +109,6 @@ impl ServerStats {
             ),
             query: EndpointStats::new(metrics, "query"),
             health: EndpointStats::new(metrics, "health"),
-            stats_endpoint: EndpointStats::new(metrics, "stats"),
             metrics_endpoint: EndpointStats::new(metrics, "metrics"),
             slowlog_endpoint: EndpointStats::new(metrics, "slowlog"),
             other: EndpointStats::new(metrics, "other"),

@@ -161,7 +161,7 @@ fn run_server(args: &[String]) {
     match serve(Arc::new(db), config) {
         Ok(server) => {
             println!("serving on http://{} ({} workers)", server.addr(), workers);
-            println!("endpoints: POST /query, GET /health, GET /stats");
+            println!("endpoints: POST /query, GET /health, GET /metrics, GET /slowlog");
             // No signal handling without external crates: park forever and
             // let process termination tear the threads down.
             loop {

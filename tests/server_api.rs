@@ -1,5 +1,5 @@
 //! The HTTP serving tier, end to end over real sockets: `/query` happy
-//! path and error mapping, `/health`, `/stats`, per-request setting
+//! path and error mapping, `/health`, `/metrics`, per-request setting
 //! overrides and timeouts, admission control (503 + `Retry-After` under a
 //! saturated queue), the cross-session shared plan cache, and graceful
 //! shutdown draining every admitted query.
@@ -47,6 +47,24 @@ fn query_body(sql: &str, params: &[i64]) -> String {
 fn rows_of(body: &str) -> Vec<Json> {
     let doc = json::parse(body).expect("response body is JSON");
     doc.get("rows").and_then(Json::as_array).expect("response has rows").to_vec()
+}
+
+/// The value of the `/metrics` sample whose name (and labels) is `series`.
+fn metric(addr: std::net::SocketAddr, series: &str) -> f64 {
+    let resp = client::get(addr, "/metrics").unwrap();
+    assert_eq!(resp.status, 200);
+    let line =
+        resp.body.lines().find(|l| l.strip_prefix(series).is_some_and(|v| v.starts_with(' ')));
+    let line = line.unwrap_or_else(|| panic!("no sample {series} in:\n{}", resp.body));
+    line[series.len()..].trim().parse().unwrap()
+}
+
+/// A worker session's setting, read with `SHOW` over `/query`.
+fn show(addr: std::net::SocketAddr, name: &str) -> String {
+    let resp = client::post(addr, "/query", &query_body(&format!("SHOW {name}"), &[])).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let rows = rows_of(&resp.body);
+    rows[0].as_array().unwrap()[1].as_str().unwrap().to_string()
 }
 
 #[test]
@@ -153,24 +171,23 @@ fn health_stats_and_routing() {
     assert_eq!((resp.status, resp.body.as_str()), (200, r#"{"status":"ok"}"#));
 
     client::post(addr, "/query", &query_body(Q13, &[1, 4])).unwrap();
-    let resp = client::get(addr, "/stats").unwrap();
-    assert_eq!(resp.status, 200);
-    let doc = json::parse(&resp.body).unwrap();
-    let cache = doc.get("plan_cache").expect("stats has plan_cache");
-    assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(1));
-    assert_eq!(cache.get("entries").and_then(Json::as_i64), Some(1));
-    let query_stats = doc.get("endpoints").and_then(|e| e.get("query")).unwrap();
-    assert_eq!(query_stats.get("requests").and_then(Json::as_i64), Some(1));
+    assert_eq!(metric(addr, "gsql_plan_cache_misses_total"), 1.0);
+    assert_eq!(metric(addr, "gsql_plan_cache_entries"), 1.0);
+    let requests = "gsql_http_request_duration_microseconds_count{endpoint=\"query\"}";
+    assert_eq!(metric(addr, requests), 1.0);
 
+    // The legacy `/stats` view is gone: everything it showed is a
+    // `/metrics` family or a `SHOW` away.
+    assert_eq!(client::get(addr, "/stats").unwrap().status, 404);
     assert_eq!(client::get(addr, "/nope").unwrap().status, 404);
     assert_eq!(client::get(addr, "/query").unwrap().status, 405);
     assert_eq!(client::post(addr, "/health", "").unwrap().status, 405);
     server.shutdown();
 }
 
-/// `/stats` reports the execution granularity of the worker sessions —
-/// with `ServerConfig::settings` applied, so operators can see the morsel
-/// size at which concurrent sessions interleave on the pool.
+/// `SHOW` over `/query` reports the execution granularity of the worker
+/// sessions — with `ServerConfig::settings` applied, so operators can see
+/// the morsel size at which concurrent sessions interleave on the pool.
 #[test]
 fn stats_reports_worker_execution_granularity() {
     let db = social_db();
@@ -179,13 +196,10 @@ fn stats_reports_worker_execution_granularity() {
         ("threads".to_string(), "3".to_string()),
     ];
     let server = start(&db, ServerConfig { settings, ..ServerConfig::default() });
-    let resp = client::get(server.addr(), "/stats").unwrap();
-    assert_eq!(resp.status, 200);
-    let doc = json::parse(&resp.body).unwrap();
-    let exec = doc.get("execution").expect("stats has execution");
-    assert_eq!(exec.get("morsel_rows").and_then(Json::as_str), Some("1024"));
-    assert_eq!(exec.get("threads").and_then(Json::as_str), Some("3"));
-    assert!(exec.get("pipeline").is_none(), "the retired knob is not reported: {exec:?}");
+    assert_eq!(show(server.addr(), "morsel_rows"), "1024");
+    assert_eq!(show(server.addr(), "threads"), "3");
+    let resp = client::post(server.addr(), "/query", &query_body("SHOW pipeline", &[])).unwrap();
+    assert_eq!(resp.status, 400, "the retired knob is not a setting: {}", resp.body);
     server.shutdown();
 }
 
@@ -219,10 +233,8 @@ fn pipeline_overrides_are_per_request_and_results_identical() {
     }
     assert_eq!(bodies[0], bodies[1]);
     assert_eq!(bodies[0], bodies[2]);
-    // The overrides did not stick to the worker's session.
-    let stats = json::parse(&client::get(server.addr(), "/stats").unwrap().body).unwrap();
-    let exec = stats.get("execution").expect("stats has execution");
-    assert_ne!(exec.get("morsel_rows").and_then(Json::as_str), Some("1"));
+    // The overrides did not stick to the (single) worker's session.
+    assert_ne!(show(server.addr(), "morsel_rows"), "1");
 
     let body = Json::Object(vec![
         ("sql".to_string(), Json::from(sql)),
@@ -457,8 +469,6 @@ fn request_timeout_interrupts_long_traversals_with_408() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(rows_of(&resp.body).len(), 64);
 
-    let stats = client::get(server.addr(), "/stats").unwrap();
-    let doc = json::parse(&stats.body).unwrap();
-    assert_eq!(doc.get("query_timeouts").and_then(Json::as_i64), Some(1));
+    assert_eq!(metric(server.addr(), "gsql_http_query_timeouts_total"), 1.0);
     server.shutdown();
 }
