@@ -29,7 +29,7 @@ pub struct ChResult {
     /// Exact shortest-path cost, `None` when `dest` is unreachable.
     pub dist: Option<u64>,
     /// Vertices settled across both directions — the effort metric
-    /// surfaced by `EXPLAIN ANALYZE` and the `accel_speedup` bench.
+    /// surfaced by `EXPLAIN ANALYZE` and the `traversal` span.
     pub settled: usize,
     /// Settled vertices pruned by stall-on-demand (counted inside
     /// `settled`) — how much work the prune saved, surfaced in traces.

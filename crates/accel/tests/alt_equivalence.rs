@@ -2,7 +2,7 @@
 //! random weighted digraphs, for every landmark count and for index builds
 //! at `threads = 1` and `threads = 4` (which must also produce identical
 //! indexes). Uses the workspace's offline `rand` shim, so it runs by
-//! default in every CI configuration.
+//! default.
 
 use gsql_accel::{alt_bidirectional, Landmarks};
 use gsql_graph::{bfs, dijkstra_int, reverse_csr, Csr};

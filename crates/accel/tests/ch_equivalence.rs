@@ -2,7 +2,7 @@
 //! plain Dijkstra on random weighted digraphs — including disconnected
 //! pairs and zero-weight edges — and builds at `threads = 1` and
 //! `threads = 4` must produce identical hierarchies. Uses the workspace's
-//! offline `rand` shim, so it runs by default in every CI configuration.
+//! offline `rand` shim, so it runs by default.
 
 use gsql_accel::{ch_query, ContractionHierarchy};
 use gsql_graph::{bfs, dijkstra_int, Csr};

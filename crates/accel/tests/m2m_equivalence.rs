@@ -2,13 +2,15 @@
 //! bucket-based CH matrix and the multi-target ALT matrix must both equal
 //! per-source Dijkstra on random weighted digraphs — disconnected pairs,
 //! zero-weight edges, duplicate and asymmetric source/target sets included
-//! — and must be bit-identical at `threads = 1` and `threads = 4`. Uses
-//! the workspace's offline `rand` shim, so it runs by default in every CI
-//! configuration.
+//! — and must be bit-identical at `threads = 1` and `threads = 4`. On a
+//! road-like grid the CH matrix must also settle at least three times fewer
+//! vertices than per-source Dijkstra. Uses the workspace's offline `rand`
+//! shim, so it runs by default.
 
 use gsql_accel::{alt_many_to_many, ch_many_to_many, ContractionHierarchy, Landmarks, INF};
-use gsql_graph::{bfs, dijkstra_int, reverse_csr, Csr};
+use gsql_graph::{bfs, dijkstra_int, dijkstra_int_into, reverse_csr, Csr, DijkstraIntScratch};
 use rand::prelude::*;
+use std::collections::BTreeSet;
 
 struct Case {
     graph: Csr,
@@ -177,4 +179,51 @@ fn settled_counts_are_thread_independent() {
     let a1 = alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, 1, None).unwrap();
     let a4 = alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, 4, None).unwrap();
     assert_eq!(a1.settled, a4.settled);
+}
+
+#[test]
+fn ch_matrix_settles_3x_fewer_vertices_than_per_source_dijkstra_on_a_grid() {
+    // The bucket tier earns its preprocessing only by pruning. On the
+    // road-like graph it is built for — a seeded 50 x 50 grid, every
+    // lattice edge in both directions with its own weight in 1..10 — a
+    // 12 x 12 matrix of distinct sources and targets must settle at least
+    // three times fewer vertices than one full Dijkstra per source.
+    const SIDE: u32 = 50;
+    let mut rng = StdRng::seed_from_u64(42);
+    let (mut src, mut dst) = (Vec::new(), Vec::new());
+    for v in 0..SIDE * SIDE {
+        let right = (v % SIDE + 1 < SIDE).then_some(v + 1);
+        let down = (v / SIDE + 1 < SIDE).then_some(v + SIDE);
+        for w in right.into_iter().chain(down) {
+            src.extend([v, w]);
+            dst.extend([w, v]);
+        }
+    }
+    let raw: Vec<i64> = src.iter().map(|_| rng.gen_range(1..10)).collect();
+    let graph = Csr::from_edges(SIDE * SIDE, &src, &dst).unwrap();
+    let wf = graph.permute_weights_int(&raw).unwrap();
+    let ch = ContractionHierarchy::build(&graph, Some(&wf), 1);
+    let mut distinct = |len: usize| -> Vec<u32> {
+        let mut side = BTreeSet::new();
+        while side.len() < len {
+            side.insert(rng.gen_range(0..SIDE * SIDE));
+        }
+        side.into_iter().collect()
+    };
+    let (sources, targets) = (distinct(12), distinct(12));
+
+    let mut scratch = DijkstraIntScratch::new();
+    let (mut plain_settled, mut truth) = (0, Vec::new());
+    for &s in &sources {
+        dijkstra_int_into(&graph, s, &[], &wf, &mut scratch);
+        plain_settled += scratch.settled_count();
+        truth.extend(targets.iter().map(|&t| scratch.dist[t as usize]));
+    }
+    let m = ch_many_to_many(&ch, &sources, &targets, 1, None).unwrap();
+    assert_eq!(m.dist, truth);
+    assert!(
+        3 * m.settled <= plain_settled,
+        "CH many-to-many settled {}, per-source Dijkstra {plain_settled}",
+        m.settled
+    );
 }

@@ -41,9 +41,8 @@ pub struct SessionSettings {
     /// Source-parallel graph traversals, the morsel pipelines and the
     /// row-parallel breakers (sort, distinct) all use this width; `1` runs
     /// everything inline on the calling thread. The graph build is
-    /// sequential at every width. Default: the `GSQL_THREADS` environment
-    /// variable when set, otherwise the number of available hardware
-    /// threads.
+    /// sequential at every width. Default: the number of available
+    /// hardware threads.
     pub threads: usize,
     /// Per-statement wall-clock budget in milliseconds (`SET timeout_ms =
     /// n`; `0` disables). The deadline starts when statement execution
@@ -55,9 +54,8 @@ pub struct SessionSettings {
     /// Rows per morsel for pipelined execution (`SET morsel_rows = n`,
     /// n ≥ 1). Morsel boundaries depend only on this value and the input
     /// size — never the worker count — so per-morsel partials merged in
-    /// morsel-index order are bit-identical at every thread count. Default:
-    /// the `GSQL_MORSEL_ROWS` environment variable when set, otherwise
-    /// 65536.
+    /// morsel-index order are bit-identical at every thread count. Default
+    /// [`gsql_parallel::DEFAULT_MORSEL_ROWS`] (65536).
     pub morsel_rows: usize,
     /// Structured query tracing (`SET trace = off|on|verbose`). `on`
     /// records one span per statement phase (parse → bind → optimize →
@@ -81,7 +79,7 @@ impl Default for SessionSettings {
             plan_cache_size: 64,
             threads: gsql_parallel::default_threads(),
             timeout_ms: None,
-            morsel_rows: gsql_parallel::default_morsel_rows(),
+            morsel_rows: gsql_parallel::DEFAULT_MORSEL_ROWS,
             trace: TraceLevel::Off,
             slow_query_ms: None,
         }

@@ -21,7 +21,6 @@ use gsql_obs::{EngineMetrics, SlowLog};
 use gsql_parser::ast;
 use gsql_storage::{Catalog, ColumnDef, DataType, DurableStore, Schema, Table, Value};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,35 +76,16 @@ pub struct Database {
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
     /// The durability layer, present only for databases opened with
-    /// [`Database::open`] (or `GSQL_DATA_DIR`). `None` = pure in-memory:
-    /// no WAL, no checkpoints, zero overhead on any existing path.
+    /// [`Database::open`]. `None` = pure in-memory: no WAL, no
+    /// checkpoints, zero overhead on any existing path.
     storage: Option<Arc<DurableStore>>,
 }
 
 impl Database {
-    /// An empty database. In-memory, unless the `GSQL_DATA_DIR`
-    /// environment variable names a directory — then every database this
-    /// process creates is durable under a unique subdirectory of it (the
-    /// CI durable matrix leg runs the whole suite this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `GSQL_DATA_DIR` is set but the durable open fails —
-    /// a silently in-memory "durable" run would defeat the point.
+    /// An empty in-memory database (the same as [`Database::default`]).
+    /// [`Database::open`] makes a durable one.
     pub fn new() -> Database {
-        match std::env::var_os("GSQL_DATA_DIR") {
-            Some(dir) if !dir.is_empty() => {
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                let sub = std::path::PathBuf::from(dir).join(format!(
-                    "db-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                Database::open(&sub)
-                    .unwrap_or_else(|e| panic!("GSQL_DATA_DIR open failed at {sub:?}: {e}"))
-            }
-            _ => Database::default(),
-        }
+        Database::default()
     }
 
     /// Open (or create) a **durable** database rooted at `dir`.

@@ -1,7 +1,5 @@
 //! The slow-query log: a bounded in-memory ring of structured records for
-//! statements that exceeded `SET slow_query_ms`, exposed at `GET /slowlog`
-//! and (optionally, `GSQL_SLOWLOG_STDERR=1`) written as JSON lines to
-//! stderr.
+//! statements that exceeded `SET slow_query_ms`, exposed at `GET /slowlog`.
 //!
 //! Records carry a *hash* of the SQL text rather than the text itself, so
 //! the log can be shipped without leaking literals embedded in queries.
@@ -73,7 +71,6 @@ impl SlowQueryRecord {
 #[derive(Debug)]
 pub struct SlowLog {
     capacity: usize,
-    stderr: bool,
     inner: Mutex<VecDeque<SlowQueryRecord>>,
 }
 
@@ -84,19 +81,9 @@ impl Default for SlowLog {
 }
 
 impl SlowLog {
-    /// A ring of `capacity` records (clamped to at least 1); records are
-    /// echoed to stderr when the `GSQL_SLOWLOG_STDERR` env var is set to a
-    /// truthy value.
+    /// A ring of `capacity` records (clamped to at least 1).
     pub fn new(capacity: usize) -> SlowLog {
-        let stderr = std::env::var("GSQL_SLOWLOG_STDERR")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false);
-        SlowLog::with_stderr(capacity, stderr)
-    }
-
-    /// A ring with explicit stderr behaviour (used by tests).
-    pub fn with_stderr(capacity: usize, stderr: bool) -> SlowLog {
-        SlowLog { capacity: capacity.max(1), stderr, inner: Mutex::new(VecDeque::new()) }
+        SlowLog { capacity: capacity.max(1), inner: Mutex::new(VecDeque::new()) }
     }
 
     /// Ring capacity.
@@ -106,9 +93,6 @@ impl SlowLog {
 
     /// Append a record, evicting the oldest at capacity.
     pub fn push(&self, record: SlowQueryRecord) {
-        if self.stderr {
-            eprintln!("slow-query: {}", record.to_json());
-        }
         let mut ring = self.inner.lock().expect("slowlog poisoned");
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -165,7 +149,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_at_capacity() {
-        let log = SlowLog::with_stderr(3, false);
+        let log = SlowLog::new(3);
         for n in 1..=5 {
             log.push(record(n));
         }
@@ -187,7 +171,7 @@ mod tests {
 
     #[test]
     fn render_json_wraps_entries() {
-        let log = SlowLog::with_stderr(8, false);
+        let log = SlowLog::new(8);
         assert_eq!(log.render_json(), "{\"count\":0,\"entries\":[]}");
         log.push(record(1));
         log.push(record(2));

@@ -48,37 +48,12 @@ pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 /// configuration exhaust OS thread limits (spawn failure panics).
 pub const MAX_THREADS: usize = 1024;
 
-/// Number of hardware threads available to this process (at least 1).
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The process-wide default degree of parallelism: the `GSQL_THREADS`
-/// environment variable when set to a positive integer, otherwise
-/// [`available_threads`]. Cached after the first call.
+/// The process-wide default degree of parallelism: the number of hardware
+/// threads available to this process (at least 1). Cached after the first
+/// call, because every new session asks for it.
 pub fn default_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GSQL_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(available_threads)
-    })
-}
-
-/// The process-wide default morsel size in rows: the `GSQL_MORSEL_ROWS`
-/// environment variable when set to a positive integer, otherwise
-/// [`DEFAULT_MORSEL_ROWS`]. Cached after the first call.
-pub fn default_morsel_rows() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GSQL_MORSEL_ROWS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_MORSEL_ROWS)
-    })
+    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A small per-thread slot number, assigned on first use from a global
@@ -493,10 +468,10 @@ mod tests {
     }
 
     #[test]
-    fn available_and_default_threads_are_positive() {
-        assert!(available_threads() >= 1);
+    fn default_threads_is_the_available_parallelism() {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(default_threads(), available);
         assert!(default_threads() >= 1);
-        assert!(default_morsel_rows() >= 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ The paper's extension is available:
 Session statements (state persists for the whole shell session):
   SET <option> = <value>   e.g. SET graph_index = off, SET row_limit = 10000
   SET threads = N          parallel execution width (1 = sequential;
-                           default: GSQL_THREADS env or all hardware threads)
+                           default: all hardware threads)
   SHOW <option> | SHOW ALL
   EXPLAIN <query>          optimized logical plan
   EXPLAIN ANALYZE <query>  executed plan with per-operator rows and timing

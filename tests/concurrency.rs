@@ -1,66 +1,70 @@
 //! Concurrency: readers see consistent snapshots while writers mutate, and
 //! the graph-index cache stays coherent under concurrent use (copy-on-write
-//! catalog + version-checked index, as in the MonetDB-style design).
+//! catalog + version-checked index, as in the MonetDB-style design). Every
+//! case runs in each configuration of the shared sweep; only the answers
+//! that cannot depend on the interleaving are compared across them.
 
-use gsql::{Database, QueryResult, Value};
-use std::sync::Arc;
+mod common;
+
+use common::sweep;
+use gsql::{QueryResult, Value};
+use std::sync::Barrier;
+use std::thread;
 
 #[test]
 fn readers_see_consistent_snapshots_during_writes() {
-    let db = Arc::new(Database::new());
-    db.execute_script(
-        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL);
-         INSERT INTO e VALUES (1, 2), (2, 3);",
-    )
-    .unwrap();
-    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-
-    let mut readers = Vec::new();
-    for t in 0..3 {
-        let db = Arc::clone(&db);
-        readers.push(std::thread::spawn(move || {
-            // One session per reader thread: prepared once, cached plan
-            // reused across all 100 executions.
-            let session = db.session();
-            let stmt = session
-                .prepare("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)")
-                .unwrap();
-            for _ in 0..100 {
-                // 1 always reaches 3 (the chain is never deleted).
-                let result = stmt
-                    .execute(&session, &[Value::Int(1), Value::Int(3)])
-                    .unwrap()
-                    .into_table()
-                    .unwrap();
-                assert_eq!(result.row_count(), 1, "reader {t}");
-                let d = result.row(0)[0].as_int().unwrap();
-                // Depending on the snapshot, a shortcut edge may exist.
-                assert!((1..=2).contains(&d), "reader {t} saw distance {d}");
+    let setup = [
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL)",
+        "INSERT INTO e VALUES (1, 2), (2, 3)",
+        "CREATE GRAPH INDEX gi ON e EDGE (s, d)",
+    ];
+    sweep(&setup, |run| {
+        let (db, config) = (run.db(), run.config());
+        thread::scope(|scope| {
+            for t in 0..3 {
+                scope.spawn(move || {
+                    // One session per reader thread: prepared once, cached
+                    // plan reused across all 100 executions.
+                    let session = db.session();
+                    config.apply(&session);
+                    let stmt = session
+                        .prepare("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)")
+                        .unwrap();
+                    for _ in 0..100 {
+                        // 1 always reaches 3 (the chain is never deleted).
+                        let result = stmt
+                            .execute(&session, &[Value::Int(1), Value::Int(3)])
+                            .unwrap()
+                            .into_table()
+                            .unwrap();
+                        assert_eq!(result.row_count(), 1, "reader {t}");
+                        let d = result.row(0)[0].as_int().unwrap();
+                        // Depending on the snapshot, a shortcut edge may exist.
+                        assert!((1..=2).contains(&d), "reader {t} saw distance {d}");
+                    }
+                });
             }
-        }));
-    }
 
-    // Writer, racing the readers: repeatedly add and remove a shortcut
-    // edge 1 -> 3.
-    for _ in 0..200 {
-        match db.execute("INSERT INTO e VALUES (1, 3)").unwrap() {
-            QueryResult::Affected(1) => {}
-            other => panic!("{other:?}"),
-        }
-        db.execute("DELETE FROM e WHERE s = 1 AND d = 3").unwrap();
-    }
-    for r in readers {
-        r.join().expect("reader panicked");
-    }
+            // Writer, racing the readers: repeatedly add and remove a
+            // shortcut edge 1 -> 3.
+            for _ in 0..200 {
+                match run.session().execute("INSERT INTO e VALUES (1, 3)").unwrap() {
+                    QueryResult::Affected(1) => {}
+                    other => panic!("{other:?}"),
+                }
+                run.session().execute("DELETE FROM e WHERE s = 1 AND d = 3").unwrap();
+            }
+        });
 
-    // Final state: shortcut removed, distance is 2 again.
-    let t = db
-        .query_with_params(
-            "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
-            &[Value::Int(1), Value::Int(3)],
-        )
-        .unwrap();
-    assert_eq!(t.row(0)[0], Value::Int(2));
+        // Final state: shortcut removed, distance is 2 again.
+        let t = run
+            .query_with_params(
+                "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
+                &[Value::Int(1), Value::Int(3)],
+            )
+            .unwrap();
+        assert_eq!(t.row(0)[0], Value::Int(2));
+    });
 }
 
 #[test]
@@ -69,84 +73,84 @@ fn sessions_with_different_thread_widths_share_one_database() {
     // shared Database (with a graph index, so the cached CSR is shared
     // too) and must all see identical answers: the parallel runtime is
     // per-statement and must not leak state across sessions.
-    let db = Arc::new(Database::new());
-    let mut edges = String::new();
-    for i in 0..400i64 {
-        if i > 0 {
-            edges.push_str(", ");
-        }
+    let edges: Vec<String> =
+        (0..400i64).map(|i| format!("({}, {})", i % 100, (i + 1) % 100)).collect();
+    let setup = [
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL)".to_string(),
         // A ring with shortcuts: everything reaches everything.
-        edges.push_str(&format!("({}, {})", i % 100, (i + 1) % 100));
-    }
-    db.execute_script(&format!(
-        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL);
-         INSERT INTO e VALUES {edges};"
-    ))
-    .unwrap();
-    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-
-    let mut handles = Vec::new();
-    for (t, width) in ["1", "2", "8", "4"].into_iter().enumerate() {
-        let db = Arc::clone(&db);
-        handles.push(std::thread::spawn(move || {
-            let session = db.session();
-            session.set("threads", width).unwrap();
-            assert_eq!(session.setting("threads").unwrap(), width, "worker {t}");
-            let stmt = session
-                .prepare("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)")
-                .unwrap();
-            for rep in 0..40 {
-                let s = (rep * 7) % 100;
-                let d = (rep * 13 + 1) % 100;
-                let expect = (d + 100 - s) % 100; // ring distance s -> d
-                let result = stmt
-                    .execute(&session, &[Value::Int(s as i64), Value::Int(d as i64)])
-                    .unwrap()
-                    .into_table()
-                    .unwrap();
-                assert_eq!(result.row_count(), 1, "worker {t} rep {rep}");
-                let got = result.row(0)[0].as_int().unwrap();
-                assert_eq!(got, expect as i64, "worker {t} rep {rep}: {s} -> {d}");
+        format!("INSERT INTO e VALUES {}", edges.join(", ")),
+        "CREATE GRAPH INDEX gi ON e EDGE (s, d)".to_string(),
+    ];
+    sweep(&setup, |run| {
+        let (db, config) = (run.db(), run.config());
+        thread::scope(|scope| {
+            for (t, width) in ["1", "2", "8", "4"].into_iter().enumerate() {
+                scope.spawn(move || {
+                    let session = db.session();
+                    config.apply(&session);
+                    session.set("threads", width).unwrap();
+                    assert_eq!(session.setting("threads").unwrap(), width, "worker {t}");
+                    let stmt = session
+                        .prepare("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)")
+                        .unwrap();
+                    for rep in 0..40 {
+                        let s = (rep * 7) % 100;
+                        let d = (rep * 13 + 1) % 100;
+                        let expect = (d + 100 - s) % 100; // ring distance s -> d
+                        let result = stmt
+                            .execute(&session, &[Value::Int(s as i64), Value::Int(d as i64)])
+                            .unwrap()
+                            .into_table()
+                            .unwrap();
+                        assert_eq!(result.row_count(), 1, "worker {t} rep {rep}");
+                        let got = result.row(0)[0].as_int().unwrap();
+                        assert_eq!(got, expect as i64, "worker {t} rep {rep}: {s} -> {d}");
+                    }
+                    // The width survives the whole run unchanged.
+                    assert_eq!(session.setting("threads").unwrap(), width, "worker {t}");
+                });
             }
-            // The width survives the whole run unchanged.
-            assert_eq!(session.setting("threads").unwrap(), width, "worker {t}");
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
+        });
+    });
 }
 
 #[test]
 fn concurrent_index_creation_and_queries() {
-    let db = Arc::new(Database::new());
-    db.execute_script(
-        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL);
-         INSERT INTO e VALUES (1, 2), (2, 3), (3, 4), (4, 5);",
-    )
-    .unwrap();
-    let mut handles = Vec::new();
-    for t in 0..4 {
-        let db = Arc::clone(&db);
-        handles.push(std::thread::spawn(move || {
-            // One thread creates the index; others race queries.
-            if t == 0 {
-                db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    let setup = [
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL)",
+        "INSERT INTO e VALUES (1, 2), (2, 3), (3, 4), (4, 5)",
+    ];
+    sweep(&setup, |run| {
+        let (db, config) = (run.db(), run.config());
+        thread::scope(|scope| {
+            for t in 0..4 {
+                scope.spawn(move || {
+                    let session = db.session();
+                    config.apply(&session);
+                    // One thread creates the index; others race queries.
+                    if t == 0 {
+                        session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+                    }
+                    for _ in 0..50 {
+                        let r = session
+                            .query_with_params(
+                                "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
+                                &[Value::Int(1), Value::Int(5)],
+                            )
+                            .unwrap();
+                        assert_eq!(r.row(0)[0], Value::Int(4));
+                    }
+                });
             }
-            for _ in 0..50 {
-                let r = db
-                    .query_with_params(
-                        "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
-                        &[Value::Int(1), Value::Int(5)],
-                    )
-                    .unwrap();
-                assert_eq!(r.row(0)[0], Value::Int(4));
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("thread panicked");
-    }
+        });
+        let t = run
+            .query_with_params(
+                "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)",
+                &[Value::Int(1), Value::Int(5)],
+            )
+            .unwrap();
+        assert_eq!(t.row(0)[0], Value::Int(4));
+    });
 }
 
 #[test]
@@ -155,54 +159,57 @@ fn concurrent_weighted_queries_share_one_weight_vector_and_agree() {
     // over a cold graph: whoever gets there first evaluates the weights
     // (several may — a miss does not block the others), everyone answers
     // what the unindexed statement answers, and afterwards it is all hits.
-    let db = Arc::new(Database::new());
     let rows: Vec<String> = (0..400u64)
         .map(|i| {
             let x = i.wrapping_mul(0x9e3779b97f4a7c15) >> 17;
             format!("({}, {}, {})", i % 100, (i + 1 + x % 7) % 100, x % 16 + 1)
         })
         .collect();
-    db.execute_script(&format!(
-        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL);
-         INSERT INTO e VALUES {};",
-        rows.join(", ")
-    ))
-    .unwrap();
+    let setup = [
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)".to_string(),
+        format!("INSERT INTO e VALUES {}", rows.join(", ")),
+    ];
     let sql = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
                WHERE ? REACHES ? OVER e f EDGE (s, d)";
     let render = |t: &gsql::Table| -> String {
         t.rows().map(|r| format!("{} via {}\n", r[0], r[1])).collect()
     };
     let pairs: Vec<(i64, i64)> = (0..20).map(|i| ((i * 7) % 100, (i * 13 + 1) % 100)).collect();
-    let expected: Vec<String> = pairs
-        .iter()
-        .map(|&(s, d)| render(&db.query_with_params(sql, &[Value::Int(s), Value::Int(d)]).unwrap()))
-        .collect();
-    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-
-    const THREADS: usize = 8;
-    let start = Arc::new(std::sync::Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let (db, start) = (Arc::clone(&db), Arc::clone(&start));
-            let (pairs, expected) = (pairs.clone(), expected.clone());
-            std::thread::spawn(move || {
-                let session = db.session();
-                let stmt = session.prepare(sql).unwrap();
-                start.wait();
-                for (i, &(s, d)) in pairs.iter().enumerate() {
-                    let got = stmt.query(&session, &[Value::Int(s), Value::Int(d)]).unwrap();
-                    assert_eq!(render(&got), expected[i], "thread {t}: {s} -> {d}");
-                }
+    sweep(&setup, |run| {
+        let expected: Vec<String> = pairs
+            .iter()
+            .map(|&(s, d)| {
+                render(&run.query_with_params(sql, &[Value::Int(s), Value::Int(d)]).unwrap())
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    let m = db.metrics();
-    let (hits, misses) = (m.weight_cache_hits.get(), m.weight_cache_misses.get());
-    assert_eq!(hits + misses, (THREADS * pairs.len()) as u64);
-    assert!((1..=THREADS as u64).contains(&misses), "{misses} misses");
-    assert_eq!(m.weight_cache_bytes.get(), 8 * 400, "racing misses keep one vector, not one each");
+            .collect();
+        run.session().execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+
+        const THREADS: usize = 8;
+        let start = Barrier::new(THREADS);
+        let (db, config) = (run.db(), run.config());
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (start, pairs, expected) = (&start, &pairs, &expected);
+                scope.spawn(move || {
+                    let session = db.session();
+                    config.apply(&session);
+                    let stmt = session.prepare(sql).unwrap();
+                    start.wait();
+                    for (i, &(s, d)) in pairs.iter().enumerate() {
+                        let got = stmt.query(&session, &[Value::Int(s), Value::Int(d)]).unwrap();
+                        assert_eq!(render(&got), expected[i], "thread {t}: {s} -> {d}");
+                    }
+                });
+            }
+        });
+        let m = run.db().metrics();
+        let (hits, misses) = (m.weight_cache_hits.get(), m.weight_cache_misses.get());
+        assert_eq!(hits + misses, (THREADS * pairs.len()) as u64);
+        assert!((1..=THREADS as u64).contains(&misses), "{misses} misses");
+        assert_eq!(
+            m.weight_cache_bytes.get(),
+            8 * 400,
+            "racing misses keep one vector, not one each"
+        );
+    });
 }

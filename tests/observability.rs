@@ -565,7 +565,7 @@ fn slow_query_log_triggers_on_threshold() {
 /// The ring is bounded: pushing past capacity evicts oldest-first.
 #[test]
 fn slow_query_ring_evicts_oldest() {
-    let log = SlowLog::with_stderr(2, false);
+    let log = SlowLog::new(2);
     for n in 1..=3u64 {
         log.push(SlowQueryRecord {
             unix_us: n,

@@ -1,19 +1,19 @@
 //! End-to-end parallel execution: for every query shape the engine
 //! parallelizes (graph traversals, filters, hash joins, grouped
-//! aggregation, distinct, limit),
-//! sessions running with `threads ∈ {1, 2, 8}` must produce identical
-//! result tables — `threads = 1` is the engine's exact sequential path, so
-//! this pins the parallel runtime to sequential semantics.
+//! aggregation, distinct, limit), every configuration of the shared sweep
+//! (threads 1 and 4, 7-row and default morsels, in memory and durable) and
+//! sessions at two and eight threads must produce identical result tables
+//! — `threads = 1` is the engine's exact sequential path, so this pins the
+//! parallel runtime to sequential semantics.
 
+mod common;
+
+use common::{render, sweep, Run};
 use gsql::{Database, Value};
 
 /// A deterministic pseudo-random database: a layered graph with shortcut
 /// edges, weights, and a `people` table for join shapes.
-fn build_db() -> Database {
-    let db = Database::new();
-    db.execute("CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)")
-        .unwrap();
-    db.execute("CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)").unwrap();
+fn setup() -> Vec<String> {
     // xorshift-ish deterministic edge set over 120 vertices.
     let mut x: u64 = 0x9e3779b97f4a7c15;
     let mut next = move || {
@@ -22,38 +22,43 @@ fn build_db() -> Database {
         x ^= x << 17;
         x
     };
-    let mut edges = String::new();
-    for i in 0..600 {
-        let s = next() % 120;
-        let d = next() % 120;
-        let w = next() % 9 + 1;
-        if i > 0 {
-            edges.push_str(", ");
-        }
-        edges.push_str(&format!("({s}, {d}, {w})"));
-    }
-    db.execute(&format!("INSERT INTO e VALUES {edges}")).unwrap();
-    let mut people = String::new();
-    for id in 0..120 {
-        if id > 0 {
-            people.push_str(", ");
-        }
-        people.push_str(&format!("({id}, {})", id % 7));
-    }
-    db.execute(&format!("INSERT INTO people VALUES {people}")).unwrap();
+    let edges: Vec<String> = (0..600)
+        .map(|_| {
+            let (s, d) = (next() % 120, next() % 120);
+            format!("({s}, {d}, {})", next() % 9 + 1)
+        })
+        .collect();
+    let people: Vec<String> = (0..120).map(|id| format!("({id}, {})", id % 7)).collect();
     // Float measurements for aggregate-determinism shapes: values with
     // non-trivial binary fractions so any reordering of a float SUM/AVG
     // would change the bits.
-    db.execute("CREATE TABLE m (k INTEGER NOT NULL, v DOUBLE NOT NULL)").unwrap();
-    let mut rows = String::new();
-    for i in 0..500 {
-        if i > 0 {
-            rows.push_str(", ");
+    let m: Vec<String> =
+        (0..500).map(|i| format!("({}, {})", i % 11, (i as f64) * 0.1 + 0.003)).collect();
+    vec![
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)".to_string(),
+        "CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)".to_string(),
+        format!("INSERT INTO e VALUES {}", edges.join(", ")),
+        format!("INSERT INTO people VALUES {}", people.join(", ")),
+        "CREATE TABLE m (k INTEGER NOT NULL, v DOUBLE NOT NULL)".to_string(),
+        format!("INSERT INTO m VALUES {}", m.join(", ")),
+    ]
+}
+
+fn build_db() -> Database {
+    common::database(&setup())
+}
+
+/// Run every statement of `sqls` in `run`, and again in sessions at two and
+/// eight threads with the run's morsel size; all three must agree.
+fn run_at_widths(run: &Run<'_>, sqls: &[String]) {
+    for sql in sqls {
+        let reference = render(&run.query(sql).unwrap());
+        for threads in ["2", "8"] {
+            let s = run.new_session();
+            s.set("threads", threads).unwrap();
+            assert_eq!(render(&s.query(sql).unwrap()), reference, "threads {threads}: {sql}");
         }
-        rows.push_str(&format!("({}, {})", i % 11, (i as f64) * 0.1 + 0.003));
     }
-    db.execute(&format!("INSERT INTO m VALUES {rows}")).unwrap();
-    db
 }
 
 /// The query shapes under test: graph select (unweighted + weighted +
@@ -98,44 +103,14 @@ fn queries() -> Vec<String> {
 
 #[test]
 fn identical_tables_across_thread_counts() {
-    let db = build_db();
-    for sql in queries() {
-        let s1 = db.session();
-        s1.set("threads", "1").unwrap();
-        let reference = s1.query(&sql).unwrap();
-        for threads in ["2", "8"] {
-            let s = db.session();
-            s.set("threads", threads).unwrap();
-            let t = s.query(&sql).unwrap();
-            assert_eq!(t.row_count(), reference.row_count(), "threads {threads}: {sql}");
-            assert_eq!(
-                t.schema().to_string(),
-                reference.schema().to_string(),
-                "threads {threads}: {sql}"
-            );
-            for r in 0..reference.row_count() {
-                assert_eq!(t.row(r), reference.row(r), "threads {threads} row {r}: {sql}");
-            }
-        }
-    }
+    sweep(&setup(), |run| run_at_widths(run, &queries()));
 }
 
 #[test]
 fn graph_index_path_identical_across_thread_counts() {
-    let db = build_db();
-    db.execute("CREATE GRAPH INDEX ge ON e EDGE (s, d)").unwrap();
-    for sql in queries() {
-        let s1 = db.session();
-        s1.set("threads", "1").unwrap();
-        let reference = s1.query(&sql).unwrap();
-        let s8 = db.session();
-        s8.set("threads", "8").unwrap();
-        let t = s8.query(&sql).unwrap();
-        assert_eq!(t.row_count(), reference.row_count(), "{sql}");
-        for r in 0..reference.row_count() {
-            assert_eq!(t.row(r), reference.row(r), "row {r}: {sql}");
-        }
-    }
+    let mut setup = setup();
+    setup.push("CREATE GRAPH INDEX ge ON e EDGE (s, d)".to_string());
+    sweep(&setup, |run| run_at_widths(run, &queries()));
 }
 
 #[test]
@@ -239,25 +214,7 @@ fn pipeline_queries() -> Vec<String> {
 /// the merge path is actually exercised.
 #[test]
 fn pipelined_plans_identical_across_thread_counts() {
-    let db = build_db();
-    for sql in pipeline_queries() {
-        let reference = {
-            let s = db.session();
-            s.set("threads", "1").unwrap();
-            s.set("morsel_rows", "7").unwrap();
-            s.query(&sql).unwrap()
-        };
-        for threads in ["2", "4", "8"] {
-            let s = db.session();
-            s.set("threads", threads).unwrap();
-            s.set("morsel_rows", "7").unwrap();
-            let t = s.query(&sql).unwrap();
-            assert_eq!(t.row_count(), reference.row_count(), "threads {threads}: {sql}");
-            for r in 0..reference.row_count() {
-                assert_eq!(t.row(r), reference.row(r), "threads {threads} row {r}: {sql}");
-            }
-        }
-    }
+    sweep(&setup(), |run| run_at_widths(run, &pipeline_queries()));
 }
 
 /// Integer-valued results are also invariant to the morsel size itself
@@ -265,7 +222,6 @@ fn pipelined_plans_identical_across_thread_counts() {
 /// sums never do).
 #[test]
 fn integer_results_invariant_to_morsel_size() {
-    let db = build_db();
     let sqls = [
         "SELECT e.s % 13 AS g, COUNT(*) AS n, SUM(e.w) AS s FROM e GROUP BY e.s % 13 ORDER BY g",
         "SELECT e.s, e.d, e.w FROM e WHERE e.w > 2 LIMIT 17 OFFSET 5",
@@ -273,24 +229,20 @@ fn integer_results_invariant_to_morsel_size() {
         "SELECT p1.grp, COUNT(*) AS n FROM people p1, people p2 \
          WHERE p1.grp = p2.grp GROUP BY p1.grp ORDER BY p1.grp",
     ];
-    for sql in sqls {
-        let reference = {
-            let s = db.session();
-            s.set("morsel_rows", "7").unwrap();
-            s.set("threads", "8").unwrap();
-            s.query(sql).unwrap()
-        };
-        for morsel_rows in ["1", "64", "100000"] {
-            let s = db.session();
-            s.set("morsel_rows", morsel_rows).unwrap();
-            s.set("threads", "8").unwrap();
-            let t = s.query(sql).unwrap();
-            assert_eq!(t.row_count(), reference.row_count(), "morsel_rows {morsel_rows}: {sql}");
-            for r in 0..reference.row_count() {
-                assert_eq!(t.row(r), reference.row(r), "morsel_rows {morsel_rows} row {r}: {sql}");
+    sweep(&setup(), |run| {
+        for sql in sqls {
+            let reference = render(&run.query(sql).unwrap());
+            for morsel_rows in ["1", "64", "100000"] {
+                let s = run.new_session();
+                s.set("morsel_rows", morsel_rows).unwrap();
+                assert_eq!(
+                    render(&s.query(sql).unwrap()),
+                    reference,
+                    "morsel_rows {morsel_rows}: {sql}"
+                );
             }
         }
-    }
+    });
 }
 
 /// LIMIT under concurrency: the morsel queue hands out a contiguous prefix
@@ -298,27 +250,26 @@ fn integer_results_invariant_to_morsel_size() {
 /// sequential prefix would contain.
 #[test]
 fn limit_short_circuit_is_exact_under_concurrency() {
-    let db = build_db();
-    let all = {
-        let s = db.session();
-        s.set("threads", "1").unwrap();
-        s.query("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2").unwrap()
-    };
-    for (limit, offset) in [(1usize, 0usize), (10, 0), (25, 100), (1000, 0), (50, 380)] {
-        let s = db.session();
-        s.set("morsel_rows", "7").unwrap();
-        s.set("threads", "8").unwrap();
-        let t = s
-            .query(&format!(
-                "SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2 LIMIT {limit} OFFSET {offset}"
-            ))
-            .unwrap();
-        let expected = all.row_count().saturating_sub(offset).min(limit);
-        assert_eq!(t.row_count(), expected, "LIMIT {limit} OFFSET {offset}");
-        for r in 0..t.row_count() {
-            assert_eq!(t.row(r), all.row(offset + r), "LIMIT {limit} OFFSET {offset} row {r}");
+    sweep(&setup(), |run| {
+        let all = run.query("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2").unwrap();
+        let wide = run.new_session();
+        wide.set("threads", "8").unwrap();
+        for (limit, offset) in [(1usize, 0usize), (10, 0), (25, 100), (1000, 0), (50, 380)] {
+            let sql =
+                format!("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2 LIMIT {limit} OFFSET {offset}");
+            for t in [run.query(&sql).unwrap(), wide.query(&sql).unwrap()] {
+                let expected = all.row_count().saturating_sub(offset).min(limit);
+                assert_eq!(t.row_count(), expected, "LIMIT {limit} OFFSET {offset}");
+                for r in 0..t.row_count() {
+                    assert_eq!(
+                        t.row(r),
+                        all.row(offset + r),
+                        "LIMIT {limit} OFFSET {offset} row {r}"
+                    );
+                }
+            }
         }
-    }
+    });
 }
 
 /// `EXPLAIN` annotates pipeline membership; breakers (sort, distinct,
@@ -362,33 +313,25 @@ fn threads_setting_is_session_local() {
     }
 }
 
-/// The error text of `sql` under `SET threads = <threads>` with 7-row
-/// morsels (dozens of morsels over the tables below, so workers race).
-fn error_at(db: &Database, sql: &str, threads: &str) -> String {
-    let s = db.session();
-    s.set("threads", threads).unwrap();
-    s.set("morsel_rows", "7").unwrap();
-    match s.query(sql) {
+/// The error text of `sql` in `session`.
+fn error_in(session: &gsql::Session<'_>, sql: &str) -> String {
+    match session.query(sql) {
         Ok(t) => panic!("expected an error, got {} row(s): {sql}", t.row_count()),
         Err(e) => e.to_string(),
     }
 }
 
-/// Errors are as deterministic as results: the morsel holding row 3 fails
-/// with `division by zero`, a much later morsel (row 500) with an integer
-/// overflow, and whichever worker gets where first, the statement reports
-/// the lowest morsel's error — the same text at every thread count, from
-/// one execution. The overflow sits in the *inner* operator each time, so
-/// an operator-at-a-time run over the whole input would have surfaced it
-/// instead.
+/// Errors are as deterministic as results: with 7-row morsels (dozens of
+/// morsels over the table below, so workers race) the morsel holding row 3
+/// fails with `division by zero`, a much later morsel (row 500) with an
+/// integer overflow, and whichever worker gets where first, the statement
+/// reports the lowest morsel's error — the same text at every thread count,
+/// from one execution. The overflow sits in the *inner* operator each time,
+/// so an operator-at-a-time run over the whole input would have surfaced it
+/// instead. At the default morsel size the table is one morsel, and the
+/// error is whatever that morsel raises, again at every thread count.
 #[test]
 fn lowest_morsel_error_wins_at_every_thread_count() {
-    let db = Database::new();
-    db.execute(
-        "CREATE TABLE f (id INTEGER NOT NULL, k INTEGER NOT NULL, x INTEGER NOT NULL, \
-         big INTEGER NOT NULL)",
-    )
-    .unwrap();
     let rows: Vec<String> = (0..600)
         .map(|id| {
             let x = if id == 3 { 0 } else { 1 };
@@ -396,27 +339,41 @@ fn lowest_morsel_error_wins_at_every_thread_count() {
             format!("({id}, 0, {x}, {big})")
         })
         .collect();
-    db.execute(&format!("INSERT INTO f VALUES {}", rows.join(", "))).unwrap();
-    db.execute("CREATE TABLE one (k INTEGER NOT NULL, z INTEGER NOT NULL)").unwrap();
-    db.execute("INSERT INTO one VALUES (0, 0)").unwrap();
-
-    for sql in [
-        // Both failures inside one filter / one projection.
-        "SELECT f.id FROM f WHERE 100 / f.x + f.big * 2 > 0",
-        "SELECT 100 / f.x + f.big * 2 FROM f",
-        // Overflow in the filter, division in the projection above it.
-        "SELECT 100 / f.x FROM f WHERE f.big * 2 > 0",
-        // Overflow in the join residual, division in the projection.
-        "SELECT 100 / a.x FROM f a JOIN one o ON a.k = o.k AND a.big * 2 > o.z",
-        // Overflow in the filter, division in the aggregate argument.
-        "SELECT SUM(100 / f.x) FROM f WHERE f.big * 2 > 0",
-    ] {
-        let reference = error_at(&db, sql, "1");
-        assert!(reference.contains("division by zero"), "not the row-3 error: {reference}\n{sql}");
-        for threads in ["2", "4", "8"] {
-            assert_eq!(error_at(&db, sql, threads), reference, "threads {threads}: {sql}");
+    let setup = [
+        "CREATE TABLE f (id INTEGER NOT NULL, k INTEGER NOT NULL, x INTEGER NOT NULL, \
+         big INTEGER NOT NULL)"
+            .to_string(),
+        format!("INSERT INTO f VALUES {}", rows.join(", ")),
+        "CREATE TABLE one (k INTEGER NOT NULL, z INTEGER NOT NULL)".to_string(),
+        "INSERT INTO one VALUES (0, 0)".to_string(),
+    ];
+    sweep(&setup, |run| {
+        for sql in [
+            // Both failures inside one filter / one projection.
+            "SELECT f.id FROM f WHERE 100 / f.x + f.big * 2 > 0",
+            "SELECT 100 / f.x + f.big * 2 FROM f",
+            // Overflow in the filter, division in the projection above it.
+            "SELECT 100 / f.x FROM f WHERE f.big * 2 > 0",
+            // Overflow in the join residual, division in the projection.
+            "SELECT 100 / a.x FROM f a JOIN one o ON a.k = o.k AND a.big * 2 > o.z",
+            // Overflow in the filter, division in the aggregate argument.
+            "SELECT SUM(100 / f.x) FROM f WHERE f.big * 2 > 0",
+        ] {
+            let reference = error_in(run.session(), sql);
+            run.record(sql, reference.clone());
+            if run.config().small_morsels {
+                assert!(
+                    reference.contains("division by zero"),
+                    "not the row-3 error: {reference}\n{sql}"
+                );
+            }
+            for threads in ["2", "8"] {
+                let s = run.new_session();
+                s.set("threads", threads).unwrap();
+                assert_eq!(error_in(&s, sql), reference, "threads {threads}: {sql}");
+            }
         }
-    }
+    });
 }
 
 /// The row-limit guard is evaluated in morsel order, so its message — the
@@ -424,25 +381,32 @@ fn lowest_morsel_error_wins_at_every_thread_count() {
 /// which worker finishes first.
 #[test]
 fn row_limit_message_is_identical_across_thread_counts() {
-    let db = Database::new();
-    db.execute("CREATE TABLE small (id INTEGER NOT NULL, k INTEGER NOT NULL)").unwrap();
     let rows: Vec<String> = (0..10).map(|id| format!("({id}, {})", id % 2)).collect();
-    db.execute(&format!("INSERT INTO small VALUES {}", rows.join(", "))).unwrap();
+    let setup = [
+        "CREATE TABLE small (id INTEGER NOT NULL, k INTEGER NOT NULL)".to_string(),
+        format!("INSERT INTO small VALUES {}", rows.join(", ")),
+    ];
     // Both inputs fit the limit; the 50-row join output (35 of them from
     // the first 7-row morsel) does not.
     let sql = "SELECT a.id, b.id FROM small a JOIN small b ON a.k = b.k";
-    let message = |threads: &str| {
-        let s = db.session();
-        s.set("threads", threads).unwrap();
-        s.set("morsel_rows", "7").unwrap();
-        s.set("row_limit", "10").unwrap();
-        s.query(sql).unwrap_err().to_string()
-    };
-    let reference = message("1");
-    assert!(reference.contains("row limit exceeded"), "{reference}");
-    assert!(reference.contains("Join"), "names the join: {reference}");
-    assert!(reference.contains("produced 35 rows"), "{reference}");
-    for threads in ["2", "4", "8"] {
-        assert_eq!(message(threads), reference, "threads {threads}");
-    }
+    sweep(&setup, |run| {
+        let message = |threads: Option<&str>| {
+            let s = run.new_session();
+            if let Some(threads) = threads {
+                s.set("threads", threads).unwrap();
+            }
+            s.set("row_limit", "10").unwrap();
+            error_in(&s, sql)
+        };
+        let reference = message(None);
+        run.record(sql, reference.clone());
+        assert!(reference.contains("row limit exceeded"), "{reference}");
+        assert!(reference.contains("Join"), "names the join: {reference}");
+        if run.config().small_morsels {
+            assert!(reference.contains("produced 35 rows"), "{reference}");
+        }
+        for threads in ["2", "8"] {
+            assert_eq!(message(Some(threads)), reference, "threads {threads}");
+        }
+    });
 }

@@ -1,38 +1,18 @@
 //! Durability end-to-end: WAL replay, snapshot checkpoints, torn-tail
-//! recovery, and the warm-start contract — a reopened database with a
-//! built path index answers accelerated queries with **zero** rebuild
-//! work and results byte-identical to the pre-restart process.
+//! recovery, a writer killed with SIGKILL, and the warm-start contract — a
+//! reopened database with a built path index answers accelerated queries
+//! with **zero** rebuild work, the same search effort and results
+//! byte-identical to the pre-restart process.
 
+mod common;
+
+use common::{find_span, sweep, TempDir};
 use gsql_core::{Database, IndexSpace};
+use gsql_server::json::{self, Json};
 use gsql_storage::Value;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique, empty temp directory, removed on drop (best effort).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "gsql-persist-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::io::{BufRead, BufReader, Write};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     let t = db.query(sql).unwrap();
@@ -42,6 +22,19 @@ fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
 const ROADS: &str = "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)";
 const ROAD_ROWS: &str = "INSERT INTO e VALUES (1,2,5), (2,3,5), (1,3,20), (3,4,1)";
 const CHEAPEST: &str = "SELECT CHEAPEST SUM(f: f.w) AS cost WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
+
+/// The `(kind, settled)` attributes of the `traversal` span of `sql`, run
+/// traced: which search answered it, and how many vertices it settled.
+fn traversal(db: &Database, sql: &str) -> (String, i64) {
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    session.query(sql).unwrap();
+    let doc = json::parse(&session.last_trace_json().unwrap()).unwrap();
+    let span = find_span(doc.as_array().unwrap(), "traversal").expect("a traversal span");
+    let attrs = span.get("attrs").expect("attributes");
+    let kind = attrs.get("kind").and_then(Json::as_str).expect("kind");
+    (kind.to_string(), attrs.get("settled").and_then(Json::as_i64).expect("settled"))
+}
 
 #[test]
 fn wal_only_restart_roundtrip() {
@@ -64,7 +57,7 @@ fn wal_only_restart_roundtrip() {
 #[test]
 fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
     let dir = TempDir::new("warm");
-    let (before, version, expected) = {
+    let (before, version, expected, search) = {
         let db = Database::open(dir.path()).unwrap();
         db.execute(ROADS).unwrap();
         db.execute(ROAD_ROWS).unwrap();
@@ -72,9 +65,12 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
         db.execute("CREATE PATH INDEX pa ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
         assert!(db.indexes().builds() >= 2);
         let expected = rows(&db, CHEAPEST);
+        let search = traversal(&db, CHEAPEST);
+        assert_eq!(search.0, "ch", "the contraction index answers");
+        assert!(search.1 > 0, "{search:?}");
         let t = db.query("CHECKPOINT").unwrap();
         assert_eq!(t.row(0)[0], Value::from("checkpoint written (epoch 1)"));
-        (rows(&db, "SELECT * FROM e"), db.schema_version(), expected)
+        (rows(&db, "SELECT * FROM e"), db.schema_version(), expected, search)
     };
 
     let db = Database::open(dir.path()).unwrap();
@@ -90,6 +86,9 @@ fn checkpoint_restart_answers_accelerated_queries_without_rebuild() {
     let listing = db.indexes().list(db.catalog());
     assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
     assert_eq!(rows(&db, CHEAPEST), expected);
+    // ...by the same search over the restored hierarchy: it settles the
+    // vertices it settled before the restart.
+    assert_eq!(traversal(&db, CHEAPEST), search, "the restored index searches the same");
     assert_eq!(db.indexes().builds(), 0, "warm start must not rebuild");
 }
 
@@ -214,6 +213,9 @@ fn stale_persisted_index_falls_back_to_rebuild() {
     assert_eq!(db.indexes().builds(), 1);
 }
 
+/// A database recovered from a snapshot plus a WAL suffix of DML over
+/// indexed tables answers like one that never restarted, at threads 1 and
+/// 4 and both morsel sizes — with the same schema version.
 #[test]
 fn checkpoint_then_replay_matches_unrestarted_engine_at_thread_counts() {
     let statements = [
@@ -225,49 +227,176 @@ fn checkpoint_then_replay_matches_unrestarted_engine_at_thread_counts() {
         "UPDATE e SET w = 6 WHERE s = 1 AND d = 2",
         "DELETE FROM e WHERE w = 20",
     ];
-    let queries = [
-        "SELECT * FROM e",
-        CHEAPEST,
-        "SELECT CHEAPEST SUM(1) AS hops WHERE 4 REACHES 3 OVER e EDGE (s, d)",
-    ];
-    for threads in [1usize, 4] {
-        let dir = TempDir::new("equiv");
-        let reference = Database::new();
-        {
-            let db = Database::open(dir.path()).unwrap();
-            let durable = db.session();
-            let fresh = reference.session();
-            durable.set("threads", &threads.to_string()).unwrap();
-            fresh.set("threads", &threads.to_string()).unwrap();
-            for (i, s) in statements.iter().enumerate() {
-                durable.execute(s).unwrap();
-                fresh.execute(s).unwrap();
-                if i == 3 {
-                    durable.execute("CHECKPOINT").unwrap();
-                }
+    sweep(&statements, |run| {
+        run.record("schema_version", run.db().schema_version().to_string());
+        for q in [
+            "SELECT * FROM e",
+            CHEAPEST,
+            "SELECT CHEAPEST SUM(1) AS hops WHERE 4 REACHES 3 OVER e EDGE (s, d)",
+        ] {
+            run.query(q).unwrap();
+        }
+    });
+}
+
+/// Set in the environment of a re-executed copy of this test binary: that
+/// copy is the crash test's writer, over the directory it names.
+const CRASH_WRITER_DIR: &str = "CRASH_WRITER_DIR";
+/// The writer checkpoints after every this many committed ids.
+const CHECKPOINT_EVERY: i64 = 8;
+
+/// Aggregates of the crash test's ledger.
+#[derive(Debug, PartialEq)]
+struct Ledger {
+    rows: i64,
+    distinct_ids: i64,
+    min_id: i64,
+    max_id: i64,
+    sum_val: i64,
+}
+
+impl Ledger {
+    /// The ledger holding exactly the rows `(id, 7·id)` for `id` in `1..=n`.
+    fn prefix(n: i64) -> Ledger {
+        Ledger { rows: n, distinct_ids: n, min_id: 1, max_id: n, sum_val: 7 * n * (n + 1) / 2 }
+    }
+
+    /// The ledger of `db`, `None` before the table exists.
+    fn of(db: &Database) -> Option<Ledger> {
+        let sql = "SELECT COUNT(*), COUNT(DISTINCT id), MIN(id), MAX(id), SUM(val) FROM ledger";
+        let t = db.query(sql).ok()?;
+        let get = |i: usize| t.row(0)[i].as_int().unwrap_or(0);
+        Some(Ledger {
+            rows: get(0),
+            distinct_ids: get(1),
+            min_id: get(2),
+            max_id: get(3),
+            sum_val: get(4),
+        })
+    }
+}
+
+/// The crash test's writer: insert `(id, 7·id)` for the next id, then the
+/// one after, until killed, with a checkpoint after every
+/// [`CHECKPOINT_EVERY`]-th id. Each committed id is acknowledged on stdout
+/// as `progress id=N`, or `progress id=N (checkpointed)` once its checkpoint
+/// is written.
+fn crash_writer(dir: &Path) -> ! {
+    let db = Database::open(dir).unwrap();
+    let mut id = match Ledger::of(&db) {
+        Some(ledger) => ledger.rows + 1,
+        None => {
+            db.execute("CREATE TABLE ledger (id INTEGER NOT NULL, val INTEGER NOT NULL)").unwrap();
+            1
+        }
+    };
+    let mut out = std::io::stdout().lock();
+    loop {
+        db.execute(&format!("INSERT INTO ledger VALUES ({id}, {})", 7 * id)).unwrap();
+        let note = if id % CHECKPOINT_EVERY == 0 {
+            db.checkpoint().unwrap();
+            " (checkpointed)"
+        } else {
+            ""
+        };
+        writeln!(out, "progress id={id}{note}").unwrap();
+        out.flush().unwrap();
+        id += 1;
+    }
+}
+
+/// Where the crash test kills its writer, judged on each progress line.
+#[derive(Debug, Clone, Copy)]
+enum KillAt {
+    /// Right after the writer's N-th commit of its run.
+    Commit(i64),
+    /// Right after its first checkpoint.
+    Checkpoint,
+    /// Right after the commit that precedes a checkpoint, so the kill races
+    /// the snapshot.
+    BeforeCheckpoint,
+}
+
+impl KillAt {
+    /// Whether to kill after reading the `n`-th progress line of the run,
+    /// which acknowledged `id` (after a checkpoint when `checkpointed`).
+    fn now(self, n: i64, id: i64, checkpointed: bool) -> bool {
+        match self {
+            KillAt::Commit(at) => n == at,
+            KillAt::Checkpoint => checkpointed,
+            KillAt::BeforeCheckpoint => (id + 1) % CHECKPOINT_EVERY == 0,
+        }
+    }
+}
+
+/// A durable writer killed with SIGKILL at chosen points — right after its
+/// first commit, right after a checkpoint, right before one (so the kill
+/// races the snapshot), and after many commits — leaves a directory that
+/// reopens to a contiguous prefix `1..=n` of its ids with consistent
+/// values, holding every id the writer acknowledged, and whose log accepts
+/// appends again. The writer is this binary, re-executed.
+#[test]
+fn killed_writer_recovers_every_acknowledged_commit() {
+    if let Some(dir) = std::env::var_os(CRASH_WRITER_DIR) {
+        crash_writer(Path::new(&dir));
+    }
+    let dir = TempDir::new("crash");
+    for point in
+        [KillAt::Commit(1), KillAt::Checkpoint, KillAt::BeforeCheckpoint, KillAt::Commit(40)]
+    {
+        let mut writer = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "killed_writer_recovers_every_acknowledged_commit", "--nocapture"])
+            .env(CRASH_WRITER_DIR, dir.path())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = BufReader::new(writer.stdout.take().unwrap()).lines();
+        // The last id acknowledged before the kill, and after it: the pipe
+        // still holds whatever the writer printed before it died.
+        let mut acknowledged = 0;
+        let mut killed = false;
+        let mut n = 0;
+        for line in lines.by_ref() {
+            let line = line.unwrap();
+            let Some(progress) = line.strip_prefix("progress id=") else { continue };
+            let (id, checkpointed) = match progress.strip_suffix(" (checkpointed)") {
+                Some(id) => (id, true),
+                None => (progress, false),
+            };
+            acknowledged = id.parse().unwrap();
+            n += 1;
+            if point.now(n, acknowledged, checkpointed) {
+                writer.kill().unwrap();
+                killed = true;
+                break;
             }
         }
-        let reopened = Database::open(dir.path()).unwrap();
-        assert_eq!(reopened.schema_version(), reference.schema_version(), "threads={threads}");
-        let a = reopened.session();
-        let b = reference.session();
-        a.set("threads", &threads.to_string()).unwrap();
-        b.set("threads", &threads.to_string()).unwrap();
-        for q in queries {
-            let ta = a.query(q).unwrap();
-            let tb = b.query(q).unwrap();
-            let ra: Vec<Vec<Value>> = (0..ta.row_count()).map(|i| ta.row(i)).collect();
-            let rb: Vec<Vec<Value>> = (0..tb.row_count()).map(|i| tb.row(i)).collect();
-            assert_eq!(ra, rb, "threads={threads}, query={q}");
+        assert!(killed, "{point:?}: the writer exited on its own");
+        writer.wait().unwrap();
+        for line in lines {
+            if let Some(id) = line.unwrap().strip_prefix("progress id=") {
+                acknowledged = id.trim_end_matches(" (checkpointed)").parse().unwrap();
+            }
         }
+
+        // The recovered ids are a contiguous prefix with consistent values,
+        // and no acknowledged commit is missing from it.
+        let db = Database::open(dir.path()).unwrap();
+        let n = Ledger::of(&db).expect("the ledger survives").rows;
+        assert_eq!(Ledger::of(&db), Some(Ledger::prefix(n)), "{point:?}");
+        assert!(n >= acknowledged, "{point:?}: {acknowledged} acknowledged, {n} recovered");
+        // The recovered log accepts appends, and they survive a reopen.
+        let next = n + 1;
+        db.execute(&format!("INSERT INTO ledger VALUES ({next}, {})", 7 * next)).unwrap();
+        drop(db);
+        let db = Database::open(dir.path()).unwrap();
+        assert_eq!(Ledger::of(&db), Some(Ledger::prefix(next)), "{point:?}");
     }
 }
 
 #[test]
 fn checkpoint_is_a_noop_in_memory() {
-    // `Database::default()` is always in-memory, even under the CI leg's
-    // GSQL_DATA_DIR (which makes `Database::new()` durable).
-    let db = Database::default();
+    let db = Database::new();
     let t = db.query("CHECKPOINT").unwrap();
     assert_eq!(t.row(0)[0], Value::from("checkpoint skipped (in-memory database)"));
     assert!(db.checkpoint().unwrap().is_none());

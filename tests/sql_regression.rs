@@ -1,8 +1,11 @@
 //! Broad SQL regression suite for the relational substrate: each case is a
 //! query plus its exact expected result, exercising semantics a downstream
-//! user relies on before ever touching the graph extension.
+//! user relies on before ever touching the graph extension. Every case
+//! runs in each configuration of the shared sweep.
 
-use gsql::{Database, Value};
+mod common;
+
+use gsql::Value;
 use std::sync::Arc;
 
 fn v(x: i64) -> Value {
@@ -13,23 +16,20 @@ fn s(x: &str) -> Value {
     Value::from(x)
 }
 
-fn setup() -> Database {
-    let db = Database::new();
-    db.execute_script(
-        "CREATE TABLE dept (id INTEGER PRIMARY KEY, name VARCHAR NOT NULL);
-         CREATE TABLE emp (id INTEGER PRIMARY KEY, name VARCHAR NOT NULL,
-                           dept_id INTEGER, salary DOUBLE, hired DATE);
-         INSERT INTO dept VALUES (1, 'eng'), (2, 'sales'), (3, 'empty');
-         INSERT INTO emp VALUES
-            (1, 'ada',   1, 95000.0, '2019-05-01'),
-            (2, 'bob',   1, 70000.0, '2020-01-15'),
-            (3, 'cat',   2, 60000.0, '2018-11-30'),
-            (4, 'dan',   2, 62000.0, '2021-07-04'),
-            (5, 'eve',   NULL, NULL, NULL);",
-    )
-    .unwrap();
-    db
-}
+/// Two tables: the first two statements land in a durable run's snapshot,
+/// the rows in its WAL suffix.
+const SETUP: [&str; 4] = [
+    "CREATE TABLE dept (id INTEGER PRIMARY KEY, name VARCHAR NOT NULL)",
+    "CREATE TABLE emp (id INTEGER PRIMARY KEY, name VARCHAR NOT NULL,
+                       dept_id INTEGER, salary DOUBLE, hired DATE)",
+    "INSERT INTO dept VALUES (1, 'eng'), (2, 'sales'), (3, 'empty')",
+    "INSERT INTO emp VALUES
+        (1, 'ada',   1, 95000.0, '2019-05-01'),
+        (2, 'bob',   1, 70000.0, '2020-01-15'),
+        (3, 'cat',   2, 60000.0, '2018-11-30'),
+        (4, 'dan',   2, 62000.0, '2021-07-04'),
+        (5, 'eve',   NULL, NULL, NULL)",
+];
 
 fn rows(t: &Arc<gsql::Table>) -> Vec<Vec<Value>> {
     t.rows().collect()
@@ -37,290 +37,321 @@ fn rows(t: &Arc<gsql::Table>) -> Vec<Vec<Value>> {
 
 #[test]
 fn where_and_or_not_precedence() {
-    let db = setup();
-    let t = db
-        .query(
-            "SELECT id FROM emp WHERE dept_id = 1 OR dept_id = 2 AND salary > 61000.0 ORDER BY id",
-        )
-        .unwrap();
-    // AND binds tighter: dept 1 any salary, dept 2 only dan.
-    assert_eq!(rows(&t), vec![vec![v(1)], vec![v(2)], vec![v(4)]]);
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "SELECT id FROM emp WHERE dept_id = 1 OR dept_id = 2 AND salary > 61000.0 ORDER BY id",
+            )
+            .unwrap();
+        // AND binds tighter: dept 1 any salary, dept 2 only dan.
+        assert_eq!(rows(&t), vec![vec![v(1)], vec![v(2)], vec![v(4)]]);
+    });
 }
 
 #[test]
 fn null_semantics_in_filters() {
-    let db = setup();
-    // eve has NULL dept_id: excluded by both = and <>.
-    let eq = db.query("SELECT COUNT(*) FROM emp WHERE dept_id = 1").unwrap();
-    let ne = db.query("SELECT COUNT(*) FROM emp WHERE dept_id <> 1").unwrap();
-    assert_eq!(eq.row(0)[0], v(2));
-    assert_eq!(ne.row(0)[0], v(2));
-    let isnull = db.query("SELECT name FROM emp WHERE dept_id IS NULL").unwrap();
-    assert_eq!(rows(&isnull), vec![vec![s("eve")]]);
-    let notnull = db.query("SELECT COUNT(*) FROM emp WHERE dept_id IS NOT NULL").unwrap();
-    assert_eq!(notnull.row(0)[0], v(4));
+    common::sweep(&SETUP, |run| {
+        // eve has NULL dept_id: excluded by both = and <>.
+        let eq = run.query("SELECT COUNT(*) FROM emp WHERE dept_id = 1").unwrap();
+        let ne = run.query("SELECT COUNT(*) FROM emp WHERE dept_id <> 1").unwrap();
+        assert_eq!(eq.row(0)[0], v(2));
+        assert_eq!(ne.row(0)[0], v(2));
+        let isnull = run.query("SELECT name FROM emp WHERE dept_id IS NULL").unwrap();
+        assert_eq!(rows(&isnull), vec![vec![s("eve")]]);
+        let notnull = run.query("SELECT COUNT(*) FROM emp WHERE dept_id IS NOT NULL").unwrap();
+        assert_eq!(notnull.row(0)[0], v(4));
+    });
 }
 
 #[test]
 fn inner_join_and_left_join() {
-    let db = setup();
-    let inner = db
-        .query(
-            "SELECT d.name, COUNT(*) AS n FROM dept d JOIN emp e ON d.id = e.dept_id
-             GROUP BY d.name ORDER BY d.name",
-        )
-        .unwrap();
-    assert_eq!(rows(&inner), vec![vec![s("eng"), v(2)], vec![s("sales"), v(2)]]);
+    common::sweep(&SETUP, |run| {
+        let inner = run
+            .query(
+                "SELECT d.name, COUNT(*) AS n FROM dept d JOIN emp e ON d.id = e.dept_id
+                 GROUP BY d.name ORDER BY d.name",
+            )
+            .unwrap();
+        assert_eq!(rows(&inner), vec![vec![s("eng"), v(2)], vec![s("sales"), v(2)]]);
 
-    let left = db
-        .query(
-            "SELECT d.name, e.name FROM dept d LEFT JOIN emp e ON d.id = e.dept_id
-             ORDER BY d.name, e.name",
-        )
-        .unwrap();
-    // 'empty' department survives with NULL employee.
-    assert_eq!(left.row_count(), 5);
-    assert_eq!(left.row(0)[0], s("empty"));
-    assert!(left.row(0)[1].is_null());
+        let left = run
+            .query(
+                "SELECT d.name, e.name FROM dept d LEFT JOIN emp e ON d.id = e.dept_id
+                 ORDER BY d.name, e.name",
+            )
+            .unwrap();
+        // 'empty' department survives with NULL employee.
+        assert_eq!(left.row_count(), 5);
+        assert_eq!(left.row(0)[0], s("empty"));
+        assert!(left.row(0)[1].is_null());
+    });
 }
 
 #[test]
 fn aggregates_with_nulls() {
-    let db = setup();
-    let t = db
-        .query(
-            "SELECT COUNT(*), COUNT(salary), SUM(salary), MIN(salary), MAX(salary), AVG(salary)
-             FROM emp",
-        )
-        .unwrap();
-    let r = t.row(0);
-    assert_eq!(r[0], v(5));
-    assert_eq!(r[1], v(4)); // NULL salary not counted
-    assert_eq!(r[2], Value::Double(287000.0));
-    assert_eq!(r[3], Value::Double(60000.0));
-    assert_eq!(r[4], Value::Double(95000.0));
-    assert_eq!(r[5], Value::Double(71750.0));
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "SELECT COUNT(*), COUNT(salary), SUM(salary), MIN(salary), MAX(salary), AVG(salary)
+                 FROM emp",
+            )
+            .unwrap();
+        let r = t.row(0);
+        assert_eq!(r[0], v(5));
+        assert_eq!(r[1], v(4)); // NULL salary not counted
+        assert_eq!(r[2], Value::Double(287000.0));
+        assert_eq!(r[3], Value::Double(60000.0));
+        assert_eq!(r[4], Value::Double(95000.0));
+        assert_eq!(r[5], Value::Double(71750.0));
+    });
 }
 
 #[test]
 fn group_by_expression_and_having() {
-    let db = setup();
-    let t = db
-        .query(
-            "SELECT dept_id, COUNT(*) AS n FROM emp GROUP BY dept_id
-             HAVING COUNT(*) >= 2 ORDER BY dept_id",
-        )
-        .unwrap();
-    assert_eq!(rows(&t), vec![vec![v(1), v(2)], vec![v(2), v(2)]]);
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "SELECT dept_id, COUNT(*) AS n FROM emp GROUP BY dept_id
+                 HAVING COUNT(*) >= 2 ORDER BY dept_id",
+            )
+            .unwrap();
+        assert_eq!(rows(&t), vec![vec![v(1), v(2)], vec![v(2), v(2)]]);
+    });
 }
 
 #[test]
 fn order_by_variants() {
-    let db = setup();
-    // By alias.
-    let t = db.query("SELECT name AS who FROM emp ORDER BY who DESC LIMIT 2").unwrap();
-    assert_eq!(rows(&t), vec![vec![s("eve")], vec![s("dan")]]);
-    // By ordinal.
-    let t = db.query("SELECT id, name FROM emp ORDER BY 2 LIMIT 1").unwrap();
-    assert_eq!(t.row(0)[1], s("ada"));
-    // By non-projected expression (hidden sort column).
-    let t = db
-        .query("SELECT name FROM emp WHERE salary IS NOT NULL ORDER BY salary DESC LIMIT 1")
-        .unwrap();
-    assert_eq!(t.row(0)[0], s("ada"));
-    // NULLs sort first ascending.
-    let t = db.query("SELECT name FROM emp ORDER BY salary, name LIMIT 1").unwrap();
-    assert_eq!(t.row(0)[0], s("eve"));
+    common::sweep(&SETUP, |run| {
+        // By alias.
+        let t = run.query("SELECT name AS who FROM emp ORDER BY who DESC LIMIT 2").unwrap();
+        assert_eq!(rows(&t), vec![vec![s("eve")], vec![s("dan")]]);
+        // By ordinal.
+        let t = run.query("SELECT id, name FROM emp ORDER BY 2 LIMIT 1").unwrap();
+        assert_eq!(t.row(0)[1], s("ada"));
+        // By non-projected expression (hidden sort column).
+        let t = run
+            .query("SELECT name FROM emp WHERE salary IS NOT NULL ORDER BY salary DESC LIMIT 1")
+            .unwrap();
+        assert_eq!(t.row(0)[0], s("ada"));
+        // NULLs sort first ascending.
+        let t = run.query("SELECT name FROM emp ORDER BY salary, name LIMIT 1").unwrap();
+        assert_eq!(t.row(0)[0], s("eve"));
+    });
 }
 
 #[test]
 fn distinct_and_union() {
-    let db = setup();
-    let t = db
-        .query("SELECT DISTINCT dept_id FROM emp WHERE dept_id IS NOT NULL ORDER BY dept_id")
-        .unwrap();
-    assert_eq!(rows(&t), vec![vec![v(1)], vec![v(2)]]);
-    let t = db
-        .query("SELECT dept_id FROM emp WHERE id = 1 UNION SELECT dept_id FROM emp WHERE id = 2")
-        .unwrap();
-    assert_eq!(t.row_count(), 1); // both are dept 1, UNION dedups
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query("SELECT DISTINCT dept_id FROM emp WHERE dept_id IS NOT NULL ORDER BY dept_id")
+            .unwrap();
+        assert_eq!(rows(&t), vec![vec![v(1)], vec![v(2)]]);
+        let t = run
+            .query(
+                "SELECT dept_id FROM emp WHERE id = 1 UNION SELECT dept_id FROM emp WHERE id = 2",
+            )
+            .unwrap();
+        assert_eq!(t.row_count(), 1); // both are dept 1, UNION dedups
+    });
 }
 
 #[test]
 fn union_widens_int_to_double() {
-    let db = setup();
-    // INT ∪ DOUBLE must yield DOUBLE on both sides (and stay queryable
-    // through a derived table).
-    let t = db
-        .query("SELECT x + 0.25 AS y FROM (SELECT 1 AS x UNION ALL SELECT 2.5) u ORDER BY y")
-        .unwrap();
-    assert_eq!(t.row(0)[0], Value::Double(1.25));
-    assert_eq!(t.row(1)[0], Value::Double(2.75));
-    let t = db.query("SELECT 2.5 UNION ALL SELECT 1").unwrap();
-    assert_eq!(t.schema().column(0).ty, gsql::DataType::Double);
+    common::sweep(&SETUP, |run| {
+        // INT ∪ DOUBLE must yield DOUBLE on both sides (and stay queryable
+        // through a derived table).
+        let t = run
+            .query("SELECT x + 0.25 AS y FROM (SELECT 1 AS x UNION ALL SELECT 2.5) u ORDER BY y")
+            .unwrap();
+        assert_eq!(t.row(0)[0], Value::Double(1.25));
+        assert_eq!(t.row(1)[0], Value::Double(2.75));
+        let t = run.query("SELECT 2.5 UNION ALL SELECT 1").unwrap();
+        assert_eq!(t.schema().column(0).ty, gsql::DataType::Double);
+    });
 }
 
 #[test]
 fn case_cast_like_between_in() {
-    let db = setup();
-    let t = db
-        .query(
-            "SELECT name,
-                    CASE WHEN salary >= 70000.0 THEN 'senior'
-                         WHEN salary IS NULL THEN 'unknown'
-                         ELSE 'junior' END AS grade
-             FROM emp ORDER BY id",
-        )
-        .unwrap();
-    let grades: Vec<Value> = t.rows().map(|r| r[1].clone()).collect();
-    assert_eq!(grades, vec![s("senior"), s("senior"), s("junior"), s("junior"), s("unknown")]);
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "SELECT name,
+                        CASE WHEN salary >= 70000.0 THEN 'senior'
+                             WHEN salary IS NULL THEN 'unknown'
+                             ELSE 'junior' END AS grade
+                 FROM emp ORDER BY id",
+            )
+            .unwrap();
+        let grades: Vec<Value> = t.rows().map(|r| r[1].clone()).collect();
+        assert_eq!(grades, vec![s("senior"), s("senior"), s("junior"), s("junior"), s("unknown")]);
 
-    let t = db.query("SELECT CAST(salary AS INTEGER) FROM emp WHERE id = 1").unwrap();
-    assert_eq!(t.row(0)[0], v(95000));
+        let t = run.query("SELECT CAST(salary AS INTEGER) FROM emp WHERE id = 1").unwrap();
+        assert_eq!(t.row(0)[0], v(95000));
 
-    let t = db.query("SELECT name FROM emp WHERE name LIKE '%a%' ORDER BY name").unwrap();
-    assert_eq!(rows(&t), vec![vec![s("ada")], vec![s("cat")], vec![s("dan")]]);
+        let t = run.query("SELECT name FROM emp WHERE name LIKE '%a%' ORDER BY name").unwrap();
+        assert_eq!(rows(&t), vec![vec![s("ada")], vec![s("cat")], vec![s("dan")]]);
 
-    let t = db.query("SELECT COUNT(*) FROM emp WHERE salary BETWEEN 60000.0 AND 70000.0").unwrap();
-    assert_eq!(t.row(0)[0], v(3));
+        let t =
+            run.query("SELECT COUNT(*) FROM emp WHERE salary BETWEEN 60000.0 AND 70000.0").unwrap();
+        assert_eq!(t.row(0)[0], v(3));
 
-    let t = db.query("SELECT COUNT(*) FROM emp WHERE dept_id IN (2, 3)").unwrap();
-    assert_eq!(t.row(0)[0], v(2));
+        let t = run.query("SELECT COUNT(*) FROM emp WHERE dept_id IN (2, 3)").unwrap();
+        assert_eq!(t.row(0)[0], v(2));
+    });
 }
 
 #[test]
 fn date_comparisons_and_literals() {
-    let db = setup();
-    let t =
-        db.query("SELECT name FROM emp WHERE hired < DATE '2020-01-01' ORDER BY hired").unwrap();
-    assert_eq!(rows(&t), vec![vec![s("cat")], vec![s("ada")]]);
-    // Bare-string coercion (the paper's A.3 style).
-    let t = db.query("SELECT COUNT(*) FROM emp WHERE hired >= '2020-01-01'").unwrap();
-    assert_eq!(t.row(0)[0], v(2));
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query("SELECT name FROM emp WHERE hired < DATE '2020-01-01' ORDER BY hired")
+            .unwrap();
+        assert_eq!(rows(&t), vec![vec![s("cat")], vec![s("ada")]]);
+        // Bare-string coercion (the paper's A.3 style).
+        let t = run.query("SELECT COUNT(*) FROM emp WHERE hired >= '2020-01-01'").unwrap();
+        assert_eq!(t.row(0)[0], v(2));
+    });
 }
 
 #[test]
 fn scalar_functions() {
-    let db = setup();
-    let t = db
-        .query(
-            "SELECT UPPER(name), LOWER('ABC'), LENGTH(name),
-                    ABS(-5), ROUND(2.7), FLOOR(2.7), CEIL(2.2), SQRT(16.0),
-                    COALESCE(salary, 0.0), NULLIF(1, 1)
-             FROM emp WHERE id = 5",
-        )
-        .unwrap();
-    let r = t.row(0);
-    assert_eq!(r[0], s("EVE"));
-    assert_eq!(r[1], s("abc"));
-    assert_eq!(r[2], v(3));
-    assert_eq!(r[3], v(5));
-    assert_eq!(r[4], Value::Double(3.0));
-    assert_eq!(r[5], Value::Double(2.0));
-    assert_eq!(r[6], Value::Double(3.0));
-    assert_eq!(r[7], Value::Double(4.0));
-    assert_eq!(r[8], Value::Double(0.0));
-    assert!(r[9].is_null());
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "SELECT UPPER(name), LOWER('ABC'), LENGTH(name),
+                        ABS(-5), ROUND(2.7), FLOOR(2.7), CEIL(2.2), SQRT(16.0),
+                        COALESCE(salary, 0.0), NULLIF(1, 1)
+                 FROM emp WHERE id = 5",
+            )
+            .unwrap();
+        let r = t.row(0);
+        assert_eq!(r[0], s("EVE"));
+        assert_eq!(r[1], s("abc"));
+        assert_eq!(r[2], v(3));
+        assert_eq!(r[3], v(5));
+        assert_eq!(r[4], Value::Double(3.0));
+        assert_eq!(r[5], Value::Double(2.0));
+        assert_eq!(r[6], Value::Double(3.0));
+        assert_eq!(r[7], Value::Double(4.0));
+        assert_eq!(r[8], Value::Double(0.0));
+        assert!(r[9].is_null());
+    });
 }
 
 #[test]
 fn subqueries_and_ctes_compose() {
-    let db = setup();
-    let t = db
-        .query(
-            "WITH well_paid AS (SELECT * FROM emp WHERE salary > 61000.0)
-             SELECT d.name, x.n FROM dept d
-             JOIN (SELECT dept_id, COUNT(*) AS n FROM well_paid GROUP BY dept_id) x
-               ON d.id = x.dept_id
-             ORDER BY d.name",
-        )
-        .unwrap();
-    assert_eq!(rows(&t), vec![vec![s("eng"), v(2)], vec![s("sales"), v(1)]]);
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query(
+                "WITH well_paid AS (SELECT * FROM emp WHERE salary > 61000.0)
+                 SELECT d.name, x.n FROM dept d
+                 JOIN (SELECT dept_id, COUNT(*) AS n FROM well_paid GROUP BY dept_id) x
+                   ON d.id = x.dept_id
+                 ORDER BY d.name",
+            )
+            .unwrap();
+        assert_eq!(rows(&t), vec![vec![s("eng"), v(2)], vec![s("sales"), v(1)]]);
+    });
 }
 
 #[test]
 fn update_delete_semantics() {
-    let db = setup();
-    // UPDATE with expression referencing old values.
-    match db.execute("UPDATE emp SET salary = salary * 1.1 WHERE dept_id = 1").unwrap() {
-        gsql::QueryResult::Affected(2) => {}
-        other => panic!("{other:?}"),
-    }
-    let t = db.query("SELECT salary FROM emp WHERE id = 1").unwrap();
-    assert_eq!(t.row(0)[0], Value::Double(95000.0 * 1.1));
-    // DELETE with filter; eve's NULL dept_id survives a dept_id filter.
-    db.execute("DELETE FROM emp WHERE dept_id = 2").unwrap();
-    let t = db.query("SELECT COUNT(*) FROM emp").unwrap();
-    assert_eq!(t.row(0)[0], v(3));
-    // DELETE all.
-    db.execute("DELETE FROM emp").unwrap();
-    assert_eq!(db.query("SELECT COUNT(*) FROM emp").unwrap().row(0)[0], v(0));
+    common::sweep(&SETUP, |run| {
+        // UPDATE with expression referencing old values.
+        match run
+            .session()
+            .execute("UPDATE emp SET salary = salary * 1.1 WHERE dept_id = 1")
+            .unwrap()
+        {
+            gsql::QueryResult::Affected(2) => {}
+            other => panic!("{other:?}"),
+        }
+        let t = run.query("SELECT salary FROM emp WHERE id = 1").unwrap();
+        assert_eq!(t.row(0)[0], Value::Double(95000.0 * 1.1));
+        // DELETE with filter; eve's NULL dept_id survives a dept_id filter.
+        run.session().execute("DELETE FROM emp WHERE dept_id = 2").unwrap();
+        let t = run.query("SELECT COUNT(*) FROM emp").unwrap();
+        assert_eq!(t.row(0)[0], v(3));
+        // DELETE all.
+        run.session().execute("DELETE FROM emp").unwrap();
+        assert_eq!(run.query("SELECT COUNT(*) FROM emp").unwrap().row(0)[0], v(0));
+    });
 }
 
 #[test]
 fn insert_select_and_explicit_columns() {
-    let db = setup();
-    db.execute("CREATE TABLE names (id INTEGER, label VARCHAR)").unwrap();
-    db.execute("INSERT INTO names SELECT id, name FROM emp WHERE dept_id = 1").unwrap();
-    assert_eq!(db.query("SELECT COUNT(*) FROM names").unwrap().row(0)[0], v(2));
-    // Explicit column list with a missing column -> NULL.
-    db.execute("INSERT INTO names (label) VALUES ('solo')").unwrap();
-    let t = db.query("SELECT id, label FROM names WHERE label = 'solo'").unwrap();
-    assert!(t.row(0)[0].is_null());
+    common::sweep(&SETUP, |run| {
+        run.session().execute("CREATE TABLE names (id INTEGER, label VARCHAR)").unwrap();
+        run.session()
+            .execute("INSERT INTO names SELECT id, name FROM emp WHERE dept_id = 1")
+            .unwrap();
+        assert_eq!(run.query("SELECT COUNT(*) FROM names").unwrap().row(0)[0], v(2));
+        // Explicit column list with a missing column -> NULL.
+        run.session().execute("INSERT INTO names (label) VALUES ('solo')").unwrap();
+        let t = run.query("SELECT id, label FROM names WHERE label = 'solo'").unwrap();
+        assert!(t.row(0)[0].is_null());
+    });
 }
 
 #[test]
 fn values_as_table_and_cross_join() {
-    let db = setup();
-    let t = db.query("VALUES (1, 'x'), (2, 'y')").unwrap();
-    assert_eq!(t.row_count(), 2);
-    assert_eq!(t.schema().names().collect::<Vec<_>>(), vec!["column1", "column2"]);
-    let t = db
-        .query(
-            "WITH v (k) AS (VALUES (1), (2))
-             SELECT COUNT(*) FROM dept, v",
-        )
-        .unwrap();
-    assert_eq!(t.row(0)[0], v(6)); // 3 depts × 2
+    common::sweep(&SETUP, |run| {
+        let t = run.query("VALUES (1, 'x'), (2, 'y')").unwrap();
+        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.schema().names().collect::<Vec<_>>(), vec!["column1", "column2"]);
+        let t = run
+            .query(
+                "WITH v (k) AS (VALUES (1), (2))
+                 SELECT COUNT(*) FROM dept, v",
+            )
+            .unwrap();
+        assert_eq!(t.row(0)[0], v(6)); // 3 depts × 2
+    });
 }
 
 #[test]
 fn string_concat_and_arithmetic() {
-    let db = setup();
-    let t = db
-        .query("SELECT name || '-' || CAST(id AS VARCHAR), id % 2, -id FROM emp WHERE id <= 2 ORDER BY id")
-        .unwrap();
-    assert_eq!(t.row(0)[0], s("ada-1"));
-    assert_eq!(t.row(0)[1], v(1));
-    assert_eq!(t.row(0)[2], v(-1));
-    assert_eq!(t.row(1)[1], v(0));
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query("SELECT name || '-' || CAST(id AS VARCHAR), id % 2, -id FROM emp WHERE id <= 2 ORDER BY id")
+            .unwrap();
+        assert_eq!(t.row(0)[0], s("ada-1"));
+        assert_eq!(t.row(0)[1], v(1));
+        assert_eq!(t.row(0)[2], v(-1));
+        assert_eq!(t.row(1)[1], v(0));
+    });
 }
 
 #[test]
 fn limit_offset_pagination() {
-    let db = setup();
-    let page1 = db.query("SELECT id FROM emp ORDER BY id LIMIT 2").unwrap();
-    let page2 = db.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 2").unwrap();
-    let page3 = db.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 4").unwrap();
-    assert_eq!(rows(&page1), vec![vec![v(1)], vec![v(2)]]);
-    assert_eq!(rows(&page2), vec![vec![v(3)], vec![v(4)]]);
-    assert_eq!(rows(&page3), vec![vec![v(5)]]);
-    let empty = db.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 99").unwrap();
-    assert_eq!(empty.row_count(), 0);
+    common::sweep(&SETUP, |run| {
+        let page1 = run.query("SELECT id FROM emp ORDER BY id LIMIT 2").unwrap();
+        let page2 = run.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 2").unwrap();
+        let page3 = run.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 4").unwrap();
+        assert_eq!(rows(&page1), vec![vec![v(1)], vec![v(2)]]);
+        assert_eq!(rows(&page2), vec![vec![v(3)], vec![v(4)]]);
+        assert_eq!(rows(&page3), vec![vec![v(5)]]);
+        let empty = run.query("SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 99").unwrap();
+        assert_eq!(empty.row_count(), 0);
+    });
 }
 
 #[test]
 fn count_distinct_and_avg_distinct() {
-    let db = setup();
-    db.execute("INSERT INTO emp VALUES (6, 'fay', 1, 70000.0, '2022-01-01')").unwrap();
-    let t = db.query("SELECT COUNT(DISTINCT dept_id), COUNT(DISTINCT salary) FROM emp").unwrap();
-    assert_eq!(t.row(0)[0], v(2));
-    assert_eq!(t.row(0)[1], v(4)); // 95k, 70k, 60k, 62k (70k dup, NULL out)
+    common::sweep(&SETUP, |run| {
+        run.session()
+            .execute("INSERT INTO emp VALUES (6, 'fay', 1, 70000.0, '2022-01-01')")
+            .unwrap();
+        let t =
+            run.query("SELECT COUNT(DISTINCT dept_id), COUNT(DISTINCT salary) FROM emp").unwrap();
+        assert_eq!(t.row(0)[0], v(2));
+        assert_eq!(t.row(0)[1], v(4)); // 95k, 70k, 60k, 62k (70k dup, NULL out)
+    });
 }
 
 #[test]
 fn explain_shows_pushdown() {
-    let db = setup();
+    let db = common::database(&SETUP);
     let plan = db
         .plan("SELECT e.name FROM emp e, dept d WHERE e.dept_id = d.id AND d.name = 'eng'")
         .unwrap()
@@ -333,10 +364,11 @@ fn explain_shows_pushdown() {
 
 #[test]
 fn qualified_wildcards() {
-    let db = setup();
-    let t = db
-        .query("SELECT d.*, e.name FROM dept d JOIN emp e ON d.id = e.dept_id WHERE e.id = 1")
-        .unwrap();
-    assert_eq!(t.schema().len(), 3);
-    assert_eq!(t.row(0), vec![v(1), s("eng"), s("ada")]);
+    common::sweep(&SETUP, |run| {
+        let t = run
+            .query("SELECT d.*, e.name FROM dept d JOIN emp e ON d.id = e.dept_id WHERE e.id = 1")
+            .unwrap();
+        assert_eq!(t.schema().len(), 3);
+        assert_eq!(t.row(0), vec![v(1), s("eng"), s("ada")]);
+    });
 }

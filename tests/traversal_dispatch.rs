@@ -8,16 +8,21 @@
 //! self-loops and two disconnected parts, queried with duplicate, self and
 //! absent-vertex pairs. Each graph is swept over six index setups (none, a
 //! graph index, hop and weighted LANDMARKS, hop and weighted CONTRACTION) ×
-//! `path_index` on/off × threads 1/4 × three shapes (point, a multi-pair
-//! `VALUES` batch, a two-table `GraphJoin`) × six select lists. Checks: the
+//! `path_index` on/off × three shapes (point, a multi-pair `VALUES` batch, a
+//! two-table `GraphJoin`) × six select lists, in every configuration of the
+//! shared sweep (threads, morsel size, in memory or durable). Checks: the
 //! rows are exactly the reachable pairs, each cost is the oracle's, each
 //! returned path is a real path of that cost, and the `traversal` span
 //! names the kind and reason the dispatcher documents for that shape.
 
-use gsql::{Database, Value};
+mod common;
+
+use common::{answer, find_span, sweep};
+use gsql::Value;
 use gsql_server::json::{self, Json};
 use rand::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// Vertex ids live in two disconnected parts: `0..SPLIT` and
 /// `SPLIT..2*SPLIT`, spread out so they are not dense.
@@ -193,15 +198,6 @@ fn expected_kind(
     }
 }
 
-fn find_span<'j>(spans: &'j [Json], name: &str) -> Option<&'j Json> {
-    spans.iter().find_map(|span| {
-        if span.get("name").and_then(Json::as_str) == Some(name) {
-            return Some(span);
-        }
-        find_span(span.get("children").and_then(Json::as_array)?, name)
-    })
-}
-
 /// The `(kind, reason)` of the last statement's `traversal` span.
 fn traversal_kind(session: &gsql::Session<'_>) -> (String, String) {
     let doc = json::parse(&session.last_trace_json().expect("traced")).unwrap();
@@ -241,18 +237,19 @@ fn check_row(row: &[Value], first: usize, spec: Spec, edges: &[(i64, i64, i64)],
 #[test]
 fn every_dispatch_rule_matches_the_oracle() {
     let mut rng = SmallRng::seed_from_u64(2017);
-    let mut reached = BTreeSet::new();
+    let reached = Mutex::new(BTreeSet::new());
     for graph in 0..30 {
         let edges = random_edges(&mut rng);
         let vertices: BTreeSet<i64> = edges.iter().flat_map(|&(s, d, _)| [s, d]).collect();
         let is_vertex = |v: i64| vertices.contains(&v);
         let reachable = |s, d| is_vertex(s) && is_vertex(d) && oracle(&edges, s, d, true).is_some();
 
-        let db = Database::new();
-        db.execute("CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)")
-            .unwrap();
         let rows: Vec<String> = edges.iter().map(|(s, d, w)| format!("({s}, {d}, {w})")).collect();
-        db.execute(&format!("INSERT INTO e VALUES {}", rows.join(", "))).unwrap();
+        let mut setup = vec![
+            "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)"
+                .to_string(),
+            format!("INSERT INTO e VALUES {}", rows.join(", ")),
+        ];
         // Point pairs: a self pair, an absent endpoint, and random ones.
         let mut points = vec![(vertex_id(1), vertex_id(1)), (ABSENT, vertex_id(2))];
         points.extend((0..3).map(|_| (random_endpoint(&mut rng), random_endpoint(&mut rng))));
@@ -266,9 +263,9 @@ fn every_dispatch_rule_matches_the_oracle() {
         let lefts: Vec<i64> = (0..4).map(|_| random_endpoint(&mut rng)).collect();
         let rights: Vec<i64> = (0..4).map(|_| random_endpoint(&mut rng)).collect();
         for (table, ids) in [("lefts", &lefts), ("rights", &rights)] {
-            db.execute(&format!("CREATE TABLE {table} (id INTEGER NOT NULL)")).unwrap();
+            setup.push(format!("CREATE TABLE {table} (id INTEGER NOT NULL)"));
             let rows: Vec<String> = ids.iter().map(|id| format!("({id})")).collect();
-            db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", "))).unwrap();
+            setup.push(format!("INSERT INTO {table} VALUES {}", rows.join(", ")));
         }
         let join_pairs = {
             let distinct = |ids: &[i64]| {
@@ -278,101 +275,105 @@ fn every_dispatch_rule_matches_the_oracle() {
         };
         let batch_pairs = batch.iter().filter(|&&(a, b)| is_vertex(a) && is_vertex(b)).count();
 
-        for setup in Setup::ALL {
-            if let Some(ddl) = setup.ddl() {
-                db.execute(&ddl).unwrap();
-            }
-            for (path_on, threads) in [("on", "1"), ("on", "4"), ("off", "1"), ("off", "4")] {
-                let session = db.session();
-                session.set("path_index", path_on).unwrap();
-                session.set("threads", threads).unwrap();
-                session.set("trace", "on").unwrap();
-                let ctx = |what: &str, spec: Spec| {
-                    format!("graph {graph} {setup:?} path_index={path_on} threads={threads} {what} {spec:?}")
-                };
-                let mut check_kind = |spec: Spec, pairs: usize, what: &str| {
-                    let want = expected_kind(setup, path_on == "on", spec, pairs);
-                    let got = traversal_kind(&session);
-                    assert_eq!((got.0.as_str(), got.1.as_str()), want, "{}", ctx(what, spec));
-                    reached.insert(want);
-                };
-                for spec in Spec::ALL {
-                    // Point shape: one pair per statement.
-                    let sql = format!(
-                        "SELECT 1 AS hit{} WHERE ? REACHES ? OVER e f EDGE (s, d)",
-                        spec.columns()
-                    );
-                    for &(s, d) in &points {
-                        let t = session.query_with_params(&sql, &[Value::Int(s), Value::Int(d)]);
-                        let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("point", spec)));
-                        let what = ctx(&format!("point ({s}, {d})"), spec);
-                        assert_eq!(t.row_count(), usize::from(reachable(s, d)), "{what}");
-                        if t.row_count() == 1 {
-                            check_row(&t.row(0), 1, spec, &edges, s, d);
+        sweep(&setup, |run| {
+            for setup in Setup::ALL {
+                if let Some(ddl) = setup.ddl() {
+                    run.session().execute(&ddl).unwrap();
+                }
+                for path_on in ["on", "off"] {
+                    let session = run.new_session();
+                    session.set("path_index", path_on).unwrap();
+                    session.set("trace", "on").unwrap();
+                    let ctx = |what: &str, spec: Spec| {
+                        format!("graph {graph} {setup:?} path_index={path_on} {what} {spec:?}")
+                    };
+                    let check_kind = |spec: Spec, pairs: usize, what: &str| {
+                        let want = expected_kind(setup, path_on == "on", spec, pairs);
+                        let got = traversal_kind(&session);
+                        assert_eq!((got.0.as_str(), got.1.as_str()), want, "{}", ctx(what, spec));
+                        reached.lock().unwrap().insert(want);
+                    };
+                    for spec in Spec::ALL {
+                        // Point shape: one pair per statement.
+                        let sql = format!(
+                            "SELECT 1 AS hit{} WHERE ? REACHES ? OVER e f EDGE (s, d)",
+                            spec.columns()
+                        );
+                        for &(s, d) in &points {
+                            let what = ctx(&format!("point ({s}, {d})"), spec);
+                            let t =
+                                session.query_with_params(&sql, &[Value::Int(s), Value::Int(d)]);
+                            run.record(&what, answer(&t));
+                            let t = t.unwrap_or_else(|e| panic!("{what}: {e}"));
+                            assert_eq!(t.row_count(), usize::from(reachable(s, d)), "{what}");
+                            if t.row_count() == 1 {
+                                check_row(&t.row(0), 1, spec, &edges, s, d);
+                            }
+                            check_kind(spec, usize::from(is_vertex(s) && is_vertex(d)), "point");
                         }
-                        check_kind(spec, usize::from(is_vertex(s) && is_vertex(d)), "point");
-                    }
-                    // Multi-pair VALUES batch: surviving pairs in input order.
-                    let sql = format!(
-                        "WITH pairs (a, b) AS (VALUES {values}) SELECT pairs.a, pairs.b{} \
-                         FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)",
-                        spec.columns()
-                    );
-                    let t = session
-                        .query(&sql)
-                        .unwrap_or_else(|e| panic!("{}: {e}", ctx("batch", spec)));
-                    let want: Vec<(i64, i64)> =
-                        batch.iter().copied().filter(|&(a, b)| reachable(a, b)).collect();
-                    assert_eq!(t.row_count(), want.len(), "{}", ctx("batch", spec));
-                    for (i, &(a, b)) in want.iter().enumerate() {
-                        let row = t.row(i);
-                        assert_eq!(
-                            row[..2],
-                            [Value::Int(a), Value::Int(b)],
-                            "{}",
-                            ctx("batch", spec)
+                        // Multi-pair VALUES batch: surviving pairs in input order.
+                        let sql = format!(
+                            "WITH pairs (a, b) AS (VALUES {values}) SELECT pairs.a, pairs.b{} \
+                             FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)",
+                            spec.columns()
                         );
-                        check_row(&row, 2, spec, &edges, a, b);
-                    }
-                    check_kind(spec, batch_pairs, "batch");
-                    // GraphJoin: left rows × right rows, reachable only.
-                    let sql = format!(
-                        "SELECT l.id, r.id{} FROM lefts l, rights r \
-                         WHERE l.id REACHES r.id OVER e f EDGE (s, d)",
-                        spec.columns()
-                    );
-                    if graph == 0 {
-                        let plan = session.plan(&sql).unwrap().explain();
-                        assert!(plan.contains("GraphJoin"), "not unfolded:\n{plan}");
-                    }
-                    let t = session
-                        .query(&sql)
-                        .unwrap_or_else(|e| panic!("{}: {e}", ctx("join", spec)));
-                    let want: Vec<(i64, i64)> = lefts
-                        .iter()
-                        .flat_map(|&a| rights.iter().map(move |&b| (a, b)))
-                        .filter(|&(a, b)| reachable(a, b))
-                        .collect();
-                    assert_eq!(t.row_count(), want.len(), "{}", ctx("join", spec));
-                    for (i, &(a, b)) in want.iter().enumerate() {
-                        let row = t.row(i);
-                        assert_eq!(
-                            row[..2],
-                            [Value::Int(a), Value::Int(b)],
-                            "{}",
-                            ctx("join", spec)
+                        let t = session.query(&sql);
+                        run.record(&ctx("batch", spec), answer(&t));
+                        let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("batch", spec)));
+                        let want: Vec<(i64, i64)> =
+                            batch.iter().copied().filter(|&(a, b)| reachable(a, b)).collect();
+                        assert_eq!(t.row_count(), want.len(), "{}", ctx("batch", spec));
+                        for (i, &(a, b)) in want.iter().enumerate() {
+                            let row = t.row(i);
+                            assert_eq!(
+                                row[..2],
+                                [Value::Int(a), Value::Int(b)],
+                                "{}",
+                                ctx("batch", spec)
+                            );
+                            check_row(&row, 2, spec, &edges, a, b);
+                        }
+                        check_kind(spec, batch_pairs, "batch");
+                        // GraphJoin: left rows × right rows, reachable only.
+                        let sql = format!(
+                            "SELECT l.id, r.id{} FROM lefts l, rights r \
+                             WHERE l.id REACHES r.id OVER e f EDGE (s, d)",
+                            spec.columns()
                         );
-                        check_row(&row, 2, spec, &edges, a, b);
+                        if graph == 0 {
+                            let plan = session.plan(&sql).unwrap().explain();
+                            assert!(plan.contains("GraphJoin"), "not unfolded:\n{plan}");
+                        }
+                        let t = session.query(&sql);
+                        run.record(&ctx("join", spec), answer(&t));
+                        let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("join", spec)));
+                        let want: Vec<(i64, i64)> = lefts
+                            .iter()
+                            .flat_map(|&a| rights.iter().map(move |&b| (a, b)))
+                            .filter(|&(a, b)| reachable(a, b))
+                            .collect();
+                        assert_eq!(t.row_count(), want.len(), "{}", ctx("join", spec));
+                        for (i, &(a, b)) in want.iter().enumerate() {
+                            let row = t.row(i);
+                            assert_eq!(
+                                row[..2],
+                                [Value::Int(a), Value::Int(b)],
+                                "{}",
+                                ctx("join", spec)
+                            );
+                            check_row(&row, 2, spec, &edges, a, b);
+                        }
+                        check_kind(spec, join_pairs, "join");
                     }
-                    check_kind(spec, join_pairs, "join");
+                }
+                if let Some(drop) = setup.drop() {
+                    run.session().execute(drop).unwrap();
                 }
             }
-            if let Some(drop) = setup.drop() {
-                db.execute(drop).unwrap();
-            }
-        }
+        });
     }
     // Every documented rule was reached, on both accelerators.
+    let reached = reached.into_inner().unwrap();
     let kinds: BTreeSet<&str> = reached.iter().map(|(kind, _)| *kind).collect();
     assert_eq!(
         kinds,
