@@ -12,7 +12,7 @@ use crate::bind::scope::Scope;
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
-use crate::exec::expression::{cast_value, eval};
+use crate::exec::expression::{cast_value, eval_column, eval_filter, first_error, Sel};
 use crate::index::IndexRegistry;
 use crate::optimize::optimize_with;
 use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
@@ -389,29 +389,22 @@ impl Database {
     ) -> Result<QueryResult> {
         let params = ctx.params();
         let snapshot = self.catalog.get(table).map_err(Error::Storage)?;
-        let keep: Vec<bool> = match filter {
-            None => vec![false; snapshot.row_count()],
+        let doomed = match filter {
+            None => (0..snapshot.row_count()).collect(),
             Some(f) => {
-                let scope = table_scope(table, snapshot.schema());
-                let bound = ExprBinder::new(&scope).bind(f)?;
-                let mut keep = Vec::with_capacity(snapshot.row_count());
-                for row in 0..snapshot.row_count() {
-                    let matched = eval(&bound, &snapshot, row, params)? == Value::Bool(true);
-                    keep.push(!matched);
-                }
-                keep
+                let bound = ExprBinder::new(&table_scope(table, snapshot.schema())).bind(f)?;
+                eval_filter(&bound, &snapshot, &Sel::all(&snapshot), params)?
             }
         };
-        let deleted = keep.iter().filter(|&&k| !k).count();
-        if deleted > 0 {
+        if !doomed.is_empty() {
             self.catalog
                 .update(table, |t| {
-                    t.retain_rows(|i| keep[i]);
+                    t.retain_rows(|i| doomed.binary_search(&i).is_err());
                     Ok(())
                 })
                 .map_err(Error::Storage)?;
         }
-        Ok(QueryResult::Affected(deleted))
+        Ok(QueryResult::Affected(doomed.len()))
     }
 
     pub(crate) fn run_update(
@@ -436,23 +429,31 @@ impl Database {
 
         // Compute the new rows against the snapshot, then move the rebuilt
         // table into the catalog wholesale (no copy-on-write round trip).
-        let mut updated = 0usize;
-        let mut new_table = Table::empty(schema.clone());
-        for row in 0..snapshot.row_count() {
+        // A failure is re-run row by row, so the error is the first row's,
+        // with that row's filter, assignments and storage checks in order.
+        let (new_table, updated) = first_error(&Sel::all(&snapshot), |sel| {
             let matched = match &bound_filter {
-                None => true,
-                Some(f) => eval(f, &snapshot, row, params)? == Value::Bool(true),
+                None => (0..sel.len()).map(|slot| sel.row(slot)).collect(),
+                Some(f) => eval_filter(f, &snapshot, sel, params)?,
             };
-            let mut values = snapshot.row(row);
-            if matched {
-                updated += 1;
-                for (idx, e) in &bound_assignments {
-                    let v = eval(e, &snapshot, row, params)?;
-                    values[*idx] = coerce_for_storage(v, schema.column(*idx).ty)?;
+            let values = bound_assignments
+                .iter()
+                .map(|(idx, e)| {
+                    Ok((*idx, eval_column(e, &snapshot, &Sel::Rows(&matched), params)?))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let mut out = Table::empty(schema.clone());
+            for row in (0..sel.len()).map(|slot| sel.row(slot)) {
+                let mut cells = snapshot.row(row);
+                if let Ok(slot) = matched.binary_search(&row) {
+                    for (idx, v) in &values {
+                        cells[*idx] = coerce_for_storage(v.get(slot), schema.column(*idx).ty)?;
+                    }
                 }
+                out.append_row(cells).map_err(Error::Storage)?;
             }
-            new_table.append_row(values).map_err(Error::Storage)?;
-        }
+            Ok((out, matched.len()))
+        })?;
         if updated > 0 {
             self.catalog.replace(table, new_table).map_err(Error::Storage)?;
         }

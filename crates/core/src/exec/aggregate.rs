@@ -10,7 +10,7 @@
 //! `morsel_rows`), never on the thread count.
 
 use crate::error::{exec_err, Error};
-use crate::exec::expression::eval;
+use crate::exec::expression::{eval_column, Sel};
 use crate::plan::{AggCall, AggFunc, BoundExpr, PlanSchema};
 use gsql_storage::value::HashableValue;
 use gsql_storage::{Table, Value};
@@ -133,37 +133,15 @@ impl AggState {
     fn merge(&mut self, other: AggState) -> Result<()> {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumInt(a), AggState::SumInt(b)) => {
-                if let Some(y) = b {
-                    *a = Some(
-                        a.unwrap_or(0)
-                            .checked_add(y)
-                            .ok_or_else(|| exec_err!("integer overflow in SUM"))?,
-                    );
-                }
+            // A partial sum or extreme folds in like one more input value.
+            (s @ AggState::SumInt(_), AggState::SumInt(b)) => {
+                s.update(b.map(Value::Int).as_ref())?
             }
-            (AggState::SumDouble(a), AggState::SumDouble(b)) => {
-                if let Some(y) = b {
-                    *a = Some(a.unwrap_or(0.0) + y);
-                }
+            (s @ AggState::SumDouble(_), AggState::SumDouble(b)) => {
+                s.update(b.map(Value::Double).as_ref())?
             }
-            (AggState::MinMax { current, is_min }, AggState::MinMax { current: other, .. }) => {
-                if let Some(v) = other {
-                    let replace = match current {
-                        None => true,
-                        Some(cur) => {
-                            let cmp = v.total_cmp(cur);
-                            if *is_min {
-                                cmp == std::cmp::Ordering::Less
-                            } else {
-                                cmp == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if replace {
-                        *current = Some(v);
-                    }
-                }
+            (s @ AggState::MinMax { .. }, AggState::MinMax { current, .. }) => {
+                s.update(current.as_ref())?
             }
             (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
                 *sum += s2;
@@ -199,56 +177,96 @@ pub(crate) struct AggPartial {
     groups: Vec<PartialGroup>,
 }
 
-/// Aggregate one morsel's rows (ascending) into a mergeable partial.
+/// Aggregate one morsel's selected rows into a mergeable partial. A failure
+/// reports the first failing row's error: the morsel is folded again one
+/// row at a time into a fresh partial, so errors that depend on the rows
+/// before (a `SUM` overflow) surface exactly as a row-by-row fold meets them.
 pub(crate) fn aggregate_morsel(
     input: &Table,
-    rows: impl Iterator<Item = usize>,
+    sel: &Sel<'_>,
     group: &[BoundExpr],
     aggs: &[AggCall],
     params: &[Value],
 ) -> Result<AggPartial> {
-    let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
-    let mut groups: Vec<PartialGroup> = Vec::new();
-    // Morsel-local dedup for DISTINCT aggregates (merge dedups across
-    // morsels; this just keeps the per-morsel value lists small).
-    let mut local_seen: Vec<Vec<Option<HashSet<HashableValue>>>> = Vec::new();
-    for row in rows {
-        let mut key_vals = Vec::with_capacity(group.len());
-        for g in group {
-            key_vals.push(eval(g, input, row, params)?);
+    let mut fold = MorselFold::default();
+    fold.rows(input, sel, group, aggs, params).or_else(|err| {
+        fold = MorselFold::default();
+        for one in sel.singles() {
+            fold.rows(input, &one, group, aggs, params)?;
         }
-        let key: Vec<HashableValue> = key_vals.iter().cloned().map(HashableValue).collect();
-        let slot = *index.entry(key).or_insert_with(|| {
-            groups.push(PartialGroup {
-                keys: key_vals,
-                states: aggs.iter().map(AggState::new).collect(),
-                distinct_vals: aggs
-                    .iter()
-                    .map(|a| if a.distinct { Some(Vec::new()) } else { None })
-                    .collect(),
-            });
-            local_seen.push(
-                aggs.iter().map(|a| if a.distinct { Some(HashSet::new()) } else { None }).collect(),
-            );
-            groups.len() - 1
-        });
-        let entry = &mut groups[slot];
-        for (i, call) in aggs.iter().enumerate() {
-            let arg = match &call.arg {
-                Some(e) => Some(eval(e, input, row, params)?),
-                None => None,
-            };
-            if let (Some(vals), Some(v)) = (&mut entry.distinct_vals[i], &arg) {
-                let seen = local_seen[slot][i].as_mut().expect("distinct set");
-                if !v.is_null() && seen.insert(HashableValue(v.clone())) {
-                    vals.push(v.clone());
+        Err(err)
+    })?;
+    Ok(AggPartial { groups: fold.groups })
+}
+
+/// A morsel's groups in first-seen order, with their lookup index and the
+/// morsel-local dedup sets of DISTINCT aggregates (the merge dedups across
+/// morsels; these just keep the per-morsel value lists small).
+#[derive(Default)]
+struct MorselFold {
+    index: HashMap<Vec<HashableValue>, usize>,
+    groups: Vec<PartialGroup>,
+    local_seen: Vec<Vec<Option<HashSet<HashableValue>>>>,
+}
+
+impl MorselFold {
+    /// Fold the selected rows, in order: the group keys and arguments are
+    /// evaluated column-at-a-time first.
+    fn rows(
+        &mut self,
+        input: &Table,
+        sel: &Sel<'_>,
+        group: &[BoundExpr],
+        aggs: &[AggCall],
+        params: &[Value],
+    ) -> Result<()> {
+        let eval = |e: &BoundExpr| eval_column(e, input, sel, params);
+        let keys = group.iter().map(eval).collect::<Result<Vec<_>>>()?;
+        let args = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(eval).transpose())
+            .collect::<Result<Vec<_>>>()?;
+        // The group key is looked up through one reused buffer; only a new
+        // group allocates its own copy.
+        let mut key: Vec<HashableValue> = Vec::with_capacity(keys.len());
+        for slot in 0..sel.len() {
+            key.clear();
+            key.extend(keys.iter().map(|k| HashableValue(k.get(slot))));
+            let slot_of = match self.index.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    self.groups.push(PartialGroup {
+                        keys: key.iter().map(|k| k.0.clone()).collect(),
+                        states: aggs.iter().map(AggState::new).collect(),
+                        distinct_vals: aggs
+                            .iter()
+                            .map(|a| if a.distinct { Some(Vec::new()) } else { None })
+                            .collect(),
+                    });
+                    self.local_seen.push(
+                        aggs.iter()
+                            .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
+                            .collect(),
+                    );
+                    self.index.insert(key.clone(), self.groups.len() - 1);
+                    self.groups.len() - 1
                 }
-                continue; // state update deferred to the merge
+            };
+            let entry = &mut self.groups[slot_of];
+            for (i, arg) in args.iter().enumerate() {
+                let arg = arg.as_ref().map(|v| v.get(slot));
+                if let (Some(vals), Some(v)) = (&mut entry.distinct_vals[i], &arg) {
+                    let seen = self.local_seen[slot_of][i].as_mut().expect("distinct set");
+                    if !v.is_null() && seen.insert(HashableValue(v.clone())) {
+                        vals.push(v.clone());
+                    }
+                    continue; // state update deferred to the merge
+                }
+                entry.states[i].update(arg.as_ref())?;
             }
-            entry.states[i].update(arg.as_ref())?;
         }
+        Ok(())
     }
-    Ok(AggPartial { groups })
 }
 
 /// Sequential merger of morsel [`AggPartial`]s, consumed strictly in
@@ -366,8 +384,8 @@ mod tests {
         }
         let mut merger = AggMerger::new(aggs);
         for start in (0..t.row_count()).step_by(2) {
-            let morsel = start..(start + 2).min(t.row_count());
-            merger.push(aggregate_morsel(t, morsel, group, aggs, &[]).unwrap()).unwrap();
+            let morsel = Sel::Range(start..(start + 2).min(t.row_count()));
+            merger.push(aggregate_morsel(t, &morsel, group, aggs, &[]).unwrap()).unwrap();
         }
         Arc::try_unwrap(merger.finish(group.is_empty(), &schema).unwrap()).unwrap()
     }

@@ -22,10 +22,10 @@
 
 use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
-use crate::exec::expression::{eval, eval_const, eval_to_column};
+use crate::exec::expression::{eval_const, eval_to_column, Sel};
 use crate::exec::pipeline::{self, Extra};
 use crate::exec::{graph_op, unnest};
-use crate::plan::{BoundExpr, LogicalPlan, SortKey};
+use crate::plan::{LogicalPlan, SortKey};
 use gsql_parallel::Pool;
 use gsql_storage::{Column, Table, Value};
 use std::collections::hash_map::DefaultHasher;
@@ -159,7 +159,7 @@ impl<'a> Executor<'a> {
             Some(cols) => cols,
             None => extras
                 .iter()
-                .map(|(e, ty)| eval_to_column(e, &table, params, *ty))
+                .map(|(e, ty)| eval_to_column(e, &table, &Sel::all(&table), params, *ty))
                 .collect::<Result<_>>()?,
         };
         Ok((table, extra_cols))
@@ -185,7 +185,7 @@ pub fn sort_table(
     let mut key_cols: Vec<(Column, bool)> = Vec::with_capacity(keys.len());
     for k in keys {
         let ty = k.expr.data_type().unwrap_or(gsql_storage::DataType::Varchar);
-        key_cols.push((eval_to_column(&k.expr, table, params, ty)?, k.asc));
+        key_cols.push((eval_to_column(&k.expr, table, &Sel::all(table), params, ty)?, k.asc));
     }
     let cmp = |a: usize, b: usize| {
         for (col, asc) in &key_cols {
@@ -330,16 +330,6 @@ pub fn union_tables(l: &Table, r: &Table) -> Result<Arc<Table>> {
         columns.push(col);
     }
     Table::from_columns(l.schema().clone(), columns).map(Arc::new).map_err(Error::Storage)
-}
-
-/// Evaluate one projected row (used by DML paths).
-pub fn eval_row_exprs(
-    exprs: &[BoundExpr],
-    table: &Table,
-    row: usize,
-    params: &[Value],
-) -> Result<Vec<Value>> {
-    exprs.iter().map(|e| eval(e, table, row, params)).collect()
 }
 
 #[cfg(test)]

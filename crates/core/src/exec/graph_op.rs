@@ -19,7 +19,7 @@
 use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
-use crate::exec::expression::{eval_const, eval_to_column};
+use crate::exec::expression::{eval_const, eval_to_column, Sel};
 use crate::index::{AccelLayer, IndexSpace};
 use crate::optimize::spec_accel_eligible;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
@@ -299,7 +299,8 @@ fn slot_weights(
             return Ok((weights, true));
         }
     }
-    let col = eval_to_column(&spec.weight, &graph.edges, params, spec.weight_ty)?;
+    let edges = &graph.edges;
+    let col = eval_to_column(&spec.weight, edges, &Sel::all(edges), params, spec.weight_ty)?;
     if col.null_count() > 0 {
         let row = (0..col.len()).find(|&i| col.is_null(i)).expect("a NULL was counted");
         return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));

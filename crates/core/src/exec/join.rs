@@ -10,15 +10,19 @@
 //! morsel order.
 
 use crate::error::Error;
-use crate::exec::expression::{eval, eval_row, PairRow};
+use crate::exec::expression::{eval_filter, first_error, narrowed, Sel};
 use crate::plan::{BinaryOp, BoundExpr, JoinKind, PlanSchema};
 use gsql_parallel::Pool;
 use gsql_storage::value::HashableValue;
-use gsql_storage::{Table, Value};
+use gsql_storage::{Column, ColumnDef, Schema, Table, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
+
+/// A probe result: a left row and its matching right row, or `None` for a
+/// left outer join's NULL extension.
+type Pair = (usize, Option<usize>);
 
 /// The build side of a join, prepared once and probed many times — the
 /// pipeline engine builds this as a **breaker** (the build side is fully
@@ -31,13 +35,21 @@ pub(crate) struct JoinProbe {
     /// Column count of the probe (left) side: pair-row ordinals at or past
     /// it address `right`.
     n_left: usize,
-    /// Equi-key expression pairs; empty means nested-loop probing.
-    equi: Vec<(BoundExpr, BoundExpr)>,
+    /// Equi-key expressions over the probe rows. With none, every row's
+    /// key is empty and matches every build row: nested-loop probing.
+    left_keys: Vec<BoundExpr>,
     /// Residual predicate over the joined pair row (the full condition for
     /// nested-loop probes; `None` with no equi keys is a cross product).
-    residual: Option<BoundExpr>,
+    residual: Option<Residual>,
     /// Hash table from equi key to build-side rows, in ascending row order.
     ht: HashMap<Vec<HashableValue>, Vec<usize>>,
+}
+
+/// A residual predicate rebased onto the pair columns it reads: column `k`
+/// of its input is pair-row ordinal `cols[k]`.
+struct Residual {
+    expr: BoundExpr,
+    cols: Vec<usize>,
 }
 
 impl JoinProbe {
@@ -58,77 +70,87 @@ impl JoinProbe {
             Some(cond) => split_equi_keys(cond, n_left),
             None => (Vec::new(), None),
         };
+        let (left_keys, right_keys): (Vec<_>, Vec<_>) = equi.into_iter().unzip();
+        let residual = residual.map(|expr| {
+            let cols = expr.referenced_columns();
+            Residual { expr: expr.remap_columns(&|c| cols.partition_point(|&x| x < c)), cols }
+        });
         let mut ht: HashMap<Vec<HashableValue>, Vec<usize>> = HashMap::new();
-        if !equi.is_empty() {
-            let chunks = pool.map_chunks(right.row_count(), |range| {
-                range
-                    .map(|j| key_of(&equi, true, &right, j, params))
-                    .collect::<Result<Vec<Option<Vec<HashableValue>>>>>()
-            });
-            let mut j = 0;
-            for chunk in chunks {
-                for key in chunk? {
-                    if let Some(key) = key {
-                        ht.entry(key).or_default().push(j);
-                    }
-                    j += 1;
-                }
+        let chunks = pool.map_chunks(right.row_count(), |range| {
+            hash_keys(&right_keys, &right, &Sel::Range(range), params)
+        });
+        let (w, mut j) = (right_keys.len(), 0);
+        for chunk in chunks {
+            let (flat, has_key) = chunk?;
+            for (slot, _) in has_key.iter().enumerate().filter(|(_, &has)| has) {
+                ht.entry(flat[slot * w..(slot + 1) * w].to_vec()).or_default().push(j + slot);
             }
+            j += has_key.len();
         }
-        Ok(JoinProbe { right, kind, n_left, equi, residual, ht })
+        Ok(JoinProbe { right, kind, n_left, left_keys, residual, ht })
     }
 
-    /// True when the pair `(left_row, right_row)` passes the residual
-    /// predicate (vacuously, when there is none).
-    fn residual_holds(
-        &self,
-        left: &Table,
-        left_row: usize,
-        right_row: usize,
-        params: &[Value],
-    ) -> Result<bool> {
-        let Some(residual) = &self.residual else { return Ok(true) };
-        let pair = PairRow {
-            left,
-            left_row,
-            right: &self.right,
-            right_row: Some(right_row),
-            n_left: self.n_left,
-        };
-        Ok(eval_row(residual, &pair, params)? == Value::Bool(true))
+    /// Probe the selected left rows, returning their pairs in exactly the
+    /// order a row-by-row probe emits them, or the first failing row's
+    /// error.
+    pub fn probe(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Vec<Pair>> {
+        first_error(sel, |sel| self.probe_batch(left, sel, params))
     }
 
-    /// Probe one batch of left rows (ascending), appending `(left_row,
-    /// right_row)` pairs in exactly the order a sequential probe of those
-    /// rows would emit them.
-    pub fn probe_rows(
+    /// [`JoinProbe::probe`] without the error re-run. Candidate pairs meet
+    /// the residual in batches of about the selection's size.
+    fn probe_batch(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Vec<Pair>> {
+        let (flat, has_key) = hash_keys(&self.left_keys, left, sel, params)?;
+        let w = self.left_keys.len();
+        let (mut pairs, mut cand, mut first) = (Vec::new(), Vec::new(), 0);
+        for (slot, &has) in has_key.iter().enumerate() {
+            let js = has.then(|| self.ht.get(&flat[slot * w..(slot + 1) * w])).flatten();
+            let js = js.map_or(&[][..], Vec::as_slice);
+            cand.extend(js.iter().map(|&j| (sel.row(slot), j)));
+            if cand.len() < sel.len() && slot + 1 < sel.len() {
+                continue;
+            }
+            let mut kept =
+                self.residual(left, std::mem::take(&mut cand), params)?.into_iter().peekable();
+            for i in (first..=slot).map(|s| sel.row(s)) {
+                let before = pairs.len();
+                while let Some((_, j)) = kept.next_if(|&(l, _)| l == i) {
+                    pairs.push((i, Some(j)));
+                }
+                if pairs.len() == before && self.kind == JoinKind::LeftOuter {
+                    pairs.push((i, None));
+                }
+            }
+            first = slot + 1;
+        }
+        Ok(pairs)
+    }
+
+    /// The candidate `(left_row, right_row)` pairs that pass the residual
+    /// (all of them, without one), evaluated over a table of just the pair
+    /// columns it reads.
+    fn residual(
         &self,
         left: &Table,
-        rows: impl Iterator<Item = usize>,
+        cand: Vec<(usize, usize)>,
         params: &[Value],
-        pairs: &mut Vec<(usize, Option<usize>)>,
-    ) -> Result<()> {
-        let all_right = 0..self.right.row_count();
-        for i in rows {
-            let before = pairs.len();
-            if self.equi.is_empty() {
-                for j in all_right.clone() {
-                    if self.residual_holds(left, i, j, params)? {
-                        pairs.push((i, Some(j)));
-                    }
-                }
-            } else if let Some(key) = key_of(&self.equi, false, left, i, params)? {
-                for &j in self.ht.get(key.as_slice()).map_or(&[][..], Vec::as_slice) {
-                    if self.residual_holds(left, i, j, params)? {
-                        pairs.push((i, Some(j)));
-                    }
-                }
-            }
-            if pairs.len() == before && self.kind == JoinKind::LeftOuter {
-                pairs.push((i, None));
-            }
-        }
-        Ok(())
+    ) -> Result<Vec<(usize, usize)>> {
+        let Some(residual) = &self.residual else { return Ok(cand) };
+        let (li, ri): (Vec<usize>, Vec<usize>) = cand.iter().copied().unzip();
+        let columns: Vec<Column> = residual
+            .cols
+            .iter()
+            .map(|&c| match c.checked_sub(self.n_left) {
+                None => left.column(c).take(&li),
+                Some(rc) => self.right.column(rc).take(&ri),
+            })
+            .collect();
+        let defs =
+            columns.iter().enumerate().map(|(k, c)| ColumnDef::new(k.to_string(), c.data_type()));
+        let table =
+            Table::from_columns(Schema::new(defs.collect()), columns).map_err(Error::Storage)?;
+        let kept = eval_filter(&residual.expr, &table, &Sel::Range(0..cand.len()), params)?;
+        Ok(kept.into_iter().map(|k| cand[k]).collect())
     }
 }
 
@@ -203,24 +225,36 @@ fn flatten_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
     }
 }
 
-/// Evaluate one side's equi-key row: `None` when any key cell is NULL
-/// (NULL keys never match).
-fn key_of(
-    keys: &[(BoundExpr, BoundExpr)],
-    pick_right: bool,
+/// The equi-keys of the selected rows, `keys.len()` cells per row in one
+/// buffer, and which rows have a key: a row with a NULL cell has none (NULL
+/// keys never match), and its cells after the first NULL are not
+/// evaluated. A failure reports the first failing row's error.
+fn hash_keys(
+    keys: &[BoundExpr],
     table: &Table,
-    row: usize,
+    sel: &Sel<'_>,
     params: &[Value],
-) -> Result<Option<Vec<HashableValue>>> {
-    let mut key = Vec::with_capacity(keys.len());
-    for (lk, rk) in keys {
-        let v = eval(if pick_right { rk } else { lk }, table, row, params)?;
-        if v.is_null() {
-            return Ok(None);
+) -> Result<(Vec<HashableValue>, Vec<bool>)> {
+    first_error(sel, |sel| {
+        let w = keys.len();
+        let mut flat = vec![HashableValue(Value::Null); sel.len() * w];
+        let mut live: Vec<usize> = (0..sel.len()).collect();
+        for (c, key) in keys.iter().enumerate() {
+            let v = narrowed(key, table, sel, &live, params)?;
+            let mut still = Vec::with_capacity(live.len());
+            for (j, &i) in live.iter().enumerate() {
+                let cell = &mut flat[i * w + c];
+                *cell = HashableValue(v.get(j));
+                if !cell.0.is_null() {
+                    still.push(i);
+                }
+            }
+            live = still;
         }
-        key.push(HashableValue(v));
-    }
-    Ok(Some(key))
+        let mut has_key = vec![false; sel.len()];
+        live.into_iter().for_each(|i| has_key[i] = true);
+        Ok((flat, has_key))
+    })
 }
 
 /// Materialize the joined pairs into an output table.
@@ -301,7 +335,7 @@ mod tests {
             JoinProbe::build(right, kind, on, l.schema().len(), &[], &Pool::new(2)).unwrap();
         let mut pairs = Vec::new();
         for row in 0..l.row_count() {
-            probe.probe_rows(l, row..row + 1, &[], &mut pairs).unwrap();
+            pairs.extend(probe.probe(l, &Sel::Range(row..row + 1), &[]).unwrap());
         }
         materialize_pairs(l, &probe.right, &pairs, schema).unwrap()
     }

@@ -4,7 +4,7 @@
 pub mod aggregate;
 pub mod executor;
 pub(crate) mod explain;
-pub mod expression;
+pub(crate) mod expression;
 pub mod graph_op;
 pub mod join;
 pub mod pipeline;

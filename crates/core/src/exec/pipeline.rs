@@ -28,7 +28,7 @@
 
 use crate::context::ExecContext;
 use crate::error::Error;
-use crate::exec::expression::{eval, eval_filter_range, eval_to_column};
+use crate::exec::expression::{eval_filter, eval_to_column, Sel};
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
@@ -149,6 +149,15 @@ impl Batch {
             Batch::Table(t) => t.row_count(),
         }
     }
+
+    /// The table this batch's rows live in, and the selection of them.
+    fn view<'a>(&'a self, source: &'a Table) -> (&'a Table, Sel<'a>) {
+        match self {
+            Batch::Range(r) => (source, Sel::Range(r.clone())),
+            Batch::Rows(rows) => (source, Sel::Rows(rows)),
+            Batch::Table(t) => (t, Sel::all(t)),
+        }
+    }
 }
 
 /// What the sink keeps of one morsel.
@@ -178,57 +187,28 @@ fn run_chain(
     let mut batch = Batch::Range(morsel);
     let mut op_rows = vec![0; ops.len()];
     for (i, op) in ops.iter().enumerate().rev() {
-        batch = match (&op.kind, batch) {
-            (OpKind::Filter(pred), Batch::Range(r)) => {
-                Batch::Rows(eval_filter_range(pred, source, r, params)?)
-            }
-            (OpKind::Filter(pred), Batch::Rows(rows)) => {
-                let mut keep = Vec::new();
-                for row in rows {
-                    if eval(pred, source, row, params)? == Value::Bool(true) {
-                        keep.push(row);
-                    }
-                }
-                Batch::Rows(keep)
-            }
-            (OpKind::Filter(pred), Batch::Table(t)) => {
-                let keep = eval_filter_range(pred, &t, 0..t.row_count(), params)?;
-                if keep.len() == t.row_count() {
-                    Batch::Table(t)
-                } else {
-                    Batch::Table(t.take(&keep))
+        let (table, sel) = batch.view(source);
+        batch = match &op.kind {
+            OpKind::Filter(pred) => {
+                let keep = eval_filter(pred, table, &sel, params)?;
+                match batch {
+                    Batch::Table(t) if keep.len() < t.row_count() => Batch::Table(t.take(&keep)),
+                    Batch::Table(t) => Batch::Table(t),
+                    _ => Batch::Rows(keep),
                 }
             }
-            (OpKind::Project { exprs, schema }, batch) => {
-                let local = match batch {
-                    Batch::Range(r) => source.slice_rows(r),
-                    Batch::Rows(rows) => source.take(&rows),
-                    Batch::Table(t) => t,
-                };
+            OpKind::Project { exprs, schema } => {
                 let storage = schema.to_storage_schema();
-                let mut columns = Vec::with_capacity(exprs.len());
-                for (e, def) in exprs.iter().zip(storage.columns()) {
-                    columns.push(eval_to_column(e, &local, params, def.ty)?);
-                }
+                let columns = exprs
+                    .iter()
+                    .zip(storage.columns())
+                    .map(|(e, def)| eval_to_column(e, table, &sel, params, def.ty))
+                    .collect::<Result<_>>()?;
                 Batch::Table(Table::from_columns(storage, columns).map_err(Error::Storage)?)
             }
-            (OpKind::Probe { probe, schema }, batch) => {
-                let mut pairs = Vec::new();
-                let joined = match &batch {
-                    Batch::Range(r) => {
-                        probe.probe_rows(source, r.clone(), params, &mut pairs)?;
-                        materialize_pairs(source, &probe.right, &pairs, schema)?
-                    }
-                    Batch::Rows(rows) => {
-                        probe.probe_rows(source, rows.iter().copied(), params, &mut pairs)?;
-                        materialize_pairs(source, &probe.right, &pairs, schema)?
-                    }
-                    Batch::Table(t) => {
-                        probe.probe_rows(t, 0..t.row_count(), params, &mut pairs)?;
-                        materialize_pairs(t, &probe.right, &pairs, schema)?
-                    }
-                };
-                Batch::Table(joined)
+            OpKind::Probe { probe, schema } => {
+                let pairs = probe.probe(table, &sel, params)?;
+                Batch::Table(materialize_pairs(table, &probe.right, &pairs, schema)?)
             }
         };
         op_rows[i] = batch.len();
@@ -495,22 +475,15 @@ fn run_pipeline(
                 unreachable!("a materializing chain yields table batches")
             };
             for (e, ty) in extras {
-                extra_cols.push(eval_to_column(e, t, params, *ty)?);
+                extra_cols.push(eval_to_column(e, t, &Sel::all(t), params, *ty)?);
             }
         }
         let part = match &dec.sink {
             SinkSpec::Table | SinkSpec::Limit { .. } => Part::Batch(batch),
-            SinkSpec::Agg { group, aggs, .. } => Part::Agg(match &batch {
-                Batch::Range(r) => {
-                    aggregate::aggregate_morsel(source, r.clone(), group, aggs, params)?
-                }
-                Batch::Rows(rows) => {
-                    aggregate::aggregate_morsel(source, rows.iter().copied(), group, aggs, params)?
-                }
-                Batch::Table(t) => {
-                    aggregate::aggregate_morsel(t, 0..t.row_count(), group, aggs, params)?
-                }
-            }),
+            SinkSpec::Agg { group, aggs, .. } => {
+                let (table, sel) = batch.view(source);
+                Part::Agg(aggregate::aggregate_morsel(table, &sel, group, aggs, params)?)
+            }
         };
         Ok(MorselOut { part, extras: extra_cols, op_rows })
     })?;

@@ -2,6 +2,7 @@
 //! derived tables, multiple unnests, snapshot stability, and CSV behaviour.
 
 use gsql::{Database, Value};
+use rand::prelude::*;
 
 fn db() -> Database {
     let db = Database::new();
@@ -159,4 +160,48 @@ fn paths_reference_filtered_edge_snapshot() {
     assert_eq!(t.row_count(), 3);
     let tags: Vec<String> = t.rows().map(|r| r[2].as_str().unwrap().to_string()).collect();
     assert_eq!(tags, vec!["a", "b", "c"]);
+}
+
+/// On random weighted digraphs, every `UNNEST(path) WITH ORDINALITY` numbers
+/// its edges 1, 2, …, chains them from the source to the destination, and
+/// their weights sum to the reported cost.
+#[test]
+fn unnested_paths_chain_source_to_dest_and_sum_to_the_cost() {
+    let mut rng = SmallRng::seed_from_u64(2017);
+    for _ in 0..24 {
+        let n = rng.gen_range(2..14i64);
+        let rows: Vec<String> = (0..rng.gen_range(1..40))
+            .map(|_| {
+                let (s, d) = (rng.gen_range(1..=n), rng.gen_range(1..=n));
+                format!("({s}, {d}, {})", rng.gen_range(1..9))
+            })
+            .collect();
+        let db = Database::new();
+        db.execute("CREATE TABLE g (s INTEGER, d INTEGER, w INTEGER)").unwrap();
+        db.execute(&format!("INSERT INTO g VALUES {}", rows.join(", "))).unwrap();
+        let session = db.session();
+        let stmt = session
+            .prepare(
+                "SELECT T.cost, R.s, R.d, R.w, R.ordinality FROM (
+                   SELECT CHEAPEST SUM(x: w) AS (cost, path)
+                   WHERE ? REACHES ? OVER g x EDGE (s, d)
+                 ) T, UNNEST(T.path) WITH ORDINALITY AS R ORDER BY R.ordinality",
+            )
+            .unwrap();
+        for src in 1..=n.min(4) {
+            for dst in (1..=n.min(4)).filter(|&dst| dst != src) {
+                let t = stmt.query(&session, &[Value::Int(src), Value::Int(dst)]).unwrap();
+                let (mut at, mut sum) = (src, 0);
+                for (i, row) in t.rows().enumerate() {
+                    assert_eq!(row[4], Value::Int(i as i64 + 1), "ordinality");
+                    assert_eq!(row[1], Value::Int(at), "{src} -> {dst}: chain at hop {i}");
+                    at = row[2].as_int().unwrap();
+                    sum += row[3].as_int().unwrap();
+                }
+                if !t.is_empty() {
+                    assert_eq!((at, Value::Int(sum)), (dst, t.row(0)[0].clone()), "{src} -> {dst}");
+                }
+            }
+        }
+    }
 }

@@ -35,6 +35,13 @@ fn rows(t: &Arc<gsql::Table>) -> Vec<Vec<Value>> {
     t.rows().collect()
 }
 
+/// DOUBLEs −0.0, 0.0, NaN and 1.5, INTEGERs 0, NULL, 5 and 2: inputs on
+/// which predicates of different shapes once disagreed.
+const FLOATS: [&str; 2] = [
+    "CREATE TABLE f (id INTEGER, d DOUBLE, x INTEGER)",
+    "INSERT INTO f VALUES (1, -0.0, 0), (2, 0.0, NULL), (3, CAST('NaN' AS DOUBLE), 5), (4, 1.5, 2)",
+];
+
 #[test]
 fn where_and_or_not_precedence() {
     common::sweep(&SETUP, |run| {
@@ -370,5 +377,82 @@ fn qualified_wildcards() {
             .unwrap();
         assert_eq!(t.schema().len(), 3);
         assert_eq!(t.row(0), vec![v(1), s("eng"), s("ada")]);
+    });
+}
+
+#[test]
+fn float_predicates_agree_across_shapes() {
+    common::sweep(&FLOATS, |run| {
+        let ids = |sql: &str| -> Vec<Value> {
+            run.query(sql).unwrap().rows().map(|r| r[0].clone()).collect()
+        };
+        // `=` is IEEE equality (−0.0 = 0, NaN equals nothing) in every shape.
+        let cases = [
+            ("d = 0", vec![v(1), v(2)]),
+            ("d <> 0", vec![v(3), v(4)]),
+            ("d = CAST('NaN' AS DOUBLE)", vec![]),
+        ];
+        for (pred, want) in cases {
+            for shape in [pred.to_string(), format!("{pred} OR 1 = 2"), format!("NOT NOT ({pred})")]
+            {
+                let sql = format!("SELECT id FROM f WHERE {shape} ORDER BY id");
+                assert_eq!(ids(&sql), want, "{shape}");
+            }
+        }
+        // DELETE removes exactly the rows the same predicate selects.
+        let deleted = run.session().execute("DELETE FROM f WHERE d = 0").unwrap();
+        assert!(matches!(deleted, gsql::QueryResult::Affected(2)), "{deleted:?}");
+        assert_eq!(ids("SELECT id FROM f ORDER BY id"), vec![v(3), v(4)]);
+    });
+}
+
+#[test]
+fn null_and_unselected_rows_never_raise() {
+    common::sweep(&FLOATS, |run| {
+        let t = run.query("SELECT x / 0 FROM f WHERE x IS NULL").unwrap();
+        assert_eq!(rows(&t), vec![vec![Value::Null]]);
+        assert_eq!(run.query("SELECT x / 0 FROM f WHERE false").unwrap().row_count(), 0);
+        // Short-circuits: the division never sees x = 0.
+        let t = run.query("SELECT id FROM f WHERE x <> 0 AND 10 / x > 1 ORDER BY id").unwrap();
+        assert_eq!(rows(&t), vec![vec![v(3)], vec![v(4)]]);
+        let t = run.query("SELECT CASE WHEN x = 0 THEN 0.0 ELSE 10 / x END FROM f ORDER BY id");
+        let d = Value::Double;
+        let want = vec![vec![d(0.0)], vec![Value::Null], vec![d(2.0)], vec![d(5.0)]];
+        assert_eq!(rows(&t.unwrap()), want);
+        let t = run.query("SELECT 1 IN (1, 10 / x) FROM f").unwrap();
+        assert!(t.rows().all(|r| r[0] == Value::Bool(true)));
+        // Unguarded, the division by zero is reported.
+        let err = run.query("SELECT 10 / x FROM f ORDER BY id").unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    });
+}
+
+#[test]
+fn abs_of_the_smallest_integer_is_an_overflow_error() {
+    common::sweep(&FLOATS, |run| {
+        for sql in [
+            "SELECT ABS(-9223372036854775807 - 1)",
+            "SELECT ABS(x - 9223372036854775807 - 1) FROM f WHERE id = 1",
+        ] {
+            let err = run.query(sql).unwrap_err().to_string();
+            assert!(err.contains("integer overflow"), "{sql}: {err}");
+        }
+        let t = run.query("SELECT ABS(-9223372036854775807)").unwrap();
+        assert_eq!(t.row(0)[0], v(i64::MAX));
+    });
+}
+
+#[test]
+fn cast_to_integer_rejects_two_to_the_63() {
+    common::sweep(&FLOATS, |run| {
+        for sql in [
+            "SELECT CAST(9223372036854775807.0 AS INTEGER)",
+            "SELECT CAST(d * 9223372036854775807.0 / 1.5 AS INTEGER) FROM f WHERE id = 4",
+        ] {
+            let err = run.query(sql).unwrap_err().to_string();
+            assert!(err.contains("cannot cast 9223372036854776000 to INTEGER"), "{sql}: {err}");
+        }
+        let t = run.query("SELECT CAST(-9223372036854775808.0 AS INTEGER)").unwrap();
+        assert_eq!(t.row(0)[0], v(i64::MIN));
     });
 }
