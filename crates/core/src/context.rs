@@ -4,10 +4,13 @@
 //! catalog, `?` parameter values, index registry, session settings, the
 //! metrics registry and the statement's trace collector — and is threaded
 //! through binder → optimizer → executor instead of loose arguments. It is
-//! the engine-side counterpart of a [`crate::Session`].
+//! the engine-side counterpart of a [`crate::Session`]. The binder and the
+//! optimizer read only the catalog, the parameters and the index registry,
+//! so a plan never depends on the session's [`SessionSettings`] — which is
+//! what lets every session share one plan cache.
 
 use crate::error::{bind_err, Error};
-use crate::index::{IndexRegistry, IndexSpace};
+use crate::index::IndexRegistry;
 use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, TraceValue, NO_SPAN};
 use gsql_storage::{Catalog, Value};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -16,27 +19,17 @@ use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Session-scoped knobs that influence planning and execution.
+/// Session-scoped knobs that influence execution — never planning: a plan
+/// depends only on the SQL text and the database's schema version.
 ///
 /// Changed with `SET <option> = <value>`, inspected with `SHOW <option>` /
 /// `SHOW ALL`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSettings {
-    /// Use registered graph indexes during planning (`SET graph_index =
-    /// on|off`). Default on.
-    pub graph_index: bool,
-    /// Use registered path indexes during planning (`SET path_index =
-    /// on|off`): eligible shortest-path plans route through the index's
-    /// acceleration layer (ALT or CH). Default on. Results are identical
-    /// either way; only the work per query changes.
-    pub path_index: bool,
     /// Guard against runaway intermediate results: error as soon as any
     /// operator produces more than this many rows (`SET row_limit = n`;
     /// `0` disables). Default unlimited.
     pub row_limit: Option<u64>,
-    /// Capacity of the session's plan cache (`SET plan_cache_size = n`;
-    /// `0` disables caching). Default 64.
-    pub plan_cache_size: usize,
     /// Degree of parallelism for execution (`SET threads = n`, n ≥ 1).
     /// Source-parallel graph traversals, the morsel pipelines and the
     /// row-parallel breakers (sort, distinct) all use this width; `1` runs
@@ -73,10 +66,7 @@ pub struct SessionSettings {
 impl Default for SessionSettings {
     fn default() -> SessionSettings {
         SessionSettings {
-            graph_index: true,
-            path_index: true,
             row_limit: None,
-            plan_cache_size: 64,
             threads: gsql_parallel::default_threads(),
             timeout_ms: None,
             morsel_rows: gsql_parallel::DEFAULT_MORSEL_ROWS,
@@ -91,30 +81,18 @@ impl SessionSettings {
     /// listing is deterministic. A regression test destructures the struct
     /// exhaustively against this list: adding a setting without listing it
     /// here fails the build.
-    pub const NAMES: [&'static str; 9] = [
-        "graph_index",
-        "morsel_rows",
-        "path_index",
-        "plan_cache_size",
-        "row_limit",
-        "slow_query_ms",
-        "threads",
-        "timeout_ms",
-        "trace",
-    ];
+    pub const NAMES: [&'static str; 6] =
+        ["morsel_rows", "row_limit", "slow_query_ms", "threads", "timeout_ms", "trace"];
 
     /// Set an option from its SQL textual value. Errors on unknown options
     /// or unparsable values.
     pub fn set(&mut self, name: &str, value: &str) -> Result<()> {
         let key = name.to_ascii_lowercase();
         match key.as_str() {
-            "graph_index" => self.graph_index = parse_bool(name, value)?,
-            "path_index" => self.path_index = parse_bool(name, value)?,
             "row_limit" => {
                 let n = parse_u64(name, value)?;
                 self.row_limit = if n == 0 { None } else { Some(n) };
             }
-            "plan_cache_size" => self.plan_cache_size = parse_u64(name, value)? as usize,
             "threads" => {
                 let n = parse_u64(name, value)?;
                 if n == 0 {
@@ -162,10 +140,7 @@ impl SessionSettings {
     pub fn get(&self, name: &str) -> Result<String> {
         let key = name.to_ascii_lowercase();
         match key.as_str() {
-            "graph_index" => Ok(render_bool(self.graph_index)),
-            "path_index" => Ok(render_bool(self.path_index)),
             "row_limit" => Ok(self.row_limit.unwrap_or(0).to_string()),
-            "plan_cache_size" => Ok(self.plan_cache_size.to_string()),
             "threads" => Ok(self.threads.to_string()),
             "timeout_ms" => Ok(self.timeout_ms.unwrap_or(0).to_string()),
             "trace" => Ok(self.trace.as_str().to_string()),
@@ -181,22 +156,10 @@ impl SessionSettings {
     }
 }
 
-fn parse_bool(name: &str, value: &str) -> Result<bool> {
-    match value.to_ascii_lowercase().as_str() {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        other => Err(bind_err!("setting '{name}' expects on/off, got '{other}'")),
-    }
-}
-
 fn parse_u64(name: &str, value: &str) -> Result<u64> {
     value
         .parse::<u64>()
         .map_err(|_| bind_err!("setting '{name}' expects a non-negative integer, got '{value}'"))
-}
-
-fn render_bool(v: bool) -> String {
-    if v { "on" } else { "off" }.to_string()
 }
 
 /// The wall-clock budget of one statement execution: the instant after
@@ -307,15 +270,10 @@ impl<'a> ExecContext<'a> {
         self.params
     }
 
-    /// The index registry for the indexes of `space`, unless the session
-    /// disabled them ([`SessionSettings::graph_index`] /
-    /// [`SessionSettings::path_index`]).
-    pub fn indexes(&self, space: IndexSpace) -> Option<&'a IndexRegistry> {
-        let enabled = match space {
-            IndexSpace::Graph => self.settings.graph_index,
-            IndexSpace::Path => self.settings.path_index,
-        };
-        self.indexes.filter(|_| enabled)
+    /// The index registry: every index that exists serves the statements
+    /// it covers.
+    pub fn indexes(&self) -> Option<&'a IndexRegistry> {
+        self.indexes
     }
 
     /// The session settings in effect.
@@ -440,29 +398,11 @@ mod tests {
     #[test]
     fn settings_set_get_roundtrip() {
         let mut s = SessionSettings::default();
-        assert!(s.graph_index);
-        assert!(s.path_index, "no environment variable changes the default");
-        s.set("graph_index", "off").unwrap();
-        assert!(!s.graph_index);
-        assert_eq!(s.get("graph_index").unwrap(), "off");
-        s.set("GRAPH_INDEX", "on").unwrap();
-        assert!(s.graph_index);
-
-        s.set("path_index", "off").unwrap();
-        assert!(!s.path_index);
-        assert_eq!(s.get("path_index").unwrap(), "off");
-        s.set("PATH_INDEX", "on").unwrap();
-        assert!(s.path_index);
-        assert!(s.set("path_index", "sideways").is_err());
-
         s.set("row_limit", "100").unwrap();
         assert_eq!(s.row_limit, Some(100));
         s.set("row_limit", "0").unwrap();
         assert_eq!(s.row_limit, None);
         assert_eq!(s.get("row_limit").unwrap(), "0");
-
-        s.set("plan_cache_size", "8").unwrap();
-        assert_eq!(s.plan_cache_size, 8);
 
         assert!(s.threads >= 1, "default threads must be positive");
         s.set("threads", "4").unwrap();
@@ -513,7 +453,13 @@ mod tests {
 
         assert!(s.set("nope", "1").is_err());
         assert!(s.get("nope").is_err());
-        assert!(s.set("graph_index", "maybe").is_err());
+        // Planning is not a session matter: the index and plan-cache knobs
+        // are unknown names.
+        for retired in ["graph_index", "path_index", "plan_cache_size"] {
+            let err = s.set(retired, "0").unwrap_err();
+            assert_eq!(err.to_string(), format!("bind error: unknown setting '{retired}'"));
+            assert!(s.get(retired).is_err());
+        }
         assert!(s.set("row_limit", "-3").is_err());
         assert_eq!(s.entries().len(), SessionSettings::NAMES.len());
     }
@@ -529,17 +475,14 @@ mod tests {
     fn show_all_lists_every_setting_in_sorted_order() {
         let s = SessionSettings::default();
         let SessionSettings {
-            graph_index: _,
-            path_index: _,
             row_limit: _,
-            plan_cache_size: _,
             threads: _,
             timeout_ms: _,
             morsel_rows: _,
             trace: _,
             slow_query_ms: _,
         } = s;
-        const FIELDS: usize = 9;
+        const FIELDS: usize = 6;
         assert_eq!(
             SessionSettings::NAMES.len(),
             FIELDS,

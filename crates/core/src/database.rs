@@ -16,7 +16,7 @@ use crate::exec::expression::{cast_value, eval_column, eval_filter, first_error,
 use crate::index::IndexRegistry;
 use crate::optimize::optimize_with;
 use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
-use crate::session::{PreparedStatement, Session, SharedPlanCache};
+use crate::session::{PlanCache, PreparedStatement, Session};
 use gsql_obs::{EngineMetrics, SlowLog};
 use gsql_parser::ast;
 use gsql_storage::{Catalog, ColumnDef, DataType, DurableStore, Schema, Table, Value};
@@ -72,7 +72,7 @@ impl QueryResult {
 pub struct Database {
     catalog: Catalog,
     indexes: IndexRegistry,
-    shared_plan_cache: Arc<SharedPlanCache>,
+    plan_cache: PlanCache,
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
     /// The durability layer, present only for databases opened with
@@ -177,22 +177,22 @@ impl Database {
         Ok(())
     }
 
-    /// Open a session (connection state: settings + plan cache).
+    /// Open a session (connection state: settings and traces). Every
+    /// session shares the database's plan cache.
     pub fn session(&self) -> Session<'_> {
         Session::new(self)
     }
 
-    /// Open a session that uses the database-wide [`SharedPlanCache`]
-    /// instead of a private one: any participating session's bound plans
-    /// serve all of them. This is what server worker threads use.
+    /// An alias of [`Database::session`]: every session shares the plan
+    /// cache. Kept only because the committed benchmark harness
+    /// (`benchmark/`) compiles against it.
     pub fn shared_session(&self) -> Session<'_> {
-        Session::with_shared_cache(self, Arc::clone(&self.shared_plan_cache))
+        self.session()
     }
 
-    /// The database-wide plan cache used by [`Database::shared_session`]
-    /// sessions (global hit/miss counters, manual clearing).
-    pub fn shared_plan_cache(&self) -> &Arc<SharedPlanCache> {
-        &self.shared_plan_cache
+    /// The plan cache every session of this database consults.
+    pub(crate) fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
     }
 
     /// The engine-wide metrics registry: every session and server layer
@@ -254,7 +254,7 @@ impl Database {
     /// Parse a statement for repeated execution through a [`Session`].
     ///
     /// Unlike [`Session::prepare`], no plan is built yet: the first
-    /// execution in a given session binds and caches it there.
+    /// execution binds it into the database's plan cache.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
         PreparedStatement::parse(sql)
     }

@@ -611,7 +611,7 @@ pub fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
 
 /// The graph of an edge plan: served by the index an [`LogicalPlan::
 /// IndexedGraph`] node names — with the acceleration layer of a path index
-/// — when its setting is on and it still exists, otherwise built now from
+/// — while it still exists, otherwise built now from
 /// the edge plan (which scans the base table when the index was dropped
 /// since planning). The flag says whether the graph came from an index.
 fn obtain_graph(
@@ -623,7 +623,7 @@ fn obtain_graph(
     let ctx = ex.ctx();
     if let LogicalPlan::IndexedGraph { index, accel, .. } = edge {
         let space = if accel.is_some() { IndexSpace::Path } else { IndexSpace::Graph };
-        if let Some(registry) = ctx.indexes(space) {
+        if let Some(registry) = ctx.indexes() {
             if let Some((graph, layer)) = registry.resolve(ctx, space, index)? {
                 return Ok((graph, true, layer));
             }

@@ -22,9 +22,9 @@
 //! ## Entry points
 //!
 //! A [`Database`] is the shared, thread-safe store (catalog + index
-//! registry). Work happens through a [`Session`], which owns connection
-//! state: `SET`/`SHOW` settings, a plan cache keyed by SQL text and
-//! invalidated by [`Database::schema_version`], and statement traces (which
+//! registry, plus one plan cache keyed by SQL text and invalidated by
+//! [`Database::schema_version`]). Work happens through a [`Session`], which
+//! owns connection state: `SET`/`SHOW` settings and statement traces (which
 //! `EXPLAIN ANALYZE` renders). [`Session::prepare`] returns a [`PreparedStatement`] whose
 //! repeated executions skip parse/bind/optimize entirely — the shape the
 //! paper's repeated parameterized shortest-path workload wants.
@@ -74,7 +74,7 @@ pub use error::Error;
 pub use exec::{build_graph, build_graph_with_threads, MaterializedGraph};
 pub use index::{IndexRegistry, IndexSpace, PathIndexKind};
 pub use plan::LogicalPlan;
-pub use session::{PlanCacheStats, PreparedStatement, Session, SharedPlanCache};
+pub use session::{PlanCacheStats, PreparedStatement, Session};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -11,6 +11,11 @@
 //!    whose source expression only references the left side and whose
 //!    destination only references the right side, becomes a `GraphJoin`
 //!    that never materializes the product.
+//!
+//! [`optimize_with`] then selects indexes: an edge scan covered by a graph
+//! or path index that exists reads the index instead. Nothing else feeds
+//! the decision, so a plan is a function of the statement and the
+//! database's schema version.
 
 use crate::context::ExecContext;
 use crate::index::{IndexSpace, PathIndexKind};
@@ -28,11 +33,12 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Context-aware optimization: the structural rules of [`optimize`], plus
-/// index selection — a graph operator's edge scan covered by an index the
-/// session has enabled becomes [`LogicalPlan::IndexedGraph`]. A path index
-/// whose layer covers every spec wins over a graph index (same graph, plus
-/// the accelerated search). The decision is visible in `EXPLAIN`, so `SET
-/// path_index = off` / `SET graph_index = off` change the rendered plan.
+/// index selection — a graph operator's edge scan covered by an index that
+/// exists becomes [`LogicalPlan::IndexedGraph`]. A path index whose layer
+/// covers every spec wins over a graph index (same graph, plus the
+/// accelerated search). The decision depends only on the statement and the
+/// registry — never on session settings — and is visible in `EXPLAIN`, so
+/// `CREATE`/`DROP … INDEX` change the rendered plan.
 pub fn optimize_with(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
     annotate_indexed_edges(optimize(plan), ctx)
 }
@@ -69,7 +75,7 @@ fn choose_index(
     specs: &[CheapestSpec],
 ) -> Option<(String, Option<PathIndexKind>)> {
     let covering =
-        |space| ctx.indexes(space).map(|r| r.covering(space, table, src, dst)).unwrap_or_default();
+        |space| ctx.indexes().map(|r| r.covering(space, table, src, dst)).unwrap_or_default();
     let path: Vec<(String, PathIndexKind)> = covering(IndexSpace::Path)
         .into_iter()
         .filter_map(|def| def.accel.map(|a| (def.name, a.weight_key, a.kind)))

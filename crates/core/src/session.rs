@@ -3,17 +3,20 @@
 //! The paper's workload is *repeated* parameterized shortest-path queries
 //! over a mostly-static graph. A [`Session`] makes that workload cheap:
 //!
-//! * a **plan cache** (LRU, keyed by SQL text) holds fully bound and
-//!   optimized plans, so a [`PreparedStatement`] executed many times
-//!   parses, binds and optimizes exactly once;
-//! * cached plans carry the database's **schema version** (catalog DDL +
-//!   graph-index registry); any `CREATE`/`DROP` of tables or graph indexes
-//!   invalidates them lazily;
-//! * **session settings** (`SET` / `SHOW`) control planning and execution:
-//!   `graph_index` toggles index usage (visible in `EXPLAIN`), `row_limit`
-//!   guards against runaway intermediate results, `plan_cache_size` sizes
-//!   the cache, `threads` sets the degree of parallelism for traversals
-//!   and row-parallel operators (`1` = exact sequential execution);
+//! * every session consults the database's one **plan cache** (an LRU of
+//!   64 fully bound and optimized plans, keyed by SQL text), so a
+//!   [`PreparedStatement`] executed many times — or the same text sent by
+//!   any number of sessions — parses, binds and optimizes exactly once;
+//! * a plan is a function of the SQL text and the database's **schema
+//!   version** (catalog DDL + index registry) alone; any `CREATE`/`DROP` of
+//!   tables or indexes invalidates cached plans lazily, and an index that
+//!   exists is always used (`DROP … INDEX` is how to stop using it);
+//! * **session settings** (`SET` / `SHOW`) shape execution only:
+//!   `row_limit` guards against runaway intermediate results, `threads`
+//!   sets the degree of parallelism for traversals and row-parallel
+//!   operators (`1` = exact sequential execution), `timeout_ms`,
+//!   `morsel_rows`, `trace` and `slow_query_ms` bound, schedule and observe
+//!   a statement;
 //! * `EXPLAIN ANALYZE` executes a query under a verbose trace and renders
 //!   the span tree as the plan annotated with row counts and wall time.
 //!
@@ -35,9 +38,12 @@
 //!     let t = stmt.query(&session, &[Value::Int(1), Value::Int(dst)]).unwrap();
 //!     assert_eq!(t.row_count(), 1);
 //! }
-//! // One bind (the prepare), two cache hits.
+//! // One bind (the prepare), two cache hits — and another session finds
+//! // the same plan.
 //! assert_eq!(session.cache_stats().misses, 1);
 //! assert_eq!(session.cache_stats().hits, 2);
+//! stmt.query(&db.session(), &[Value::Int(1), Value::Int(3)]).unwrap();
+//! assert_eq!(session.cache_stats().hits, 3);
 //! ```
 
 use crate::bind::binder::Binder;
@@ -62,12 +68,13 @@ use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Counters of a session's plan cache.
+/// Counters of the database's plan cache (the `gsql_plan_cache_*`
+/// metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Executions served from a cached plan (no parse/bind/optimize).
     pub hits: u64,
-    /// Plans built from scratch (and cached, capacity permitting).
+    /// Plans built from scratch (and cached).
     pub misses: u64,
     /// Cached plans discarded because the schema version moved on.
     pub invalidations: u64,
@@ -85,244 +92,77 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// A small LRU of bound+optimized plans, keyed by SQL text.
+/// The plan cache of a [`Database`], shared by all of its sessions: an LRU
+/// of bound and optimized plans keyed by SQL text. A plan bound by any
+/// session serves every later execution of the same text, from any
+/// session; an entry bound at an older schema version is discarded on
+/// lookup. Its counters live in the engine metrics registry.
 #[derive(Debug, Default)]
-struct PlanCache {
+pub(crate) struct PlanCache {
+    lru: Mutex<Lru>,
+}
+
+#[derive(Debug, Default)]
+struct Lru {
     map: HashMap<String, CacheEntry>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    /// Counter values already pushed to the engine metrics registry (see
-    /// [`PlanCache::drain_unsynced`]).
-    synced: (u64, u64, u64),
 }
 
 impl PlanCache {
+    /// How many plans the cache holds.
+    const CAPACITY: usize = 64;
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.lru.lock().expect("plan cache poisoned")
+    }
+
     /// A fresh (version-matching) cached plan for `sql`, if any. A stale
     /// entry is discarded and counted as an invalidation.
-    fn get(&mut self, sql: &str, schema_version: u64) -> Option<Arc<LogicalPlan>> {
-        match self.map.get_mut(sql) {
+    fn get(
+        &self,
+        sql: &str,
+        schema_version: u64,
+        metrics: &EngineMetrics,
+    ) -> Option<Arc<LogicalPlan>> {
+        let mut lru = self.lock();
+        let lru = &mut *lru;
+        match lru.map.get_mut(sql) {
             Some(entry) if entry.schema_version == schema_version => {
-                self.tick += 1;
-                entry.last_used = self.tick;
-                self.hits += 1;
+                lru.tick += 1;
+                entry.last_used = lru.tick;
+                metrics.plan_cache_hits.inc();
                 Some(Arc::clone(&entry.plan))
             }
             Some(_) => {
-                self.map.remove(sql);
-                self.invalidations += 1;
+                lru.map.remove(sql);
+                metrics.plan_cache_invalidations.inc();
+                metrics.plan_cache_entries.set(lru.map.len() as i64);
                 None
             }
             None => None,
         }
     }
 
-    /// Record a freshly built plan (a miss), evicting the least recently
-    /// used entry when over capacity. `capacity == 0` disables storage but
-    /// still counts the miss.
+    /// Cache a freshly built plan, evicting the least recently used entry
+    /// when full.
     fn insert(
-        &mut self,
-        sql: String,
+        &self,
+        sql: &str,
         plan: Arc<LogicalPlan>,
         schema_version: u64,
-        capacity: usize,
+        metrics: &EngineMetrics,
     ) {
-        self.misses += 1;
-        if capacity == 0 {
-            return;
+        let mut lru = self.lock();
+        if lru.map.len() >= Self::CAPACITY && !lru.map.contains_key(sql) {
+            let victim = lru.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                lru.map.remove(&victim);
+            }
         }
-        while self.map.len() >= capacity && !self.map.contains_key(&sql) {
-            let Some(victim) =
-                self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&victim);
-        }
-        self.tick += 1;
-        self.map.insert(sql, CacheEntry { plan, schema_version, last_used: self.tick });
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Evict least-recently-used entries until at most `capacity` remain
-    /// (used when `plan_cache_size` is lowered mid-session).
-    fn shrink_to(&mut self, capacity: usize) {
-        while self.map.len() > capacity {
-            let Some(victim) =
-                self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&victim);
-        }
-    }
-
-    fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            invalidations: self.invalidations,
-            entries: self.map.len(),
-        }
-    }
-
-    /// Counter movement since the last drain, plus the current entry
-    /// count. Sessions push these deltas into the engine metrics registry
-    /// after each plan lookup; draining under the cache's own lock (shared
-    /// caches) makes the sync exact even with concurrent sessions.
-    fn drain_unsynced(&mut self) -> (u64, u64, u64, usize) {
-        let (h, m, i) = self.synced;
-        let delta = (
-            self.hits.saturating_sub(h),
-            self.misses.saturating_sub(m),
-            self.invalidations.saturating_sub(i),
-            self.map.len(),
-        );
-        self.synced = (self.hits, self.misses, self.invalidations);
-        delta
-    }
-}
-
-/// A thread-safe plan cache shared by any number of sessions over one
-/// [`Database`] — the serving tier's cache: N server worker sessions bind
-/// and optimize a given query text once, and every later request (from any
-/// session) executes the cached plan.
-///
-/// Unlike the session-local cache, entries are keyed by the SQL text
-/// **plus the plan-shaping settings** (`graph_index`, `path_index`), so
-/// sessions running with different planning flags never share a plan that
-/// was optimized under the other configuration. Invalidation is the same
-/// schema-version check as the local cache.
-///
-/// Obtain the database-wide instance with [`Database::shared_plan_cache`];
-/// open sessions that use it with [`Database::shared_session`].
-#[derive(Debug, Default)]
-pub struct SharedPlanCache {
-    inner: Mutex<PlanCache>,
-}
-
-impl SharedPlanCache {
-    /// An empty shared cache.
-    pub fn new() -> SharedPlanCache {
-        SharedPlanCache::default()
-    }
-
-    /// Global counters across every session using this cache.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.lock().stats()
-    }
-
-    /// Drop every cached plan.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
-    /// Compose the cache key: plan-shaping flags + SQL text.
-    fn key(sql: &str, settings: &SessionSettings) -> String {
-        format!("g{}p{}|{sql}", settings.graph_index as u8, settings.path_index as u8)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCache> {
-        self.inner.lock().expect("shared plan cache poisoned")
-    }
-
-    fn get(&self, sql: &str, settings: &SessionSettings, version: u64) -> Option<Arc<LogicalPlan>> {
-        self.lock().get(&Self::key(sql, settings), version)
-    }
-
-    fn insert(
-        &self,
-        sql: &str,
-        settings: &SessionSettings,
-        plan: Arc<LogicalPlan>,
-        version: u64,
-        capacity: usize,
-    ) {
-        self.lock().insert(Self::key(sql, settings), plan, version, capacity);
-    }
-}
-
-/// The plan cache a session consults: its own, or the database-wide shared
-/// one (server worker sessions).
-#[derive(Debug)]
-enum CacheSlot {
-    Local(RefCell<PlanCache>),
-    Shared(Arc<SharedPlanCache>),
-}
-
-impl CacheSlot {
-    fn get(&self, sql: &str, settings: &SessionSettings, version: u64) -> Option<Arc<LogicalPlan>> {
-        match self {
-            CacheSlot::Local(c) => c.borrow_mut().get(sql, version),
-            CacheSlot::Shared(c) => c.get(sql, settings, version),
-        }
-    }
-
-    fn insert(
-        &self,
-        sql: &str,
-        settings: &SessionSettings,
-        plan: Arc<LogicalPlan>,
-        version: u64,
-        capacity: usize,
-    ) {
-        match self {
-            CacheSlot::Local(c) => c.borrow_mut().insert(sql.to_string(), plan, version, capacity),
-            CacheSlot::Shared(c) => c.insert(sql, settings, plan, version, capacity),
-        }
-    }
-
-    /// Count a plan that was built but not keyed (no SQL text).
-    fn count_miss(&self) {
-        match self {
-            CacheSlot::Local(c) => c.borrow_mut().misses += 1,
-            CacheSlot::Shared(c) => c.lock().misses += 1,
-        }
-    }
-
-    /// A plan-shaping setting changed. The local cache is keyed by SQL text
-    /// alone, so its plans are stale — drop them. Shared-cache keys carry
-    /// the plan-shaping flags, so other sessions' entries stay valid and
-    /// nothing needs clearing.
-    fn planning_setting_changed(&self) {
-        if let CacheSlot::Local(c) = self {
-            c.borrow_mut().clear();
-        }
-    }
-
-    fn shrink_to(&self, capacity: usize) {
-        match self {
-            CacheSlot::Local(c) => c.borrow_mut().shrink_to(capacity),
-            CacheSlot::Shared(c) => c.lock().shrink_to(capacity),
-        }
-    }
-
-    fn stats(&self) -> PlanCacheStats {
-        match self {
-            CacheSlot::Local(c) => c.borrow().stats(),
-            CacheSlot::Shared(c) => c.stats(),
-        }
-    }
-
-    /// Push counter movement since the last sync into the engine metrics.
-    /// The entries gauge tracks the shared (database-wide) cache only —
-    /// per-session local caches are additive on the counters but have no
-    /// single meaningful entry count.
-    fn sync_metrics(&self, metrics: &EngineMetrics) {
-        let (hits, misses, invalidations, entries) = match self {
-            CacheSlot::Local(c) => c.borrow_mut().drain_unsynced(),
-            CacheSlot::Shared(c) => c.lock().drain_unsynced(),
-        };
-        metrics.plan_cache_hits.add(hits);
-        metrics.plan_cache_misses.add(misses);
-        metrics.plan_cache_invalidations.add(invalidations);
-        if matches!(self, CacheSlot::Shared(_)) {
-            metrics.plan_cache_entries.set(entries as i64);
-        }
+        lru.tick += 1;
+        let last_used = lru.tick;
+        lru.map.insert(sql.to_string(), CacheEntry { plan, schema_version, last_used });
+        metrics.plan_cache_entries.set(lru.map.len() as i64);
     }
 }
 
@@ -330,9 +170,9 @@ impl CacheSlot {
 /// with different `?` parameter values.
 ///
 /// Produced by [`Session::prepare`] (which also pre-plans queries into the
-/// session's cache) or [`Database::prepare`] (parse only). Executing a
-/// prepared *query* through a session consults that session's plan cache:
-/// repeated executions skip the whole frontend.
+/// database's plan cache) or [`Database::prepare`] (parse only). Executing
+/// a prepared *query* consults that cache: repeated executions skip the
+/// whole frontend.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     sql: String,
@@ -361,16 +201,15 @@ impl PreparedStatement {
     }
 }
 
-/// A session over a shared [`Database`]: settings, plan cache, statement
-/// execution. See the [module docs](self) for the full picture.
 /// How many finished trace JSON documents a session retains.
 const TRACE_RING: usize = 16;
 
+/// A session over a shared [`Database`]: settings, statement execution and
+/// recent traces. See the [module docs](self) for the full picture.
 #[derive(Debug)]
 pub struct Session<'db> {
     db: &'db Database,
     settings: RefCell<SessionSettings>,
-    cache: CacheSlot,
     /// Finished trace documents (JSON), newest last, bounded at
     /// [`TRACE_RING`]. Populated only while `SET trace` is on.
     traces: RefCell<VecDeque<String>>,
@@ -383,28 +222,12 @@ pub struct Session<'db> {
 }
 
 impl<'db> Session<'db> {
-    /// Open a session with its own plan cache. Equivalent to
+    /// Open a session with default settings. Equivalent to
     /// [`Database::session`].
     pub fn new(db: &'db Database) -> Session<'db> {
         Session {
             db,
             settings: RefCell::new(SessionSettings::default()),
-            cache: CacheSlot::Local(RefCell::new(PlanCache::default())),
-            traces: RefCell::new(VecDeque::new()),
-            pending_parse_us: Cell::new(None),
-            pending_fingerprint: Cell::new(None),
-        }
-    }
-
-    /// Open a session that consults `cache` instead of a private one, so
-    /// plans bound by any participating session serve all of them.
-    /// Equivalent to [`Database::shared_session`] for the database-wide
-    /// cache.
-    pub fn with_shared_cache(db: &'db Database, cache: Arc<SharedPlanCache>) -> Session<'db> {
-        Session {
-            db,
-            settings: RefCell::new(SessionSettings::default()),
-            cache: CacheSlot::Shared(cache),
             traces: RefCell::new(VecDeque::new()),
             pending_parse_us: Cell::new(None),
             pending_fingerprint: Cell::new(None),
@@ -423,18 +246,7 @@ impl<'db> Session<'db> {
 
     /// Change a setting programmatically (same as `SET name = value`).
     pub fn set(&self, name: &str, value: &str) -> Result<()> {
-        self.settings.borrow_mut().set(name, value)?;
-        // Only graph_index and path_index influence plan *shape*; dropping
-        // the cache for execution-time knobs (e.g. row_limit) would throw
-        // away good plans. Lowering plan_cache_size evicts down right away
-        // so the memory the caller asked to reclaim is actually released.
-        if name.eq_ignore_ascii_case("graph_index") || name.eq_ignore_ascii_case("path_index") {
-            self.cache.planning_setting_changed();
-        } else if name.eq_ignore_ascii_case("plan_cache_size") {
-            let capacity = self.settings.borrow().plan_cache_size;
-            self.cache.shrink_to(capacity);
-        }
-        Ok(())
+        self.settings.borrow_mut().set(name, value)
     }
 
     /// Read a setting's current value (same as `SHOW name`).
@@ -442,10 +254,16 @@ impl<'db> Session<'db> {
         self.settings.borrow().get(name)
     }
 
-    /// Plan-cache counters — of this session's private cache, or the
-    /// global counters when the session uses a shared cache.
+    /// Counters of the database-wide plan cache, which every session of
+    /// the database shares.
     pub fn cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
+        let m = self.db.metrics();
+        PlanCacheStats {
+            hits: m.plan_cache_hits.get(),
+            misses: m.plan_cache_misses.get(),
+            invalidations: m.plan_cache_invalidations.get(),
+            entries: m.plan_cache_entries.get() as usize,
+        }
     }
 
     /// The trace JSON of the most recently traced statement, when `SET
@@ -533,17 +351,13 @@ impl<'db> Session<'db> {
         Ok(prepared)
     }
 
-    /// Parse, bind and optimize a query under the session's settings,
-    /// returning its logical plan (what `EXPLAIN` renders).
+    /// Parse, bind and optimize a query, returning its logical plan (what
+    /// `EXPLAIN` renders). The plan cache is not consulted.
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
         match parse_statement(sql)? {
             ast::Statement::Query(q)
             | ast::Statement::Explain(q)
-            | ast::Statement::ExplainAnalyze(q) => {
-                let ctx = self.ctx(&[], None);
-                let plan = Binder::new(&ctx).bind_query(&q)?;
-                Ok(optimize_with(plan, &ctx))
-            }
+            | ast::Statement::ExplainAnalyze(q) => self.build_plan(&q, &[], None),
             _ => Err(bind_err!("plan() expects a query")),
         }
     }
@@ -559,10 +373,22 @@ impl<'db> Session<'db> {
             .with_metrics(Some(Arc::clone(self.db.metrics())))
     }
 
-    /// The bound+optimized plan for a query — from the session cache when
-    /// `sql_key` is given and the entry is fresh, otherwise built (and
-    /// cached) now. `trace` is the collector plus the statement span to
-    /// attach bind/optimize spans under, when tracing.
+    /// Bind and optimize a query — in `bind` and `optimize` spans under the
+    /// statement span when `trace` is given.
+    fn build_plan(
+        &self,
+        q: &ast::Query,
+        params: &[Value],
+        trace: Option<(&TraceCollector, SpanId)>,
+    ) -> Result<LogicalPlan> {
+        let ctx = self.ctx(params, None);
+        let plan = in_span(trace, "bind", || Binder::new(&ctx).bind_query(q))?;
+        Ok(in_span(trace, "optimize", || optimize_with(plan, &ctx)))
+    }
+
+    /// The bound+optimized plan for a query — from the database's plan
+    /// cache when `sql_key` is given and the entry is fresh, otherwise
+    /// built (and cached) now.
     fn cached_plan(
         &self,
         sql_key: Option<&str>,
@@ -570,37 +396,19 @@ impl<'db> Session<'db> {
         params: &[Value],
         trace: Option<(&TraceCollector, SpanId)>,
     ) -> Result<Arc<LogicalPlan>> {
-        let settings = self.settings.borrow().clone();
-        let capacity = settings.plan_cache_size;
+        let (cache, metrics) = (self.db.plan_cache(), self.db.metrics());
         let schema_version = self.db.schema_version();
-        if let (Some(sql), true) = (sql_key, capacity > 0) {
-            if let Some(plan) = self.cache.get(sql, &settings, schema_version) {
-                self.cache.sync_metrics(self.db.metrics());
-                if let Some((t, root)) = trace {
-                    t.attr(root, "plan_cache", TraceValue::from("hit"));
-                }
-                return Ok(plan);
+        if let Some(plan) = sql_key.and_then(|sql| cache.get(sql, schema_version, metrics)) {
+            if let Some((t, root)) = trace {
+                t.attr(root, "plan_cache", TraceValue::from("hit"));
             }
+            return Ok(plan);
         }
-        let ctx = self.ctx(params, None);
-        let span = trace.map(|(t, root)| (t, t.begin(root, "bind")));
-        let plan = Binder::new(&ctx).bind_query(q);
-        if let Some((t, id)) = span {
-            t.end(id);
+        let plan = Arc::new(self.build_plan(q, params, trace)?);
+        metrics.plan_cache_misses.inc();
+        if let Some(sql) = sql_key {
+            cache.insert(sql, Arc::clone(&plan), schema_version, metrics);
         }
-        let plan = plan?;
-        let span = trace.map(|(t, root)| (t, t.begin(root, "optimize")));
-        let plan = Arc::new(optimize_with(plan, &ctx));
-        if let Some((t, id)) = span {
-            t.end(id);
-        }
-        match sql_key {
-            Some(sql) => {
-                self.cache.insert(sql, &settings, Arc::clone(&plan), schema_version, capacity)
-            }
-            None => self.cache.count_miss(),
-        }
-        self.cache.sync_metrics(self.db.metrics());
         Ok(plan)
     }
 
@@ -776,16 +584,12 @@ impl<'db> Session<'db> {
                 Ok(QueryResult::Table(table?))
             }
             ast::Statement::Explain(q) => {
-                let ctx = self.ctx(params, deadline);
-                let plan = Binder::new(&ctx).bind_query(q)?;
-                let plan = optimize_with(plan, &ctx);
+                let plan = self.build_plan(q, params, trace)?;
                 let text = crate::exec::pipeline::explain_with_pipelines(&plan);
                 text_table("plan", text.lines())
             }
             ast::Statement::ExplainAnalyze(q) => {
-                let ctx = self.ctx(params, deadline);
-                let plan = Binder::new(&ctx).bind_query(q)?;
-                let plan = optimize_with(plan, &ctx);
+                let plan = self.build_plan(q, params, trace)?;
                 let (table, execute) = self.execute_plan(&plan, params, deadline, collector, root);
                 table?;
                 let t = collector.expect("run_statement_at traces every EXPLAIN ANALYZE");
@@ -975,6 +779,16 @@ fn plan_fingerprint(plan: &LogicalPlan) -> u64 {
     h.finish()
 }
 
+/// Run `f` in a span named `name` under the statement span, when tracing.
+fn in_span<T>(trace: Option<(&TraceCollector, SpanId)>, name: &str, f: impl FnOnce() -> T) -> T {
+    let span = trace.map(|(t, root)| (t, t.begin(root, name)));
+    let out = f();
+    if let Some((t, id)) = span {
+        t.end(id);
+    }
+    out
+}
+
 /// Render a `SET` value as the settings-layer text.
 fn set_value_text(value: &ast::SetValue) -> String {
     match value {
@@ -1012,27 +826,12 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest() {
-        let mut cache = PlanCache::default();
-        let plan = Arc::new(LogicalPlan::SingleRow);
-        cache.insert("a".into(), Arc::clone(&plan), 0, 2);
-        cache.insert("b".into(), Arc::clone(&plan), 0, 2);
-        assert!(cache.get("a", 0).is_some()); // refresh a
-        cache.insert("c".into(), Arc::clone(&plan), 0, 2); // evicts b
-        assert!(cache.get("b", 0).is_none());
-        assert!(cache.get("a", 0).is_some());
-        assert!(cache.get("c", 0).is_some());
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
     fn stale_entries_are_invalidated() {
-        let mut cache = PlanCache::default();
-        let plan = Arc::new(LogicalPlan::SingleRow);
-        cache.insert("q".into(), plan, 7, 4);
-        assert!(cache.get("q", 8).is_none());
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.stats().entries, 0);
+        let (cache, metrics) = (PlanCache::default(), EngineMetrics::default());
+        cache.insert("q", Arc::new(LogicalPlan::SingleRow), 7, &metrics);
+        assert!(cache.get("q", 8, &metrics).is_none());
+        assert_eq!(metrics.plan_cache_invalidations.get(), 1);
+        assert_eq!(metrics.plan_cache_entries.get(), 0);
     }
 
     #[test]
@@ -1059,20 +858,6 @@ mod tests {
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-    }
-
-    #[test]
-    fn plan_cache_size_zero_disables_caching() {
-        let db = db_with_edges();
-        let session = db.session();
-        session.set("plan_cache_size", "0").unwrap();
-        let sql = "SELECT 1 WHERE 1 REACHES 2 OVER e EDGE (s, d)";
-        session.query(sql).unwrap();
-        session.query(sql).unwrap();
-        let stats = session.cache_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0);
     }
 
     #[test]

@@ -481,13 +481,13 @@ pub struct EngineMetrics {
     registry: Arc<Registry>,
     queries: [[Arc<Counter>; 3]; 6],
     query_latency: Arc<Histogram>,
-    /// Plan-cache hits (local and shared sessions).
+    /// Plan-cache hits (the database's one plan cache, every session).
     pub plan_cache_hits: Arc<Counter>,
     /// Plan-cache misses.
     pub plan_cache_misses: Arc<Counter>,
     /// Plans evicted because the schema version moved.
     pub plan_cache_invalidations: Arc<Counter>,
-    /// Entries currently resident in the shared plan cache.
+    /// Entries currently resident in the plan cache.
     pub plan_cache_entries: Arc<Gauge>,
     pipelines: Arc<Counter>,
     morsels: Arc<Counter>,
@@ -545,7 +545,7 @@ impl EngineMetrics {
             "Cached plans discarded because the schema version moved.",
         );
         let plan_cache_entries =
-            registry.gauge("gsql_plan_cache_entries", "Entries resident in the shared plan cache.");
+            registry.gauge("gsql_plan_cache_entries", "Entries resident in the plan cache.");
         let pipelines =
             registry.counter("gsql_pipelines_total", "Fused pipelines executed to completion.");
         let morsels = registry
@@ -660,15 +660,6 @@ impl EngineMetrics {
     /// The end-to-end statement latency histogram.
     pub fn query_latency(&self) -> &Arc<Histogram> {
         &self.query_latency
-    }
-
-    /// Record a plan-cache lookup.
-    pub fn record_plan_cache(&self, hit: bool) {
-        if hit {
-            self.plan_cache_hits.inc();
-        } else {
-            self.plan_cache_misses.inc();
-        }
     }
 
     /// Record a weight-cache lookup on an indexed graph.
@@ -833,8 +824,8 @@ mod tests {
     fn engine_metrics_catalog_renders_all_families() {
         let m = EngineMetrics::new();
         m.record_query(QueryVerb::Select, QueryOutcome::Ok, 1234);
-        m.record_plan_cache(true);
-        m.record_plan_cache(false);
+        m.plan_cache_hits.inc();
+        m.plan_cache_misses.inc();
         m.record_pipeline(17);
         m.observe_queue_wait_us(42);
         m.record_traversal("ch", 99);

@@ -372,7 +372,7 @@ pub struct ColumnDefAst {
 pub enum SetValue {
     /// A literal (`SET row_limit = 1000`).
     Literal(Literal),
-    /// A bare word (`SET graph_index = off`).
+    /// A bare word (`SET trace = on`).
     Ident(String),
 }
 
@@ -490,7 +490,7 @@ pub enum Statement {
     },
     /// `SET <option> = <value>` — change a session setting.
     Set {
-        /// Option name (e.g. `graph_index`, `row_limit`).
+        /// Option name (e.g. `trace`, `row_limit`).
         name: String,
         /// New value.
         value: SetValue,

@@ -459,12 +459,12 @@ mod tests {
 
     #[test]
     fn round_trips_session_statements() {
-        round_trip("SET graph_index = off");
-        round_trip("SET graph_index = on");
+        round_trip("SET trace = off");
+        round_trip("SET trace = verbose");
         round_trip("SET row_limit = 1000");
-        round_trip("SET plan_cache_size = 0");
+        round_trip("SET row_limit = 0");
         round_trip("SET tag = 'hello'");
-        round_trip("SHOW graph_index");
+        round_trip("SHOW trace");
         round_trip("SHOW ALL");
         round_trip("EXPLAIN ANALYZE SELECT 1");
         round_trip(

@@ -1534,14 +1534,14 @@ mod tests {
 
     #[test]
     fn parses_set_and_show() {
-        match parse_statement("SET graph_index = off").unwrap() {
+        match parse_statement("SET trace = off").unwrap() {
             Statement::Set { name, value } => {
-                assert_eq!(name, "graph_index");
+                assert_eq!(name, "trace");
                 assert_eq!(value, SetValue::Ident("off".to_string()));
             }
             other => panic!("{other:?}"),
         }
-        match parse_statement("SET graph_index = on").unwrap() {
+        match parse_statement("SET trace = on").unwrap() {
             Statement::Set { value, .. } => {
                 assert_eq!(value, SetValue::Ident("on".to_string()));
             }
@@ -1565,7 +1565,7 @@ mod tests {
             Statement::Show { name: Some(n) } if n == "row_limit"
         ));
         assert!(matches!(parse_statement("SHOW ALL").unwrap(), Statement::Show { name: None }));
-        assert!(parse_statement("SET graph_index").is_err());
+        assert!(parse_statement("SET trace").is_err());
         assert!(parse_statement("SET = 1").is_err());
         assert!(parse_statement("SHOW").is_err());
     }

@@ -12,11 +12,11 @@
 //!   connections into a **bounded queue** — when the queue is full the
 //!   acceptor answers `503` with `Retry-After` immediately instead of
 //!   letting latency collapse (admission control);
-//! * a fixed pool of **worker** threads each owns one
-//!   [`Database::shared_session`]; workers pull connections, parse one
-//!   request, execute, respond, close. Because the sessions share the
-//!   database-wide [plan cache](gsql_core::SharedPlanCache), a query text
-//!   is bound and optimized once no matter which worker sees it;
+//! * a fixed pool of **worker** threads pull connections, parse one
+//!   request, execute it in a fresh [`Database::session`] configured with
+//!   [`ServerConfig::settings`], respond, close — so nothing a request sets
+//!   outlives it. Every session shares the database's plan cache, so a
+//!   query text is bound and optimized once no matter which worker sees it;
 //! * every `/query` runs under a **deadline** ([`ServerConfig`]'s cap
 //!   and/or the request's `timeout_ms` setting), enforced inside the
 //!   executor so runaway traversals are interrupted, not just reported;
@@ -28,13 +28,14 @@
 //!
 //! * `POST /query` — body `{"sql": "...", "params": [...], "settings":
 //!   {...}}`; answers `{"columns": [...], "rows": [[...]]}` for result
-//!   sets, `{"affected": n}` for DML, `{"ok": true}` otherwise. Add
+//!   sets, `{"affected": n}` for DML, `{"ok": true}` otherwise.
+//!   `"settings"` and any `SET` statement apply to that request alone. Add
 //!   `"trace": true` to get the statement's span tree inline under
 //!   `"trace"` (see `SET trace` in gsql-core).
 //! * `GET /health` — liveness probe.
 //! * `GET /metrics` — every engine and server instrument in Prometheus
 //!   text exposition format (plan cache, admission, in-flight gauge,
-//!   per-endpoint latency, …). The worker sessions' settings are read with
+//!   per-endpoint latency, …). The configured settings are read with
 //!   `SHOW` over `/query`.
 //! * `GET /slowlog` — the bounded ring of slow-query records (`SET
 //!   slow_query_ms`), newest last.
@@ -84,15 +85,15 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads — each owns one shared-cache session.
+    /// Worker threads — each runs one request at a time.
     pub workers: usize,
     /// Accepted connections waiting for a worker before new ones get 503.
     pub queue_depth: usize,
     /// Wall-clock cap applied to every `/query`; a request's own
     /// `timeout_ms` setting can only tighten it. `None` = no server cap.
     pub default_timeout_ms: Option<u64>,
-    /// `SET name = value` pairs applied to every worker session at startup
-    /// (e.g. `("threads", "4")`).
+    /// `SET name = value` pairs every request's session starts from (e.g.
+    /// `("threads", "4")`).
     pub settings: Vec<(String, String)>,
     /// Data directory for a durable serving tier. The server itself never
     /// reads this — it serves whatever [`Database`] it is handed — but the
@@ -197,14 +198,8 @@ pub fn serve(db: Arc<Database>, config: ServerConfig) -> io::Result<ServerHandle
             "workers and queue_depth must be at least 1",
         ));
     }
-    {
-        let probe = db.session();
-        for (name, value) in &config.settings {
-            probe.set(name, value).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidInput, format!("bad setting: {e}"))
-            })?;
-        }
-    }
+    configured_session(&db, &config)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("bad setting: {e}")))?;
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(ServerStats::new(db.metrics()));
@@ -327,20 +322,29 @@ fn accept_loop(
     }
 }
 
-fn worker_loop(db: &Arc<Database>, queue: &ConnQueue, stats: &ServerStats, config: &ServerConfig) {
-    let session = db.shared_session();
+/// A session with `config.settings` applied.
+fn configured_session<'db>(
+    db: &'db Database,
+    config: &ServerConfig,
+) -> Result<Session<'db>, Error> {
+    let session = db.session();
     for (name, value) in &config.settings {
-        // Validated in serve(); a failure here would mean the database
-        // changed meaning under us, so just skip rather than die.
-        let _ = session.set(name, value);
+        session.set(name, value)?;
     }
+    Ok(session)
+}
+
+fn worker_loop(db: &Arc<Database>, queue: &ConnQueue, stats: &ServerStats, config: &ServerConfig) {
     while let Some((conn, waited)) = queue.pop() {
         stats.queue_depth.sub(1);
         stats.queue_wait.observe(u64::try_from(waited.as_micros()).unwrap_or(u64::MAX));
         // handle_connection settles the connection — one `responded` tick
         // paired with one latency observation, on every path. That
         // balances `admitted`: the no-dropped-queries invariant at
-        // shutdown.
+        // shutdown. Each request runs in a fresh session with the configured
+        // settings (validated in serve()), so whatever a client sets — a
+        // `SET` statement or a `"settings"` override — ends with its request.
+        let session = configured_session(db, config).expect("settings validated in serve()");
         handle_connection(db, &session, conn, stats, config);
     }
 }
@@ -430,26 +434,18 @@ fn handle_query(
         },
     };
 
-    // Per-request setting overrides are applied to the worker session for
-    // the duration of this statement and restored afterwards, success or
-    // not — the next request must not inherit them.
-    let mut saved: Vec<(String, String)> = Vec::new();
+    // Setting overrides apply to this request's session only.
     if let Some(overrides) = doc.get("settings") {
-        if let Err(msg) = apply_overrides(session, overrides, &mut saved) {
-            restore_settings(session, &saved);
+        if let Err(msg) = apply_overrides(session, overrides) {
             return (400, error_body(&msg));
         }
     }
-    // `"trace": true` turns span collection on for just this statement
-    // (without downgrading an explicit `settings.trace = verbose`); the
-    // collected tree rides back inline under `"trace"`.
+    // `"trace": true` turns span collection on (without downgrading an
+    // explicit `settings.trace = verbose`); the collected tree rides back
+    // inline under `"trace"`.
     let want_trace = matches!(doc.get("trace"), Some(Json::Bool(true)));
-    if want_trace {
-        if let Ok(old) = session.setting("trace") {
-            if old == "off" && session.set("trace", "on").is_ok() {
-                saved.push(("trace".to_string(), old));
-            }
-        }
+    if want_trace && session.setting("trace").is_ok_and(|level| level == "off") {
+        let _ = session.set("trace", "on");
     }
 
     let in_flight = InFlight::enter(stats);
@@ -460,7 +456,6 @@ fn handle_query(
         None => session.execute_with_params(sql, &params),
     };
     drop(in_flight);
-    restore_settings(session, &saved);
 
     match result {
         Ok(result) => {
@@ -511,11 +506,7 @@ fn convert_params(params: &Json) -> Result<Vec<Value>, String> {
         .collect()
 }
 
-fn apply_overrides(
-    session: &Session<'_>,
-    overrides: &Json,
-    saved: &mut Vec<(String, String)>,
-) -> Result<(), String> {
+fn apply_overrides(session: &Session<'_>, overrides: &Json) -> Result<(), String> {
     let Json::Object(members) = overrides else {
         return Err("'settings' must be an object".to_string());
     };
@@ -527,17 +518,9 @@ fn apply_overrides(
             Json::Bool(v) => if *v { "on" } else { "off" }.to_string(),
             _ => return Err(format!("setting '{name}' must be a scalar")),
         };
-        let old = session.setting(name).map_err(|e| e.to_string())?;
         session.set(name, &rendered).map_err(|e| e.to_string())?;
-        saved.push((name.clone(), old));
     }
     Ok(())
-}
-
-fn restore_settings(session: &Session<'_>, saved: &[(String, String)]) {
-    for (name, old) in saved {
-        let _ = session.set(name, old);
-    }
 }
 
 /// `{"error": "..."}`

@@ -40,7 +40,7 @@ The paper's extension is available:
   WHERE x REACHES y OVER edge_table [e] EDGE (src, dst)
   ... FROM t, UNNEST(t.path) [WITH ORDINALITY] AS r
 Session statements (state persists for the whole shell session):
-  SET <option> = <value>   e.g. SET graph_index = off, SET row_limit = 10000
+  SET <option> = <value>   e.g. SET row_limit = 10000, SET trace = on
   SET threads = N          parallel execution width (1 = sequential;
                            default: all hardware threads)
   SHOW <option> | SHOW ALL
@@ -56,8 +56,8 @@ fn main() {
         return;
     }
     let db = open_database(&args);
-    // One session for the whole interactive run: SET/SHOW state and the
-    // plan cache survive across statements.
+    // One session for the whole interactive run: SET/SHOW state survives
+    // across statements (the plan cache is the database's).
     let session = db.session();
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();

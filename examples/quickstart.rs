@@ -67,8 +67,11 @@ fn main() -> gsql::Result<()> {
 
     // 5. Sessions: prepared statements plan once and reuse the cached
     //    plan; a graph index makes repeated lookups skip CSR construction.
+    //    The plan cache belongs to the database, so the counters below are
+    //    read as a difference around the prepared statement's lifetime.
     db.execute("CREATE GRAPH INDEX gi ON friends EDGE (src, dst)")?;
     let session = db.session();
+    let before = session.cache_stats();
     let stmt = session.prepare(
         "SELECT CHEAPEST SUM(1) AS hops
          WHERE ? REACHES ? OVER friends EDGE (src, dst)",
@@ -78,11 +81,10 @@ fn main() -> gsql::Result<()> {
         let hops = if t.is_empty() { "unreachable".to_string() } else { t.row(0)[0].to_string() };
         println!("\nperson {s} -> person {d}: {hops} hop(s)");
     }
-    let stats = session.cache_stats();
-    println!(
-        "plan cache: {} miss (the prepare), {} hits (every execution)",
-        stats.misses, stats.hits
-    );
+    let after = session.cache_stats();
+    let (misses, hits) = (after.misses - before.misses, after.hits - before.hits);
+    println!("plan cache: {misses} miss (the prepare), {hits} hits (every execution)");
+    assert_eq!((misses, hits), (1, 3), "the prepare binds once, every execution hits");
 
     // 6. EXPLAIN ANALYZE: the executed plan with per-operator rows/timing.
     println!("\nEXPLAIN ANALYZE of the same query:");

@@ -16,7 +16,8 @@
 //!
 //! * [`Database`] — the shared engine entry point (from `gsql-core`);
 //! * [`Session`] — per-connection state: `SET`/`SHOW` settings, prepared
-//!   statements with a version-invalidated plan cache, `EXPLAIN ANALYZE`;
+//!   statements over the database's version-invalidated plan cache,
+//!   `EXPLAIN ANALYZE`;
 //! * [`storage`] — columnar tables, values, the catalog;
 //! * [`parser`] — the SQL front-end with the paper's grammar extensions;
 //! * [`graph`] — CSR, BFS, Dijkstra + radix queue;
@@ -45,7 +46,7 @@
 
 pub use gsql_core::{
     Database, Deadline, Error, ExecContext, IndexRegistry, IndexSpace, LogicalPlan, PlanCacheStats,
-    PreparedStatement, QueryResult, Result, Session, SessionSettings, SharedPlanCache,
+    PreparedStatement, QueryResult, Result, Session, SessionSettings,
 };
 pub use gsql_storage::{Column, DataType, Date, PathValue, Schema, Table, Value};
 

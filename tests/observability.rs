@@ -9,6 +9,9 @@
 //! No environment variable changes the `trace` setting, so span counts are
 //! exact.
 
+mod common;
+
+use common::sweep;
 use gsql::{Database, Value};
 use gsql_obs::{QueryOutcome, QueryVerb, SlowLog, SlowQueryRecord, ACCEL_KINDS};
 use gsql_server::json::{self, Json};
@@ -16,11 +19,7 @@ use gsql_server::{client, serve, ServerConfig};
 
 /// A deterministic digraph plus a `people` table for graph-join shapes
 /// (same generator family as the path-index suite, smaller).
-fn graph_db() -> Database {
-    let db = Database::new();
-    db.execute("CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)")
-        .unwrap();
-    db.execute("CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)").unwrap();
+fn graph_setup() -> Vec<String> {
     let mut x: u64 = 0x9e3779b97f4a7c15;
     let mut next = move || {
         x ^= x << 13;
@@ -28,26 +27,23 @@ fn graph_db() -> Database {
         x ^= x << 17;
         x
     };
-    let mut edges = String::new();
-    for i in 0..400 {
-        let s = next() % 80;
-        let d = next() % 80;
-        let w = next() % 16 + 1;
-        if i > 0 {
-            edges.push_str(", ");
-        }
-        edges.push_str(&format!("({s}, {d}, {w})"));
-    }
-    db.execute(&format!("INSERT INTO e VALUES {edges}")).unwrap();
-    let mut people = String::new();
-    for id in 0..80 {
-        if id > 0 {
-            people.push_str(", ");
-        }
-        people.push_str(&format!("({id}, {})", id % 8));
-    }
-    db.execute(&format!("INSERT INTO people VALUES {people}")).unwrap();
-    db
+    let edges: Vec<String> = (0..400)
+        .map(|_| {
+            let (s, d) = (next() % 80, next() % 80);
+            format!("({s}, {d}, {})", next() % 16 + 1)
+        })
+        .collect();
+    let people: Vec<String> = (0..80).map(|id| format!("({id}, {})", id % 8)).collect();
+    vec![
+        "CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)".to_string(),
+        "CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)".to_string(),
+        format!("INSERT INTO e VALUES {}", edges.join(", ")),
+        format!("INSERT INTO people VALUES {}", people.join(", ")),
+    ]
+}
+
+fn graph_db() -> Database {
+    common::database(&graph_setup())
 }
 
 // ---------------------------------------------------------------------------
@@ -288,73 +284,79 @@ fn failing_statement_executes_each_operator_once() {
 /// `graph build: …` note on the graph operator's `EXPLAIN ANALYZE` line.
 #[test]
 fn graph_build_is_visible_from_every_build_site() {
-    let db = graph_db();
-    let m = db.metrics();
-    let session = db.session();
-    session.set("trace", "on").unwrap();
-    let q13 = "SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (s, d)";
-    let args = [Value::Int(1), Value::Int(40)];
-    let build_spans = |what: &str| {
-        let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
-        let roots = doc.as_array().unwrap();
-        let span = find_span(roots, "graph_build").cloned();
-        (count_spans(roots, "graph_build"), span, format!("{what}: {doc:?}"))
-    };
+    sweep(&graph_setup(), |run| {
+        let m = run.db().metrics();
+        let session = run.session();
+        session.set("trace", "on").unwrap();
+        let q13 = "SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (s, d)";
+        let args = [Value::Int(1), Value::Int(40)];
+        let build_spans = |what: &str| {
+            let doc =
+                json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+            let roots = doc.as_array().unwrap();
+            let span = find_span(roots, "graph_build").cloned();
+            (count_spans(roots, "graph_build"), span, format!("{what}: {doc:?}"))
+        };
 
-    // Unindexed: the statement builds its own graph, once.
-    session.query_with_params(q13, &args).unwrap();
-    let (count, span, doc) = build_spans("unindexed Q13");
-    assert_eq!(count, 1, "{doc}");
-    let span = span.unwrap();
-    assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("statement"), "{doc}");
-    assert_eq!(attr(&span, "dict").and_then(Json::as_str), Some("int"), "{doc}");
-    assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(400), "{doc}");
-    assert!(attr(&span, "vertices").and_then(Json::as_i64).unwrap_or(0) > 1, "{doc}");
-    assert!(attr(&span, "threads").is_none(), "the build has no width: {doc}");
-    assert_eq!(m.graph_builds_total("statement"), 1);
+        // Unindexed: the statement builds its own graph, once.
+        session.query_with_params(q13, &args).unwrap();
+        let (count, span, doc) = build_spans("unindexed Q13");
+        assert_eq!(count, 1, "{doc}");
+        let span = span.unwrap();
+        assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("statement"), "{doc}");
+        assert_eq!(attr(&span, "dict").and_then(Json::as_str), Some("int"), "{doc}");
+        assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(400), "{doc}");
+        assert!(attr(&span, "vertices").and_then(Json::as_i64).unwrap_or(0) > 1, "{doc}");
+        assert!(attr(&span, "threads").is_none(), "the build has no width: {doc}");
+        assert_eq!(m.graph_builds_total("statement"), 1);
 
-    // CREATE GRAPH INDEX is a build too (DDL statements trace it).
-    session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-    let (count, span, doc) = build_spans("CREATE GRAPH INDEX");
-    assert_eq!(count, 1, "{doc}");
-    assert_eq!(attr(&span.unwrap(), "source").and_then(Json::as_str), Some("graph_index"));
-    assert_eq!(m.graph_builds_total("graph_index"), 1);
+        // CREATE GRAPH INDEX is a build too (DDL statements trace it).
+        session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+        let (count, span, doc) = build_spans("CREATE GRAPH INDEX");
+        assert_eq!(count, 1, "{doc}");
+        assert_eq!(attr(&span.unwrap(), "source").and_then(Json::as_str), Some("graph_index"));
+        assert_eq!(m.graph_builds_total("graph_index"), 1);
 
-    // A warm indexed read builds nothing.
-    session.query_with_params(q13, &args).unwrap();
-    let (count, _, doc) = build_spans("warm indexed Q13");
-    assert_eq!(count, 0, "{doc}");
-    assert_eq!(m.graph_builds_total("graph_index"), 1);
+        // A warm indexed read builds nothing.
+        session.query_with_params(q13, &args).unwrap();
+        let (count, _, doc) = build_spans("warm indexed Q13");
+        assert_eq!(count, 0, "{doc}");
+        assert_eq!(m.graph_builds_total("graph_index"), 1);
 
-    // The first indexed read after a write pays the lazy rebuild.
-    session.execute("INSERT INTO e VALUES (1, 40, 1)").unwrap();
-    session.query_with_params(q13, &args).unwrap();
-    let (count, span, doc) = build_spans("indexed Q13 after INSERT");
-    assert_eq!(count, 1, "{doc}");
-    let span = span.unwrap();
-    assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("graph_index"), "{doc}");
-    assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(401), "{doc}");
-    assert_eq!(m.graph_builds_total("graph_index"), 2);
-    assert_eq!(m.graph_builds_total("statement"), 1, "indexed reads never build per statement");
+        // The first indexed read after a write pays the lazy rebuild.
+        session.execute("INSERT INTO e VALUES (1, 40, 1)").unwrap();
+        session.query_with_params(q13, &args).unwrap();
+        let (count, span, doc) = build_spans("indexed Q13 after INSERT");
+        assert_eq!(count, 1, "{doc}");
+        let span = span.unwrap();
+        assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("graph_index"), "{doc}");
+        assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(401), "{doc}");
+        assert_eq!(m.graph_builds_total("graph_index"), 2);
+        assert_eq!(m.graph_builds_total("statement"), 1, "indexed reads never build per statement");
 
-    // EXPLAIN ANALYZE attributes the build to the graph operator, not to
-    // the input operators that run after it.
-    for (setting, rebuilt) in [("off", true), ("on", false)] {
-        session.set("graph_index", setting).unwrap();
-        let t = session
-            .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) WHERE 1 REACHES 40 OVER e EDGE (s, d)")
-            .unwrap();
-        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
-        let noted: Vec<&String> = lines.iter().filter(|l| l.contains("graph build:")).collect();
-        if rebuilt {
-            assert_eq!(noted.len(), 1, "{lines:?}");
-            assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
-            assert!(noted[0].contains("V=") && noted[0].contains("E=401"), "{lines:?}");
-            assert!(noted[0].contains("dict=int") && noted[0].contains(" ms"), "{lines:?}");
-        } else {
-            assert!(noted.is_empty(), "a fresh index builds nothing: {lines:?}");
+        // EXPLAIN ANALYZE attributes the build to the graph operator, not to
+        // the input operators that run after it.
+        for rebuilt in [false, true] {
+            if rebuilt {
+                session.execute("DROP GRAPH INDEX gi").unwrap();
+            }
+            let t = session
+                .query(
+                    "EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) WHERE 1 REACHES 40 OVER e EDGE (s, d)",
+                )
+                .unwrap();
+            let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+            let noted: Vec<&String> = lines.iter().filter(|l| l.contains("graph build:")).collect();
+            if rebuilt {
+                assert_eq!(noted.len(), 1, "{lines:?}");
+                assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
+                assert!(noted[0].contains("V=") && noted[0].contains("E=401"), "{lines:?}");
+                assert!(noted[0].contains("dict=int") && noted[0].contains(" ms"), "{lines:?}");
+            } else {
+                assert!(noted.is_empty(), "a fresh index builds nothing: {lines:?}");
+            }
         }
-    }
+    });
 }
 
 /// An indexed weighted statement says whether it evaluated its weights or
@@ -363,68 +365,76 @@ fn graph_build_is_visible_from_every_build_site() {
 /// `weights: …` note on the graph operator's `EXPLAIN ANALYZE` line.
 #[test]
 fn weight_cache_is_visible_in_trace_metrics_and_explain() {
-    let db = graph_db();
-    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-    let m = db.metrics();
-    let session = db.session();
-    session.set("trace", "on").unwrap();
-    let q14 = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
+    let mut setup = graph_setup();
+    setup.push("CREATE GRAPH INDEX gi ON e EDGE (s, d)".to_string());
+    sweep(&setup, |run| {
+        let m = run.db().metrics();
+        let session = run.session();
+        session.set("trace", "on").unwrap();
+        let q14 = "SELECT CHEAPEST SUM(f: CAST(f.w * 2 AS INTEGER)) AS (cost, path) \
                WHERE ? REACHES ? OVER e f EDGE (s, d)";
-    let args = [Value::Int(1), Value::Int(40)];
-    let weights_span = |session: &gsql::Session<'_>, what: &str| {
-        let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
-        let roots = doc.as_array().unwrap();
-        assert_eq!(count_spans(roots, "weights"), 1, "{what}: {doc:?}");
-        let traversal = find_span(roots, "traversal").expect("traversal span");
-        let children = traversal.get("children").and_then(Json::as_array).expect("children");
-        let span = find_span(children, "weights")
-            .unwrap_or_else(|| panic!("{what}: `weights` nests under `traversal`: {doc:?}"));
-        assert_eq!(attr(span, "edges").and_then(Json::as_i64), Some(400), "{what}");
-        attr(span, "cached").and_then(Json::as_str).map(str::to_string)
-    };
+        let args = [Value::Int(1), Value::Int(40)];
+        let weights_span = |session: &gsql::Session<'_>, what: &str| {
+            let doc =
+                json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+            let roots = doc.as_array().unwrap();
+            assert_eq!(count_spans(roots, "weights"), 1, "{what}: {doc:?}");
+            let traversal = find_span(roots, "traversal").expect("traversal span");
+            let children = traversal.get("children").and_then(Json::as_array).expect("children");
+            let span = find_span(children, "weights")
+                .unwrap_or_else(|| panic!("{what}: `weights` nests under `traversal`: {doc:?}"));
+            assert_eq!(attr(span, "edges").and_then(Json::as_i64), Some(400), "{what}");
+            attr(span, "cached").and_then(Json::as_str).map(str::to_string)
+        };
 
-    session.query_with_params(q14, &args).unwrap();
-    assert_eq!(weights_span(&session, "cold").as_deref(), Some("false"));
-    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (0, 1));
-    session.query_with_params(q14, &args).unwrap();
-    assert_eq!(weights_span(&session, "warm").as_deref(), Some("true"));
-    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
-    assert_eq!(m.weight_cache_bytes.get(), 8 * 400);
-    let text = m.registry().render();
-    assert!(text.contains("gsql_weight_cache_hits_total 1\n"), "{text}");
-    assert!(text.contains("gsql_weight_cache_misses_total 1\n"), "{text}");
-    assert!(text.contains("gsql_weight_cache_bytes 3200\n"), "{text}");
+        session.query_with_params(q14, &args).unwrap();
+        assert_eq!(weights_span(session, "cold").as_deref(), Some("false"));
+        assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (0, 1));
+        session.query_with_params(q14, &args).unwrap();
+        assert_eq!(weights_span(session, "warm").as_deref(), Some("true"));
+        assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+        assert_eq!(m.weight_cache_bytes.get(), 8 * 400);
+        let text = m.registry().render();
+        assert!(text.contains("gsql_weight_cache_hits_total 1\n"), "{text}");
+        assert!(text.contains("gsql_weight_cache_misses_total 1\n"), "{text}");
+        assert!(text.contains("gsql_weight_cache_bytes 3200\n"), "{text}");
 
-    // An unindexed statement evaluates every time and leaves the counters
-    // alone; a constant weight has no weights at all.
-    session.set("graph_index", "off").unwrap();
-    session.query_with_params(q14, &args).unwrap();
-    assert_eq!(weights_span(&session, "ad hoc").as_deref(), Some("false"));
-    assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
-    session.set("graph_index", "on").unwrap();
-    session
-        .query_with_params("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)", &args)
+        // An unindexed statement — the same one over an unindexed copy of `e` —
+        // evaluates every time and leaves the counters alone; a constant weight
+        // has no weights at all.
+        session
+        .execute_script(
+            "CREATE TABLE e_plain (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL); \
+             INSERT INTO e_plain SELECT * FROM e;",
+        )
         .unwrap();
-    let doc = json::parse(&session.last_trace_json().unwrap()).unwrap();
-    assert_eq!(count_spans(doc.as_array().unwrap(), "weights"), 0, "{doc:?}");
-
-    let explain = |session: &gsql::Session<'_>| -> String {
-        let t = session
-            .query(
-                "EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w + 1) AS cost \
-                 WHERE 1 REACHES 40 OVER e f EDGE (s, d)",
-            )
+        session.query_with_params(&q14.replace("OVER e f", "OVER e_plain f"), &args).unwrap();
+        assert_eq!(weights_span(session, "ad hoc").as_deref(), Some("false"));
+        assert_eq!((m.weight_cache_hits.get(), m.weight_cache_misses.get()), (1, 1));
+        session
+            .query_with_params("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)", &args)
             .unwrap();
-        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
-        let noted: Vec<&String> = lines.iter().filter(|l| l.contains("weights:")).collect();
-        assert_eq!(noted.len(), 1, "{lines:?}");
-        assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
-        noted[0].clone()
-    };
-    let cold = explain(&session);
-    assert!(cold.contains("weights: E=400, evaluated in ") && cold.contains(" ms"), "{cold}");
-    let warm = explain(&session);
-    assert!(warm.contains("weights: E=400, cached"), "{warm}");
+        let doc = json::parse(&session.last_trace_json().unwrap()).unwrap();
+        assert_eq!(count_spans(doc.as_array().unwrap(), "weights"), 0, "{doc:?}");
+
+        let explain = |session: &gsql::Session<'_>| -> String {
+            let t = session
+                .query(
+                    "EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w + 1) AS cost \
+                 WHERE 1 REACHES 40 OVER e f EDGE (s, d)",
+                )
+                .unwrap();
+            let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+            let noted: Vec<&String> = lines.iter().filter(|l| l.contains("weights:")).collect();
+            assert_eq!(noted.len(), 1, "{lines:?}");
+            assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
+            noted[0].clone()
+        };
+        let cold = explain(session);
+        assert!(cold.contains("weights: E=400, evaluated in ") && cold.contains(" ms"), "{cold}");
+        let warm = explain(session);
+        assert!(warm.contains("weights: E=400, cached"), "{warm}");
+    });
 }
 
 /// Creating a graph index under a name that is taken fails before any
@@ -478,36 +488,38 @@ fn graph_and_path_index_share_one_build_per_table_version() {
 /// dispatcher chose and why.
 #[test]
 fn explain_analyze_names_the_traversal_and_why() {
-    let db = graph_db();
-    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
-    db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
-    let session = db.session();
-    let line = |sql: &str| -> String {
-        let t = session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
-        let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
-        let graph_op = lines.iter().find(|l| l.trim_start().starts_with("Graph"));
-        graph_op.unwrap_or_else(|| panic!("no graph operator line: {lines:?}")).clone()
-    };
-    let batch = |spec: &str| {
-        format!(
-            "WITH pairs (a, b) AS (VALUES (1, 40), (2, 30)) SELECT pairs.a, {spec} \
+    let mut setup = graph_setup();
+    setup.push("CREATE GRAPH INDEX gi ON e EDGE (s, d)".to_string());
+    setup.push("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION".to_string());
+    sweep(&setup, |run| {
+        let session = run.session();
+        let line = |sql: &str| -> String {
+            let t = session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+            let graph_op = lines.iter().find(|l| l.trim_start().starts_with("Graph"));
+            graph_op.unwrap_or_else(|| panic!("no graph operator line: {lines:?}")).clone()
+        };
+        let batch = |spec: &str| {
+            format!(
+                "WITH pairs (a, b) AS (VALUES (1, 40), (2, 30)) SELECT pairs.a, {spec} \
              FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)"
-        )
-    };
-    let point = |spec: &str| format!("SELECT {spec} WHERE 1 REACHES 40 OVER e f EDGE (s, d)");
-    for (sql, tail) in [
-        (point("CHEAPEST SUM(f: f.w)"), "ch (path index covers every spec)"),
-        (batch("CHEAPEST SUM(f: f.w)"), "ch-m2m (path index covers every spec)"),
-        (point("CHEAPEST SUM(1)"), "bidir-bfs (indexed single pair, hop weights)"),
-        (batch("CHEAPEST SUM(1)"), "bfs (pair batch, hop weights)"),
-        (point("CHEAPEST SUM(f: f.w) AS (c, p)"), "dijkstra (per-edge weights)"),
-    ] {
-        let line = line(&sql);
-        assert!(line.ends_with(&format!(", traversal: {tail})")), "{sql}\n{line}");
-    }
-    session.set("graph_index", "off").unwrap();
-    let line = line(&point("CHEAPEST SUM(1)"));
-    assert!(line.ends_with(", traversal: bfs (ad-hoc graph, hop weights))"), "{line}");
+            )
+        };
+        let point = |spec: &str| format!("SELECT {spec} WHERE 1 REACHES 40 OVER e f EDGE (s, d)");
+        for (sql, tail) in [
+            (point("CHEAPEST SUM(f: f.w)"), "ch (path index covers every spec)"),
+            (batch("CHEAPEST SUM(f: f.w)"), "ch-m2m (path index covers every spec)"),
+            (point("CHEAPEST SUM(1)"), "bidir-bfs (indexed single pair, hop weights)"),
+            (batch("CHEAPEST SUM(1)"), "bfs (pair batch, hop weights)"),
+            (point("CHEAPEST SUM(f: f.w) AS (c, p)"), "dijkstra (per-edge weights)"),
+        ] {
+            let line = line(&sql);
+            assert!(line.ends_with(&format!(", traversal: {tail})")), "{sql}\n{line}");
+        }
+        session.execute("DROP GRAPH INDEX gi").unwrap();
+        let line = line(&point("CHEAPEST SUM(1)"));
+        assert!(line.ends_with(", traversal: bfs (ad-hoc graph, hop weights))"), "{line}");
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ fn set_threads_validation_and_show() {
     // threads appears in SHOW ALL alongside the existing settings.
     let all = session.query("SHOW ALL").unwrap();
     let names: Vec<String> = (0..all.row_count()).map(|i| all.row(i)[0].to_string()).collect();
-    for expected in ["graph_index", "plan_cache_size", "row_limit", "threads"] {
+    for expected in ["morsel_rows", "row_limit", "threads"] {
         assert!(names.contains(&expected.to_string()), "SHOW ALL missing {expected}");
     }
 }

@@ -1,20 +1,22 @@
 //! End-to-end tests of the path-acceleration subsystem (ALT landmarks and
 //! contraction hierarchies): DDL, planning (`EXPLAIN` visibility and kind
-//! selection, `SET path_index`), byte-identical results against the
-//! Dijkstra fallback at several thread counts — for point-to-point and
-//! batched (multi-pair / GraphJoin) shapes — invalidation on edge
-//! mutation, and `EXPLAIN ANALYZE` settled-node reporting.
+//! selection, `CREATE`/`DROP PATH INDEX`), byte-identical results against
+//! the same statement over an unindexed twin table in every configuration
+//! of the shared sweep — for point-to-point and batched (multi-pair /
+//! GraphJoin) shapes — invalidation on edge mutation, and `EXPLAIN ANALYZE`
+//! settled-node reporting.
 
+mod common;
+
+use common::{answer, sweep};
 use gsql::{Database, IndexSpace, Value};
 
-/// A deterministic layered digraph with integer weights: dense enough to
-/// give ALT something to prune, sparse enough to stay fast. A `people`
-/// table rides along for the GraphJoin batch shapes.
-fn build_db() -> Database {
-    let db = Database::new();
-    db.execute("CREATE TABLE e (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)")
-        .unwrap();
-    db.execute("CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)").unwrap();
+/// A deterministic layered digraph `e` with integer weights: dense enough
+/// to give ALT something to prune, sparse enough to stay fast. `e_plain`
+/// holds the same rows and is never indexed, so a statement over it answers
+/// the way no index would. A `people` table rides along for the GraphJoin
+/// batch shapes.
+fn setup() -> Vec<String> {
     let mut x: u64 = 0x243f6a8885a308d3;
     let mut next = move || {
         x ^= x << 13;
@@ -22,26 +24,33 @@ fn build_db() -> Database {
         x ^= x << 17;
         x
     };
-    let mut edges = String::new();
-    for i in 0..800 {
-        let s = next() % 150;
-        let d = next() % 150;
-        let w = next() % 20 + 1;
-        if i > 0 {
-            edges.push_str(", ");
-        }
-        edges.push_str(&format!("({s}, {d}, {w})"));
+    let edges: Vec<String> = (0..800)
+        .map(|_| {
+            let (s, d) = (next() % 150, next() % 150);
+            format!("({s}, {d}, {})", next() % 20 + 1)
+        })
+        .collect();
+    let edges = edges.join(", ");
+    let people: Vec<String> = (0..150).map(|id| format!("({id}, {})", id % 10)).collect();
+    let mut setup = Vec::new();
+    for table in ["e", "e_plain"] {
+        setup.push(format!(
+            "CREATE TABLE {table} (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)"
+        ));
+        setup.push(format!("INSERT INTO {table} VALUES {edges}"));
     }
-    db.execute(&format!("INSERT INTO e VALUES {edges}")).unwrap();
-    let mut people = String::new();
-    for id in 0..150 {
-        if id > 0 {
-            people.push_str(", ");
-        }
-        people.push_str(&format!("({id}, {})", id % 10));
-    }
-    db.execute(&format!("INSERT INTO people VALUES {people}")).unwrap();
-    db
+    setup.push("CREATE TABLE people (id INTEGER NOT NULL, grp INTEGER NOT NULL)".to_string());
+    setup.push(format!("INSERT INTO people VALUES {}", people.join(", ")));
+    setup
+}
+
+fn build_db() -> Database {
+    common::database(&setup())
+}
+
+/// The same statement over `e_plain`, the unindexed twin of `e`.
+fn unindexed(sql: &str) -> String {
+    sql.replace("OVER e ", "OVER e_plain ")
 }
 
 /// Point-to-point query shapes the path index accelerates (hops, weighted,
@@ -52,6 +61,15 @@ const P2P_QUERIES: [&str; 4] = [
     "SELECT CHEAPEST SUM(3) AS scaled WHERE ? REACHES ? OVER e EDGE (s, d)",
     "SELECT 1 WHERE ? REACHES ? OVER e EDGE (s, d)",
 ];
+
+/// Endpoint pairs covering reachable, unreachable and self pairs.
+fn p2p_params() -> Vec<Vec<Value>> {
+    (0..25)
+        .map(|i| ((i * 17) % 150, (i * 31 + 5) % 150))
+        .chain([(3, 3), (7, 149)])
+        .map(|(s, d)| vec![Value::Int(s), Value::Int(d)])
+        .collect()
+}
 
 /// Batched query shapes the many-to-many tier accelerates: multi-pair
 /// graph selects (hop and weighted) and two-table graph joins. Pair lists
@@ -86,31 +104,26 @@ fn batch_queries() -> Vec<String> {
     ]
 }
 
-/// Every batched shape must take the accelerated plan in the `on` session
-/// and produce exactly the rows of the `off` (per-pair Dijkstra) session,
-/// at `threads = 1` and `threads = 4`.
-fn assert_batches_match_fallback(db: &Database) {
-    for sql in batch_queries() {
-        for threads in ["1", "4"] {
-            let on = db.session();
-            on.set("threads", threads).unwrap();
-            on.set("path_index", "on").unwrap();
-            assert!(
-                on.plan(&sql).unwrap().explain().contains("PathIndex"),
-                "batch shape not accelerated: {sql}\n{}",
-                on.plan(&sql).unwrap().explain()
-            );
-            let off = db.session();
-            off.set("threads", threads).unwrap();
-            off.set("path_index", "off").unwrap();
-            let a = on.query(&sql).unwrap();
-            let b = off.query(&sql).unwrap();
-            assert_eq!(a.row_count(), b.row_count(), "row count diverged: {sql} threads {threads}");
-            for r in 0..a.row_count() {
-                assert_eq!(a.row(r), b.row(r), "row {r} diverged: {sql} threads {threads}");
+/// With `indexes` created on `e`, every query takes the accelerated plan
+/// and answers, for every parameter set, byte-identically to the same
+/// statement over the unindexed twin — in every configuration of the sweep.
+fn assert_accelerated_match_unindexed(indexes: &[&str], queries: &[String], params: &[Vec<Value>]) {
+    // The indexes go right after `e`'s rows, into the first half of the
+    // setup: a durable configuration restores them from its snapshot.
+    let mut setup = setup();
+    setup.splice(2..2, indexes.iter().map(|ddl| ddl.to_string()));
+    sweep(&setup, |run| {
+        for sql in queries {
+            let plannable = sql.replacen('?', "0", 1).replacen('?', "9", 1);
+            let plan = run.session().plan(&plannable).unwrap().explain();
+            assert!(plan.contains("PathIndex"), "shape not accelerated: {sql}\n{plan}");
+            for params in params {
+                let indexed = run.query_with_params(sql, params);
+                let plain = run.session().query_with_params(&unindexed(sql), params);
+                assert_eq!(answer(&indexed), answer(&plain), "{sql} {params:?}");
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -154,59 +167,27 @@ fn explain_shows_accelerated_plan_and_respects_toggle() {
     // stitch could pick a different equal-cost path than Dijkstra.
     let with_path = "SELECT CHEAPEST SUM(1) AS (c, p) WHERE 0 REACHES 9 OVER e EDGE (s, d)";
     assert!(!session.plan(with_path).unwrap().explain().contains("PathIndex"));
-    // The session toggle removes the acceleration, visibly.
-    session.execute("SET path_index = off").unwrap();
+    // Dropping the index removes the acceleration, visibly; creating it
+    // again brings it back.
+    session.execute("DROP PATH INDEX pw").unwrap();
     assert!(!session.plan(weighted).unwrap().explain().contains("PathIndex"));
-    session.execute("SET path_index = on").unwrap();
-    assert!(session.plan(weighted).unwrap().explain().contains("PathIndex"));
+    session.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
+    assert!(session.plan(weighted).unwrap().explain().contains("PathIndex pw ON e"));
 }
 
 #[test]
 fn accelerated_results_byte_identical_to_fallback() {
-    let db = build_db();
     // A weighted and a hop index over (s, d), so every shape in
     // P2P_QUERIES — weighted column, plain hops, scaled constant and the
     // reachability probe — actually takes the accelerated plan.
-    db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)").unwrap();
-    db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(6)").unwrap();
-    // Endpoint sample covering reachable, unreachable and self pairs.
-    let pairs: Vec<(i64, i64)> =
-        (0..25).map(|i| ((i * 17) % 150, (i * 31 + 5) % 150)).chain([(3, 3), (7, 149)]).collect();
-    for sql in P2P_QUERIES {
-        for threads in ["1", "4"] {
-            let on = db.session();
-            on.set("threads", threads).unwrap();
-            on.set("path_index", "on").unwrap();
-            // Every shape must be planned as accelerated in the on session.
-            let explain_sql = sql.replacen('?', "0", 1).replacen('?', "9", 1);
-            assert!(
-                on.plan(&explain_sql).unwrap().explain().contains("PathIndex"),
-                "shape not accelerated: {sql}\n{}",
-                on.plan(&explain_sql).unwrap().explain()
-            );
-            let off = db.session();
-            off.set("threads", threads).unwrap();
-            off.set("path_index", "off").unwrap();
-            // The accelerated plan must actually be in play for this shape.
-            for &(s, d) in &pairs {
-                let params = [Value::Int(s), Value::Int(d)];
-                let a = on.query_with_params(sql, &params).unwrap();
-                let b = off.query_with_params(sql, &params).unwrap();
-                assert_eq!(
-                    a.row_count(),
-                    b.row_count(),
-                    "row count diverged: {sql} ({s}, {d}) threads {threads}"
-                );
-                for r in 0..a.row_count() {
-                    assert_eq!(
-                        a.row(r),
-                        b.row(r),
-                        "row diverged: {sql} ({s}, {d}) threads {threads}"
-                    );
-                }
-            }
-        }
-    }
+    assert_accelerated_match_unindexed(
+        &[
+            "CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)",
+            "CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(6)",
+        ],
+        &P2P_QUERIES.map(String::from),
+        &p2p_params(),
+    );
 }
 
 #[test]
@@ -262,8 +243,8 @@ fn explain_analyze_reports_settled_nodes() {
     let all = text.join("\n");
     assert!(all.contains("settled="), "settled count missing:\n{all}");
     assert!(all.contains("(alt, landmarks=6)"), "accel marker missing:\n{all}");
-    // The fallback run reports no ALT detail.
-    session.execute("SET path_index = off").unwrap();
+    // The same statement without the index reports no ALT detail.
+    session.execute("DROP PATH INDEX pw").unwrap();
     let plan = session
         .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)")
         .unwrap();
@@ -271,17 +252,19 @@ fn explain_analyze_reports_settled_nodes() {
     assert!(!text.join("\n").contains("settled="));
 }
 
+/// Whether a path index serves a statement is decided by the registry
+/// alone: `path_index` is not a setting, and `SHOW ALL` does not list it.
 #[test]
 fn set_path_index_validation_and_show_all() {
     let db = Database::new();
     let session = db.session();
-    assert!(session.execute("SET path_index = sideways").is_err());
-    session.execute("SET path_index = off").unwrap();
-    let t = session.query("SHOW path_index").unwrap();
-    assert_eq!(t.row(0)[1], Value::from("off"));
+    for sql in ["SET path_index = off", "SET path_index = on", "SHOW path_index"] {
+        let err = session.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("unknown setting 'path_index'"), "{sql}: {err}");
+    }
     let all = session.query("SHOW ALL").unwrap();
     let names: Vec<String> = (0..all.row_count()).map(|i| all.row(i)[0].to_string()).collect();
-    assert!(names.contains(&"path_index".to_string()), "SHOW ALL missing path_index");
+    assert!(!names.contains(&"path_index".to_string()), "SHOW ALL lists path_index");
 }
 
 #[test]
@@ -338,46 +321,16 @@ fn explain_prefers_contraction_over_landmarks() {
 
 #[test]
 fn contraction_results_byte_identical_to_fallback() {
-    let db = build_db();
     // A weighted and a hop CH index over (s, d), so every shape in
     // P2P_QUERIES actually takes the accelerated plan.
-    db.execute("CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
-    db.execute("CREATE PATH INDEX chop ON e EDGE (s, d) USING CONTRACTION").unwrap();
-    let pairs: Vec<(i64, i64)> =
-        (0..25).map(|i| ((i * 17) % 150, (i * 31 + 5) % 150)).chain([(3, 3), (7, 149)]).collect();
-    for sql in P2P_QUERIES {
-        for threads in ["1", "4"] {
-            let on = db.session();
-            on.set("threads", threads).unwrap();
-            on.set("path_index", "on").unwrap();
-            let explain_sql = sql.replacen('?', "0", 1).replacen('?', "9", 1);
-            assert!(
-                on.plan(&explain_sql).unwrap().explain().contains("PathIndex"),
-                "shape not accelerated: {sql}\n{}",
-                on.plan(&explain_sql).unwrap().explain()
-            );
-            let off = db.session();
-            off.set("threads", threads).unwrap();
-            off.set("path_index", "off").unwrap();
-            for &(s, d) in &pairs {
-                let params = [Value::Int(s), Value::Int(d)];
-                let a = on.query_with_params(sql, &params).unwrap();
-                let b = off.query_with_params(sql, &params).unwrap();
-                assert_eq!(
-                    a.row_count(),
-                    b.row_count(),
-                    "row count diverged: {sql} ({s}, {d}) threads {threads}"
-                );
-                for r in 0..a.row_count() {
-                    assert_eq!(
-                        a.row(r),
-                        b.row(r),
-                        "row diverged: {sql} ({s}, {d}) threads {threads}"
-                    );
-                }
-            }
-        }
-    }
+    assert_accelerated_match_unindexed(
+        &[
+            "CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION",
+            "CREATE PATH INDEX chop ON e EDGE (s, d) USING CONTRACTION",
+        ],
+        &P2P_QUERIES.map(String::from),
+        &p2p_params(),
+    );
 }
 
 #[test]
@@ -442,22 +395,30 @@ fn batch_results_unchanged_by_index_creation() {
 
 #[test]
 fn batch_results_byte_identical_to_fallback() {
-    let db = build_db();
     // A weighted and a hop index, so every batched shape — hop and
     // weighted, multi-pair select and graph join — takes the multi-target
     // ALT tier.
-    db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)").unwrap();
-    db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(6)").unwrap();
-    assert_batches_match_fallback(&db);
+    assert_accelerated_match_unindexed(
+        &[
+            "CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(6)",
+            "CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(6)",
+        ],
+        &batch_queries(),
+        &[Vec::new()],
+    );
 }
 
 #[test]
 fn contraction_batch_results_byte_identical_to_fallback() {
-    let db = build_db();
     // Same shapes through the bucket-based CH many-to-many tier.
-    db.execute("CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
-    db.execute("CREATE PATH INDEX chop ON e EDGE (s, d) USING CONTRACTION").unwrap();
-    assert_batches_match_fallback(&db);
+    assert_accelerated_match_unindexed(
+        &[
+            "CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION",
+            "CREATE PATH INDEX chop ON e EDGE (s, d) USING CONTRACTION",
+        ],
+        &batch_queries(),
+        &[Vec::new()],
+    );
 }
 
 #[test]
@@ -481,8 +442,8 @@ fn explain_analyze_reports_batch_detail() {
     db.execute("CREATE PATH INDEX cw ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let all = collect(&session);
     assert!(all.contains("(ch-m2m, buckets="), "ch-m2m detail missing:\n{all}");
-    // The fallback run reports no batch detail.
-    session.execute("SET path_index = off").unwrap();
+    // The same statement without a path index reports no batch detail.
+    session.execute_script("DROP PATH INDEX pw; DROP PATH INDEX cw;").unwrap();
     let all = collect(&session);
     assert!(!all.contains("settled="), "fallback must not report settled:\n{all}");
 }

@@ -1,8 +1,9 @@
 //! The HTTP serving tier, end to end over real sockets: `/query` happy
 //! path and error mapping, `/health`, `/metrics`, per-request setting
-//! overrides and timeouts, admission control (503 + `Retry-After` under a
-//! saturated queue), the cross-session shared plan cache, and graceful
-//! shutdown draining every admitted query.
+//! overrides and timeouts, settings that end with their request, admission
+//! control (503 + `Retry-After` under a saturated queue), the database's one
+//! plan cache across worker sessions, and graceful shutdown draining every
+//! admitted query.
 //!
 //! Concurrency-sensitive tests avoid sleeps where possible by occupying
 //! the (single) worker with a deliberately half-sent request: the worker
@@ -147,17 +148,50 @@ fn row_limit_exceeded_maps_to_422_and_does_not_leak_into_next_request() {
     server.shutdown();
 }
 
+/// A `SET` statement lasts as long as its request: each request's session
+/// starts from `ServerConfig::settings`, whatever earlier clients set.
+#[test]
+fn settings_set_by_a_request_do_not_reach_the_next_client() {
+    let db = social_db();
+    let settings = vec![("morsel_rows".to_string(), "1024".to_string())];
+    let server = start(&db, ServerConfig { workers: 1, settings, ..ServerConfig::default() });
+    let addr = server.addr();
+    for sql in ["SET row_limit = 1", "SET trace = on", "SET morsel_rows = 5"] {
+        let resp = client::post(addr, "/query", &query_body(sql, &[])).unwrap();
+        assert_eq!(resp.status, 200, "{sql}: {}", resp.body);
+    }
+    let resp = client::post(addr, "/query", &query_body("SELECT src FROM friends", &[])).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(rows_of(&resp.body).len(), 4);
+    assert_eq!(show(addr, "row_limit"), "0");
+    assert_eq!(show(addr, "trace"), "off");
+    assert_eq!(show(addr, "morsel_rows"), "1024", "the configured value, not the client's");
+    server.shutdown();
+}
+
+/// Unknown settings — the retired planning knobs among them — are a 400
+/// as `"settings"` overrides, and `serve` refuses them in its config.
 #[test]
 fn unknown_setting_maps_to_400() {
     let db = social_db();
     let server = start(&db, ServerConfig::default());
-    let body = Json::Object(vec![
-        ("sql".to_string(), Json::from("SELECT * FROM friends")),
-        ("settings".to_string(), Json::Object(vec![("bogus".to_string(), Json::Int(1))])),
-    ])
-    .encode();
-    let resp = client::post(server.addr(), "/query", &body).unwrap();
-    assert_eq!(resp.status, 400, "{}", resp.body);
+    for name in ["bogus", "graph_index", "path_index", "plan_cache_size"] {
+        let body = Json::Object(vec![
+            ("sql".to_string(), Json::from("SELECT * FROM friends")),
+            ("settings".to_string(), Json::Object(vec![(name.to_string(), Json::Int(0))])),
+        ])
+        .encode();
+        let resp = client::post(server.addr(), "/query", &body).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains(&format!("unknown setting '{name}'")), "{}", resp.body);
+
+        let config = ServerConfig {
+            settings: vec![(name.to_string(), "off".to_string())],
+            ..ServerConfig::default()
+        };
+        let err = serve(Arc::clone(&db), config).err().expect("serve must refuse");
+        assert!(err.to_string().contains(&format!("unknown setting '{name}'")), "{err}");
+    }
     server.shutdown();
 }
 
@@ -303,7 +337,7 @@ fn concurrent_clients_share_one_plan_cache_entry() {
     }
     server.shutdown();
 
-    let stats = db.shared_plan_cache().stats();
+    let stats = db.session().cache_stats();
     assert_eq!(stats.misses, 1, "exactly one bind across all sessions");
     assert_eq!(stats.hits, 7, "every other request reused the shared plan");
     assert_eq!(stats.entries, 1, "one entry serves all workers");

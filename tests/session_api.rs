@@ -1,7 +1,10 @@
-//! The session-based execution API, end to end: prepared statements with
-//! plan caching, schema-version invalidation, `SET`/`SHOW` settings,
-//! `EXPLAIN` under index toggling, and `EXPLAIN ANALYZE` statistics.
+//! The session-based execution API, end to end: prepared statements over
+//! the database's one plan cache, schema-version invalidation, `SET`/`SHOW`
+//! settings, `EXPLAIN` under index DDL, and `EXPLAIN ANALYZE` statistics.
 
+mod common;
+
+use common::{render, sweep};
 use gsql::{Database, QueryResult, Value};
 
 fn social_db() -> Database {
@@ -45,41 +48,40 @@ fn prepared_cheapest_sum_plans_once_across_100_executions() {
     assert_eq!(stats.invalidations, 0);
 }
 
-/// Acceptance: `SET graph_index = off` measurably changes the `EXPLAIN`
-/// plan — the edge child flips between `GraphIndex` and a plain `Scan`.
+/// Acceptance: `DROP GRAPH INDEX` measurably changes the `EXPLAIN` plan —
+/// the edge child flips from `GraphIndex` to a plain `Scan` — and both
+/// plans answer byte-identically, in every configuration of the sweep.
 #[test]
-fn set_graph_index_off_changes_explain_plan() {
-    let db = social_db();
-    db.execute("CREATE GRAPH INDEX gi ON friends EDGE (src, dst)").unwrap();
-    let session = db.session();
-    let sql = "EXPLAIN SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER friends EDGE (src, dst)";
+fn drop_graph_index_changes_explain_plan() {
+    let setup = [
+        "CREATE TABLE friends (src INTEGER NOT NULL, dst INTEGER NOT NULL, weight INTEGER)",
+        "INSERT INTO friends VALUES (1, 2, 4), (2, 3, 4), (3, 4, 4), (1, 4, 20)",
+        "CREATE GRAPH INDEX gi ON friends EDGE (src, dst)",
+    ];
+    let sql = "SELECT CHEAPEST SUM(1) AS hops, CHEAPEST SUM(f: weight) AS (cost, path) \
+               WHERE ? REACHES ? OVER friends f EDGE (src, dst)";
+    sweep(&setup, |run| {
+        let explain = || -> String {
+            let t = run.session().query(&format!("EXPLAIN {sql}")).unwrap();
+            t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect::<Vec<_>>().join("\n")
+        };
+        let answers = || -> Vec<String> {
+            let answer =
+                |d| render(&run.query_with_params(sql, &[Value::Int(1), Value::Int(d)]).unwrap());
+            (1..=4).map(answer).collect()
+        };
 
-    let explain = |session: &gsql::Session<'_>| -> String {
-        let t = session.query(sql).unwrap();
-        t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect::<Vec<_>>().join("\n")
-    };
+        let with_index = explain();
+        assert!(with_index.contains("GraphIndex gi ON friends"), "plan was:\n{with_index}");
+        assert!(!with_index.contains("Scan friends"), "plan was:\n{with_index}");
+        let indexed = answers();
 
-    let with_index = explain(&session);
-    assert!(with_index.contains("GraphIndex gi ON friends"), "plan was:\n{with_index}");
-    assert!(!with_index.contains("Scan friends"), "plan was:\n{with_index}");
-
-    session.execute("SET graph_index = off").unwrap();
-    let without_index = explain(&session);
-    assert!(!without_index.contains("GraphIndex"), "plan was:\n{without_index}");
-    assert!(without_index.contains("Scan friends"), "plan was:\n{without_index}");
-    assert_ne!(with_index, without_index);
-
-    // Both plans execute to the same answer.
-    for setting in ["on", "off"] {
-        session.execute(&format!("SET graph_index = {setting}")).unwrap();
-        let t = session
-            .query_with_params(
-                "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER friends EDGE (src, dst)",
-                &[Value::Int(1), Value::Int(3)],
-            )
-            .unwrap();
-        assert_eq!(t.row(0)[0], Value::Int(2), "graph_index = {setting}");
-    }
+        run.session().execute("DROP GRAPH INDEX gi").unwrap();
+        let without_index = explain();
+        assert!(!without_index.contains("GraphIndex"), "plan was:\n{without_index}");
+        assert!(without_index.contains("Scan friends"), "plan was:\n{without_index}");
+        assert_eq!(answers(), indexed, "the scan answers what the index answered");
+    });
 }
 
 /// Acceptance: `EXPLAIN ANALYZE` prints per-operator row counts and wall
@@ -250,28 +252,58 @@ fn union_rejects_null_into_not_null_column() {
     assert_eq!(ok.row_count(), 4);
 }
 
-/// Execution-time settings (`row_limit`, `plan_cache_size`) do not clear
-/// the plan cache; only the planning-relevant `graph_index` does.
+/// Settings shape execution, never plans: no `SET` clears the plan cache,
+/// and `graph_index`, `path_index` and `plan_cache_size` are not settings.
 #[test]
-fn only_planning_settings_clear_the_plan_cache() {
+fn settings_never_clear_the_plan_cache() {
     let db = social_db();
     let session = db.session();
     session.query("SELECT id FROM persons").unwrap();
     assert_eq!(session.cache_stats().entries, 1);
-    session.execute("SET row_limit = 1000").unwrap();
-    session.execute("SET plan_cache_size = 32").unwrap();
-    assert_eq!(session.cache_stats().entries, 1, "execution knobs keep plans");
-    session.execute("SET graph_index = off").unwrap();
-    assert_eq!(session.cache_stats().entries, 0, "planning knob clears plans");
-
-    // Shrinking the capacity evicts immediately (down to the new size).
+    for (name, value) in [("row_limit", "1000"), ("threads", "1"), ("trace", "on")] {
+        session.set(name, value).unwrap();
+    }
+    assert_eq!(session.cache_stats().entries, 1, "settings keep plans");
     session.query("SELECT id FROM persons").unwrap();
-    session.query("SELECT name FROM persons").unwrap();
-    assert_eq!(session.cache_stats().entries, 2);
-    session.execute("SET plan_cache_size = 1").unwrap();
-    assert_eq!(session.cache_stats().entries, 1, "shrink evicts LRU entries");
-    session.execute("SET plan_cache_size = 0").unwrap();
-    assert_eq!(session.cache_stats().entries, 0, "size 0 frees everything");
+    assert_eq!(session.cache_stats().hits, 1);
+
+    for retired in ["graph_index", "path_index", "plan_cache_size"] {
+        let want = format!("unknown setting '{retired}'");
+        for sql in [format!("SET {retired} = off"), format!("SET {retired} = 0")] {
+            let err = session.execute(&sql).unwrap_err();
+            assert!(err.to_string().contains(&want), "{sql}: {err}");
+        }
+        let err = session.query(&format!("SHOW {retired}")).unwrap_err();
+        assert!(err.to_string().contains(&want), "SHOW {retired}: {err}");
+    }
+    let all = session.query("SHOW ALL").unwrap();
+    let names: Vec<String> = all.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+    assert_eq!(
+        names,
+        ["morsel_rows", "row_limit", "slow_query_ms", "threads", "timeout_ms", "trace"]
+    );
+}
+
+/// The plan cache holds a constant 64 plans: a 65th distinct text evicts
+/// the least recently used one.
+#[test]
+fn plan_cache_evicts_the_least_recently_used_of_65_texts() {
+    let db = social_db();
+    let session = db.session();
+    let text = |i: usize| format!("SELECT id + {i} FROM persons");
+    for i in 0..64 {
+        session.query(&text(i)).unwrap();
+    }
+    assert_eq!(session.cache_stats().entries, 64);
+    session.query(&text(0)).unwrap(); // text 1 is now the least recently used
+    session.query(&text(64)).unwrap();
+    let stats = session.cache_stats();
+    assert_eq!((stats.entries, stats.misses, stats.hits), (64, 65, 1));
+    session.query(&text(0)).unwrap();
+    assert_eq!(session.cache_stats().hits, 2, "the recently used text survived");
+    session.query(&text(1)).unwrap();
+    assert_eq!(session.cache_stats().misses, 66, "the least recently used text was evicted");
+    assert_eq!(session.cache_stats().entries, 64);
 }
 
 /// A dropped index must not break a session that cached an indexed plan:
@@ -290,24 +322,26 @@ fn dropped_index_degrades_gracefully() {
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(1));
 }
 
-/// Sessions are independent: settings changed in one do not leak into
-/// another over the same database.
+/// Sessions have independent settings but share the database's plan
+/// cache: a plan bound in one session is a hit in another.
 #[test]
-fn sessions_have_independent_settings_and_caches() {
+fn sessions_have_independent_settings_and_share_one_plan_cache() {
     let db = social_db();
     let a = db.session();
     let b = db.session();
-    a.execute("SET graph_index = off").unwrap();
     a.execute("SET row_limit = 2").unwrap();
-    assert_eq!(a.setting("graph_index").unwrap(), "off");
-    assert_eq!(b.setting("graph_index").unwrap(), "on");
+    assert_eq!(a.setting("row_limit").unwrap(), "2");
+    assert_eq!(b.setting("row_limit").unwrap(), "0");
     assert!(a.query("SELECT * FROM friends").is_err(), "row limit applies in a");
+    // a bound the plan (binding succeeded — only execution tripped the row
+    // limit); b executes it without binding again.
     assert_eq!(b.query("SELECT * FROM friends").unwrap().row_count(), 4, "not in b");
-    b.query("SELECT id FROM persons").unwrap();
-    // b cached both of its queries; a cached the plan of its one query
-    // (binding succeeded — only execution tripped the row limit).
-    assert_eq!(b.cache_stats().entries, 2);
-    assert_eq!(a.cache_stats().entries, 1, "caches are per session");
+    let stats = b.cache_stats();
+    assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+    assert_eq!(a.cache_stats(), stats, "one cache, seen from every session");
+    // One-shot `Database` calls open a throwaway session, and hit too.
+    db.query("SELECT * FROM friends").unwrap();
+    assert_eq!(a.cache_stats().hits, 2);
 }
 
 /// Two sessions on one shared database, racing from separate threads:
@@ -322,9 +356,7 @@ fn concurrent_sessions_share_one_database() {
         let db = std::sync::Arc::clone(&db);
         handles.push(std::thread::spawn(move || {
             let session = db.session();
-            if t == 0 {
-                session.execute("SET graph_index = off").unwrap();
-            }
+            session.set("threads", &(t + 1).to_string()).unwrap();
             let stmt = session
                 .prepare("SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER friends EDGE (src, dst)")
                 .unwrap();
@@ -333,8 +365,6 @@ fn concurrent_sessions_share_one_database() {
                 // The chain 1->2->3 is never touched by the writer.
                 assert_eq!(r.row(0)[0], Value::Int(2), "session {t}");
             }
-            let stats = session.cache_stats();
-            assert_eq!(stats.hits, 100, "session {t} reused its plan");
         }));
     }
 
@@ -349,6 +379,12 @@ fn concurrent_sessions_share_one_database() {
     for h in handles {
         h.join().expect("session thread panicked");
     }
+    // Both sessions prepared the text, at most both bound it, and every
+    // execution reused one plan: the writer's DML never invalidates.
+    let stats = db.session().cache_stats();
+    assert!(stats.misses <= 2, "{stats:?}");
+    assert_eq!(stats.hits + stats.misses, 202, "{stats:?}");
+    assert_eq!(stats.entries, 1, "{stats:?}");
 }
 
 /// `SET` / `SHOW` round-trip through plain SQL execution, and unknown

@@ -6,11 +6,12 @@
 //!
 //! Inputs: random digraphs with positive integer weights, parallel edges,
 //! self-loops and two disconnected parts, queried with duplicate, self and
-//! absent-vertex pairs. Each graph is swept over six index setups (none, a
-//! graph index, hop and weighted LANDMARKS, hop and weighted CONTRACTION) ×
-//! `path_index` on/off × three shapes (point, a multi-pair `VALUES` batch, a
-//! two-table `GraphJoin`) × six select lists, in every configuration of the
-//! shared sweep (threads, morsel size, in memory or durable). Checks: the
+//! absent-vertex pairs. Each graph is swept over seven index setups (none, a
+//! graph index, hop and weighted LANDMARKS, hop and weighted CONTRACTION,
+//! and a graph index next to a hop CONTRACTION index) × three shapes
+//! (point, a multi-pair `VALUES` batch, a two-table `GraphJoin`) × six
+//! select lists, in every configuration of the shared sweep (threads,
+//! morsel size, in memory or durable). Checks: the
 //! rows are exactly the reachable pairs, each cost is the oracle's, each
 //! returned path is a real path of that cost, and the `traversal` span
 //! names the kind and reason the dispatcher documents for that shape.
@@ -81,41 +82,57 @@ fn oracle(edges: &[(i64, i64, i64)], s: i64, d: i64, hops: bool) -> Option<i64> 
     None
 }
 
-/// The index a sweep runs under.
+/// The indexes a sweep runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Setup {
     None,
     Graph,
-    Path { ch: bool, weighted: bool },
+    Path {
+        ch: bool,
+        weighted: bool,
+    },
+    /// A graph index plus a hop CONTRACTION index: specs the path index does
+    /// not cover fall back to the graph index.
+    Both,
 }
 
 impl Setup {
-    const ALL: [Setup; 6] = [
+    const ALL: [Setup; 7] = [
         Setup::None,
         Setup::Graph,
         Setup::Path { ch: false, weighted: false },
         Setup::Path { ch: false, weighted: true },
         Setup::Path { ch: true, weighted: false },
         Setup::Path { ch: true, weighted: true },
+        Setup::Both,
     ];
 
-    fn ddl(self) -> Option<String> {
-        match self {
-            Setup::None => None,
-            Setup::Graph => Some("CREATE GRAPH INDEX ix ON e EDGE (s, d)".into()),
-            Setup::Path { ch, weighted } => Some(format!(
-                "CREATE PATH INDEX ix ON e EDGE (s, d){} USING {}",
+    /// The `CREATE` statements of this setup, and the matching `DROP`s.
+    fn ddl(self) -> (Vec<String>, Vec<&'static str>) {
+        let graph = "CREATE GRAPH INDEX gx ON e EDGE (s, d)".to_string();
+        let path = |ch: bool, weighted: bool| {
+            format!(
+                "CREATE PATH INDEX px ON e EDGE (s, d){} USING {}",
                 if weighted { " WEIGHT w" } else { "" },
                 if ch { "CONTRACTION" } else { "LANDMARKS(3)" }
-            )),
+            )
+        };
+        match self {
+            Setup::None => (vec![], vec![]),
+            Setup::Graph => (vec![graph], vec!["DROP GRAPH INDEX gx"]),
+            Setup::Path { ch, weighted } => (vec![path(ch, weighted)], vec!["DROP PATH INDEX px"]),
+            Setup::Both => {
+                (vec![graph, path(true, false)], vec!["DROP GRAPH INDEX gx", "DROP PATH INDEX px"])
+            }
         }
     }
 
-    fn drop(self) -> Option<&'static str> {
+    /// The path index's layer, if the setup has one.
+    fn layer(self) -> Option<(bool, bool)> {
         match self {
-            Setup::None => None,
-            Setup::Graph => Some("DROP GRAPH INDEX ix"),
-            Setup::Path { .. } => Some("DROP PATH INDEX ix"),
+            Setup::Path { ch, weighted } => Some((ch, weighted)),
+            Setup::Both => Some((true, false)),
+            Setup::None | Setup::Graph => None,
         }
     }
 }
@@ -163,24 +180,19 @@ impl Spec {
     /// constant over a hop index or the weight column over a weighted one.
     /// The bare probe has no spec, so any layer covers it.
     fn covered_by(self, setup: Setup) -> bool {
-        match (self, setup) {
-            (Spec::Reach, Setup::Path { .. }) => true,
-            (Spec::Hops | Spec::Scaled, Setup::Path { weighted, .. }) => !weighted,
-            (Spec::Weighted, Setup::Path { weighted, .. }) => weighted,
+        match (self, setup.layer()) {
+            (Spec::Reach, Some(_)) => true,
+            (Spec::Hops | Spec::Scaled, Some((_, weighted))) => !weighted,
+            (Spec::Weighted, Some((_, weighted))) => weighted,
             _ => false,
         }
     }
 }
 
 /// The `(kind, reason)` the dispatcher documents for this shape.
-fn expected_kind(
-    setup: Setup,
-    path_on: bool,
-    spec: Spec,
-    pairs: usize,
-) -> (&'static str, &'static str) {
-    let layer = path_on && spec.covered_by(setup);
-    if let (true, Setup::Path { ch, .. }, 1..) = (layer, setup, pairs) {
+fn expected_kind(setup: Setup, spec: Spec, pairs: usize) -> (&'static str, &'static str) {
+    let layer = spec.covered_by(setup);
+    if let (true, Some((ch, _)), 1..) = (layer, setup.layer(), pairs) {
         let kind = match (ch, pairs == 1) {
             (false, true) => "alt",
             (true, true) => "ch",
@@ -189,7 +201,7 @@ fn expected_kind(
         };
         return (kind, "path index covers every spec");
     }
-    let from_index = layer || setup == Setup::Graph;
+    let from_index = layer || matches!(setup, Setup::Graph | Setup::Both);
     match (spec.weighted(), from_index, pairs) {
         (true, _, _) => ("dijkstra", "per-edge weights"),
         (false, true, 1) => ("bidir-bfs", "indexed single pair, hop weights"),
@@ -277,97 +289,93 @@ fn every_dispatch_rule_matches_the_oracle() {
 
         sweep(&setup, |run| {
             for setup in Setup::ALL {
-                if let Some(ddl) = setup.ddl() {
-                    run.session().execute(&ddl).unwrap();
+                let (create, drop) = setup.ddl();
+                for ddl in &create {
+                    run.session().execute(ddl).unwrap();
                 }
-                for path_on in ["on", "off"] {
-                    let session = run.new_session();
-                    session.set("path_index", path_on).unwrap();
-                    session.set("trace", "on").unwrap();
-                    let ctx = |what: &str, spec: Spec| {
-                        format!("graph {graph} {setup:?} path_index={path_on} {what} {spec:?}")
-                    };
-                    let check_kind = |spec: Spec, pairs: usize, what: &str| {
-                        let want = expected_kind(setup, path_on == "on", spec, pairs);
-                        let got = traversal_kind(&session);
-                        assert_eq!((got.0.as_str(), got.1.as_str()), want, "{}", ctx(what, spec));
-                        reached.lock().unwrap().insert(want);
-                    };
-                    for spec in Spec::ALL {
-                        // Point shape: one pair per statement.
-                        let sql = format!(
-                            "SELECT 1 AS hit{} WHERE ? REACHES ? OVER e f EDGE (s, d)",
-                            spec.columns()
-                        );
-                        for &(s, d) in &points {
-                            let what = ctx(&format!("point ({s}, {d})"), spec);
-                            let t =
-                                session.query_with_params(&sql, &[Value::Int(s), Value::Int(d)]);
-                            run.record(&what, answer(&t));
-                            let t = t.unwrap_or_else(|e| panic!("{what}: {e}"));
-                            assert_eq!(t.row_count(), usize::from(reachable(s, d)), "{what}");
-                            if t.row_count() == 1 {
-                                check_row(&t.row(0), 1, spec, &edges, s, d);
-                            }
-                            check_kind(spec, usize::from(is_vertex(s) && is_vertex(d)), "point");
+                let session = run.new_session();
+                session.set("trace", "on").unwrap();
+                let ctx =
+                    |what: &str, spec: Spec| format!("graph {graph} {setup:?} {what} {spec:?}");
+                let check_kind = |spec: Spec, pairs: usize, what: &str| {
+                    let want = expected_kind(setup, spec, pairs);
+                    let got = traversal_kind(&session);
+                    assert_eq!((got.0.as_str(), got.1.as_str()), want, "{}", ctx(what, spec));
+                    reached.lock().unwrap().insert(want);
+                };
+                for spec in Spec::ALL {
+                    // Point shape: one pair per statement.
+                    let sql = format!(
+                        "SELECT 1 AS hit{} WHERE ? REACHES ? OVER e f EDGE (s, d)",
+                        spec.columns()
+                    );
+                    for &(s, d) in &points {
+                        let what = ctx(&format!("point ({s}, {d})"), spec);
+                        let t = session.query_with_params(&sql, &[Value::Int(s), Value::Int(d)]);
+                        run.record(&what, answer(&t));
+                        let t = t.unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_eq!(t.row_count(), usize::from(reachable(s, d)), "{what}");
+                        if t.row_count() == 1 {
+                            check_row(&t.row(0), 1, spec, &edges, s, d);
                         }
-                        // Multi-pair VALUES batch: surviving pairs in input order.
-                        let sql = format!(
-                            "WITH pairs (a, b) AS (VALUES {values}) SELECT pairs.a, pairs.b{} \
-                             FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)",
-                            spec.columns()
-                        );
-                        let t = session.query(&sql);
-                        run.record(&ctx("batch", spec), answer(&t));
-                        let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("batch", spec)));
-                        let want: Vec<(i64, i64)> =
-                            batch.iter().copied().filter(|&(a, b)| reachable(a, b)).collect();
-                        assert_eq!(t.row_count(), want.len(), "{}", ctx("batch", spec));
-                        for (i, &(a, b)) in want.iter().enumerate() {
-                            let row = t.row(i);
-                            assert_eq!(
-                                row[..2],
-                                [Value::Int(a), Value::Int(b)],
-                                "{}",
-                                ctx("batch", spec)
-                            );
-                            check_row(&row, 2, spec, &edges, a, b);
-                        }
-                        check_kind(spec, batch_pairs, "batch");
-                        // GraphJoin: left rows × right rows, reachable only.
-                        let sql = format!(
-                            "SELECT l.id, r.id{} FROM lefts l, rights r \
-                             WHERE l.id REACHES r.id OVER e f EDGE (s, d)",
-                            spec.columns()
-                        );
-                        if graph == 0 {
-                            let plan = session.plan(&sql).unwrap().explain();
-                            assert!(plan.contains("GraphJoin"), "not unfolded:\n{plan}");
-                        }
-                        let t = session.query(&sql);
-                        run.record(&ctx("join", spec), answer(&t));
-                        let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("join", spec)));
-                        let want: Vec<(i64, i64)> = lefts
-                            .iter()
-                            .flat_map(|&a| rights.iter().map(move |&b| (a, b)))
-                            .filter(|&(a, b)| reachable(a, b))
-                            .collect();
-                        assert_eq!(t.row_count(), want.len(), "{}", ctx("join", spec));
-                        for (i, &(a, b)) in want.iter().enumerate() {
-                            let row = t.row(i);
-                            assert_eq!(
-                                row[..2],
-                                [Value::Int(a), Value::Int(b)],
-                                "{}",
-                                ctx("join", spec)
-                            );
-                            check_row(&row, 2, spec, &edges, a, b);
-                        }
-                        check_kind(spec, join_pairs, "join");
+                        check_kind(spec, usize::from(is_vertex(s) && is_vertex(d)), "point");
                     }
+                    // Multi-pair VALUES batch: surviving pairs in input order.
+                    let sql = format!(
+                        "WITH pairs (a, b) AS (VALUES {values}) SELECT pairs.a, pairs.b{} \
+                         FROM pairs WHERE pairs.a REACHES pairs.b OVER e f EDGE (s, d)",
+                        spec.columns()
+                    );
+                    let t = session.query(&sql);
+                    run.record(&ctx("batch", spec), answer(&t));
+                    let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("batch", spec)));
+                    let want: Vec<(i64, i64)> =
+                        batch.iter().copied().filter(|&(a, b)| reachable(a, b)).collect();
+                    assert_eq!(t.row_count(), want.len(), "{}", ctx("batch", spec));
+                    for (i, &(a, b)) in want.iter().enumerate() {
+                        let row = t.row(i);
+                        assert_eq!(
+                            row[..2],
+                            [Value::Int(a), Value::Int(b)],
+                            "{}",
+                            ctx("batch", spec)
+                        );
+                        check_row(&row, 2, spec, &edges, a, b);
+                    }
+                    check_kind(spec, batch_pairs, "batch");
+                    // GraphJoin: left rows × right rows, reachable only.
+                    let sql = format!(
+                        "SELECT l.id, r.id{} FROM lefts l, rights r \
+                         WHERE l.id REACHES r.id OVER e f EDGE (s, d)",
+                        spec.columns()
+                    );
+                    if graph == 0 {
+                        let plan = session.plan(&sql).unwrap().explain();
+                        assert!(plan.contains("GraphJoin"), "not unfolded:\n{plan}");
+                    }
+                    let t = session.query(&sql);
+                    run.record(&ctx("join", spec), answer(&t));
+                    let t = t.unwrap_or_else(|e| panic!("{}: {e}", ctx("join", spec)));
+                    let want: Vec<(i64, i64)> = lefts
+                        .iter()
+                        .flat_map(|&a| rights.iter().map(move |&b| (a, b)))
+                        .filter(|&(a, b)| reachable(a, b))
+                        .collect();
+                    assert_eq!(t.row_count(), want.len(), "{}", ctx("join", spec));
+                    for (i, &(a, b)) in want.iter().enumerate() {
+                        let row = t.row(i);
+                        assert_eq!(
+                            row[..2],
+                            [Value::Int(a), Value::Int(b)],
+                            "{}",
+                            ctx("join", spec)
+                        );
+                        check_row(&row, 2, spec, &edges, a, b);
+                    }
+                    check_kind(spec, join_pairs, "join");
                 }
-                if let Some(drop) = setup.drop() {
-                    run.session().execute(drop).unwrap();
+                for ddl in drop {
+                    run.session().execute(ddl).unwrap();
                 }
             }
         });
