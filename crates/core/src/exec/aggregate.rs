@@ -2,19 +2,28 @@
 //! [`AggPartial`] ([`aggregate_morsel`]), and [`AggMerger`] folds the
 //! partials **in morsel-index order**.
 //!
+//! A morsel is folded column-at-a-time: the key kernel (`exec/keys.rs`)
+//! hashes the group keys and assigns every slot a group id, then each
+//! aggregate takes one pass over its argument column, with typed INTEGER
+//! and DOUBLE arms and a [`Value`] fallback for the other types. Group keys
+//! are kept as typed columns, in first-seen order.
+//!
 //! Morsels are in row order and each partial lists its groups in
 //! first-seen order, so the merged group order is the global first-seen
-//! order of a sequential scan. Accumulators merge in that same order, so
-//! every result — including float sums, whose value depends on addition
-//! order — depends only on the morsel boundaries (input size and
-//! `morsel_rows`), never on the thread count.
+//! order of a sequential scan. Accumulators see their rows in ascending
+//! order and merge in morsel order, so every result — including float
+//! sums, whose value depends on addition order — depends only on the
+//! morsel boundaries (input size and `morsel_rows`), never on the thread
+//! count.
 
 use crate::error::{exec_err, Error};
-use crate::exec::expression::{eval_column, Sel};
+use crate::exec::expression::{eval_column, Sel, Vector};
+use crate::exec::keys::{hash_rows, rows_eq, Cells, Data, IdTable};
 use crate::plan::{AggCall, AggFunc, BoundExpr, PlanSchema};
 use gsql_storage::value::HashableValue;
-use gsql_storage::{Table, Value};
-use std::collections::{HashMap, HashSet};
+use gsql_storage::{Column, ColumnBuilder, DataType, Table, Value};
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -34,7 +43,7 @@ impl AggState {
         match call.func {
             AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => match call.out_ty {
-                gsql_storage::DataType::Double => AggState::SumDouble(None),
+                DataType::Double => AggState::SumDouble(None),
                 _ => AggState::SumInt(None),
             },
             AggFunc::Min => AggState::MinMax { current: None, is_min: true },
@@ -43,68 +52,74 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
+    /// Fold in a non-NULL INTEGER argument.
+    fn add_int(&mut self, x: i64) -> Result<()> {
         match self {
-            AggState::Count(n) => {
-                // COUNT(*) gets None (count every row); COUNT(x) counts
-                // non-NULL values.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
-            }
+            AggState::Count(n) => *n += 1,
             AggState::SumInt(acc) => {
-                if let Some(val) = v {
-                    if let Some(x) = val.as_int() {
-                        *acc = Some(
-                            acc.unwrap_or(0)
-                                .checked_add(x)
-                                .ok_or_else(|| exec_err!("integer overflow in SUM"))?,
-                        );
-                    } else if !val.is_null() {
-                        return Err(exec_err!("SUM over non-integer value {val}"));
-                    }
+                let sum = acc.unwrap_or(0).checked_add(x);
+                *acc = Some(sum.ok_or_else(|| exec_err!("integer overflow in SUM"))?);
+            }
+            AggState::SumDouble(acc) => *acc = Some(acc.unwrap_or(0.0) + x as f64),
+            AggState::MinMax { current: Some(Value::Int(c)), is_min } => {
+                if if *is_min { x < *c } else { x > *c } {
+                    *c = x;
                 }
             }
-            AggState::SumDouble(acc) => {
-                if let Some(val) = v {
-                    if let Some(x) = val.as_double() {
-                        *acc = Some(acc.unwrap_or(0.0) + x);
-                    } else if !val.is_null() {
-                        return Err(exec_err!("SUM over non-numeric value {val}"));
-                    }
+            AggState::MinMax { current, is_min } => keep_extreme(current, Value::Int(x), *is_min),
+            AggState::Avg { sum, count } => {
+                *sum += x as f64;
+                *count += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold in a non-NULL DOUBLE argument.
+    fn add_double(&mut self, x: f64) -> Result<()> {
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::SumInt(_) => {
+                return Err(exec_err!("SUM over non-integer value {}", Value::Double(x)))
+            }
+            AggState::SumDouble(acc) => *acc = Some(acc.unwrap_or(0.0) + x),
+            AggState::MinMax { current: Some(Value::Double(c)), is_min } => {
+                let wanted = if *is_min { Ordering::Less } else { Ordering::Greater };
+                if x.total_cmp(c) == wanted {
+                    *c = x;
                 }
             }
             AggState::MinMax { current, is_min } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match current {
-                            None => true,
-                            Some(cur) => {
-                                let cmp = val.total_cmp(cur);
-                                if *is_min {
-                                    cmp == std::cmp::Ordering::Less
-                                } else {
-                                    cmp == std::cmp::Ordering::Greater
-                                }
-                            }
-                        };
-                        if replace {
-                            *current = Some(val.clone());
-                        }
-                    }
-                }
+                keep_extreme(current, Value::Double(x), *is_min)
             }
             AggState::Avg { sum, count } => {
-                if let Some(val) = v {
-                    if let Some(x) = val.as_double() {
-                        *sum += x;
-                        *count += 1;
-                    } else if !val.is_null() {
-                        return Err(exec_err!("AVG over non-numeric value {val}"));
-                    }
-                }
+                *sum += x;
+                *count += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold in one argument value; `None` is a `COUNT(*)` row. NULLs are
+    /// skipped.
+    fn update(&mut self, v: Option<&Value>) -> Result<()> {
+        match (v, &mut *self) {
+            (None, AggState::Count(n)) => *n += 1,
+            (None | Some(Value::Null), _) => {}
+            (Some(Value::Int(x)), _) => return self.add_int(*x),
+            (Some(Value::Double(x)), _) => return self.add_double(*x),
+            (Some(_), AggState::Count(n)) => *n += 1,
+            (Some(v), AggState::MinMax { current, is_min }) => {
+                keep_extreme(current, v.clone(), *is_min)
+            }
+            (Some(v), AggState::SumInt(_)) => {
+                return Err(exec_err!("SUM over non-integer value {v}"))
+            }
+            (Some(v), AggState::SumDouble(_)) => {
+                return Err(exec_err!("SUM over non-numeric value {v}"))
+            }
+            (Some(v), AggState::Avg { .. }) => {
+                return Err(exec_err!("AVG over non-numeric value {v}"))
             }
         }
         Ok(())
@@ -153,28 +168,96 @@ impl AggState {
     }
 }
 
-/// One group's merged accumulators plus DISTINCT bookkeeping.
-struct GroupState {
-    keys: Vec<Value>,
-    states: Vec<AggState>,
-    distinct_seen: Vec<Option<HashSet<HashableValue>>>,
+/// Replace `current` by `v` when `v` is a new minimum (or maximum); ties
+/// keep the value seen first.
+fn keep_extreme(current: &mut Option<Value>, v: Value, is_min: bool) {
+    let wanted = if is_min { Ordering::Less } else { Ordering::Greater };
+    if current.as_ref().is_none_or(|cur| v.total_cmp(cur) == wanted) {
+        *current = Some(v);
+    }
 }
 
-/// One group's **morsel-local** partial: accumulators fed only this
-/// morsel's rows (ascending row order), plus — for DISTINCT aggregates —
-/// the insertion-ordered distinct values seen in this morsel. DISTINCT
-/// state updates are deferred entirely to the merge, which dedups across
-/// morsels; merging two partials that each saw the same value must not
-/// count it twice.
-struct PartialGroup {
-    keys: Vec<Value>,
-    states: Vec<AggState>,
-    distinct_vals: Vec<Option<Vec<Value>>>,
+/// Fold one argument column into the states of aggregate `i`: slot `s`
+/// belongs to group `gids[s]`, whose state is `states[gids[s] * width + i]`.
+fn update_column(
+    states: &mut [AggState],
+    width: usize,
+    i: usize,
+    gids: &[u32],
+    arg: Option<&Vector<'_>>,
+) -> Result<()> {
+    let at = |s: usize| gids[s] as usize * width + i;
+    let Some(cells) = arg.map(Cells::of_vector) else {
+        return (0..gids.len()).try_for_each(|s| states[at(s)].update(None));
+    };
+    let mut slots = (0..gids.len()).filter(|&s| !cells.is_null(s));
+    match cells.data() {
+        Data::Int(v) => slots.try_for_each(|s| states[at(s)].add_int(v[s])),
+        Data::Double(v) => slots.try_for_each(|s| states[at(s)].add_double(v[s])),
+        _ => slots.try_for_each(|s| states[at(s)].update(Some(&cells.get(s)))),
+    }
+}
+
+/// Group keys in first-seen order: the key kernel's hash table from a key
+/// to its dense group id, and each group's key as a row of typed columns.
+struct GroupKeys {
+    ids: IdTable,
+    cols: Vec<Column>,
+    /// Whether column `c` holds a NULL key yet.
+    has_null: Vec<bool>,
+}
+
+impl GroupKeys {
+    fn new(n_keys: usize, schema: &PlanSchema) -> GroupKeys {
+        let cols: Vec<Column> =
+            schema.columns()[..n_keys].iter().map(|c| Column::empty(c.ty)).collect();
+        GroupKeys { ids: IdTable::with_capacity(16), has_null: vec![false; cols.len()], cols }
+    }
+
+    /// The group id of each row of `keys` (whose hashes are `hashes`),
+    /// adding unseen keys as new groups in row order and calling `added`
+    /// once for each.
+    fn assign(
+        &mut self,
+        keys: &[Cells<'_>],
+        hashes: &[u64],
+        mut added: impl FnMut(),
+    ) -> Result<Vec<u32>> {
+        fn views<'c>(cols: &'c [Column], has_null: &[bool]) -> Vec<Cells<'c>> {
+            cols.iter().zip(has_null).map(|(c, &nulls)| Cells::with_nulls(c, nulls)).collect()
+        }
+        let mut stored = views(&self.cols, &self.has_null);
+        let mut gids = Vec::with_capacity(hashes.len());
+        for (row, &hash) in hashes.iter().enumerate() {
+            let (g, new) = self.ids.find_or_insert(hash, |g| rows_eq(keys, row, &stored, g));
+            if new {
+                for ((col, has_null), c) in self.cols.iter_mut().zip(&mut self.has_null).zip(keys) {
+                    let v = c.get(row);
+                    *has_null |= v.is_null();
+                    col.push(v).map_err(Error::Storage)?;
+                }
+                stored = views(&self.cols, &self.has_null);
+                added();
+            }
+            gids.push(g as u32);
+        }
+        Ok(gids)
+    }
 }
 
 /// The aggregate partial of one morsel: its groups in first-seen order.
 pub(crate) struct AggPartial {
-    groups: Vec<PartialGroup>,
+    /// Group `g`'s key is row `g` of these columns; its hash is `hashes[g]`.
+    keys: Vec<Column>,
+    hashes: Vec<u64>,
+    /// Group `g`'s state of aggregate `i` is `states[g * aggs.len() + i]`,
+    /// fed only this morsel's rows (ascending row order).
+    states: Vec<AggState>,
+    /// For DISTINCT aggregates (same layout), the insertion-ordered
+    /// distinct values seen in this morsel. Their state updates are
+    /// deferred entirely to the merge, which dedups across morsels; merging
+    /// two partials that each saw the same value must not count it twice.
+    distinct_vals: Vec<Option<Vec<Value>>>,
 }
 
 /// Aggregate one morsel's selected rows into a mergeable partial. A failure
@@ -186,32 +269,41 @@ pub(crate) fn aggregate_morsel(
     sel: &Sel<'_>,
     group: &[BoundExpr],
     aggs: &[AggCall],
+    schema: &PlanSchema,
     params: &[Value],
 ) -> Result<AggPartial> {
-    let mut fold = MorselFold::default();
+    let fresh = || MorselFold::new(GroupKeys::new(group.len(), schema));
+    let mut fold = fresh();
     fold.rows(input, sel, group, aggs, params).or_else(|err| {
-        fold = MorselFold::default();
+        fold = fresh();
         for one in sel.singles() {
             fold.rows(input, &one, group, aggs, params)?;
         }
         Err(err)
     })?;
-    Ok(AggPartial { groups: fold.groups })
+    let MorselFold { groups, states, distinct_vals, .. } = fold;
+    let hashes = groups.ids.hashes().to_vec();
+    Ok(AggPartial { keys: groups.cols, hashes, states, distinct_vals })
 }
 
-/// A morsel's groups in first-seen order, with their lookup index and the
-/// morsel-local dedup sets of DISTINCT aggregates (the merge dedups across
-/// morsels; these just keep the per-morsel value lists small).
-#[derive(Default)]
+/// A morsel's groups in first-seen order and the morsel-local dedup sets
+/// of DISTINCT aggregates (the merge dedups across morsels; these just keep
+/// the per-morsel value lists small). Per-group vectors use
+/// [`AggPartial`]'s layout.
 struct MorselFold {
-    index: HashMap<Vec<HashableValue>, usize>,
-    groups: Vec<PartialGroup>,
-    local_seen: Vec<Vec<Option<HashSet<HashableValue>>>>,
+    groups: GroupKeys,
+    states: Vec<AggState>,
+    distinct_vals: Vec<Option<Vec<Value>>>,
+    local_seen: Vec<Option<HashSet<HashableValue>>>,
 }
 
 impl MorselFold {
-    /// Fold the selected rows, in order: the group keys and arguments are
-    /// evaluated column-at-a-time first.
+    fn new(groups: GroupKeys) -> MorselFold {
+        MorselFold { groups, states: Vec::new(), distinct_vals: Vec::new(), local_seen: Vec::new() }
+    }
+
+    /// Fold the selected rows: group ids for every slot first, then one
+    /// pass per aggregate.
     fn rows(
         &mut self,
         input: &Table,
@@ -226,43 +318,25 @@ impl MorselFold {
             .iter()
             .map(|a| a.arg.as_ref().map(eval).transpose())
             .collect::<Result<Vec<_>>>()?;
-        // The group key is looked up through one reused buffer; only a new
-        // group allocates its own copy.
-        let mut key: Vec<HashableValue> = Vec::with_capacity(keys.len());
-        for slot in 0..sel.len() {
-            key.clear();
-            key.extend(keys.iter().map(|k| HashableValue(k.get(slot))));
-            let slot_of = match self.index.get(key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    self.groups.push(PartialGroup {
-                        keys: key.iter().map(|k| k.0.clone()).collect(),
-                        states: aggs.iter().map(AggState::new).collect(),
-                        distinct_vals: aggs
-                            .iter()
-                            .map(|a| if a.distinct { Some(Vec::new()) } else { None })
-                            .collect(),
-                    });
-                    self.local_seen.push(
-                        aggs.iter()
-                            .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
-                            .collect(),
-                    );
-                    self.index.insert(key.clone(), self.groups.len() - 1);
-                    self.groups.len() - 1
+        let keys: Vec<Cells<'_>> = keys.iter().map(Cells::of_vector).collect();
+        let gids = self.groups.assign(&keys, &hash_rows(&keys, 0..sel.len()), || {
+            self.states.extend(aggs.iter().map(AggState::new));
+            self.distinct_vals.extend(aggs.iter().map(|a| a.distinct.then(Vec::new)));
+            self.local_seen.extend(aggs.iter().map(|a| a.distinct.then(HashSet::new)));
+        })?;
+        let width = aggs.len();
+        for (i, (call, arg)) in aggs.iter().zip(&args).enumerate() {
+            if !call.distinct {
+                update_column(&mut self.states, width, i, &gids, arg.as_ref())?;
+                continue;
+            }
+            let cells = arg.as_ref().map(Cells::of_vector).expect("DISTINCT has an argument");
+            for (s, &g) in gids.iter().enumerate() {
+                let (v, g) = (cells.get(s), g as usize);
+                let seen = self.local_seen[g * width + i].as_mut().expect("distinct set");
+                if !v.is_null() && seen.insert(HashableValue(v.clone())) {
+                    self.distinct_vals[g * width + i].as_mut().expect("distinct list").push(v);
                 }
-            };
-            let entry = &mut self.groups[slot_of];
-            for (i, arg) in args.iter().enumerate() {
-                let arg = arg.as_ref().map(|v| v.get(slot));
-                if let (Some(vals), Some(v)) = (&mut entry.distinct_vals[i], &arg) {
-                    let seen = self.local_seen[slot_of][i].as_mut().expect("distinct set");
-                    if !v.is_null() && seen.insert(HashableValue(v.clone())) {
-                        vals.push(v.clone());
-                    }
-                    continue; // state update deferred to the merge
-                }
-                entry.states[i].update(arg.as_ref())?;
             }
         }
         Ok(())
@@ -273,51 +347,41 @@ impl MorselFold {
 /// morsel-index order. Group output order is global first-seen order —
 /// identical to a sequential scan, because morsels are in row order and
 /// each partial's groups are in first-seen order within its morsel.
+/// Per-group vectors use [`AggPartial`]'s layout.
 pub(crate) struct AggMerger<'a> {
     aggs: &'a [AggCall],
-    index: HashMap<Vec<HashableValue>, usize>,
-    groups: Vec<GroupState>,
+    groups: GroupKeys,
+    states: Vec<AggState>,
+    distinct_seen: Vec<Option<HashSet<HashableValue>>>,
 }
 
 impl<'a> AggMerger<'a> {
-    pub fn new(aggs: &'a [AggCall]) -> AggMerger<'a> {
-        AggMerger { aggs, index: HashMap::new(), groups: Vec::new() }
+    /// A merger for `aggs` grouped by `n_keys` keys, producing `schema`.
+    pub fn new(aggs: &'a [AggCall], n_keys: usize, schema: &PlanSchema) -> AggMerger<'a> {
+        let groups = GroupKeys::new(n_keys, schema);
+        AggMerger { aggs, groups, states: Vec::new(), distinct_seen: Vec::new() }
     }
 
     /// Fold the next morsel's partial into the global state.
     pub fn push(&mut self, partial: AggPartial) -> Result<()> {
-        for pg in partial.groups {
-            let key: Vec<HashableValue> = pg.keys.iter().cloned().map(HashableValue).collect();
-            let PartialGroup { keys, states, distinct_vals } = pg;
-            let slot = match self.index.get(&key) {
-                Some(&slot) => slot,
-                None => {
-                    self.groups.push(GroupState {
-                        keys,
-                        states: self.aggs.iter().map(AggState::new).collect(),
-                        distinct_seen: self
-                            .aggs
-                            .iter()
-                            .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
-                            .collect(),
-                    });
-                    self.index.insert(key, self.groups.len() - 1);
-                    self.groups.len() - 1
-                }
+        let (aggs, width) = (self.aggs, self.aggs.len());
+        let keys: Vec<Cells<'_>> = partial.keys.iter().map(Cells::of_column).collect();
+        let gids = self.groups.assign(&keys, &partial.hashes, || {
+            self.states.extend(aggs.iter().map(AggState::new));
+            self.distinct_seen.extend(aggs.iter().map(|a| a.distinct.then(HashSet::new)));
+        })?;
+        let mut distinct_vals = partial.distinct_vals.into_iter();
+        for (k, state) in partial.states.into_iter().enumerate() {
+            let at = gids[k / width] as usize * width + k % width;
+            let entry = &mut self.states[at];
+            let Some(vals) = distinct_vals.next().expect("one list per state") else {
+                entry.merge(state)?;
+                continue;
             };
-            let entry = &mut self.groups[slot];
-            for (i, state) in states.into_iter().enumerate() {
-                if entry.distinct_seen[i].is_none() {
-                    entry.states[i].merge(state)?;
-                }
-            }
-            for (i, vals) in distinct_vals.into_iter().enumerate() {
-                let Some(vals) = vals else { continue };
-                let seen = entry.distinct_seen[i].as_mut().expect("distinct set");
-                for v in vals {
-                    if seen.insert(HashableValue(v.clone())) {
-                        entry.states[i].update(Some(&v))?;
-                    }
+            let seen = self.distinct_seen[at].as_mut().expect("distinct set");
+            for v in vals {
+                if seen.insert(HashableValue(v.clone())) {
+                    entry.update(Some(&v))?;
                 }
             }
         }
@@ -327,23 +391,19 @@ impl<'a> AggMerger<'a> {
     /// Finish into the output table. A global aggregate (`group_empty`)
     /// over no input still yields one row.
     pub fn finish(self, group_empty: bool, schema: &PlanSchema) -> Result<Arc<Table>> {
-        let mut groups = self.groups;
-        if group_empty && groups.is_empty() {
-            groups.push(GroupState {
-                keys: Vec::new(),
-                states: self.aggs.iter().map(AggState::new).collect(),
-                distinct_seen: vec![None; self.aggs.len()],
-            });
+        let mut states = self.states;
+        if group_empty && self.groups.ids.hashes().is_empty() {
+            states.extend(self.aggs.iter().map(AggState::new));
         }
-        let mut out = Table::empty(schema.to_storage_schema());
-        for state in groups {
-            let mut row = state.keys;
-            for s in state.states {
-                row.push(s.finish());
-            }
-            out.append_row(row).map_err(Error::Storage)?;
+        let storage = schema.to_storage_schema();
+        let mut columns = self.groups.cols;
+        let defs = &storage.columns()[columns.len()..];
+        let mut aggs: Vec<ColumnBuilder> = defs.iter().map(|d| ColumnBuilder::new(d.ty)).collect();
+        for (k, state) in states.into_iter().enumerate() {
+            aggs[k % self.aggs.len()].push(state.finish()).map_err(Error::Storage)?;
         }
-        Ok(Arc::new(out))
+        columns.extend(aggs.into_iter().map(ColumnBuilder::finish));
+        Table::from_columns(storage, columns).map(Arc::new).map_err(Error::Storage)
     }
 }
 
@@ -382,10 +442,11 @@ mod tests {
         for (n, ty) in names {
             schema.push(PlanColumn::new(*n, *ty));
         }
-        let mut merger = AggMerger::new(aggs);
+        let mut merger = AggMerger::new(aggs, group.len(), &schema);
         for start in (0..t.row_count()).step_by(2) {
             let morsel = Sel::Range(start..(start + 2).min(t.row_count()));
-            merger.push(aggregate_morsel(t, &morsel, group, aggs, &[]).unwrap()).unwrap();
+            let partial = aggregate_morsel(t, &morsel, group, aggs, &schema, &[]).unwrap();
+            merger.push(partial).unwrap();
         }
         Arc::try_unwrap(merger.finish(group.is_empty(), &schema).unwrap()).unwrap()
     }

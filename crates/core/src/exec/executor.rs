@@ -23,14 +23,12 @@
 use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::expression::{eval_const, eval_to_column, Sel};
+use crate::exec::keys::{hash_rows, rows_eq, Cells, IdTable};
 use crate::exec::pipeline::{self, Extra};
 use crate::exec::{graph_op, unnest};
 use crate::plan::{LogicalPlan, SortKey};
 use gsql_parallel::Pool;
 use gsql_storage::{Column, Table, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -249,50 +247,25 @@ fn merge_runs(
     out
 }
 
-/// Hash one row cell-by-cell into a single `u64` — no per-row key vector is
-/// allocated. Uses the deterministic (fixed-key) [`DefaultHasher`] so the
-/// parallel pre-hash pass produces the same digests on every thread.
-fn hash_row(table: &Table, row: usize) -> u64 {
-    use gsql_storage::value::HashableValue;
-    let mut h = DefaultHasher::new();
-    for col in table.columns() {
-        HashableValue(col.get(row)).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Cell-wise row equality under SQL grouping semantics (NULL == NULL,
-/// `Int(1)` == `Double(1.0)` — the [`HashableValue`] contract), without
-/// materializing either row.
-fn rows_equal(table: &Table, a: usize, b: usize) -> bool {
-    use gsql_storage::value::HashableValue;
-    table.columns().iter().all(|c| HashableValue(c.get(a)) == HashableValue(c.get(b)))
-}
-
 /// Remove duplicate rows (first occurrence wins, order preserved).
 ///
-/// Rows are hashed incrementally into one `u64` digest per row (no
-/// per-row `Vec` of values); with `threads > 1` the digest pass — the bulk
-/// of the work — runs chunk-parallel, and the first-wins merge stays
-/// sequential so the surviving rows are identical to a sequential scan.
-/// Digest collisions are resolved by cell-wise comparison.
+/// Rows go through the key kernel (`exec/keys.rs`): every column is hashed
+/// column-at-a-time into one `u64` per row — with `threads > 1`, over
+/// row chunks in parallel — and the first-wins pass stays sequential, so
+/// the surviving rows are identical to a sequential scan. A hash match is
+/// confirmed cell by cell: NULL equals NULL, numbers compare as `=` does
+/// (`1 = 1.0`, `-0.0 = 0.0`) and a NaN row is never a duplicate.
 pub fn distinct_table(table: &Table, threads: usize) -> Result<Table> {
+    let cols: Vec<Cells<'_>> = table.columns().iter().map(Cells::of_column).collect();
     let n = table.row_count();
-    let hashes: Vec<u64> = Pool::new(threads)
-        .map_chunks(n, |range| range.map(|i| hash_row(table, i)).collect::<Vec<u64>>())
-        .into_iter()
-        .flatten()
-        .collect();
-    // hash -> indices of kept rows with that digest (usually one).
-    let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(n);
+    let hashes: Vec<u64> =
+        Pool::new(threads).map_chunks(n, |range| hash_rows(&cols, range)).concat();
+    let mut seen = IdTable::with_capacity(n);
     let mut keep = Vec::new();
-    for (i, &digest) in hashes.iter().enumerate() {
-        let candidates = seen.entry(digest).or_default();
-        if candidates.iter().any(|&j| rows_equal(table, i, j)) {
-            continue;
+    for (i, &hash) in hashes.iter().enumerate() {
+        if seen.find_or_insert(hash, |id| rows_eq(&cols, i, &cols, keep[id])).1 {
+            keep.push(i);
         }
-        candidates.push(i);
-        keep.push(i);
     }
     Ok(table.take(&keep))
 }
@@ -367,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_groups_int_and_double_like_hashable_value() {
+    fn distinct_groups_int_and_double_like_equality() {
         // Int(1) and Double(1.0) compare equal under grouping semantics.
         let mut t = Table::empty(Schema::new(vec![ColumnDef::new("x", DataType::Double)]));
         t.append_row(vec![Value::Int(1)]).unwrap();

@@ -114,6 +114,15 @@ impl Vector<'_> {
         (0..len).filter(|&i| self.is_bool(i, true)).collect()
     }
 
+    /// The same vector, owning its data.
+    pub(crate) fn into_owned(self) -> Vector<'static> {
+        match self {
+            Vector::Const(v) => Vector::Const(v),
+            Vector::Col(c) => Vector::Col(Cow::Owned(c.into_owned())),
+            Vector::Values(v) => Vector::Values(v),
+        }
+    }
+
     /// The first `len` slots as a column of type `ty`, converted the way a
     /// column push converts (INTEGER widens to DOUBLE, other mismatches
     /// fail).

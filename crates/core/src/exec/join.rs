@@ -1,28 +1,55 @@
 //! Join execution: a build-once, probe-per-morsel [`JoinProbe`] — hash
 //! probing for equi-conditions, nested-loop probing otherwise (a cross
-//! product is the nested loop with no condition).
+//! product is the nested loop with no condition: every row has the same
+//! empty key).
 //!
-//! The build side is a pipeline breaker: its keys are evaluated
-//! chunk-parallel and inserted sequentially in row order, so candidate
-//! lists are ordered exactly as a sequential build would order them. Probe
-//! parallelism lives in the morsel scheduling (`exec/pipeline.rs`): each
-//! morsel probes its own left rows and the pair lists concatenate in
-//! morsel order.
+//! The build side is a pipeline breaker: its keys go through the key
+//! kernel (`exec/keys.rs`) once, and each distinct key gets an id whose
+//! build rows form a chain in ascending row order, so candidates come out
+//! exactly as a row-by-row scan of the build side would list them. A probe
+//! confirms one key per probe row and walks that chain. Probe parallelism
+//! lives in the morsel scheduling (`exec/pipeline.rs`): each morsel probes
+//! its own left rows and the pair lists concatenate in morsel order. Pairs
+//! are gathered column-at-a-time (`Column::take`, and a NULL-extending
+//! gather for a left join's unmatched rows).
 
 use crate::error::Error;
-use crate::exec::expression::{eval_filter, first_error, narrowed, Sel};
+use crate::exec::expression::{eval_filter, first_error, Sel};
+use crate::exec::keys::{rows_eq, IdTable, JoinKeys};
 use crate::plan::{BinaryOp, BoundExpr, JoinKind, PlanSchema};
-use gsql_parallel::Pool;
-use gsql_storage::value::HashableValue;
 use gsql_storage::{Column, ColumnDef, Schema, Table, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// A probe result: a left row and its matching right row, or `None` for a
-/// left outer join's NULL extension.
-type Pair = (usize, Option<usize>);
+/// The pairs a probe emits, as two row lists: left row `left[k]` joined
+/// right row `right[k]`, or — a left outer join's NULL extension — no
+/// right row, when `right[k]` is [`NULL_ROW`].
+#[derive(Default)]
+pub(crate) struct Pairs {
+    left: Vec<usize>,
+    right: Vec<usize>,
+    /// True when some pair is a NULL extension.
+    extended: bool,
+}
+
+/// The right row of a NULL extension.
+const NULL_ROW: usize = usize::MAX;
+
+impl Pairs {
+    fn len(&self) -> usize {
+        self.left.len()
+    }
+
+    fn push(&mut self, left: usize, right: usize) {
+        self.left.push(left);
+        self.right.push(right);
+        self.extended |= right == NULL_ROW;
+    }
+}
+
+/// The end of a build-row chain.
+const END: u32 = u32::MAX;
 
 /// The build side of a join, prepared once and probed many times — the
 /// pipeline engine builds this as a **breaker** (the build side is fully
@@ -41,8 +68,14 @@ pub(crate) struct JoinProbe {
     /// Residual predicate over the joined pair row (the full condition for
     /// nested-loop probes; `None` with no equi keys is a cross product).
     residual: Option<Residual>,
-    /// Hash table from equi key to build-side rows, in ascending row order.
-    ht: HashMap<Vec<HashableValue>, Vec<usize>>,
+    /// The build rows with a key (no NULL cell), their keys and hashes.
+    /// Build positions index these; `build.slots[p]` is the row.
+    build: JoinKeys<'static>,
+    /// Distinct build keys: id `k`'s rows are the chain from `first[k]`.
+    ids: IdTable,
+    first: Vec<u32>,
+    /// The next build position with the same key, or [`END`].
+    next: Vec<u32>,
 }
 
 /// A residual predicate rebased onto the pair columns it reads: column `k`
@@ -53,18 +86,14 @@ struct Residual {
 }
 
 impl JoinProbe {
-    /// Build the hash table over `right` (key evaluation chunk-parallel,
-    /// insertion sequential in row order — identical candidate ordering to
-    /// a sequential build). Every chunk runs to completion and the first
-    /// chunk's error wins, so a failing key surfaces the earliest failing
-    /// row's error at every thread count.
+    /// Build the key table over `right`. A failing key surfaces the
+    /// earliest failing row's error.
     pub fn build(
         right: Arc<Table>,
         kind: JoinKind,
         on: Option<&BoundExpr>,
         n_left: usize,
         params: &[Value],
-        pool: &Pool,
     ) -> Result<JoinProbe> {
         let (equi, residual) = match on {
             Some(cond) => split_equi_keys(cond, n_left),
@@ -75,82 +104,103 @@ impl JoinProbe {
             let cols = expr.referenced_columns();
             Residual { expr: expr.remap_columns(&|c| cols.partition_point(|&x| x < c)), cols }
         });
-        let mut ht: HashMap<Vec<HashableValue>, Vec<usize>> = HashMap::new();
-        let chunks = pool.map_chunks(right.row_count(), |range| {
-            hash_keys(&right_keys, &right, &Sel::Range(range), params)
-        });
-        let (w, mut j) = (right_keys.len(), 0);
-        for chunk in chunks {
-            let (flat, has_key) = chunk?;
-            for (slot, _) in has_key.iter().enumerate().filter(|(_, &has)| has) {
-                ht.entry(flat[slot * w..(slot + 1) * w].to_vec()).or_default().push(j + slot);
+        let build = JoinKeys::eval(&right_keys, &right, &Sel::all(&right), params)?.into_owned();
+        let n = build.slots.len();
+        let position = |p: usize| u32::try_from(p).expect("fewer than 2^32 build rows");
+        let (mut ids, mut first, mut last) = (IdTable::with_capacity(n), Vec::new(), Vec::new());
+        let mut next = vec![END; n];
+        let cells = build.cells();
+        for p in 0..n {
+            let (id, new) = ids.find_or_insert(build.hashes[p], |id| {
+                rows_eq(&cells, p, &cells, first[id] as usize)
+            });
+            if new {
+                first.push(position(p));
+                last.push(position(p));
+            } else {
+                next[last[id] as usize] = position(p);
+                last[id] = position(p);
             }
-            j += has_key.len();
         }
-        Ok(JoinProbe { right, kind, n_left, left_keys, residual, ht })
+        Ok(JoinProbe { right, kind, n_left, left_keys, residual, build, ids, first, next })
     }
 
     /// Probe the selected left rows, returning their pairs in exactly the
     /// order a row-by-row probe emits them, or the first failing row's
     /// error.
-    pub fn probe(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Vec<Pair>> {
+    pub fn probe(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Pairs> {
         first_error(sel, |sel| self.probe_batch(left, sel, params))
     }
 
-    /// [`JoinProbe::probe`] without the error re-run. Candidate pairs meet
-    /// the residual in batches of about the selection's size.
-    fn probe_batch(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Vec<Pair>> {
-        let (flat, has_key) = hash_keys(&self.left_keys, left, sel, params)?;
-        let w = self.left_keys.len();
-        let (mut pairs, mut cand, mut first) = (Vec::new(), Vec::new(), 0);
-        for (slot, &has) in has_key.iter().enumerate() {
-            let js = has.then(|| self.ht.get(&flat[slot * w..(slot + 1) * w])).flatten();
-            let js = js.map_or(&[][..], Vec::as_slice);
-            cand.extend(js.iter().map(|&j| (sel.row(slot), j)));
-            if cand.len() < sel.len() && slot + 1 < sel.len() {
+    /// [`JoinProbe::probe`] without the error re-run. Without a residual
+    /// the candidates are the pairs; with one, they meet it in batches of
+    /// about the selection's size.
+    fn probe_batch(&self, left: &Table, sel: &Sel<'_>, params: &[Value]) -> Result<Pairs> {
+        let keys = JoinKeys::eval(&self.left_keys, left, sel, params)?;
+        let (probe, build) = (keys.cells(), self.build.cells());
+        let n = sel.len();
+        let mut keyed = keys.slots.iter().enumerate().peekable();
+        let (mut pairs, mut cand, mut first) = (Pairs::default(), Pairs::default(), 0);
+        for slot in 0..n {
+            let out = if self.residual.is_some() { &mut cand } else { &mut pairs };
+            let before = out.len();
+            if let Some((k, _)) = keyed.next_if(|&(_, &s)| s == slot) {
+                let id = self
+                    .ids
+                    .find(keys.hashes[k], |id| rows_eq(&probe, k, &build, self.first[id] as usize));
+                let mut p = id.map_or(END, |id| self.first[id]);
+                while p != END {
+                    out.push(sel.row(slot), self.build.slots[p as usize]);
+                    p = self.next[p as usize];
+                }
+            }
+            let Some(residual) = &self.residual else {
+                if pairs.len() == before && self.kind == JoinKind::LeftOuter {
+                    pairs.push(sel.row(slot), NULL_ROW);
+                }
+                continue;
+            };
+            if cand.len() < n && slot + 1 < n {
                 continue;
             }
-            let mut kept =
-                self.residual(left, std::mem::take(&mut cand), params)?.into_iter().peekable();
+            let mut kept = self.residual(residual, left, &cand, params)?.into_iter().peekable();
             for i in (first..=slot).map(|s| sel.row(s)) {
                 let before = pairs.len();
-                while let Some((_, j)) = kept.next_if(|&(l, _)| l == i) {
-                    pairs.push((i, Some(j)));
+                while let Some(k) = kept.next_if(|&k| cand.left[k] == i) {
+                    pairs.push(i, cand.right[k]);
                 }
                 if pairs.len() == before && self.kind == JoinKind::LeftOuter {
-                    pairs.push((i, None));
+                    pairs.push(i, NULL_ROW);
                 }
             }
+            cand = Pairs::default();
             first = slot + 1;
         }
         Ok(pairs)
     }
 
-    /// The candidate `(left_row, right_row)` pairs that pass the residual
-    /// (all of them, without one), evaluated over a table of just the pair
-    /// columns it reads.
+    /// The candidates that pass the residual, as ascending indices into
+    /// `cand`, evaluated over a table of just the pair columns it reads.
     fn residual(
         &self,
+        residual: &Residual,
         left: &Table,
-        cand: Vec<(usize, usize)>,
+        cand: &Pairs,
         params: &[Value],
-    ) -> Result<Vec<(usize, usize)>> {
-        let Some(residual) = &self.residual else { return Ok(cand) };
-        let (li, ri): (Vec<usize>, Vec<usize>) = cand.iter().copied().unzip();
+    ) -> Result<Vec<usize>> {
         let columns: Vec<Column> = residual
             .cols
             .iter()
             .map(|&c| match c.checked_sub(self.n_left) {
-                None => left.column(c).take(&li),
-                Some(rc) => self.right.column(rc).take(&ri),
+                None => left.column(c).take(&cand.left),
+                Some(rc) => self.right.column(rc).take(&cand.right),
             })
             .collect();
         let defs =
             columns.iter().enumerate().map(|(k, c)| ColumnDef::new(k.to_string(), c.data_type()));
         let table =
             Table::from_columns(Schema::new(defs.collect()), columns).map_err(Error::Storage)?;
-        let kept = eval_filter(&residual.expr, &table, &Sel::Range(0..cand.len()), params)?;
-        Ok(kept.into_iter().map(|k| cand[k]).collect())
+        eval_filter(&residual.expr, &table, &Sel::Range(0..cand.len()), params)
     }
 }
 
@@ -225,67 +275,25 @@ fn flatten_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
     }
 }
 
-/// The equi-keys of the selected rows, `keys.len()` cells per row in one
-/// buffer, and which rows have a key: a row with a NULL cell has none (NULL
-/// keys never match), and its cells after the first NULL are not
-/// evaluated. A failure reports the first failing row's error.
-fn hash_keys(
-    keys: &[BoundExpr],
-    table: &Table,
-    sel: &Sel<'_>,
-    params: &[Value],
-) -> Result<(Vec<HashableValue>, Vec<bool>)> {
-    first_error(sel, |sel| {
-        let w = keys.len();
-        let mut flat = vec![HashableValue(Value::Null); sel.len() * w];
-        let mut live: Vec<usize> = (0..sel.len()).collect();
-        for (c, key) in keys.iter().enumerate() {
-            let v = narrowed(key, table, sel, &live, params)?;
-            let mut still = Vec::with_capacity(live.len());
-            for (j, &i) in live.iter().enumerate() {
-                let cell = &mut flat[i * w + c];
-                *cell = HashableValue(v.get(j));
-                if !cell.0.is_null() {
-                    still.push(i);
-                }
-            }
-            live = still;
-        }
-        let mut has_key = vec![false; sel.len()];
-        live.into_iter().for_each(|i| has_key[i] = true);
-        Ok((flat, has_key))
-    })
-}
-
-/// Materialize the joined pairs into an output table.
+/// Materialize the joined pairs into an output table, column by column:
+/// plain gathers, except that a NULL extension makes the right side a
+/// NULL-extending gather.
 pub(crate) fn materialize_pairs(
     left: &Table,
     right: &Table,
-    pairs: &[(usize, Option<usize>)],
+    pairs: &Pairs,
     schema: &PlanSchema,
 ) -> Result<Table> {
-    let left_idx: Vec<usize> = pairs.iter().map(|&(i, _)| i).collect();
-    let mut columns = Vec::with_capacity(schema.len());
-    for c in left.columns() {
-        columns.push(c.take(&left_idx));
-    }
-    // The right side may contain NULL extensions; gather cell-wise.
-    let storage = schema.to_storage_schema();
-    for (ci, def) in storage.columns().iter().enumerate().skip(left.schema().len()) {
-        let rci = ci - left.schema().len();
-        let mut b = gsql_storage::ColumnBuilder::new(def.ty);
-        for &(_, j) in pairs {
-            let v = match j {
-                Some(j) => right.column(rci).get(j),
-                None => Value::Null,
-            };
-            b.push(v).map_err(Error::Storage)?;
-        }
-        columns.push(b.finish());
-    }
+    let mut columns: Vec<Column> = left.columns().iter().map(|c| c.take(&pairs.left)).collect();
+    let extended: Option<Vec<Option<usize>>> =
+        pairs.extended.then(|| pairs.right.iter().map(|&j| (j != NULL_ROW).then_some(j)).collect());
+    columns.extend(right.columns().iter().map(|c| match &extended {
+        None => c.take(&pairs.right),
+        Some(idx) => c.take_or_null(idx),
+    }));
     // The plan schema may declare left columns nullable (outer-join shapes);
     // the storage schema of the output follows the plan.
-    Table::from_columns(storage, columns).map_err(Error::Storage)
+    Table::from_columns(schema.to_storage_schema(), columns).map_err(Error::Storage)
 }
 
 #[cfg(test)]
@@ -331,11 +339,13 @@ mod tests {
         schema: &PlanSchema,
     ) -> Table {
         let right = Arc::new(r.clone());
-        let probe =
-            JoinProbe::build(right, kind, on, l.schema().len(), &[], &Pool::new(2)).unwrap();
-        let mut pairs = Vec::new();
+        let probe = JoinProbe::build(right, kind, on, l.schema().len(), &[]).unwrap();
+        let mut pairs = Pairs::default();
         for row in 0..l.row_count() {
-            pairs.extend(probe.probe(l, &Sel::Range(row..row + 1), &[]).unwrap());
+            let morsel = probe.probe(l, &Sel::Range(row..row + 1), &[]).unwrap();
+            for (&i, &j) in morsel.left.iter().zip(&morsel.right) {
+                pairs.push(i, j);
+            }
         }
         materialize_pairs(l, &probe.right, &pairs, schema).unwrap()
     }

@@ -7,6 +7,7 @@ pub(crate) mod explain;
 pub(crate) mod expression;
 pub mod graph_op;
 pub mod join;
+pub(crate) mod keys;
 pub mod pipeline;
 pub mod unnest;
 

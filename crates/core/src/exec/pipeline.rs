@@ -91,7 +91,7 @@ enum OpKind<'p> {
     /// Probe against a built join side; the build (right) side plan is
     /// executed as a breaker before the pipeline starts.
     Probe {
-        probe: JoinProbe,
+        probe: Box<JoinProbe>,
         schema: &'p PlanSchema,
     },
 }
@@ -405,7 +405,7 @@ fn execute_decomposed(
     let ctx = ex.ctx();
     let source = spans.under(ctx, None, || ex.execute(dec.source))?;
     let pool = Pool::new(ctx.threads());
-    let ops = build_fused_ops(ex, dec, &pool, spans)?;
+    let ops = build_fused_ops(ex, dec, spans)?;
 
     let span = ctx.trace_begin("pipeline");
     let result = run_pipeline(ctx, dec, plan, &source, &ops, &pool, extras);
@@ -480,9 +480,9 @@ fn run_pipeline(
         }
         let part = match &dec.sink {
             SinkSpec::Table | SinkSpec::Limit { .. } => Part::Batch(batch),
-            SinkSpec::Agg { group, aggs, .. } => {
+            SinkSpec::Agg { group, aggs, schema } => {
                 let (table, sel) = batch.view(source);
-                Part::Agg(aggregate::aggregate_morsel(table, &sel, group, aggs, params)?)
+                Part::Agg(aggregate::aggregate_morsel(table, &sel, group, aggs, schema, params)?)
             }
         };
         Ok(MorselOut { part, extras: extra_cols, op_rows })
@@ -492,7 +492,9 @@ fn run_pipeline(
     // sequential run would have got — up to the first error, the first
     // row-limit violation, or the morsel that satisfies the LIMIT.
     let mut merger = match &dec.sink {
-        SinkSpec::Agg { aggs, .. } => Some(aggregate::AggMerger::new(aggs)),
+        SinkSpec::Agg { group, aggs, schema } => {
+            Some(aggregate::AggMerger::new(aggs, group.len(), schema))
+        }
         _ => None,
     };
     let mut batches: Vec<Batch> = Vec::new();
@@ -553,7 +555,6 @@ fn run_pipeline(
 fn build_fused_ops<'p>(
     ex: &Executor<'_>,
     dec: &Decomposed<'p>,
-    pool: &Pool,
     spans: &ChainSpans,
 ) -> Result<Vec<FusedOp<'p>>> {
     let mut ops: Vec<FusedOp<'p>> = Vec::with_capacity(dec.chain.len());
@@ -563,15 +564,9 @@ fn build_fused_ops<'p>(
             LogicalPlan::Project { exprs, schema, .. } => OpKind::Project { exprs, schema },
             LogicalPlan::Join { left, right, kind, on, schema } => {
                 let built = spans.under(ex.ctx(), Some(i), || ex.execute(right))?;
-                let probe = JoinProbe::build(
-                    built,
-                    *kind,
-                    on.as_ref(),
-                    left.schema().len(),
-                    ex.ctx().params(),
-                    pool,
-                )?;
-                OpKind::Probe { probe, schema }
+                let n_left = left.schema().len();
+                let probe = JoinProbe::build(built, *kind, on.as_ref(), n_left, ex.ctx().params())?;
+                OpKind::Probe { probe: Box::new(probe), schema }
             }
             _ => unreachable!("chain holds fusable ops only"),
         };

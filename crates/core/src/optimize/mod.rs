@@ -2,9 +2,11 @@
 //!
 //! Two rewrite rules reproduce the paper's optimizer behaviour (§3.1):
 //!
-//! 1. **Filter pushdown through cross products** — conjuncts that reference
-//!    only one side of a cross product move to that side. This both prunes
-//!    the product and exposes the shape the next rule needs.
+//! 1. **Filter pushdown through joins** — conjuncts that reference only one
+//!    side of a cross product or an inner join move to that side; over a
+//!    left outer join only left-side conjuncts move, into the left input.
+//!    This prunes the join's input and exposes the shape the next rule
+//!    needs (a graph select over a bare cross product).
 //! 2. **Graph-join unfolding** — "graph joins are only unfolded in the
 //!    query rewriter when it recognizes the sequence of a cross product
 //!    plus a graph select": a `GraphSelect` whose input is a cross product,
@@ -138,7 +140,7 @@ fn annotate_indexed_edges(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPl
 fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     // Recurse into children first (bottom-up).
     let plan = map_children(plan, rewrite);
-    let plan = push_filter_into_cross(plan);
+    let plan = push_filter_into_join(plan);
     graph_join_unfold(plan)
 }
 
@@ -207,13 +209,16 @@ fn conjoin(mut conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
     Some(acc)
 }
 
-/// `Filter(CrossJoin(L, R), p)`: conjuncts of `p` that reference only `L`
-/// (or only `R`) move below the product.
-fn push_filter_into_cross(plan: LogicalPlan) -> LogicalPlan {
+/// `Filter(Join(L, R), p)` for a cross product or an inner join: conjuncts
+/// of `p` that read only `L` (or only `R`) move below the join, the rest
+/// stay above it. Over a left outer join only conjuncts that read `L` move,
+/// into `L`: a conjunct on `R` sees the NULL extension above the join (a
+/// `WHERE r.x IS NULL` anti-join) and must stay there.
+fn push_filter_into_join(plan: LogicalPlan) -> LogicalPlan {
     let LogicalPlan::Filter { input, predicate } = plan else {
         return plan;
     };
-    let LogicalPlan::Join { left, right, kind: JoinKind::Cross, on: None, schema } = *input else {
+    let LogicalPlan::Join { left, right, kind, on, schema } = *input else {
         return LogicalPlan::Filter { input, predicate };
     };
     let n_left = left.schema().len();
@@ -228,25 +233,21 @@ fn push_filter_into_cross(plan: LogicalPlan) -> LogicalPlan {
         let all_right = cols.iter().all(|&i| i >= n_left);
         if all_left && !cols.is_empty() {
             left_preds.push(c);
-        } else if all_right {
+        } else if all_right && kind != JoinKind::LeftOuter {
             right_preds.push(c.remap_columns(&|i| i - n_left));
         } else {
             residual.push(c);
         }
     }
-    let mut new_left = *left;
-    if let Some(p) = conjoin(left_preds) {
-        new_left = LogicalPlan::Filter { input: Box::new(new_left), predicate: p };
-    }
-    let mut new_right = *right;
-    if let Some(p) = conjoin(right_preds) {
-        new_right = LogicalPlan::Filter { input: Box::new(new_right), predicate: p };
-    }
+    let filtered = |input: Box<LogicalPlan>, preds| match conjoin(preds) {
+        Some(predicate) => Box::new(LogicalPlan::Filter { input, predicate }),
+        None => input,
+    };
     let join = LogicalPlan::Join {
-        left: Box::new(new_left),
-        right: Box::new(new_right),
-        kind: JoinKind::Cross,
-        on: None,
+        left: filtered(left, left_preds),
+        right: filtered(right, right_preds),
+        kind,
+        on,
         schema,
     };
     match conjoin(residual) {
@@ -381,6 +382,103 @@ mod tests {
                 }
             }
             other => panic!("expected bare cross join, got {other:?}"),
+        }
+    }
+
+    fn join(left: LogicalPlan, right: LogicalPlan, kind: JoinKind) -> LogicalPlan {
+        let schema = left.schema().concat(right.schema());
+        let on =
+            BoundExpr::Binary { left: Box::new(col(0)), op: BinaryOp::Eq, right: Box::new(col(2)) };
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind,
+            on: Some(on),
+            schema,
+        }
+    }
+
+    fn and(a: BoundExpr, b: BoundExpr) -> BoundExpr {
+        BoundExpr::Binary { left: Box::new(a), op: BinaryOp::And, right: Box::new(b) }
+    }
+
+    fn is_null(i: usize) -> BoundExpr {
+        BoundExpr::IsNull { expr: Box::new(col(i)), negated: false }
+    }
+
+    /// The predicate of a `Filter`, panicking on any other node.
+    fn filter_predicate(plan: &LogicalPlan) -> &BoundExpr {
+        match plan {
+            LogicalPlan::Filter { predicate, .. } => predicate,
+            other => panic!("expected a filter, got\n{other}"),
+        }
+    }
+
+    #[test]
+    fn inner_join_pushdown_reaches_both_sides() {
+        // a(x, y) JOIN b(x, y) ON a.x = b.x WHERE a.y = ?1 AND b.y = ?2
+        // AND a.y = b.y: one conjunct per side, one across.
+        let across =
+            BoundExpr::Binary { left: Box::new(col(1)), op: BinaryOp::Eq, right: Box::new(col(3)) };
+        let plan = LogicalPlan::Filter {
+            input: Box::new(join(scan("a", &["x", "y"]), scan("b", &["x", "y"]), JoinKind::Inner)),
+            predicate: and(and(eq_param(1, 0), eq_param(3, 1)), across),
+        };
+        let LogicalPlan::Filter { input, predicate } = optimize(plan) else {
+            panic!("the cross-side conjunct stays above the join")
+        };
+        assert_eq!(predicate.referenced_columns(), vec![1, 3]);
+        let LogicalPlan::Join { left, right, kind: JoinKind::Inner, on: Some(on), .. } = *input
+        else {
+            panic!("expected the inner join under the residual filter")
+        };
+        assert_eq!(on.referenced_columns(), vec![0, 2], "the join condition is untouched");
+        assert_eq!(filter_predicate(&left).referenced_columns(), vec![1]);
+        // Rebased to the right side's own ordinal 1.
+        assert_eq!(filter_predicate(&right).referenced_columns(), vec![1]);
+    }
+
+    #[test]
+    fn left_only_conjunct_moves_into_a_left_join() {
+        let plan = LogicalPlan::Filter {
+            input: Box::new(join(
+                scan("a", &["x", "y"]),
+                scan("b", &["x", "y"]),
+                JoinKind::LeftOuter,
+            )),
+            predicate: eq_param(1, 0),
+        };
+        match optimize(plan) {
+            LogicalPlan::Join { left, right, kind: JoinKind::LeftOuter, .. } => {
+                assert_eq!(filter_predicate(&left).referenced_columns(), vec![1]);
+                assert!(matches!(*right, LogicalPlan::Scan { .. }), "right input untouched");
+            }
+            other => panic!("expected a bare left join, got\n{other}"),
+        }
+    }
+
+    #[test]
+    fn right_side_is_null_stays_above_a_left_join() {
+        // WHERE b.y IS NULL AND a.y = ?1: the anti-join conjunct reads the
+        // NULL extension, so only the left conjunct may move.
+        let plan = LogicalPlan::Filter {
+            input: Box::new(join(
+                scan("a", &["x", "y"]),
+                scan("b", &["x", "y"]),
+                JoinKind::LeftOuter,
+            )),
+            predicate: and(is_null(3), eq_param(1, 0)),
+        };
+        let LogicalPlan::Filter { input, predicate } = optimize(plan) else {
+            panic!("`b.y IS NULL` must stay above the left join")
+        };
+        assert_eq!(predicate, is_null(3));
+        match *input {
+            LogicalPlan::Join { left, right, kind: JoinKind::LeftOuter, .. } => {
+                assert_eq!(filter_predicate(&left).referenced_columns(), vec![1]);
+                assert!(matches!(*right, LogicalPlan::Scan { .. }), "right input untouched");
+            }
+            other => panic!("expected the left join under the filter, got\n{other}"),
         }
     }
 

@@ -30,6 +30,7 @@ impl Bitmap {
     }
 
     /// Number of bits.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -40,6 +41,7 @@ impl Bitmap {
     }
 
     /// Value of bit `i`. Panics if out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bitmap index {i} out of range {}", self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
@@ -90,13 +92,28 @@ impl Bitmap {
         }
     }
 
-    /// Build a new bitmap by gathering bits at `indices`.
+    /// Build a new bitmap by gathering bits at `indices`. An all-set source
+    /// yields an all-set bitmap without reading a bit (checked only when
+    /// the gather is at least as long as the source's word count, so the
+    /// check never costs more than the gather); otherwise the bits are
+    /// or-ed into whole output words.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range.
     pub fn take(&self, indices: &[usize]) -> Bitmap {
-        let mut out = Bitmap::new();
-        for &i in indices {
-            out.push(self.get(i));
+        if indices.len() >= self.words.len() && self.all_set() {
+            if let Some(&i) = indices.iter().find(|&&i| i >= self.len) {
+                panic!("bitmap index {i} out of range {}", self.len);
+            }
+            return Bitmap::with_value(indices.len(), true);
         }
-        out
+        let mut words = vec![0u64; indices.len().div_ceil(64)];
+        for (out, chunk) in words.iter_mut().zip(indices.chunks(64)) {
+            for (k, &i) in chunk.iter().enumerate() {
+                *out |= u64::from(self.get(i)) << k;
+            }
+        }
+        Bitmap { words, len: indices.len() }
     }
 
     /// Copy the contiguous bit range `range` into a new bitmap (the
@@ -189,6 +206,35 @@ mod tests {
         let bm: Bitmap = (0..10).map(|i| i % 2 == 0).collect();
         let taken = bm.take(&[0, 1, 9, 4]);
         assert_eq!(taken.iter().collect::<Vec<_>>(), vec![true, false, false, true]);
+    }
+
+    #[test]
+    fn take_matches_per_bit_gather() {
+        let per_bit =
+            |bm: &Bitmap, idx: &[usize]| -> Bitmap { idx.iter().map(|&i| bm.get(i)).collect() };
+        let sparse: Bitmap = (0..300).map(|i| i % 7 != 0).collect();
+        let full = Bitmap::with_value(300, true);
+        let indices: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0],
+            (0..300).collect(),
+            (0..300).rev().collect(),
+            (0..200).map(|i| (i * 37) % 300).collect(),
+            (0..130).map(|i| i * 2).collect(),
+        ];
+        for bm in [&sparse, &full] {
+            for idx in &indices {
+                let taken = bm.take(idx);
+                assert_eq!(taken, per_bit(bm, idx), "{} indices", idx.len());
+                assert_eq!(taken.count_ones(), idx.iter().filter(|&&i| bm.get(i)).count());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn take_out_of_range_panics_on_an_all_set_source() {
+        Bitmap::with_value(10, true).take(&[3, 10]);
     }
 
     #[test]

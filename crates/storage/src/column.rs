@@ -74,6 +74,7 @@ impl Column {
     }
 
     /// The column's data type.
+    #[inline]
     pub fn data_type(&self) -> DataType {
         match self {
             Column::Int(..) => DataType::Int,
@@ -86,6 +87,7 @@ impl Column {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             Column::Int(v, _) => v.len(),
@@ -103,6 +105,7 @@ impl Column {
     }
 
     /// True when row `i` is NULL.
+    #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         match self {
             Column::Int(_, b)
@@ -127,6 +130,7 @@ impl Column {
     }
 
     /// Cell value at row `i` (boxed into a [`Value`]).
+    #[inline]
     pub fn get(&self, i: usize) -> Value {
         match self {
             Column::Int(v, b) => {
@@ -254,6 +258,23 @@ impl Column {
                 Column::Date(indices.iter().map(|&i| v[i]).collect(), b.take(indices))
             }
             Column::Path(v) => Column::Path(indices.iter().map(|&i| v[i].clone()).collect()),
+        }
+    }
+
+    /// Gather rows at `indices` into a new column, `None` giving a NULL —
+    /// the NULL-extending gather of an outer join.
+    pub fn take_or_null(&self, indices: &[Option<usize>]) -> Column {
+        fn gather<T: Clone + Default>(v: &[T], indices: &[Option<usize>]) -> Vec<T> {
+            indices.iter().map(|i| i.map_or_else(T::default, |i| v[i].clone())).collect()
+        }
+        let valid = |b: &Bitmap| indices.iter().map(|i| i.is_some_and(|i| b.get(i))).collect();
+        match self {
+            Column::Int(v, b) => Column::Int(gather(v, indices), valid(b)),
+            Column::Double(v, b) => Column::Double(gather(v, indices), valid(b)),
+            Column::Str(v, b) => Column::Str(gather(v, indices), valid(b)),
+            Column::Bool(v, b) => Column::Bool(gather(v, indices), valid(b)),
+            Column::Date(v, b) => Column::Date(gather(v, indices), valid(b)),
+            Column::Path(v) => Column::Path(gather(v, indices)),
         }
     }
 
@@ -422,6 +443,18 @@ mod tests {
         assert_eq!(taken.get(0), Value::Int(40));
         assert!(taken.get(1).is_null());
         assert_eq!(taken.get(2), Value::Int(10));
+    }
+
+    #[test]
+    fn take_or_null_extends_with_nulls() {
+        let mut col = Column::empty(DataType::Varchar);
+        for v in [Value::from("a"), Value::Null, Value::from("c")] {
+            col.push(v).unwrap();
+        }
+        let taken = col.take_or_null(&[Some(2), None, Some(1), Some(0)]);
+        let want = [Value::from("c"), Value::Null, Value::Null, Value::from("a")];
+        assert_eq!(taken.iter().collect::<Vec<_>>(), want);
+        assert_eq!(Column::empty(DataType::Int).take_or_null(&[None]).null_count(), 1);
     }
 
     #[test]

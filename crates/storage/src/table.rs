@@ -63,6 +63,7 @@ impl Table {
     }
 
     /// Column at ordinal `i`.
+    #[inline]
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
@@ -74,6 +75,7 @@ impl Table {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn row_count(&self) -> usize {
         self.row_count
     }

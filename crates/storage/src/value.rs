@@ -179,19 +179,21 @@ impl Value {
         }
     }
 
-    /// Hash consistent with [`Value::sql_eq`] for use in hash joins and
-    /// group-by. Numeric values hash through their double representation so
-    /// that `Int(1)` and `Double(1.0)` collide (they are `sql_eq`).
+    /// Hash consistent with [`Value::sql_eq`] (the [`HashableValue`] key).
+    /// Numeric values hash through their double representation, `-0.0`
+    /// folded onto `0.0`, so that `Int(1)` and `Double(1.0)` collide, and so
+    /// do `-0.0` and `0.0` (both pairs are `sql_eq`).
     pub fn hash_value<H: Hasher>(&self, state: &mut H) {
+        let num = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
         match self {
             Value::Null => 0u8.hash(state),
             Value::Int(v) => {
                 1u8.hash(state);
-                (*v as f64).to_bits().hash(state);
+                num(*v as f64).hash(state);
             }
             Value::Double(v) => {
                 1u8.hash(state);
-                v.to_bits().hash(state);
+                num(*v).hash(state);
             }
             Value::Str(s) => {
                 2u8.hash(state);
@@ -341,6 +343,19 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[&HashableValue(Value::Null)], 2);
         assert_eq!(groups[&HashableValue(Value::Int(1))], 2);
+    }
+
+    #[test]
+    fn hashable_value_folds_signed_zeros_and_keeps_nans_apart() {
+        use std::collections::HashSet;
+        let set: HashSet<HashableValue> =
+            [Value::Double(-0.0), Value::Double(0.0), Value::Int(0), Value::Double(f64::NAN)]
+                .into_iter()
+                .chain([Value::Double(f64::NAN)])
+                .map(HashableValue)
+                .collect();
+        // -0.0, 0.0 and 0 are one key; each NaN is its own.
+        assert_eq!(set.len(), 3);
     }
 
     #[test]

@@ -370,6 +370,31 @@ fn explain_shows_pushdown() {
 }
 
 #[test]
+fn explain_pushes_where_below_an_inner_join() {
+    // The benchmark's scan-filter-join-group-sort statement: each WHERE
+    // conjunct reads one side of the join, so both run below it.
+    let db = common::database(&[
+        "CREATE TABLE roads (src INTEGER NOT NULL, dst INTEGER NOT NULL, minutes INTEGER NOT NULL)",
+    ]);
+    let plan = db
+        .plan(
+            "SELECT r1.minutes AS bucket, COUNT(*) AS n, SUM(r2.minutes) AS total, \
+             MIN(r2.dst) AS lo, MAX(r2.dst) AS hi \
+             FROM roads r1 JOIN roads r2 ON r1.dst = r2.src \
+             WHERE r1.minutes > 3 AND r2.minutes <= 7 \
+             GROUP BY r1.minutes ORDER BY bucket",
+        )
+        .unwrap()
+        .explain();
+    let join_pos = plan.find("InnerJoin").expect("inner join in plan");
+    for filter in ["Filter (minutes > 3)", "Filter (minutes <= 7)"] {
+        let pos = plan.find(filter).unwrap_or_else(|| panic!("{filter} missing:\n{plan}"));
+        assert!(pos > join_pos, "{filter} must sit below the join:\n{plan}");
+    }
+    assert_eq!(plan.matches("Filter").count(), 2, "no filter above the join:\n{plan}");
+}
+
+#[test]
 fn qualified_wildcards() {
     common::sweep(&SETUP, |run| {
         let t = run
@@ -454,5 +479,44 @@ fn cast_to_integer_rejects_two_to_the_63() {
         }
         let t = run.query("SELECT CAST(-9223372036854775808.0 AS INTEGER)").unwrap();
         assert_eq!(t.row(0)[0], v(i64::MIN));
+    });
+}
+
+/// DOUBLE keys 0.0, −0.0, 1.0 and two NaNs; INTEGER keys 0, 1 and NULL.
+const KEYS: [&str; 4] = [
+    "CREATE TABLE z (x DOUBLE)",
+    "CREATE TABLE n (y INTEGER)",
+    "INSERT INTO z VALUES (0.0), (-0.0), (1.0), (CAST('NaN' AS DOUBLE)), (CAST('NaN' AS DOUBLE))",
+    "INSERT INTO n VALUES (0), (1), (NULL)",
+];
+
+#[test]
+fn join_group_and_distinct_keys_agree_with_equality() {
+    common::sweep(&KEYS, |run| {
+        let one = |sql: &str| run.query(sql).unwrap().row(0)[0].clone();
+        let debug = |sql: &str| -> Vec<String> {
+            run.query(sql).unwrap().rows().map(|r| format!("{r:?}")).collect()
+        };
+        // `=` holds between −0.0 and 0.0 and never for NaN; a hash join
+        // matches exactly the pairs a filtered product keeps.
+        assert_eq!(one("SELECT 0.0 = -0.0"), Value::Bool(true));
+        assert_eq!(one("SELECT COUNT(*) FROM z a JOIN z b ON a.x = b.x"), v(5));
+        assert_eq!(one("SELECT COUNT(*) FROM z a, z b WHERE a.x = b.x"), v(5));
+        assert_eq!(one("SELECT COUNT(*) FROM z JOIN n ON z.x = n.y"), v(3));
+        assert_eq!(one("SELECT COUNT(*) FROM z LEFT JOIN n ON z.x = n.y"), v(5));
+        // GROUP BY: the zeros are one group, keyed by the first seen; each
+        // NaN row is a group of its own, in first-seen order.
+        let want = ["[Double(0.0), Int(2)]", "[Double(1.0), Int(1)]"]
+            .into_iter()
+            .chain(["[Double(NaN), Int(1)]"; 2])
+            .map(String::from)
+            .collect::<Vec<_>>();
+        assert_eq!(debug("SELECT x, COUNT(*) FROM z GROUP BY x"), want);
+        // DISTINCT and UNION keep one zero and every NaN.
+        let want = ["[Double(0.0)]", "[Double(1.0)]", "[Double(NaN)]", "[Double(NaN)]"];
+        assert_eq!(debug("SELECT DISTINCT x FROM z"), want);
+        let union = debug("SELECT x FROM z UNION SELECT y FROM n");
+        assert_eq!(union, [&want[..], &["[Null]"]].concat());
+        assert_eq!(one("SELECT COUNT(DISTINCT x) FROM z"), v(4));
     });
 }
