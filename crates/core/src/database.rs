@@ -19,7 +19,9 @@ use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
 use crate::session::{PlanCache, PreparedStatement, Session};
 use gsql_obs::{EngineMetrics, SlowLog};
 use gsql_parser::ast;
-use gsql_storage::{Catalog, ColumnDef, DataType, DurableStore, Schema, Table, Value};
+use gsql_storage::{
+    Catalog, ColumnDef, DataType, DurableStore, Mutation, Schema, StorageError, Table, Value,
+};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,10 +77,6 @@ pub struct Database {
     plan_cache: PlanCache,
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
-    /// The durability layer, present only for databases opened with
-    /// [`Database::open`]. `None` = pure in-memory: no WAL, no
-    /// checkpoints, zero overhead on any existing path.
-    storage: Option<Arc<DurableStore>>,
 }
 
 impl Database {
@@ -93,38 +91,35 @@ impl Database {
     /// Recovery runs here: the latest valid snapshot is loaded (tables,
     /// version counters, index definitions, and built path-index
     /// acceleration layers for warm-start), the WAL suffix is replayed
-    /// statement by statement, and a torn tail — a partial record from a
-    /// crash mid-append — is truncated. The resulting engine state,
-    /// including [`Database::schema_version`] and every plan-cache
-    /// invariant, is identical to a process that never restarted.
+    /// record by record — table changes are applied as the effects they
+    /// logged, index DDL re-runs — and a torn tail, a partial record from
+    /// a crash mid-append, is truncated. Only then is the store attached
+    /// to the catalog, so every later change is logged. The resulting
+    /// engine state, including every table's rows, order and version,
+    /// [`Database::schema_version`] and every plan-cache invariant, is
+    /// identical to a process that never restarted.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         let (store, recovery) = DurableStore::open(dir.as_ref()).map_err(Error::Storage)?;
-        let mut db = Database::default();
+        let db = Database::default();
         if let Some(snapshot) = recovery.snapshot {
             crate::persist::restore_snapshot(&db, snapshot)?;
         }
-        let replayed = recovery.wal_records.len() as u64;
-        {
-            // Replay through a plain session: `db.storage` is still `None`,
-            // so nothing is re-logged and no commit lock is taken.
-            let session = db.session();
-            for record in &recovery.wal_records {
-                crate::persist::replay_record(&session, record)?;
-            }
+        for record in &recovery.wal_records {
+            crate::persist::replay_record(&db, record)?;
         }
-        db.metrics.recovery_replayed.set(replayed as i64);
-        db.storage = Some(Arc::new(store));
+        db.metrics.recovery_replayed.set(recovery.wal_records.len() as i64);
+        db.catalog.attach(Arc::new(store)).map_err(Error::Storage)?;
         Ok(db)
     }
 
     /// Whether this database persists to disk.
     pub fn is_durable(&self) -> bool {
-        self.storage.is_some()
+        self.catalog.store().is_some()
     }
 
     /// The data directory of a durable database.
     pub fn data_dir(&self) -> Option<&Path> {
-        self.storage.as_deref().map(DurableStore::dir)
+        self.catalog.store().map(|store| store.dir())
     }
 
     /// Force a snapshot checkpoint (the `CHECKPOINT` statement): the whole
@@ -133,7 +128,7 @@ impl Database {
     /// in-memory database (a no-op, not an error, so scripts and tests run
     /// unchanged in both modes).
     pub fn checkpoint(&self) -> Result<Option<u64>> {
-        let Some(store) = &self.storage else {
+        let Some(store) = self.catalog.store() else {
             return Ok(None);
         };
         let t0 = Instant::now();
@@ -143,38 +138,26 @@ impl Database {
         Ok(Some(epoch))
     }
 
-    /// The shared commit lock of a durable database. Mutating statements
-    /// hold it (shared) across apply + WAL append so a checkpoint — which
-    /// takes it exclusively — can never capture a mutation whose WAL record
-    /// lands in the post-rotation log (double replay) or miss one that
-    /// landed pre-rotation.
-    pub(crate) fn commit_guard(&self) -> Option<std::sync::RwLockReadGuard<'_, ()>> {
-        self.storage.as_deref().map(DurableStore::commit_shared)
-    }
-
-    /// Append a successfully executed mutating statement to the WAL.
-    /// No-op for in-memory databases.
-    pub(crate) fn log_statement(&self, sql: &str, params: &[Value]) -> Result<()> {
-        let Some(store) = &self.storage else {
-            return Ok(());
-        };
-        let payload = crate::persist::encode_statement_record(sql, params)?;
-        let framed = store.append(&payload).map_err(Error::Storage)?;
-        self.metrics.wal_appends.inc();
-        self.metrics.wal_bytes.add(framed);
+    /// Apply one table mutation through the catalog (which logs it on a
+    /// durable database), count what it logged, and drop the indexes of a
+    /// dropped table. Statements, `import_csv` and recovery all change
+    /// tables through here.
+    pub(crate) fn apply(&self, table: &str, mutation: Mutation) -> Result<()> {
+        let dropped = matches!(mutation, Mutation::Drop);
+        let logged = self.catalog.apply(table, mutation).map_err(Error::Storage)?;
+        self.count_logged(logged);
+        if dropped {
+            self.indexes.drop_table(table);
+        }
         Ok(())
     }
 
-    /// Append an `import_csv` bulk row load to the WAL. No-op in memory.
-    fn log_rows(&self, table: &str, rows: &Table) -> Result<()> {
-        let Some(store) = &self.storage else {
-            return Ok(());
-        };
-        let payload = crate::persist::encode_rows_record(table, rows)?;
-        let framed = store.append(&payload).map_err(Error::Storage)?;
-        self.metrics.wal_appends.inc();
-        self.metrics.wal_bytes.add(framed);
-        Ok(())
+    /// Count one WAL record of `bytes` framed bytes (0: nothing logged).
+    pub(crate) fn count_logged(&self, bytes: u64) {
+        if bytes > 0 {
+            self.metrics.wal_appends.inc();
+            self.metrics.wal_bytes.add(bytes);
+        }
     }
 
     /// Open a session (connection state: settings and traces). Every
@@ -207,7 +190,9 @@ impl Database {
         &self.slow_log
     }
 
-    /// The table catalog.
+    /// The table catalog. A change made through it is logged on a durable
+    /// database like a statement's; a table dropped through it keeps its
+    /// index definitions (`DROP TABLE` removes them).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -265,20 +250,9 @@ impl Database {
         let schema = self.catalog.get(table).map_err(Error::Storage)?.schema().clone();
         let loaded = gsql_storage::csv::read_csv(schema, input).map_err(Error::Storage)?;
         let n = loaded.row_count();
-        // Durable databases bracket the apply + WAL append in the shared
-        // commit lock, like any mutating statement; the rows are logged as
-        // one bulk record rather than re-rendered SQL.
-        let guard = self.commit_guard();
-        self.catalog
-            .update(table, |t| {
-                for row in loaded.rows() {
-                    t.append_row(row)?;
-                }
-                Ok(())
-            })
-            .map_err(Error::Storage)?;
-        self.log_rows(table, &loaded)?;
-        drop(guard);
+        if n > 0 {
+            self.apply(table, Mutation::Append(loaded.rows().collect()))?;
+        }
         Ok(n)
     }
 
@@ -312,13 +286,12 @@ impl Database {
                 nullable: !c.not_null,
             });
         }
-        self.catalog.create_table(name, Schema::new(defs)).map_err(Error::Storage)?;
+        self.apply(name, Mutation::Create(Table::empty(Schema::new(defs))))?;
         Ok(QueryResult::Ok)
     }
 
     pub(crate) fn drop_table_stmt(&self, name: &str) -> Result<QueryResult> {
-        self.catalog.drop_table(name).map_err(Error::Storage)?;
-        self.indexes.drop_table(name);
+        self.apply(name, Mutation::Drop)?;
         Ok(QueryResult::Ok)
     }
 
@@ -363,21 +336,20 @@ impl Database {
         let plan = optimize_with(plan, ctx);
         let rows = Executor::new(ctx).execute(&plan)?;
 
-        let inserted = rows.row_count();
-        self.catalog
-            .update(table, |t| {
-                for r in 0..rows.row_count() {
-                    let mut row = vec![Value::Null; target_schema.len()];
-                    for (src_pos, &tgt_pos) in positions.iter().enumerate() {
-                        let v = rows.column(src_pos).get(r);
-                        let def = target_schema.column(tgt_pos);
-                        row[tgt_pos] = coerce_for_storage(v, def.ty)?;
-                    }
-                    t.append_row(row)?;
-                }
-                Ok(())
-            })
-            .map_err(Error::Storage)?;
+        let mut appended = Vec::with_capacity(rows.row_count());
+        for r in 0..rows.row_count() {
+            let mut row = vec![Value::Null; target_schema.len()];
+            for (src_pos, &tgt_pos) in positions.iter().enumerate() {
+                let v = rows.column(src_pos).get(r);
+                row[tgt_pos] = coerce_for_storage(v, target_schema.column(tgt_pos).ty)?;
+            }
+            target_schema.check_row(&row).map_err(Error::Storage)?;
+            appended.push(row);
+        }
+        let inserted = appended.len();
+        if inserted > 0 {
+            self.apply(table, Mutation::Append(appended))?;
+        }
         Ok(QueryResult::Affected(inserted))
     }
 
@@ -387,24 +359,16 @@ impl Database {
         table: &str,
         filter: Option<&ast::Expr>,
     ) -> Result<QueryResult> {
-        let params = ctx.params();
-        let snapshot = self.catalog.get(table).map_err(Error::Storage)?;
-        let doomed = match filter {
-            None => (0..snapshot.row_count()).collect(),
-            Some(f) => {
-                let bound = ExprBinder::new(&table_scope(table, snapshot.schema())).bind(f)?;
-                eval_filter(&bound, &snapshot, &Sel::all(&snapshot), params)?
-            }
-        };
-        if !doomed.is_empty() {
-            self.catalog
-                .update(table, |t| {
-                    t.retain_rows(|i| doomed.binary_search(&i).is_err());
-                    Ok(())
-                })
-                .map_err(Error::Storage)?;
-        }
-        Ok(QueryResult::Affected(doomed.len()))
+        self.until_current(table, |snapshot| {
+            let positions: Vec<usize> = match filter {
+                None => (0..snapshot.row_count()).collect(),
+                Some(f) => {
+                    let bound = ExprBinder::new(&table_scope(table, snapshot.schema())).bind(f)?;
+                    eval_filter(&bound, snapshot, &Sel::all(snapshot), ctx.params())?
+                }
+            };
+            Ok((positions, None))
+        })
     }
 
     pub(crate) fn run_update(
@@ -415,49 +379,72 @@ impl Database {
         filter: Option<&ast::Expr>,
     ) -> Result<QueryResult> {
         let params = ctx.params();
-        let snapshot = self.catalog.get(table).map_err(Error::Storage)?;
-        let schema = snapshot.schema().clone();
-        let scope = table_scope(table, &schema);
-        let binder = ExprBinder::new(&scope);
+        self.until_current(table, |snapshot| {
+            let schema = snapshot.schema();
+            let scope = table_scope(table, schema);
+            let binder = ExprBinder::new(&scope);
+            let mut bound_assignments = Vec::with_capacity(assignments.len());
+            for (col, e) in assignments {
+                let idx = schema.index_of_ok(col).map_err(Error::Storage)?;
+                bound_assignments.push((idx, binder.bind(e)?));
+            }
+            let bound_filter = filter.map(|f| binder.bind(f)).transpose()?;
 
-        let mut bound_assignments = Vec::with_capacity(assignments.len());
-        for (col, e) in assignments {
-            let idx = schema.index_of_ok(col).map_err(Error::Storage)?;
-            bound_assignments.push((idx, binder.bind(e)?));
-        }
-        let bound_filter = filter.map(|f| binder.bind(f)).transpose()?;
-
-        // Compute the new rows against the snapshot, then move the rebuilt
-        // table into the catalog wholesale (no copy-on-write round trip).
-        // A failure is re-run row by row, so the error is the first row's,
-        // with that row's filter, assignments and storage checks in order.
-        let (new_table, updated) = first_error(&Sel::all(&snapshot), |sel| {
-            let matched = match &bound_filter {
-                None => (0..sel.len()).map(|slot| sel.row(slot)).collect(),
-                Some(f) => eval_filter(f, &snapshot, sel, params)?,
-            };
-            let values = bound_assignments
-                .iter()
-                .map(|(idx, e)| {
-                    Ok((*idx, eval_column(e, &snapshot, &Sel::Rows(&matched), params)?))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let mut out = Table::empty(schema.clone());
-            for row in (0..sel.len()).map(|slot| sel.row(slot)) {
-                let mut cells = snapshot.row(row);
-                if let Ok(slot) = matched.binary_search(&row) {
+            // Compute the matched rows' new contents against the snapshot.
+            // A failure is re-run row by row, so the error is the first
+            // row's, with that row's filter, assignments and storage checks
+            // in order.
+            let (positions, new_rows) = first_error(&Sel::all(snapshot), |sel| {
+                let matched = match &bound_filter {
+                    None => (0..sel.len()).map(|slot| sel.row(slot)).collect(),
+                    Some(f) => eval_filter(f, snapshot, sel, params)?,
+                };
+                let matched_sel = Sel::Rows(&matched);
+                let values = bound_assignments
+                    .iter()
+                    .map(|(idx, e)| Ok((*idx, eval_column(e, snapshot, &matched_sel, params)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                let mut new_rows = Vec::with_capacity(matched.len());
+                for (slot, &row) in matched.iter().enumerate() {
+                    let mut cells = snapshot.row(row);
                     for (idx, v) in &values {
                         cells[*idx] = coerce_for_storage(v.get(slot), schema.column(*idx).ty)?;
                     }
+                    schema.check_row(&cells).map_err(Error::Storage)?;
+                    new_rows.push(cells);
                 }
-                out.append_row(cells).map_err(Error::Storage)?;
+                Ok((matched, new_rows))
+            })?;
+            Ok((positions, Some(new_rows)))
+        })
+    }
+
+    /// Run a `DELETE` (no new rows) or `UPDATE` (one new row per position)
+    /// until it applies: `compute` reads the current snapshot of `table`,
+    /// and when another writer changed the table before the mutation
+    /// applied, it runs again over the newer snapshot.
+    fn until_current(
+        &self,
+        table: &str,
+        compute: impl Fn(&Table) -> Result<(Vec<usize>, Option<Vec<Vec<Value>>>)>,
+    ) -> Result<QueryResult> {
+        loop {
+            let entry = self.catalog.entry(table).map_err(Error::Storage)?;
+            let (positions, new_rows) = compute(&entry.table)?;
+            let affected = positions.len();
+            if affected == 0 {
+                return Ok(QueryResult::Affected(0));
             }
-            Ok((out, matched.len()))
-        })?;
-        if updated > 0 {
-            self.catalog.replace(table, new_table).map_err(Error::Storage)?;
+            let base_version = entry.version;
+            let mutation = match new_rows {
+                None => Mutation::Delete { base_version, positions },
+                Some(new_rows) => Mutation::Update { base_version, positions, new_rows },
+            };
+            match self.apply(table, mutation) {
+                Err(Error::Storage(StorageError::VersionConflict { .. })) => continue,
+                result => return result.map(|()| QueryResult::Affected(affected)),
+            }
         }
-        Ok(QueryResult::Affected(updated))
     }
 }
 

@@ -729,7 +729,7 @@ impl AccelLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsql_storage::{ColumnDef, Schema, Value};
+    use gsql_storage::{ColumnDef, Mutation, Schema, Value};
 
     fn setup() -> (Catalog, IndexRegistry) {
         let catalog = Catalog::new();
@@ -743,14 +743,9 @@ mod tests {
                 ]),
             )
             .unwrap();
-        catalog
-            .update("roads", |t| {
-                for (a, b, len) in [(1, 2, 5), (2, 3, 5), (1, 3, 20), (3, 4, 1)] {
-                    t.append_row(vec![Value::Int(a), Value::Int(b), Value::Int(len)])?;
-                }
-                Ok(())
-            })
-            .unwrap();
+        let rows = [(1, 2, 5), (2, 3, 5), (1, 3, 20), (3, 4, 1)]
+            .map(|(a, b, len)| vec![Value::Int(a), Value::Int(b), Value::Int(len)]);
+        catalog.apply("roads", Mutation::Append(rows.to_vec())).unwrap();
         (catalog, IndexRegistry::new())
     }
 
@@ -760,9 +755,8 @@ mod tests {
     }
 
     fn insert(catalog: &Catalog, a: i64, b: i64, len: i64) {
-        catalog
-            .update("roads", |t| t.append_row(vec![Value::Int(a), Value::Int(b), Value::Int(len)]))
-            .unwrap();
+        let row = vec![Value::Int(a), Value::Int(b), Value::Int(len)];
+        catalog.apply("roads", Mutation::Append(vec![row])).unwrap();
     }
 
     fn graph_index(reg: &IndexRegistry, catalog: &Catalog, name: &str) -> Result<()> {

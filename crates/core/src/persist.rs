@@ -1,16 +1,21 @@
-//! Engine-side persistence: the statement-level WAL record codec and the
-//! registry/index sections of a snapshot checkpoint.
+//! Engine-side persistence: replaying WAL records, the index DDL record,
+//! and the registry/index sections of a snapshot checkpoint.
 //!
 //! The storage crate's durability layer ([`gsql_storage::DurableStore`])
 //! deliberately knows nothing about engine semantics — it persists the
-//! catalog's tables plus opaque named byte sections, and replays opaque
-//! WAL records. This module is the other half of that contract:
+//! catalog's tables plus opaque named byte sections, and frames opaque WAL
+//! records. This module is the other half of that contract:
 //!
-//! * **WAL records** are logical: a mutating statement is logged as its
-//!   canonical SQL rendering plus its `?` parameter values (replay
-//!   re-executes it through a session), and `import_csv` bulk appends are
-//!   logged as raw rows. Statements are logged *after* they succeed, so
-//!   replay is deterministic — a failed statement never reaches the log.
+//! * **WAL records.** Every table change is logged by the catalog itself,
+//!   as the [`Mutation`] it applied (its effect: rows appended, row
+//!   positions deleted, rows replaced, a table created or dropped). Replay
+//!   applies those records to the catalog again, with no session, binder
+//!   or executor, so a reopened table has the rows, row order and version
+//!   the live one had, whatever settings the writing session used. Index
+//!   DDL (`CREATE`/`DROP GRAPH|PATH INDEX`) is logged as its SQL text
+//!   ([`STATEMENT_TAG`]) and replayed through a session; logs written
+//!   before DML was logged as its effect hold DML in that record too, and
+//!   still replay.
 //! * **Snapshot sections** serialize the index registry in two sections,
 //!   one per DDL name space. Graph-index entries persist their definitions
 //!   only; path-index entries persist the full built acceleration layer —
@@ -39,12 +44,12 @@ use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
 use crate::index::{
     AccelDef, AccelIndex, AccelLayer, IndexDef, IndexRegistry, IndexSpace, PathIndexKind, Stamped,
 };
-use crate::session::Session;
 use crate::vertex_dict::VertexDict;
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
 use gsql_graph::Csr;
-use gsql_storage::persist::{ByteReader, ByteWriter};
-use gsql_storage::{SnapshotData, SnapshotTable, StorageError, Table, Value};
+use gsql_storage::mutation::STATEMENT_TAG;
+use gsql_storage::persist::{get_value, put_value, ByteReader, ByteWriter};
+use gsql_storage::{Mutation, SnapshotData, SnapshotTable, StorageError, Value};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -54,145 +59,45 @@ pub(crate) const GRAPH_SECTION: &str = "graph_indexes";
 /// Snapshot section holding the path indexes.
 pub(crate) const PATH_SECTION: &str = "path_indexes";
 
-/// WAL record tag: a mutating statement (SQL text + parameters).
-const REC_STATEMENT: u8 = 1;
-/// WAL record tag: bulk row appends (`import_csv`).
-const REC_ROWS: u8 = 2;
-
 fn corrupt(msg: impl Into<String>) -> Error {
     Error::Storage(StorageError::Corrupt(msg.into()))
 }
 
-// ----------------------------------------------------------- value codec
+// ------------------------------------------------------------ WAL records
 
-fn put_value(w: &mut ByteWriter, v: &Value) -> Result<()> {
-    match v {
-        Value::Null => w.put_u8(0),
-        Value::Int(i) => {
-            w.put_u8(1);
-            w.put_i64(*i);
-        }
-        Value::Double(f) => {
-            w.put_u8(2);
-            w.put_f64(*f);
-        }
-        Value::Str(s) => {
-            w.put_u8(3);
-            w.put_str(s);
-        }
-        Value::Bool(b) => {
-            w.put_u8(4);
-            w.put_u8(*b as u8);
-        }
-        Value::Date(d) => {
-            w.put_u8(5);
-            w.put_i32(d.0);
-        }
-        Value::Path(_) => {
-            return Err(Error::Storage(StorageError::Internal(
-                "path values cannot be persisted".into(),
-            )))
-        }
-    }
-    Ok(())
-}
-
-fn get_value(r: &mut ByteReader<'_>) -> Result<Value> {
-    Ok(match r.get_u8().map_err(Error::Storage)? {
-        0 => Value::Null,
-        1 => Value::Int(r.get_i64().map_err(Error::Storage)?),
-        2 => Value::Double(r.get_f64().map_err(Error::Storage)?),
-        3 => Value::Str(r.get_str().map_err(Error::Storage)?),
-        4 => Value::Bool(r.get_u8().map_err(Error::Storage)? != 0),
-        5 => Value::Date(gsql_storage::Date(r.get_i32().map_err(Error::Storage)?)),
-        other => return Err(corrupt(format!("unknown value tag {other}"))),
-    })
-}
-
-// ------------------------------------------------------- WAL record codec
-
-/// True when a statement's parameter values can be replayed from the WAL.
-/// Path values are query results, not storable inputs — a mutating
-/// statement carrying one is rejected before it applies.
-pub(crate) fn params_are_loggable(params: &[Value]) -> bool {
-    !params.iter().any(|p| matches!(p, Value::Path(_)))
-}
-
-/// Encode a successfully executed mutating statement for the WAL.
+/// The WAL record of an index DDL statement: its SQL text and parameters.
 pub(crate) fn encode_statement_record(sql: &str, params: &[Value]) -> Result<Vec<u8>> {
     let mut w = ByteWriter::new();
-    w.put_u8(REC_STATEMENT);
+    w.put_u8(STATEMENT_TAG);
     w.put_str(sql);
     w.put_usize(params.len());
     for p in params {
-        put_value(&mut w, p)?;
+        put_value(&mut w, p).map_err(Error::Storage)?;
     }
     Ok(w.into_bytes())
 }
 
-/// Encode an `import_csv` bulk append for the WAL (raw rows, not SQL).
-pub(crate) fn encode_rows_record(table: &str, rows: &Table) -> Result<Vec<u8>> {
-    let mut w = ByteWriter::new();
-    w.put_u8(REC_ROWS);
-    w.put_str(table);
-    let ncols = rows.schema().len();
-    w.put_usize(rows.row_count());
-    w.put_usize(ncols);
-    for r in 0..rows.row_count() {
-        for c in 0..ncols {
-            put_value(&mut w, &rows.column(c).get(r))?;
-        }
+/// Re-apply one WAL record (recovery). The database has no durable store
+/// attached yet, so nothing is logged again.
+pub(crate) fn replay_record(db: &Database, bytes: &[u8]) -> Result<()> {
+    if bytes.first() != Some(&STATEMENT_TAG) {
+        let (table, mutation) = Mutation::decode(bytes).map_err(Error::Storage)?;
+        return db
+            .apply(&table, mutation)
+            .map_err(|e| corrupt(format!("WAL record of '{table}' failed to replay: {e}")));
     }
-    Ok(w.into_bytes())
-}
-
-/// Re-apply one WAL record through `session` (recovery). The session's
-/// database has no durable store attached yet, so nothing is re-logged.
-pub(crate) fn replay_record(session: &Session<'_>, bytes: &[u8]) -> Result<()> {
-    let mut r = ByteReader::new(bytes);
-    match r.get_u8().map_err(Error::Storage)? {
-        REC_STATEMENT => {
-            let sql = r.get_str().map_err(Error::Storage)?;
-            let n = r.get_usize().map_err(Error::Storage)?;
-            let mut params = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                params.push(get_value(&mut r)?);
-            }
-            if !r.is_exhausted() {
-                return Err(corrupt("trailing bytes after statement record"));
-            }
-            session.execute_with_params(&sql, &params).map_err(|e| {
-                corrupt(format!("WAL statement failed to replay: {e} (statement: {sql})"))
-            })?;
-        }
-        REC_ROWS => {
-            let table = r.get_str().map_err(Error::Storage)?;
-            let nrows = r.get_usize().map_err(Error::Storage)?;
-            let ncols = r.get_usize().map_err(Error::Storage)?;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-            for _ in 0..nrows {
-                let mut row = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    row.push(get_value(&mut r)?);
-                }
-                rows.push(row);
-            }
-            if !r.is_exhausted() {
-                return Err(corrupt("trailing bytes after rows record"));
-            }
-            session
-                .database()
-                .catalog()
-                .update(&table, |t| {
-                    for row in rows.drain(..) {
-                        t.append_row(row)?;
-                    }
-                    Ok(())
-                })
-                .map_err(Error::Storage)?;
-        }
-        other => return Err(corrupt(format!("unknown WAL record tag {other}"))),
+    let mut r = ByteReader::new(&bytes[1..]);
+    let sql = r.get_str().map_err(Error::Storage)?;
+    let n = r.get_usize().map_err(Error::Storage)?;
+    let mut params = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        params.push(get_value(&mut r).map_err(Error::Storage)?);
     }
+    if !r.is_exhausted() {
+        return Err(corrupt("trailing bytes after statement record"));
+    }
+    db.execute_with_params(&sql, &params)
+        .map_err(|e| corrupt(format!("WAL statement failed to replay: {e} (statement: {sql})")))?;
     Ok(())
 }
 
@@ -278,7 +183,7 @@ fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
     let vals = graph.dict.values();
     w.put_usize(vals.len());
     for v in &vals {
-        put_value(w, v)?;
+        put_value(w, v).map_err(Error::Storage)?;
     }
     encode_csr(w, &graph.csr);
     encode_csr(w, graph.reverse());
@@ -451,7 +356,7 @@ fn decode_layer(
     let n = r.get_usize().map_err(Error::Storage)?;
     let mut vals = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        vals.push(get_value(r)?);
+        vals.push(get_value(r).map_err(Error::Storage)?);
     }
     let csr = decode_csr(r)?;
     let reverse = decode_csr(r)?;

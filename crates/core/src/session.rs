@@ -510,11 +510,12 @@ impl<'db> Session<'db> {
         result
     }
 
-    /// Dispatch one statement, bracketing mutating statements on a durable
-    /// database in the shared commit lock: apply, then append the WAL
-    /// record — so a statement is logged only after it succeeded, and a
+    /// Dispatch one statement. Table changes log themselves (the catalog
+    /// writes each one's record as it applies it); index DDL on a durable
+    /// database is logged here, as its SQL text, after it succeeded. It
+    /// holds the shared commit lock across apply and append, so a
     /// concurrent `CHECKPOINT` (which takes the lock exclusively) can never
-    /// split a mutation across the snapshot/WAL rotation boundary.
+    /// split it across the snapshot/WAL rotation boundary.
     fn dispatch_statement(
         &self,
         sql_key: Option<&str>,
@@ -524,24 +525,17 @@ impl<'db> Session<'db> {
         collector: Option<&Arc<TraceCollector>>,
         root: SpanId,
     ) -> Result<QueryResult> {
-        if statement_is_mutating(statement) {
-            if let Some(guard) = self.db.commit_guard() {
-                // Reject parameters the WAL cannot encode *before* the
-                // statement applies, so the log never diverges from state.
-                if !crate::persist::params_are_loggable(params) {
-                    return Err(bind_err!(
-                        "path-valued parameters cannot be passed to a mutating statement \
-                         on a durable database"
-                    ));
-                }
-                let result =
-                    self.dispatch_inner(sql_key, statement, params, deadline, collector, root)?;
-                self.db.log_statement(&statement.to_string(), params)?;
-                drop(guard);
-                return Ok(result);
-            }
-        }
-        self.dispatch_inner(sql_key, statement, params, deadline, collector, root)
+        let dispatch =
+            || self.dispatch_inner(sql_key, statement, params, deadline, collector, root);
+        let store = self.db.catalog().store().filter(|_| statement_is_index_ddl(statement));
+        let Some(store) = store else {
+            return dispatch();
+        };
+        let record = crate::persist::encode_statement_record(&statement.to_string(), params)?;
+        let _commit = store.commit_shared();
+        let result = dispatch()?;
+        self.db.count_logged(store.append(&record).map_err(Error::Storage)?);
+        Ok(result)
     }
 
     /// Execute a query plan in an `execute` span under `root` (carrying the
@@ -693,8 +687,7 @@ impl<'db> Session<'db> {
             ast::Statement::Checkpoint => {
                 // Not dispatched under the shared commit lock (see
                 // `dispatch_statement`): `Database::checkpoint` takes the
-                // commit lock exclusively, and holding the shared side here
-                // would self-deadlock.
+                // commit lock exclusively.
                 let line = match self.db.checkpoint()? {
                     Some(epoch) => format!("checkpoint written (epoch {epoch})"),
                     None => "checkpoint skipped (in-memory database)".to_string(),
@@ -746,16 +739,12 @@ fn statement_verb(statement: &ast::Statement) -> QueryVerb {
     }
 }
 
-/// Statements whose success must reach the WAL on a durable database.
-fn statement_is_mutating(statement: &ast::Statement) -> bool {
+/// The statements logged as SQL text on a durable database (every other
+/// change is logged by the catalog as its effect).
+fn statement_is_index_ddl(statement: &ast::Statement) -> bool {
     matches!(
         statement,
-        ast::Statement::Insert { .. }
-            | ast::Statement::Update { .. }
-            | ast::Statement::Delete { .. }
-            | ast::Statement::CreateTable { .. }
-            | ast::Statement::DropTable { .. }
-            | ast::Statement::CreateGraphIndex { .. }
+        ast::Statement::CreateGraphIndex { .. }
             | ast::Statement::DropGraphIndex { .. }
             | ast::Statement::CreatePathIndex { .. }
             | ast::Statement::DropPathIndex { .. }

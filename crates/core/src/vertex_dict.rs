@@ -249,7 +249,7 @@ mod tests {
     use crate::exec::graph_op::build_graph;
     use crate::Database;
     use gsql_graph::Csr;
-    use gsql_storage::{ColumnDef, Date, Schema, Table};
+    use gsql_storage::{ColumnDef, Date, Mutation, Schema, Table};
     use rand::prelude::*;
     use std::sync::Arc;
 
@@ -543,9 +543,7 @@ mod tests {
         tables(|kind, rows| {
             let db = Database::new();
             db.catalog().create_table("e", edge_table(kind, &[]).schema().clone()).unwrap();
-            db.catalog()
-                .update("e", |t| rows.iter().try_for_each(|row| t.append_row(row.clone())))
-                .unwrap();
+            db.catalog().apply("e", Mutation::Append(rows.to_vec())).unwrap();
             let vertices = reference_vertices(rows);
             for _ in 0..12 {
                 let (x, y) =

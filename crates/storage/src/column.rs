@@ -330,6 +330,38 @@ impl Column {
         Ok(())
     }
 
+    /// Overwrite the cells at `positions` with `src`'s cells, in order (the
+    /// positional scatter `UPDATE` applies). `src` must have this column's
+    /// type and one cell per position.
+    pub fn scatter(&mut self, positions: &[usize], src: &Column) -> Result<()> {
+        fn put<T: Clone>(v: &mut [T], b: &mut Bitmap, at: &[usize], sv: &[T], sb: &Bitmap) {
+            for (j, &p) in at.iter().enumerate() {
+                v[p] = sv[j].clone();
+                b.set(p, sb.get(j));
+            }
+        }
+        if self.data_type() != src.data_type() {
+            return Err(StorageError::TypeMismatch {
+                expected: self.data_type().sql_name().to_string(),
+                found: src.data_type().sql_name().to_string(),
+            });
+        }
+        match (self, src) {
+            (Column::Int(v, b), Column::Int(sv, sb)) => put(v, b, positions, sv, sb),
+            (Column::Double(v, b), Column::Double(sv, sb)) => put(v, b, positions, sv, sb),
+            (Column::Str(v, b), Column::Str(sv, sb)) => put(v, b, positions, sv, sb),
+            (Column::Bool(v, b), Column::Bool(sv, sb)) => put(v, b, positions, sv, sb),
+            (Column::Date(v, b), Column::Date(sv, sb)) => put(v, b, positions, sv, sb),
+            (Column::Path(v), Column::Path(sv)) => {
+                for (j, &p) in positions.iter().enumerate() {
+                    v[p] = sv[j].clone();
+                }
+            }
+            _ => unreachable!("type equality checked above"),
+        }
+        Ok(())
+    }
+
     /// Iterator over all cells as [`Value`]s.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))

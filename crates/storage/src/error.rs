@@ -37,6 +37,17 @@ pub enum StorageError {
     /// truncated silently — so this only surfaces for snapshot files or
     /// structurally impossible record contents.
     Corrupt(String),
+    /// A `Delete` or `Update` mutation was computed against an older
+    /// version of its table than the catalog now holds. Nothing changed;
+    /// the statement re-reads the table and tries again.
+    VersionConflict {
+        /// The table.
+        table: String,
+        /// The version the mutation was computed against.
+        base: u64,
+        /// The version the catalog holds.
+        current: u64,
+    },
     /// Catch-all for internal invariant violations.
     Internal(String),
 }
@@ -59,6 +70,10 @@ impl fmt::Display for StorageError {
             StorageError::InvalidDate(s) => write!(f, "invalid date literal '{s}'"),
             StorageError::Io(msg) => write!(f, "storage I/O error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt storage file: {msg}"),
+            StorageError::VersionConflict { table, base, current } => write!(
+                f,
+                "table '{table}' changed while the statement ran (read version {base}, now {current})"
+            ),
             StorageError::Internal(msg) => write!(f, "internal storage error: {msg}"),
         }
     }

@@ -15,6 +15,8 @@
 //! * [`Table`] — a materialized relation (schema + equal-length columns);
 //! * [`Catalog`] — the named-table store with version counters used for
 //!   graph-index invalidation;
+//! * [`Mutation`] — the one value every table change is: what
+//!   [`Catalog::apply`] installs and what the WAL records;
 //! * [`PathValue`] — a shortest path represented as *references to rows of
 //!   the edge table that generated it*, exactly the representation described
 //!   in §3.3 of the paper.
@@ -25,6 +27,7 @@ pub mod column;
 pub mod csv;
 pub mod date;
 pub mod error;
+pub mod mutation;
 pub mod persist;
 pub mod schema;
 pub mod table;
@@ -36,6 +39,7 @@ pub use catalog::Catalog;
 pub use column::{Column, ColumnBuilder};
 pub use date::Date;
 pub use error::StorageError;
+pub use mutation::Mutation;
 pub use persist::{DurableStore, Recovery, SnapshotData, SnapshotTable};
 pub use schema::{ColumnDef, Schema};
 pub use table::Table;

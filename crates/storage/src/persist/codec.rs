@@ -5,6 +5,7 @@
 //! writes up front. The checksum is plain CRC-32 (IEEE), table-driven.
 
 use crate::error::StorageError;
+use crate::value::Value;
 use crate::Result;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
@@ -194,6 +195,51 @@ impl<'a> ByteReader<'a> {
         let len = self.get_usize()?;
         Ok(self.take(len, "bytes")?.to_vec())
     }
+}
+
+/// Write one cell value: a type tag, then its bits. PATH values are query
+/// results, not storable data, and are refused.
+pub fn put_value(w: &mut ByteWriter, v: &Value) -> Result<()> {
+    match v {
+        Value::Null => w.put_u8(0),
+        Value::Int(i) => {
+            w.put_u8(1);
+            w.put_i64(*i);
+        }
+        Value::Double(f) => {
+            w.put_u8(2);
+            w.put_f64(*f);
+        }
+        Value::Str(s) => {
+            w.put_u8(3);
+            w.put_str(s);
+        }
+        Value::Bool(b) => {
+            w.put_u8(4);
+            w.put_u8(*b as u8);
+        }
+        Value::Date(d) => {
+            w.put_u8(5);
+            w.put_i32(d.0);
+        }
+        Value::Path(_) => {
+            return Err(StorageError::Internal("path values cannot be persisted".into()))
+        }
+    }
+    Ok(())
+}
+
+/// Read one cell value written by [`put_value`].
+pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value> {
+    Ok(match r.get_u8()? {
+        0 => Value::Null,
+        1 => Value::Int(r.get_i64()?),
+        2 => Value::Double(r.get_f64()?),
+        3 => Value::Str(r.get_str()?),
+        4 => Value::Bool(r.get_u8()? != 0),
+        5 => Value::Date(crate::Date(r.get_i32()?)),
+        other => return Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
+    })
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ fn put_bools(w: &mut ByteWriter, len: usize, bools: impl Iterator<Item = bool>) 
 
 fn get_bools(r: &mut ByteReader<'_>) -> Result<Vec<bool>> {
     let len = r.get_usize()?;
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(len.min(1 << 24));
     let mut byte = 0u8;
     for i in 0..len {
         if i % 8 == 0 {
@@ -162,7 +162,8 @@ fn encode_column(w: &mut ByteWriter, col: &Column) -> Result<()> {
 fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
     let ty = tag_type(r.get_u8()?)?;
     let validity: crate::bitmap::Bitmap = get_bools(r)?.into_iter().collect();
-    Ok(match ty {
+    let validity_len = validity.len();
+    let col = match ty {
         DataType::Int => {
             let n = r.get_usize()?;
             let mut vals = Vec::with_capacity(n.min(1 << 24));
@@ -197,6 +198,61 @@ fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
             Column::Date(vals, validity)
         }
         DataType::Path => unreachable!("rejected by tag_type"),
+    };
+    if col.len() != validity_len {
+        return Err(StorageError::Corrupt(format!(
+            "column of {} values has {validity_len} validity bits",
+            col.len()
+        )));
+    }
+    Ok(col)
+}
+
+/// Write a table: its schema, its row count, then each column. Snapshots
+/// and the WAL's `Create` record share this layout.
+pub(crate) fn encode_table(w: &mut ByteWriter, table: &Table) -> Result<()> {
+    let schema = table.schema();
+    w.put_usize(schema.len());
+    for def in schema.columns() {
+        w.put_str(&def.name);
+        w.put_u8(type_tag(def.ty)?);
+        w.put_u8(def.nullable as u8);
+    }
+    w.put_usize(table.row_count());
+    for col in table.columns() {
+        encode_column(w, col)?;
+    }
+    Ok(())
+}
+
+/// Read a table written by [`encode_table`].
+pub(crate) fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
+    let n_cols = r.get_usize()?;
+    let mut defs = Vec::with_capacity(n_cols.min(1 << 12));
+    for _ in 0..n_cols {
+        let col_name = r.get_str()?;
+        let ty = tag_type(r.get_u8()?)?;
+        let nullable = r.get_u8()? != 0;
+        let mut def = ColumnDef::new(col_name, ty);
+        def.nullable = nullable;
+        defs.push(def);
+    }
+    let row_count = r.get_usize()?;
+    let mut columns = Vec::with_capacity(n_cols.min(1 << 12));
+    for def in &defs {
+        let col = decode_column(r)?;
+        if col.len() != row_count {
+            return Err(StorageError::Corrupt(format!(
+                "column '{}' has {} rows, expected {row_count}",
+                def.name,
+                col.len()
+            )));
+        }
+        columns.push(col);
+    }
+    Table::from_columns(Schema::new(defs), columns).map_err(|e| match e {
+        StorageError::Corrupt(_) => e,
+        other => StorageError::Corrupt(other.to_string()),
     })
 }
 
@@ -209,17 +265,7 @@ pub fn encode_snapshot(snap: &SnapshotData) -> Result<Vec<u8>> {
     for t in &snap.tables {
         w.put_str(&t.name);
         w.put_u64(t.version);
-        let schema = t.table.schema();
-        w.put_usize(schema.len());
-        for def in schema.columns() {
-            w.put_str(&def.name);
-            w.put_u8(type_tag(def.ty)?);
-            w.put_u8(def.nullable as u8);
-        }
-        w.put_usize(t.table.row_count());
-        for col in t.table.columns() {
-            encode_column(&mut w, col)?;
-        }
+        encode_table(&mut w, &t.table)?;
     }
     w.put_usize(snap.sections.len());
     for (name, bytes) in &snap.sections {
@@ -260,29 +306,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData> {
     for _ in 0..n_tables {
         let name = r.get_str()?;
         let version = r.get_u64()?;
-        let n_cols = r.get_usize()?;
-        let mut defs = Vec::with_capacity(n_cols.min(1 << 12));
-        for _ in 0..n_cols {
-            let col_name = r.get_str()?;
-            let ty = tag_type(r.get_u8()?)?;
-            let nullable = r.get_u8()? != 0;
-            let mut def = ColumnDef::new(col_name, ty);
-            def.nullable = nullable;
-            defs.push(def);
-        }
-        let row_count = r.get_usize()?;
-        let mut columns = Vec::with_capacity(n_cols.min(1 << 12));
-        for _ in 0..n_cols {
-            let col = decode_column(&mut r)?;
-            if col.len() != row_count {
-                return Err(StorageError::Corrupt(format!(
-                    "table '{name}': column has {} rows, expected {row_count}",
-                    col.len()
-                )));
-            }
-            columns.push(col);
-        }
-        let table = Table::from_columns(Schema::new(defs), columns)?;
+        let table = decode_table(&mut r)?;
         tables.push(SnapshotTable { name, version, table: Arc::new(table) });
     }
     let n_sections = r.get_usize()?;

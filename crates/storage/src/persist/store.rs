@@ -7,7 +7,7 @@
 //! data_dir/
 //!   snapshot-<e>.gsnap    the epoch-e checkpoint (absent at epoch 0 when
 //!                         no checkpoint has ever been taken)
-//!   wal-<e>.log           statements logged since the epoch-e checkpoint
+//!   wal-<e>.log           records logged since the epoch-e checkpoint
 //! ```
 //!
 //! Checkpoint rotation (epoch `e` → `e+1`) is ordered so a crash at any
@@ -24,13 +24,14 @@
 //! resumes from epoch `e`. A `.tmp` file is always ignored and deleted.
 //!
 //! Writers and the checkpointer coordinate through a **commit lock**: every
-//! mutating statement holds the shared side across apply + WAL append, and
-//! a checkpoint holds the exclusive side across capture + rotation — so no
-//! statement can land in both the new snapshot and the new WAL (which
-//! would double-apply it on recovery).
+//! writer ([`crate::Catalog::apply`], and the engine's index DDL) holds the
+//! shared side from before its record is written until the record is
+//! synced, and a checkpoint holds the exclusive side across capture +
+//! rotation — so no change can land in both the new snapshot and the new
+//! WAL (which would double-apply it on recovery), whoever made it.
 
 use super::snapshot::{decode_snapshot, encode_snapshot, SnapshotData};
-use super::wal::{scan_wal, WalWriter};
+use super::wal::{scan_wal, Unsynced, WalWriter};
 use crate::error::StorageError;
 use crate::Result;
 use std::fs::{self, File, OpenOptions};
@@ -61,7 +62,7 @@ struct StoreInner {
     wal: WalWriter,
 }
 
-/// A durable data directory: appends statements to the current epoch's WAL
+/// A durable data directory: appends records to the current epoch's WAL
 /// and rotates epochs on checkpoint.
 #[derive(Debug)]
 pub struct DurableStore {
@@ -175,19 +176,25 @@ impl DurableStore {
         self.inner.lock().expect("store lock poisoned").epoch
     }
 
-    /// Acquire the shared side of the commit lock. Mutating statements hold
-    /// this guard across apply + [`DurableStore::append`] so a concurrent
-    /// checkpoint cannot capture the apply while the append lands in the
-    /// post-rotation WAL.
+    /// Acquire the shared side of the commit lock. A writer holds this
+    /// guard from before it writes its record until the record is synced,
+    /// so a concurrent checkpoint cannot capture the change while its
+    /// record lands in the post-rotation WAL. It is never taken twice by
+    /// one writer.
     pub fn commit_shared(&self) -> RwLockReadGuard<'_, ()> {
         self.commit.read().expect("commit lock poisoned")
+    }
+
+    /// Write one record to the current epoch's WAL without syncing it. The
+    /// store's own lock is held only for the write, never for the sync.
+    pub fn write(&self, payload: &[u8]) -> Result<Unsynced> {
+        self.inner.lock().expect("store lock poisoned").wal.write(payload)
     }
 
     /// Durably append one record to the current epoch's WAL. Returns the
     /// bytes written including framing.
     pub fn append(&self, payload: &[u8]) -> Result<u64> {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
-        inner.wal.append(payload)
+        self.write(payload)?.sync()
     }
 
     /// Take a checkpoint: capture a snapshot via `capture` (called under

@@ -7,8 +7,13 @@
 //! [u32 payload_len][u32 crc32(payload)][payload] ...   (one frame per record)
 //! ```
 //!
-//! Record payloads are opaque to this layer — the engine above encodes
-//! logical statements into them. The framing is what makes the log
+//! Record payloads are opaque to this layer. The catalog writes one
+//! [`crate::Mutation`] record per table change, and the engine writes its
+//! index DDL as SQL text (see [`crate::mutation`] for the record layouts).
+//! Writing a frame and making it durable are two steps
+//! ([`WalWriter::write`], then [`Unsynced::sync`]), so a caller can write
+//! inside a critical section and fsync after leaving it;
+//! [`WalWriter::append`] does both. The framing is what makes the log
 //! **torn-tail tolerant**: a crash mid-append leaves a final frame that is
 //! short or fails its checksum, and both readers and the re-opening writer
 //! stop at the last complete, checksum-valid frame. The writer physically
@@ -20,7 +25,8 @@ use crate::error::StorageError;
 use crate::Result;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"GSQLWAL1";
@@ -88,8 +94,26 @@ pub fn scan_wal(path: &Path) -> Result<WalScan> {
 /// The appending side of a WAL file.
 #[derive(Debug)]
 pub struct WalWriter {
-    file: File,
-    path: PathBuf,
+    file: Arc<File>,
+    path: Arc<Path>,
+}
+
+/// A frame written to a WAL file but not yet synced to disk.
+#[must_use = "a written frame is durable only after `sync`"]
+#[derive(Debug)]
+pub struct Unsynced {
+    file: Arc<File>,
+    path: Arc<Path>,
+    bytes: u64,
+}
+
+impl Unsynced {
+    /// Make the frame (and every frame written before it) durable
+    /// (`fdatasync`). Returns the frame's size, framing included.
+    pub fn sync(self) -> Result<u64> {
+        self.file.sync_data().map_err(|e| io_err("syncing WAL", &self.path, e))?;
+        Ok(self.bytes)
+    }
 }
 
 impl WalWriter {
@@ -103,7 +127,7 @@ impl WalWriter {
             .map_err(|e| io_err("creating WAL", path, e))?;
         file.write_all(WAL_MAGIC).map_err(|e| io_err("initializing WAL", path, e))?;
         file.sync_all().map_err(|e| io_err("syncing WAL", path, e))?;
-        Ok(WalWriter { file, path: path.to_path_buf() })
+        Ok(WalWriter { file: Arc::new(file), path: path.into() })
     }
 
     /// Open an existing WAL for appending, truncating any torn tail first.
@@ -124,12 +148,18 @@ impl WalWriter {
             file.sync_all().map_err(|e| io_err("syncing WAL", path, e))?;
         }
         file.seek(SeekFrom::End(0)).map_err(|e| io_err("seeking WAL", path, e))?;
-        Ok((WalWriter { file, path: path.to_path_buf() }, scan.torn_bytes))
+        Ok((WalWriter { file: Arc::new(file), path: path.into() }, scan.torn_bytes))
     }
 
     /// Append one record, durably (`fdatasync` before returning). Returns
     /// the number of bytes written including framing.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
+        self.write(payload)?.sync()
+    }
+
+    /// Write one record's frame without syncing it: the record is durable
+    /// once the returned [`Unsynced`] is synced.
+    pub fn write(&mut self, payload: &[u8]) -> Result<Unsynced> {
         if payload.len() > MAX_RECORD {
             return Err(StorageError::Internal(format!(
                 "WAL record of {} bytes exceeds the 1 GiB bound",
@@ -140,9 +170,12 @@ impl WalWriter {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame).map_err(|e| io_err("appending to WAL", &self.path, e))?;
-        self.file.sync_data().map_err(|e| io_err("syncing WAL", &self.path, e))?;
-        Ok(frame.len() as u64)
+        (&*self.file).write_all(&frame).map_err(|e| io_err("appending to WAL", &self.path, e))?;
+        Ok(Unsynced {
+            file: Arc::clone(&self.file),
+            path: Arc::clone(&self.path),
+            bytes: frame.len() as u64,
+        })
     }
 
     /// The log file this writer appends to.
@@ -154,6 +187,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gsql-wal-test-{}-{tag}", std::process::id()));

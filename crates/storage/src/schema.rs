@@ -2,6 +2,7 @@
 
 use crate::error::StorageError;
 use crate::types::DataType;
+use crate::value::Value;
 use crate::Result;
 use std::fmt;
 
@@ -92,6 +93,30 @@ impl Schema {
     /// Iterator over the column names.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.columns.iter().map(|c| c.name.as_str())
+    }
+
+    /// Check that `row` can be stored under this schema: its arity, then
+    /// NOT NULL, then every value's type.
+    pub fn check_row(&self, row: &[Value]) -> Result<()> {
+        if row.len() != self.len() {
+            return Err(StorageError::ArityMismatch { expected: self.len(), found: row.len() });
+        }
+        for (def, value) in self.columns.iter().zip(row) {
+            if value.is_null() && !def.nullable {
+                return Err(StorageError::NullViolation(def.name.clone()));
+            }
+        }
+        for (def, value) in self.columns.iter().zip(row) {
+            if let Some(vt) = value.data_type() {
+                if !vt.coerces_to(def.ty) {
+                    return Err(StorageError::TypeMismatch {
+                        expected: def.ty.sql_name().to_string(),
+                        found: vt.sql_name().to_string(),
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 }
 

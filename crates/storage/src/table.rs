@@ -85,33 +85,10 @@ impl Table {
         self.row_count == 0
     }
 
-    /// Append one row of values, enforcing arity, types and NOT NULL.
+    /// Append one row of values, enforcing arity, types and NOT NULL
+    /// ([`Schema::check_row`]). A failed append leaves the table unchanged.
     pub fn append_row(&mut self, row: Vec<Value>) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.len(),
-                found: row.len(),
-            });
-        }
-        for (i, value) in row.iter().enumerate() {
-            let def = self.schema.column(i);
-            if value.is_null() && !def.nullable {
-                return Err(StorageError::NullViolation(def.name.clone()));
-            }
-        }
-        // Validate all pushes will succeed before mutating any column, so a
-        // failed append leaves the table unchanged.
-        for (i, value) in row.iter().enumerate() {
-            let def = self.schema.column(i);
-            if let Some(vt) = value.data_type() {
-                if !vt.coerces_to(def.ty) {
-                    return Err(StorageError::TypeMismatch {
-                        expected: def.ty.sql_name().to_string(),
-                        found: vt.sql_name().to_string(),
-                    });
-                }
-            }
-        }
+        self.schema.check_row(&row)?;
         for (i, value) in row.into_iter().enumerate() {
             self.columns[i].push(value).expect("types validated above");
         }
@@ -156,36 +133,29 @@ impl Table {
         Table { schema: self.schema.clone(), columns, row_count: range.len() }
     }
 
-    /// Retain only rows whose index satisfies `keep` (used by DELETE).
-    pub fn retain_rows(&mut self, keep: impl Fn(usize) -> bool) {
-        let indices: Vec<usize> = (0..self.row_count).filter(|&i| keep(i)).collect();
-        let taken = self.take(&indices);
-        *self = taken;
-    }
-
-    /// Replace the value at `(row, col)` (used by UPDATE). The new value must
-    /// type-check; this rebuilds the column cell-by-cell, which is acceptable
-    /// for the engine's DML volumes.
-    pub fn set_cell(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
-        let def = self.schema.column(col);
-        if value.is_null() && !def.nullable {
-            return Err(StorageError::NullViolation(def.name.clone()));
+    /// Overwrite the rows at `positions` with the rows of `patch`, in
+    /// order (`UPDATE`): column by column, with no per-row values.
+    /// `patch` must have this table's column types and one row per
+    /// position; every position must be in range.
+    pub fn scatter_rows(&mut self, positions: &[usize], patch: &Table) -> Result<()> {
+        if patch.row_count != positions.len() || patch.columns.len() != self.columns.len() {
+            return Err(StorageError::Internal(format!(
+                "a patch of {} rows x {} columns does not fit {} positions x {} columns",
+                patch.row_count,
+                patch.columns.len(),
+                positions.len(),
+                self.columns.len()
+            )));
         }
-        if let Some(vt) = value.data_type() {
-            if !vt.coerces_to(def.ty) {
-                return Err(StorageError::TypeMismatch {
-                    expected: def.ty.sql_name().to_string(),
-                    found: vt.sql_name().to_string(),
-                });
-            }
+        if let Some(&p) = positions.iter().find(|&&p| p >= self.row_count) {
+            return Err(StorageError::Internal(format!(
+                "row position {p} is out of range for {} rows",
+                self.row_count
+            )));
         }
-        let old = &self.columns[col];
-        let mut rebuilt = Column::empty(old.data_type());
-        for i in 0..old.len() {
-            let v = if i == row { value.clone() } else { old.get(i) };
-            rebuilt.push(v)?;
+        for (col, src) in self.columns.iter_mut().zip(&patch.columns) {
+            col.scatter(positions, src)?;
         }
-        self.columns[col] = rebuilt;
         Ok(())
     }
 
@@ -328,23 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn retain_rows_deletes() {
+    fn scatter_rows_overwrites_positions() {
         let mut t = Table::empty(persons_schema());
         for i in 0..4 {
             t.append_row(vec![Value::Int(i), Value::from("x")]).unwrap();
         }
-        t.retain_rows(|i| i % 2 == 0);
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.row(1)[0], Value::Int(2));
-    }
-
-    #[test]
-    fn set_cell_updates() {
-        let mut t = Table::empty(persons_schema());
-        t.append_row(vec![Value::Int(1), Value::from("a")]).unwrap();
-        t.set_cell(0, 1, Value::from("b")).unwrap();
-        assert_eq!(t.row(0)[1], Value::from("b"));
-        assert!(t.set_cell(0, 0, Value::Null).is_err()); // NOT NULL
+        let mut patch = Table::empty(persons_schema());
+        patch.append_row(vec![Value::Int(10), Value::Null]).unwrap();
+        patch.append_row(vec![Value::Int(30), Value::from("z")]).unwrap();
+        t.scatter_rows(&[1, 3], &patch).unwrap();
+        let firsts: Vec<Value> = t.rows().map(|r| r[0].clone()).collect();
+        assert_eq!(firsts, [0, 10, 2, 30].map(Value::Int));
+        assert_eq!(t.row(1)[1], Value::Null);
+        assert_eq!(t.row(3)[1], Value::from("z"));
+        assert!(t.scatter_rows(&[4], &patch.slice_rows(0..1)).is_err(), "out of range");
+        assert!(t.scatter_rows(&[0], &patch).is_err(), "one row per position");
     }
 
     #[test]

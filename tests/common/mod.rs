@@ -8,9 +8,11 @@
 //! same morsel size, error text included. (Thread count and durability
 //! must never show in a result. Morsel boundaries may: a `DOUBLE` sum
 //! accumulates per morsel.) The body's own assertions run in every
-//! configuration, too. A durable database runs the first half of the setup,
-//! a `CHECKPOINT` and the second half, and is reopened before the body
-//! runs, so recovery replays a snapshot plus a WAL suffix.
+//! configuration, too. The setup runs through a session with the
+//! configuration under test. A durable database runs the first half of the
+//! setup, a `CHECKPOINT` and the second half, and is reopened before the
+//! body runs, so recovery replays a snapshot plus a WAL suffix — and must
+//! reproduce what the configured setup wrote.
 
 // Each suite compiles its own copy of this module and uses part of it.
 #![allow(dead_code)]
@@ -227,22 +229,27 @@ fn run_one<S: AsRef<str>>(
     setup: &[S],
     body: &impl Fn(&Run<'_>),
 ) -> Vec<(String, String)> {
+    let run_setup = |db: &Database, statements: &[S]| {
+        let session = db.session();
+        config.apply(&session);
+        for sql in statements {
+            session.execute_script(sql.as_ref()).unwrap();
+        }
+    };
     let dir = TempDir::new("sweep");
     let db = if config.durable {
         let (before, after) = setup.split_at(setup.len() / 2);
         {
             let db = Database::open(dir.path()).unwrap();
-            for sql in before {
-                db.execute_script(sql.as_ref()).unwrap();
-            }
+            run_setup(&db, before);
             db.execute("CHECKPOINT").unwrap();
-            for sql in after {
-                db.execute_script(sql.as_ref()).unwrap();
-            }
+            run_setup(&db, after);
         }
         Database::open(dir.path()).unwrap()
     } else {
-        database(setup)
+        let db = Database::new();
+        run_setup(&db, setup);
+        db
     };
     let session = db.session();
     config.apply(&session);
