@@ -22,8 +22,8 @@
 //!   expanded backwards.
 
 use crate::landmarks::Landmarks;
-use crate::INF;
-use gsql_graph::Csr;
+use crate::{answer, INF};
+use gsql_graph::{check_vertices, Budget, Csr, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -35,6 +35,47 @@ pub struct AltResult {
     /// Vertices settled across both directions — the pruning metric
     /// surfaced by `EXPLAIN ANALYZE` and the `alt_speedup` bench.
     pub settled: usize,
+}
+
+/// [`alt_bidirectional`] as a [`Search`]: one point-to-point search per
+/// pair over the budget's workers, each reported as [`TraversalKind::Alt`],
+/// then the shape `landmarks = k`. Costs only: `want_path` is ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct AltPoint<'a> {
+    /// The graph.
+    pub forward: &'a Csr,
+    /// Its reversal.
+    pub backward: &'a Csr,
+    /// Both graphs' slot weights (`None` = unit), as for
+    /// [`alt_bidirectional`].
+    pub weights: Option<(&'a [i64], &'a [i64])>,
+    /// The landmark index built over them.
+    pub landmarks: &'a Landmarks,
+}
+
+impl Search for AltPoint<'_> {
+    fn run(
+        &self,
+        pairs: &[(u32, u32)],
+        budget: &Budget<'_>,
+        _want_path: bool,
+    ) -> gsql_graph::Result<Vec<PairResult>> {
+        let AltPoint { forward, backward, weights, landmarks } = *self;
+        check_vertices(pairs, forward.num_vertices())?;
+        let results = budget.fan_out(
+            pairs.len(),
+            || (),
+            |(), i| {
+                let r = alt_bidirectional(
+                    forward, backward, weights, landmarks, pairs[i].0, pairs[i].1,
+                );
+                budget.traversal(TraversalKind::Alt, r.settled);
+                answer(r.dist.unwrap_or(INF))
+            },
+        )?;
+        budget.shape("landmarks", landmarks.len());
+        Ok(results)
+    }
 }
 
 /// Memoized potential: `lb` is evaluated lazily (`O(k)` per vertex) and

@@ -20,6 +20,8 @@
 //!   part of a shortest up-down path.
 
 use crate::ch::ContractionHierarchy;
+use crate::{answer, INF};
+use gsql_graph::{check_vertices, Budget, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -31,19 +33,45 @@ pub struct ChResult {
     /// Vertices settled across both directions — the effort metric
     /// surfaced by `EXPLAIN ANALYZE` and the `traversal` span.
     pub settled: usize,
-    /// Settled vertices pruned by stall-on-demand (counted inside
-    /// `settled`) — how much work the prune saved, surfaced in traces.
-    pub stalled: usize,
+}
+
+/// [`ch_query`] as a [`Search`]: one point-to-point query per pair over the
+/// budget's workers, each reported as [`TraversalKind::Ch`], then the shape
+/// `shortcuts`. Costs only: `want_path` is ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct ChPoint<'a>(pub &'a ContractionHierarchy);
+
+impl Search for ChPoint<'_> {
+    fn run(
+        &self,
+        pairs: &[(u32, u32)],
+        budget: &Budget<'_>,
+        _want_path: bool,
+    ) -> gsql_graph::Result<Vec<PairResult>> {
+        let ch = self.0;
+        check_vertices(pairs, ch.num_vertices())?;
+        let results = budget.fan_out(
+            pairs.len(),
+            || (),
+            |(), i| {
+                let r = ch_query(ch, pairs[i].0, pairs[i].1);
+                budget.traversal(TraversalKind::Ch, r.settled);
+                answer(r.dist.unwrap_or(INF))
+            },
+        )?;
+        budget.shape("shortcuts", ch.shortcuts());
+        Ok(results)
+    }
 }
 
 /// Exact shortest-path cost from `source` to `dest` over the hierarchy.
 pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
     let n = ch.num_vertices() as usize;
     if source as usize >= n || dest as usize >= n {
-        return ChResult { dist: None, settled: 0, stalled: 0 };
+        return ChResult { dist: None, settled: 0 };
     }
     if source == dest {
-        return ChResult { dist: Some(0), settled: 0, stalled: 0 };
+        return ChResult { dist: Some(0), settled: 0 };
     }
     let mut dist_f = vec![u64::MAX; n];
     let mut dist_b = vec![u64::MAX; n];
@@ -58,7 +86,6 @@ pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
 
     let mut mu = u64::MAX;
     let mut settled = 0usize;
-    let mut stalled = 0usize;
     loop {
         // A direction is live while it still holds keys below μ.
         let live = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
@@ -99,7 +126,6 @@ pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
             let dw = my_dist[w as usize];
             dw != u64::MAX && dw.saturating_add(wt) < du
         }) {
-            stalled += 1;
             continue;
         }
         for (v, wt) in graph.neighbors(u) {
@@ -113,7 +139,7 @@ pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
     }
 
     let dist = if mu == u64::MAX { None } else { Some(mu) };
-    ChResult { dist, settled, stalled }
+    ChResult { dist, settled }
 }
 
 #[cfg(test)]

@@ -44,9 +44,18 @@
 //! Batched (many-to-many) workloads get their own drivers in [`m2m`]:
 //! [`ch_many_to_many`] shares the target side of the matrix through
 //! per-vertex buckets (`S + T` upward searches instead of `S` full
-//! Dijkstras) and [`alt_many_to_many`] answers each source's whole target
-//! set with a single multi-target goal-directed search — both exact and
-//! bit-identical at every thread count.
+//! Dijkstras) and [`alt_multi_target`] answers one source's whole target
+//! set with a single goal-directed search — both exact and bit-identical at
+//! every thread count.
+//!
+//! The engine reaches all four through `gsql-graph`'s one
+//! [`Search`](gsql_graph::Search) interface: [`AltPoint`], [`ChPoint`],
+//! [`AltMulti`] and [`ChM2m`] each answer a pair batch within a
+//! [`Budget`](gsql_graph::Budget) — fanning out over its workers, timing
+//! out only with `GraphError::DeadlineExceeded`, and reporting their
+//! `TraversalKind`, settled count and shape (`landmarks`, `shortcuts` or
+//! `buckets`) to its observer. They compute costs only: every returned
+//! `path` is `None`. Landmark selection and contraction stay builders.
 
 pub mod alt;
 pub mod ch;
@@ -54,12 +63,24 @@ pub mod ch_query;
 pub mod landmarks;
 pub mod m2m;
 
-pub use alt::{alt_bidirectional, AltResult};
+pub use alt::{alt_bidirectional, AltPoint, AltResult};
 pub use ch::{ChParts, ContractionHierarchy, UpGraphParts};
-pub use ch_query::{ch_query, ChResult};
+pub use ch_query::{ch_query, ChPoint, ChResult};
 pub use landmarks::Landmarks;
-pub use m2m::{alt_many_to_many, alt_multi_target, ch_many_to_many, AltMultiResult, M2mResult};
+pub use m2m::{alt_multi_target, ch_many_to_many, AltMulti, ChM2m, M2mResult};
+
+use gsql_graph::{CostValue, PairResult};
 
 /// Sentinel distance meaning "unreachable" (matches the graph runtime's
 /// Dijkstra contract).
 pub const INF: u64 = u64::MAX;
+
+/// The pair result of an exact distance ([`INF`] = unreachable): a cost, no
+/// path.
+fn answer(dist: u64) -> PairResult {
+    if dist == INF {
+        PairResult::UNREACHABLE
+    } else {
+        PairResult::reached(CostValue::Int(dist as i64), None)
+    }
+}

@@ -36,21 +36,20 @@
 //! formulation no doubling is needed: a unidirectional consistent A\*
 //! reads distances straight off the labels.
 //!
-//! Both drivers fan out over the `gsql-parallel` pool — bucket
-//! construction over targets, forward scans and multi-target searches over
-//! sources — with per-worker scratch and results merged in input order, so
-//! the matrix is bit-identical at every thread count. The optional
-//! `deadline` is polled between per-vertex searches (the "bucket phases"),
-//! mirroring `BatchComputer`; an expired deadline returns `None`.
+//! Both drivers fan out through [`Budget::fan_out`] — bucket construction
+//! over targets, forward scans and multi-target searches over sources —
+//! with per-worker scratch and results merged in input order, so the matrix
+//! is bit-identical at every thread count. The deadline is polled between
+//! per-vertex searches (the "bucket phases"), like every other search; an
+//! expired one is [`GraphError::DeadlineExceeded`].
 
 use crate::ch::{ContractionHierarchy, UpGraph};
 use crate::landmarks::Landmarks;
-use crate::INF;
-use gsql_graph::Csr;
-use gsql_parallel::Pool;
+use crate::{answer, INF};
+use gsql_graph::{check_vertices, Budget, Csr, GraphError, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One many-to-many distance matrix.
@@ -61,12 +60,9 @@ pub struct M2mResult {
     pub dist: Vec<u64>,
     /// Vertices settled across every search of both phases.
     pub settled: usize,
-    /// Total `(target, dist)` bucket entries deposited (CH only; 0 for
-    /// ALT) — the sharing metric surfaced by `EXPLAIN ANALYZE`.
+    /// Total `(target, dist)` bucket entries deposited — the sharing
+    /// metric surfaced by `EXPLAIN ANALYZE`.
     pub bucket_entries: usize,
-    /// Settled vertices pruned by stall-on-demand across both phases
-    /// (counted inside `settled`; 0 for ALT) — surfaced in traces.
-    pub stalled: usize,
 }
 
 impl M2mResult {
@@ -100,14 +96,14 @@ impl UpwardScratch {
     /// stall-on-demand against `stall_graph` (the opposite direction's
     /// upward edges). Calls `emit(v, d)` for every settled, unstalled
     /// vertex — exactly the set whose labels can be the apex of a shortest
-    /// up-down path. Returns `(settled, stalled)` vertex counts.
+    /// up-down path. Returns the settled vertex count.
     fn run(
         &mut self,
         graph: &UpGraph,
         stall_graph: &UpGraph,
         root: u32,
         mut emit: impl FnMut(u32, u64),
-    ) -> (usize, usize) {
+    ) -> usize {
         for &v in &self.touched {
             self.dist[v as usize] = u64::MAX;
             self.done[v as usize] = false;
@@ -118,7 +114,6 @@ impl UpwardScratch {
         self.touched.push(root);
         self.heap.push(Reverse((0, root)));
         let mut settled = 0usize;
-        let mut stall_count = 0usize;
         while let Some(Reverse((du, u))) = self.heap.pop() {
             let ui = u as usize;
             if self.done[ui] {
@@ -133,7 +128,6 @@ impl UpwardScratch {
                 dw != u64::MAX && dw.saturating_add(wt) < du
             });
             if stalled {
-                stall_count += 1;
                 continue;
             }
             emit(u, du);
@@ -149,58 +143,47 @@ impl UpwardScratch {
                 }
             }
         }
-        (settled, stall_count)
+        settled
     }
 }
 
 /// The full `sources × targets` distance matrix over a contraction
 /// hierarchy, via target buckets: `|targets|` backward and `|sources|`
 /// forward upward searches, both phases fanned out over a pool of
-/// `threads` workers. Returns `None` when `deadline` expires between
-/// per-vertex searches; the result is bit-identical at every thread count.
+/// `threads` workers. Fails with [`GraphError::DeadlineExceeded`] when
+/// `deadline` expires between per-vertex searches; the result is
+/// bit-identical at every thread count.
 pub fn ch_many_to_many(
     ch: &ContractionHierarchy,
     sources: &[u32],
     targets: &[u32],
     threads: usize,
     deadline: Option<Instant>,
-) -> Option<M2mResult> {
+) -> Result<M2mResult, GraphError> {
     let n = ch.num_vertices() as usize;
     if sources.is_empty() || targets.is_empty() {
-        return Some(M2mResult { dist: Vec::new(), settled: 0, bucket_entries: 0, stalled: 0 });
+        return Ok(M2mResult { dist: Vec::new(), settled: 0, bucket_entries: 0 });
     }
     debug_assert!(sources.iter().chain(targets).all(|&v| (v as usize) < n));
-    let pool = Pool::new(threads);
-    let expired = AtomicBool::new(false);
+    let budget = Budget { threads, deadline, observer: None };
+    let scratch = || UpwardScratch::new(n);
 
     // Bucket phase: each backward search collects its deposits locally;
     // the merge runs sequentially in target order, so bucket contents are
     // independent of the thread count (and the min-fold below is
     // order-independent anyway).
-    // Per-target backward-search output: (bucket deposits, settled, stalled).
-    type TargetDeposits = (Vec<(u32, u64)>, usize, usize);
-    let per_target: Vec<TargetDeposits> = pool.map_with(
-        targets.len(),
-        || UpwardScratch::new(n),
-        |scratch, ti| {
-            if deadline_expired(&expired, deadline) {
-                return (Vec::new(), 0, 0);
-            }
+    let per_target: Vec<(Vec<(u32, u64)>, usize)> =
+        budget.fan_out(targets.len(), scratch, |scratch, ti| {
             let mut deposits = Vec::new();
-            let (settled, stalled) = scratch.run(&ch.bwd_up, &ch.fwd_up, targets[ti], |v, d| {
+            let settled = scratch.run(&ch.bwd_up, &ch.fwd_up, targets[ti], |v, d| {
                 deposits.push((v, d));
             });
-            (deposits, settled, stalled)
-        },
-    );
-    if expired.load(Ordering::Relaxed) {
-        return None;
-    }
-    let mut settled: usize = per_target.iter().map(|(_, s, _)| s).sum();
-    let mut stalled: usize = per_target.iter().map(|(_, _, st)| st).sum();
+            (deposits, settled)
+        })?;
+    let mut settled: usize = per_target.iter().map(|(_, s)| s).sum();
     let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
     let mut bucket_entries = 0usize;
-    for (ti, (deposits, _, _)) in per_target.iter().enumerate() {
+    for (ti, (deposits, _)) in per_target.iter().enumerate() {
         bucket_entries += deposits.len();
         for &(v, d) in deposits {
             buckets[v as usize].push((ti as u32, d));
@@ -210,36 +193,59 @@ pub fn ch_many_to_many(
     // Scan phase: one forward upward search per source, reading the
     // (now immutable) buckets at every unstalled settled vertex.
     let num_targets = targets.len();
-    let rows: Vec<(Vec<u64>, usize, usize)> = pool.map_with(
-        sources.len(),
-        || UpwardScratch::new(n),
-        |scratch, si| {
-            if deadline_expired(&expired, deadline) {
-                return (Vec::new(), 0, 0);
-            }
-            let mut row = vec![INF; num_targets];
-            let (settled, stalled) = scratch.run(&ch.fwd_up, &ch.bwd_up, sources[si], |v, d| {
-                for &(ti, bd) in &buckets[v as usize] {
-                    let total = d.saturating_add(bd);
-                    let best = &mut row[ti as usize];
-                    if total < *best {
-                        *best = total;
-                    }
+    let rows: Vec<(Vec<u64>, usize)> = budget.fan_out(sources.len(), scratch, |scratch, si| {
+        let mut row = vec![INF; num_targets];
+        let settled = scratch.run(&ch.fwd_up, &ch.bwd_up, sources[si], |v, d| {
+            for &(ti, bd) in &buckets[v as usize] {
+                let total = d.saturating_add(bd);
+                let best = &mut row[ti as usize];
+                if total < *best {
+                    *best = total;
                 }
-            });
-            (row, settled, stalled)
-        },
-    );
-    if expired.load(Ordering::Relaxed) {
-        return None;
-    }
+            }
+        });
+        (row, settled)
+    })?;
     let mut dist = Vec::with_capacity(sources.len() * num_targets);
-    for (row, s, st) in rows {
+    for (row, s) in rows {
         settled += s;
-        stalled += st;
         dist.extend_from_slice(&row);
     }
-    Some(M2mResult { dist, settled, bucket_entries, stalled })
+    Ok(M2mResult { dist, settled, bucket_entries })
+}
+
+/// [`ch_many_to_many`] as a [`Search`]: the matrix of the batch's distinct
+/// sources × distinct targets, read back per pair, reported as one
+/// [`TraversalKind::ChM2m`] traversal (every search of both phases) and
+/// the shape `buckets` (entries deposited). Costs only: `want_path` is
+/// ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct ChM2m<'a>(pub &'a ContractionHierarchy);
+
+impl Search for ChM2m<'_> {
+    fn run(
+        &self,
+        pairs: &[(u32, u32)],
+        budget: &Budget<'_>,
+        _want_path: bool,
+    ) -> gsql_graph::Result<Vec<PairResult>> {
+        check_vertices(pairs, self.0.num_vertices())?;
+        let distinct = |end: fn(&(u32, u32)) -> u32| {
+            let mut ids: Vec<u32> = pairs.iter().map(end).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let (sources, targets) = (distinct(|p| p.0), distinct(|p| p.1));
+        let m = ch_many_to_many(self.0, &sources, &targets, budget.threads, budget.deadline)?;
+        budget.traversal(TraversalKind::ChM2m, m.settled);
+        budget.shape("buckets", m.bucket_entries);
+        let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");
+        Ok(pairs
+            .iter()
+            .map(|&(s, d)| answer(m.dist(rank(&sources, s), rank(&targets, d), targets.len())))
+            .collect())
+    }
 }
 
 /// Per-landmark aggregates of the lower bounds over one target set; `O(k)`
@@ -306,18 +312,10 @@ impl MultiTargetBounds {
     }
 }
 
-/// The outcome of one multi-target ALT search.
-#[derive(Debug, Clone)]
-pub struct AltMultiResult {
-    /// Exact distance per target (input order, duplicates answered
-    /// individually); [`INF`] when unreachable.
-    pub dist: Vec<u64>,
-    /// Vertices settled by the single forward search.
-    pub settled: usize,
-}
-
 /// One goal-directed forward search from `source` answering every target at
-/// once. `weights` are `forward`'s per-slot weights (`None` = unit); the
+/// once: the exact distance per target (input order, duplicates answered
+/// individually; [`INF`] when unreachable) and the vertices settled.
+/// `weights` are `forward`'s per-slot weights (`None` = unit); the
 /// potential is consistent, so every answered distance is bit-identical to
 /// plain Dijkstra. The search stops as soon as all distinct targets are
 /// settled (or proven unreachable by heap exhaustion / an [`INF`] bound).
@@ -327,12 +325,12 @@ pub fn alt_multi_target(
     landmarks: &Landmarks,
     source: u32,
     targets: &[u32],
-) -> AltMultiResult {
+) -> (Vec<u64>, usize) {
     let n = forward.num_vertices() as usize;
     let bounds = MultiTargetBounds::new(landmarks, targets);
     if bounds.potential(landmarks, source) == INF {
         // A landmark proves the source disconnected from every target.
-        return AltMultiResult { dist: vec![INF; targets.len()], settled: 0 };
+        return (vec![INF; targets.len()], 0);
     }
     // Memoized potential: 0 = unknown is safe to collide with a real 0.
     let mut pi = vec![u64::MAX; n];
@@ -399,62 +397,56 @@ pub fn alt_multi_target(
         .iter()
         .map(|&t| if done[t as usize] { dist[t as usize] } else { u64::MAX })
         .collect();
-    AltMultiResult { dist, settled }
+    (dist, settled)
 }
 
-/// The full `sources × targets` matrix over a landmark index: one
-/// multi-target search per source, fanned out over a pool of `threads`
-/// workers (results in input order — bit-identical at every thread count).
-/// Returns `None` when `deadline` expires between per-source searches.
-pub fn alt_many_to_many(
-    forward: &Csr,
-    weights: Option<&[i64]>,
-    landmarks: &Landmarks,
-    sources: &[u32],
-    targets: &[u32],
-    threads: usize,
-    deadline: Option<Instant>,
-) -> Option<M2mResult> {
-    if sources.is_empty() || targets.is_empty() {
-        return Some(M2mResult { dist: Vec::new(), settled: 0, bucket_entries: 0, stalled: 0 });
-    }
-    let pool = Pool::new(threads);
-    let expired = AtomicBool::new(false);
-    let rows: Vec<AltMultiResult> = pool.map(sources.len(), |si| {
-        if deadline_expired(&expired, deadline) {
-            return AltMultiResult { dist: Vec::new(), settled: 0 };
-        }
-        alt_multi_target(forward, weights, landmarks, sources[si], targets)
-    });
-    if expired.load(Ordering::Relaxed) {
-        return None;
-    }
-    let mut dist = Vec::with_capacity(sources.len() * targets.len());
-    let mut settled = 0usize;
-    for row in rows {
-        settled += row.settled;
-        dist.extend_from_slice(&row.dist);
-    }
-    Some(M2mResult { dist, settled, bucket_entries: 0, stalled: 0 })
+/// [`alt_multi_target`] as a [`Search`]: one multi-target search per
+/// distinct source over exactly that source's targets, fanned out over the
+/// budget's workers and reported as one [`TraversalKind::AltMulti`]
+/// traversal (every search's settled vertices), then the shape
+/// `landmarks = k`. Costs only: `want_path` is ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct AltMulti<'a> {
+    /// The graph.
+    pub forward: &'a Csr,
+    /// Its slot weights (`None` = unit).
+    pub weights: Option<&'a [i64]>,
+    /// The landmark index built over it.
+    pub landmarks: &'a Landmarks,
 }
 
-/// Sticky deadline poll shared by every fan-out loop: once one task sees
-/// the deadline pass, the remaining tasks become no-ops.
-fn deadline_expired(expired: &AtomicBool, deadline: Option<Instant>) -> bool {
-    let Some(deadline) = deadline else {
-        return false;
-    };
-    if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
-        expired.store(true, Ordering::Relaxed);
-        return true;
+impl Search for AltMulti<'_> {
+    fn run(
+        &self,
+        pairs: &[(u32, u32)],
+        budget: &Budget<'_>,
+        _want_path: bool,
+    ) -> gsql_graph::Result<Vec<PairResult>> {
+        let AltMulti { forward, weights, landmarks } = *self;
+        check_vertices(pairs, forward.num_vertices())?;
+        let settled = AtomicUsize::new(0);
+        let results = budget.per_source(
+            pairs,
+            || (),
+            |(), source, targets| {
+                let (dist, searched) =
+                    alt_multi_target(forward, weights, landmarks, source, targets);
+                settled.fetch_add(searched, Ordering::Relaxed);
+                dist.into_iter().map(answer).collect()
+            },
+        )?;
+        budget.traversal(TraversalKind::AltMulti, settled.into_inner());
+        budget.shape("landmarks", landmarks.len());
+        Ok(results)
     }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AltPoint, ChPoint};
     use gsql_graph::{dijkstra_int, reverse_csr};
+    use std::time::Duration;
 
     /// 0->1, 0->2, 1->3, 2->3, 3->4 — the workspace's diamond.
     fn diamond() -> Csr {
@@ -485,6 +477,16 @@ mod tests {
         out
     }
 
+    /// `search` over the pairs `sources × targets` (row-major), as exact
+    /// distances with [`INF`] for unreachable pairs.
+    fn matrix(search: &dyn Search, sources: &[u32], targets: &[u32], threads: usize) -> Vec<u64> {
+        let pairs: Vec<(u32, u32)> =
+            sources.iter().flat_map(|&s| targets.iter().map(move |&t| (s, t))).collect();
+        let budget = Budget { threads, ..Budget::default() };
+        let results = search.run(&pairs, &budget, false).unwrap();
+        results.iter().map(|r| r.cost.map_or(INF, |c| c.as_f64() as u64)).collect()
+    }
+
     #[test]
     fn ch_matrix_matches_dijkstra_on_diamond() {
         let g = diamond();
@@ -495,6 +497,11 @@ mod tests {
         let targets = [3u32, 4, 0, 3];
         let truth = truth_matrix(&g, Some(&wf), &sources, &targets);
         for threads in [1, 4] {
+            assert_eq!(
+                matrix(&ChM2m(&ch), &sources, &targets, threads),
+                truth,
+                "threads {threads}"
+            );
             let m = ch_many_to_many(&ch, &sources, &targets, threads, None).unwrap();
             assert_eq!(m.dist, truth, "threads {threads}");
             assert!(m.bucket_entries > 0);
@@ -512,10 +519,9 @@ mod tests {
         let sources = [0u32, 1, 4, 0];
         let targets = [3u32, 4, 0, 3];
         let truth = truth_matrix(&g, Some(&wf), &sources, &targets);
+        let alt = AltMulti { forward: &g, weights: Some(&wf), landmarks: &lm };
         for threads in [1, 4] {
-            let m =
-                alt_many_to_many(&g, Some(&wf), &lm, &sources, &targets, threads, None).unwrap();
-            assert_eq!(m.dist, truth, "threads {threads}");
+            assert_eq!(matrix(&alt, &sources, &targets, threads), truth, "threads {threads}");
         }
     }
 
@@ -529,10 +535,9 @@ mod tests {
         let targets = [4u32, 0];
         // 4 reaches only itself; 0 reaches everything but nothing reaches 0.
         let expected = vec![0, INF, 3, 0];
-        let m = ch_many_to_many(&ch, &sources, &targets, 1, None).unwrap();
-        assert_eq!(m.dist, expected);
-        let m = alt_many_to_many(&g, None, &lm, &sources, &targets, 1, None).unwrap();
-        assert_eq!(m.dist, expected);
+        let alt = AltMulti { forward: &g, weights: None, landmarks: &lm };
+        assert_eq!(matrix(&ChM2m(&ch), &sources, &targets, 1), expected);
+        assert_eq!(matrix(&alt, &sources, &targets, 1), expected);
     }
 
     #[test]
@@ -540,8 +545,8 @@ mod tests {
         let g = diamond();
         let r = reverse_csr(&g);
         let lm = Landmarks::build(&g, &r, None, 2, 1);
-        let res = alt_multi_target(&g, None, &lm, 0, &[4, 3, 4, 0]);
-        assert_eq!(res.dist, vec![3, 2, 3, 0]);
+        let (dist, _) = alt_multi_target(&g, None, &lm, 0, &[4, 3, 4, 0]);
+        assert_eq!(dist, vec![3, 2, 3, 0]);
     }
 
     #[test]
@@ -552,19 +557,36 @@ mod tests {
         let lm = Landmarks::build(&g, &r, None, 2, 1);
         assert!(ch_many_to_many(&ch, &[], &[0], 2, None).unwrap().dist.is_empty());
         assert!(ch_many_to_many(&ch, &[0], &[], 2, None).unwrap().dist.is_empty());
-        assert!(alt_many_to_many(&g, None, &lm, &[], &[0], 2, None).unwrap().dist.is_empty());
+        let alt = AltMulti { forward: &g, weights: None, landmarks: &lm };
+        assert!(matrix(&ChM2m(&ch), &[], &[0], 2).is_empty());
+        assert!(matrix(&alt, &[0], &[], 2).is_empty());
     }
 
+    /// The one deadline shape every search shares: a past deadline is
+    /// `DeadlineExceeded` at one worker and at four — the point searches
+    /// included — and a far one changes nothing.
     #[test]
-    fn expired_deadline_abandons_the_matrix() {
+    fn every_accelerated_search_times_out_on_a_past_deadline() {
         let g = diamond();
         let r = reverse_csr(&g);
         let ch = ContractionHierarchy::build(&g, None, 1);
         let lm = Landmarks::build(&g, &r, None, 2, 1);
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        assert!(ch_many_to_many(&ch, &[0], &[4], 1, Some(past)).is_none());
-        assert!(alt_many_to_many(&g, None, &lm, &[0], &[4], 1, Some(past)).is_none());
-        let future = Instant::now() + std::time::Duration::from_secs(3600);
-        assert!(ch_many_to_many(&ch, &[0], &[4], 1, Some(future)).is_some());
+        let alt = AltPoint { forward: &g, backward: &r, weights: None, landmarks: &lm };
+        let alt_multi = AltMulti { forward: &g, weights: None, landmarks: &lm };
+        let searches: [&dyn Search; 4] = [&alt, &ChPoint(&ch), &alt_multi, &ChM2m(&ch)];
+        for (i, search) in searches.into_iter().enumerate() {
+            for threads in [1, 4] {
+                let past = Instant::now() - Duration::from_millis(1);
+                let budget = Budget { threads, deadline: Some(past), observer: None };
+                let err = search.run(&[(0, 4)], &budget, false).unwrap_err();
+                assert_eq!(err, GraphError::DeadlineExceeded, "search {i} threads {threads}");
+                let far = Budget { deadline: Some(past + Duration::from_secs(3600)), ..budget };
+                let cost = search.run(&[(0, 4)], &far, false).unwrap()[0].cost;
+                assert_eq!(cost.map(|c| c.as_f64()), Some(3.0), "search {i} threads {threads}");
+            }
+        }
+        let past = Some(Instant::now() - Duration::from_millis(1));
+        let err = ch_many_to_many(&ch, &[0], &[4], 4, past).unwrap_err();
+        assert_eq!(err, GraphError::DeadlineExceeded);
     }
 }

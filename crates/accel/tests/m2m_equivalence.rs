@@ -1,16 +1,63 @@
-//! Property-style equivalence for the batched many-to-many tier: the
-//! bucket-based CH matrix and the multi-target ALT matrix must both equal
-//! per-source Dijkstra on random weighted digraphs — disconnected pairs,
-//! zero-weight edges, duplicate and asymmetric source/target sets included
-//! — and must be bit-identical at `threads = 1` and `threads = 4`. On a
-//! road-like grid the CH matrix must also settle at least three times fewer
-//! vertices than per-source Dijkstra. Uses the workspace's offline `rand`
-//! shim, so it runs by default.
+//! Property-style equivalence for the batched many-to-many tier, through
+//! the same `Search` impls the engine runs: the bucket-based CH matrix
+//! ([`ChM2m`]) and the multi-target ALT matrix ([`AltMulti`]) must both
+//! equal per-source Dijkstra on random weighted digraphs — disconnected
+//! pairs, zero-weight edges, duplicate and asymmetric source/target sets,
+//! and irregular batches with repeated sources and duplicate targets
+//! included — and must be bit-identical at `threads = 1` and `threads = 4`.
+//! On a road-like grid the CH matrix must also settle at least three times
+//! fewer vertices than per-source Dijkstra. Uses the workspace's offline
+//! `rand` shim, so it runs by default.
 
-use gsql_accel::{alt_many_to_many, ch_many_to_many, ContractionHierarchy, Landmarks, INF};
-use gsql_graph::{bfs, dijkstra_int, dijkstra_int_into, reverse_csr, Csr, DijkstraIntScratch};
+use gsql_accel::{ch_many_to_many, AltMulti, ChM2m, ContractionHierarchy, Landmarks, INF};
+use gsql_graph::{
+    bfs, dijkstra_int, dijkstra_int_into, reverse_csr, Budget, Csr, DijkstraIntScratch, Search,
+    TraversalKind, TraversalObserver,
+};
 use rand::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Sums the settled vertices the searches report.
+#[derive(Default)]
+struct Settled(AtomicUsize);
+
+impl TraversalObserver for Settled {
+    fn traversal(&self, _kind: TraversalKind, settled: usize) {
+        self.0.fetch_add(settled, Ordering::Relaxed);
+    }
+}
+
+/// Every `(source, target)` pair of `sources × targets`, row-major.
+fn cross(sources: &[u32], targets: &[u32]) -> Vec<(u32, u32)> {
+    sources.iter().flat_map(|&s| targets.iter().map(move |&t| (s, t))).collect()
+}
+
+/// `search` over `pairs` at `threads` workers: exact distances ([`INF`]
+/// when unreachable) and the vertices it settled.
+fn run(search: &dyn Search, pairs: &[(u32, u32)], threads: usize) -> (Vec<u64>, usize) {
+    let settled = Settled::default();
+    let budget = Budget { threads, deadline: None, observer: Some(&settled) };
+    let results = search.run(pairs, &budget, false).unwrap();
+    let dist = results.iter().map(|r| r.cost.map_or(INF, |c| c.as_f64() as u64)).collect();
+    (dist, settled.0.into_inner())
+}
+
+/// The CH and ALT matrices of `sources × targets` at threads 1 and 4.
+fn assert_matrices(
+    ch: &ContractionHierarchy,
+    alt: &AltMulti<'_>,
+    sources: &[u32],
+    targets: &[u32],
+    truth: &[u64],
+    what: &str,
+) {
+    let pairs = cross(sources, targets);
+    for threads in [1, 4] {
+        assert_eq!(run(&ChM2m(ch), &pairs, threads).0, truth, "{what} ch threads {threads}");
+        assert_eq!(run(alt, &pairs, threads).0, truth, "{what} alt threads {threads}");
+    }
+}
 
 struct Case {
     graph: Csr,
@@ -80,14 +127,8 @@ fn weighted_matrices_equal_dijkstra_at_threads_1_and_4() {
         let sources = random_side(&mut rng, n, s_len);
         let targets = random_side(&mut rng, n, t_len);
         let truth = truth_matrix(&case.graph, Some(&wf), &sources, &targets);
-        for threads in [1, 4] {
-            let m = ch_many_to_many(&ch, &sources, &targets, threads, None).unwrap();
-            assert_eq!(m.dist, truth, "case {case_no} ch threads {threads}");
-            let a =
-                alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, threads, None)
-                    .unwrap();
-            assert_eq!(a.dist, truth, "case {case_no} alt threads {threads}");
-        }
+        let alt = AltMulti { forward: &case.graph, weights: Some(&wf), landmarks: &lm };
+        assert_matrices(&ch, &alt, &sources, &targets, &truth, &format!("case {case_no}"));
     }
 }
 
@@ -105,14 +146,8 @@ fn zero_weight_matrices_stay_exact() {
         let sources = random_side(&mut rng, n, 5);
         let targets = random_side(&mut rng, n, 7);
         let truth = truth_matrix(&case.graph, Some(&wf), &sources, &targets);
-        for threads in [1, 4] {
-            let m = ch_many_to_many(&ch, &sources, &targets, threads, None).unwrap();
-            assert_eq!(m.dist, truth, "case {case_no} ch threads {threads}");
-            let a =
-                alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, threads, None)
-                    .unwrap();
-            assert_eq!(a.dist, truth, "case {case_no} alt threads {threads}");
-        }
+        let alt = AltMulti { forward: &case.graph, weights: Some(&wf), landmarks: &lm };
+        assert_matrices(&ch, &alt, &sources, &targets, &truth, &format!("case {case_no}"));
     }
 }
 
@@ -128,13 +163,8 @@ fn unweighted_matrices_equal_bfs_hops() {
         let sources = random_side(&mut rng, n, 6);
         let targets = random_side(&mut rng, n, 6);
         let truth = truth_matrix(&case.graph, None, &sources, &targets);
-        for threads in [1, 4] {
-            let m = ch_many_to_many(&ch, &sources, &targets, threads, None).unwrap();
-            assert_eq!(m.dist, truth, "case {case_no} ch threads {threads}");
-            let a = alt_many_to_many(&case.graph, None, &lm, &sources, &targets, threads, None)
-                .unwrap();
-            assert_eq!(a.dist, truth, "case {case_no} alt threads {threads}");
-        }
+        let alt = AltMulti { forward: &case.graph, weights: None, landmarks: &lm };
+        assert_matrices(&ch, &alt, &sources, &targets, &truth, &format!("case {case_no}"));
     }
 }
 
@@ -150,11 +180,37 @@ fn disconnected_components_and_duplicate_sides() {
     let targets = [2u32, 5, 2, 0];
     let truth = truth_matrix(&g, None, &sources, &targets);
     assert!(truth.contains(&INF) && truth.contains(&2));
-    for threads in [1, 4] {
-        let m = ch_many_to_many(&ch, &sources, &targets, threads, None).unwrap();
-        assert_eq!(m.dist, truth, "ch threads {threads}");
-        let a = alt_many_to_many(&g, None, &lm, &sources, &targets, threads, None).unwrap();
-        assert_eq!(a.dist, truth, "alt threads {threads}");
+    let alt = AltMulti { forward: &g, weights: None, landmarks: &lm };
+    assert_matrices(&ch, &alt, &sources, &targets, &truth, "two chains");
+}
+
+#[test]
+fn irregular_batches_with_repeated_sources_and_duplicate_targets() {
+    // Not a matrix: each source repeats with its own target multiset, some
+    // pairs repeat outright, and self pairs mix in.
+    let mut rng = StdRng::seed_from_u64(0x1e5);
+    for case_no in 0..15 {
+        let case = random_case(&mut rng, 40, 200, 1);
+        let n = case.graph.num_vertices();
+        let wf = case.graph.permute_weights_int(&case.raw).unwrap();
+        let rev = reverse_csr(&case.graph);
+        let wb = rev.permute_weights_int(&case.raw).unwrap();
+        let ch = ContractionHierarchy::build(&case.graph, Some(&wf), 1);
+        let lm = Landmarks::build(&case.graph, &rev, Some((&wf, &wb)), 3, 1);
+        let few = random_side(&mut rng, n, 3);
+        let pairs: Vec<(u32, u32)> = (0..rng.gen_range(1..30))
+            .map(|_| (few[rng.gen_range(0..3)], rng.gen_range(0..n)))
+            .chain([(few[0], few[0]), (few[1], few[2]), (few[1], few[2])])
+            .collect();
+        let truth: Vec<u64> = pairs
+            .iter()
+            .map(|&(s, t)| truth_matrix(&case.graph, Some(&wf), &[s], &[t])[0])
+            .collect();
+        let alt = AltMulti { forward: &case.graph, weights: Some(&wf), landmarks: &lm };
+        for threads in [1, 4] {
+            assert_eq!(run(&ChM2m(&ch), &pairs, threads).0, truth, "case {case_no} ch {threads}");
+            assert_eq!(run(&alt, &pairs, threads).0, truth, "case {case_no} alt {threads}");
+        }
     }
 }
 
@@ -176,9 +232,10 @@ fn settled_counts_are_thread_independent() {
     let m4 = ch_many_to_many(&ch, &sources, &targets, 4, None).unwrap();
     assert_eq!(m1.settled, m4.settled);
     assert_eq!(m1.bucket_entries, m4.bucket_entries);
-    let a1 = alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, 1, None).unwrap();
-    let a4 = alt_many_to_many(&case.graph, Some(&wf), &lm, &sources, &targets, 4, None).unwrap();
-    assert_eq!(a1.settled, a4.settled);
+    let pairs = cross(&sources, &targets);
+    assert_eq!(run(&ChM2m(&ch), &pairs, 1).1, run(&ChM2m(&ch), &pairs, 4).1);
+    let alt = AltMulti { forward: &case.graph, weights: Some(&wf), landmarks: &lm };
+    assert_eq!(run(&alt, &pairs, 1).1, run(&alt, &pairs, 4).1);
 }
 
 #[test]
@@ -219,11 +276,10 @@ fn ch_matrix_settles_3x_fewer_vertices_than_per_source_dijkstra_on_a_grid() {
         plain_settled += scratch.settled_count();
         truth.extend(targets.iter().map(|&t| scratch.dist[t as usize]));
     }
-    let m = ch_many_to_many(&ch, &sources, &targets, 1, None).unwrap();
-    assert_eq!(m.dist, truth);
+    let (dist, settled) = run(&ChM2m(&ch), &cross(&sources, &targets), 1);
+    assert_eq!(dist, truth);
     assert!(
-        3 * m.settled <= plain_settled,
-        "CH many-to-many settled {}, per-source Dijkstra {plain_settled}",
-        m.settled
+        3 * settled <= plain_settled,
+        "CH many-to-many settled {settled}, per-source Dijkstra {plain_settled}"
     );
 }

@@ -25,12 +25,11 @@ use crate::optimize::spec_accel_eligible;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use crate::vertex_dict::VertexDict;
 use crate::weight_cache::{self, WeightCache};
-use gsql_graph::batch::CostValue;
 use gsql_graph::{
-    BatchComputer, Csr, GraphError, PairResult, PreparedWeights, TraversalKind, TraversalObserver,
-    WeightSpec,
+    BidirBfs, Budget, CostValue, Csr, GraphError, PairResult, PreparedWeights, Search,
+    SourceSearch, TraversalKind, TraversalObserver, WeightSpec,
 };
-use gsql_obs::{EngineMetrics, TraceValue};
+use gsql_obs::TraceValue;
 use gsql_storage::{Column, ColumnBuilder, DataType, PathValue, Table, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -253,12 +252,11 @@ fn hop_scale(spec: &CheapestSpec, params: &[Value]) -> Result<Option<Value>> {
 fn prepare_weights(
     spec: &CheapestSpec,
     graph: &MaterializedGraph,
-    computer: &BatchComputer<'_>,
     ctx: &ExecContext<'_>,
     from_index: bool,
 ) -> Result<Arc<PreparedWeights>> {
     let span = ctx.trace_begin("weights");
-    let result = slot_weights(spec, graph, computer, ctx, from_index);
+    let result = slot_weights(spec, graph, ctx, from_index);
     let cached = matches!(result, Ok((_, true)));
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
         t.end_with(
@@ -284,7 +282,6 @@ fn prepare_weights(
 fn slot_weights(
     spec: &CheapestSpec,
     graph: &MaterializedGraph,
-    computer: &BatchComputer<'_>,
     ctx: &ExecContext<'_>,
     from_index: bool,
 ) -> Result<(Arc<PreparedWeights>, bool)> {
@@ -316,7 +313,8 @@ fn slot_weights(
             ))
         }
     };
-    let weights = Arc::new(computer.prepare(&weight_spec).map_err(Error::Graph)?);
+    let weights = PreparedWeights::new(&graph.csr, &weight_spec, ctx.threads());
+    let weights = Arc::new(weights.map_err(Error::Graph)?);
     if let Some(constants) = &key {
         let metrics = ctx.metrics().map(Arc::as_ref);
         graph.weights.insert(&spec.weight, constants, Arc::clone(&weights), metrics);
@@ -324,30 +322,19 @@ fn slot_weights(
     Ok((weights, false))
 }
 
-/// Bridges every traversal — the graph library's per-traversal callbacks
-/// and the accelerated searches — onto the engine metrics registry, while
-/// accumulating totals for the enclosing trace span. Called from the
-/// traversal worker pool, so both sinks are relaxed atomics — nothing here
-/// influences results.
-struct MetricsObserver<'m> {
-    metrics: Option<&'m EngineMetrics>,
+/// Bridges every search's reports onto the engine metrics registry and
+/// the statement's `traversal` span, while accumulating totals for that
+/// span. Called from the traversal worker pool, so the totals are relaxed
+/// atomics — nothing here influences results.
+struct MetricsObserver<'c> {
+    ctx: &'c ExecContext<'c>,
     traversals: AtomicU64,
     settled: AtomicU64,
 }
 
-impl<'m> MetricsObserver<'m> {
-    fn new(metrics: Option<&'m EngineMetrics>) -> MetricsObserver<'m> {
-        MetricsObserver { metrics, traversals: AtomicU64::new(0), settled: AtomicU64::new(0) }
-    }
-
-    /// One traversal of `kind` (one of [`gsql_obs::ACCEL_KINDS`]) settled
-    /// `settled` vertices.
-    fn record(&self, kind: &str, settled: usize) {
-        if let Some(m) = self.metrics {
-            m.record_traversal(kind, settled as u64);
-        }
-        self.traversals.fetch_add(1, Ordering::Relaxed);
-        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+impl<'c> MetricsObserver<'c> {
+    fn new(ctx: &'c ExecContext<'c>) -> MetricsObserver<'c> {
+        MetricsObserver { ctx, traversals: AtomicU64::new(0), settled: AtomicU64::new(0) }
     }
 
     fn totals(&self) -> (u64, u64) {
@@ -357,7 +344,15 @@ impl<'m> MetricsObserver<'m> {
 
 impl TraversalObserver for MetricsObserver<'_> {
     fn traversal(&self, kind: TraversalKind, settled: usize) {
-        self.record(kind.as_str(), settled);
+        if let Some(m) = self.ctx.metrics() {
+            m.record_traversal(kind.as_str(), settled as u64);
+        }
+        self.traversals.fetch_add(1, Ordering::Relaxed);
+        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+    }
+
+    fn shape(&self, key: &'static str, value: usize) {
+        self.ctx.trace_attr(key, TraceValue::from(value));
     }
 }
 
@@ -399,28 +394,14 @@ impl SpecResults {
     }
 }
 
-/// How the hop specs of a statement — constant weights, or the bare
-/// reachability probe — are answered. Outside [`Tier::Accel`], a spec with
-/// per-edge weights always runs Dijkstra per distinct source.
-#[derive(Debug, Clone, Copy)]
-enum Tier<'l> {
-    /// One accelerated search answers every spec: the layer's
-    /// point-to-point search for one pair, its many-to-many tier for more.
-    Accel(&'l AccelLayer),
-    /// Early-exit bidirectional BFS over the graph and its reverse CSR.
-    BidirBfs,
-    /// One BFS per distinct source ([`BatchComputer`]).
-    Bfs,
-}
-
-/// The traversal dispatcher: the tier that answers `pairs` pairs for
-/// `specs` over a graph that came from an index (`from_index`), with an
-/// acceleration `layer` attached or not — plus the kind (one of
-/// [`gsql_obs::ACCEL_KINDS`]) and the reason the `traversal` span (and so
-/// the operator's `EXPLAIN ANALYZE` line) reports. The first matching rule
-/// wins:
+/// The traversal dispatcher: the search that answers `pairs` pairs for the
+/// hop specs of a statement — constant weights, or the bare reachability
+/// probe — over `graph`, which came from an index (`from_index`) with an
+/// acceleration `layer` attached or not; plus the kind and the reason the
+/// `traversal` span (and so the operator's `EXPLAIN ANALYZE` line)
+/// reports. The first matching rule wins:
 ///
-/// | shape | tier | kind | reason |
+/// | shape | search | kind | reason |
 /// | --- | --- | --- | --- |
 /// | the layer covers every spec, one pair | accelerated point search | `alt` / `ch` | path index covers every spec |
 /// | the layer covers every spec, more pairs | accelerated many-to-many | `alt-multi` / `ch-m2m` | path index covers every spec |
@@ -431,38 +412,49 @@ enum Tier<'l> {
 ///
 /// A layer covers a spec that asks for no path and whose weight is a
 /// constant over a hop index, or the index's own weight column
-/// ([`spec_accel_eligible`]).
-fn dispatch<'l>(
+/// ([`spec_accel_eligible`]); one accelerated run then answers every spec.
+fn dispatch<'a>(
+    graph: &'a MaterializedGraph,
     pairs: usize,
     specs: &[CheapestSpec],
     from_index: bool,
-    layer: Option<&'l AccelLayer>,
-) -> (Tier<'l>, &'static str, &'static str) {
+    layer: Option<&'a AccelLayer>,
+) -> (Box<dyn Search + 'a>, TraversalKind, &'static str) {
     let covered = |l: &&AccelLayer| specs.iter().all(|s| spec_accel_eligible(s, l.weight_key));
     if let Some(layer) = layer.filter(covered).filter(|_| pairs > 0) {
-        return (Tier::Accel(layer), layer.kind(pairs), "path index covers every spec");
+        let (search, kind) = layer.searcher(pairs);
+        return (search, kind, "path index covers every spec");
     }
-    let tier = if from_index && pairs == 1 { Tier::BidirBfs } else { Tier::Bfs };
-    if specs.iter().any(|s| !s.weight.is_constant()) {
-        return (tier, TraversalKind::Dijkstra.as_str(), "per-edge weights");
-    }
-    let (bidir, bfs) = (TraversalKind::BidirBfs.as_str(), TraversalKind::Bfs.as_str());
-    match (tier, from_index) {
-        (Tier::BidirBfs, _) => (tier, bidir, "indexed single pair, hop weights"),
-        (_, true) => (tier, bfs, "pair batch, hop weights"),
-        _ => (tier, bfs, "ad-hoc graph, hop weights"),
-    }
+    let bidir = from_index && pairs == 1;
+    let search: Box<dyn Search> = if bidir {
+        Box::new(BidirBfs { forward: &graph.csr, backward: graph.reverse() })
+    } else {
+        Box::new(SourceSearch::bfs(&graph.csr))
+    };
+    let (kind, reason) = if specs.iter().any(|s| !s.weight.is_constant()) {
+        (TraversalKind::Dijkstra, "per-edge weights")
+    } else if bidir {
+        (TraversalKind::BidirBfs, "indexed single pair, hop weights")
+    } else if from_index {
+        (TraversalKind::Bfs, "pair batch, hop weights")
+    } else {
+        (TraversalKind::Bfs, "ad-hoc graph, hop weights")
+    };
+    (search, kind, reason)
 }
 
 /// Run every spec (or the bare reachability probe) over a pair batch — the
-/// one traversal entry point. [`dispatch`] picks the tier; the work runs in
-/// one `traversal` span (a per-edge spec's `weights` span nests under it)
-/// that carries the kind and reason, and every traversal is counted through
-/// one [`MetricsObserver`]. The context supplies the `?` parameters, the
-/// worker-pool width (results merged in input order — identical to
-/// sequential) and the statement deadline, polled between traversal groups
-/// so a timeout interrupts a long batch mid-flight.
-fn run_specs(
+/// one traversal entry point. [`dispatch`] picks the hop search; then each
+/// spec is one [`Search::run`] — the hop search for a constant weight,
+/// Dijkstra over a per-edge weight's prepared vector — except that one
+/// accelerated run answers every spec. The work runs in one `traversal`
+/// span (a per-edge spec's `weights` span nests under it) that carries the
+/// kind and reason, and every search reports to one [`MetricsObserver`]
+/// through its [`Budget`]: the context's worker-pool width (results merged
+/// in input order — identical to sequential) and statement deadline,
+/// polled between per-vertex searches so a timeout interrupts a long batch
+/// mid-flight.
+fn traverse(
     ctx: &ExecContext<'_>,
     graph: &MaterializedGraph,
     from_index: bool,
@@ -470,17 +462,50 @@ fn run_specs(
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
-    let (tier, kind, reason) = dispatch(pairs.len(), specs, from_index, layer);
-    let observer = MetricsObserver::new(ctx.metrics().map(Arc::as_ref));
+    let (hops, kind, reason) = dispatch(graph, pairs.len(), specs, from_index, layer);
+    let observer = MetricsObserver::new(ctx);
+    let budget = Budget {
+        threads: ctx.threads(),
+        deadline: ctx.deadline_instant(),
+        observer: Some(&observer),
+    };
+    // Only the plain kinds run per spec; an accelerated search covers all.
+    let plain = [TraversalKind::Bfs, TraversalKind::Dijkstra, TraversalKind::BidirBfs];
+    let accelerated = !plain.contains(&kind);
+    let run = |search: &dyn Search, want_path| {
+        search.run(pairs, &budget, want_path).map_err(|e| graph_err(ctx, e))
+    };
     let span = ctx.trace_begin("traversal").map(|id| (id, ctx.swap_trace_parent(id)));
-    let result = traverse(ctx, graph, from_index, tier, pairs, specs, &observer);
+    let result = (|| {
+        // One accelerated run answers every spec; with no spec, one run is
+        // the bare reachability probe, paths discarded (paper §3.2).
+        let shared = if accelerated || specs.is_empty() { Some(run(&*hops, false)?) } else { None };
+        let mut all = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let scale = hop_scale(spec, ctx.params())?;
+            let results = match (&shared, &scale) {
+                (Some(results), _) => results.clone(),
+                (None, Some(_)) => run(&*hops, spec.want_path)?,
+                (None, None) => {
+                    let weights = prepare_weights(spec, graph, ctx, from_index)?;
+                    run(&SourceSearch::new(&graph.csr, &weights), spec.want_path)?
+                }
+            };
+            let (want_path, cost_ty) = (spec.want_path, spec.weight_ty);
+            all.push(SpecResults { results, scale, want_path, cost_ty });
+        }
+        // Reachability is weight-independent (all weights finite and
+        // positive), so the first answer's flags select the surviving rows.
+        let first = shared.as_ref().unwrap_or_else(|| &all[0].results);
+        Ok((first.iter().map(|r| r.reachable).collect(), all))
+    })();
     if let (Some(t), Some((id, outer))) = (ctx.trace(), span) {
         ctx.swap_trace_parent(outer);
         let (traversals, settled) = observer.totals();
         t.end_with(
             id,
             vec![
-                ("kind".to_string(), TraceValue::from(kind)),
+                ("kind".to_string(), TraceValue::from(kind.as_str())),
                 ("reason".to_string(), TraceValue::from(reason)),
                 ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
                 ("traversals".to_string(), TraceValue::from(traversals as i64)),
@@ -489,92 +514,6 @@ fn run_specs(
         );
     }
     result
-}
-
-/// [`run_specs`] body: run `tier` for every spec.
-fn traverse(
-    ctx: &ExecContext<'_>,
-    graph: &MaterializedGraph,
-    from_index: bool,
-    tier: Tier<'_>,
-    pairs: &[(u32, u32)],
-    specs: &[CheapestSpec],
-    observer: &MetricsObserver<'_>,
-) -> Result<(Vec<bool>, Vec<SpecResults>)> {
-    let computer = BatchComputer::new(&graph.csr)
-        .with_threads(ctx.threads())
-        .with_deadline(ctx.deadline_instant())
-        .with_observer(Some(observer));
-    let hop_search = |want_path: bool| -> Result<Vec<PairResult>> {
-        match tier {
-            Tier::Accel(layer) => {
-                let run = layer
-                    .search(pairs, ctx.threads(), ctx.deadline_instant())
-                    .ok_or_else(|| ctx.timeout_error())?;
-                observer.record(layer.kind(pairs.len()), run.settled);
-                let (key, value) = layer.shape(&run, pairs.len());
-                ctx.trace_attr(key, TraceValue::from(value));
-                let cost = |d: Option<u64>| d.map(|c| CostValue::Int(c as i64));
-                Ok(run
-                    .dist
-                    .iter()
-                    .map(|&d| PairResult { reachable: d.is_some(), cost: cost(d), path: None })
-                    .collect())
-            }
-            Tier::BidirBfs => {
-                let (s, d) = pairs[0];
-                let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-                let settled = hit.as_ref().map_or(0, |h| h.settled as usize);
-                observer.traversal(TraversalKind::BidirBfs, settled);
-                Ok(vec![match hit {
-                    Some(hit) => PairResult {
-                        reachable: true,
-                        cost: Some(CostValue::Int(hit.dist as i64)),
-                        path: want_path.then_some(hit.path),
-                    },
-                    None => PairResult { reachable: false, cost: None, path: None },
-                }])
-            }
-            Tier::Bfs => computer
-                .compute(pairs, &WeightSpec::Unweighted, want_path)
-                .map_err(|e| graph_err(ctx, e)),
-        }
-    };
-    if specs.is_empty() {
-        // Reachability only: paths discarded (paper §3.2).
-        let results = hop_search(false)?;
-        return Ok((results.iter().map(|r| r.reachable).collect(), Vec::new()));
-    }
-    // The accelerated tier answers every spec with one search: constant
-    // specs over a hop index, the weight column over a weighted one.
-    let mut accelerated: Option<Vec<PairResult>> = None;
-    let mut all = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let scale = hop_scale(spec, ctx.params())?;
-        let results = match (tier, &scale) {
-            (Tier::Accel(_), _) => match &accelerated {
-                Some(results) => results.clone(),
-                None => accelerated.insert(hop_search(false)?).clone(),
-            },
-            (_, Some(_)) => hop_search(spec.want_path)?,
-            (_, None) => {
-                let weights = prepare_weights(spec, graph, &computer, ctx, from_index)?;
-                computer
-                    .compute_prepared(pairs, &weights, spec.want_path)
-                    .map_err(|e| graph_err(ctx, e))?
-            }
-        };
-        all.push(SpecResults {
-            results,
-            scale,
-            want_path: spec.want_path,
-            cost_ty: spec.weight_ty,
-        });
-    }
-    // Reachability is weight-independent (all weights finite and positive),
-    // so the first spec's flags select the surviving rows.
-    let reachable = all[0].results.iter().map(|r| r.reachable).collect();
-    Ok((reachable, all))
 }
 
 /// Lift a graph-runtime error: an abandoned-deadline batch becomes the
@@ -669,7 +608,7 @@ fn execute_graph_select(
         pairs.push((sid, did));
     }
     let (reachable, spec_results) =
-        run_specs(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
+        traverse(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
 
     let kept: Vec<usize> = (0..pairs.len()).filter(|&i| reachable[i]).collect();
     let kept_input_rows: Vec<usize> = kept.iter().map(|&i| candidates[i]).collect();
@@ -731,7 +670,7 @@ fn execute_graph_join(
         }
     }
     let (reachable, spec_results) =
-        run_specs(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
+        traverse(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
     // `pairs` is the row-major product of two sorted, deduplicated arrays,
     // so a pair's position is its endpoints' ranks.
     let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");
@@ -800,7 +739,17 @@ fn append_spec_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsql_graph::BatchComputer;
     use gsql_storage::{ColumnDef, Schema};
+
+    /// `EngineMetrics::record_traversal` drops labels it does not know, so
+    /// the kind the engine passes around must map onto the metric labels
+    /// one for one, in order.
+    #[test]
+    fn traversal_kinds_are_the_metric_labels() {
+        let labels: Vec<&str> = TraversalKind::ALL.iter().map(|k| k.as_str()).collect();
+        assert_eq!(labels, gsql_obs::ACCEL_KINDS);
+    }
 
     fn edge_table() -> Arc<Table> {
         let mut t = Table::empty(Schema::new(vec![
@@ -834,7 +783,7 @@ mod tests {
         let s10 = g.lookup(&Value::Int(10)).unwrap();
         let s30 = g.lookup(&Value::Int(30)).unwrap();
         let computer = BatchComputer::new(&g.csr);
-        let r = computer.shortest_path(s10, s30, &WeightSpec::Unweighted).unwrap();
+        let r = computer.compute(&[(s10, s30)], &WeightSpec::Unweighted, true).unwrap().remove(0);
         assert!(r.reachable);
         assert_eq!(r.cost.unwrap().as_f64(), 1.0); // direct hop 10->30
     }
@@ -846,7 +795,7 @@ mod tests {
         let s30 = g.lookup(&Value::Int(30)).unwrap();
         let weights: Vec<i64> = vec![1, 1, 5];
         let computer = BatchComputer::new(&g.csr);
-        let r = computer.shortest_path(s10, s30, &WeightSpec::Int(weights)).unwrap();
+        let r = computer.compute(&[(s10, s30)], &WeightSpec::Int(weights), true).unwrap().remove(0);
         assert_eq!(r.cost.unwrap().as_f64(), 2.0); // via 20
         assert_eq!(r.path.unwrap(), vec![0, 1]); // snapshot row ids
     }

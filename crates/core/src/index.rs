@@ -35,16 +35,13 @@
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::graph_op::{build_graph_observed, BuildSource, MaterializedGraph};
-use gsql_accel::{
-    alt_multi_target, ch_many_to_many, ch_query, AltMultiResult, ContractionHierarchy, Landmarks,
-};
-use gsql_parallel::Pool;
+use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
+use gsql_graph::{Search, TraversalKind};
 use gsql_storage::catalog::TableEntry;
 use gsql_storage::{Catalog, Column, DataType};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
 
@@ -540,17 +537,6 @@ pub(crate) struct AccelLayer {
     pub weights_bwd: Option<Vec<i64>>,
 }
 
-/// The outcome of one accelerated search over a batch of pairs.
-#[derive(Debug)]
-pub(crate) struct AccelRun {
-    /// Exact per-pair cost in input order; `None` when unreachable.
-    pub dist: Vec<Option<u64>>,
-    /// Vertices settled across every search of the run.
-    pub settled: usize,
-    /// Bucket entries of a many-to-many CH run.
-    buckets: usize,
-}
-
 impl AccelLayer {
     /// Build the layer of `accel` over `graph`: the reverse CSR, the
     /// validated slot weights of the weight column (strictly positive and
@@ -609,22 +595,10 @@ impl AccelLayer {
         })
     }
 
-    /// The metrics label of the tier that answers `pairs` pairs — one of
-    /// [`gsql_obs::ACCEL_KINDS`]: the point-to-point search for one pair,
-    /// the many-to-many tier otherwise.
-    pub(crate) fn kind(&self, pairs: usize) -> &'static str {
-        match (&self.accel, pairs == 1) {
-            (AccelIndex::Alt(_), true) => "alt",
-            (AccelIndex::Ch(_), true) => "ch",
-            (AccelIndex::Alt(_), false) => "alt-multi",
-            (AccelIndex::Ch(_), false) => "ch-m2m",
-        }
-    }
-
-    /// Answer every pair over the layer's native weights (hop distances for
-    /// an unweighted index), bit-identical to per-pair Dijkstra at every
-    /// thread count. `None` when `deadline` expires between per-vertex
-    /// search phases (the caller maps that to the statement timeout).
+    /// The accelerated search that answers `pairs` pairs over the layer's
+    /// native weights (hop distances for an unweighted index), and its
+    /// kind. Costs are bit-identical to per-pair Dijkstra at every thread
+    /// count.
     ///
     /// One pair runs the point-to-point search. More run the many-to-many
     /// tier: a CH answers the whole matrix bucket-style — one backward
@@ -632,96 +606,20 @@ impl AccelLayer {
     /// forward upward search per distinct source scanning them, `S + T`
     /// searches for `S × T` pairs — and ALT runs one multi-target
     /// goal-directed search per distinct source (the landmark bound
-    /// aggregated over that source's targets). Both fan out over `threads`
-    /// workers.
-    pub(crate) fn search(
-        &self,
-        pairs: &[(u32, u32)],
-        threads: usize,
-        deadline: Option<Instant>,
-    ) -> Option<AccelRun> {
-        let point = |(dist, settled): (Option<u64>, usize)| AccelRun {
-            dist: vec![dist],
-            settled,
-            buckets: 0,
-        };
-        match (&self.accel, pairs) {
-            (AccelIndex::Alt(lm), &[(s, d)]) => {
-                let weights = self.weights_fwd.as_deref().zip(self.weights_bwd.as_deref());
-                let graph = &self.graph;
-                let r =
-                    gsql_accel::alt_bidirectional(&graph.csr, graph.reverse(), weights, lm, s, d);
-                Some(point((r.dist, r.settled)))
+    /// aggregated over that source's targets).
+    pub(crate) fn searcher(&self, pairs: usize) -> (Box<dyn Search + '_>, TraversalKind) {
+        let (forward, backward) = (&self.graph.csr, self.graph.reverse());
+        let weights = self.weights_fwd.as_deref().zip(self.weights_bwd.as_deref());
+        match (&self.accel, pairs == 1) {
+            (AccelIndex::Alt(landmarks), true) => {
+                (Box::new(AltPoint { forward, backward, weights, landmarks }), TraversalKind::Alt)
             }
-            (AccelIndex::Ch(ch), &[(s, d)]) => {
-                let r = ch_query(ch, s, d);
-                Some(point((r.dist, r.settled)))
-            }
-            (AccelIndex::Ch(ch), _) => {
-                let distinct = |end: fn(&(u32, u32)) -> u32| {
-                    let mut ids: Vec<u32> = pairs.iter().map(end).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    ids
-                };
-                let (sources, targets) = (distinct(|p| p.0), distinct(|p| p.1));
-                let m = ch_many_to_many(ch, &sources, &targets, threads, deadline)?;
-                let dist = pairs
-                    .iter()
-                    .map(|&(s, d)| {
-                        let si = sources.binary_search(&s).expect("source in distinct set");
-                        let ti = targets.binary_search(&d).expect("target in distinct set");
-                        let v = m.dist(si, ti, targets.len());
-                        (v != gsql_accel::INF).then_some(v)
-                    })
-                    .collect();
-                Some(AccelRun { dist, settled: m.settled, buckets: m.bucket_entries })
-            }
-            (AccelIndex::Alt(lm), _) => {
-                // Group pairs by source (input indices, like BatchComputer)
-                // so each distinct source runs one multi-target search over
-                // exactly its own target set.
-                let mut order: Vec<usize> = (0..pairs.len()).collect();
-                order.sort_unstable_by_key(|&i| pairs[i].0);
-                let groups: Vec<&[usize]> =
-                    order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0).collect();
-                let expired = AtomicBool::new(false);
+            (AccelIndex::Ch(ch), true) => (Box::new(ChPoint(ch)), TraversalKind::Ch),
+            (AccelIndex::Alt(landmarks), false) => {
                 let weights = self.weights_fwd.as_deref();
-                let per_group: Vec<AltMultiResult> = Pool::new(threads).map(groups.len(), |gi| {
-                    if let Some(deadline) = deadline {
-                        if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                            expired.store(true, Ordering::Relaxed);
-                            return AltMultiResult { dist: Vec::new(), settled: 0 };
-                        }
-                    }
-                    let group = groups[gi];
-                    let targets: Vec<u32> = group.iter().map(|&i| pairs[i].1).collect();
-                    alt_multi_target(&self.graph.csr, weights, lm, pairs[group[0]].0, &targets)
-                });
-                if expired.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let mut dist = vec![None; pairs.len()];
-                let mut settled = 0usize;
-                for (group, r) in groups.iter().zip(per_group) {
-                    settled += r.settled;
-                    for (&i, &d) in group.iter().zip(&r.dist) {
-                        dist[i] = (d != gsql_accel::INF).then_some(d);
-                    }
-                }
-                Some(AccelRun { dist, settled, buckets: 0 })
+                (Box::new(AltMulti { forward, weights, landmarks }), TraversalKind::AltMulti)
             }
-        }
-    }
-
-    /// The size of the structure that answered `run` over `pairs` pairs,
-    /// as a `traversal` span attribute: `landmarks` for ALT, `shortcuts`
-    /// for a CH point search, `buckets` (entries) for CH many-to-many.
-    pub(crate) fn shape(&self, run: &AccelRun, pairs: usize) -> (&'static str, usize) {
-        match &self.accel {
-            AccelIndex::Alt(lm) => ("landmarks", lm.len()),
-            AccelIndex::Ch(ch) if pairs == 1 => ("shortcuts", ch.shortcuts()),
-            AccelIndex::Ch(_) => ("buckets", run.buckets),
+            (AccelIndex::Ch(ch), false) => (Box::new(ChM2m(ch)), TraversalKind::ChM2m),
         }
     }
 }
@@ -828,9 +726,13 @@ mod tests {
             // one pair and for a batch.
             let s = graph.lookup(&Value::Int(1)).unwrap();
             let d = graph.lookup(&Value::Int(3)).unwrap();
-            assert_eq!(layer.search(&[(s, d)], 2, None).unwrap().dist, [Some(10)], "{name}");
-            let run = layer.search(&[(s, d), (d, s), (s, d)], 2, None).unwrap();
-            assert_eq!(run.dist, [Some(10), None, Some(10)], "{name}");
+            let costs = |pairs: &[(u32, u32)]| -> Vec<Option<f64>> {
+                let budget = gsql_graph::Budget { threads: 2, ..Default::default() };
+                let results = layer.searcher(pairs.len()).0.run(pairs, &budget, false).unwrap();
+                results.iter().map(|r| r.cost.map(|c| c.as_f64())).collect()
+            };
+            assert_eq!(costs(&[(s, d)]), [Some(10.0)], "{name}");
+            assert_eq!(costs(&[(s, d), (d, s), (s, d)]), [Some(10.0), None, Some(10.0)], "{name}");
             let (_, again) = resolve(&reg, &catalog, IndexSpace::Path, name);
             assert!(Arc::ptr_eq(&layer, &again.unwrap()));
         }

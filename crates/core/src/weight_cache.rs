@@ -149,12 +149,12 @@ impl Drop for WeightCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsql_graph::{BatchComputer, Csr, WeightSpec};
+    use gsql_graph::{Csr, PreparedWeights, WeightSpec};
     use gsql_storage::DataType;
 
     fn vector(w: i64) -> Arc<PreparedWeights> {
         let g = Csr::from_edges(2, &[0, 1], &[1, 0]).unwrap();
-        Arc::new(BatchComputer::new(&g).prepare(&WeightSpec::Int(vec![w, w])).unwrap())
+        Arc::new(PreparedWeights::new(&g, &WeightSpec::Int(vec![w, w]), 1).unwrap())
     }
 
     fn times(k: BoundExpr) -> BoundExpr {

@@ -5,12 +5,13 @@
 //! filter; (3) in case, the additional columns W for the weights". It returns
 //! the row ids of connected pairs plus the requested shortest paths.
 //!
-//! [`BatchComputer`] implements that contract over a [`Csr`]: given a list
-//! of `(source, dest)` pairs it groups them by source, runs **one traversal
-//! per distinct source** with multi-destination early exit, and returns
-//! per-pair reachability, cost and (optionally) the path as edge row ids.
-//! This grouping is precisely what lets Figure 1b's batched execution
-//! amortize the graph-construction cost.
+//! [`SourceSearch`] implements that contract over a [`Csr`] as a
+//! [`Search`]: given a list of `(source, dest)` pairs it groups them by
+//! source, runs **one traversal per distinct source** with
+//! multi-destination early exit, and returns per-pair reachability, cost and
+//! (optionally) the path as edge row ids. This grouping is precisely what
+//! lets Figure 1b's batched execution amortize the graph-construction cost.
+//! [`BatchComputer`] is its builder-style entry point.
 
 use crate::bfs::{bfs_into, BfsScratch};
 use crate::csr::Csr;
@@ -19,8 +20,8 @@ use crate::dijkstra::{
 };
 use crate::error::GraphError;
 use crate::path::reconstruct_path;
+use crate::search::{check_vertices, Budget, Search};
 use crate::{Result, TraversalKind, TraversalObserver};
-use gsql_parallel::Pool;
 use std::collections::HashMap;
 
 /// Weight specification for one `CHEAPEST SUM` evaluation.
@@ -71,14 +72,18 @@ pub struct PairResult {
 }
 
 impl PairResult {
-    fn unreachable() -> PairResult {
-        PairResult { reachable: false, cost: None, path: None }
+    /// The answer for a pair with no path.
+    pub const UNREACHABLE: PairResult = PairResult { reachable: false, cost: None, path: None };
+
+    /// The answer for a reachable pair.
+    pub fn reached(cost: CostValue, path: Option<Vec<u32>>) -> PairResult {
+        PairResult { reachable: true, cost: Some(cost), path }
     }
 }
 
 /// A [`WeightSpec`] made ready for traversal over one particular [`Csr`]:
 /// every weight validated strictly positive and gathered into CSR slot
-/// order. Only [`BatchComputer::prepare`] builds one, so holding a value is
+/// order. Only [`PreparedWeights::new`] builds one, so holding a value is
 /// the proof of validation; it depends on the graph alone (not on the
 /// pairs), which is what lets a caller keep it for as long as the graph
 /// lives and run any number of batches over it.
@@ -92,7 +97,26 @@ enum Slots {
     Float(Vec<f64>),
 }
 
+/// The weights of a hop search, which fit every graph.
+static HOPS: PreparedWeights = PreparedWeights(Slots::None);
+
 impl PreparedWeights {
+    /// Validate `spec`'s weights and gather them into `graph`'s CSR slot
+    /// order — the only part of a batch whose cost is O(edges) rather than
+    /// O(search). Weights must be strictly positive (and not NaN): the
+    /// earliest offending slot raises [`GraphError::NonPositiveWeight`], the
+    /// paper's runtime exception, at every thread count. The gather
+    /// parallelizes over `threads` workers; `1` is sequential.
+    pub fn new(graph: &Csr, spec: &WeightSpec, threads: usize) -> Result<PreparedWeights> {
+        Ok(PreparedWeights(match spec {
+            WeightSpec::Unweighted => Slots::None,
+            WeightSpec::Int(w) => Slots::Int(graph.permute_weights_int_with_threads(w, threads)?),
+            WeightSpec::Float(w) => {
+                Slots::Float(graph.permute_weights_float_with_threads(w, threads)?)
+            }
+        }))
+    }
+
     /// Edges of the graph the weights were prepared for (`None` when
     /// unweighted: those fit any graph).
     fn edges(&self) -> Option<usize> {
@@ -109,118 +133,111 @@ impl PreparedWeights {
     }
 }
 
-/// Runs batched reachability / shortest-path queries over one CSR.
+/// One traversal per distinct source over one CSR: BFS when the weights
+/// are hops, Dijkstra (radix heap for integers, binary heap for floats)
+/// over [`PreparedWeights`] otherwise.
 ///
-/// Each distinct source is an independent traversal, so the batch is
-/// **source-parallel**: [`BatchComputer::with_threads`] spreads the
-/// distinct-source groups across a scoped worker pool (dynamic stealing —
-/// traversal costs are irregular), each worker reusing one thread-local
-/// distance/visited scratch arena. Per-pair results are merged back in
-/// input order, so the output is bit-for-bit identical to `threads = 1`.
-pub struct BatchComputer<'g> {
+/// Pairs are grouped by source; each distinct source costs one traversal
+/// with early exit once all its destinations are settled, and reports it to
+/// the budget's observer as [`TraversalKind::Bfs`] or
+/// [`TraversalKind::Dijkstra`]. Duplicate `(source, dest)` pairs are
+/// answered from one computation — the batch is deduplicated up front and
+/// the shared result cloned back into every input position. Groups spread
+/// across the budget's workers (dynamic stealing — traversal costs are
+/// irregular), each worker reusing one scratch arena per algorithm; results
+/// are always in input-pair order, bit-for-bit identical at every width.
+///
+/// When `want_path` is false the traversals still run (that is how the
+/// paper's library assesses reachability) but no path vectors are
+/// materialized.
+#[derive(Debug, Clone, Copy)]
+pub struct SourceSearch<'g> {
     graph: &'g Csr,
-    threads: usize,
-    deadline: Option<std::time::Instant>,
-    observer: Option<&'g dyn TraversalObserver>,
+    weights: &'g PreparedWeights,
 }
 
-impl<'g> BatchComputer<'g> {
-    /// Create a computer over `graph` (sequential by default).
-    pub fn new(graph: &'g Csr) -> BatchComputer<'g> {
-        BatchComputer { graph, threads: 1, deadline: None, observer: None }
+impl<'g> SourceSearch<'g> {
+    /// BFS over `graph`: cost = hop count (`CHEAPEST SUM(1)`).
+    pub fn bfs(graph: &'g Csr) -> SourceSearch<'g> {
+        SourceSearch { graph, weights: &HOPS }
     }
 
-    /// Set the degree of parallelism for [`BatchComputer::compute`]
-    /// (clamped to at least 1; `1` keeps the sequential path).
-    pub fn with_threads(mut self, threads: usize) -> BatchComputer<'g> {
-        self.threads = threads.max(1);
-        self
+    /// Dijkstra over `weights` prepared for `graph` (hop weights make it a
+    /// BFS).
+    pub fn new(graph: &'g Csr, weights: &'g PreparedWeights) -> SourceSearch<'g> {
+        SourceSearch { graph, weights }
     }
 
-    /// Abandon the batch once `deadline` passes. The check runs before
-    /// every per-source traversal, so a long batch is interrupted between
-    /// groups instead of only failing after the whole batch finishes;
-    /// [`BatchComputer::compute`] then returns
-    /// [`GraphError::DeadlineExceeded`] rather than partial results.
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> BatchComputer<'g> {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Report every per-source traversal (kind + settled-vertex count) to
-    /// `observer`. The callback runs on the worker that performed the
-    /// traversal, once per distinct source, and never influences results.
-    pub fn with_observer(
-        mut self,
-        observer: Option<&'g dyn TraversalObserver>,
-    ) -> BatchComputer<'g> {
-        self.observer = observer;
-        self
-    }
-
-    /// The configured degree of parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Validate `spec`'s weights and gather them into this graph's CSR slot
-    /// order — the only part of a batch whose cost is O(edges) rather than
-    /// O(search). Weights must be strictly positive (and not NaN): the
-    /// earliest offending slot raises [`GraphError::NonPositiveWeight`], the
-    /// paper's runtime exception, at every thread count. The gather
-    /// parallelizes over the computer's pool; `threads = 1` is sequential.
-    pub fn prepare(&self, spec: &WeightSpec) -> Result<PreparedWeights> {
-        Ok(PreparedWeights(match spec {
-            WeightSpec::Unweighted => Slots::None,
-            WeightSpec::Int(w) => {
-                Slots::Int(self.graph.permute_weights_int_with_threads(w, self.threads)?)
+    /// Answer one source group: traverse once from `source` towards every
+    /// target, then read each target's cost (and path) off the scratch.
+    fn search(
+        &self,
+        scratch: &mut GroupScratch,
+        source: u32,
+        targets: &[u32],
+        budget: &Budget<'_>,
+        want_path: bool,
+    ) -> Vec<PairResult> {
+        let answers = |parent: &[u32],
+                       parent_edge: &[u32],
+                       cost: &dyn Fn(usize) -> Option<CostValue>| {
+            let path = |dest| reconstruct_path(self.graph, parent, parent_edge, source, dest);
+            targets
+                .iter()
+                .map(|&dest| match cost(dest as usize) {
+                    None => PairResult::UNREACHABLE,
+                    Some(c) => {
+                        PairResult::reached(c, want_path.then(|| path(dest).expect("reachable")))
+                    }
+                })
+                .collect()
+        };
+        match &self.weights.0 {
+            Slots::None => {
+                let r = &mut scratch.bfs;
+                bfs_into(self.graph, source, targets, r);
+                budget.traversal(TraversalKind::Bfs, r.settled_count());
+                let d = &r.dist;
+                answers(&r.parent, &r.parent_edge, &|t| {
+                    (d[t] != u32::MAX).then(|| CostValue::Int(i64::from(d[t])))
+                })
             }
-            WeightSpec::Float(w) => {
-                Slots::Float(self.graph.permute_weights_float_with_threads(w, self.threads)?)
+            Slots::Int(w) => {
+                let r = &mut scratch.int;
+                dijkstra_int_into(self.graph, source, targets, w, r);
+                budget.traversal(TraversalKind::Dijkstra, r.settled_count());
+                let d = &r.dist;
+                answers(&r.parent, &r.parent_edge, &|t| {
+                    (d[t] != u64::MAX).then(|| CostValue::Int(d[t] as i64))
+                })
             }
-        }))
+            Slots::Float(w) => {
+                let r = &mut scratch.float;
+                dijkstra_float_into(self.graph, source, targets, w, r);
+                budget.traversal(TraversalKind::Dijkstra, r.settled_count());
+                let d = &r.dist;
+                answers(&r.parent, &r.parent_edge, &|t| {
+                    (!d[t].is_infinite()).then(|| CostValue::Float(d[t]))
+                })
+            }
+        }
     }
+}
 
-    /// Compute results for every `(source, dest)` pair:
-    /// [`BatchComputer::prepare`] then [`BatchComputer::compute_prepared`].
-    ///
-    /// `spec` selects the algorithm (BFS / int Dijkstra / float Dijkstra)
-    /// and carries the per-row weights.
-    pub fn compute(
+impl Search for SourceSearch<'_> {
+    fn run(
         &self,
         pairs: &[(u32, u32)],
-        spec: &WeightSpec,
-        compute_paths: bool,
+        budget: &Budget<'_>,
+        want_path: bool,
     ) -> Result<Vec<PairResult>> {
-        self.compute_prepared(pairs, &self.prepare(spec)?, compute_paths)
-    }
-
-    /// Compute results for every `(source, dest)` pair over weights
-    /// [`BatchComputer::prepare`]d for this graph (a vector prepared for a
-    /// graph with a different edge count is a [`GraphError::LengthMismatch`]).
-    ///
-    /// When `compute_paths` is false the traversals still run (that is how
-    /// the paper's library assesses reachability) but no path vectors are
-    /// materialized.
-    ///
-    /// Pairs are grouped by source; each distinct source costs one traversal
-    /// with early exit once all its destinations are settled. Duplicate
-    /// `(source, dest)` pairs are answered from one computation — the batch
-    /// is deduplicated up front and the shared result cloned back into every
-    /// input position. Groups run on the configured worker pool; results are
-    /// always in input-pair order.
-    pub fn compute_prepared(
-        &self,
-        pairs: &[(u32, u32)],
-        weights: &PreparedWeights,
-        compute_paths: bool,
-    ) -> Result<Vec<PairResult>> {
-        if let Some(m) = weights.edges().filter(|&m| m != self.graph.num_edges()) {
+        if let Some(m) = self.weights.edges().filter(|&m| m != self.graph.num_edges()) {
             return Err(GraphError::LengthMismatch(format!(
                 "weights prepared for {m} edges used on a graph with {}",
                 self.graph.num_edges()
             )));
         }
+        check_vertices(pairs, self.graph.num_vertices())?;
         let mut first_of: HashMap<(u32, u32), usize> = HashMap::with_capacity(pairs.len());
         let mut uniq: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
         let mut slot: Vec<usize> = Vec::with_capacity(pairs.len());
@@ -232,192 +249,14 @@ impl<'g> BatchComputer<'g> {
             }
             slot.push(s);
         }
+        let search = |scratch: &mut GroupScratch, source, targets: &[u32]| {
+            self.search(scratch, source, targets, budget, want_path)
+        };
         if uniq.len() == pairs.len() {
-            return self.compute_all(pairs, weights, compute_paths);
+            return budget.per_source(pairs, GroupScratch::default, search);
         }
-        let uniq_results = self.compute_all(&uniq, weights, compute_paths)?;
+        let uniq_results = budget.per_source(&uniq, GroupScratch::default, search)?;
         Ok(slot.into_iter().map(|s| uniq_results[s].clone()).collect())
-    }
-
-    /// [`BatchComputer::compute_prepared`] without the duplicate fast path:
-    /// every pair is traversed as given (pairs within one source group still
-    /// share that group's single traversal).
-    fn compute_all(
-        &self,
-        pairs: &[(u32, u32)],
-        weights: &PreparedWeights,
-        compute_paths: bool,
-    ) -> Result<Vec<PairResult>> {
-        let n = self.graph.num_vertices();
-        for &(s, d) in pairs {
-            if s >= n {
-                return Err(GraphError::VertexOutOfRange { id: s, n });
-            }
-            if d >= n {
-                return Err(GraphError::VertexOutOfRange { id: d, n });
-            }
-        }
-
-        // Group pair indices by source vertex: `order[range]` holds the
-        // input indices of one distinct-source group.
-        let mut order: Vec<usize> = (0..pairs.len()).collect();
-        order.sort_unstable_by_key(|&i| pairs[i].0);
-        let mut groups: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-        let mut g = 0;
-        while g < order.len() {
-            let source = pairs[order[g]].0;
-            let mut end = g;
-            while end < order.len() && pairs[order[end]].0 == source {
-                end += 1;
-            }
-            groups.push((source, g..end));
-            g = end;
-        }
-
-        // One traversal per group, source-parallel with per-worker scratch
-        // arenas. `Pool::map_with` returns group results in group order and
-        // degenerates to an inline loop when `threads == 1`. Each group
-        // checks the deadline before traversing; an expired deadline makes
-        // the remaining groups no-ops and fails the whole batch below.
-        let expired = std::sync::atomic::AtomicBool::new(false);
-        let pool = Pool::new(self.threads);
-        let per_group = pool.map_with(groups.len(), GroupScratch::default, |scratch, gi| {
-            if let Some(deadline) = self.deadline {
-                if expired.load(std::sync::atomic::Ordering::Relaxed)
-                    || std::time::Instant::now() >= deadline
-                {
-                    expired.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return Vec::new();
-                }
-            }
-            let (source, ref range) = groups[gi];
-            let group = &order[range.clone()];
-            let targets: Vec<u32> = group.iter().map(|&i| pairs[i].1).collect();
-            self.run_group(source, &targets, group, weights, compute_paths, scratch)
-        });
-        if expired.load(std::sync::atomic::Ordering::Relaxed) {
-            return Err(GraphError::DeadlineExceeded);
-        }
-
-        // Merge in input order: every input index appears in exactly one
-        // group, so the scatter is a permutation.
-        let mut results = vec![PairResult::unreachable(); pairs.len()];
-        for group_results in per_group {
-            for (idx, r) in group_results {
-                results[idx] = r;
-            }
-        }
-        Ok(results)
-    }
-
-    /// Convenience wrapper for a single pair.
-    pub fn shortest_path(&self, source: u32, dest: u32, spec: &WeightSpec) -> Result<PairResult> {
-        Ok(self.compute(&[(source, dest)], spec, true)?.pop().expect("one pair in, one out"))
-    }
-
-    fn run_group(
-        &self,
-        source: u32,
-        targets: &[u32],
-        group: &[usize],
-        weights: &PreparedWeights,
-        compute_paths: bool,
-        scratch: &mut GroupScratch,
-    ) -> Vec<(usize, PairResult)> {
-        let mut out = Vec::with_capacity(group.len());
-        match &weights.0 {
-            Slots::None => {
-                bfs_into(self.graph, source, targets, &mut scratch.bfs);
-                if let Some(obs) = self.observer {
-                    obs.traversal(TraversalKind::Bfs, scratch.bfs.settled_count());
-                }
-                let r = &scratch.bfs;
-                for (&idx, &dest) in group.iter().zip(targets) {
-                    let d = r.dist[dest as usize];
-                    if d == u32::MAX {
-                        continue; // stays unreachable
-                    }
-                    out.push((
-                        idx,
-                        PairResult {
-                            reachable: true,
-                            cost: Some(CostValue::Int(d as i64)),
-                            path: compute_paths.then(|| {
-                                reconstruct_path(
-                                    self.graph,
-                                    &r.parent,
-                                    &r.parent_edge,
-                                    source,
-                                    dest,
-                                )
-                                .expect("reachable")
-                            }),
-                        },
-                    ));
-                }
-            }
-            Slots::Int(w) => {
-                dijkstra_int_into(self.graph, source, targets, w, &mut scratch.int);
-                if let Some(obs) = self.observer {
-                    obs.traversal(TraversalKind::Dijkstra, scratch.int.settled_count());
-                }
-                let r = &scratch.int;
-                for (&idx, &dest) in group.iter().zip(targets) {
-                    let d = r.dist[dest as usize];
-                    if d == u64::MAX {
-                        continue;
-                    }
-                    out.push((
-                        idx,
-                        PairResult {
-                            reachable: true,
-                            cost: Some(CostValue::Int(d as i64)),
-                            path: compute_paths.then(|| {
-                                reconstruct_path(
-                                    self.graph,
-                                    &r.parent,
-                                    &r.parent_edge,
-                                    source,
-                                    dest,
-                                )
-                                .expect("reachable")
-                            }),
-                        },
-                    ));
-                }
-            }
-            Slots::Float(w) => {
-                dijkstra_float_into(self.graph, source, targets, w, &mut scratch.float);
-                if let Some(obs) = self.observer {
-                    obs.traversal(TraversalKind::Dijkstra, scratch.float.settled_count());
-                }
-                let r = &scratch.float;
-                for (&idx, &dest) in group.iter().zip(targets) {
-                    let d = r.dist[dest as usize];
-                    if d.is_infinite() {
-                        continue;
-                    }
-                    out.push((
-                        idx,
-                        PairResult {
-                            reachable: true,
-                            cost: Some(CostValue::Float(d)),
-                            path: compute_paths.then(|| {
-                                reconstruct_path(
-                                    self.graph,
-                                    &r.parent,
-                                    &r.parent_edge,
-                                    source,
-                                    dest,
-                                )
-                                .expect("reachable")
-                            }),
-                        },
-                    ));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -428,6 +267,53 @@ struct GroupScratch {
     bfs: BfsScratch,
     int: DijkstraIntScratch,
     float: DijkstraFloatScratch,
+}
+
+/// The batch entry point over one CSR: a [`SourceSearch`] with its
+/// [`Budget`] configured builder-style (sequential, unobserved and without
+/// a deadline by default).
+pub struct BatchComputer<'g> {
+    graph: &'g Csr,
+    budget: Budget<'g>,
+}
+
+impl<'g> BatchComputer<'g> {
+    /// Create a computer over `graph` (sequential by default).
+    pub fn new(graph: &'g Csr) -> BatchComputer<'g> {
+        BatchComputer { graph, budget: Budget { threads: 1, ..Budget::default() } }
+    }
+
+    /// Set the degree of parallelism (clamped to at least 1; `1` keeps the
+    /// sequential path).
+    pub fn with_threads(mut self, threads: usize) -> BatchComputer<'g> {
+        self.budget.threads = threads.max(1);
+        self
+    }
+
+    /// Report every per-source traversal (kind + settled-vertex count) to
+    /// `observer`. The callback runs on the worker that performed the
+    /// traversal, once per distinct source, and never influences results.
+    pub fn with_observer(
+        mut self,
+        observer: Option<&'g dyn TraversalObserver>,
+    ) -> BatchComputer<'g> {
+        self.budget.observer = observer;
+        self
+    }
+
+    /// Compute results for every `(source, dest)` pair:
+    /// [`PreparedWeights::new`], then [`SourceSearch::run`] within the
+    /// configured budget. `spec` selects the algorithm (BFS / int Dijkstra /
+    /// float Dijkstra) and carries the per-row weights.
+    pub fn compute(
+        &self,
+        pairs: &[(u32, u32)],
+        spec: &WeightSpec,
+        compute_paths: bool,
+    ) -> Result<Vec<PairResult>> {
+        let weights = PreparedWeights::new(self.graph, spec, self.budget.threads)?;
+        SourceSearch::new(self.graph, &weights).run(pairs, &self.budget, compute_paths)
+    }
 }
 
 #[cfg(test)]
@@ -515,7 +401,7 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..5).map(|d| (0, d)).collect();
         let batch = c.compute(&pairs, &WeightSpec::Unweighted, true).unwrap();
         for (i, &(s, d)) in pairs.iter().enumerate() {
-            let single = c.shortest_path(s, d, &WeightSpec::Unweighted).unwrap();
+            let single = &c.compute(&[(s, d)], &WeightSpec::Unweighted, true).unwrap()[0];
             assert_eq!(batch[i].reachable, single.reachable, "pair {i}");
             assert_eq!(batch[i].cost, single.cost, "pair {i}");
         }
@@ -545,32 +431,6 @@ mod tests {
                     assert_eq!(p.path, s.path, "threads {threads} pair {i}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn expired_deadline_abandons_the_batch() {
-        let g = diamond();
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let pairs: Vec<(u32, u32)> =
-            (0..5u32).flat_map(|s| (0..5u32).map(move |d| (s, d))).collect();
-        for threads in [1, 4] {
-            let err = BatchComputer::new(&g)
-                .with_threads(threads)
-                .with_deadline(Some(past))
-                .compute(&pairs, &WeightSpec::Unweighted, true)
-                .unwrap_err();
-            assert!(matches!(err, GraphError::DeadlineExceeded), "threads {threads}: {err}");
-        }
-        // A generous deadline changes nothing.
-        let future = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let plain = BatchComputer::new(&g).compute(&pairs, &WeightSpec::Unweighted, true).unwrap();
-        let timed = BatchComputer::new(&g)
-            .with_deadline(Some(future))
-            .compute(&pairs, &WeightSpec::Unweighted, true)
-            .unwrap();
-        for (p, t) in plain.iter().zip(&timed) {
-            assert_eq!(p.cost, t.cost);
         }
     }
 

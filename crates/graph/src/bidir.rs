@@ -9,8 +9,10 @@
 //! It requires the reverse graph, which [`reverse_csr`] builds once (and
 //! which a graph index can cache alongside the forward CSR).
 
+use crate::batch::{CostValue, PairResult};
 use crate::csr::Csr;
-use crate::{NO_EDGE, NO_VERTEX};
+use crate::search::{check_vertices, Budget, Search};
+use crate::{Result, TraversalKind, NO_EDGE, NO_VERTEX};
 
 /// Build the reverse graph: edge `u -> v` becomes `v -> u`, keeping the
 /// same original edge-row ids (so paths found backwards still reference the
@@ -95,11 +97,61 @@ thread_local! {
     static SCRATCH: std::cell::RefCell<[Side; 2]> = Default::default();
 }
 
+/// Bidirectional BFS over a graph and its reversal, as a [`Search`]: one
+/// early-exit search per pair (the pairs fan out over the budget's
+/// workers), each reported as [`TraversalKind::BidirBfs`] with the
+/// vertices it labelled — whether or not it found a path. Costs are hop
+/// counts, identical to [`SourceSearch::bfs`](crate::SourceSearch::bfs).
+#[derive(Debug, Clone, Copy)]
+pub struct BidirBfs<'g> {
+    /// The graph.
+    pub forward: &'g Csr,
+    /// Its reversal, as built by [`reverse_csr`].
+    pub backward: &'g Csr,
+}
+
+impl Search for BidirBfs<'_> {
+    fn run(
+        &self,
+        pairs: &[(u32, u32)],
+        budget: &Budget<'_>,
+        want_path: bool,
+    ) -> Result<Vec<PairResult>> {
+        check_vertices(pairs, self.forward.num_vertices())?;
+        budget.fan_out(
+            pairs.len(),
+            || (),
+            |(), i| {
+                let (source, dest) = pairs[i];
+                let (hit, settled) = search(self.forward, self.backward, source, dest, want_path);
+                budget.traversal(TraversalKind::BidirBfs, settled);
+                hit.map_or(PairResult::UNREACHABLE, |(dist, path)| {
+                    PairResult::reached(CostValue::Int(i64::from(dist)), want_path.then_some(path))
+                })
+            },
+        )
+    }
+}
+
 /// Bidirectional BFS from `source` to `dest` over `forward` and its
 /// reversal `backward` (as built by [`reverse_csr`]).
 ///
 /// Returns `None` when `dest` is unreachable. `source == dest` yields the
 /// empty path, mirroring the engine's zero-hop semantics.
+pub fn bidirectional_bfs(
+    forward: &Csr,
+    backward: &Csr,
+    source: u32,
+    dest: u32,
+) -> Option<BidirResult> {
+    let (hit, settled) = search(forward, backward, source, dest, true);
+    hit.map(|(dist, path)| BidirResult { dist, path, settled: settled as u32 })
+}
+
+/// The search behind [`BidirBfs`] and [`bidirectional_bfs`]: the hop count
+/// and (when `want_path`) the edge rows of one shortest path, or `None`
+/// when `dest` is unreachable — plus the vertices labelled across both
+/// directions, on either outcome.
 ///
 /// The search alternates whole levels, always growing the smaller frontier,
 /// and stops at the **first** vertex labelled from both sides. That meeting
@@ -108,15 +160,16 @@ thread_local! {
 /// least `f + b + 1` edges (a shorter one would have a vertex in both
 /// balls); a vertex labelled `f + 1` from one side that the other side
 /// already holds (at depth ≤ `b`) closes a path of at most that length.
-pub fn bidirectional_bfs(
+fn search(
     forward: &Csr,
     backward: &Csr,
     source: u32,
     dest: u32,
-) -> Option<BidirResult> {
+    want_path: bool,
+) -> (Option<(u32, Vec<u32>)>, usize) {
     debug_assert_eq!(backward.num_vertices(), forward.num_vertices());
     if source == dest {
-        return Some(BidirResult { dist: 0, path: Vec::new(), settled: 1 });
+        return (Some((0, Vec::new())), 1);
     }
     SCRATCH.with(|scratch| {
         let [fwd, bwd] = &mut *scratch.borrow_mut();
@@ -155,8 +208,14 @@ pub fn bidirectional_bfs(
             next.clear();
         }
 
-        let meet = meet?;
+        let settled = fwd.touched.len() + bwd.touched.len();
+        let Some(meet) = meet else {
+            return (None, settled);
+        };
         let dist = fwd.dist[meet as usize] + bwd.dist[meet as usize];
+        if !want_path {
+            return (Some((dist, Vec::new())), settled);
+        }
         // Stitch: source ~> meet (forward parents, reversed walk), then
         // meet ~> dest (backward parents walk forward).
         let mut path = Vec::with_capacity(dist as usize);
@@ -171,8 +230,7 @@ pub fn bidirectional_bfs(
             path.push(bwd.edge[v as usize]);
             v = bwd.parent[v as usize];
         }
-        let settled = (fwd.touched.len() + bwd.touched.len()) as u32;
-        Some(BidirResult { dist, path, settled })
+        (Some((dist, path)), settled)
     })
 }
 

@@ -131,11 +131,6 @@ impl Csr {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    /// The CSR slot range of vertex `v`'s out-edges.
-    pub fn edge_range(&self, v: u32) -> std::ops::Range<usize> {
-        self.offsets[v as usize]..self.offsets[v as usize + 1]
-    }
-
     /// Destination vertex stored at CSR slot `slot`.
     pub fn target(&self, slot: usize) -> u32 {
         self.targets[slot]
@@ -148,7 +143,8 @@ impl Csr {
 
     /// Iterate `(csr_slot, target_vertex)` over the out-edges of `v`.
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.edge_range(v).map(move |slot| (slot, self.targets[slot]))
+        let slots = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        slots.map(move |slot| (slot, self.targets[slot]))
     }
 
     /// Permute a per-row weight array into CSR slot order, validating the

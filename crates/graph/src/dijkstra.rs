@@ -4,7 +4,7 @@
 //!
 //! * [`dijkstra_int`] — strictly positive **integer** weights, driven by the
 //!   monotone [`RadixHeap`](crate::radix_heap::RadixHeap) (Ahuja et al.);
-//! * [`dijkstra_float`] — strictly positive **floating-point** weights,
+//! * [`dijkstra_float_into`] — strictly positive **floating-point** weights,
 //!   driven by a standard binary heap (a radix queue requires integer keys,
 //!   which is why the paper's example casts `weight * 2` to `int`; we keep
 //!   a float fallback so arbitrary numeric weight expressions work).
@@ -24,17 +24,6 @@ use std::collections::BinaryHeap;
 pub struct DijkstraIntResult {
     /// `dist[v]` = cost of the cheapest path, or `u64::MAX` if unreached.
     pub dist: Vec<u64>,
-    /// `parent_edge[v]` = CSR slot of the final edge of the cheapest path.
-    pub parent_edge: Vec<u32>,
-    /// `parent[v]` = predecessor vertex on the cheapest path.
-    pub parent: Vec<u32>,
-}
-
-/// Result of a float-weight Dijkstra run.
-#[derive(Debug, Clone)]
-pub struct DijkstraFloatResult {
-    /// `dist[v]` = cost of the cheapest path, or `f64::INFINITY`.
-    pub dist: Vec<f64>,
     /// `parent_edge[v]` = CSR slot of the final edge of the cheapest path.
     pub parent_edge: Vec<u32>,
     /// `parent[v]` = predecessor vertex on the cheapest path.
@@ -174,7 +163,8 @@ impl Ord for OrdF64 {
 }
 
 /// Reusable working memory for [`dijkstra_float_into`]; the float
-/// counterpart of [`DijkstraIntScratch`].
+/// counterpart of [`DijkstraIntScratch`]. After a run the `dist`, `parent`
+/// and `parent_edge` fields hold the result.
 #[derive(Debug, Default)]
 pub struct DijkstraFloatScratch {
     /// `dist[v]` = cheapest cost, or `f64::INFINITY` when unreached.
@@ -215,27 +205,10 @@ impl DijkstraFloatScratch {
     }
 }
 
-/// Dijkstra with a binary heap over strictly positive float weights.
-///
-/// Same contract as [`dijkstra_int`]; unreached vertices keep
-/// `f64::INFINITY`.
-pub fn dijkstra_float(
-    graph: &Csr,
-    source: u32,
-    targets: &[u32],
-    weights: &[f64],
-) -> DijkstraFloatResult {
-    let mut scratch = DijkstraFloatScratch::new();
-    dijkstra_float_into(graph, source, targets, weights, &mut scratch);
-    DijkstraFloatResult {
-        dist: scratch.dist,
-        parent_edge: scratch.parent_edge,
-        parent: scratch.parent,
-    }
-}
-
-/// [`dijkstra_float`] into a caller-owned scratch; the result lives in the
-/// scratch's public fields.
+/// Dijkstra with a binary heap over strictly positive float weights, into a
+/// caller-owned scratch: the same contract as [`dijkstra_int`], the result
+/// in the scratch's public fields (unreached vertices keep
+/// `f64::INFINITY`).
 pub fn dijkstra_float_into(
     graph: &Csr,
     source: u32,
@@ -307,6 +280,12 @@ mod tests {
 
     fn diamond() -> Csr {
         Csr::from_edges(5, &[0, 0, 1, 2, 3], &[1, 2, 3, 3, 4]).unwrap()
+    }
+
+    fn dijkstra_float(g: &Csr, source: u32, targets: &[u32], w: &[f64]) -> DijkstraFloatScratch {
+        let mut scratch = DijkstraFloatScratch::new();
+        dijkstra_float_into(g, source, targets, w, &mut scratch);
+        scratch
     }
 
     fn diamond_weights(raw: [i64; 5]) -> (Csr, Vec<i64>) {

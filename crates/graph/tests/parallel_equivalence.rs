@@ -4,7 +4,7 @@
 //! (The sibling `properties.rs` holds the proptest variants; this file uses
 //! the offline `rand` shim so it runs in the default test suite.)
 
-use gsql_graph::{BatchComputer, Csr, WeightSpec};
+use gsql_graph::{BatchComputer, Budget, Csr, PreparedWeights, Search, SourceSearch, WeightSpec};
 use rand::prelude::*;
 
 /// A deterministic random graph with `n` vertices and `m` edges.
@@ -87,11 +87,11 @@ fn chunked_batches_concatenate_to_whole_batch() {
     }
 }
 
-/// Weights prepared once serve any number of batches: `prepare` +
-/// `compute_prepared` equals `compute` on every batch, at every thread
-/// count, whichever width did the preparing; a bad vector fails in
-/// `prepare` with `compute`'s error, and a vector prepared for another
-/// graph is refused, not indexed out of bounds.
+/// Weights prepared once serve any number of batches: a `SourceSearch` over
+/// them equals `compute` on every batch, at every thread count, whichever
+/// width did the preparing; a bad vector fails in `PreparedWeights::new`
+/// with `compute`'s error, and a vector prepared for another graph is
+/// refused, not indexed out of bounds.
 #[test]
 fn prepared_weights_reused_across_batches_match_compute() {
     let mut rng = StdRng::seed_from_u64(362);
@@ -114,13 +114,14 @@ fn prepared_weights_reused_across_batches_match_compute() {
             })
             .collect();
         for spec in &specs {
-            let prepared = BatchComputer::new(&g).prepare(spec).unwrap();
+            let prepared = PreparedWeights::new(&g, spec, 1).unwrap();
             for threads in [1, 2, 4] {
                 let computer = BatchComputer::new(&g).with_threads(threads);
-                assert_eq!(computer.prepare(spec).unwrap(), prepared, "threads {threads}");
+                let budget = Budget { threads, ..Budget::default() };
+                assert_eq!(PreparedWeights::new(&g, spec, threads).unwrap(), prepared);
                 for pairs in &batches {
                     let whole = computer.compute(pairs, spec, true).unwrap();
-                    let split = computer.compute_prepared(pairs, &prepared, true).unwrap();
+                    let split = SourceSearch::new(&g, &prepared).run(pairs, &budget, true).unwrap();
                     assert_eq!(split.len(), whole.len());
                     for (i, (a, b)) in split.iter().zip(&whole).enumerate() {
                         assert_eq!(a.reachable, b.reachable, "threads {threads} pair {i}");
@@ -135,13 +136,13 @@ fn prepared_weights_reused_across_batches_match_compute() {
         let at = rng.gen_range(0..m);
         bad[at] = 0;
         let computer = BatchComputer::new(&g).with_threads(4);
-        let from_prepare = computer.prepare(&WeightSpec::Int(bad.clone())).unwrap_err();
+        let from_prepare = PreparedWeights::new(&g, &WeightSpec::Int(bad.clone()), 4).unwrap_err();
         let from_compute = computer.compute(&[(0, 0)], &WeightSpec::Int(bad), false).unwrap_err();
         assert_eq!(from_prepare, from_compute);
 
         let other = Csr::from_edges(n, &src[..m - 1], &dst[..m - 1]).unwrap();
-        let foreign = BatchComputer::new(&g).prepare(&WeightSpec::Int(weights_int)).unwrap();
-        let err = BatchComputer::new(&other).compute_prepared(&[(0, 0)], &foreign, false);
+        let foreign = PreparedWeights::new(&g, &WeightSpec::Int(weights_int), 1).unwrap();
+        let err = SourceSearch::new(&other, &foreign).run(&[(0, 0)], &Budget::default(), false);
         assert!(err.unwrap_err().to_string().contains("prepared for"));
     }
 }

@@ -1,37 +1,71 @@
-//! Property-based tests for the graph runtime.
+//! Generated-input properties of the graph runtime.
 //!
-//! Strategy: generate random directed graphs (edge lists over a small dense
-//! vertex domain) plus random weights, then check the algorithmic invariants
-//! that the paper's runtime relies on.
+//! Each property draws at least 200 random directed graphs (edge lists over
+//! a small dense vertex domain, parallel edges and self-loops included)
+//! with random positive weights from a fixed seed, then checks an invariant
+//! the paper's runtime relies on. The last property checks every
+//! `gsql-graph` [`Search`] impl against Bellman–Ford. Uses the workspace's
+//! offline `rand` shim, so it runs in the default test suite.
 
-use gsql_graph::{bfs, dijkstra_float, dijkstra_int, BatchComputer, Csr, RadixHeap, WeightSpec};
-use proptest::prelude::*;
+use gsql_graph::{
+    bfs, dijkstra_float_into, dijkstra_int, reverse_csr, BatchComputer, BidirBfs, Budget,
+    CostValue, Csr, DijkstraFloatScratch, PairResult, PreparedWeights, RadixHeap, Search,
+    SourceSearch, WeightSpec,
+};
+use rand::prelude::*;
 
-/// A random graph: n in 1..24, up to 80 edges, weights in 1..50.
-fn graph_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32, i64)>)> {
-    (1u32..24).prop_flat_map(|n| {
-        let edge = (0..n, 0..n, 1i64..50).prop_map(|(s, d, w)| (s, d, w));
-        (Just(n), prop::collection::vec(edge, 0..80))
-    })
+/// Graphs per property.
+const CASES: u64 = 200;
+
+/// One generated graph: `n` vertices and `(src, dst, weight)` edges, in
+/// edge-row order.
+struct Graph {
+    n: u32,
+    edges: Vec<(u32, u32, i64)>,
 }
 
-fn build(n: u32, edges: &[(u32, u32, i64)]) -> (Csr, Vec<i64>) {
-    let src: Vec<u32> = edges.iter().map(|e| e.0).collect();
-    let dst: Vec<u32> = edges.iter().map(|e| e.1).collect();
-    let w: Vec<i64> = edges.iter().map(|e| e.2).collect();
-    (Csr::from_edges(n, &src, &dst).unwrap(), w)
+impl Graph {
+    fn csr(&self) -> Csr {
+        let src: Vec<u32> = self.edges.iter().map(|e| e.0).collect();
+        let dst: Vec<u32> = self.edges.iter().map(|e| e.1).collect();
+        Csr::from_edges(self.n, &src, &dst).unwrap()
+    }
+
+    fn weights(&self) -> Vec<i64> {
+        self.edges.iter().map(|e| e.2).collect()
+    }
+
+    /// `len` random pairs over the graph's vertices.
+    fn pairs(&self, rng: &mut StdRng, len: usize) -> Vec<(u32, u32)> {
+        (0..len).map(|_| (rng.gen_range(0..self.n), rng.gen_range(0..self.n))).collect()
+    }
 }
 
-/// Reference shortest paths: Bellman-Ford (no negative weights here, so it
-/// terminates in n rounds and gives exact distances).
-fn bellman_ford(n: u32, edges: &[(u32, u32, i64)], source: u32) -> Vec<Option<i64>> {
-    let mut dist: Vec<Option<i64>> = vec![None; n as usize];
+/// Run `check` over [`CASES`] graphs seeded from `seed`: `n` in 1..24, up
+/// to 80 edges, weights in 1..50.
+fn for_graphs(seed: u64, mut check: impl FnMut(&Graph, &mut StdRng)) {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1_000_003) + case);
+        let n = rng.gen_range(1..24u32);
+        let m = rng.gen_range(0..80usize);
+        let edges = (0..m)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..50)))
+            .collect();
+        check(&Graph { n, edges }, &mut rng);
+    }
+}
+
+/// Reference shortest paths: Bellman–Ford (no negative weights here, so it
+/// terminates in n rounds and gives exact distances). `hops` uses unit
+/// weights.
+fn bellman_ford(g: &Graph, source: u32, hops: bool) -> Vec<Option<i64>> {
+    let mut dist: Vec<Option<i64>> = vec![None; g.n as usize];
     dist[source as usize] = Some(0);
-    for _ in 0..n {
+    for _ in 0..g.n {
         let mut changed = false;
-        for &(s, d, w) in edges {
+        for &(s, d, w) in &g.edges {
             if let Some(ds) = dist[s as usize] {
-                let nd = ds + w;
+                let nd = ds + if hops { 1 } else { w };
                 if dist[d as usize].is_none_or(|old| nd < old) {
                     dist[d as usize] = Some(nd);
                     changed = true;
@@ -45,171 +79,170 @@ fn bellman_ford(n: u32, edges: &[(u32, u32, i64)], source: u32) -> Vec<Option<i6
     dist
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Assert `path` chains `s ~> d` over the graph's edges and sums to `cost`
+/// (unit weights when `hops`).
+fn assert_path(g: &Graph, path: &[u32], (s, d): (u32, u32), cost: i64, hops: bool, what: &str) {
+    let mut at = s;
+    let mut sum = 0i64;
+    for &row in path {
+        let (es, ed, ew) = g.edges[row as usize];
+        assert_eq!(es, at, "{what}: path breaks at row {row}");
+        at = ed;
+        sum += if hops { 1 } else { ew };
+    }
+    assert_eq!(at, d, "{what}: path ends elsewhere");
+    assert_eq!(sum, cost, "{what}: path sum");
+}
 
-    /// Dijkstra with the radix queue must agree with Bellman-Ford exactly.
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn dijkstra_int_matches_bellman_ford((n, edges) in graph_strategy()) {
-        let (g, w) = build(n, &edges);
-        let wp = g.permute_weights_int(&w).unwrap();
-        for source in 0..n.min(4) {
-            let r = dijkstra_int(&g, source, &[], &wp);
-            let reference = bellman_ford(n, &edges, source);
-            for v in 0..n as usize {
-                match reference[v] {
-                    None => prop_assert_eq!(r.dist[v], u64::MAX),
-                    Some(d) => prop_assert_eq!(r.dist[v], d as u64),
-                }
+fn same(a: &[PairResult], b: &[PairResult], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.reachable, y.reachable, "{what} pair {i}");
+        assert_eq!(x.cost, y.cost, "{what} pair {i}");
+        assert_eq!(x.path, y.path, "{what} pair {i}");
+    }
+}
+
+/// Dijkstra with the radix queue agrees with Bellman–Ford exactly.
+#[test]
+fn dijkstra_int_matches_bellman_ford() {
+    for_graphs(1, |g, _| {
+        let csr = g.csr();
+        let wp = csr.permute_weights_int(&g.weights()).unwrap();
+        for source in 0..g.n.min(4) {
+            let r = dijkstra_int(&csr, source, &[], &wp);
+            for (v, want) in bellman_ford(g, source, false).into_iter().enumerate() {
+                assert_eq!(r.dist[v], want.map_or(u64::MAX, |d| d as u64), "source {source} v {v}");
             }
         }
-    }
+    });
+}
 
-    /// The float variant agrees with the int variant on integral weights.
-    #[test]
-    fn dijkstra_float_matches_int((n, edges) in graph_strategy()) {
-        let (g, w) = build(n, &edges);
-        let wi = g.permute_weights_int(&w).unwrap();
-        let wf = g.permute_weights_float(&w.iter().map(|&x| x as f64).collect::<Vec<_>>()).unwrap();
-        let ri = dijkstra_int(&g, 0, &[], &wi);
-        let rf = dijkstra_float(&g, 0, &[], &wf);
-        for v in 0..n as usize {
+/// The float variant agrees with the int variant on integral weights.
+#[test]
+fn dijkstra_float_matches_int() {
+    for_graphs(2, |g, _| {
+        let csr = g.csr();
+        let w = g.weights();
+        let wi = csr.permute_weights_int(&w).unwrap();
+        let wf: Vec<f64> = w.iter().map(|&x| x as f64).collect();
+        let wf = csr.permute_weights_float(&wf).unwrap();
+        let mut rf = DijkstraFloatScratch::new();
+        dijkstra_float_into(&csr, 0, &[], &wf, &mut rf);
+        let ri = dijkstra_int(&csr, 0, &[], &wi);
+        for v in 0..g.n as usize {
             if ri.dist[v] == u64::MAX {
-                prop_assert!(rf.dist[v].is_infinite());
+                assert!(rf.dist[v].is_infinite(), "v {v}");
             } else {
-                prop_assert_eq!(ri.dist[v] as f64, rf.dist[v]);
+                assert_eq!(ri.dist[v] as f64, rf.dist[v], "v {v}");
             }
         }
-    }
+    });
+}
 
-    /// BFS equals Dijkstra on unit weights (the paper's `CHEAPEST SUM(1)`).
-    #[test]
-    fn bfs_equals_unit_weight_dijkstra((n, edges) in graph_strategy()) {
-        let (g, _) = build(n, &edges);
-        let unit = g.permute_weights_int(&vec![1i64; edges.len()]).unwrap();
-        let b = bfs(&g, 0, &[]);
-        let d = dijkstra_int(&g, 0, &[], &unit);
-        for v in 0..n as usize {
-            if b.dist[v] == u32::MAX {
-                prop_assert_eq!(d.dist[v], u64::MAX);
-            } else {
-                prop_assert_eq!(b.dist[v] as u64, d.dist[v]);
-            }
+/// BFS equals Dijkstra on unit weights (the paper's `CHEAPEST SUM(1)`).
+#[test]
+fn bfs_equals_unit_weight_dijkstra() {
+    for_graphs(3, |g, _| {
+        let csr = g.csr();
+        let unit = csr.permute_weights_int(&vec![1i64; g.edges.len()]).unwrap();
+        let (b, d) = (bfs(&csr, 0, &[]), dijkstra_int(&csr, 0, &[], &unit));
+        for v in 0..g.n as usize {
+            let hops = if b.dist[v] == u32::MAX { u64::MAX } else { u64::from(b.dist[v]) };
+            assert_eq!(hops, d.dist[v], "v {v}");
         }
-    }
+    });
+}
 
-    /// Batched results equal per-pair results, and reported paths are valid:
-    /// consecutive edges chain source->dest and the cost sums match.
-    #[test]
-    fn batch_paths_are_valid((n, edges) in graph_strategy(),
-                             pair_seed in prop::collection::vec((0u32..24, 0u32..24), 1..12)) {
-        let (g, w) = build(n, &edges);
-        let pairs: Vec<(u32, u32)> =
-            pair_seed.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        let spec = WeightSpec::Int(w.clone());
-        let computer = BatchComputer::new(&g);
+/// Batched results equal per-pair results, and reported paths are valid:
+/// consecutive edges chain source to dest and the weights sum to the cost.
+#[test]
+fn batch_paths_are_valid() {
+    for_graphs(4, |g, rng| {
+        let csr = g.csr();
+        let len = rng.gen_range(1..12);
+        let pairs = g.pairs(rng, len);
+        let spec = WeightSpec::Int(g.weights());
+        let computer = BatchComputer::new(&csr);
         let batch = computer.compute(&pairs, &spec, true).unwrap();
-        for (i, &(s, t)) in pairs.iter().enumerate() {
-            let single = computer.shortest_path(s, t, &spec).unwrap();
-            prop_assert_eq!(batch[i].reachable, single.reachable);
-            prop_assert_eq!(batch[i].cost.map(|c| c.as_f64()), single.cost.map(|c| c.as_f64()));
-            if let (Some(path), Some(cost)) = (&batch[i].path, batch[i].cost) {
-                // Path edges must chain from s to t.
-                let mut at = s;
-                let mut acc = 0i64;
-                for &row in path {
-                    let (es, ed, ew) = edges[row as usize];
-                    prop_assert_eq!(es, at);
-                    at = ed;
-                    acc += ew;
-                }
-                prop_assert_eq!(at, t);
-                match cost {
-                    gsql_graph::batch::CostValue::Int(c) => prop_assert_eq!(acc, c),
-                    _ => prop_assert!(false, "int spec must give int cost"),
-                }
+        for (r, &(s, t)) in batch.iter().zip(&pairs) {
+            let single = computer.compute(&[(s, t)], &spec, true).unwrap();
+            same(std::slice::from_ref(r), &single, &format!("pair ({s}, {t})"));
+            if let (Some(path), Some(CostValue::Int(cost))) = (&r.path, r.cost) {
+                assert_path(g, path, (s, t), cost, false, &format!("pair ({s}, {t})"));
             }
         }
-    }
+    });
+}
 
-    /// Triangle inequality on BFS levels: neighbors differ by at most 1 level
-    /// in the direction of the edge.
-    #[test]
-    fn bfs_levels_respect_edges((n, edges) in graph_strategy()) {
-        let (g, _) = build(n, &edges);
-        let r = bfs(&g, 0, &[]);
-        for &(s, d, _) in &edges {
-            let ds = r.dist[s as usize];
-            let dd = r.dist[d as usize];
+/// BFS levels respect edges: the head of an edge from a reached vertex is
+/// reached, at most one level deeper.
+#[test]
+fn bfs_levels_respect_edges() {
+    for_graphs(5, |g, _| {
+        let r = bfs(&g.csr(), 0, &[]);
+        for &(s, d, _) in &g.edges {
+            let (ds, dd) = (r.dist[s as usize], r.dist[d as usize]);
             if ds != u32::MAX {
-                prop_assert!(dd != u32::MAX, "edge from reached vertex must reach target");
-                prop_assert!(dd <= ds + 1, "edge ({s},{d}): {dd} > {ds}+1");
+                assert!(dd != u32::MAX, "edge ({s},{d}) from a reached vertex");
+                assert!(dd <= ds + 1, "edge ({s},{d}): {dd} > {ds}+1");
             }
         }
-    }
+    });
+}
 
-    /// Parallel and sequential batch execution produce identical results
-    /// for random graphs and pair batches across `threads ∈ {1, 2, 8}`.
-    #[test]
-    fn parallel_batch_matches_sequential(
-        (n, edges) in graph_strategy(),
-        pair_seed in prop::collection::vec((0u32..24, 0u32..24), 1..40),
-    ) {
-        let (g, w) = build(n, &edges);
-        let pairs: Vec<(u32, u32)> =
-            pair_seed.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        for spec in [WeightSpec::Unweighted, WeightSpec::Int(w.clone())] {
-            let seq = BatchComputer::new(&g).compute(&pairs, &spec, true).unwrap();
-            for threads in [2usize, 8] {
-                let par = BatchComputer::new(&g)
-                    .with_threads(threads)
-                    .compute(&pairs, &spec, true)
-                    .unwrap();
-                for (p, s) in par.iter().zip(&seq) {
-                    prop_assert_eq!(p.reachable, s.reachable);
-                    prop_assert_eq!(p.cost.map(|c| c.as_f64()), s.cost.map(|c| c.as_f64()));
-                    prop_assert_eq!(&p.path, &s.path);
-                }
+/// Parallel and sequential batch execution produce identical results
+/// across `threads ∈ {1, 2, 8}`.
+#[test]
+fn parallel_batch_matches_sequential() {
+    for_graphs(6, |g, rng| {
+        let csr = g.csr();
+        let len = rng.gen_range(1..40);
+        let pairs = g.pairs(rng, len);
+        for spec in [WeightSpec::Unweighted, WeightSpec::Int(g.weights())] {
+            let seq = BatchComputer::new(&csr).compute(&pairs, &spec, true).unwrap();
+            for threads in [2, 8] {
+                let computer = BatchComputer::new(&csr).with_threads(threads);
+                let par = computer.compute(&pairs, &spec, true).unwrap();
+                same(&par, &seq, &format!("threads {threads}"));
             }
         }
-    }
+    });
+}
 
-    /// Morsel-fed batching: splitting a pair batch into arbitrary chunks
-    /// (as the engine's pipelined operators do when they feed traversal
-    /// batches from morsel output) and concatenating the per-chunk results
-    /// is bit-identical to computing the whole batch at once — at every
-    /// thread count, for both unweighted and weighted traversals.
-    #[test]
-    fn chunked_batches_concatenate_to_whole_batch(
-        (n, edges) in graph_strategy(),
-        pair_seed in prop::collection::vec((0u32..24, 0u32..24), 1..40),
-        chunk in 1usize..9,
-    ) {
-        let (g, w) = build(n, &edges);
-        let pairs: Vec<(u32, u32)> =
-            pair_seed.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        for spec in [WeightSpec::Unweighted, WeightSpec::Int(w.clone())] {
-            let whole = BatchComputer::new(&g).compute(&pairs, &spec, true).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let computer = BatchComputer::new(&g).with_threads(threads);
+/// Morsel-fed batching: splitting a pair batch into arbitrary chunks (as
+/// the engine's pipelined operators do when they feed traversal batches
+/// from morsel output) and concatenating the per-chunk results is
+/// bit-identical to computing the whole batch at once — at every thread
+/// count, for both unweighted and weighted traversals.
+#[test]
+fn chunked_batches_concatenate_to_whole_batch() {
+    for_graphs(7, |g, rng| {
+        let csr = g.csr();
+        let len = rng.gen_range(1..40);
+        let pairs = g.pairs(rng, len);
+        let chunk = rng.gen_range(1..9);
+        for spec in [WeightSpec::Unweighted, WeightSpec::Int(g.weights())] {
+            let whole = BatchComputer::new(&csr).compute(&pairs, &spec, true).unwrap();
+            for threads in [1, 2, 4, 8] {
+                let computer = BatchComputer::new(&csr).with_threads(threads);
                 let mut chunked = Vec::with_capacity(pairs.len());
                 for piece in pairs.chunks(chunk) {
                     chunked.extend(computer.compute(piece, &spec, true).unwrap());
                 }
-                prop_assert_eq!(chunked.len(), whole.len());
-                for (c, s) in chunked.iter().zip(&whole) {
-                    prop_assert_eq!(c.reachable, s.reachable);
-                    prop_assert_eq!(c.cost.map(|v| v.as_f64()), s.cost.map(|v| v.as_f64()));
-                    prop_assert_eq!(&c.path, &s.path);
-                }
+                same(&chunked, &whole, &format!("threads {threads} chunk {chunk}"));
             }
         }
-    }
+    });
+}
 
-    /// Radix heap pops keys in nondecreasing order for any monotone input.
-    #[test]
-    fn radix_heap_sorts(mut keys in prop::collection::vec(0u64..1_000_000, 1..200)) {
+/// The radix heap pops keys in nondecreasing order for any input.
+#[test]
+fn radix_heap_sorts() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(8_000 + case);
+        let len = rng.gen_range(1..200);
+        let mut keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1_000_000u64)).collect();
         let mut h = RadixHeap::new();
         for &k in &keys {
             h.push(k, ());
@@ -219,6 +252,55 @@ proptest! {
         while let Some((k, ())) = h.pop() {
             popped.push(k);
         }
-        prop_assert_eq!(popped, keys);
+        assert_eq!(popped, keys, "case {case}");
     }
+}
+
+/// Every `gsql-graph` [`Search`] impl — BFS, integer and float Dijkstra,
+/// bidirectional BFS — equals Bellman–Ford on reachability and cost at one
+/// worker and at four, over batches that hold self pairs and (where the
+/// graph has one) an unreachable pair; every returned path chains from
+/// source to dest and sums to the cost.
+#[test]
+fn every_search_matches_bellman_ford() {
+    for_graphs(9, |g, rng| {
+        let csr = g.csr();
+        let rev = reverse_csr(&csr);
+        let w = g.weights();
+        let int = PreparedWeights::new(&csr, &WeightSpec::Int(w.clone()), 1).unwrap();
+        let float: Vec<f64> = w.iter().map(|&x| x as f64).collect();
+        let float = PreparedWeights::new(&csr, &WeightSpec::Float(float), 1).unwrap();
+        let truth: Vec<[Vec<Option<i64>>; 2]> =
+            (0..g.n).map(|s| [bellman_ford(g, s, true), bellman_ford(g, s, false)]).collect();
+        let len = rng.gen_range(1..16);
+        let mut pairs = g.pairs(rng, len);
+        let v = rng.gen_range(0..g.n);
+        pairs.push((v, v));
+        let unreachable = (0..g.n)
+            .flat_map(|s| (0..g.n).map(move |d| (s, d)))
+            .find(|&(s, d)| truth[s as usize][0][d as usize].is_none());
+        pairs.extend(unreachable);
+        let searches: [(&str, &dyn Search, bool); 4] = [
+            ("bfs", &SourceSearch::bfs(&csr), true),
+            ("dijkstra int", &SourceSearch::new(&csr, &int), false),
+            ("dijkstra float", &SourceSearch::new(&csr, &float), false),
+            ("bidir-bfs", &BidirBfs { forward: &csr, backward: &rev }, true),
+        ];
+        for (name, search, hops) in searches {
+            for threads in [1, 4] {
+                let budget = Budget { threads, ..Budget::default() };
+                let results = search.run(&pairs, &budget, true).unwrap();
+                for (r, &(s, d)) in results.iter().zip(&pairs) {
+                    let what = format!("{name} threads {threads} pair ({s}, {d})");
+                    let want = truth[s as usize][usize::from(!hops)][d as usize];
+                    assert_eq!(r.reachable, want.is_some(), "{what}");
+                    assert_eq!(r.cost.map(|c| c.as_f64()), want.map(|c| c as f64), "{what}");
+                    if let Some(cost) = want {
+                        let path = r.path.as_ref().expect("a path was asked for");
+                        assert_path(g, path, (s, d), cost, hops, &what);
+                    }
+                }
+            }
+        }
+    });
 }

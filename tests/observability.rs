@@ -123,6 +123,29 @@ fn metrics_count_queries_pipelines_and_traversals() {
     }
 }
 
+/// A bidirectional BFS that finds no path still counts the vertices it
+/// labelled. Two disjoint 200-edge chains, queried from the head of one to
+/// the tail of the other: the forward search walks its whole chain before
+/// its frontier dies out.
+#[test]
+fn unreachable_bidirectional_bfs_counts_what_it_labelled() {
+    let chain = |from: i64| -> Vec<String> {
+        (from..from + 200).map(|v| format!("({v}, {})", v + 1)).collect()
+    };
+    let db = common::database(&[
+        "CREATE TABLE e (src INTEGER NOT NULL, dst INTEGER NOT NULL)".to_string(),
+        format!("INSERT INTO e VALUES {}, {}", chain(1).join(", "), chain(1001).join(", ")),
+        "CREATE GRAPH INDEX gi ON e EDGE (src, dst)".to_string(),
+    ]);
+    let m = db.metrics();
+    let before = m.settled_snapshot("bidir-bfs").expect("a known kind");
+    let sql = "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 1200 OVER e EDGE (src, dst)";
+    assert_eq!(db.session().query(sql).unwrap().row_count(), 0, "the chains are disjoint");
+    let after = m.settled_snapshot("bidir-bfs").expect("a known kind");
+    assert_eq!(after.count, before.count + 1, "one bidirectional search");
+    assert!(after.sum >= before.sum + 200, "settled sum {} -> {}", before.sum, after.sum);
+}
+
 // ---------------------------------------------------------------------------
 // 2. Trace span tree
 // ---------------------------------------------------------------------------
