@@ -16,7 +16,7 @@
 //!
 //! Every shortest path in the original graph is cost-equal to an
 //! *up-then-down* path over the hierarchy, so the bidirectional upward
-//! Dijkstra in [`crate::ch_query`] is exact — shortcut insertion is purely
+//! Dijkstra in [`crate::ch_query()`] is exact — shortcut insertion is purely
 //! conservative (a failed witness search adds a shortcut, never drops one),
 //! which is why the witness limits trade preprocessing quality for build
 //! time without ever affecting correctness.
@@ -93,7 +93,7 @@ impl UpGraph {
 }
 
 /// A built contraction hierarchy: the contraction order plus the upward and
-/// (reversed) downward search graphs consumed by [`crate::ch_query`].
+/// (reversed) downward search graphs consumed by [`crate::ch_query()`].
 #[derive(Debug, Clone)]
 pub struct ContractionHierarchy {
     /// `rank[v]` = position of `v` in the contraction order (0 = first

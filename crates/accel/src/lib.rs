@@ -33,7 +33,7 @@
 //! * [`ContractionHierarchy`] contracts vertices in an edge-difference +
 //!   deleted-neighbours order, inserting witness-checked shortcuts, and
 //!   materializes the upward/downward search graphs;
-//! * [`ch_query`] answers point-to-point queries with a bidirectional
+//! * [`ch_query()`] answers point-to-point queries with a bidirectional
 //!   upward Dijkstra plus stall-on-demand, settling a near-constant cone
 //!   on road-like graphs.
 //!

@@ -1,12 +1,14 @@
 //! Hash aggregation as a pipeline sink: each morsel folds into a mergeable
-//! [`AggPartial`] ([`aggregate_morsel`]), and [`AggMerger`] folds the
+//! `AggPartial` (`aggregate_morsel`), and `AggMerger` folds the
 //! partials **in morsel-index order**.
 //!
 //! A morsel is folded column-at-a-time: the key kernel (`exec/keys.rs`)
 //! hashes the group keys and assigns every slot a group id, then each
 //! aggregate takes one pass over its argument column, with typed INTEGER
 //! and DOUBLE arms and a [`Value`] fallback for the other types. Group keys
-//! are kept as typed columns, in first-seen order.
+//! are kept as typed columns, in first-seen order. A DISTINCT aggregate
+//! dedups its (group, argument) pairs through the same kernel
+//! (`DistinctSet`), per morsel and again in the merge.
 //!
 //! Morsels are in row order and each partial lists its groups in
 //! first-seen order, so the merged group order is the global first-seen
@@ -18,12 +20,10 @@
 
 use crate::error::{exec_err, Error};
 use crate::exec::expression::{eval_column, Sel, Vector};
-use crate::exec::keys::{hash_rows, rows_eq, Cells, Data, IdTable};
+use crate::exec::keys::{cells_eq, hash_rows, rows_eq, Cells, Data, IdTable};
 use crate::plan::{AggCall, AggFunc, BoundExpr, PlanSchema};
-use gsql_storage::value::HashableValue;
 use gsql_storage::{Column, ColumnBuilder, DataType, Table, Value};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -190,7 +190,18 @@ fn update_column(
     let Some(cells) = arg.map(Cells::of_vector) else {
         return (0..gids.len()).try_for_each(|s| states[at(s)].update(None));
     };
-    let mut slots = (0..gids.len()).filter(|&s| !cells.is_null(s));
+    fold_cells(states, cells, 0..gids.len(), at)
+}
+
+/// Fold the non-NULL cells at `slots` into the states `at(slot)`, with
+/// typed arms for INTEGER and DOUBLE columns.
+fn fold_cells(
+    states: &mut [AggState],
+    cells: Cells<'_>,
+    slots: impl IntoIterator<Item = usize>,
+    at: impl Fn(usize) -> usize,
+) -> Result<()> {
+    let mut slots = slots.into_iter().filter(|&s| !cells.is_null(s));
     match cells.data() {
         Data::Int(v) => slots.try_for_each(|s| states[at(s)].add_int(v[s])),
         Data::Double(v) => slots.try_for_each(|s| states[at(s)].add_double(v[s])),
@@ -245,6 +256,42 @@ impl GroupKeys {
     }
 }
 
+/// The distinct (group, argument) pairs of one DISTINCT aggregate in
+/// first-seen order, deduplicated by the key kernel: NULL arguments are
+/// skipped, NaN matches nothing, `-0.0` equals `0.0` and `1` equals `1.0`.
+struct DistinctSet {
+    ids: IdTable,
+    /// Pair `p` is `(groups[p], values[p])`.
+    groups: Vec<u32>,
+    values: Vec<Value>,
+}
+
+impl DistinctSet {
+    fn new() -> DistinctSet {
+        DistinctSet { ids: IdTable::with_capacity(16), groups: Vec::new(), values: Vec::new() }
+    }
+
+    /// Add the pair `(gids[s], arg[s])` of every slot `s` whose argument is
+    /// not NULL; returns the slots whose pair was new, ascending.
+    fn insert(&mut self, gids: &[u32], arg: Cells<'_>) -> Vec<usize> {
+        let groups = Column::from_ints(gids.iter().map(|&g| i64::from(g)).collect());
+        let hashes = hash_rows(&[Cells::of_column(&groups), arg], 0..gids.len());
+        let mut fresh = Vec::new();
+        for s in (0..gids.len()).filter(|&s| !arg.is_null(s)) {
+            let (groups, values) = (&self.groups, Cells::of_values(&self.values));
+            let (_, new) = self
+                .ids
+                .find_or_insert(hashes[s], |p| groups[p] == gids[s] && cells_eq(arg, s, values, p));
+            if new {
+                self.groups.push(gids[s]);
+                self.values.push(arg.get(s));
+                fresh.push(s);
+            }
+        }
+        fresh
+    }
+}
+
 /// The aggregate partial of one morsel: its groups in first-seen order.
 pub(crate) struct AggPartial {
     /// Group `g`'s key is row `g` of these columns; its hash is `hashes[g]`.
@@ -253,11 +300,11 @@ pub(crate) struct AggPartial {
     /// Group `g`'s state of aggregate `i` is `states[g * aggs.len() + i]`,
     /// fed only this morsel's rows (ascending row order).
     states: Vec<AggState>,
-    /// For DISTINCT aggregates (same layout), the insertion-ordered
-    /// distinct values seen in this morsel. Their state updates are
-    /// deferred entirely to the merge, which dedups across morsels; merging
-    /// two partials that each saw the same value must not count it twice.
-    distinct_vals: Vec<Option<Vec<Value>>>,
+    /// Per DISTINCT aggregate, the pairs this morsel saw. Their state
+    /// updates are deferred entirely to the merge, which dedups across
+    /// morsels (so their states here stay empty): merging two partials
+    /// that each saw the same value must not count it twice.
+    distinct: Vec<Option<DistinctSet>>,
 }
 
 /// Aggregate one morsel's selected rows into a mergeable partial. A failure
@@ -272,7 +319,7 @@ pub(crate) fn aggregate_morsel(
     schema: &PlanSchema,
     params: &[Value],
 ) -> Result<AggPartial> {
-    let fresh = || MorselFold::new(GroupKeys::new(group.len(), schema));
+    let fresh = || MorselFold::new(GroupKeys::new(group.len(), schema), aggs);
     let mut fold = fresh();
     fold.rows(input, sel, group, aggs, params).or_else(|err| {
         fold = fresh();
@@ -281,25 +328,24 @@ pub(crate) fn aggregate_morsel(
         }
         Err(err)
     })?;
-    let MorselFold { groups, states, distinct_vals, .. } = fold;
+    let MorselFold { groups, states, distinct } = fold;
     let hashes = groups.ids.hashes().to_vec();
-    Ok(AggPartial { keys: groups.cols, hashes, states, distinct_vals })
+    Ok(AggPartial { keys: groups.cols, hashes, states, distinct })
 }
 
 /// A morsel's groups in first-seen order and the morsel-local dedup sets
 /// of DISTINCT aggregates (the merge dedups across morsels; these just keep
-/// the per-morsel value lists small). Per-group vectors use
-/// [`AggPartial`]'s layout.
+/// the per-morsel pair lists small). Fields use [`AggPartial`]'s layout.
 struct MorselFold {
     groups: GroupKeys,
     states: Vec<AggState>,
-    distinct_vals: Vec<Option<Vec<Value>>>,
-    local_seen: Vec<Option<HashSet<HashableValue>>>,
+    distinct: Vec<Option<DistinctSet>>,
 }
 
 impl MorselFold {
-    fn new(groups: GroupKeys) -> MorselFold {
-        MorselFold { groups, states: Vec::new(), distinct_vals: Vec::new(), local_seen: Vec::new() }
+    fn new(groups: GroupKeys, aggs: &[AggCall]) -> MorselFold {
+        let distinct = aggs.iter().map(|a| a.distinct.then(DistinctSet::new)).collect();
+        MorselFold { groups, states: Vec::new(), distinct }
     }
 
     /// Fold the selected rows: group ids for every slot first, then one
@@ -321,21 +367,14 @@ impl MorselFold {
         let keys: Vec<Cells<'_>> = keys.iter().map(Cells::of_vector).collect();
         let gids = self.groups.assign(&keys, &hash_rows(&keys, 0..sel.len()), || {
             self.states.extend(aggs.iter().map(AggState::new));
-            self.distinct_vals.extend(aggs.iter().map(|a| a.distinct.then(Vec::new)));
-            self.local_seen.extend(aggs.iter().map(|a| a.distinct.then(HashSet::new)));
         })?;
-        let width = aggs.len();
-        for (i, (call, arg)) in aggs.iter().zip(&args).enumerate() {
-            if !call.distinct {
-                update_column(&mut self.states, width, i, &gids, arg.as_ref())?;
-                continue;
-            }
-            let cells = arg.as_ref().map(Cells::of_vector).expect("DISTINCT has an argument");
-            for (s, &g) in gids.iter().enumerate() {
-                let (v, g) = (cells.get(s), g as usize);
-                let seen = self.local_seen[g * width + i].as_mut().expect("distinct set");
-                if !v.is_null() && seen.insert(HashableValue(v.clone())) {
-                    self.distinct_vals[g * width + i].as_mut().expect("distinct list").push(v);
+        for (i, (set, arg)) in self.distinct.iter_mut().zip(&args).enumerate() {
+            match set {
+                None => update_column(&mut self.states, aggs.len(), i, &gids, arg.as_ref())?,
+                Some(set) => {
+                    let cells =
+                        arg.as_ref().map(Cells::of_vector).expect("DISTINCT has an argument");
+                    set.insert(&gids, cells);
                 }
             }
         }
@@ -352,14 +391,15 @@ pub(crate) struct AggMerger<'a> {
     aggs: &'a [AggCall],
     groups: GroupKeys,
     states: Vec<AggState>,
-    distinct_seen: Vec<Option<HashSet<HashableValue>>>,
+    distinct: Vec<Option<DistinctSet>>,
 }
 
 impl<'a> AggMerger<'a> {
     /// A merger for `aggs` grouped by `n_keys` keys, producing `schema`.
     pub fn new(aggs: &'a [AggCall], n_keys: usize, schema: &PlanSchema) -> AggMerger<'a> {
         let groups = GroupKeys::new(n_keys, schema);
-        AggMerger { aggs, groups, states: Vec::new(), distinct_seen: Vec::new() }
+        let distinct = aggs.iter().map(|a| a.distinct.then(DistinctSet::new)).collect();
+        AggMerger { aggs, groups, states: Vec::new(), distinct }
     }
 
     /// Fold the next morsel's partial into the global state.
@@ -368,22 +408,16 @@ impl<'a> AggMerger<'a> {
         let keys: Vec<Cells<'_>> = partial.keys.iter().map(Cells::of_column).collect();
         let gids = self.groups.assign(&keys, &partial.hashes, || {
             self.states.extend(aggs.iter().map(AggState::new));
-            self.distinct_seen.extend(aggs.iter().map(|a| a.distinct.then(HashSet::new)));
         })?;
-        let mut distinct_vals = partial.distinct_vals.into_iter();
         for (k, state) in partial.states.into_iter().enumerate() {
-            let at = gids[k / width] as usize * width + k % width;
-            let entry = &mut self.states[at];
-            let Some(vals) = distinct_vals.next().expect("one list per state") else {
-                entry.merge(state)?;
-                continue;
-            };
-            let seen = self.distinct_seen[at].as_mut().expect("distinct set");
-            for v in vals {
-                if seen.insert(HashableValue(v.clone())) {
-                    entry.update(Some(&v))?;
-                }
-            }
+            self.states[gids[k / width] as usize * width + k % width].merge(state)?;
+        }
+        for (i, (set, part)) in self.distinct.iter_mut().zip(partial.distinct).enumerate() {
+            let (Some(set), Some(part)) = (set, part) else { continue };
+            let groups: Vec<u32> = part.groups.iter().map(|&g| gids[g as usize]).collect();
+            let values = Cells::of_values(&part.values);
+            let fresh = set.insert(&groups, values);
+            fold_cells(&mut self.states, values, fresh, |p| groups[p] as usize * width + i)?;
         }
         Ok(())
     }

@@ -130,7 +130,7 @@ pub(crate) fn null_filtered_edges(edges: Arc<Table>, src_key: usize, dst_key: us
 /// This is the construction cost that the paper's evaluation shows
 /// dominating single-pair query latency (§4) and that batching (Fig. 1b)
 /// and graph indices (§6) amortize: encode the key columns through the
-/// [`VertexDict`] (dense ids in first-seen order), then one sequential
+/// vertex dictionary (dense ids in first-seen order), then one sequential
 /// counting sort over ids that are in range by construction.
 pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<MaterializedGraph> {
     // Exclude edges with NULL endpoints so the snapshot's row ids equal the

@@ -1,4 +1,4 @@
-//! Join execution: a build-once, probe-per-morsel [`JoinProbe`] — hash
+//! Join execution: a build-once, probe-per-morsel `JoinProbe` — hash
 //! probing for equi-conditions, nested-loop probing otherwise (a cross
 //! product is the nested loop with no condition: every row has the same
 //! empty key).

@@ -1,4 +1,6 @@
-//! The key kernel shared by hash join, GROUP BY and DISTINCT.
+//! The key kernel shared by hash join, GROUP BY, DISTINCT (rows and
+//! aggregate arguments) and the vertex dictionary: the engine's one hash
+//! for SQL-equality keys.
 //!
 //! Key columns are hashed column-at-a-time into one `u64` per row, with a
 //! typed loop per column type ([`hash_rows`]); a hash match is confirmed by
@@ -13,7 +15,7 @@
 //!
 //! The hash is keyed by a random per-process value; no result depends on
 //! it. [`IdTable`] maps a key's hash to a dense id (first-seen order) and
-//! is the one hash table behind all three operators.
+//! is the one hash table behind all of them.
 
 use crate::error::Error;
 use crate::exec::expression::{first_error, narrowed, Sel, Vector};
@@ -68,6 +70,11 @@ impl<'a> Cells<'a> {
             Column::Date(v, b) => typed(Data::Date(v), b),
             Column::Path(_) => Cells { data: Data::Other(c), valid: None },
         }
+    }
+
+    /// A view of boxed values, of any variants.
+    pub(crate) fn of_values(v: &'a [Value]) -> Cells<'a> {
+        Cells { data: Data::Values(v), valid: None }
     }
 
     pub(crate) fn of_vector(v: &'a Vector<'_>) -> Cells<'a> {
@@ -244,6 +251,7 @@ fn combine(h: u64, bits: u64) -> u64 {
 /// An open-addressing table from a key hash to a dense id: ids count up
 /// from 0 in insertion order, and the caller keeps each id's key and
 /// confirms a hash match with its own comparison.
+#[derive(Debug)]
 pub(crate) struct IdTable {
     /// `id + 1` per bucket (0 = empty); a power of two, at most half full.
     buckets: Vec<u32>,

@@ -16,8 +16,7 @@
 //!   unimplemented in the paper; we support it);
 //! * `CREATE GRAPH INDEX` / `CREATE PATH INDEX` — the §6 future-work graph
 //!   index with version-based invalidation, and acceleration layers (ALT,
-//!   contraction hierarchies) on the same shared graph;
-//! * the §1 "customary method" baselines used by the ablation benchmarks.
+//!   contraction hierarchies) on the same shared graph.
 //!
 //! ## Entry points
 //!
@@ -54,7 +53,6 @@
 //! [`Database::execute`] / [`Database::query`] remain as one-shot
 //! conveniences that open a temporary session internally.
 
-pub mod baseline;
 pub mod bind;
 pub mod context;
 pub mod database;

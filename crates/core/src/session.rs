@@ -268,7 +268,7 @@ impl<'db> Session<'db> {
 
     /// The trace JSON of the most recently traced statement, when `SET
     /// trace = on|verbose` was in effect for it. The session retains the
-    /// last [`TRACE_RING`] documents.
+    /// last `TRACE_RING` documents.
     pub fn last_trace_json(&self) -> Option<String> {
         self.traces.borrow().back().cloned()
     }

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 ///
 /// Weight vectors are indexed by **original edge-table row id** (the order
 /// the edge table was materialized in), not CSR slot order;
-/// [`BatchComputer::prepare`] validates and permutes them.
+/// [`PreparedWeights::new`] validates and permutes them.
 #[derive(Debug, Clone)]
 pub enum WeightSpec {
     /// No weights: BFS, cost = hop count. This is what `CHEAPEST SUM(1)`

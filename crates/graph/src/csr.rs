@@ -151,7 +151,7 @@ impl Csr {
     /// strict positivity contract of `CHEAPEST SUM` on the way.
     ///
     /// `weights[row]` is the weight of original edge row `row`; the result
-    /// is aligned with [`Csr::targets`].
+    /// is aligned with the CSR's slots.
     pub fn permute_weights_int(&self, weights: &[i64]) -> Result<Vec<i64>> {
         self.permute_weights_int_with_threads(weights, 1)
     }

@@ -3,7 +3,7 @@
 //! Two variants, matching the paper's runtime (§3.2):
 //!
 //! * [`dijkstra_int`] — strictly positive **integer** weights, driven by the
-//!   monotone [`RadixHeap`](crate::radix_heap::RadixHeap) (Ahuja et al.);
+//!   monotone [`RadixHeap`] (Ahuja et al.);
 //! * [`dijkstra_float_into`] — strictly positive **floating-point** weights,
 //!   driven by a standard binary heap (a radix queue requires integer keys,
 //!   which is why the paper's example casts `weight * 2` to `int`; we keep

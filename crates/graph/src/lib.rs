@@ -14,8 +14,8 @@
 //! * [`Csr`] — the Compressed Sparse Row representation built by counting
 //!   sort + prefix sum, storing for every CSR slot the **original edge-table
 //!   row id**, which is what paths are made of (§3.3);
-//! * [`bfs`] — breadth-first search for unweighted shortest paths;
-//! * [`dijkstra_int`] — Dijkstra with a **radix heap** (Ahuja et al. [11])
+//! * [`bfs()`] — breadth-first search for unweighted shortest paths;
+//! * [`dijkstra_int`] — Dijkstra with a **radix heap** (Ahuja et al. \[11\])
 //!   for strictly positive integer weights;
 //! * [`dijkstra_float_into`] — Dijkstra with a binary heap for strictly
 //!   positive floating-point weights;

@@ -1,8 +1,8 @@
 //! A monotone radix priority queue ("radix queue").
 //!
 //! This is the structure the paper pairs with Dijkstra for weighted shortest
-//! paths ("the Dijkstra algorithm combined with the Radix Queue [11]",
-//! §3.2; [11] = Ahuja, Mehlhorn, Orlin, Tarjan 1990, *Faster algorithms for
+//! paths ("the Dijkstra algorithm combined with the Radix Queue \[11\]",
+//! §3.2; \[11\] = Ahuja, Mehlhorn, Orlin, Tarjan 1990, *Faster algorithms for
 //! the shortest path problem*).
 //!
 //! The queue is **monotone**: every pushed key must be `>=` the key most

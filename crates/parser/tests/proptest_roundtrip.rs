@@ -1,89 +1,106 @@
-//! Property-based round-trip tests: generate random ASTs, render them to
-//! SQL, re-parse, and require structural equality. This pins down both the
-//! renderer (canonical parenthesization) and the parser's precedence rules.
+//! Generated-input round-trip tests: random ASTs are rendered to SQL,
+//! re-parsed, and must come back structurally equal. This pins down both
+//! the renderer (canonical parenthesization) and the parser's precedence
+//! rules. The lexer and parser must also be total on arbitrary input.
+//! Each property draws 192 cases from a fixed seed with the workspace's
+//! offline `rand` shim, so it runs in the default test suite.
 
 use gsql_parser::ast::*;
 use gsql_parser::parse_statement;
-use proptest::prelude::*;
+use rand::prelude::*;
 
-fn ident() -> impl Strategy<Value = String> {
-    // Identifiers that are never keywords.
-    "[a-z][a-z0-9_]{0,6}xx".prop_map(|s| s)
+/// Cases per property.
+const CASES: u64 = 192;
+
+/// Run `check` on [`CASES`] generators seeded from `seed`.
+fn for_cases(seed: u64, mut check: impl FnMut(&mut StdRng)) {
+    for case in 0..CASES {
+        check(&mut StdRng::seed_from_u64(seed.wrapping_mul(1_000_003) + case));
+    }
 }
 
-fn literal() -> impl Strategy<Value = Literal> {
-    prop_oneof![
-        Just(Literal::Null),
-        any::<i32>().prop_map(|v| Literal::Int(v as i64)),
+fn pick<T: Clone>(rng: &mut StdRng, xs: &[T]) -> T {
+    xs[rng.gen_range(0..xs.len())].clone()
+}
+
+/// Between `min` and `max` characters drawn from `alphabet`.
+fn string_of(rng: &mut StdRng, alphabet: &[char], min: usize, max: usize) -> String {
+    (0..rng.gen_range(min..=max)).map(|_| pick(rng, alphabet)).collect()
+}
+
+/// An identifier that is never a keyword: `[a-z][a-z0-9_]{0,6}xx`.
+fn ident(rng: &mut StdRng) -> String {
+    let lower: Vec<char> = ('a'..='z').collect();
+    let rest: Vec<char> = lower.iter().copied().chain('0'..='9').chain(['_']).collect();
+    format!("{}{}xx", pick(rng, &lower), string_of(rng, &rest, 0, 6))
+}
+
+fn literal(rng: &mut StdRng) -> Literal {
+    match rng.gen_range(0..6) {
+        0 => Literal::Null,
+        1 => Literal::Int(rng.gen_range(i32::MIN..=i32::MAX) as i64),
         // Finite doubles with a short decimal representation survive
         // display->parse exactly.
-        (-1000i32..1000, 1u32..100).prop_map(|(a, b)| Literal::Float(a as f64 / b as f64)),
-        "[a-zA-Z0-9 ']{0,12}".prop_map(Literal::String),
-        any::<bool>().prop_map(Literal::Bool),
-        (1980u32..2030, 1u32..13, 1u32..29)
-            .prop_map(|(y, m, d)| Literal::Date(format!("{y:04}-{m:02}-{d:02}"))),
-    ]
+        2 => Literal::Float(rng.gen_range(-1000..1000) as f64 / rng.gen_range(1..100) as f64),
+        3 => {
+            let alphabet: Vec<char> =
+                ('a'..='z').chain('A'..='Z').chain('0'..='9').chain([' ', '\'']).collect();
+            Literal::String(string_of(rng, &alphabet, 0, 12))
+        }
+        4 => Literal::Bool(rng.gen_bool(0.5)),
+        _ => Literal::Date(format!(
+            "{:04}-{:02}-{:02}",
+            rng.gen_range(1980..2030),
+            rng.gen_range(1..13),
+            rng.gen_range(1..29)
+        )),
+    }
 }
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        literal().prop_map(Expr::Literal),
-        ident().prop_map(|name| Expr::Column { table: None, name }),
-        (ident(), ident()).prop_map(|(t, name)| Expr::Column { table: Some(t), name }),
-    ];
-    leaf.prop_recursive(4, 48, 4, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), prop_oneof![
-                Just(BinaryOp::Add), Just(BinaryOp::Sub), Just(BinaryOp::Mul),
-                Just(BinaryOp::Div), Just(BinaryOp::Mod), Just(BinaryOp::Concat),
-                Just(BinaryOp::Eq), Just(BinaryOp::NotEq), Just(BinaryOp::Lt),
-                Just(BinaryOp::LtEq), Just(BinaryOp::Gt), Just(BinaryOp::GtEq),
-                Just(BinaryOp::And), Just(BinaryOp::Or),
-            ])
-                .prop_map(|(l, r, op)| Expr::Binary {
-                    left: Box::new(l),
-                    op,
-                    right: Box::new(r)
-                }),
-            (inner.clone(), any::<bool>()).prop_map(|(e, negated)| Expr::IsNull {
-                expr: Box::new(e),
-                negated
-            }),
-            (inner.clone(), prop::collection::vec(inner.clone(), 1..4), any::<bool>())
-                .prop_map(|(e, list, negated)| Expr::InList {
-                    expr: Box::new(e),
-                    list,
-                    negated
-                }),
-            (inner.clone(), inner.clone(), inner.clone(), any::<bool>()).prop_map(
-                |(e, lo, hi, negated)| Expr::Between {
-                    expr: Box::new(e),
-                    low: Box::new(lo),
-                    high: Box::new(hi),
-                    negated
-                }
-            ),
-            inner.clone().prop_map(|e| Expr::Unary { op: UnaryOp::Not, expr: Box::new(e) }),
-            inner.clone().prop_map(|e| Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) }),
-            (inner.clone(), prop_oneof![
-                Just(TypeName::Integer), Just(TypeName::Double), Just(TypeName::Varchar),
-                Just(TypeName::Boolean), Just(TypeName::Date)
-            ])
-                .prop_map(|(e, ty)| Expr::Cast { expr: Box::new(e), ty }),
-            (ident(), prop::collection::vec(inner.clone(), 0..3))
-                .prop_map(|(name, args)| Expr::Function { name, args, distinct: false }),
-            (
-                prop::option::of(inner.clone().prop_map(Box::new)),
-                prop::collection::vec((inner.clone(), inner.clone()), 1..3),
-                prop::option::of(inner.clone().prop_map(Box::new)),
-            )
-                .prop_map(|(operand, branches, else_expr)| Expr::Case {
-                    operand,
-                    branches,
-                    else_expr
-                }),
-        ]
-    })
+/// A random expression at most `depth` operators deep.
+fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
+    if depth == 0 || rng.gen_bool(0.25) {
+        return match rng.gen_range(0..3) {
+            0 => Expr::Literal(literal(rng)),
+            1 => Expr::Column { table: None, name: ident(rng) },
+            _ => Expr::Column { table: Some(ident(rng)), name: ident(rng) },
+        };
+    }
+    let sub = |rng: &mut StdRng| Box::new(arb_expr(rng, depth - 1));
+    let list = |rng: &mut StdRng, min: usize, max: usize| -> Vec<Expr> {
+        (0..rng.gen_range(min..=max)).map(|_| arb_expr(rng, depth - 1)).collect()
+    };
+    match rng.gen_range(0..10) {
+        0 => {
+            use BinaryOp::*;
+            let ops = [Add, Sub, Mul, Div, Mod, Concat, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or];
+            let op = pick(rng, &ops);
+            Expr::Binary { left: sub(rng), op, right: sub(rng) }
+        }
+        1 => Expr::IsNull { expr: sub(rng), negated: rng.gen_bool(0.5) },
+        2 => Expr::InList { expr: sub(rng), list: list(rng, 1, 3), negated: rng.gen_bool(0.5) },
+        3 => Expr::Between {
+            expr: sub(rng),
+            low: sub(rng),
+            high: sub(rng),
+            negated: rng.gen_bool(0.5),
+        },
+        4 => Expr::Unary { op: UnaryOp::Not, expr: sub(rng) },
+        5 => Expr::Unary { op: UnaryOp::Neg, expr: sub(rng) },
+        6 => {
+            use TypeName::*;
+            let ty = pick(rng, &[Integer, Double, Varchar, Boolean, Date]);
+            Expr::Cast { expr: sub(rng), ty }
+        }
+        7 => Expr::Function { name: ident(rng), args: list(rng, 0, 2), distinct: false },
+        _ => Expr::Case {
+            operand: rng.gen_bool(0.5).then(|| sub(rng)),
+            branches: (0..rng.gen_range(1..=2))
+                .map(|_| (arb_expr(rng, depth - 1), arb_expr(rng, depth - 1)))
+                .collect(),
+            else_expr: rng.gen_bool(0.5).then(|| sub(rng)),
+        },
+    }
 }
 
 /// Normalize the one representational ambiguity: the parser folds `-5`
@@ -154,10 +171,9 @@ fn normalize_stmt(stmt: &Statement) -> Statement {
                 .items
                 .iter()
                 .map(|it| match it {
-                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                        expr: normalize(expr),
-                        alias: alias.clone(),
-                    },
+                    SelectItem::Expr { expr, alias } => {
+                        SelectItem::Expr { expr: normalize(expr), alias: alias.clone() }
+                    }
                     SelectItem::CheapestSum { binding, weight, aliases } => {
                         SelectItem::CheapestSum {
                             binding: binding.clone(),
@@ -192,76 +208,68 @@ fn assert_round_trip(stmt: &Statement) {
     let rendered = stmt.to_string();
     let reparsed = parse_statement(&rendered)
         .unwrap_or_else(|e| panic!("re-parse failed: {e}\nrendered: {rendered}"));
-    assert_eq!(
-        normalize_stmt(stmt),
-        normalize_stmt(&reparsed),
-        "rendered: {rendered}"
-    );
+    assert_eq!(normalize_stmt(stmt), normalize_stmt(&reparsed), "rendered: {rendered}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// A `SELECT` of `items` with an optional `WHERE`, nothing else.
+fn select(items: Vec<SelectItem>, where_clause: Option<Expr>) -> Statement {
+    Statement::Query(Query {
+        ctes: vec![],
+        body: SetExpr::Select(Box::new(Select {
+            distinct: false,
+            items,
+            from: vec![],
+            where_clause,
+            group_by: vec![],
+            having: None,
+        })),
+        order_by: vec![],
+        limit: None,
+        offset: None,
+    })
+}
 
-    #[test]
-    fn expressions_round_trip(e in arb_expr()) {
-        let stmt = Statement::Query(Query {
-            ctes: vec![],
-            body: SetExpr::Select(Box::new(Select {
-                distinct: false,
-                items: vec![SelectItem::Expr { expr: e, alias: None }],
-                from: vec![],
-                where_clause: None,
-                group_by: vec![],
-                having: None,
-            })),
-            order_by: vec![],
-            limit: None,
-            offset: None,
-        });
-        assert_round_trip(&stmt);
-    }
+#[test]
+fn expressions_round_trip() {
+    for_cases(1, |rng| {
+        let expr = arb_expr(rng, 4);
+        assert_round_trip(&select(vec![SelectItem::Expr { expr, alias: None }], None));
+    });
+}
 
-    #[test]
-    fn where_and_reaches_round_trip(
-        x in ident(), y in ident(), table in ident(),
-        s in ident(), d in ident(), use_alias in any::<bool>(),
-        weight in arb_expr(),
-    ) {
-        let alias = use_alias.then(|| "tv".to_string());
-        let stmt = Statement::Query(Query {
-            ctes: vec![],
-            body: SetExpr::Select(Box::new(Select {
-                distinct: false,
-                items: vec![SelectItem::CheapestSum {
-                    binding: alias.clone(),
-                    weight,
-                    aliases: CheapestAlias::CostAndPath("c".into(), "p".into()),
-                }],
-                from: vec![],
-                where_clause: Some(Expr::Reaches(Box::new(ReachesPredicate {
-                    source: Expr::Column { table: None, name: x },
-                    dest: Expr::Column { table: None, name: y },
-                    edge_table: TableRef::Base { name: table, alias: None },
-                    alias,
-                    src_col: s,
-                    dst_col: d,
-                }))),
-                group_by: vec![],
-                having: None,
-            })),
-            order_by: vec![],
-            limit: None,
-            offset: None,
-        });
-        assert_round_trip(&stmt);
-    }
+#[test]
+fn where_and_reaches_round_trip() {
+    for_cases(2, |rng| {
+        let alias = rng.gen_bool(0.5).then(|| "tv".to_string());
+        let item = SelectItem::CheapestSum {
+            binding: alias.clone(),
+            weight: arb_expr(rng, 4),
+            aliases: CheapestAlias::CostAndPath("c".into(), "p".into()),
+        };
+        let reaches = Expr::Reaches(Box::new(ReachesPredicate {
+            source: Expr::Column { table: None, name: ident(rng) },
+            dest: Expr::Column { table: None, name: ident(rng) },
+            edge_table: TableRef::Base { name: ident(rng), alias: None },
+            alias,
+            src_col: ident(rng),
+            dst_col: ident(rng),
+        }));
+        assert_round_trip(&select(vec![item], Some(reaches)));
+    });
+}
 
-    #[test]
-    fn order_limit_round_trip(
-        cols in prop::collection::vec((ident(), any::<bool>()), 1..4),
-        limit in prop::option::of(0i64..1000),
-        offset in prop::option::of(0i64..1000),
-    ) {
+#[test]
+fn order_limit_round_trip() {
+    for_cases(3, |rng| {
+        let order_by = (0..rng.gen_range(1..4))
+            .map(|_| OrderItem {
+                expr: Expr::Column { table: None, name: ident(rng) },
+                asc: rng.gen_bool(0.5),
+            })
+            .collect();
+        let mut bound =
+            || rng.gen_bool(0.5).then(|| Expr::Literal(Literal::Int(rng.gen_range(0..1000))));
+        let (limit, offset) = (bound(), bound());
         let stmt = Statement::Query(Query {
             ctes: vec![],
             body: SetExpr::Select(Box::new(Select {
@@ -272,35 +280,40 @@ proptest! {
                 group_by: vec![],
                 having: None,
             })),
-            order_by: cols
-                .into_iter()
-                .map(|(name, asc)| OrderItem {
-                    expr: Expr::Column { table: None, name },
-                    asc,
-                })
-                .collect(),
-            limit: limit.map(|v| Expr::Literal(Literal::Int(v))),
-            offset: offset.map(|v| Expr::Literal(Literal::Int(v))),
+            order_by,
+            limit,
+            offset,
         });
         assert_round_trip(&stmt);
-    }
+    });
+}
 
-    /// The lexer never panics on arbitrary input and error positions are
-    /// within the input.
-    #[test]
-    fn lexer_total_on_arbitrary_input(src in "\\PC{0,60}") {
+/// Up to 60 printable characters, ASCII and multi-byte.
+fn arbitrary_text(rng: &mut StdRng) -> String {
+    let alphabet: Vec<char> =
+        (' '..='~').chain(['é', 'ß', 'Ж', '中', '∑', '😀', '\u{a0}', '\u{2028}']).collect();
+    string_of(rng, &alphabet, 0, 60)
+}
+
+/// The lexer never panics on arbitrary input and error positions are
+/// within the input.
+#[test]
+fn lexer_total_on_arbitrary_input() {
+    for_cases(4, |rng| {
+        let src = arbitrary_text(rng);
         match gsql_parser::Lexer::new(&src).tokenize() {
-            Ok(tokens) => prop_assert!(!tokens.is_empty()),
-            Err(e) => {
-                prop_assert!(e.line >= 1);
-                prop_assert!(e.column >= 1);
-            }
+            Ok(tokens) => assert!(!tokens.is_empty(), "{src:?}"),
+            Err(e) => assert!(e.line >= 1 && e.column >= 1, "{src:?}: {e}"),
         }
-    }
+    });
+}
 
-    /// The parser never panics on arbitrary statement-shaped input.
-    #[test]
-    fn parser_total_on_arbitrary_input(src in "(SELECT|INSERT|CREATE)? ?\\PC{0,60}") {
-        let _ = parse_statement(&src);
-    }
+/// The parser never panics on arbitrary statement-shaped input.
+#[test]
+fn parser_total_on_arbitrary_input() {
+    for_cases(5, |rng| {
+        let keyword = pick(rng, &["", "SELECT", "INSERT", "CREATE"]);
+        let space = if rng.gen_bool(0.5) { " " } else { "" };
+        let _ = parse_statement(&format!("{keyword}{space}{}", arbitrary_text(rng)));
+    });
 }

@@ -5,7 +5,6 @@ use crate::table::Table;
 use crate::types::DataType;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A shortest path, represented as the paper's §3.3 nested table: a list of
@@ -178,41 +177,6 @@ impl Value {
             (a, b) => type_rank(a).cmp(&type_rank(b)),
         }
     }
-
-    /// Hash consistent with [`Value::sql_eq`] (the [`HashableValue`] key).
-    /// Numeric values hash through their double representation, `-0.0`
-    /// folded onto `0.0`, so that `Int(1)` and `Double(1.0)` collide, and so
-    /// do `-0.0` and `0.0` (both pairs are `sql_eq`).
-    pub fn hash_value<H: Hasher>(&self, state: &mut H) {
-        let num = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Int(v) => {
-                1u8.hash(state);
-                num(*v as f64).hash(state);
-            }
-            Value::Double(v) => {
-                1u8.hash(state);
-                num(*v).hash(state);
-            }
-            Value::Str(s) => {
-                2u8.hash(state);
-                s.hash(state);
-            }
-            Value::Bool(b) => {
-                3u8.hash(state);
-                b.hash(state);
-            }
-            Value::Date(d) => {
-                4u8.hash(state);
-                d.0.hash(state);
-            }
-            Value::Path(p) => {
-                5u8.hash(state);
-                p.rows.hash(state);
-            }
-        }
-    }
 }
 
 fn type_rank(v: &Value) -> u8 {
@@ -232,19 +196,6 @@ impl PartialEq for Value {
             (Value::Null, Value::Null) => true,
             _ => self.sql_eq(other),
         }
-    }
-}
-
-/// A hash-map key wrapper giving [`Value`] `Eq + Hash` with SQL semantics
-/// (NULL == NULL, used by GROUP BY where NULLs form one group).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HashableValue(pub Value);
-
-impl Eq for HashableValue {}
-
-impl Hash for HashableValue {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash_value(state);
     }
 }
 
@@ -330,32 +281,6 @@ mod tests {
         assert_eq!(Value::Int(1).total_cmp(&Value::Double(1.5)), Ordering::Less);
         assert_eq!(Value::Double(2.5).total_cmp(&Value::Int(2)), Ordering::Greater);
         assert_eq!(Value::Int(2).total_cmp(&Value::Double(2.0)), Ordering::Equal);
-    }
-
-    #[test]
-    fn hashable_value_groups_nulls() {
-        use std::collections::HashMap;
-        let mut groups: HashMap<HashableValue, usize> = HashMap::new();
-        for v in [Value::Null, Value::Null, Value::Int(1), Value::Double(1.0)] {
-            *groups.entry(HashableValue(v)).or_default() += 1;
-        }
-        // NULLs group together; Int(1) and Double(1.0) group together.
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&HashableValue(Value::Null)], 2);
-        assert_eq!(groups[&HashableValue(Value::Int(1))], 2);
-    }
-
-    #[test]
-    fn hashable_value_folds_signed_zeros_and_keeps_nans_apart() {
-        use std::collections::HashSet;
-        let set: HashSet<HashableValue> =
-            [Value::Double(-0.0), Value::Double(0.0), Value::Int(0), Value::Double(f64::NAN)]
-                .into_iter()
-                .chain([Value::Double(f64::NAN)])
-                .map(HashableValue)
-                .collect();
-        // -0.0, 0.0 and 0 are one key; each NaN is its own.
-        assert_eq!(set.len(), 3);
     }
 
     #[test]

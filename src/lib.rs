@@ -59,7 +59,7 @@ pub use gsql_parser as parser;
 /// The graph runtime (CSR, BFS, Dijkstra with radix queue).
 pub use gsql_graph as graph;
 
-/// The query engine internals (binder, plans, executor, baselines).
+/// The query engine internals (binder, plans, executor).
 pub use gsql_core as engine;
 
 /// Synthetic dataset generators (LDBC-SNB-like social network, road grids).

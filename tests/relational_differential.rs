@@ -222,13 +222,14 @@ fn groups(rows: &[Row], keys: &[usize]) -> Vec<(Row, Vec<Row>)> {
 fn aggregate_sql(t: &str) -> String {
     format!(
         "COUNT(*), COUNT({t}.d), SUM({t}.n), SUM({t}.d), MIN({t}.d), MAX({t}.d), MIN({t}.s), \
-         MAX({t}.n), AVG({t}.n), AVG({t}.d), COUNT(DISTINCT {t}.d), SUM(DISTINCT {t}.n)"
+         MAX({t}.n), AVG({t}.n), AVG({t}.d), COUNT(DISTINCT {t}.d), SUM(DISTINCT {t}.n), \
+         COUNT(DISTINCT {t}.s), COUNT(DISTINCT {t}.a), SUM(DISTINCT {t}.a)"
     )
 }
 
 /// [`aggregate_sql`] by the oracle, for one group's rows, reading columns
-/// `n`, `d` and `s` at the given ordinals.
-fn aggregate_oracle(rows: &[Row], (n, d, s): (usize, usize, usize)) -> Row {
+/// `n`, `d`, `s` and `a` at the given ordinals.
+fn aggregate_oracle(rows: &[Row], (n, d, s, a): (usize, usize, usize, usize)) -> Row {
     let present = |c: usize| rows.iter().map(move |r| &r[c]).filter(|v| !v.is_null());
     let ints = |c: usize| present(c).map(|v| v.as_int().unwrap());
     let doubles = |c: usize| present(c).map(|v| v.as_double().unwrap());
@@ -268,6 +269,15 @@ fn aggregate_oracle(rows: &[Row], (n, d, s): (usize, usize, usize)) -> Row {
         avg(doubles(d).collect()),
         Value::Int(distinct(d).len() as i64),
         sum_int(distinct(n).iter().map(|v| v.as_int().unwrap()).collect()),
+        Value::Int(distinct(s).len() as i64),
+        Value::Int(distinct(a).len() as i64),
+        match distinct(a).first() {
+            Some(Value::Double(_)) => {
+                let xs = distinct(a).iter().map(|v| v.as_double().unwrap()).collect();
+                sum_double(xs).map_or(Value::Null, Value::Double)
+            }
+            _ => sum_int(distinct(a).iter().map(|v| v.as_int().unwrap()).collect()),
+        },
     ]
 }
 
@@ -295,7 +305,7 @@ fn check_seed(seed: u64) {
 
         // GROUP BY over `l`, in first-seen group order: keys DOUBLE,
         // VARCHAR, INTEGER + VARCHAR, and none.
-        let l_cols = (L_N, L_D, L_S);
+        let l_cols = (L_N, L_D, L_S, L_A);
         for (keys, key_sql) in
             [(vec![L_D], "d"), (vec![L_S], "s"), (vec![L_A, L_S], "a, s"), (vec![], "")]
         {
@@ -337,7 +347,7 @@ fn check_seed(seed: u64) {
         let want: Vec<Row> = groups(&joined, &[R_D])
             .into_iter()
             .map(|(key, rows)| {
-                key.into_iter().chain(aggregate_oracle(&rows, (R_N, R_D, R_S))).collect()
+                key.into_iter().chain(aggregate_oracle(&rows, (R_N, R_D, R_S, R_A))).collect()
             })
             .collect();
         assert_eq!(in_order(fetch(&sql)), in_order(want), "seed {seed}: {sql}");
