@@ -3,11 +3,12 @@
 //! [`ExecContext`] bundles everything a single statement execution needs —
 //! catalog, `?` parameter values, index registry, session settings, the
 //! metrics registry and the statement's trace collector — and is threaded
-//! through binder → optimizer → executor instead of loose arguments. It is
-//! the engine-side counterpart of a [`crate::Session`]. The binder and the
-//! optimizer read only the catalog, the parameters and the index registry,
-//! so a plan never depends on the session's [`SessionSettings`] — which is
-//! what lets every session share one plan cache.
+//! through binder → executor instead of loose arguments. It is the
+//! engine-side counterpart of a [`crate::Session`]. The binder reads only
+//! the catalog and the parameters, and the optimizer reads nothing but the
+//! plan, so a plan never depends on the session's [`SessionSettings`] or on
+//! the index registry — which is what lets every session share one plan
+//! cache. The executor asks the registry for indexes as it runs.
 
 use crate::error::{bind_err, Error};
 use crate::index::IndexRegistry;
@@ -188,8 +189,8 @@ impl Deadline {
 /// Everything one statement execution needs, bundled.
 ///
 /// A [`crate::Session`] builds one `ExecContext` per statement; the
-/// context is handed to [`crate::bind::Binder`],
-/// [`crate::optimize::optimize_with`] and [`crate::exec::Executor`].
+/// context is handed to [`crate::bind::Binder`] and
+/// [`crate::exec::Executor`].
 #[derive(Debug)]
 pub struct ExecContext<'a> {
     catalog: &'a Catalog,

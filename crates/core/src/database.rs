@@ -14,7 +14,7 @@ use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{cast_value, eval_column, eval_filter, first_error, Sel};
 use crate::index::IndexRegistry;
-use crate::optimize::optimize_with;
+use crate::optimize::optimize;
 use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
 use crate::session::{PlanCache, PreparedStatement, Session};
 use gsql_obs::{EngineMetrics, SlowLog};
@@ -23,7 +23,7 @@ use gsql_storage::{
     Catalog, ColumnDef, DataType, DurableStore, Mutation, Schema, StorageError, Table, Value,
 };
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -74,6 +74,10 @@ impl QueryResult {
 pub struct Database {
     catalog: Catalog,
     indexes: IndexRegistry,
+    /// Held for the whole of an index DDL statement and across `DROP
+    /// TABLE`, so neither interleaves with the other; always taken before
+    /// the commit lock.
+    index_ddl: Mutex<()>,
     plan_cache: PlanCache,
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
@@ -140,16 +144,23 @@ impl Database {
 
     /// Apply one table mutation through the catalog (which logs it on a
     /// durable database), count what it logged, and drop the indexes of a
-    /// dropped table. Statements, `import_csv` and recovery all change
-    /// tables through here.
+    /// dropped table — under the index-DDL lock, so the drop neither lands
+    /// in the middle of an index build nor is logged ahead of it.
+    /// Statements, `import_csv` and recovery all change tables through here.
     pub(crate) fn apply(&self, table: &str, mutation: Mutation) -> Result<()> {
         let dropped = matches!(mutation, Mutation::Drop);
+        let _ddl = dropped.then(|| self.lock_index_ddl());
         let logged = self.catalog.apply(table, mutation).map_err(Error::Storage)?;
         self.count_logged(logged);
         if dropped {
             self.indexes.drop_table(table);
         }
         Ok(())
+    }
+
+    /// The index-DDL lock: see [`Database::apply`].
+    pub(crate) fn lock_index_ddl(&self) -> MutexGuard<'_, ()> {
+        self.index_ddl.lock().expect("index DDL lock poisoned")
     }
 
     /// Count one WAL record of `bytes` framed bytes (0: nothing logged).
@@ -202,12 +213,13 @@ impl Database {
         &self.indexes
     }
 
-    /// The structural version of the database: changes whenever a table,
-    /// graph index or path index is created or dropped — through SQL
-    /// statements or the [`Catalog`] API directly (e.g. bulk loaders).
-    /// Cached plans bind to one version and are invalidated when it moves.
+    /// The structural version of the database: changes whenever a table is
+    /// created or dropped — through SQL statements or the [`Catalog`] API
+    /// directly (e.g. bulk loaders). Cached plans bind to one version and
+    /// are invalidated when it moves; index DDL leaves it alone, since
+    /// plans never name an index.
     pub fn schema_version(&self) -> u64 {
-        self.catalog.ddl_version() + self.indexes.version()
+        self.catalog.ddl_version()
     }
 
     /// Execute a single statement without parameters.
@@ -263,7 +275,7 @@ impl Database {
     }
 
     /// Parse, bind and optimize a query under default session settings,
-    /// returning its logical plan (what `EXPLAIN` renders).
+    /// returning its logical plan, which names no index.
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
         self.session().plan(sql)
     }
@@ -333,7 +345,7 @@ impl Database {
                 plan.schema().len()
             ));
         }
-        let plan = optimize_with(plan, ctx);
+        let plan = optimize(plan);
         let rows = Executor::new(ctx).execute(&plan)?;
 
         let mut appended = Vec::with_capacity(rows.row_count());

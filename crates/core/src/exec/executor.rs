@@ -117,11 +117,6 @@ impl<'a> Executor<'a> {
             LogicalPlan::Scan { table, .. } => {
                 self.ctx.catalog().get(table).map_err(Error::Storage)?
             }
-            LogicalPlan::IndexedGraph { table, .. } => {
-                // Reached only when a graph operator did not consume the
-                // node (or the index was dropped): scan the base table.
-                self.ctx.catalog().get(table).map_err(Error::Storage)?
-            }
             LogicalPlan::Values { rows, schema } => {
                 let mut t = Table::empty(schema.to_storage_schema());
                 for row in rows {

@@ -74,7 +74,8 @@ fn operator_lines(
 /// Append the notes of the spans below `parent` (not crossing an operator
 /// span): `graph build: …`, `weights: …`, and per traversal the notes of
 /// the weights it evaluated, the accelerated search's `settled=N (kind,
-/// structure)`, then `traversal: kind (reason)`.
+/// structure)`, the `index: name` that served the graph, then `traversal:
+/// kind (reason)`.
 fn notes(forest: &SpanForest<'_>, parent: SpanId, out: &mut String) {
     for &id in forest.children(parent) {
         let ms = forest.dur_us(id) as f64 / 1e3;
@@ -97,6 +98,9 @@ fn notes(forest: &SpanForest<'_>, parent: SpanId, out: &mut String) {
                         let (settled, size) = (int(forest, id, "settled"), int(forest, id, key));
                         let _ = write!(out, ", settled={settled} ({kind}, {key}={size})");
                     }
+                }
+                if forest.attr(id, "index").is_some() {
+                    let _ = write!(out, ", index: {}", text(forest, id, "index"));
                 }
                 format!("traversal: {kind} ({})", text(forest, id, "reason"))
             }

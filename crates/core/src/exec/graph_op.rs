@@ -20,8 +20,7 @@ use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column, Sel};
-use crate::index::{AccelLayer, IndexSpace};
-use crate::optimize::spec_accel_eligible;
+use crate::index::{AccelLayer, Served};
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use crate::vertex_dict::VertexDict;
 use crate::weight_cache::{self, WeightCache};
@@ -411,8 +410,9 @@ impl SpecResults {
 /// | graph built for this statement | BFS per source | `bfs` | ad-hoc graph, hop weights |
 ///
 /// A layer covers a spec that asks for no path and whose weight is a
-/// constant over a hop index, or the index's own weight column
-/// ([`spec_accel_eligible`]); one accelerated run then answers every spec.
+/// constant over a hop index, or the index's own weight column; the
+/// registry serves a layer only when it covers every spec, and one
+/// accelerated run then answers them all.
 fn dispatch<'a>(
     graph: &'a MaterializedGraph,
     pairs: usize,
@@ -420,8 +420,7 @@ fn dispatch<'a>(
     from_index: bool,
     layer: Option<&'a AccelLayer>,
 ) -> (Box<dyn Search + 'a>, TraversalKind, &'static str) {
-    let covered = |l: &&AccelLayer| specs.iter().all(|s| spec_accel_eligible(s, l.weight_key));
-    if let Some(layer) = layer.filter(covered).filter(|_| pairs > 0) {
+    if let Some(layer) = layer.filter(|_| pairs > 0) {
         let (search, kind) = layer.searcher(pairs);
         return (search, kind, "path index covers every spec");
     }
@@ -453,15 +452,15 @@ fn dispatch<'a>(
 /// through its [`Budget`]: the context's worker-pool width (results merged
 /// in input order — identical to sequential) and statement deadline,
 /// polled between per-vertex searches so a timeout interrupts a long batch
-/// mid-flight.
+/// mid-flight. The span also names the index that served the graph.
 fn traverse(
     ctx: &ExecContext<'_>,
-    graph: &MaterializedGraph,
-    from_index: bool,
-    layer: Option<&AccelLayer>,
+    served: &Served,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
+    let (graph, from_index) = (&*served.graph, served.index.is_some());
+    let layer = served.layer.as_deref();
     let (hops, kind, reason) = dispatch(graph, pairs.len(), specs, from_index, layer);
     let observer = MetricsObserver::new(ctx);
     let budget = Budget {
@@ -502,16 +501,17 @@ fn traverse(
     if let (Some(t), Some((id, outer))) = (ctx.trace(), span) {
         ctx.swap_trace_parent(outer);
         let (traversals, settled) = observer.totals();
-        t.end_with(
-            id,
-            vec![
-                ("kind".to_string(), TraceValue::from(kind.as_str())),
-                ("reason".to_string(), TraceValue::from(reason)),
-                ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
-                ("traversals".to_string(), TraceValue::from(traversals as i64)),
-                ("settled".to_string(), TraceValue::from(settled as i64)),
-            ],
-        );
+        let mut attrs = vec![
+            ("kind".to_string(), TraceValue::from(kind.as_str())),
+            ("reason".to_string(), TraceValue::from(reason)),
+            ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
+            ("traversals".to_string(), TraceValue::from(traversals as i64)),
+            ("settled".to_string(), TraceValue::from(settled as i64)),
+        ];
+        if let Some(index) = &served.index {
+            attrs.push(("index".to_string(), TraceValue::from(index.as_str())));
+        }
+        t.end_with(id, attrs);
     }
     result
 }
@@ -548,29 +548,41 @@ pub fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
     }
 }
 
-/// The graph of an edge plan: served by the index an [`LogicalPlan::
-/// IndexedGraph`] node names — with the acceleration layer of a path index
-/// — while it still exists, otherwise built now from
-/// the edge plan (which scans the base table when the index was dropped
-/// since planning). The flag says whether the graph came from an index.
+/// The `(table, src, dst)` of an edge plan an index may serve: a bare scan
+/// of a base table.
+pub(crate) fn scanned_edge(
+    edge: &LogicalPlan,
+    src_key: usize,
+    dst_key: usize,
+) -> Option<(&str, &str, &str)> {
+    let LogicalPlan::Scan { table, schema } = edge else {
+        return None;
+    };
+    Some((table, &schema.column(src_key).name, &schema.column(dst_key).name))
+}
+
+/// The graph of an edge plan: served by the index the registry selects for
+/// an edge scan when one exists now — with the acceleration layer of a path
+/// index that covers every spec — otherwise built from the executed edge
+/// plan.
 fn obtain_graph(
     ex: &Executor<'_>,
     edge: &LogicalPlan,
     src_key: usize,
     dst_key: usize,
-) -> Result<(Arc<MaterializedGraph>, bool, Option<Arc<AccelLayer>>)> {
+    specs: &[CheapestSpec],
+) -> Result<Served> {
     let ctx = ex.ctx();
-    if let LogicalPlan::IndexedGraph { index, accel, .. } = edge {
-        let space = if accel.is_some() { IndexSpace::Path } else { IndexSpace::Graph };
-        if let Some(registry) = ctx.indexes() {
-            if let Some((graph, layer)) = registry.resolve(ctx, space, index)? {
-                return Ok((graph, true, layer));
-            }
+    if let (Some(registry), Some((table, src, dst))) =
+        (ctx.indexes(), scanned_edge(edge, src_key, dst_key))
+    {
+        if let Some(served) = registry.serve(ctx, table, src, dst, specs)? {
+            return Ok(served);
         }
     }
     let edges = ex.execute(edge)?;
     let graph = build_graph_observed(ctx, BuildSource::Statement, edges, src_key, dst_key)?;
-    Ok((Arc::new(graph), false, None))
+    Ok(Served { graph: Arc::new(graph), layer: None, index: None })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -591,7 +603,8 @@ fn execute_graph_select(
     // full-table expression sweep runs over an intermediate table — and
     // then mapped into the dense domain, dropping rows whose endpoints are
     // not vertices (the "initial filtering" of §3.1).
-    let (graph, from_index, layer) = obtain_graph(ex, edge, src_key, dst_key)?;
+    let served = obtain_graph(ex, edge, src_key, dst_key, specs)?;
+    let graph = &served.graph;
     let key_ty = graph.edges.schema().column(src_key).ty;
     let (input_table, mut cols) =
         ex.execute_with_extras(input, &[(source, key_ty), (dest, key_ty)])?;
@@ -607,8 +620,7 @@ fn execute_graph_select(
         candidates.push(row);
         pairs.push((sid, did));
     }
-    let (reachable, spec_results) =
-        traverse(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
+    let (reachable, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
 
     let kept: Vec<usize> = (0..pairs.len()).filter(|&i| reachable[i]).collect();
     let kept_input_rows: Vec<usize> = kept.iter().map(|&i| candidates[i]).collect();
@@ -635,7 +647,8 @@ fn execute_graph_join(
     // GraphJoin is the batched many-to-many shape: the pairs are the whole
     // distinct-source × distinct-dest matrix. Each side evaluates its vertex
     // expression along with its rows (see `execute_graph_select`).
-    let (graph, from_index, layer) = obtain_graph(ex, edge, src_key, dst_key)?;
+    let served = obtain_graph(ex, edge, src_key, dst_key, specs)?;
+    let graph = &served.graph;
     let key_ty = graph.edges.schema().column(src_key).ty;
     let (left_table, mut x_cols) = ex.execute_with_extras(left, &[(source, key_ty)])?;
     let (right_table, mut y_cols) = ex.execute_with_extras(right, &[(dest, key_ty)])?;
@@ -669,8 +682,7 @@ fn execute_graph_join(
             pairs.push((s, d));
         }
     }
-    let (reachable, spec_results) =
-        traverse(ex.ctx(), &graph, from_index, layer.as_deref(), &pairs, specs)?;
+    let (reachable, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
     // `pairs` is the row-major product of two sorted, deduplicated arrays,
     // so a pair's position is its endpoints' ranks.
     let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");

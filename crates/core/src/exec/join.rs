@@ -211,8 +211,7 @@ fn split_equi_keys(
     cond: &BoundExpr,
     n_left: usize,
 ) -> (Vec<(BoundExpr, BoundExpr)>, Option<BoundExpr>) {
-    let mut conjuncts = Vec::new();
-    flatten_and(cond, &mut conjuncts);
+    let conjuncts = cond.conjuncts();
     let mut equi = Vec::new();
     let mut residual: Option<BoundExpr> = None;
     for c in conjuncts {
@@ -264,15 +263,6 @@ fn side_of(e: &BoundExpr, n_left: usize) -> Side {
 
 fn rebase(e: &BoundExpr, n_left: usize) -> BoundExpr {
     e.remap_columns(&|i| i - n_left)
-}
-
-fn flatten_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
-    if let BoundExpr::Binary { left, op: BinaryOp::And, right } = e {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e.clone());
-    }
 }
 
 /// Materialize the joined pairs into an output table, column by column:

@@ -29,8 +29,10 @@
 use crate::context::ExecContext;
 use crate::error::Error;
 use crate::exec::expression::{eval_filter, eval_to_column, Sel};
+use crate::exec::graph_op::scanned_edge;
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
+use crate::index::IndexRegistry;
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
 use gsql_obs::{SpanId, TraceValue};
 use gsql_parallel::{MorselQueue, Pool};
@@ -651,15 +653,40 @@ fn short_label(node: &LogicalPlan) -> String {
 
 /// `EXPLAIN` rendering with pipeline annotations: members of each pipeline
 /// (sink, fused ops, leaf source) carry ` [pipeline N]`; materializing
-/// internal nodes carry ` [breaker]`.
-pub fn explain_with_pipelines(plan: &LogicalPlan) -> String {
+/// internal nodes carry ` [breaker]`. A graph operator's edge scan that an
+/// index in `indexes` serves right now is shown as that index, chosen by
+/// the rule the graph operator applies when it runs.
+pub fn explain_with_pipelines(plan: &LogicalPlan, indexes: &IndexRegistry) -> String {
     let mut out = String::new();
     let mut next_id = 0usize;
-    annotate(plan, &mut out, 0, &mut next_id);
+    annotate(plan, indexes, &mut out, 0, &mut next_id);
     out
 }
 
-fn annotate(plan: &LogicalPlan, out: &mut String, depth: usize, next_id: &mut usize) {
+/// A graph operator's edge plan, when an index serves it, with the index's
+/// `EXPLAIN` line.
+fn served_edge<'p>(
+    plan: &'p LogicalPlan,
+    indexes: &IndexRegistry,
+) -> Option<(&'p LogicalPlan, String)> {
+    let (edge, src_key, dst_key, specs) = match plan {
+        LogicalPlan::GraphSelect { edge, src_key, dst_key, specs, .. }
+        | LogicalPlan::GraphJoin { edge, src_key, dst_key, specs, .. } => {
+            (edge.as_ref(), *src_key, *dst_key, specs)
+        }
+        _ => return None,
+    };
+    let (table, src, dst) = scanned_edge(edge, src_key, dst_key)?;
+    Some((edge, indexes.explain_line(table, src, dst, specs)?))
+}
+
+fn annotate(
+    plan: &LogicalPlan,
+    indexes: &IndexRegistry,
+    out: &mut String,
+    depth: usize,
+    next_id: &mut usize,
+) {
     use std::fmt::Write as _;
     if fusable_root(plan) {
         let pid = *next_id;
@@ -684,13 +711,13 @@ fn annotate(plan: &LogicalPlan, out: &mut String, depth: usize, next_id: &mut us
                 dec.source.node_label()
             );
         } else {
-            annotate(dec.source, out, source_depth, next_id);
+            annotate(dec.source, indexes, out, source_depth, next_id);
         }
         // Build sides, deepest join first (execution pre-order).
         for (i, node) in dec.chain.iter().enumerate().rev() {
             if let LogicalPlan::Join { right, .. } = node {
                 let d = depth + i + extra + 1;
-                annotate(right, out, d, next_id);
+                annotate(right, indexes, out, d, next_id);
             }
         }
     } else {
@@ -705,8 +732,14 @@ fn annotate(plan: &LogicalPlan, out: &mut String, depth: usize, next_id: &mut us
         );
         let suffix = if breaker { " [breaker]" } else { "" };
         let _ = writeln!(out, "{}{}{suffix}", "  ".repeat(depth), plan.node_label());
+        let served = served_edge(plan, indexes);
         for child in plan.children() {
-            annotate(child, out, depth + 1, next_id);
+            match &served {
+                Some((edge, line)) if std::ptr::eq(child, *edge) => {
+                    let _ = writeln!(out, "{}{line}", "  ".repeat(depth + 1));
+                }
+                _ => annotate(child, indexes, out, depth + 1, next_id),
+            }
         }
     }
 }

@@ -27,14 +27,18 @@
 //! and layer: both carry the catalog version of the table entry they were
 //! built from — read once per build — and any DML makes the next query that
 //! needs them rebuild lazily. GRAPH and PATH names are separate name spaces
-//! ([`IndexSpace`]); one structural counter, bumped by every create and
-//! drop, takes part in
-//! [`Database::schema_version`](crate::Database::schema_version), so cached
-//! plans that decided for or against an index are re-planned.
+//! ([`IndexSpace`]).
+//!
+//! Plans never name an index. **One selection rule** (`serve`, and
+//! `explain_line` for `EXPLAIN`) matches a graph operator's edge scan
+//! `(table, src, dst)` against the registry each time the operator runs, so
+//! creating or dropping an index changes what the next execution of a
+//! cached plan reads, without re-planning it.
 
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::graph_op::{build_graph_observed, BuildSource, MaterializedGraph};
+use crate::plan::{BoundExpr, CheapestSpec};
 use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
 use gsql_graph::{Search, TraversalKind};
 use gsql_storage::catalog::TableEntry;
@@ -70,7 +74,7 @@ impl IndexSpace {
 }
 
 /// The preprocessing tier of one path index. Carried from DDL through the
-/// registry, the optimizer's choice, `EXPLAIN` labels and the executor's
+/// registry, the selection rule, `EXPLAIN` labels and the executor's
 /// dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathIndexKind {
@@ -135,10 +139,10 @@ impl IndexDef {
         }
     }
 
-    /// Whether this index is over `(table, src, dst)`: `table` lowercased,
-    /// column names matched case-insensitively.
+    /// Whether this index is over `(table, src, dst)`, names matched
+    /// case-insensitively.
     fn covers(&self, table: &str, src: &str, dst: &str) -> bool {
-        self.table == table
+        self.table.eq_ignore_ascii_case(table)
             && self.src_col.eq_ignore_ascii_case(src)
             && self.dst_col.eq_ignore_ascii_case(dst)
     }
@@ -151,9 +155,66 @@ impl IndexDef {
 /// An artifact with the table version it was built from.
 pub(crate) type Stamped<T> = Option<(u64, Arc<T>)>;
 
-/// What an index serves a graph operator: the graph, and the acceleration
-/// layer of a path index.
-pub(crate) type Resolved = (Arc<MaterializedGraph>, Option<Arc<AccelLayer>>);
+/// What an index build yields: the graph, and the acceleration layer of a
+/// path index.
+type Resolved = (Arc<MaterializedGraph>, Option<Arc<AccelLayer>>);
+
+/// The graph a graph operator reads, and where it came from.
+pub(crate) struct Served {
+    /// The graph.
+    pub graph: Arc<MaterializedGraph>,
+    /// The acceleration layer of the serving path index; it covers every
+    /// spec of the operator.
+    pub layer: Option<Arc<AccelLayer>>,
+    /// The name of the serving index; `None` for a graph built for the
+    /// statement.
+    pub index: Option<String>,
+}
+
+/// True when a `CHEAPEST SUM` spec can be answered by an acceleration
+/// layer with `weight_key`: no path requested (an accelerated search may
+/// legitimately pick a different equal-cost path than Dijkstra, and
+/// results must stay byte-identical), and the weight is either constant
+/// (hop scaling — only valid over a hop index) or exactly the index's
+/// integer weight column.
+fn spec_accel_eligible(spec: &CheapestSpec, weight_key: Option<usize>) -> bool {
+    if spec.want_path {
+        return false;
+    }
+    if spec.weight.is_constant() {
+        return weight_key.is_none();
+    }
+    matches!(
+        spec.weight,
+        BoundExpr::Column { index, ty: DataType::Int } if Some(index) == weight_key
+    )
+}
+
+/// The selection rule: the entry that serves an edge scan over `(table,
+/// src, dst)` for `specs`. Of the path indexes whose layer covers every
+/// spec, a contraction hierarchy beats a landmark index (near-constant
+/// search cones vs goal-directed pruning) and name order breaks ties;
+/// otherwise the first graph index by name; otherwise none.
+fn select<'e>(
+    entries: &'e [Entry],
+    table: &str,
+    src: &str,
+    dst: &str,
+    specs: &[CheapestSpec],
+) -> Option<&'e Entry> {
+    let over = || entries.iter().filter(|e| e.def.covers(table, src, dst));
+    let layer_covers = |e: &&Entry| {
+        let accel = e.def.accel.as_ref();
+        accel.is_some_and(|a| specs.iter().all(|s| spec_accel_eligible(s, a.weight_key)))
+    };
+    let is_ch =
+        |e: &&Entry| e.def.accel.as_ref().is_some_and(|a| a.kind == PathIndexKind::Contraction);
+    over()
+        .filter(layer_covers)
+        .find(is_ch)
+        .or_else(|| over().find(layer_covers))
+        .or_else(|| over().find(|e| e.def.accel.is_none()))
+}
 
 #[derive(Debug)]
 struct Entry {
@@ -198,8 +259,6 @@ pub struct PathIndexListing {
 pub struct IndexRegistry {
     /// Every entry, sorted by name.
     entries: RwLock<Vec<Entry>>,
-    /// Structural version: bumped by every create and drop.
-    version: AtomicU64,
     /// Acceleration layers built by this process.
     builds: AtomicU64,
 }
@@ -218,18 +277,6 @@ impl IndexRegistry {
         self.entries.write().expect("index registry lock poisoned")
     }
 
-    /// The structural version: bumped on every index create or drop. Used
-    /// for plan-cache invalidation.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Restore the structural version recorded in a snapshot, so a reopened
-    /// database reports the `schema_version` it had when it was taken.
-    pub(crate) fn set_version(&self, version: u64) {
-        self.version.store(version, Ordering::Release);
-    }
-
     /// How many acceleration layers (ALT or CH) this process has built —
     /// eager creates plus lazy rebuilds. Restoring built layers from a
     /// snapshot does not count: a warm restart leaves this at zero.
@@ -243,50 +290,52 @@ impl IndexRegistry {
         entries.iter().filter(|e| e.def.space() == space).map(|e| e.def.name.clone()).collect()
     }
 
-    /// The definitions in `space` over `(table, src, dst)`, sorted by name —
-    /// what the optimizer chooses among.
-    pub(crate) fn covering(
+    /// The `EXPLAIN` line of the index [`serve`](Self::serve) would read for
+    /// an edge scan over `(table, src, dst)` and `specs` — `GraphIndex gi ON
+    /// t` or `PathIndex pc ON t (CH)` — choosing by the same rule and
+    /// building nothing; `None` when the scan would run.
+    pub(crate) fn explain_line(
         &self,
-        space: IndexSpace,
         table: &str,
         src: &str,
         dst: &str,
-    ) -> Vec<IndexDef> {
-        let table = table.to_ascii_lowercase();
+        specs: &[CheapestSpec],
+    ) -> Option<String> {
         let entries = self.read();
-        entries
-            .iter()
-            .filter(|e| e.def.space() == space && e.def.covers(&table, src, dst))
-            .map(|e| e.def.clone())
-            .collect()
+        let def = &select(&entries, table, src, dst, specs)?.def;
+        Some(match &def.accel {
+            None => format!("GraphIndex {} ON {table}", def.name),
+            Some(a) => format!("PathIndex {} ON {table} ({})", def.name, a.kind.label()),
+        })
     }
 
-    /// The graph — and layer, for a path index — of the index `name` in
-    /// `space` at its table's current version, rebuilding what is stale.
-    /// `None` when the index no longer exists: the caller scans instead.
-    pub(crate) fn resolve(
+    /// The graph — and layer, for a path index covering every spec — of the
+    /// index that serves an edge scan over `(table, src, dst)` for `specs`,
+    /// at the table's current version; a stale one is rebuilt now. `None`
+    /// when no index serves it: the caller builds the graph from the scan.
+    pub(crate) fn serve(
         &self,
         ctx: &ExecContext<'_>,
-        space: IndexSpace,
-        name: &str,
-    ) -> Result<Option<Resolved>> {
+        table: &str,
+        src: &str,
+        dst: &str,
+        specs: &[CheapestSpec],
+    ) -> Result<Option<Served>> {
         let (def, entry) = {
             let entries = self.read();
-            let found = entries
-                .iter()
-                .find(|e| e.def.space() == space && e.def.name.eq_ignore_ascii_case(name));
-            let Some(e) = found else {
+            let Some(e) = select(&entries, table, src, dst, specs) else {
                 return Ok(None);
             };
             let entry = ctx.catalog().entry(&e.def.table).map_err(Error::Storage)?;
-            if let Some(hit) = e.fresh(entry.version) {
-                return Ok(Some(hit));
+            if let Some((graph, layer)) = e.fresh(entry.version) {
+                return Ok(Some(Served { graph, layer, index: Some(e.def.name.clone()) }));
             }
             (e.def.clone(), entry)
         };
         let built = self.build(ctx, &def, &entry)?;
         install(&mut self.write(), &def, entry.version, &built);
-        Ok(Some(built))
+        let (graph, layer) = built;
+        Ok(Some(Served { graph, layer, index: Some(def.name) }))
     }
 
     /// `CREATE GRAPH INDEX` (`accel: None`) or `CREATE PATH INDEX`
@@ -370,8 +419,6 @@ impl IndexRegistry {
         }
         insert_sorted(&mut entries, def.clone());
         install(&mut entries, &def, entry.version, &built);
-        drop(entries);
-        self.version.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
@@ -421,28 +468,15 @@ impl IndexRegistry {
         let mut entries = self.write();
         let before = entries.len();
         entries.retain(|e| !(e.def.space() == space && e.def.name.eq_ignore_ascii_case(name)));
-        let removed = entries.len() != before;
-        drop(entries);
-        if removed {
-            self.version.fetch_add(1, Ordering::AcqRel);
-        } else if !if_exists {
+        if entries.len() == before && !if_exists {
             return Err(bind_err!("{} '{name}' does not exist", space.noun()));
         }
         Ok(())
     }
 
-    /// Remove every index over `table` (`DROP TABLE`): one structural bump
-    /// per name space that lost an entry.
+    /// Remove every index over `table` (`DROP TABLE`).
     pub(crate) fn drop_table(&self, table: &str) {
-        let table = table.to_ascii_lowercase();
-        let mut entries = self.write();
-        let bumps = [IndexSpace::Graph, IndexSpace::Path]
-            .into_iter()
-            .filter(|&s| entries.iter().any(|e| e.def.space() == s && e.def.table == table))
-            .count();
-        entries.retain(|e| e.def.table != table);
-        drop(entries);
-        self.version.fetch_add(bumps as u64, Ordering::AcqRel);
+        self.write().retain(|e| !e.def.table.eq_ignore_ascii_case(table));
     }
 
     /// Every entry of `space` — the definition plus, for a path index, its
@@ -458,7 +492,7 @@ impl IndexRegistry {
     }
 
     /// Re-register an entry from a snapshot, replacing one of the same name,
-    /// without building or bumping the structural version. A restored
+    /// without building. A restored
     /// layer's graph also serves every entry over the same edges.
     pub(crate) fn restore(&self, def: IndexDef, layer: Stamped<AccelLayer>) {
         let mut entries = self.write();
@@ -528,12 +562,10 @@ pub(crate) struct AccelLayer {
     pub graph: Arc<MaterializedGraph>,
     /// The landmark index or contraction hierarchy.
     pub accel: AccelIndex,
-    /// Ordinal of the weight column in the edge table's schema; `None` for
-    /// a hop-distance index.
-    pub weight_key: Option<usize>,
-    /// Weights in forward-CSR slot order (present iff `weight_key`).
+    /// Weights in forward-CSR slot order (present iff the index declares a
+    /// weight column).
     pub weights_fwd: Option<Vec<i64>>,
-    /// Weights in reverse-CSR slot order (present iff `weight_key`).
+    /// Weights in reverse-CSR slot order (present iff `weights_fwd` is).
     pub weights_bwd: Option<Vec<i64>>,
 }
 
@@ -586,13 +618,7 @@ impl AccelLayer {
                 threads,
             )),
         };
-        Ok(AccelLayer {
-            graph: Arc::clone(graph),
-            accel: structure,
-            weight_key: accel.weight_key,
-            weights_fwd,
-            weights_bwd,
-        })
+        Ok(AccelLayer { graph: Arc::clone(graph), accel: structure, weights_fwd, weights_bwd })
     }
 
     /// The accelerated search that answers `pairs` pairs over the layer's
@@ -671,57 +697,96 @@ mod tests {
         reg.create(&ctx(catalog), name, "roads", "a", "b", Some((weight, kind)), false)
     }
 
-    fn resolve(reg: &IndexRegistry, catalog: &Catalog, space: IndexSpace, name: &str) -> Resolved {
-        reg.resolve(&ctx(catalog), space, name).unwrap().expect("index exists")
+    fn spec(weight: BoundExpr, want_path: bool) -> CheapestSpec {
+        let (cost_name, path_name) = ("cost".to_string(), "path".to_string());
+        CheapestSpec { weight, weight_ty: DataType::Int, want_path, cost_name, path_name }
+    }
+
+    /// `CHEAPEST SUM(1)`: covered by a hop layer.
+    fn hops() -> CheapestSpec {
+        spec(BoundExpr::Literal(Value::Int(1)), false)
+    }
+
+    /// `CHEAPEST SUM(len)`: covered by a layer weighted by `len`.
+    fn by_len() -> CheapestSpec {
+        spec(BoundExpr::Column { index: 2, ty: DataType::Int }, false)
+    }
+
+    /// `CHEAPEST SUM(1) AS (cost, path)`: covered by no layer.
+    fn with_path() -> CheapestSpec {
+        spec(BoundExpr::Literal(Value::Int(1)), true)
+    }
+
+    /// What serves `roads (a, b)` for one spec.
+    fn serve(reg: &IndexRegistry, catalog: &Catalog, spec: CheapestSpec) -> Served {
+        let served = reg.serve(&ctx(catalog), "roads", "a", "b", &[spec]).unwrap();
+        served.expect("an index serves the edge scan")
     }
 
     #[test]
-    fn graph_index_resolves_and_rebuilds_after_a_write() {
+    fn graph_index_serves_and_rebuilds_after_a_write() {
         let (catalog, reg) = setup();
         graph_index(&reg, &catalog, "GI").unwrap();
-        let (g1, layer) = resolve(&reg, &catalog, IndexSpace::Graph, "gi");
-        assert!(layer.is_none());
-        assert_eq!(g1.num_edges(), 4);
+        let first = serve(&reg, &catalog, hops());
+        assert!(first.layer.is_none());
+        assert_eq!(first.index.as_deref(), Some("gi"));
+        assert_eq!(first.graph.num_edges(), 4);
         // Same Arc while the table is unchanged.
-        let (again, _) = resolve(&reg, &catalog, IndexSpace::Graph, "gi");
-        assert!(Arc::ptr_eq(&g1, &again));
+        assert!(Arc::ptr_eq(&first.graph, &serve(&reg, &catalog, hops()).graph));
         insert(&catalog, 4, 5, 2);
-        let (g2, _) = resolve(&reg, &catalog, IndexSpace::Graph, "gi");
+        let (g2, g3) = (serve(&reg, &catalog, hops()).graph, serve(&reg, &catalog, hops()).graph);
         assert_eq!(g2.num_edges(), 5);
-        let (g3, _) = resolve(&reg, &catalog, IndexSpace::Graph, "gi");
-        assert!(!Arc::ptr_eq(&g1, &g2) && Arc::ptr_eq(&g2, &g3));
-        // A dropped index resolves to nothing: the executor scans instead.
+        assert!(!Arc::ptr_eq(&first.graph, &g2) && Arc::ptr_eq(&g2, &g3));
+        // Once the index is dropped nothing serves: the executor scans.
         reg.drop_index(IndexSpace::Graph, "gi", false).unwrap();
-        assert!(reg.resolve(&ctx(&catalog), IndexSpace::Graph, "gi").unwrap().is_none());
+        assert!(reg.serve(&ctx(&catalog), "roads", "a", "b", &[hops()]).unwrap().is_none());
         assert_eq!(reg.builds(), 0, "a graph index has no layer");
     }
 
     #[test]
-    fn covering_matches_the_edge_configuration_and_space() {
+    fn selection_matches_edges_then_prefers_covering_ch_then_name() {
         let (catalog, reg) = setup();
-        graph_index(&reg, &catalog, "gi").unwrap();
-        path_index(&reg, &catalog, "pi", None, PathIndexKind::Landmarks(2)).unwrap();
-        let names = |space, table: &str, src: &str, dst: &str| -> Vec<String> {
-            reg.covering(space, table, src, dst).into_iter().map(|d| d.name).collect()
+        let line = |table: &str, src: &str, dst: &str, specs: &[CheapestSpec]| {
+            reg.explain_line(table, src, dst, specs)
         };
-        assert_eq!(names(IndexSpace::Graph, "ROADS", "A", "B"), ["gi"]);
-        assert_eq!(names(IndexSpace::Path, "roads", "a", "b"), ["pi"]);
+        assert_eq!(line("roads", "a", "b", &[hops()]), None);
+        graph_index(&reg, &catalog, "gz").unwrap();
+        graph_index(&reg, &catalog, "gi").unwrap();
+        assert_eq!(line("ROADS", "A", "B", &[hops()]).unwrap(), "GraphIndex gi ON ROADS");
+        path_index(&reg, &catalog, "pb", None, PathIndexKind::Landmarks(2)).unwrap();
+        path_index(&reg, &catalog, "pa", Some("len"), PathIndexKind::Landmarks(2)).unwrap();
+        assert_eq!(line("roads", "a", "b", &[hops()]).unwrap(), "PathIndex pb ON roads (ALT)");
+        assert_eq!(line("roads", "a", "b", &[by_len()]).unwrap(), "PathIndex pa ON roads (ALT)");
+        // A layer must cover every spec; a path covers none.
+        assert_eq!(line("roads", "a", "b", &[hops(), by_len()]).unwrap(), "GraphIndex gi ON roads");
+        assert_eq!(line("roads", "a", "b", &[with_path()]).unwrap(), "GraphIndex gi ON roads");
+        // A contraction hierarchy beats landmarks whatever the names.
+        path_index(&reg, &catalog, "pz", None, PathIndexKind::Contraction).unwrap();
+        assert_eq!(line("roads", "a", "b", &[hops()]).unwrap(), "PathIndex pz ON roads (CH)");
+        assert_eq!(line("roads", "a", "b", &[]).unwrap(), "PathIndex pz ON roads (CH)");
         // The reversed direction is a different graph; so is another table.
-        assert!(names(IndexSpace::Graph, "roads", "b", "a").is_empty());
-        assert!(names(IndexSpace::Path, "other", "a", "b").is_empty());
+        assert_eq!(line("roads", "b", "a", &[hops()]), None);
+        assert_eq!(line("other", "a", "b", &[hops()]), None);
+        // Serving applies the same rule, and hands out the layer it chose.
+        let served = serve(&reg, &catalog, hops());
+        assert_eq!(served.index.as_deref(), Some("pz"));
+        assert!(served.layer.is_some());
+        assert_eq!(serve(&reg, &catalog, with_path()).index.as_deref(), Some("gi"));
     }
 
     #[test]
     fn path_index_layers_answer_exact_distances() {
         let (catalog, reg) = setup();
+        // Each create covers the weighted spec, the CH ahead of the ALT.
         for (name, kind) in
             [("pa", PathIndexKind::Landmarks(2)), ("pc", PathIndexKind::Contraction)]
         {
             path_index(&reg, &catalog, name, Some("len"), kind).unwrap();
-            let (graph, layer) = resolve(&reg, &catalog, IndexSpace::Path, name);
+            let Served { graph, layer, index } = serve(&reg, &catalog, by_len());
+            assert_eq!(index.as_deref(), Some(name));
             let layer = layer.expect("a path index has a layer");
             assert!(Arc::ptr_eq(&graph, &layer.graph));
-            assert_eq!(layer.weight_key, Some(2));
+            assert!(layer.weights_fwd.is_some());
             // Exact accelerated distance through the cheap 1→2→3 route, for
             // one pair and for a batch.
             let s = graph.lookup(&Value::Int(1)).unwrap();
@@ -733,7 +798,7 @@ mod tests {
             };
             assert_eq!(costs(&[(s, d)]), [Some(10.0)], "{name}");
             assert_eq!(costs(&[(s, d), (d, s), (s, d)]), [Some(10.0), None, Some(10.0)], "{name}");
-            let (_, again) = resolve(&reg, &catalog, IndexSpace::Path, name);
+            let again = serve(&reg, &catalog, by_len()).layer;
             assert!(Arc::ptr_eq(&layer, &again.unwrap()));
         }
         assert_eq!(reg.builds(), 2);
@@ -748,9 +813,10 @@ mod tests {
         let (catalog, reg) = setup();
         graph_index(&reg, &catalog, "gi").unwrap();
         path_index(&reg, &catalog, "pc", None, PathIndexKind::Contraction).unwrap();
+        // A path spec is served by `gi`, a hop spec by `pc`.
         let shared = |reg: &IndexRegistry| {
-            let (g, _) = resolve(reg, &catalog, IndexSpace::Graph, "gi");
-            let (p, layer) = resolve(reg, &catalog, IndexSpace::Path, "pc");
+            let g = serve(reg, &catalog, with_path()).graph;
+            let Served { graph: p, layer, .. } = serve(reg, &catalog, hops());
             assert!(Arc::ptr_eq(&p, &layer.unwrap().graph));
             Arc::ptr_eq(&g, &p)
         };
@@ -760,8 +826,8 @@ mod tests {
         assert_eq!(reg.builds(), 2, "one layer build per table version");
         // The other order: the path index rebuilds first.
         insert(&catalog, 5, 6, 2);
-        let (p, _) = resolve(&reg, &catalog, IndexSpace::Path, "pc");
-        let (g, _) = resolve(&reg, &catalog, IndexSpace::Graph, "gi");
+        let p = serve(&reg, &catalog, hops()).graph;
+        let g = serve(&reg, &catalog, with_path()).graph;
         assert!(Arc::ptr_eq(&g, &p) && g.num_edges() == 6);
     }
 
@@ -777,7 +843,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| (0..300).for_each(|i| insert(&catalog, 100 + i, 101 + i, 1)));
             for _ in 0..300 {
-                resolve(&reg, &catalog, IndexSpace::Path, "pc");
+                serve(&reg, &catalog, by_len());
                 let entries = reg.read();
                 let e = &entries[0];
                 let (gv, graph) = e.graph.as_ref().unwrap();
@@ -838,28 +904,24 @@ mod tests {
             let err = path_index(&reg, &catalog, "pi", Some("len"), kind).unwrap_err();
             assert!(err.to_string().contains("strictly greater than 0"), "{err}");
         }
-        assert_eq!(reg.version(), 0, "failed creates register nothing");
+        assert!(reg.index_names(IndexSpace::Path).is_empty(), "failed creates register nothing");
     }
 
     #[test]
-    fn version_counts_creates_and_drops_per_name_space() {
+    fn if_not_exists_keeps_the_entry_and_drop_table_empties_both_spaces() {
         let (catalog, reg) = setup();
         graph_index(&reg, &catalog, "gi").unwrap();
         path_index(&reg, &catalog, "pi", None, PathIndexKind::Landmarks(2)).unwrap();
-        assert_eq!(reg.version(), 2);
         // IF NOT EXISTS over an existing name and IF EXISTS over a missing
-        // one are no-ops that leave the version (and cached plans) alone.
+        // one are no-ops.
         let kind = Some((None, PathIndexKind::Contraction));
         reg.create(&ctx(&catalog), "PI", "roads", "a", "b", kind, true).unwrap();
         reg.drop_index(IndexSpace::Path, "ghost", true).unwrap();
         assert!(reg.drop_index(IndexSpace::Path, "ghost", false).is_err());
-        assert_eq!(reg.version(), 2);
         assert_eq!(reg.list(&catalog)[0].kind, "landmarks(2)");
-        // DROP TABLE bumps once per name space it empties.
         reg.drop_table("ROADS");
-        assert_eq!(reg.version(), 4);
-        reg.drop_table("roads");
-        assert_eq!(reg.version(), 4);
+        assert!(reg.index_names(IndexSpace::Graph).is_empty());
+        assert!(reg.index_names(IndexSpace::Path).is_empty());
     }
 
     #[test]
@@ -880,8 +942,8 @@ mod tests {
         // A write flips both to stale; a read rebuilds one layer, and a
         // graph-index read rebuilds none.
         insert(&catalog, 8, 9, 1);
-        resolve(&reg, &catalog, IndexSpace::Graph, "gi");
-        resolve(&reg, &catalog, IndexSpace::Path, "pa");
+        serve(&reg, &catalog, with_path());
+        serve(&reg, &catalog, by_len());
         assert_eq!(
             status(&reg),
             [row("pa", "landmarks(2)", "built"), row("pc", "contraction", "stale")]

@@ -14,14 +14,12 @@
 //!    destination only references the right side, becomes a `GraphJoin`
 //!    that never materializes the product.
 //!
-//! [`optimize_with`] then selects indexes: an edge scan covered by a graph
-//! or path index that exists reads the index instead. Nothing else feeds
-//! the decision, so a plan is a function of the statement and the
-//! database's schema version.
+//! Nothing else feeds the rewrite, so a plan is a function of the statement
+//! and the table schemas alone. Plans never name an index: a graph
+//! operator's edge scan is matched against the index registry each time
+//! the operator runs (`IndexRegistry::serve`).
 
-use crate::context::ExecContext;
-use crate::index::{IndexSpace, PathIndexKind};
-use crate::plan::{BinaryOp, BoundExpr, CheapestSpec, JoinKind, LogicalPlan};
+use crate::plan::{BinaryOp, BoundExpr, JoinKind, LogicalPlan};
 
 /// Optimize a plan (applies all rules bottom-up until a fixpoint).
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
@@ -32,109 +30,6 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
         plan = rewrite(plan);
     }
     plan
-}
-
-/// Context-aware optimization: the structural rules of [`optimize`], plus
-/// index selection — a graph operator's edge scan covered by an index that
-/// exists becomes [`LogicalPlan::IndexedGraph`]. A path index whose layer
-/// covers every spec wins over a graph index (same graph, plus the
-/// accelerated search). The decision depends only on the statement and the
-/// registry — never on session settings — and is visible in `EXPLAIN`, so
-/// `CREATE`/`DROP … INDEX` change the rendered plan.
-pub fn optimize_with(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
-    annotate_indexed_edges(optimize(plan), ctx)
-}
-
-/// True when a `CHEAPEST SUM` spec can be answered by an acceleration
-/// layer with `weight_key`: no path requested (an accelerated search may
-/// legitimately pick a different equal-cost path than Dijkstra, and
-/// results must stay byte-identical), and the weight is either constant
-/// (hop scaling — only valid over a hop index) or exactly the index's
-/// integer weight column.
-pub(crate) fn spec_accel_eligible(spec: &CheapestSpec, weight_key: Option<usize>) -> bool {
-    if spec.want_path {
-        return false;
-    }
-    if spec.weight.is_constant() {
-        return weight_key.is_none();
-    }
-    matches!(
-        spec.weight,
-        BoundExpr::Column { index, ty: gsql_storage::DataType::Int } if Some(index) == weight_key
-    )
-}
-
-/// The index that serves an edge scan over `(table, src, dst)` for `specs`:
-/// of the path indexes whose layer covers every spec, a contraction
-/// hierarchy beats a landmark index (near-constant search cones vs
-/// goal-directed pruning) and name order breaks ties; otherwise the first
-/// graph index by name.
-fn choose_index(
-    ctx: &ExecContext<'_>,
-    table: &str,
-    src: &str,
-    dst: &str,
-    specs: &[CheapestSpec],
-) -> Option<(String, Option<PathIndexKind>)> {
-    let covering =
-        |space| ctx.indexes().map(|r| r.covering(space, table, src, dst)).unwrap_or_default();
-    let path: Vec<(String, PathIndexKind)> = covering(IndexSpace::Path)
-        .into_iter()
-        .filter_map(|def| def.accel.map(|a| (def.name, a.weight_key, a.kind)))
-        .filter(|(_, weight_key, _)| specs.iter().all(|s| spec_accel_eligible(s, *weight_key)))
-        .map(|(name, _, kind)| (name, kind))
-        .collect();
-    let chosen = path.iter().find(|(_, kind)| *kind == PathIndexKind::Contraction).or(path.first());
-    match chosen {
-        Some((name, kind)) => Some((name.clone(), Some(*kind))),
-        None => covering(IndexSpace::Graph).into_iter().next().map(|def| (def.name, None)),
-    }
-}
-
-/// Recursively replace index-covered edge scans under graph operators.
-fn annotate_indexed_edges(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
-    let plan = map_children(plan, |p| annotate_indexed_edges(p, ctx));
-    let index_edge = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize, specs: &[_]| {
-        if let LogicalPlan::Scan { table, schema } = edge.as_ref() {
-            let (src, dst) = (&schema.column(src_key).name, &schema.column(dst_key).name);
-            if let Some((index, accel)) = choose_index(ctx, table, src, dst, specs) {
-                let (table, schema) = (table.clone(), schema.clone());
-                return Box::new(LogicalPlan::IndexedGraph { index, table, accel, schema });
-            }
-        }
-        edge
-    };
-    match plan {
-        LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema } => {
-            let edge = index_edge(edge, src_key, dst_key, &specs);
-            LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema }
-        }
-        LogicalPlan::GraphJoin {
-            left,
-            right,
-            edge,
-            src_key,
-            dst_key,
-            source,
-            dest,
-            specs,
-            schema,
-        } => {
-            let edge = index_edge(edge, src_key, dst_key, &specs);
-            LogicalPlan::GraphJoin {
-                left,
-                right,
-                edge,
-                src_key,
-                dst_key,
-                source,
-                dest,
-                specs,
-                schema,
-            }
-        }
-        other => other,
-    }
 }
 
 fn rewrite(plan: LogicalPlan) -> LogicalPlan {
@@ -148,7 +43,7 @@ fn rewrite(plan: LogicalPlan) -> LogicalPlan {
 fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
     use LogicalPlan::*;
     match plan {
-        SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => plan,
+        SingleRow | Scan { .. } | Values { .. } => plan,
         Filter { input, predicate } => Filter { input: Box::new(f(*input)), predicate },
         Project { input, exprs, schema } => Project { input: Box::new(f(*input)), exprs, schema },
         Join { left, right, kind, on, schema } => {
@@ -192,15 +87,6 @@ fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy
     }
 }
 
-fn flatten_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
-    if let BoundExpr::Binary { left, op: BinaryOp::And, right } = e {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
 fn conjoin(mut conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
     let mut acc = conjuncts.pop()?;
     while let Some(c) = conjuncts.pop() {
@@ -222,8 +108,7 @@ fn push_filter_into_join(plan: LogicalPlan) -> LogicalPlan {
         return LogicalPlan::Filter { input, predicate };
     };
     let n_left = left.schema().len();
-    let mut conjuncts = Vec::new();
-    flatten_and(&predicate, &mut conjuncts);
+    let conjuncts = predicate.conjuncts();
     let mut left_preds = Vec::new();
     let mut right_preds = Vec::new();
     let mut residual = Vec::new();

@@ -24,11 +24,11 @@
 //!   queries with **zero** rebuild work, and a restored layer's graph also
 //!   serves every graph index over the same edges. A version mismatch (the
 //!   snapshot predates later WAL mutations) simply restores the definition
-//!   and leaves the usual lazy rebuild to run. The registry's structural
-//!   counter is written into the graph section's header (the path
-//!   section's header holds 0); restore adds the two headers, so a data
-//!   directory that split the counter across both reopens at the same
-//!   `schema_version`.
+//!   and leaves the usual lazy rebuild to run. Both section headers are
+//!   written as 0. Data directories from before index DDL stopped moving
+//!   the schema version carry an index counter there; restore adds both
+//!   headers into the catalog's DDL version, so such a directory reopens at
+//!   the `schema_version` it had.
 //!   The weight vectors a graph caches for `CHEAPEST SUM`
 //!   ([`crate::weight_cache`]) are not written by either section: every
 //!   restored graph starts with an empty cache and the first weighted
@@ -131,7 +131,8 @@ fn put_def(w: &mut ByteWriter, def: &IndexDef) {
 fn encode_graph_section(reg: &IndexRegistry) -> Vec<u8> {
     let entries = reg.snapshot_entries(IndexSpace::Graph);
     let mut w = ByteWriter::new();
-    w.put_u64(reg.version());
+    // The legacy index-counter header.
+    w.put_u64(0);
     w.put_usize(entries.len());
     for (def, _) in &entries {
         put_def(&mut w, def);
@@ -142,7 +143,7 @@ fn encode_graph_section(reg: &IndexRegistry) -> Vec<u8> {
 fn encode_path_section(reg: &IndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
     let entries = reg.snapshot_entries(IndexSpace::Path);
     let mut w = ByteWriter::new();
-    // The structural counter travels in the graph section's header.
+    // The legacy index-counter header.
     w.put_u64(0);
     w.put_usize(entries.len());
     for (def, built) in &entries {
@@ -278,24 +279,23 @@ fn put_opt_i64s(w: &mut ByteWriter, vals: Option<&[i64]>) {
 /// captured, graph-index definitions, and path indexes with their built
 /// acceleration structures when the owning table's version still matches.
 pub(crate) fn restore_snapshot(db: &Database, snap: SnapshotData) -> Result<()> {
-    db.catalog().set_ddl_version(snap.ddl_version);
     for t in snap.tables {
         db.catalog().restore_table(&t.name, t.table, t.version).map_err(Error::Storage)?;
     }
-    let mut version = 0u64;
+    let mut version = snap.ddl_version;
     for (name, bytes) in &snap.sections {
         let header = match name.as_str() {
             GRAPH_SECTION => restore_section(db, bytes, IndexSpace::Graph)?,
             PATH_SECTION => restore_section(db, bytes, IndexSpace::Path)?,
             other => return Err(corrupt(format!("unknown snapshot section '{other}'"))),
         };
-        version = version.checked_add(header).ok_or_else(|| corrupt("index counters overflow"))?;
+        version = version.checked_add(header).ok_or_else(|| corrupt("DDL version overflow"))?;
     }
-    db.indexes().set_version(version);
+    db.catalog().set_ddl_version(version);
     Ok(())
 }
 
-/// Re-register one section's entries; returns the structural counter its
+/// Re-register one section's entries; returns the legacy index counter its
 /// header carries.
 fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64> {
     let mut r = ByteReader::new(bytes);
@@ -438,7 +438,7 @@ fn decode_layer(
     let dict = VertexDict::from_values(key_type, vals).map_err(corrupt)?;
     let graph =
         Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
-    let layer = AccelLayer { graph, accel, weight_key, weights_fwd, weights_bwd };
+    let layer = AccelLayer { graph, accel, weights_fwd, weights_bwd };
     Ok(Some((table_version, Arc::new(layer))))
 }
 

@@ -314,6 +314,21 @@ impl BoundExpr {
         cols
     }
 
+    /// The conjuncts of an `AND` tree, left to right.
+    pub(crate) fn conjuncts(&self) -> Vec<BoundExpr> {
+        fn flatten(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
+            if let BoundExpr::Binary { left, op: BinaryOp::And, right } = e {
+                flatten(left, out);
+                flatten(right, out);
+            } else {
+                out.push(e.clone());
+            }
+        }
+        let mut out = Vec::new();
+        flatten(self, &mut out);
+        out
+    }
+
     /// Pre-order traversal. The nodes handed to `f` borrow from `self`, so
     /// a visitor may keep them.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a BoundExpr)) {

@@ -149,27 +149,6 @@ pub enum LogicalPlan {
         /// Output schema (columns qualified by table name or alias).
         schema: PlanSchema,
     },
-    /// An edge table served from a registered index (paper §6).
-    ///
-    /// Produced by the optimizer: when a graph operator's edge child is a
-    /// plain `Scan` whose `(table, src, dst)` configuration matches a
-    /// registered index the session has enabled, the scan is replaced by
-    /// this node. A graph index (`accel: None`, `EXPLAIN` shows `GraphIndex
-    /// gi ON t`) serves the cached [`crate::exec::MaterializedGraph`]; a
-    /// path index (`PathIndex pi ON t (ALT|CH)`) serves the same graph plus
-    /// its acceleration layer, which the executor's traversal dispatcher
-    /// uses for the specs it covers. If the index has been dropped since
-    /// planning the executor scans `table` instead.
-    IndexedGraph {
-        /// The index name.
-        index: String,
-        /// The indexed base table (used as fallback).
-        table: String,
-        /// The acceleration kind of a path index; `None` for a graph index.
-        accel: Option<crate::index::PathIndexKind>,
-        /// Output schema (identical to the underlying scan's).
-        schema: PlanSchema,
-    },
     /// Literal rows.
     Values {
         /// Row-major expressions (no column references).
@@ -320,7 +299,6 @@ impl LogicalPlan {
                 EMPTY.get_or_init(PlanSchema::default)
             }
             Scan { schema, .. }
-            | IndexedGraph { schema, .. }
             | Values { schema, .. }
             | Project { schema, .. }
             | Join { schema, .. }
@@ -355,7 +333,7 @@ impl LogicalPlan {
     pub fn children(&self) -> Vec<&LogicalPlan> {
         use LogicalPlan::*;
         match self {
-            SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => Vec::new(),
+            SingleRow | Scan { .. } | Values { .. } => Vec::new(),
             Filter { input, .. }
             | Project { input, .. }
             | Aggregate { input, .. }
@@ -377,12 +355,6 @@ impl LogicalPlan {
             LogicalPlan::Scan { table, schema } => {
                 let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
                 format!("Scan {table} [{}]", names.join(", "))
-            }
-            LogicalPlan::IndexedGraph { index, table, accel: None, .. } => {
-                format!("GraphIndex {index} ON {table}")
-            }
-            LogicalPlan::IndexedGraph { index, table, accel: Some(kind), .. } => {
-                format!("PathIndex {index} ON {table} ({})", kind.label())
             }
             LogicalPlan::Values { rows, .. } => format!("Values ({} rows)", rows.len()),
             LogicalPlan::Filter { input, predicate } => {

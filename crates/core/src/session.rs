@@ -8,9 +8,11 @@
 //!   [`PreparedStatement`] executed many times — or the same text sent by
 //!   any number of sessions — parses, binds and optimizes exactly once;
 //! * a plan is a function of the SQL text and the database's **schema
-//!   version** (catalog DDL + index registry) alone; any `CREATE`/`DROP` of
-//!   tables or indexes invalidates cached plans lazily, and an index that
-//!   exists is always used (`DROP … INDEX` is how to stop using it);
+//!   version** (table DDL) alone; `CREATE`/`DROP TABLE` invalidates cached
+//!   plans lazily. Plans never name an index: a graph operator picks the
+//!   index that serves its edge scan each time it runs, so an index that
+//!   exists is always used, from the next execution of a cached plan on
+//!   (`DROP … INDEX` is how to stop using it);
 //! * **session settings** (`SET` / `SHOW`) shape execution only:
 //!   `row_limit` guards against runaway intermediate results, `threads`
 //!   sets the degree of parallelism for traversals and row-parallel
@@ -52,7 +54,7 @@ use crate::database::{Database, QueryResult};
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
 use crate::index::{IndexSpace, PathIndexKind};
-use crate::optimize::optimize_with;
+use crate::optimize::optimize;
 use crate::plan::LogicalPlan;
 use gsql_obs::{
     EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceLevel,
@@ -351,8 +353,9 @@ impl<'db> Session<'db> {
         Ok(prepared)
     }
 
-    /// Parse, bind and optimize a query, returning its logical plan (what
-    /// `EXPLAIN` renders). The plan cache is not consulted.
+    /// Parse, bind and optimize a query, returning its logical plan. The
+    /// plan cache is not consulted. The plan names no index; the `EXPLAIN`
+    /// statement also shows the index that would serve each edge scan.
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
         match parse_statement(sql)? {
             ast::Statement::Query(q)
@@ -383,7 +386,7 @@ impl<'db> Session<'db> {
     ) -> Result<LogicalPlan> {
         let ctx = self.ctx(params, None);
         let plan = in_span(trace, "bind", || Binder::new(&ctx).bind_query(q))?;
-        Ok(in_span(trace, "optimize", || optimize_with(plan, &ctx)))
+        Ok(in_span(trace, "optimize", || optimize(plan)))
     }
 
     /// The bound+optimized plan for a query — from the database's plan
@@ -512,10 +515,14 @@ impl<'db> Session<'db> {
 
     /// Dispatch one statement. Table changes log themselves (the catalog
     /// writes each one's record as it applies it); index DDL on a durable
-    /// database is logged here, as its SQL text, after it succeeded. It
-    /// holds the shared commit lock across apply and append, so a
-    /// concurrent `CHECKPOINT` (which takes the lock exclusively) can never
-    /// split it across the snapshot/WAL rotation boundary.
+    /// database is logged here, as its SQL text, after it succeeded. Index
+    /// DDL runs whole under the database's index-DDL lock, which `DROP
+    /// TABLE` also takes, so a table cannot be dropped — and its drop
+    /// logged — while an index on it is built. On a durable database it
+    /// also holds the shared commit lock (taken second) across apply and
+    /// append, so a concurrent `CHECKPOINT` (which takes the commit lock
+    /// exclusively) can never split it across the snapshot/WAL rotation
+    /// boundary.
     fn dispatch_statement(
         &self,
         sql_key: Option<&str>,
@@ -527,8 +534,11 @@ impl<'db> Session<'db> {
     ) -> Result<QueryResult> {
         let dispatch =
             || self.dispatch_inner(sql_key, statement, params, deadline, collector, root);
-        let store = self.db.catalog().store().filter(|_| statement_is_index_ddl(statement));
-        let Some(store) = store else {
+        if !statement_is_index_ddl(statement) {
+            return dispatch();
+        }
+        let _ddl = self.db.lock_index_ddl();
+        let Some(store) = self.db.catalog().store() else {
             return dispatch();
         };
         let record = crate::persist::encode_statement_record(&statement.to_string(), params)?;
@@ -579,7 +589,7 @@ impl<'db> Session<'db> {
             }
             ast::Statement::Explain(q) => {
                 let plan = self.build_plan(q, params, trace)?;
-                let text = crate::exec::pipeline::explain_with_pipelines(&plan);
+                let text = crate::exec::pipeline::explain_with_pipelines(&plan, self.db.indexes());
                 text_table("plan", text.lines())
             }
             ast::Statement::ExplainAnalyze(q) => {

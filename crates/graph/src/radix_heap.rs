@@ -43,11 +43,6 @@ impl<T> RadixHeap<T> {
         self.len == 0
     }
 
-    /// The monotonicity floor: the key most recently popped.
-    pub fn last_popped(&self) -> u64 {
-        self.last
-    }
-
     fn bucket_of(&self, key: u64) -> usize {
         // Keys equal to `last` go to bucket 0; otherwise the index of the
         // highest differing bit plus one.

@@ -145,12 +145,6 @@ impl Histogram {
         shard.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record a duration as microseconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
     /// Merge all shards into one consistent-enough snapshot (each cell is
     /// read once; concurrent writers may land between reads, which only
     /// ever under-reports the newest observations).

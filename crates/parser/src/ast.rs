@@ -511,11 +511,6 @@ impl Expr {
         Expr::Column { table: None, name: name.into() }
     }
 
-    /// Convenience constructor for a qualified column reference.
-    pub fn qcol(table: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Column { table: Some(table.into()), name: name.into() }
-    }
-
     /// Convenience constructor for an integer literal.
     pub fn int(v: i64) -> Expr {
         Expr::Literal(Literal::Int(v))

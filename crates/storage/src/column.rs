@@ -382,14 +382,6 @@ impl Column {
             _ => None,
         }
     }
-
-    /// Borrow the raw string data and validity of a `Str` column.
-    pub fn as_str_slice(&self) -> Option<(&[String], &Bitmap)> {
-        match self {
-            Column::Str(v, b) => Some((v, b)),
-            _ => None,
-        }
-    }
 }
 
 /// Incremental builder for a [`Column`] of a known type.

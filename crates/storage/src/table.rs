@@ -68,12 +68,6 @@ impl Table {
         &self.columns[i]
     }
 
-    /// Case-insensitive column lookup by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        let idx = self.schema.index_of_ok(name)?;
-        Ok(&self.columns[idx])
-    }
-
     /// Number of rows.
     #[inline]
     pub fn row_count(&self) -> usize {

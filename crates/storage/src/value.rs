@@ -113,22 +113,6 @@ impl Value {
         }
     }
 
-    /// Boolean content, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Date content, if this is a `Date`.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// Path content, if this is a `Path`.
     pub fn as_path(&self) -> Option<&PathValue> {
         match self {

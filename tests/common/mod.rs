@@ -83,6 +83,15 @@ pub fn answer(result: &Result<Arc<Table>>) -> String {
     }
 }
 
+/// The text of the `EXPLAIN` statement over `sql`, one line per plan node:
+/// the plan, with the index that would serve each graph operator's edge
+/// scan in place of that scan.
+pub fn explain(session: &Session<'_>, sql: &str) -> String {
+    let t = session.query(&format!("EXPLAIN {sql}")).unwrap();
+    let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+    lines.join("\n")
+}
+
 /// The first span named `name` in a trace document, depth first.
 pub fn find_span<'j>(spans: &'j [Json], name: &str) -> Option<&'j Json> {
     spans.iter().find_map(|span| {

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::sweep;
+use common::{explain, sweep};
 use gsql::{Database, Value};
 use gsql_obs::{QueryOutcome, QueryVerb, SlowLog, SlowQueryRecord, ACCEL_KINDS};
 use gsql_server::json::{self, Json};
@@ -492,7 +492,7 @@ fn graph_and_path_index_share_one_build_per_table_version() {
     let session = db.session();
     let via_path = "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)";
     let via_graph = "SELECT CHEAPEST SUM(1) AS (c, p) WHERE ? REACHES ? OVER e EDGE (s, d)";
-    let plan = |sql: &str| session.plan(&sql.replace('?', "1")).unwrap().explain();
+    let plan = |sql: &str| explain(&session, &sql.replace('?', "1"));
     assert!(plan(via_path).contains("PathIndex pc ON e (CH)"), "{}", plan(via_path));
     assert!(plan(via_graph).contains("GraphIndex gi ON e"), "{}", plan(via_graph));
     let args = [Value::Int(1), Value::Int(40)];
@@ -507,8 +507,8 @@ fn graph_and_path_index_share_one_build_per_table_version() {
     }
 }
 
-/// The graph operator's `EXPLAIN ANALYZE` line ends with the traversal the
-/// dispatcher chose and why.
+/// The graph operator's `EXPLAIN ANALYZE` line ends with the index that
+/// served the graph, then the traversal the dispatcher chose and why.
 #[test]
 fn explain_analyze_names_the_traversal_and_why() {
     let mut setup = graph_setup();
@@ -529,19 +529,21 @@ fn explain_analyze_names_the_traversal_and_why() {
             )
         };
         let point = |spec: &str| format!("SELECT {spec} WHERE 1 REACHES 40 OVER e f EDGE (s, d)");
-        for (sql, tail) in [
-            (point("CHEAPEST SUM(f: f.w)"), "ch (path index covers every spec)"),
-            (batch("CHEAPEST SUM(f: f.w)"), "ch-m2m (path index covers every spec)"),
-            (point("CHEAPEST SUM(1)"), "bidir-bfs (indexed single pair, hop weights)"),
-            (batch("CHEAPEST SUM(1)"), "bfs (pair batch, hop weights)"),
-            (point("CHEAPEST SUM(f: f.w) AS (c, p)"), "dijkstra (per-edge weights)"),
+        for (sql, index, tail) in [
+            (point("CHEAPEST SUM(f: f.w)"), "pc", "ch (path index covers every spec)"),
+            (batch("CHEAPEST SUM(f: f.w)"), "pc", "ch-m2m (path index covers every spec)"),
+            (point("CHEAPEST SUM(1)"), "gi", "bidir-bfs (indexed single pair, hop weights)"),
+            (batch("CHEAPEST SUM(1)"), "gi", "bfs (pair batch, hop weights)"),
+            (point("CHEAPEST SUM(f: f.w) AS (c, p)"), "gi", "dijkstra (per-edge weights)"),
         ] {
             let line = line(&sql);
-            assert!(line.ends_with(&format!(", traversal: {tail})")), "{sql}\n{line}");
+            let want = format!(", index: {index}, traversal: {tail})");
+            assert!(line.ends_with(&want), "{sql}\n{line}");
         }
         session.execute("DROP GRAPH INDEX gi").unwrap();
         let line = line(&point("CHEAPEST SUM(1)"));
         assert!(line.ends_with(", traversal: bfs (ad-hoc graph, hop weights))"), "{line}");
+        assert!(!line.contains("index: "), "no index served the graph: {line}");
     });
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the path-acceleration subsystem (ALT landmarks and
-//! contraction hierarchies): DDL, planning (`EXPLAIN` visibility and kind
-//! selection, `CREATE`/`DROP PATH INDEX`), byte-identical results against
+//! contraction hierarchies): DDL, index selection (`EXPLAIN` visibility and
+//! kind selection, `CREATE`/`DROP PATH INDEX` under a prepared statement,
+//! which is never re-planned for them), byte-identical results against
 //! the same statement over an unindexed twin table in every configuration
 //! of the shared sweep — for point-to-point and batched (multi-pair /
 //! GraphJoin) shapes — invalidation on edge mutation, and `EXPLAIN ANALYZE`
@@ -8,7 +9,7 @@
 
 mod common;
 
-use common::{answer, sweep};
+use common::{answer, explain, render, sweep};
 use gsql::{Database, IndexSpace, Value};
 
 /// A deterministic layered digraph `e` with integer weights: dense enough
@@ -115,7 +116,7 @@ fn assert_accelerated_match_unindexed(indexes: &[&str], queries: &[String], para
     sweep(&setup, |run| {
         for sql in queries {
             let plannable = sql.replacen('?', "0", 1).replacen('?', "9", 1);
-            let plan = run.session().plan(&plannable).unwrap().explain();
+            let plan = explain(run.session(), &plannable);
             assert!(plan.contains("PathIndex"), "shape not accelerated: {sql}\n{plan}");
             for params in params {
                 let indexed = run.query_with_params(sql, params);
@@ -152,27 +153,27 @@ fn explain_shows_accelerated_plan_and_respects_toggle() {
     let weighted = "SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)";
     // The weighted index covers the matching weight column but not hops.
     assert!(
-        session.plan(weighted).unwrap().explain().contains("PathIndex pw ON e"),
+        explain(&session, weighted).contains("PathIndex pw ON e"),
         "weighted plan not accelerated:\n{}",
-        session.plan(weighted).unwrap().explain()
+        explain(&session, weighted)
     );
-    assert!(!session.plan(hops).unwrap().explain().contains("PathIndex"));
+    assert!(!explain(&session, hops).contains("PathIndex"));
     // A hop index covers hop (and scaled-constant) queries.
     db.execute("CREATE PATH INDEX ph ON e EDGE (s, d) USING LANDMARKS(4)").unwrap();
     // Two indexes cover (e, s, d) now; weighted-vs-hop eligibility decides.
     let session = db.session();
-    let hop_plan = session.plan(hops).unwrap().explain();
+    let hop_plan = explain(&session, hops);
     assert!(hop_plan.contains("PathIndex"), "hop plan not accelerated:\n{hop_plan}");
     // Path-producing queries must never be accelerated: the bidirectional
     // stitch could pick a different equal-cost path than Dijkstra.
     let with_path = "SELECT CHEAPEST SUM(1) AS (c, p) WHERE 0 REACHES 9 OVER e EDGE (s, d)";
-    assert!(!session.plan(with_path).unwrap().explain().contains("PathIndex"));
+    assert!(!explain(&session, with_path).contains("PathIndex"));
     // Dropping the index removes the acceleration, visibly; creating it
     // again brings it back.
     session.execute("DROP PATH INDEX pw").unwrap();
-    assert!(!session.plan(weighted).unwrap().explain().contains("PathIndex"));
+    assert!(!explain(&session, weighted).contains("PathIndex"));
     session.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
-    assert!(session.plan(weighted).unwrap().explain().contains("PathIndex pw ON e"));
+    assert!(explain(&session, weighted).contains("PathIndex pw ON e"));
 }
 
 #[test]
@@ -197,8 +198,8 @@ fn reverse_direction_index_accelerates_reverse_queries() {
     let session = db.session();
     let reverse = "SELECT CHEAPEST SUM(1) WHERE 0 REACHES 9 OVER e EDGE (d, s)";
     let forward = "SELECT CHEAPEST SUM(1) WHERE 0 REACHES 9 OVER e EDGE (s, d)";
-    assert!(session.plan(reverse).unwrap().explain().contains("PathIndex ph"));
-    assert!(!session.plan(forward).unwrap().explain().contains("PathIndex"));
+    assert!(explain(&session, reverse).contains("PathIndex ph"));
+    assert!(!explain(&session, forward).contains("PathIndex"));
 }
 
 #[test]
@@ -220,15 +221,14 @@ fn edge_mutation_invalidates_index_and_cached_plans() {
     session.execute("DELETE FROM e WHERE s = 1 AND d = 4").unwrap();
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(4));
 
-    // CREATE/DROP PATH INDEX move the schema version: cached plans from
-    // before are invalidated, so planning decisions never go stale.
-    let before = session.cache_stats().invalidations;
+    // Plans never name an index: after DROP PATH INDEX the cached plan
+    // runs on, and its graph operator builds the graph for the statement.
+    let before = session.cache_stats();
     session.execute("DROP PATH INDEX ph").unwrap();
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(4));
-    assert!(
-        session.cache_stats().invalidations > before,
-        "DROP PATH INDEX must invalidate cached plans"
-    );
+    let after = session.cache_stats();
+    assert_eq!(after.invalidations, before.invalidations, "index DDL re-plans nothing");
+    assert_eq!(after.hits, before.hits + 1);
 }
 
 #[test]
@@ -306,16 +306,16 @@ fn explain_prefers_contraction_over_landmarks() {
     db.execute("CREATE PATH INDEX pa ON e EDGE (s, d) WEIGHT w USING LANDMARKS(4)").unwrap();
     let weighted = "SELECT CHEAPEST SUM(f: f.w) WHERE 0 REACHES 9 OVER e f EDGE (s, d)";
     let session = db.session();
-    let plan = session.plan(weighted).unwrap().explain();
+    let plan = explain(&session, weighted);
     assert!(plan.contains("PathIndex pa ON e (ALT)"), "landmark plan missing:\n{plan}");
     // A CH index covering the same query beats the landmark index (which
     // sorts first by name), and the choice is visible in EXPLAIN.
     db.execute("CREATE PATH INDEX pz ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
-    let plan = session.plan(weighted).unwrap().explain();
+    let plan = explain(&session, weighted);
     assert!(plan.contains("PathIndex pz ON e (CH)"), "CH not preferred:\n{plan}");
     // Dropping the CH index falls back to the landmark index.
     db.execute("DROP PATH INDEX pz").unwrap();
-    let plan = session.plan(weighted).unwrap().explain();
+    let plan = explain(&session, weighted);
     assert!(plan.contains("PathIndex pa ON e"), "ALT fallback missing:\n{plan}");
 }
 
@@ -350,15 +350,42 @@ fn contraction_mutation_invalidates_index_and_cached_plans() {
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(2));
     session.execute("DELETE FROM e WHERE s = 1 AND d = 4").unwrap();
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(4));
-    // CREATE/DROP PATH INDEX invalidate cached plans for CH exactly like
-    // for landmarks.
-    let before = session.cache_stats().invalidations;
+    // DROP PATH INDEX leaves the cached plan alone for CH exactly like for
+    // landmarks.
+    let before = session.cache_stats();
     session.execute("DROP PATH INDEX pc").unwrap();
     assert_eq!(stmt.query(&session, &params).unwrap().row(0)[0], Value::Int(4));
-    assert!(
-        session.cache_stats().invalidations > before,
-        "DROP PATH INDEX must invalidate cached plans"
-    );
+    let after = session.cache_stats();
+    assert_eq!(after.invalidations, before.invalidations, "index DDL re-plans nothing");
+    assert_eq!(after.hits, before.hits + 1);
+}
+
+/// A prepared statement picks up an index created after it was planned,
+/// and lets go of it when the index is dropped, without ever re-planning:
+/// the graph operator asks the registry each time it runs.
+#[test]
+fn prepared_statement_uses_an_index_created_after_planning() {
+    let db = build_db();
+    let session = db.session();
+    let sql = "SELECT CHEAPEST SUM(f: f.w) AS cost WHERE ? REACHES ? OVER e f EDGE (s, d)";
+    let stmt = session.prepare(sql).unwrap();
+    let params = [Value::Int(0), Value::Int(9)];
+    let m = db.metrics();
+    let counts = || (m.traversals_total("ch"), m.graph_builds_total("statement"));
+    let first = render(&stmt.query(&session, &params).unwrap());
+    assert!(first.contains("Int("), "0 reaches 9: {first}");
+    assert_eq!(counts(), (0, 1), "no index: the statement builds its graph");
+    let misses = session.cache_stats().misses;
+
+    db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+    assert_eq!(render(&stmt.query(&session, &params).unwrap()), first);
+    assert_eq!(counts(), (1, 1), "the next execution is a CH search over the index");
+
+    db.execute("DROP PATH INDEX pc").unwrap();
+    assert_eq!(render(&stmt.query(&session, &params).unwrap()), first);
+    assert_eq!(counts(), (1, 2), "without the index the statement builds its graph again");
+    let stats = session.cache_stats();
+    assert_eq!((stats.misses, stats.invalidations), (misses, 0), "no execution re-planned");
 }
 
 #[test]

@@ -657,3 +657,41 @@ fn data_dir_with_split_index_counters_reopens_unchanged() {
     assert_eq!(rows(&db, sql), vec![vec![Value::Int(2)]]);
     assert_eq!((graph_builds(), db.indexes().builds()), ([0, 0, 1], 1));
 }
+
+/// `DROP TABLE` issued while `CREATE PATH INDEX` builds over that table
+/// waits for the build: the WAL logs the index before the drop, so the
+/// directory reopens, and no index outlives its table, before or after.
+#[test]
+fn drop_table_during_a_path_index_build_leaves_a_directory_that_opens() {
+    // A grid whose contraction takes far longer than a drop.
+    let side = 40;
+    let edges: Vec<String> = (0..side * side)
+        .flat_map(|v| {
+            let right = (v % side + 1 < side).then(|| [(v, v + 1), (v + 1, v)]);
+            let down = (v + side < side * side).then(|| [(v, v + side), (v + side, v)]);
+            right.into_iter().chain(down).flatten()
+        })
+        .map(|(s, d)| format!("({s}, {d})"))
+        .collect();
+    let dir = TempDir::new("ddl-race");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute("CREATE TABLE grid (s INTEGER NOT NULL, d INTEGER NOT NULL)").unwrap();
+        db.execute(&format!("INSERT INTO grid VALUES {}", edges.join(", "))).unwrap();
+        std::thread::scope(|scope| {
+            let sql = "CREATE PATH INDEX pc ON grid EDGE (s, d) USING CONTRACTION";
+            let create = scope.spawn(|| db.execute(sql));
+            // The graph is built: the contraction is running.
+            while db.metrics().graph_builds_total("path_index") == 0 {
+                assert!(!create.is_finished(), "{:?}", create.join());
+                std::thread::yield_now();
+            }
+            db.execute("DROP TABLE grid").unwrap();
+            create.join().unwrap().unwrap();
+        });
+        assert!(db.indexes().index_names(IndexSpace::Path).is_empty(), "the drop took the index");
+    }
+    let db = Database::open(dir.path()).unwrap();
+    assert!(db.catalog().get("grid").is_err());
+    assert!(db.indexes().index_names(IndexSpace::Path).is_empty());
+}
