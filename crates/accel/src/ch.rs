@@ -21,34 +21,53 @@
 //! which is why the witness limits trade preprocessing quality for build
 //! time without ever affecting correctness.
 //!
-//! Ordering uses the classic **edge difference** (shortcuts added minus
-//! edges removed) plus a **deleted neighbours** term that spreads the
-//! contraction evenly. The contraction itself proceeds in **independent-set
-//! rounds** (the standard parallel-CH scheme): every round selects the
-//! vertices that are strict local minima of a deterministic key —
-//! `(priority, hash(v), v)`, the hash term breaking uniform-priority
-//! plateaus so rounds stay wide — over their uncontracted overlay
-//! neighbours. No two selected vertices share an edge, so their witness
-//! searches and shortcut sets are computed concurrently against the
-//! round-start overlay and stay valid when applied: a witness path through
-//! a co-selected vertex survives its contraction via that vertex's own
-//! shortcuts. Selection, shortcut enumeration, and the post-round priority
-//! refresh of touched neighbours all fan out over the `gsql-parallel`
-//! pool, while shortcut application, rank assignment (ascending vertex id
-//! within a round) and detachment run sequentially — every parallel piece
-//! returns results in input order, so the built hierarchy is identical at
-//! every thread count.
+//! **Order.** A vertex's priority is twice its edge difference (shortcuts
+//! a contraction would insert minus edges it removes), plus its
+//! original-edges difference (original edges those shortcuts stand for
+//! minus those the removed edges stand for), plus its deleted-neighbours
+//! count. The original-edges term charges a shortcut for the path it
+//! spans, so long shortcuts are deferred and the core densifies less.
+//!
+//! **Rounds.** The contraction proceeds in deterministic **independent-set
+//! rounds**: the winners of a round are the vertices whose key —
+//! `(priority, hash(v), v)`, the hash breaking uniform-priority plateaus so
+//! rounds stay wide — is a strict local minimum over their uncontracted
+//! neighbours. No two winners share an edge, so their shortcut sets are
+//! computed concurrently against the round-start overlay, with witness
+//! paths avoiding every winner, and stay valid when applied. Priorities
+//! are updated **lazily**: contracting `v` marks its neighbours stale, a
+//! stale winner's priority is re-derived from the shortcut set its round
+//! just computed, and it is contracted only if it still wins.
+//!
+//! **Witness searches.** The overlay is flat — per-vertex edge lists,
+//! deduplicated on insert, out-lists sorted by weight — and every search
+//! is one bounded Dijkstra per (vertex, in-neighbour) that stops once all
+//! out-neighbours are settled or its bound (the largest undecided shortcut)
+//! is passed. Its hop and settled limits are staged by the overlay's
+//! average degree (`STAGES`); the initial priorities are simulated with a
+//! quarter of the contraction's settled budget. One search scratch per
+//! worker is kept across rounds.
+//!
+//! **Determinism.** Every parallel phase — the round's selection, the
+//! simulations, the contractions — returns results in input order, the
+//! searches fanning out one task per (vertex, in-neighbour) over the
+//! `gsql-parallel` pool; shortcut application, rank assignment (ascending
+//! vertex id within a round) and detachment run sequentially. The
+//! hierarchy is identical at every thread count.
+//!
+//! **Cost.** On `gsql_datagen::road::grid_network` grids (weights 1–9, 10 %
+//! of vertical roads closed) at two threads the build takes ≈ 0.35 s at
+//! 100², ≈ 1.7 s at 200² and ≈ 4.6 s at 300², inserting 1.52, 1.62 and
+//! 1.68 shortcuts per edge. A grid has no road hierarchy, so its
+//! top-level separators end as dense cliques; that core, not the sparse
+//! rounds, is what grows faster than `|V|`.
 
 use crate::INF;
-use gsql_graph::Csr;
+use gsql_graph::{Budget, Csr, GraphError};
 use gsql_parallel::Pool;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-/// Settled-vertex budget of one witness search. Larger budgets find more
-/// witnesses (fewer shortcuts, better queries) at higher preprocessing
-/// cost; exceeding the budget merely inserts a redundant shortcut.
-const WITNESS_SETTLED_LIMIT: usize = 64;
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// One upward search graph in CSR form: for every vertex, its edges toward
 /// higher-ranked vertices.
@@ -115,158 +134,120 @@ impl ContractionHierarchy {
     /// produces them — non-negative; the SQL layer additionally validates
     /// strict positivity, but zero weights are handled exactly.
     ///
-    /// `threads` sizes the worker pool for the order-independent pieces
-    /// (initial priorities, final CSR assembly); the result is identical
-    /// for every thread count.
+    /// `threads` sizes the worker pool; the result is identical for every
+    /// thread count. No deadline: [`ContractionHierarchy::build_within`]
+    /// is the bounded form.
     pub fn build(forward: &Csr, weights: Option<&[i64]>, threads: usize) -> ContractionHierarchy {
-        let n = forward.num_vertices() as usize;
-        // Overlay adjacency, deduplicating parallel edges to their minimum
-        // weight and dropping self-loops (neither can shorten any path).
-        let mut out_adj: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        let mut in_adj: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        for u in 0..n as u32 {
-            for (slot, v) in forward.neighbors(u) {
-                if v == u {
-                    continue;
-                }
-                let w = weights.map_or(1, |ws| {
-                    debug_assert!(ws[slot] >= 0, "negative weight reached CH build");
-                    ws[slot] as u64
-                });
-                let e = out_adj[u as usize].entry(v).or_insert(u64::MAX);
-                *e = (*e).min(w);
-                let e = in_adj[v as usize].entry(u).or_insert(u64::MAX);
-                *e = (*e).min(w);
-            }
-        }
+        let budget = Budget { threads, ..Budget::default() };
+        Self::build_within(forward, weights, &budget).expect("no deadline was set")
+    }
 
+    /// [`ContractionHierarchy::build`] on `budget`'s workers, polling its
+    /// deadline once per contraction round: a build that outlives it fails
+    /// with [`GraphError::DeadlineExceeded`] and returns nothing.
+    pub fn build_within(
+        forward: &Csr,
+        weights: Option<&[i64]>,
+        budget: &Budget<'_>,
+    ) -> Result<ContractionHierarchy, GraphError> {
+        let n = forward.num_vertices() as usize;
+        let pool = Pool::new(budget.threads);
+        let spares = Spares::default();
+        budget.poll()?;
+        let mut overlay = Overlay::new(forward, weights);
         let mut deleted_neighbors: Vec<u32> = vec![0; n];
-        // Initial priorities: one simulated contraction per vertex, an
-        // independent computation fanned out over the pool (per-worker
-        // witness scratch, results in input order).
-        let pool = Pool::new(threads);
-        let mut prios: Vec<i64> = pool.map_with(
-            n,
-            || WitnessSearch::new(n),
-            |wit, v| priority(v as u32, &out_adj, &in_adj, &deleted_neighbors, wit),
-        );
+        let all: Vec<u32> = (0..n as u32).collect();
+        // Initial priorities: one simulated contraction per vertex, under
+        // the stage's cheaper limits.
+        let simulate = Stage::of(&overlay, n).simulate;
+        let simulated = shortcut_sets(&pool, &spares, &all, &overlay, None, simulate);
+        let mut prios: Vec<i64> = (all.iter().zip(simulated))
+            .map(|(&v, set)| priority(v, &overlay, &deleted_neighbors, &set))
+            .collect();
+        let mut stale: Vec<bool> = vec![false; n];
 
         let mut rank: Vec<u32> = vec![u32::MAX; n];
         let mut fwd_up_adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
         let mut bwd_up_adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
         let mut shortcuts = 0usize;
         let mut next_rank = 0u32;
-        let mut remaining: Vec<u32> = (0..n as u32).collect();
+        let mut remaining = all;
         let mut in_round: Vec<bool> = vec![false; n];
         while !remaining.is_empty() {
-            // Round key: priority first, then a hash so uniform-priority
-            // regions (chains, grids) still select wide independent sets,
-            // then the id to make every key distinct (which also makes the
-            // key-minimal vertex a guaranteed pick — termination).
-            let key = |v: u32| (prios[v as usize], splitmix64(v as u64), v);
-            // A vertex joins the round iff it beats every uncontracted
-            // overlay neighbour; adjacent vertices can never both win, so
-            // the selected set is independent.
-            let picked: Vec<bool> = pool.map(remaining.len(), |i| {
-                let v = remaining[i];
+            budget.poll()?;
+            let stage = Stage::of(&overlay, remaining.len());
+            // A vertex wins the round iff its key beats every uncontracted
+            // overlay neighbour's: adjacent vertices can never both win, so
+            // the winners are independent. The key is the priority, then a
+            // hash so uniform-priority regions (chains, grids) still select
+            // wide sets, then the id to make every key distinct (which also
+            // makes the key-minimal vertex a guaranteed winner).
+            let local_minimum = |prios: &[i64], v: u32| {
+                let key = |v: u32| (prios[v as usize], splitmix64(v as u64), v);
                 let kv = key(v);
-                out_adj[v as usize].keys().chain(in_adj[v as usize].keys()).all(|&u| key(u) > kv)
-            });
-            let selected: Vec<u32> = remaining
-                .iter()
-                .zip(&picked)
-                .filter_map(|(&v, &p)| if p { Some(v) } else { None })
-                .collect();
-            debug_assert!(!selected.is_empty());
+                overlay.neighbors(v).all(|u| key(u) > kv)
+            };
+            let won: Vec<bool> = pool.map(remaining.len(), |i| local_minimum(&prios, remaining[i]));
+            let winners: Vec<u32> =
+                remaining.iter().zip(&won).filter(|(_, &w)| w).map(|(&v, _)| v).collect();
+            debug_assert!(!winners.is_empty());
 
             // Witness searches + shortcut sets against the round-start
-            // overlay, one independent task per selected vertex. Witness
-            // paths must avoid the *entire* selected set, not just the
-            // vertex being contracted: two co-selected vertices could
-            // otherwise each skip a shortcut on the strength of a witness
-            // running through the other (which this round also removes).
-            // Avoiding the whole set means a found witness survives the
-            // round verbatim — its vertices stay, and edges between
-            // surviving vertices are never removed — so skipping stays
-            // safe; extra shortcuts always are.
-            for &v in &selected {
+            // overlay, one independent task per winner and in-neighbour.
+            // Witness paths must avoid *every* winner, not just the vertex
+            // being contracted: two winners could otherwise each skip a
+            // shortcut on the strength of a witness running through the
+            // other (which this round may also remove). Avoiding them all
+            // means a found witness survives the round verbatim — its
+            // vertices stay, and edges between surviving vertices are never
+            // removed — so skipping stays safe; extra shortcuts always are.
+            for &v in &winners {
                 in_round[v as usize] = true;
             }
-            let added_per: Vec<Vec<(u32, u32, u64)>> = pool.map_with(
-                selected.len(),
-                || WitnessSearch::new(n),
-                |wit, i| {
-                    let mut added = Vec::new();
-                    shortcuts_of(
-                        selected[i],
-                        &out_adj,
-                        &in_adj,
-                        wit,
-                        Some(&in_round),
-                        |u, w, wt| {
-                            added.push((u, w, wt));
-                        },
-                    );
-                    added
-                },
-            );
-            for &v in &selected {
+            let sets =
+                shortcut_sets(&pool, &spares, &winners, &overlay, Some(&in_round), stage.contract);
+            for &v in &winners {
                 in_round[v as usize] = false;
             }
+            // Lazy updates: a stale winner's priority is re-derived from
+            // the shortcut set just found, and it is contracted only if it
+            // still wins; a winner that was not stale always does.
+            let mut updated = false;
+            for (&v, set) in winners.iter().zip(&sets) {
+                if std::mem::take(&mut stale[v as usize]) {
+                    prios[v as usize] = priority(v, &overlay, &deleted_neighbors, set);
+                    updated = true;
+                }
+            }
+            let keep: Vec<bool> =
+                winners.iter().map(|&v| !updated || local_minimum(&prios, v)).collect();
 
             // Apply sequentially in ascending vertex id (the order
-            // `selected` is already in): shortcut bookkeeping and rank
+            // `winners` is already in): shortcut bookkeeping and rank
             // assignment are deterministic regardless of thread count.
-            let mut touched: Vec<u32> = Vec::new();
-            for (added, &v) in added_per.iter().zip(&selected) {
-                for &(u, w, wt) in added {
-                    let e = out_adj[u as usize].entry(w).or_insert(u64::MAX);
-                    if *e == u64::MAX {
-                        shortcuts += 1;
-                    }
-                    *e = (*e).min(wt);
-                    let e = in_adj[w as usize].entry(u).or_insert(u64::MAX);
-                    *e = (*e).min(wt);
+            let contracted = winners.iter().zip(&sets).zip(&keep).filter(|(_, &k)| k);
+            for ((&v, set), _) in contracted {
+                for s in set {
+                    shortcuts += usize::from(overlay.insert(s.from, s.link));
                 }
-
                 // Detach v. Its remaining neighbours are exactly the
                 // not-yet-contracted ones, so the recorded edges all point
-                // upward in rank.
-                let mut outs: Vec<(u32, u64)> =
-                    out_adj[v as usize].iter().map(|(&t, &w)| (t, w)).collect();
-                outs.sort_unstable();
-                let mut ins: Vec<(u32, u64)> =
-                    in_adj[v as usize].iter().map(|(&t, &w)| (t, w)).collect();
-                ins.sort_unstable();
-                for &(w, _) in &outs {
-                    in_adj[w as usize].remove(&v);
-                    deleted_neighbors[w as usize] += 1;
-                    touched.push(w);
-                }
-                for &(u, _) in &ins {
-                    out_adj[u as usize].remove(&v);
+                // upward in rank; each of them is now stale.
+                let (outs, ins) = overlay.detach(v);
+                for u in outs.iter().chain(&ins).map(|l| l.head) {
                     deleted_neighbors[u as usize] += 1;
-                    touched.push(u);
+                    stale[u as usize] = true;
                 }
-                fwd_up_adj[v as usize] = outs;
-                bwd_up_adj[v as usize] = ins;
+                let up = |links: Vec<Link>| {
+                    let mut up: Vec<(u32, u64)> =
+                        links.iter().map(|l| (l.head, l.weight)).collect();
+                    up.sort_unstable();
+                    up
+                };
+                fwd_up_adj[v as usize] = up(outs);
+                bwd_up_adj[v as usize] = up(ins);
                 rank[v as usize] = next_rank;
                 next_rank += 1;
-            }
-
-            // Refresh the priorities the round invalidated — the former
-            // neighbours of contracted vertices — in parallel (sorted +
-            // dedup'd, so the refresh set and result order are
-            // deterministic).
-            touched.sort_unstable();
-            touched.dedup();
-            let fresh: Vec<i64> = pool.map_with(
-                touched.len(),
-                || WitnessSearch::new(n),
-                |wit, i| priority(touched[i], &out_adj, &in_adj, &deleted_neighbors, wit),
-            );
-            for (&v, f) in touched.iter().zip(fresh) {
-                prios[v as usize] = f;
             }
             remaining.retain(|&v| rank[v as usize] == u32::MAX);
         }
@@ -277,7 +258,7 @@ impl ContractionHierarchy {
             pool.map(2, |i| UpGraph::from_adj(if i == 0 { &fwd_up_adj } else { &bwd_up_adj }));
         let bwd_up = graphs.pop().expect("two graphs");
         let fwd_up = graphs.pop().expect("two graphs");
-        ContractionHierarchy { rank, fwd_up, bwd_up, shortcuts }
+        Ok(ContractionHierarchy { rank, fwd_up, bwd_up, shortcuts })
     }
 
     /// Number of vertices.
@@ -399,132 +380,361 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The priority of `v`: twice the edge difference (shortcuts a contraction
-/// would insert minus edges it removes) plus the deleted-neighbours count.
+/// The shortcut set contracting each vertex `v` of `vs` requires against
+/// the current overlay: for every in-neighbour `u` and out-neighbour
+/// `w ≠ u`, the shortcut `u → w` of weight `d(u,v) + d(v,w)`, unless a
+/// witness search within `limits`, avoiding `v` and the `banned` vertices,
+/// finds a path `u ⇝ w` at least as cheap. One search per (vertex,
+/// in-neighbour) covers every out-neighbour. The searches fan out over the
+/// pool, each worker on one leased scratch, and the sets come back in `vs`
+/// order: the overlay lists are in a fixed order and the search breaks
+/// heap ties by vertex id, so they are identical at every pool width.
+fn shortcut_sets(
+    pool: &Pool,
+    spares: &Spares,
+    vs: &[u32],
+    overlay: &Overlay,
+    banned: Option<&[bool]>,
+    limits: Limits,
+) -> Vec<Vec<Shortcut>> {
+    let n = overlay.out.len();
+    let tasks: Vec<(u32, Link)> =
+        vs.iter().flat_map(|&v| overlay.inc[v as usize].iter().map(move |&l| (v, l))).collect();
+    let per_task = pool.map_with(
+        tasks.len(),
+        || spares.lease(n),
+        |witness, i| {
+            let (v, into) = tasks[i];
+            witness.run(overlay, v, into, banned, limits);
+            let outs = overlay.out[v as usize].iter().filter(|out| out.head != into.head);
+            outs.filter_map(|out| {
+                let weight = into.weight.saturating_add(out.weight);
+                let hops = into.hops.saturating_add(out.hops);
+                let link = Link { head: out.head, hops, weight };
+                // None when a witness path avoids v at no extra cost.
+                (witness.dist(out.head) > weight).then_some(Shortcut { from: into.head, link })
+            })
+            .collect::<Vec<_>>()
+        },
+    );
+    let mut per_task = per_task.into_iter();
+    let in_degree = |v: u32| overlay.inc[v as usize].len();
+    vs.iter().map(|&v| per_task.by_ref().take(in_degree(v)).flatten().collect()).collect()
+}
+
+/// The priority of `v` when contracting it inserts `set`: twice the edge
+/// difference (shortcuts inserted minus edges removed), plus the
+/// original-edges difference (original edges the shortcuts stand for minus
+/// those the removed edges stand for), plus the deleted-neighbours count.
 /// Smaller contracts earlier; ties break by hash then vertex id through
 /// the round key.
-fn priority(
-    v: u32,
-    out_adj: &[HashMap<u32, u64>],
-    in_adj: &[HashMap<u32, u64>],
-    deleted_neighbors: &[u32],
-    witness: &mut WitnessSearch,
-) -> i64 {
-    let mut needed = 0i64;
-    shortcuts_of(v, out_adj, in_adj, witness, None, |_, _, _| needed += 1);
-    let removed = (out_adj[v as usize].len() + in_adj[v as usize].len()) as i64;
-    2 * (needed - removed) + deleted_neighbors[v as usize] as i64
+fn priority(v: u32, overlay: &Overlay, deleted_neighbors: &[u32], set: &[Shortcut]) -> i64 {
+    let count = |links: &mut dyn Iterator<Item = &Link>| {
+        links.fold((0i64, 0i64), |(n, h), l| (n + 1, h + i64::from(l.hops)))
+    };
+    let (added, added_hops) = count(&mut set.iter().map(|s| &s.link));
+    let (removed, removed_hops) =
+        count(&mut overlay.out[v as usize].iter().chain(&overlay.inc[v as usize]));
+    2 * (added - removed) + (added_hops - removed_hops) + deleted_neighbors[v as usize] as i64
 }
 
-/// Enumerate the shortcuts contracting `v` requires: for every uncontracted
-/// in-neighbour `u` and out-neighbour `w` (`u ≠ w`), emit `(u, w, d(u,v) +
-/// d(v,w))` unless a bounded witness search finds a path `u ⇝ w` avoiding
-/// `v` that is at least as cheap. Deterministic: neighbours are visited in
-/// sorted order and the witness search breaks heap ties by vertex id.
-fn shortcuts_of(
-    v: u32,
-    out_adj: &[HashMap<u32, u64>],
-    in_adj: &[HashMap<u32, u64>],
-    witness: &mut WitnessSearch,
-    banned: Option<&[bool]>,
-    mut emit: impl FnMut(u32, u32, u64),
-) {
-    let vi = v as usize;
-    if out_adj[vi].is_empty() || in_adj[vi].is_empty() {
-        return;
-    }
-    let mut outs: Vec<(u32, u64)> = out_adj[vi].iter().map(|(&t, &w)| (t, w)).collect();
-    outs.sort_unstable();
-    let mut ins: Vec<(u32, u64)> = in_adj[vi].iter().map(|(&t, &w)| (t, w)).collect();
-    ins.sort_unstable();
-    let max_out = outs.iter().map(|&(_, w)| w).max().unwrap_or(0);
-    for &(u, w_uv) in &ins {
-        // One witness search per in-neighbour covers all out-neighbours:
-        // labels beyond `w_uv + max_out` can never beat any shortcut.
-        witness.run(out_adj, u, v, banned, w_uv.saturating_add(max_out));
-        for &(w, w_vw) in &outs {
-            if w == u {
-                continue;
+/// One shortcut a contraction requires: `from → link.head`.
+#[derive(Debug, Clone, Copy)]
+struct Shortcut {
+    from: u32,
+    link: Link,
+}
+
+/// One overlay edge, seen from one endpoint: the other endpoint, the
+/// number of original edges it stands for, and its weight.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    head: u32,
+    hops: u32,
+    weight: u64,
+}
+
+/// The uncontracted part of the graph plus the shortcuts inserted so far,
+/// as flat per-vertex lists: `out[u]` holds `u → head` sorted by weight
+/// (so a witness search stops scanning at its bound), `inc[w]` holds
+/// `head → w`. Parallel edges are kept at their minimum weight and
+/// self-loops dropped (neither can shorten any path); an insert
+/// deduplicates against the list.
+struct Overlay {
+    out: Vec<Vec<Link>>,
+    inc: Vec<Vec<Link>>,
+    /// Live edges: the sum of the `out` list lengths.
+    edges: usize,
+}
+
+impl Overlay {
+    fn new(forward: &Csr, weights: Option<&[i64]>) -> Overlay {
+        let n = forward.num_vertices() as usize;
+        let mut out: Vec<Vec<Link>> = Vec::with_capacity(n);
+        let mut inc: Vec<Vec<Link>> = vec![Vec::new(); n];
+        let mut edges = 0usize;
+        for u in 0..n as u32 {
+            let mut links: Vec<Link> = forward
+                .neighbors(u)
+                .filter(|&(_, v)| v != u)
+                .map(|(slot, head)| {
+                    let weight = weights.map_or(1, |ws| {
+                        debug_assert!(ws[slot] >= 0, "negative weight reached CH build");
+                        ws[slot] as u64
+                    });
+                    Link { head, hops: 1, weight }
+                })
+                .collect();
+            links.sort_unstable_by_key(|l| (l.head, l.weight));
+            links.dedup_by_key(|l| l.head);
+            links.sort_by_key(|l| l.weight); // stable: ties stay in head order
+            for l in &links {
+                inc[l.head as usize].push(Link { head: u, ..*l });
             }
-            let via = w_uv.saturating_add(w_vw);
-            if witness.dist(w) <= via {
-                continue; // a witness path avoids v at no extra cost
-            }
-            emit(u, w, via);
+            edges += links.len();
+            out.push(links);
         }
+        Overlay { out, inc, edges }
+    }
+
+    /// Every uncontracted neighbour of `v`, in either direction.
+    fn neighbors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        self.out[v as usize].iter().chain(&self.inc[v as usize]).map(|l| l.head)
+    }
+
+    /// Insert `from → link.head`, or lower an existing edge to its weight,
+    /// keeping `out[from]` sorted by weight; true when the edge is new.
+    fn insert(&mut self, from: u32, link: Link) -> bool {
+        let to = link.head;
+        let out = &mut self.out[from as usize];
+        let fresh = match out.iter().position(|l| l.head == to) {
+            Some(i) if link.weight < out[i].weight => {
+                out.remove(i);
+                let back = self.inc[to as usize].iter_mut().find(|l| l.head == from);
+                *back.expect("overlay lists agree") = Link { head: from, ..link };
+                false
+            }
+            Some(_) => return false,
+            None => {
+                self.inc[to as usize].push(Link { head: from, ..link });
+                self.edges += 1;
+                true
+            }
+        };
+        let at = out.partition_point(|l| l.weight <= link.weight);
+        out.insert(at, link);
+        fresh
+    }
+
+    /// Remove `v` and its edges; returns its out- and in-lists.
+    fn detach(&mut self, v: u32) -> (Vec<Link>, Vec<Link>) {
+        let outs = std::mem::take(&mut self.out[v as usize]);
+        let ins = std::mem::take(&mut self.inc[v as usize]);
+        for l in &outs {
+            self.inc[l.head as usize].retain(|b| b.head != v);
+        }
+        for l in &ins {
+            self.out[l.head as usize].retain(|b| b.head != v);
+        }
+        self.edges -= outs.len() + ins.len();
+        (outs, ins)
     }
 }
 
-/// Reusable bounded Dijkstra for witness searches: epoch-stamped labels (no
-/// per-run clearing) over the overlay adjacency, excluding one vertex,
-/// stopping at [`WITNESS_SETTLED_LIMIT`] settled vertices or once the
-/// frontier passes the weight limit.
+/// The bounds of one witness search: it relaxes no edge out of a vertex
+/// reached in `hops` edges and stops after `settled` settled vertices.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    hops: u32,
+    settled: u32,
+}
+
+/// The witness limits of one round: the simulation's and the contraction's.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    simulate: Limits,
+    contract: Limits,
+}
+
+/// Staged witness limits (Geisberger et al.), chosen each round by the
+/// overlay's average out-degree: the first stage whose bound exceeds it
+/// applies. A sparse overlay needs only short, cheap witnesses; as the core
+/// densifies, the hop and settled limits rise, because every witness a
+/// search misses there becomes a shortcut that densifies the core further.
+/// The initial priority simulation runs a quarter of the contraction's
+/// settled budget.
+const STAGES: [(f64, Limits, Limits); 4] = [
+    (3.3, Limits { hops: 3, settled: 16 }, Limits { hops: 4, settled: 64 }),
+    (5.0, Limits { hops: 4, settled: 16 }, Limits { hops: 6, settled: 64 }),
+    (10.0, Limits { hops: 5, settled: 32 }, Limits { hops: 8, settled: 128 }),
+    (f64::INFINITY, Limits { hops: 6, settled: 64 }, Limits { hops: 10, settled: 256 }),
+];
+
+impl Stage {
+    fn of(overlay: &Overlay, remaining: usize) -> Stage {
+        let degree = overlay.edges as f64 / remaining.max(1) as f64;
+        let &(_, simulate, contract) =
+            STAGES.iter().find(|s| degree < s.0).expect("the last stage is unbounded");
+        Stage { simulate, contract }
+    }
+}
+
+/// The witness searches of one build, kept across rounds: each parallel
+/// phase leases one per worker and returns it when the worker ends.
+#[derive(Default)]
+struct Spares(Mutex<Vec<WitnessSearch>>);
+
+impl Spares {
+    fn lease(&self, n: usize) -> Lease<'_> {
+        let spare = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        Lease { search: spare.unwrap_or_else(|| WitnessSearch::new(n)), home: self }
+    }
+}
+
+/// A leased [`WitnessSearch`], handed back to its [`Spares`] on drop.
+struct Lease<'a> {
+    search: WitnessSearch,
+    home: &'a Spares,
+}
+
+impl std::ops::Deref for Lease<'_> {
+    type Target = WitnessSearch;
+    fn deref(&self) -> &WitnessSearch {
+        &self.search
+    }
+}
+
+impl std::ops::DerefMut for Lease<'_> {
+    fn deref_mut(&mut self) -> &mut WitnessSearch {
+        &mut self.search
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let search = std::mem::take(&mut self.search);
+        self.home.0.lock().unwrap_or_else(|e| e.into_inner()).push(search);
+    }
+}
+
+/// A witness-search label: distance, hop count and the run it belongs to.
+#[derive(Debug, Clone, Copy, Default)]
+struct Label {
+    dist: u64,
+    hops: u32,
+    run: u32,
+}
+
+/// Reusable bounded Dijkstra for witness searches: run-stamped labels (no
+/// per-run clearing) over the overlay, avoiding the contracted vertex,
+/// stopping once every target is settled, the settled budget is spent or
+/// the frontier passes the weight bound.
+#[derive(Default)]
 struct WitnessSearch {
-    dist: Vec<u64>,
-    epoch: Vec<u32>,
-    current: u32,
+    labels: Vec<Label>,
+    /// `target[v] == run` marks a target of the current run.
+    target: Vec<u32>,
+    run: u32,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl WitnessSearch {
     fn new(n: usize) -> WitnessSearch {
-        WitnessSearch { dist: vec![0; n], epoch: vec![0; n], current: 0, heap: BinaryHeap::new() }
+        WitnessSearch {
+            labels: vec![Label::default(); n],
+            target: vec![0; n],
+            run: 0,
+            heap: BinaryHeap::new(),
+        }
     }
 
     /// Label of `v` from the last [`WitnessSearch::run`], [`INF`] when `v`
     /// was not reached within the limits.
     fn dist(&self, v: u32) -> u64 {
-        if self.epoch[v as usize] == self.current {
-            self.dist[v as usize]
+        let l = &self.labels[v as usize];
+        if l.run == self.run {
+            l.dist
         } else {
             INF
         }
     }
 
-    fn label(&mut self, v: u32, d: u64) -> bool {
-        let vi = v as usize;
-        if self.epoch[vi] == self.current && self.dist[vi] <= d {
-            return false;
-        }
-        self.epoch[vi] = self.current;
-        self.dist[vi] = d;
-        true
-    }
-
-    /// Bounded Dijkstra from `source` avoiding `excluded` and, when
-    /// `banned` is given, every flagged vertex — the whole independent set
-    /// of the current round, so witness paths only use vertices (and
-    /// therefore edges) that survive the round intact.
+    /// Bounded Dijkstra over the overlay from `into.head`, an in-neighbour
+    /// of `v`, toward `v`'s out-neighbours, avoiding `v` and, when `banned`
+    /// is given, every flagged vertex — the round's winners, so witness
+    /// paths only use vertices (and therefore edges) that survive the
+    /// round intact. The weight bound is the largest shortcut still
+    /// undecided: it shrinks as out-neighbours settle.
     fn run(
         &mut self,
-        out_adj: &[HashMap<u32, u64>],
-        source: u32,
-        excluded: u32,
+        overlay: &Overlay,
+        v: u32,
+        into: Link,
         banned: Option<&[bool]>,
-        limit: u64,
+        limits: Limits,
     ) {
-        self.current = self.current.wrapping_add(1);
+        let (source, first, targets) = (into.head, into.weight, &overlay.out[v as usize]);
+        self.run = self.run.wrapping_add(1);
+        if self.run == 0 {
+            // Stamps wrapped: forget every label and target of old runs.
+            self.labels.fill(Label::default());
+            self.target.fill(0);
+            self.run = 1;
+        }
         self.heap.clear();
-        self.label(source, 0);
+        let run = self.run;
+        let mut left = 0u32;
+        for t in targets.iter().filter(|t| t.head != source) {
+            self.target[t.head as usize] = run;
+            left += 1;
+        }
+        let undecided = |target: &[u32]| {
+            let open = targets.iter().filter(|t| target[t.head as usize] == run);
+            open.map(|t| first.saturating_add(t.weight)).max().unwrap_or(0)
+        };
+        let mut bound = undecided(&self.target);
+        if left == 0 {
+            return;
+        }
+        self.labels[source as usize] = Label { dist: 0, hops: 0, run };
         self.heap.push(Reverse((0, source)));
-        let mut settled = 0usize;
+        let mut settled = 0u32;
         while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist(u) {
+            let label = self.labels[u as usize];
+            if d > label.dist {
                 continue; // stale entry
             }
-            if d > limit {
+            if d > bound {
                 break; // no label past here can beat any shortcut
             }
+            if self.target[u as usize] == run {
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+                self.target[u as usize] = 0;
+                bound = undecided(&self.target);
+            }
             settled += 1;
-            if settled > WITNESS_SETTLED_LIMIT {
+            if settled >= limits.settled {
                 break;
             }
-            for (&t, &w) in &out_adj[u as usize] {
-                if t == excluded || banned.is_some_and(|b| b[t as usize]) {
+            if label.hops >= limits.hops {
+                continue;
+            }
+            // Out-lists are sorted by weight: past the bound, stop.
+            for l in &overlay.out[u as usize] {
+                let nd = d.saturating_add(l.weight);
+                if nd > bound {
+                    break;
+                }
+                let t = l.head;
+                if t == v || banned.is_some_and(|b| b[t as usize]) {
                     continue;
                 }
-                let nd = d.saturating_add(w);
-                if nd <= limit && self.label(t, nd) {
+                let slot = &mut self.labels[t as usize];
+                if slot.run != run || nd < slot.dist {
+                    *slot = Label { dist: nd, hops: label.hops + 1, run };
                     self.heap.push(Reverse((nd, t)));
                 }
             }
@@ -577,6 +787,23 @@ mod tests {
             let par = ContractionHierarchy::build(&g, None, threads);
             assert_eq!(par.rank(), base.rank(), "threads {threads}");
             assert_eq!(par.shortcuts(), base.shortcuts(), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_past_deadline_fails_the_build_and_a_far_one_changes_nothing() {
+        use std::time::{Duration, Instant};
+        let g = diamond();
+        for threads in [1, 4] {
+            let past = Instant::now() - Duration::from_millis(1);
+            let budget = Budget { threads, deadline: Some(past), observer: None };
+            let err = ContractionHierarchy::build_within(&g, None, &budget).unwrap_err();
+            assert_eq!(err, GraphError::DeadlineExceeded, "threads {threads}");
+            let far = Budget { deadline: Some(past + Duration::from_secs(3600)), ..budget };
+            let bounded = ContractionHierarchy::build_within(&g, None, &far).unwrap();
+            let plain = ContractionHierarchy::build(&g, None, threads);
+            assert_eq!(bounded.rank(), plain.rank(), "threads {threads}");
+            assert_eq!(bounded.shortcuts(), plain.shortcuts(), "threads {threads}");
         }
     }
 

@@ -19,8 +19,7 @@
 //! selection is fully deterministic.
 
 use crate::INF;
-use gsql_graph::{bfs, dijkstra_int, Csr};
-use gsql_parallel::Pool;
+use gsql_graph::{bfs, dijkstra_int, Budget, Csr, GraphError};
 
 /// A built ALT index: `k` landmarks plus their exact forward and backward
 /// distance vectors over the whole vertex set.
@@ -43,7 +42,8 @@ impl Landmarks {
     /// [`Csr::permute_weights_int`] produces them — already validated
     /// strictly positive. The `2k` exact distance vectors are independent
     /// traversals and fan out over a pool of `threads` workers; the result
-    /// is identical for every thread count.
+    /// is identical for every thread count. No deadline:
+    /// [`Landmarks::build_within`] is the bounded form.
     pub fn build(
         forward: &Csr,
         backward: &Csr,
@@ -51,20 +51,38 @@ impl Landmarks {
         k: usize,
         threads: usize,
     ) -> Landmarks {
+        let budget = Budget { threads, ..Budget::default() };
+        Self::build_within(forward, backward, weights, k, &budget).expect("no deadline was set")
+    }
+
+    /// [`Landmarks::build`] on `budget`'s workers, polling its deadline
+    /// once per distance vector: a build that outlives it fails with
+    /// [`GraphError::DeadlineExceeded`] and returns nothing.
+    pub fn build_within(
+        forward: &Csr,
+        backward: &Csr,
+        weights: Option<(&[i64], &[i64])>,
+        k: usize,
+        budget: &Budget<'_>,
+    ) -> Result<Landmarks, GraphError> {
         let n = forward.num_vertices();
         debug_assert_eq!(backward.num_vertices(), n);
+        budget.poll()?;
         let landmarks = select_landmarks(forward, k.min(n as usize));
         // One traversal per (landmark, direction): 2k independent tasks.
-        let pool = Pool::new(threads);
-        let vectors: Vec<Vec<u64>> = pool.map(landmarks.len() * 2, |i| {
-            let lm = landmarks[i / 2];
-            let (graph, w) = if i % 2 == 0 {
-                (forward, weights.map(|(f, _)| f))
-            } else {
-                (backward, weights.map(|(_, b)| b))
-            };
-            distance_vector(graph, lm, w)
-        });
+        let vectors: Vec<Vec<u64>> = budget.fan_out(
+            landmarks.len() * 2,
+            || (),
+            |(), i| {
+                let lm = landmarks[i / 2];
+                let (graph, w) = if i % 2 == 0 {
+                    (forward, weights.map(|(f, _)| f))
+                } else {
+                    (backward, weights.map(|(_, b)| b))
+                };
+                distance_vector(graph, lm, w)
+            },
+        )?;
         let mut fwd = Vec::with_capacity(landmarks.len());
         let mut bwd = Vec::with_capacity(landmarks.len());
         for (i, v) in vectors.into_iter().enumerate() {
@@ -74,7 +92,7 @@ impl Landmarks {
                 bwd.push(v);
             }
         }
-        Landmarks { landmarks, fwd, bwd }
+        Ok(Landmarks { landmarks, fwd, bwd })
     }
 
     /// The chosen landmark vertices.
@@ -271,6 +289,22 @@ mod tests {
             assert_eq!(par.landmarks, base.landmarks, "threads {threads}");
             assert_eq!(par.fwd, base.fwd, "threads {threads}");
             assert_eq!(par.bwd, base.bwd, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_past_deadline_fails_the_build_and_a_far_one_changes_nothing() {
+        use std::time::{Duration, Instant};
+        let (g, r) = diamond();
+        for threads in [1, 4] {
+            let past = Instant::now() - Duration::from_millis(1);
+            let budget = Budget { threads, deadline: Some(past), observer: None };
+            let err = Landmarks::build_within(&g, &r, None, 3, &budget).unwrap_err();
+            assert_eq!(err, GraphError::DeadlineExceeded, "threads {threads}");
+            let far = Budget { deadline: Some(past + Duration::from_secs(3600)), ..budget };
+            let bounded = Landmarks::build_within(&g, &r, None, 3, &far).unwrap();
+            let plain = Landmarks::build(&g, &r, None, 3, threads);
+            assert_eq!(bounded.to_parts(), plain.to_parts(), "threads {threads}");
         }
     }
 

@@ -1,8 +1,11 @@
 //! Property-style equivalence: contraction-hierarchy distances must equal
 //! plain Dijkstra on random weighted digraphs — including disconnected
 //! pairs and zero-weight edges — and builds at `threads = 1` and
-//! `threads = 4` must produce identical hierarchies. Uses the workspace's
-//! offline `rand` shim, so it runs by default.
+//! `threads = 4` must produce identical hierarchies. A road grid pins the
+//! hierarchy's density: identical at 1, 2 and 4 threads, exact on sampled
+//! pairs, and no more shortcuts than the earlier contraction scheme
+//! inserted. Uses the workspace's offline `rand` shim, so it runs by
+//! default.
 
 use gsql_accel::{ch_query, ContractionHierarchy};
 use gsql_graph::{bfs, dijkstra_int, Csr};
@@ -131,5 +134,62 @@ fn dense_and_sparse_extremes() {
             let expected = if s == d { 0 } else { 1 };
             assert_eq!(ch_query(&ch, s, d).dist, Some(expected), "pair ({s}, {d})");
         }
+    }
+}
+
+/// A 30 × 30 road grid shaped like `gsql_datagen::road::grid_network`:
+/// two-way horizontal roads everywhere, 10 % of the vertical road pairs
+/// closed, travel times 1–9.
+fn road_grid(side: u32, seed: u64) -> (Csr, Vec<i64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut src, mut dst, mut raw) = (Vec::new(), Vec::new(), Vec::new());
+    let mut road = |rng: &mut StdRng, a: u32, b: u32| {
+        for (s, d) in [(a, b), (b, a)] {
+            src.push(s);
+            dst.push(d);
+            raw.push(rng.gen_range(1..=9i64));
+        }
+    };
+    for y in 0..side {
+        for x in 0..side {
+            let v = y * side + x;
+            if x + 1 < side {
+                road(&mut rng, v, v + 1);
+            }
+            if y + 1 < side && rng.gen_bool(0.9) {
+                road(&mut rng, v, v + side);
+            }
+        }
+    }
+    let graph = Csr::from_edges(side * side, &src, &dst).unwrap();
+    let weights = graph.permute_weights_int(&raw).unwrap();
+    (graph, weights)
+}
+
+/// Shortcuts the previous contraction scheme (priority without the
+/// original-edges term, one 64-settled witness limit) inserted on
+/// `road_grid(30, 0x6e1d)`: the hierarchy may not grow denser than that.
+const EARLIER_GRID_SHORTCUTS: usize = 4384;
+
+#[test]
+fn road_grid_is_thread_independent_exact_and_no_denser_than_before() {
+    let (graph, weights) = road_grid(30, 0x6e1d);
+    let base = ContractionHierarchy::build(&graph, Some(&weights), 1);
+    for threads in [2, 4] {
+        let par = ContractionHierarchy::build(&graph, Some(&weights), threads);
+        assert_eq!(par.rank(), base.rank(), "threads {threads}: contraction order diverged");
+        assert_eq!(par.shortcuts(), base.shortcuts(), "threads {threads}: shortcuts diverged");
+    }
+    assert!(
+        base.shortcuts() <= EARLIER_GRID_SHORTCUTS,
+        "{} shortcuts, the earlier scheme inserted {EARLIER_GRID_SHORTCUTS}",
+        base.shortcuts()
+    );
+    let n = graph.num_vertices();
+    let mut rng = StdRng::seed_from_u64(0x9a1d);
+    for _ in 0..200 {
+        let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let truth = dijkstra_int(&graph, s, &[], &weights).dist[d as usize];
+        assert_eq!(ch_query(&base, s, d).dist, Some(truth), "pair ({s}, {d})");
     }
 }

@@ -402,7 +402,8 @@ impl SpecResults {
 ///
 /// | shape | search | kind | reason |
 /// | --- | --- | --- | --- |
-/// | the layer covers every spec, one pair | accelerated point search | `alt` / `ch` | path index covers every spec |
+/// | a CH layer covers every spec, one pair | CH point search | `ch` | path index covers every spec |
+/// | an ALT layer covers every spec, one pair with a per-edge weight | ALT point search | `alt` | path index covers every spec |
 /// | the layer covers every spec, more pairs | accelerated many-to-many | `alt-multi` / `ch-m2m` | path index covers every spec |
 /// | a spec has per-edge weights | Dijkstra for it; hop specs by the rules below | `dijkstra` | per-edge weights |
 /// | indexed graph, one pair | bidirectional BFS | `bidir-bfs` | indexed single pair, hop weights |
@@ -412,7 +413,9 @@ impl SpecResults {
 /// A layer covers a spec that asks for no path and whose weight is a
 /// constant over a hop index, or the index's own weight column; the
 /// registry serves a layer only when it covers every spec, and one
-/// accelerated run then answers them all.
+/// accelerated run then answers them all. One pair whose specs are all
+/// constant (or absent) skips an ALT layer: bidirectional BFS settles a
+/// few vertices where ALT's bound evaluation costs more than it prunes.
 fn dispatch<'a>(
     graph: &'a MaterializedGraph,
     pairs: usize,
@@ -420,7 +423,9 @@ fn dispatch<'a>(
     from_index: bool,
     layer: Option<&'a AccelLayer>,
 ) -> (Box<dyn Search + 'a>, TraversalKind, &'static str) {
-    if let Some(layer) = layer.filter(|_| pairs > 0) {
+    let hop_point = pairs == 1 && specs.iter().all(|s| s.weight.is_constant());
+    let layer = layer.filter(|l| pairs > 0 && !(hop_point && l.is_alt()));
+    if let Some(layer) = layer {
         let (search, kind) = layer.searcher(pairs);
         return (search, kind, "path index covers every spec");
     }
@@ -516,9 +521,10 @@ fn traverse(
     result
 }
 
-/// Lift a graph-runtime error: an abandoned-deadline batch becomes the
-/// statement's [`Error::Timeout`]; everything else stays a graph error.
-fn graph_err(ctx: &ExecContext<'_>, e: GraphError) -> Error {
+/// Lift a graph-runtime error: an abandoned-deadline batch or build
+/// becomes the statement's [`Error::Timeout`]; everything else stays a
+/// graph error.
+pub(crate) fn graph_err(ctx: &ExecContext<'_>, e: GraphError) -> Error {
     match e {
         GraphError::DeadlineExceeded => ctx.timeout_error(),
         other => Error::Graph(other),

@@ -37,10 +37,10 @@
 
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
-use crate::exec::graph_op::{build_graph_observed, BuildSource, MaterializedGraph};
+use crate::exec::graph_op::{build_graph_observed, graph_err, BuildSource, MaterializedGraph};
 use crate::plan::{BoundExpr, CheapestSpec};
 use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
-use gsql_graph::{Search, TraversalKind};
+use gsql_graph::{Budget, Search, TraversalKind};
 use gsql_storage::catalog::TableEntry;
 use gsql_storage::{Catalog, Column, DataType};
 use std::fmt;
@@ -572,7 +572,8 @@ pub(crate) struct AccelLayer {
 impl AccelLayer {
     /// Build the layer of `accel` over `graph`: the reverse CSR, the
     /// validated slot weights of the weight column (strictly positive and
-    /// integral), and the structure, with the context's `threads` workers.
+    /// integral), and the structure, with the context's `threads` workers
+    /// and within the statement deadline ([`Error::Timeout`] past it).
     fn build(
         ctx: &ExecContext<'_>,
         graph: &Arc<MaterializedGraph>,
@@ -608,17 +609,26 @@ impl AccelLayer {
             }
         };
         let weights = weights_fwd.as_deref().zip(weights_bwd.as_deref());
+        // The build polls the statement deadline between its steps; a
+        // timeout returns before anything is installed.
+        let budget = Budget { threads, deadline: ctx.deadline_instant(), observer: None };
+        let timed_out = |e| graph_err(ctx, e);
         let structure = match accel.kind {
-            PathIndexKind::Landmarks(k) => {
-                AccelIndex::Alt(Landmarks::build(&graph.csr, reverse, weights, k as usize, threads))
-            }
-            PathIndexKind::Contraction => AccelIndex::Ch(ContractionHierarchy::build(
-                &graph.csr,
-                weights_fwd.as_deref(),
-                threads,
-            )),
+            PathIndexKind::Landmarks(k) => AccelIndex::Alt(
+                Landmarks::build_within(&graph.csr, reverse, weights, k as usize, &budget)
+                    .map_err(timed_out)?,
+            ),
+            PathIndexKind::Contraction => AccelIndex::Ch(
+                ContractionHierarchy::build_within(&graph.csr, weights_fwd.as_deref(), &budget)
+                    .map_err(timed_out)?,
+            ),
         };
         Ok(AccelLayer { graph: Arc::clone(graph), accel: structure, weights_fwd, weights_bwd })
+    }
+
+    /// Whether the layer is an ALT landmark index.
+    pub(crate) fn is_alt(&self) -> bool {
+        matches!(self.accel, AccelIndex::Alt(_))
     }
 
     /// The accelerated search that answers `pairs` pairs over the layer's

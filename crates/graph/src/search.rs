@@ -25,6 +25,15 @@ pub struct Budget<'o> {
 }
 
 impl Budget<'_> {
+    /// Fail with [`GraphError::DeadlineExceeded`] once the deadline has
+    /// passed: the poll of a long build between its steps.
+    pub fn poll(&self) -> Result<()> {
+        match self.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(GraphError::DeadlineExceeded),
+            _ => Ok(()),
+        }
+    }
+
     /// Report one traversal of `kind` that settled `settled` vertices.
     pub fn traversal(&self, kind: TraversalKind, settled: usize) {
         if let Some(observer) = self.observer {
@@ -55,11 +64,9 @@ impl Budget<'_> {
         let expired = std::sync::atomic::AtomicBool::new(false);
         Pool::new(self.threads)
             .map_with(tasks, init, |scratch, i| {
-                if let Some(deadline) = self.deadline {
-                    if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                        expired.store(true, Ordering::Relaxed);
-                        return None;
-                    }
+                if expired.load(Ordering::Relaxed) || self.poll().is_err() {
+                    expired.store(true, Ordering::Relaxed);
+                    return None;
                 }
                 Some(task(scratch, i))
             })

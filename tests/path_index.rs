@@ -499,3 +499,42 @@ fn batch_mutation_invalidates_index() {
     let t = session.query(sql).unwrap();
     assert_eq!(t.row(0)[2], Value::Int(4));
 }
+
+/// An index build polls the statement deadline: under `timeout_ms = 1`,
+/// `CREATE PATH INDEX … USING CONTRACTION` over a grid whose contraction
+/// takes at least 50 ms fails with a typed timeout, leaves no index, and
+/// releases the index-DDL lock, so a following `DROP TABLE` runs at once.
+#[test]
+fn a_contraction_build_past_the_statement_timeout_fails_typed_and_leaves_nothing() {
+    let side = 80;
+    let edges: Vec<String> = (0..side * side)
+        .flat_map(|v| {
+            let right = (v % side + 1 < side).then(|| [(v, v + 1), (v + 1, v)]);
+            let down = (v + side < side * side).then(|| [(v, v + side), (v + side, v)]);
+            right.into_iter().chain(down).flatten()
+        })
+        .map(|(s, d)| format!("({s}, {d}, {})", (s * 7 + d * 3) % 9 + 1))
+        .collect();
+    let db = Database::new();
+    for table in ["grid", "twin"] {
+        db.execute(&format!(
+            "CREATE TABLE {table} (s INTEGER NOT NULL, d INTEGER NOT NULL, w INTEGER NOT NULL)"
+        ))
+        .unwrap();
+        db.execute(&format!("INSERT INTO {table} VALUES {}", edges.join(", "))).unwrap();
+    }
+    // Without a deadline, the same build takes at least 50 ms.
+    let started = std::time::Instant::now();
+    db.execute("CREATE PATH INDEX full ON twin EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+    let took = started.elapsed();
+    assert!(took.as_millis() >= 50, "the contraction took only {took:?}");
+
+    let session = db.session();
+    session.execute("SET timeout_ms = 1").unwrap();
+    let sql = "CREATE PATH INDEX pc ON grid EDGE (s, d) WEIGHT w USING CONTRACTION";
+    let err = session.execute(sql).unwrap_err();
+    assert!(matches!(err, gsql::Error::Timeout { limit_ms: 1 }), "{err}");
+    assert_eq!(db.indexes().index_names(IndexSpace::Path), ["full"]);
+    db.execute("DROP TABLE grid").unwrap();
+    assert!(db.catalog().get("grid").is_err());
+}

@@ -241,14 +241,20 @@ impl Spec {
 /// The `(kind, reason)` the dispatcher documents for this shape.
 fn expected_kind(setup: Setup, spec: Spec, pairs: usize) -> (&'static str, &'static str) {
     let layer = spec.covered_by(setup);
+    // One pair with no per-edge weight skips an ALT layer for bidirectional
+    // BFS; a CH layer keeps its point search.
+    let hop_point = pairs == 1 && !spec.weighted();
     if let (true, Some((ch, _)), 1..) = (layer, setup.layer(), pairs) {
         let kind = match (ch, pairs == 1) {
+            (false, true) if hop_point => "bidir-bfs",
             (false, true) => "alt",
             (true, true) => "ch",
             (false, false) => "alt-multi",
             (true, false) => "ch-m2m",
         };
-        return (kind, "path index covers every spec");
+        if kind != "bidir-bfs" {
+            return (kind, "path index covers every spec");
+        }
     }
     let from_index = layer || matches!(setup, Setup::Graph | Setup::Both);
     match (spec.weighted(), from_index, pairs) {
