@@ -56,11 +56,11 @@
 //! hierarchy is identical at every thread count.
 //!
 //! **Cost.** On `gsql_datagen::road::grid_network` grids (weights 1–9, 10 %
-//! of vertical roads closed) at two threads the build takes ≈ 0.35 s at
-//! 100², ≈ 1.7 s at 200² and ≈ 4.6 s at 300², inserting 1.52, 1.62 and
-//! 1.68 shortcuts per edge. A grid has no road hierarchy, so its
-//! top-level separators end as dense cliques; that core, not the sparse
-//! rounds, is what grows faster than `|V|`.
+//! of vertical roads closed) on 2 vCPUs the build takes ≈ 0.35 s at 100²,
+//! ≈ 1.8 s at 200² and ≈ 5 s at 300², inserting 1.53, 1.63 and 1.67
+//! shortcuts per edge. A grid has no road hierarchy, so its top-level
+//! separators end as dense cores; the witness work there, not in the
+//! sparse rounds, is what grows faster than `|V|`.
 
 use crate::INF;
 use gsql_graph::{Budget, Csr, GraphError};
