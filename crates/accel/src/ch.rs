@@ -41,9 +41,10 @@
 //!
 //! **Witness searches.** The overlay is flat — per-vertex edge lists,
 //! deduplicated on insert, out-lists sorted by weight — and every search
-//! is one bounded Dijkstra per (vertex, in-neighbour) that stops once all
-//! out-neighbours are settled or its bound (the largest undecided shortcut)
-//! is passed. Its hop and settled limits are staged by the overlay's
+//! is one bounded Dijkstra per (vertex, in-neighbour) that stops once
+//! every out-neighbour is decided — settled, or labelled within its
+//! shortcut's weight — or its bound (the largest undecided shortcut) is
+//! passed. Its hop and settled limits are staged by the overlay's
 //! average degree (`STAGES`); the initial priorities are simulated with a
 //! quarter of the contraction's settled budget. One search scratch per
 //! worker is kept across rounds.
@@ -627,13 +628,17 @@ struct Label {
 
 /// Reusable bounded Dijkstra for witness searches: run-stamped labels (no
 /// per-run clearing) over the overlay, avoiding the contracted vertex,
-/// stopping once every target is settled, the settled budget is spent or
-/// the frontier passes the weight bound.
+/// stopping once every target is decided (settled, or labelled within its
+/// shortcut's weight), the settled budget is spent or the frontier passes
+/// the weight bound.
 #[derive(Default)]
 struct WitnessSearch {
     labels: Vec<Label>,
-    /// `target[v] == run` marks a target of the current run.
+    /// `target[v] == run` marks a target of the current run that is not
+    /// decided yet.
     target: Vec<u32>,
+    /// `via[v]`: the weight of the shortcut to target `v`.
+    via: Vec<u64>,
     run: u32,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
@@ -643,6 +648,7 @@ impl WitnessSearch {
         WitnessSearch {
             labels: vec![Label::default(); n],
             target: vec![0; n],
+            via: vec![0; n],
             run: 0,
             heap: BinaryHeap::new(),
         }
@@ -664,7 +670,9 @@ impl WitnessSearch {
     /// is given, every flagged vertex — the round's winners, so witness
     /// paths only use vertices (and therefore edges) that survive the
     /// round intact. The weight bound is the largest shortcut still
-    /// undecided: it shrinks as out-neighbours settle.
+    /// undecided: it shrinks as out-neighbours are decided. Stopping early
+    /// changes no decision — labels only fall, and nothing past the bound
+    /// can witness an undecided shortcut.
     fn run(
         &mut self,
         overlay: &Overlay,
@@ -686,6 +694,7 @@ impl WitnessSearch {
         let mut left = 0u32;
         for t in targets.iter().filter(|t| t.head != source) {
             self.target[t.head as usize] = run;
+            self.via[t.head as usize] = first.saturating_add(t.weight);
             left += 1;
         }
         let undecided = |target: &[u32]| {
@@ -736,6 +745,16 @@ impl WitnessSearch {
                 if slot.run != run || nd < slot.dist {
                     *slot = Label { dist: nd, hops: label.hops + 1, run };
                     self.heap.push(Reverse((nd, t)));
+                    // A tentative label within the shortcut's weight
+                    // already is a witness: that target is decided.
+                    if self.target[t as usize] == run && nd <= self.via[t as usize] {
+                        left -= 1;
+                        if left == 0 {
+                            return;
+                        }
+                        self.target[t as usize] = 0;
+                        bound = undecided(&self.target);
+                    }
                 }
             }
         }
