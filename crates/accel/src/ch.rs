@@ -697,9 +697,14 @@ impl WitnessSearch {
             self.via[t.head as usize] = first.saturating_add(t.weight);
             left += 1;
         }
-        let undecided = |target: &[u32]| {
-            let open = targets.iter().filter(|t| target[t.head as usize] == run);
-            open.map(|t| first.saturating_add(t.weight)).max().unwrap_or(0)
+        // `targets` is sorted by weight, so the largest undecided shortcut
+        // belongs to the last undecided target: `open` only moves down.
+        let mut open = targets.len();
+        let mut undecided = |target: &[u32]| {
+            while open > 0 && target[targets[open - 1].head as usize] != run {
+                open -= 1;
+            }
+            targets[..open].last().map_or(0, |t| first.saturating_add(t.weight))
         };
         let mut bound = undecided(&self.target);
         if left == 0 {
