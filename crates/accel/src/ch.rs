@@ -57,8 +57,8 @@
 //! hierarchy is identical at every thread count.
 //!
 //! **Cost.** On `gsql_datagen::road::grid_network` grids (weights 1–9, 10 %
-//! of vertical roads closed) on 2 vCPUs the build takes ≈ 0.35 s at 100²,
-//! ≈ 1.8 s at 200² and ≈ 5 s at 300², inserting 1.53, 1.63 and 1.67
+//! of vertical roads closed) on 2 vCPUs the build takes ≈ 0.25 s at 100²,
+//! ≈ 1.3 s at 200² and ≈ 3 s at 300², inserting 1.53, 1.63 and 1.67
 //! shortcuts per edge. A grid has no road hierarchy, so its top-level
 //! separators end as dense cores; the witness work there, not in the
 //! sparse rounds, is what grows faster than `|V|`.
