@@ -13,7 +13,7 @@ use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{cast_value, eval_column, eval_filter, first_error, Sel};
-use crate::index::IndexRegistry;
+use crate::index::{IndexRegistry, IndexSpace};
 use crate::optimize::optimize;
 use crate::plan::{LogicalPlan, PlanColumn, PlanSchema};
 use crate::session::{PlanCache, PreparedStatement, Session};
@@ -23,7 +23,7 @@ use gsql_storage::{
     Catalog, ColumnDef, DataType, DurableStore, Mutation, Schema, StorageError, Table, Value,
 };
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -70,17 +70,26 @@ impl QueryResult {
 ///     .unwrap();
 /// assert_eq!(result.row(0)[0], Value::Int(2));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Database {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     indexes: IndexRegistry,
-    /// Held for the whole of an index DDL statement and across `DROP
-    /// TABLE`, so neither interleaves with the other; always taken before
-    /// the commit lock.
-    index_ddl: Mutex<()>,
     plan_cache: PlanCache,
     metrics: Arc<EngineMetrics>,
     slow_log: Arc<SlowLog>,
+}
+
+impl Default for Database {
+    fn default() -> Database {
+        let catalog = Arc::new(Catalog::new());
+        Database {
+            indexes: IndexRegistry::new(Arc::clone(&catalog)),
+            catalog,
+            plan_cache: PlanCache::default(),
+            metrics: Arc::default(),
+            slow_log: Arc::default(),
+        }
+    }
 }
 
 impl Database {
@@ -95,9 +104,10 @@ impl Database {
     /// Recovery runs here: the latest valid snapshot is loaded (tables,
     /// version counters, index definitions, and built path-index
     /// acceleration layers for warm-start), the WAL suffix is replayed
-    /// record by record — table changes are applied as the effects they
-    /// logged, index DDL re-runs — and a torn tail, a partial record from
-    /// a crash mid-append, is truncated. Only then is the store attached
+    /// record by record — every change is applied as the effect it logged,
+    /// and an index definition is only registered: the first query that
+    /// needs it builds it — and a torn tail, a partial record from a crash
+    /// mid-append, is truncated. Only then is the store attached
     /// to the catalog, so every later change is logged. The resulting
     /// engine state, including every table's rows, order and version,
     /// [`Database::schema_version`] and every plan-cache invariant, is
@@ -142,25 +152,18 @@ impl Database {
         Ok(Some(epoch))
     }
 
-    /// Apply one table mutation through the catalog (which logs it on a
-    /// durable database), count what it logged, and drop the indexes of a
-    /// dropped table — under the index-DDL lock, so the drop neither lands
-    /// in the middle of an index build nor is logged ahead of it.
-    /// Statements, `import_csv` and recovery all change tables through here.
-    pub(crate) fn apply(&self, table: &str, mutation: Mutation) -> Result<()> {
-        let dropped = matches!(mutation, Mutation::Drop);
-        let _ddl = dropped.then(|| self.lock_index_ddl());
-        let logged = self.catalog.apply(table, mutation).map_err(Error::Storage)?;
+    /// Apply one mutation of table or index `name` through the catalog
+    /// (which logs it on a durable database), count what it logged, and
+    /// forget what was built for a dropped index or table. Statements,
+    /// `import_csv` and recovery all change the catalog through here.
+    pub(crate) fn apply(&self, name: &str, mutation: Mutation) -> Result<()> {
+        let dropped = matches!(mutation, Mutation::Drop | Mutation::DropIndex(_));
+        let logged = self.catalog.apply(name, mutation).map_err(Error::Storage)?;
         self.count_logged(logged);
         if dropped {
-            self.indexes.drop_table(table);
+            self.indexes.retain_current(None);
         }
         Ok(())
-    }
-
-    /// The index-DDL lock: see [`Database::apply`].
-    pub(crate) fn lock_index_ddl(&self) -> MutexGuard<'_, ()> {
-        self.index_ddl.lock().expect("index DDL lock poisoned")
     }
 
     /// Count one WAL record of `bytes` framed bytes (0: nothing logged).
@@ -201,14 +204,16 @@ impl Database {
         &self.slow_log
     }
 
-    /// The table catalog. A change made through it is logged on a durable
-    /// database like a statement's; a table dropped through it keeps its
-    /// index definitions (`DROP TABLE` removes them).
+    /// The catalog of tables and index definitions. A change made through
+    /// it is logged on a durable database like a statement's, and a table
+    /// dropped through it takes its index definitions with it, as `DROP
+    /// TABLE` does.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
 
-    /// The registry of graph and path indexes.
+    /// The graph and path indexes: the catalog's definitions, with what is
+    /// built for them.
     pub fn indexes(&self) -> &IndexRegistry {
         &self.indexes
     }
@@ -302,8 +307,18 @@ impl Database {
         Ok(QueryResult::Ok)
     }
 
-    pub(crate) fn drop_table_stmt(&self, name: &str) -> Result<QueryResult> {
-        self.apply(name, Mutation::Drop)?;
+    /// `DROP TABLE`, or `DROP GRAPH|PATH INDEX` (`space`) where, with
+    /// `if_exists`, a missing name is a no-op.
+    pub(crate) fn drop_stmt(
+        &self,
+        space: Option<IndexSpace>,
+        name: &str,
+        if_exists: bool,
+    ) -> Result<QueryResult> {
+        match self.apply(name, space.map_or(Mutation::Drop, Mutation::DropIndex)) {
+            Err(Error::Storage(StorageError::IndexNotFound(..))) if if_exists => {}
+            result => result?,
+        }
         Ok(QueryResult::Ok)
     }
 

@@ -7,9 +7,12 @@
 //! > generated the graph. Nevertheless, they also need to be amenable to
 //! > the updates on the underlying tables."
 //!
-//! One registry holds both DDL forms. Each entry is a definition — the edge
-//! configuration `(table, src, dst)` — plus, for a path index, an
-//! acceleration layer `(weight column, LANDMARKS(k) | CONTRACTION)`:
+//! An index definition is catalog state ([`IndexDef`]: the edge
+//! configuration `(table, src, dst)` plus, for a path index, an acceleration
+//! layer `(weight column, LANDMARKS(k) | CONTRACTION)`), created and dropped
+//! by a [`gsql_storage::Mutation`] under the catalog's lock, and dropped
+//! with its table.
+//! This registry keeps only what is built for the definitions:
 //!
 //! * `CREATE GRAPH INDEX name ON t EDGE (s, d)` keeps the
 //!   [`MaterializedGraph`] of its edge configuration: dictionary ⊂ CSR ⊂
@@ -21,19 +24,22 @@
 //!   stall-on-demand. Both answer with costs bit-identical to plain
 //!   Dijkstra.
 //!
-//! Every entry over one edge configuration shares one graph per table
-//! version, so a graph index and a path index over the same edges cost one
+//! Every index over one edge configuration shares one graph per table
+//! snapshot, so a graph index and a path index over the same edges cost one
 //! build and share one weight cache. **One stale-stamp rule** covers graph
-//! and layer: both carry the catalog version of the table entry they were
-//! built from — read once per build — and any DML makes the next query that
-//! needs them rebuild lazily. GRAPH and PATH names are separate name spaces
+//! and layer: an artifact carries the definition it was built for and the
+//! identity and version of the table entry it was built from — read once
+//! per build — and serves only while the catalog holds that definition over
+//! that table at that version. Any DML makes the next query that needs it
+//! rebuild lazily; a dropped or re-created table, or a redefined index, is
+//! never served an old build. GRAPH and PATH names are separate name spaces
 //! ([`IndexSpace`]).
 //!
 //! Plans never name an index. **One selection rule** (`serve`, and
 //! `explain_line` for `EXPLAIN`) matches a graph operator's edge scan
-//! `(table, src, dst)` against the registry each time the operator runs, so
-//! creating or dropping an index changes what the next execution of a
-//! cached plan reads, without re-planning it.
+//! `(table, src, dst)` against the catalog's definitions each time the
+//! operator runs, so creating or dropping an index changes what the next
+//! execution of a cached plan reads, without re-planning it.
 
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
@@ -42,8 +48,8 @@ use crate::plan::{BoundExpr, CheapestSpec};
 use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
 use gsql_graph::{Budget, Search, TraversalKind};
 use gsql_storage::catalog::TableEntry;
-use gsql_storage::{Catalog, Column, DataType};
-use std::fmt;
+use gsql_storage::{AccelDef, Catalog, Column, DataType, IndexDef, StorageError};
+pub use gsql_storage::{IndexSpace, PathIndexKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -54,110 +60,12 @@ type Result<T> = std::result::Result<T, Error>;
 /// index memory (`2·k·|V|·8` bytes) grows without benefit.
 pub const MAX_LANDMARKS: u32 = 64;
 
-/// The two DDL name spaces: a graph index and a path index may share a
-/// name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexSpace {
-    /// `CREATE GRAPH INDEX`: the graph alone.
-    Graph,
-    /// `CREATE PATH INDEX`: the graph plus an acceleration layer.
-    Path,
+/// The table entry a build read: its identity and version.
+type Stamp = (u64, u64);
+
+fn stamp(entry: &TableEntry) -> Stamp {
+    (entry.id, entry.version)
 }
-
-impl IndexSpace {
-    fn noun(self) -> &'static str {
-        match self {
-            IndexSpace::Graph => "graph index",
-            IndexSpace::Path => "path index",
-        }
-    }
-}
-
-/// The preprocessing tier of one path index. Carried from DDL through the
-/// registry, the selection rule, `EXPLAIN` labels and the executor's
-/// dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathIndexKind {
-    /// ALT: `k` landmark distance vectors + goal-directed bidirectional A*.
-    Landmarks(u32),
-    /// Contraction hierarchy: shortcut overlay + bidirectional upward
-    /// Dijkstra with stall-on-demand.
-    Contraction,
-}
-
-impl PathIndexKind {
-    /// Short plan-label form (`EXPLAIN` shows `PathIndex pi ON t (CH)`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PathIndexKind::Landmarks(_) => "ALT",
-            PathIndexKind::Contraction => "CH",
-        }
-    }
-}
-
-impl fmt::Display for PathIndexKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PathIndexKind::Landmarks(k) => write!(f, "landmarks({k})"),
-            PathIndexKind::Contraction => write!(f, "contraction"),
-        }
-    }
-}
-
-/// The acceleration layer a path index declares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AccelDef {
-    /// Weight column, as declared (`None` = hop distances).
-    pub weight_col: Option<String>,
-    /// Ordinal of the weight column in the table schema.
-    pub weight_key: Option<usize>,
-    /// The structure the layer is built as.
-    pub kind: PathIndexKind,
-}
-
-/// One index definition — what a checkpoint persists of every entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct IndexDef {
-    /// Lowercased registry key.
-    pub name: String,
-    /// Lowercased indexed table.
-    pub table: String,
-    /// Source key column, as declared.
-    pub src_col: String,
-    /// Destination key column, as declared.
-    pub dst_col: String,
-    /// The acceleration layer of a path index; `None` for a graph index.
-    pub accel: Option<AccelDef>,
-}
-
-impl IndexDef {
-    pub(crate) fn space(&self) -> IndexSpace {
-        if self.accel.is_some() {
-            IndexSpace::Path
-        } else {
-            IndexSpace::Graph
-        }
-    }
-
-    /// Whether this index is over `(table, src, dst)`, names matched
-    /// case-insensitively.
-    fn covers(&self, table: &str, src: &str, dst: &str) -> bool {
-        self.table.eq_ignore_ascii_case(table)
-            && self.src_col.eq_ignore_ascii_case(src)
-            && self.dst_col.eq_ignore_ascii_case(dst)
-    }
-
-    fn same_edges(&self, other: &IndexDef) -> bool {
-        self.covers(&other.table, &other.src_col, &other.dst_col)
-    }
-}
-
-/// An artifact with the table version it was built from.
-pub(crate) type Stamped<T> = Option<(u64, Arc<T>)>;
-
-/// What an index build yields: the graph, and the acceleration layer of a
-/// path index.
-type Resolved = (Arc<MaterializedGraph>, Option<Arc<AccelLayer>>);
 
 /// The graph a graph operator reads, and where it came from.
 pub(crate) struct Served {
@@ -190,53 +98,49 @@ fn spec_accel_eligible(spec: &CheapestSpec, weight_key: Option<usize>) -> bool {
     )
 }
 
-/// The selection rule: the entry that serves an edge scan over `(table,
-/// src, dst)` for `specs`. Of the path indexes whose layer covers every
-/// spec, a contraction hierarchy beats a landmark index (near-constant
+/// The selection rule: the definition that serves an edge scan over
+/// `(table, src, dst)` for `specs`. Of the path indexes whose layer covers
+/// every spec, a contraction hierarchy beats a landmark index (near-constant
 /// search cones vs goal-directed pruning) and name order breaks ties;
 /// otherwise the first graph index by name; otherwise none.
-fn select<'e>(
-    entries: &'e [Entry],
+fn select<'d>(
+    defs: &'d [IndexDef],
     table: &str,
     src: &str,
     dst: &str,
     specs: &[CheapestSpec],
-) -> Option<&'e Entry> {
-    let over = || entries.iter().filter(|e| e.def.covers(table, src, dst));
-    let layer_covers = |e: &&Entry| {
-        let accel = e.def.accel.as_ref();
+) -> Option<&'d IndexDef> {
+    let over = || defs.iter().filter(|d| d.covers(table, src, dst));
+    let layer_covers = |d: &&IndexDef| {
+        let accel = d.accel.as_ref();
         accel.is_some_and(|a| specs.iter().all(|s| spec_accel_eligible(s, a.weight_key)))
     };
     let is_ch =
-        |e: &&Entry| e.def.accel.as_ref().is_some_and(|a| a.kind == PathIndexKind::Contraction);
+        |d: &&IndexDef| d.accel.as_ref().is_some_and(|a| a.kind == PathIndexKind::Contraction);
     over()
         .filter(layer_covers)
         .find(is_ch)
         .or_else(|| over().find(layer_covers))
-        .or_else(|| over().find(|e| e.def.accel.is_none()))
+        .or_else(|| over().find(|d| d.accel.is_none()))
 }
 
+/// What is built for one index definition.
 #[derive(Debug)]
-struct Entry {
+pub(crate) struct Artifact {
+    /// The definition it was built for.
     def: IndexDef,
-    /// The graph of the edge configuration, shared with every entry over
-    /// the same edges.
-    graph: Stamped<MaterializedGraph>,
-    /// The acceleration layer (path indexes only), over a graph of the
-    /// same version.
-    layer: Stamped<AccelLayer>,
+    /// The table entry it was built from.
+    stamp: Stamp,
+    /// The graph of the edge configuration.
+    graph: Arc<MaterializedGraph>,
+    /// The acceleration layer of a path index, over `graph`.
+    layer: Option<Arc<AccelLayer>>,
 }
 
-impl Entry {
-    /// What this entry serves at table version `version`, when fresh.
-    fn fresh(&self, version: u64) -> Option<Resolved> {
-        match (&self.def.accel, &self.graph, &self.layer) {
-            (None, Some((v, graph)), _) if *v == version => Some((Arc::clone(graph), None)),
-            (Some(_), _, Some((v, layer))) if *v == version => {
-                Some((Arc::clone(&layer.graph), Some(Arc::clone(layer))))
-            }
-            _ => None,
-        }
+impl Artifact {
+    /// Whether this is a build of `def` from `entry`.
+    fn serves(&self, def: &IndexDef, entry: &TableEntry) -> bool {
+        self.stamp == stamp(entry) && self.def == *def
     }
 }
 
@@ -254,27 +158,30 @@ pub struct PathIndexListing {
     pub status: &'static str,
 }
 
-/// The registry of graph and path indexes; see the [module docs](self).
-#[derive(Debug, Default)]
+/// The artifacts built for a catalog's index definitions; see the
+/// [module docs](self).
+#[derive(Debug)]
 pub struct IndexRegistry {
-    /// Every entry, sorted by name.
-    entries: RwLock<Vec<Entry>>,
+    /// The catalog whose definitions the artifacts are built for.
+    catalog: Arc<Catalog>,
+    /// At most one artifact per definition, in no order.
+    artifacts: RwLock<Vec<Artifact>>,
     /// Acceleration layers built by this process.
     builds: AtomicU64,
 }
 
 impl IndexRegistry {
-    /// Empty registry.
-    pub fn new() -> IndexRegistry {
-        IndexRegistry::default()
+    /// An empty registry over `catalog`'s definitions.
+    pub(crate) fn new(catalog: Arc<Catalog>) -> IndexRegistry {
+        IndexRegistry { catalog, artifacts: RwLock::default(), builds: AtomicU64::default() }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Vec<Entry>> {
-        self.entries.read().expect("index registry lock poisoned")
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Artifact>> {
+        self.artifacts.read().expect("index registry lock poisoned")
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Vec<Entry>> {
-        self.entries.write().expect("index registry lock poisoned")
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<Artifact>> {
+        self.artifacts.write().expect("index registry lock poisoned")
     }
 
     /// How many acceleration layers (ALT or CH) this process has built —
@@ -286,8 +193,9 @@ impl IndexRegistry {
 
     /// Names of the indexes in `space`, sorted.
     pub fn index_names(&self, space: IndexSpace) -> Vec<String> {
-        let entries = self.read();
-        entries.iter().filter(|e| e.def.space() == space).map(|e| e.def.name.clone()).collect()
+        let catalog = self.catalog.read();
+        let defs = catalog.indexes().iter().filter(|d| d.space() == space);
+        defs.map(|d| d.name.clone()).collect()
     }
 
     /// The `EXPLAIN` line of the index [`serve`](Self::serve) would read for
@@ -301,8 +209,8 @@ impl IndexRegistry {
         dst: &str,
         specs: &[CheapestSpec],
     ) -> Option<String> {
-        let entries = self.read();
-        let def = &select(&entries, table, src, dst, specs)?.def;
+        let catalog = self.catalog.read();
+        let def = select(catalog.indexes(), table, src, dst, specs)?;
         Some(match &def.accel {
             None => format!("GraphIndex {} ON {table}", def.name),
             Some(a) => format!("PathIndex {} ON {table} ({})", def.name, a.kind.label()),
@@ -322,26 +230,32 @@ impl IndexRegistry {
         specs: &[CheapestSpec],
     ) -> Result<Option<Served>> {
         let (def, entry) = {
-            let entries = self.read();
-            let Some(e) = select(&entries, table, src, dst, specs) else {
+            let catalog = self.catalog.read();
+            let Some(def) = select(catalog.indexes(), table, src, dst, specs) else {
                 return Ok(None);
             };
-            let entry = ctx.catalog().entry(&e.def.table).map_err(Error::Storage)?;
-            if let Some((graph, layer)) = e.fresh(entry.version) {
-                return Ok(Some(Served { graph, layer, index: Some(e.def.name.clone()) }));
+            let entry = catalog.entry(&def.table);
+            let entry = entry.ok_or_else(|| StorageError::TableNotFound(def.table.clone()))?;
+            if let Some(a) = self.read().iter().find(|a| a.serves(def, entry)) {
+                let (graph, layer) = (Arc::clone(&a.graph), a.layer.clone());
+                return Ok(Some(Served { graph, layer, index: Some(def.name.clone()) }));
             }
-            (e.def.clone(), entry)
+            (def.clone(), entry.clone())
         };
-        let built = self.build(ctx, &def, &entry)?;
-        install(&mut self.write(), &def, entry.version, &built);
-        let (graph, layer) = built;
-        Ok(Some(Served { graph, layer, index: Some(def.name) }))
+        let (graph, layer) = self.build(ctx, &def, &entry)?;
+        let index = Some(def.name.clone());
+        let served = Served { graph: Arc::clone(&graph), layer: layer.clone(), index };
+        self.retain_current(Some(Artifact { def, stamp: stamp(&entry), graph, layer }));
+        Ok(Some(served))
     }
 
     /// `CREATE GRAPH INDEX` (`accel: None`) or `CREATE PATH INDEX`
     /// (`accel: Some((weight column, kind))`): validate the definition,
-    /// then build eagerly. The name is checked first, so a duplicate costs
-    /// no build; with `if_not_exists` it is a no-op.
+    /// build it outside any lock, then apply it to the catalog. The name is
+    /// checked first, so a duplicate costs no build; with `if_not_exists` it
+    /// is a no-op. A table dropped during the build takes the definition
+    /// with it: the create returns `Ok` and leaves nothing. Returns the
+    /// bytes logged.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn create(
         &self,
@@ -352,7 +266,7 @@ impl IndexRegistry {
         dst_col: &str,
         accel: Option<(Option<&str>, PathIndexKind)>,
         if_not_exists: bool,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let space = if accel.is_some() { IndexSpace::Path } else { IndexSpace::Graph };
         if let Some((_, PathIndexKind::Landmarks(k))) = accel {
             if k == 0 || k > MAX_LANDMARKS {
@@ -361,21 +275,14 @@ impl IndexRegistry {
                 ));
             }
         }
-        let key = name.to_ascii_lowercase();
-        let taken =
-            |entries: &[Entry]| entries.iter().any(|e| e.def.space() == space && e.def.name == key);
-        let duplicate = || {
-            if if_not_exists {
-                Ok(())
-            } else {
-                Err(bind_err!("{} '{name}' already exists", space.noun()))
-            }
+        let exists = |e| match e {
+            StorageError::IndexExists(..) if if_not_exists => Ok(0),
+            e => Err(Error::Storage(e)),
         };
-        // The write lock below re-checks, closing the create/create race.
-        if taken(&self.read()) {
-            return duplicate();
+        if self.catalog.read().index(space, name).is_some() {
+            return exists(StorageError::IndexExists(space, name.to_string()));
         }
-        let entry = ctx.catalog().entry(table).map_err(Error::Storage)?;
+        let entry = self.catalog.entry(table).map_err(Error::Storage)?;
         let schema = entry.table.schema();
         let column = |c: &str| {
             schema.index_of(c).ok_or_else(|| bind_err!("no column '{c}' in table '{table}'"))
@@ -406,33 +313,36 @@ impl IndexRegistry {
             }
         };
         let def = IndexDef {
-            name: key.clone(),
+            name: name.to_ascii_lowercase(),
             table: table.to_ascii_lowercase(),
             src_col: src_col.to_string(),
             dst_col: dst_col.to_string(),
             accel,
         };
-        let built = self.build(ctx, &def, &entry)?;
-        let mut entries = self.write();
-        if taken(&entries) {
-            return duplicate();
-        }
-        insert_sorted(&mut entries, def.clone());
-        install(&mut entries, &def, entry.version, &built);
-        Ok(())
+        let (graph, layer) = self.build(ctx, &def, &entry)?;
+        let logged = match self.catalog.create_index(def.clone(), entry.id) {
+            Ok(logged) => logged,
+            Err(e) => return exists(e),
+        };
+        self.retain_current(Some(Artifact { def, stamp: stamp(&entry), graph, layer }));
+        Ok(logged)
     }
 
-    /// Build what `def` serves at `entry`'s version — the one build path of
-    /// creates and lazy rebuilds. `entry` is read once by the caller: the
-    /// graph comes from it (or from an entry over the same edges already
-    /// stamped with its version), and the caller stamps the result with its
-    /// version.
-    fn build(&self, ctx: &ExecContext<'_>, def: &IndexDef, entry: &TableEntry) -> Result<Resolved> {
-        let shared =
-            self.read().iter().filter(|e| e.def.same_edges(def)).find_map(|e| match &e.graph {
-                Some((v, graph)) if *v == entry.version => Some(Arc::clone(graph)),
-                _ => None,
-            });
+    /// Build what `def` serves at `entry` — the one build path of creates
+    /// and lazy rebuilds. `entry` is read once by the caller: the graph
+    /// comes from it (or from an artifact over the same edges built from
+    /// it), and the caller stamps the result with it.
+    fn build(
+        &self,
+        ctx: &ExecContext<'_>,
+        def: &IndexDef,
+        entry: &TableEntry,
+    ) -> Result<(Arc<MaterializedGraph>, Option<Arc<AccelLayer>>)> {
+        let shared = self.read().iter().find_map(|a| {
+            let same =
+                a.stamp == stamp(entry) && a.def.covers(&def.table, &def.src_col, &def.dst_col);
+            same.then(|| Arc::clone(&a.graph))
+        });
         let graph = match shared {
             Some(graph) => graph,
             None => {
@@ -462,85 +372,59 @@ impl IndexRegistry {
         Ok((graph, layer))
     }
 
-    /// `DROP GRAPH INDEX` / `DROP PATH INDEX`. With `if_exists`, a missing
-    /// name is a no-op.
-    pub(crate) fn drop_index(&self, space: IndexSpace, name: &str, if_exists: bool) -> Result<()> {
-        let mut entries = self.write();
-        let before = entries.len();
-        entries.retain(|e| !(e.def.space() == space && e.def.name.eq_ignore_ascii_case(name)));
-        if entries.len() == before && !if_exists {
-            return Err(bind_err!("{} '{name}' does not exist", space.noun()));
-        }
-        Ok(())
+    /// Keep the artifacts the catalog still defines, over the tables they
+    /// were built from — with `new`, replacing an older build of its
+    /// definition — and forget the rest: their index or table was dropped,
+    /// or the table re-created, since they were built.
+    pub(crate) fn retain_current(&self, new: Option<Artifact>) {
+        let catalog = self.catalog.read();
+        let current = |a: &Artifact| {
+            catalog.entry(&a.def.table).is_some_and(|e| e.id == a.stamp.0)
+                && catalog.index(a.def.space(), &a.def.name) == Some(&a.def)
+        };
+        let mut artifacts = self.write();
+        artifacts.retain(|a| current(a) && new.as_ref().is_none_or(|n| n.def != a.def));
+        artifacts.extend(new.filter(|n| current(n)));
     }
 
-    /// Remove every index over `table` (`DROP TABLE`).
-    pub(crate) fn drop_table(&self, table: &str) {
-        self.write().retain(|e| !e.def.table.eq_ignore_ascii_case(table));
-    }
-
-    /// Every entry of `space` — the definition plus, for a path index, its
-    /// stamped layer — sorted by name: what a checkpoint persists. Graphs
-    /// are left out; a restored layer brings its own.
-    pub(crate) fn snapshot_entries(
+    /// The layer built for path index `def` from `entry`, if any: what a
+    /// checkpoint persists beside the definition.
+    pub(crate) fn built_layer(
         &self,
-        space: IndexSpace,
-    ) -> Vec<(IndexDef, Stamped<AccelLayer>)> {
-        let entries = self.read();
-        let entries = entries.iter().filter(|e| e.def.space() == space);
-        entries.map(|e| (e.def.clone(), e.layer.clone())).collect()
+        def: &IndexDef,
+        entry: &TableEntry,
+    ) -> Option<Arc<AccelLayer>> {
+        self.read().iter().find(|a| a.serves(def, entry)).and_then(|a| a.layer.clone())
     }
 
-    /// Re-register an entry from a snapshot, replacing one of the same name,
-    /// without building. A restored
-    /// layer's graph also serves every entry over the same edges.
-    pub(crate) fn restore(&self, def: IndexDef, layer: Stamped<AccelLayer>) {
-        let mut entries = self.write();
-        entries.retain(|e| !(e.def.space() == def.space() && e.def.name == def.name));
-        insert_sorted(&mut entries, def.clone());
-        if let Some((version, layer)) = layer {
-            install(&mut entries, &def, version, &(Arc::clone(&layer.graph), Some(layer)));
-        }
+    /// Install a layer restored from a snapshot for path index `def`,
+    /// built from `entry`. Its graph also serves every index over the same
+    /// edges.
+    pub(crate) fn restore(&self, def: IndexDef, entry: &TableEntry, layer: Arc<AccelLayer>) {
+        let graph = Arc::clone(&layer.graph);
+        self.retain_current(Some(Artifact { def, stamp: stamp(entry), graph, layer: Some(layer) }));
     }
 
-    /// `SHOW PATH INDEXES`: every path index with its kind and freshness,
-    /// sorted by name. `stale` means the next accelerated query rebuilds
-    /// the layer (the table changed since it was built).
+    /// `SHOW PATH INDEXES`: every path index of `catalog` with its kind and
+    /// freshness, sorted by name. `stale` means the next accelerated query
+    /// rebuilds the layer (the table changed since it was built).
     pub fn list(&self, catalog: &Catalog) -> Vec<PathIndexListing> {
-        let entries = self.read();
-        entries
-            .iter()
-            .filter_map(|e| {
-                let accel = e.def.accel.as_ref()?;
-                let built = match (&e.layer, catalog.entry(&e.def.table)) {
-                    (Some((v, _)), Ok(current)) => current.version == *v,
-                    _ => false,
-                };
-                Some(PathIndexListing {
-                    name: e.def.name.clone(),
-                    table: e.def.table.clone(),
-                    kind: accel.kind.to_string(),
-                    status: if built { "built" } else { "stale" },
-                })
+        let catalog = catalog.read();
+        let artifacts = self.read();
+        let defs = catalog.indexes().iter();
+        defs.filter_map(|def| {
+            let kind = def.accel.as_ref()?.kind.to_string();
+            let entry = catalog.entry(&def.table)?;
+            let built = artifacts.iter().any(|a| a.layer.is_some() && a.serves(def, entry));
+            let (name, table) = (def.name.clone(), def.table.clone());
+            Some(PathIndexListing {
+                name,
+                table,
+                kind,
+                status: if built { "built" } else { "stale" },
             })
-            .collect()
-    }
-}
-
-fn insert_sorted(entries: &mut Vec<Entry>, def: IndexDef) {
-    let at = entries.partition_point(|e| e.def.name < def.name);
-    entries.insert(at, Entry { def, graph: None, layer: None });
-}
-
-/// Stamp a build of `def` at `version`: the graph on every entry over the
-/// same edges, the layer on `def`'s own entry — unless that entry was
-/// dropped or redefined while the build ran.
-fn install(entries: &mut [Entry], def: &IndexDef, version: u64, (graph, layer): &Resolved) {
-    for e in entries.iter_mut().filter(|e| e.def.same_edges(def)) {
-        e.graph = Some((version, Arc::clone(graph)));
-        if e.def == *def {
-            e.layer = layer.as_ref().map(|l| (version, Arc::clone(l)));
-        }
+        })
+        .collect()
     }
 }
 
@@ -665,8 +549,8 @@ mod tests {
     use super::*;
     use gsql_storage::{ColumnDef, Mutation, Schema, Value};
 
-    fn setup() -> (Catalog, IndexRegistry) {
-        let catalog = Catalog::new();
+    fn setup() -> (Arc<Catalog>, IndexRegistry) {
+        let catalog = Arc::new(Catalog::new());
         catalog
             .create_table(
                 "roads",
@@ -680,7 +564,8 @@ mod tests {
         let rows = [(1, 2, 5), (2, 3, 5), (1, 3, 20), (3, 4, 1)]
             .map(|(a, b, len)| vec![Value::Int(a), Value::Int(b), Value::Int(len)]);
         catalog.apply("roads", Mutation::Append(rows.to_vec())).unwrap();
-        (catalog, IndexRegistry::new())
+        let reg = IndexRegistry::new(Arc::clone(&catalog));
+        (catalog, reg)
     }
 
     fn ctx(catalog: &Catalog) -> ExecContext<'_> {
@@ -694,7 +579,7 @@ mod tests {
     }
 
     fn graph_index(reg: &IndexRegistry, catalog: &Catalog, name: &str) -> Result<()> {
-        reg.create(&ctx(catalog), name, "roads", "a", "b", None, false)
+        reg.create(&ctx(catalog), name, "roads", "a", "b", None, false).map(drop)
     }
 
     fn path_index(
@@ -704,7 +589,14 @@ mod tests {
         weight: Option<&str>,
         kind: PathIndexKind,
     ) -> Result<()> {
-        reg.create(&ctx(catalog), name, "roads", "a", "b", Some((weight, kind)), false)
+        reg.create(&ctx(catalog), name, "roads", "a", "b", Some((weight, kind)), false).map(drop)
+    }
+
+    /// `DROP GRAPH|PATH INDEX name`, as the database runs it.
+    fn drop_index(reg: &IndexRegistry, space: IndexSpace, name: &str) -> Result<()> {
+        reg.catalog.apply(name, Mutation::DropIndex(space)).map_err(Error::Storage)?;
+        reg.retain_current(None);
+        Ok(())
     }
 
     fn spec(weight: BoundExpr, want_path: bool) -> CheapestSpec {
@@ -747,9 +639,11 @@ mod tests {
         let (g2, g3) = (serve(&reg, &catalog, hops()).graph, serve(&reg, &catalog, hops()).graph);
         assert_eq!(g2.num_edges(), 5);
         assert!(!Arc::ptr_eq(&first.graph, &g2) && Arc::ptr_eq(&g2, &g3));
-        // Once the index is dropped nothing serves: the executor scans.
-        reg.drop_index(IndexSpace::Graph, "gi", false).unwrap();
+        // Once the index is dropped nothing serves, the executor scans, and
+        // its graph is forgotten.
+        drop_index(&reg, IndexSpace::Graph, "gi").unwrap();
         assert!(reg.serve(&ctx(&catalog), "roads", "a", "b", &[hops()]).unwrap().is_none());
+        assert!(reg.read().is_empty());
         assert_eq!(reg.builds(), 0, "a graph index has no layer");
     }
 
@@ -854,12 +748,10 @@ mod tests {
             scope.spawn(|| (0..300).for_each(|i| insert(&catalog, 100 + i, 101 + i, 1)));
             for _ in 0..300 {
                 serve(&reg, &catalog, by_len());
-                let entries = reg.read();
-                let e = &entries[0];
-                let (gv, graph) = e.graph.as_ref().unwrap();
-                let (lv, layer) = e.layer.as_ref().unwrap();
-                assert_eq!(graph.num_edges(), rows_at(*gv), "graph stamped {gv}");
-                assert_eq!(layer.graph.num_edges(), rows_at(*lv), "layer stamped {lv}");
+                let artifacts = reg.read();
+                let Artifact { stamp: (_, v), graph, layer, .. } = &artifacts[0];
+                assert_eq!(graph.num_edges(), rows_at(*v), "graph stamped {v}");
+                assert_eq!(layer.as_ref().unwrap().graph.num_edges(), rows_at(*v), "layer {v}");
             }
         });
     }
@@ -883,14 +775,14 @@ mod tests {
         graph_index(&reg, &catalog, "x").unwrap();
         path_index(&reg, &catalog, "X", None, PathIndexKind::Contraction).unwrap();
         let err = graph_index(&reg, &catalog, "X").unwrap_err();
-        assert_eq!(err.to_string(), "bind error: graph index 'X' already exists");
+        assert_eq!(err.to_string(), "graph index 'X' already exists");
         let err = path_index(&reg, &catalog, "x", None, PathIndexKind::Contraction).unwrap_err();
-        assert_eq!(err.to_string(), "bind error: path index 'x' already exists");
-        reg.drop_index(IndexSpace::Graph, "X", false).unwrap();
+        assert_eq!(err.to_string(), "path index 'x' already exists");
+        drop_index(&reg, IndexSpace::Graph, "X").unwrap();
         assert!(reg.index_names(IndexSpace::Graph).is_empty());
         assert_eq!(reg.index_names(IndexSpace::Path), ["x"]);
-        let err = reg.drop_index(IndexSpace::Graph, "x", false).unwrap_err();
-        assert_eq!(err.to_string(), "bind error: graph index 'x' does not exist");
+        let err = drop_index(&reg, IndexSpace::Graph, "x").unwrap_err();
+        assert_eq!(err.to_string(), "graph index 'x' does not exist");
     }
 
     #[test]
@@ -922,15 +814,53 @@ mod tests {
         let (catalog, reg) = setup();
         graph_index(&reg, &catalog, "gi").unwrap();
         path_index(&reg, &catalog, "pi", None, PathIndexKind::Landmarks(2)).unwrap();
-        // IF NOT EXISTS over an existing name and IF EXISTS over a missing
-        // one are no-ops.
+        // IF NOT EXISTS over an existing name is a no-op that builds nothing.
         let kind = Some((None, PathIndexKind::Contraction));
-        reg.create(&ctx(&catalog), "PI", "roads", "a", "b", kind, true).unwrap();
-        reg.drop_index(IndexSpace::Path, "ghost", true).unwrap();
-        assert!(reg.drop_index(IndexSpace::Path, "ghost", false).is_err());
+        assert_eq!(reg.create(&ctx(&catalog), "PI", "roads", "a", "b", kind, true).unwrap(), 0);
+        assert_eq!(reg.builds(), 1);
         assert_eq!(reg.list(&catalog)[0].kind, "landmarks(2)");
-        reg.drop_table("ROADS");
+        catalog.drop_table("ROADS").unwrap();
         assert!(reg.index_names(IndexSpace::Graph).is_empty());
+        assert!(reg.index_names(IndexSpace::Path).is_empty());
+    }
+
+    /// A build is served only for the definition and the table it was built
+    /// from: a table re-created at the same version, or an index redefined
+    /// over it, rebuilds, and the next build forgets the old artifacts.
+    #[test]
+    fn a_build_serves_only_its_definition_over_its_table() {
+        let (catalog, reg) = setup();
+        path_index(&reg, &catalog, "pc", None, PathIndexKind::Contraction).unwrap();
+        let old = serve(&reg, &catalog, hops()).graph;
+        let schema = catalog.get("roads").unwrap().schema().clone();
+        catalog.drop_table("roads").unwrap();
+        catalog.create_table("roads", schema).unwrap();
+        let row = [7, 8, 1].map(Value::Int).to_vec();
+        catalog.apply("roads", Mutation::Append(vec![row])).unwrap();
+        assert_eq!(catalog.entry("roads").unwrap().version, 1, "the old table's version");
+        path_index(&reg, &catalog, "pc", None, PathIndexKind::Contraction).unwrap();
+        let new = serve(&reg, &catalog, hops()).graph;
+        assert!(!Arc::ptr_eq(&old, &new) && new.num_edges() == 1);
+        assert_eq!(reg.read().len(), 1, "the old table's artifact is gone");
+        // The same name over the other direction is another definition.
+        drop_index(&reg, IndexSpace::Path, "pc").unwrap();
+        let def = |src: &str, dst: &str| IndexDef {
+            name: "pc".into(),
+            table: "roads".into(),
+            src_col: src.into(),
+            dst_col: dst.into(),
+            accel: Some(AccelDef {
+                weight_col: None,
+                weight_key: None,
+                kind: PathIndexKind::Contraction,
+            }),
+        };
+        let id = catalog.entry("roads").unwrap().id;
+        catalog.create_index(def("b", "a"), id).unwrap();
+        assert_eq!(reg.list(&catalog)[0].status, "stale");
+        // A definition over a table dropped since it was read is not applied.
+        catalog.apply("pc", Mutation::DropIndex(IndexSpace::Path)).unwrap();
+        assert_eq!(catalog.create_index(def("a", "b"), id + 1).unwrap(), 0);
         assert!(reg.index_names(IndexSpace::Path).is_empty());
     }
 

@@ -1,34 +1,35 @@
-//! Engine-side persistence: replaying WAL records, the index DDL record,
-//! and the registry/index sections of a snapshot checkpoint.
+//! Engine-side persistence: replaying WAL records, and the index sections
+//! of a snapshot checkpoint.
 //!
 //! The storage crate's durability layer ([`gsql_storage::DurableStore`])
 //! deliberately knows nothing about engine semantics — it persists the
 //! catalog's tables plus opaque named byte sections, and frames opaque WAL
 //! records. This module is the other half of that contract:
 //!
-//! * **WAL records.** Every table change is logged by the catalog itself,
+//! * **WAL records.** Every catalog change is logged by the catalog itself,
 //!   as the [`Mutation`] it applied (its effect: rows appended, row
-//!   positions deleted, rows replaced, a table created or dropped). Replay
-//!   applies those records to the catalog again, with no session, binder
-//!   or executor, so a reopened table has the rows, row order and version
-//!   the live one had, whatever settings the writing session used. Index
-//!   DDL (`CREATE`/`DROP GRAPH|PATH INDEX`) is logged as its SQL text
-//!   ([`STATEMENT_TAG`]) and replayed through a session; logs written
-//!   before DML was logged as its effect hold DML in that record too, and
-//!   still replay.
-//! * **Snapshot sections** serialize the index registry in two sections,
-//!   one per DDL name space. Graph-index entries persist their definitions
-//!   only; path-index entries persist the full built acceleration layer —
-//!   graph, landmark distance vectors or CH shortcut CSRs — stamped with
-//!   the owning table's version, so a warm restart answers accelerated
-//!   queries with **zero** rebuild work, and a restored layer's graph also
-//!   serves every graph index over the same edges. A version mismatch (the
-//!   snapshot predates later WAL mutations) simply restores the definition
-//!   and leaves the usual lazy rebuild to run. Both section headers are
-//!   written as 0. Data directories from before index DDL stopped moving
-//!   the schema version carry an index counter there; restore adds both
-//!   headers into the catalog's DDL version, so such a directory reopens at
-//!   the `schema_version` it had.
+//!   positions deleted, rows replaced, a table created or dropped, an index
+//!   defined or dropped). Replay applies those records to the catalog
+//!   again, with no session, binder or executor, so a reopened table has the
+//!   rows, row order and version the live one had, whatever settings the
+//!   writing session used; a replayed index definition is only registered,
+//!   and the first query that needs it builds it, within its statement
+//!   deadline. Logs written before every change was logged as its effect
+//!   hold SQL text ([`STATEMENT_TAG`]: index DDL, and DML before that);
+//!   such a record still replays through a session.
+//! * **Snapshot sections** serialize the index definitions in two
+//!   sections, one per DDL name space. Graph-index entries persist their
+//!   definitions only; path-index entries persist the full built
+//!   acceleration layer — graph, landmark distance vectors or CH shortcut
+//!   CSRs — stamped with the owning table's version, so a warm restart
+//!   answers accelerated queries with **zero** rebuild work, and a restored
+//!   layer's graph also serves every graph index over the same edges. A
+//!   version mismatch (the snapshot predates later WAL mutations) simply
+//!   restores the definition and leaves the usual lazy rebuild to run. Both
+//!   section headers are written as 0. Data directories from before index
+//!   DDL stopped moving the schema version carry an index counter there;
+//!   restore adds both headers into the catalog's DDL version, so such a
+//!   directory reopens at the `schema_version` it had.
 //!   The weight vectors a graph caches for `CHEAPEST SUM`
 //!   ([`crate::weight_cache`]) are not written by either section: every
 //!   restored graph starts with an empty cache and the first weighted
@@ -41,15 +42,14 @@
 use crate::database::Database;
 use crate::error::Error;
 use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
-use crate::index::{
-    AccelDef, AccelIndex, AccelLayer, IndexDef, IndexRegistry, IndexSpace, PathIndexKind, Stamped,
-};
+use crate::index::{AccelIndex, AccelLayer, IndexSpace, PathIndexKind};
 use crate::vertex_dict::VertexDict;
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
 use gsql_graph::Csr;
+use gsql_storage::catalog::TableEntry;
 use gsql_storage::mutation::STATEMENT_TAG;
 use gsql_storage::persist::{get_value, put_value, ByteReader, ByteWriter};
-use gsql_storage::{Mutation, SnapshotData, SnapshotTable, StorageError, Value};
+use gsql_storage::{AccelDef, IndexDef, Mutation, SnapshotData, SnapshotTable, StorageError};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -65,34 +65,18 @@ fn corrupt(msg: impl Into<String>) -> Error {
 
 // ------------------------------------------------------------ WAL records
 
-/// The WAL record of an index DDL statement: its SQL text and parameters.
-pub(crate) fn encode_statement_record(sql: &str, params: &[Value]) -> Result<Vec<u8>> {
-    let mut w = ByteWriter::new();
-    w.put_u8(STATEMENT_TAG);
-    w.put_str(sql);
-    w.put_usize(params.len());
-    for p in params {
-        put_value(&mut w, p).map_err(Error::Storage)?;
-    }
-    Ok(w.into_bytes())
-}
-
 /// Re-apply one WAL record (recovery). The database has no durable store
 /// attached yet, so nothing is logged again.
 pub(crate) fn replay_record(db: &Database, bytes: &[u8]) -> Result<()> {
     if bytes.first() != Some(&STATEMENT_TAG) {
-        let (table, mutation) = Mutation::decode(bytes).map_err(Error::Storage)?;
+        let (table, mutation) = Mutation::decode(bytes)?;
         return db
             .apply(&table, mutation)
             .map_err(|e| corrupt(format!("WAL record of '{table}' failed to replay: {e}")));
     }
     let mut r = ByteReader::new(&bytes[1..]);
-    let sql = r.get_str().map_err(Error::Storage)?;
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut params = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        params.push(get_value(&mut r).map_err(Error::Storage)?);
-    }
+    let sql = r.get_str()?;
+    let params = r.get_list(get_value)?;
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes after statement record"));
     }
@@ -114,62 +98,34 @@ pub(crate) fn capture_snapshot(db: &Database) -> std::result::Result<SnapshotDat
         .map(|(name, e)| SnapshotTable { name, version: e.version, table: e.table })
         .collect();
     let sections = vec![
-        (GRAPH_SECTION.to_string(), encode_graph_section(db.indexes())),
-        (PATH_SECTION.to_string(), encode_path_section(db.indexes())?),
+        (GRAPH_SECTION.to_string(), encode_section(db, IndexSpace::Graph)?),
+        (PATH_SECTION.to_string(), encode_section(db, IndexSpace::Path)?),
     ];
     Ok(SnapshotData { ddl_version: db.catalog().ddl_version(), tables, sections })
 }
 
-/// The definition prefix every entry of both sections starts with.
-fn put_def(w: &mut ByteWriter, def: &IndexDef) {
-    w.put_str(&def.name);
-    w.put_str(&def.table);
-    w.put_str(&def.src_col);
-    w.put_str(&def.dst_col);
-}
-
-fn encode_graph_section(reg: &IndexRegistry) -> Vec<u8> {
-    let entries = reg.snapshot_entries(IndexSpace::Graph);
+/// One section: every definition in `space`, sorted by name, and for a
+/// path index the layer built from its table's current entry, if any.
+fn encode_section(db: &Database, space: IndexSpace) -> std::result::Result<Vec<u8>, StorageError> {
+    let catalog = db.catalog().read();
+    let defs: Vec<&IndexDef> = catalog.indexes().iter().filter(|d| d.space() == space).collect();
     let mut w = ByteWriter::new();
     // The legacy index-counter header.
     w.put_u64(0);
-    w.put_usize(entries.len());
-    for (def, _) in &entries {
-        put_def(&mut w, def);
-    }
-    w.into_bytes()
-}
-
-fn encode_path_section(reg: &IndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
-    let entries = reg.snapshot_entries(IndexSpace::Path);
-    let mut w = ByteWriter::new();
-    // The legacy index-counter header.
-    w.put_u64(0);
-    w.put_usize(entries.len());
-    for (def, built) in &entries {
-        put_def(&mut w, def);
-        let accel = def.accel.as_ref().expect("a path index declares its layer");
-        put_opt_str(&mut w, accel.weight_col.as_deref());
-        match accel.weight_key {
-            None => w.put_u8(0),
-            Some(k) => {
-                w.put_u8(1);
-                w.put_usize(k);
-            }
+    w.put_usize(defs.len());
+    for def in defs {
+        for s in [&def.name, &def.table, &def.src_col, &def.dst_col] {
+            w.put_str(s);
         }
-        match accel.kind {
-            PathIndexKind::Landmarks(k) => {
-                w.put_u8(0);
-                w.put_u32(k);
-            }
-            PathIndexKind::Contraction => w.put_u8(1),
-        }
-        match built {
+        let Some(accel) = &def.accel else { continue };
+        accel.encode(&mut w);
+        let entry = catalog.entry(&def.table);
+        match entry.and_then(|entry| Some((entry, db.indexes().built_layer(def, entry)?))) {
             None => w.put_u8(0),
-            Some((table_version, layer)) => {
+            Some((entry, layer)) => {
                 w.put_u8(1);
-                w.put_u64(*table_version);
-                encode_layer(&mut w, layer).map_err(|e| StorageError::Internal(e.to_string()))?;
+                w.put_u64(entry.version);
+                encode_layer(&mut w, &layer).map_err(|e| StorageError::Internal(e.to_string()))?;
             }
         }
     }
@@ -184,32 +140,34 @@ fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
     let vals = graph.dict.values();
     w.put_usize(vals.len());
     for v in &vals {
-        put_value(w, v).map_err(Error::Storage)?;
+        put_value(w, v)?;
     }
     encode_csr(w, &graph.csr);
     encode_csr(w, graph.reverse());
-    put_opt_i64s(w, data.weights_fwd.as_deref());
-    put_opt_i64s(w, data.weights_bwd.as_deref());
+    for weights in [&data.weights_fwd, &data.weights_bwd] {
+        w.put_u8(weights.is_some() as u8);
+        if let Some(weights) = weights {
+            w.put_list(weights, |w, &v| w.put_i64(v));
+        }
+    }
     match &data.accel {
         AccelIndex::Alt(lm) => {
             w.put_u8(0);
             let (landmarks, fwd, bwd) = lm.to_parts();
-            put_u32s(w, &landmarks);
-            w.put_usize(fwd.len());
-            for v in &fwd {
-                put_u64s(w, v);
-            }
-            w.put_usize(bwd.len());
-            for v in &bwd {
-                put_u64s(w, v);
+            w.put_list(&landmarks, |w, &v| w.put_u32(v));
+            for vectors in [&fwd, &bwd] {
+                w.put_list(vectors, |w, v| w.put_list(v, |w, &d| w.put_u64(d)));
             }
         }
         AccelIndex::Ch(ch) => {
             w.put_u8(1);
             let parts = ch.to_parts();
-            put_u32s(w, &parts.rank);
-            encode_up_graph(w, &parts.fwd);
-            encode_up_graph(w, &parts.bwd);
+            w.put_list(&parts.rank, |w, &v| w.put_u32(v));
+            for g in [&parts.fwd, &parts.bwd] {
+                w.put_list(&g.offsets, |w, &o| w.put_usize(o));
+                w.put_list(&g.targets, |w, &v| w.put_u32(v));
+                w.put_list(&g.weights, |w, &v| w.put_u64(v));
+            }
             w.put_u64(parts.shortcuts);
         }
     }
@@ -218,58 +176,9 @@ fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
 
 fn encode_csr(w: &mut ByteWriter, csr: &Csr) {
     let (offsets, targets, edge_rows) = csr.raw_parts();
-    w.put_usize(offsets.len());
-    for &o in offsets {
-        w.put_usize(o);
-    }
-    put_u32s(w, targets);
-    put_u32s(w, edge_rows);
-}
-
-fn encode_up_graph(w: &mut ByteWriter, g: &UpGraphParts) {
-    w.put_usize(g.offsets.len());
-    for &o in &g.offsets {
-        w.put_usize(o);
-    }
-    put_u32s(w, &g.targets);
-    put_u64s(w, &g.weights);
-}
-
-fn put_u32s(w: &mut ByteWriter, vals: &[u32]) {
-    w.put_usize(vals.len());
-    for &v in vals {
-        w.put_u32(v);
-    }
-}
-
-fn put_u64s(w: &mut ByteWriter, vals: &[u64]) {
-    w.put_usize(vals.len());
-    for &v in vals {
-        w.put_u64(v);
-    }
-}
-
-fn put_opt_str(w: &mut ByteWriter, s: Option<&str>) {
-    match s {
-        None => w.put_u8(0),
-        Some(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-    }
-}
-
-fn put_opt_i64s(w: &mut ByteWriter, vals: Option<&[i64]>) {
-    match vals {
-        None => w.put_u8(0),
-        Some(vals) => {
-            w.put_u8(1);
-            w.put_usize(vals.len());
-            for &v in vals {
-                w.put_i64(v);
-            }
-        }
-    }
+    w.put_list(offsets, |w, &o| w.put_usize(o));
+    w.put_list(targets, |w, &v| w.put_u32(v));
+    w.put_list(edge_rows, |w, &v| w.put_u32(v));
 }
 
 // ------------------------------------------------------ snapshot restore
@@ -280,7 +189,7 @@ fn put_opt_i64s(w: &mut ByteWriter, vals: Option<&[i64]>) {
 /// acceleration structures when the owning table's version still matches.
 pub(crate) fn restore_snapshot(db: &Database, snap: SnapshotData) -> Result<()> {
     for t in snap.tables {
-        db.catalog().restore_table(&t.name, t.table, t.version).map_err(Error::Storage)?;
+        db.catalog().restore_table(&t.name, t.table, t.version)?;
     }
     let mut version = snap.ddl_version;
     for (name, bytes) in &snap.sections {
@@ -299,38 +208,34 @@ pub(crate) fn restore_snapshot(db: &Database, snap: SnapshotData) -> Result<()> 
 /// header carries.
 fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64> {
     let mut r = ByteReader::new(bytes);
-    let version = r.get_u64().map_err(Error::Storage)?;
-    let count = r.get_usize().map_err(Error::Storage)?;
+    let version = r.get_u64()?;
+    let count = r.get_usize()?;
     for _ in 0..count {
         let mut def = IndexDef {
-            name: r.get_str().map_err(Error::Storage)?,
-            table: r.get_str().map_err(Error::Storage)?,
-            src_col: r.get_str().map_err(Error::Storage)?,
-            dst_col: r.get_str().map_err(Error::Storage)?,
+            name: r.get_str()?,
+            table: r.get_str()?,
+            src_col: r.get_str()?,
+            dst_col: r.get_str()?,
             accel: None,
         };
         let mut built = None;
         if space == IndexSpace::Path {
-            let weight_col = match r.get_u8().map_err(Error::Storage)? {
-                0 => None,
-                _ => Some(r.get_str().map_err(Error::Storage)?),
-            };
-            let weight_key = match r.get_u8().map_err(Error::Storage)? {
-                0 => None,
-                _ => Some(r.get_usize().map_err(Error::Storage)?),
-            };
-            let kind = match r.get_u8().map_err(Error::Storage)? {
-                0 => PathIndexKind::Landmarks(r.get_u32().map_err(Error::Storage)?),
-                1 => PathIndexKind::Contraction,
-                other => return Err(corrupt(format!("unknown path-index kind tag {other}"))),
-            };
-            if r.get_u8().map_err(Error::Storage)? != 0 {
-                let table_version = r.get_u64().map_err(Error::Storage)?;
-                built = decode_layer(db, &def.table, kind, weight_key, table_version, &mut r)?;
+            let accel = AccelDef::decode(&mut r)?;
+            if r.get_u8()? != 0 {
+                let table_version = r.get_u64()?;
+                built = decode_layer(db, &def.table, &accel, table_version, &mut r)?;
             }
-            def.accel = Some(AccelDef { weight_col, weight_key, kind });
+            def.accel = Some(accel);
         }
-        db.indexes().restore(def, built);
+        db.apply(&def.name, Mutation::CreateIndex(def.clone())).map_err(|e| match e {
+            Error::Storage(StorageError::TableNotFound(t)) => {
+                corrupt(format!("{} references missing table '{t}'", space.noun()))
+            }
+            e => e,
+        })?;
+        if let Some((entry, layer)) = built {
+            db.indexes().restore(def, &entry, Arc::new(layer));
+        }
     }
     if !r.is_exhausted() {
         let section = if space == IndexSpace::Graph { "graph-index" } else { "path-index" };
@@ -342,46 +247,31 @@ fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64
 /// Decode one persisted layer. The payload is always consumed (so the
 /// reader stays aligned for the next entry); the result is `None` — restore
 /// the definition, rebuild lazily — when the owning table's version moved
-/// past the one the layer was built against.
+/// past the one the layer was built against. Otherwise it comes with the
+/// table entry it was built from.
 fn decode_layer(
     db: &Database,
     table: &str,
-    kind: PathIndexKind,
-    weight_key: Option<usize>,
+    accel_def: &AccelDef,
     table_version: u64,
     r: &mut ByteReader<'_>,
-) -> Result<Stamped<AccelLayer>> {
-    let src_key = r.get_usize().map_err(Error::Storage)?;
-    let dst_key = r.get_usize().map_err(Error::Storage)?;
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut vals = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        vals.push(get_value(r).map_err(Error::Storage)?);
-    }
-    let csr = decode_csr(r)?;
-    let reverse = decode_csr(r)?;
-    let weights_fwd = get_opt_i64s(r)?;
-    let weights_bwd = get_opt_i64s(r)?;
-    let accel = match r.get_u8().map_err(Error::Storage)? {
+) -> Result<Option<(TableEntry, AccelLayer)>> {
+    let src_key = r.get_usize()?;
+    let dst_key = r.get_usize()?;
+    let vals = r.get_list(get_value)?;
+    let (csr, reverse) = (decode_csr(r)?, decode_csr(r)?);
+    let (weights_fwd, weights_bwd) = (get_weights(r)?, get_weights(r)?);
+    let accel = match r.get_u8()? {
         0 => {
-            let landmarks = get_u32s(r)?;
-            let k = r.get_usize().map_err(Error::Storage)?;
-            let mut fwd = Vec::with_capacity(k.min(1024));
-            for _ in 0..k {
-                fwd.push(get_u64s(r)?);
-            }
-            let k = r.get_usize().map_err(Error::Storage)?;
-            let mut bwd = Vec::with_capacity(k.min(1024));
-            for _ in 0..k {
-                bwd.push(get_u64s(r)?);
-            }
+            let landmarks = r.get_list(ByteReader::get_u32)?;
+            let fwd = r.get_list(|r| r.get_list(ByteReader::get_u64))?;
+            let bwd = r.get_list(|r| r.get_list(ByteReader::get_u64))?;
             AccelIndex::Alt(Landmarks::from_parts(landmarks, fwd, bwd).map_err(corrupt)?)
         }
         1 => {
-            let rank = get_u32s(r)?;
-            let fwd = decode_up_graph(r)?;
-            let bwd = decode_up_graph(r)?;
-            let shortcuts = r.get_u64().map_err(Error::Storage)?;
+            let rank = r.get_list(ByteReader::get_u32)?;
+            let (fwd, bwd) = (decode_up_graph(r)?, decode_up_graph(r)?);
+            let shortcuts = r.get_u64()?;
             AccelIndex::Ch(
                 ContractionHierarchy::from_parts(ChParts { rank, fwd, bwd, shortcuts })
                     .map_err(corrupt)?,
@@ -393,7 +283,7 @@ fn decode_layer(
     // Kind/data agreement: a corrupt file must not smuggle a CH payload
     // into an entry the planner believes is ALT (or vice versa).
     let tag_matches = matches!(
-        (&accel, kind),
+        (&accel, accel_def.kind),
         (AccelIndex::Alt(_), PathIndexKind::Landmarks(_))
             | (AccelIndex::Ch(_), PathIndexKind::Contraction)
     );
@@ -431,74 +321,39 @@ fn decode_layer(
             return Err(corrupt("persisted weight arrays disagree with CSR edge count"));
         }
     }
-    if weight_key.is_some() != weights_fwd.is_some() {
+    if accel_def.weight_key.is_some() != weights_fwd.is_some() {
         return Err(corrupt("persisted weights disagree with the declared weight column"));
     }
     let key_type = edges.schema().column(src_key).ty;
     let dict = VertexDict::from_values(key_type, vals).map_err(corrupt)?;
     let graph =
         Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
-    let layer = AccelLayer { graph, accel, weights_fwd, weights_bwd };
-    Ok(Some((table_version, Arc::new(layer))))
+    Ok(Some((current, AccelLayer { graph, accel, weights_fwd, weights_bwd })))
 }
 
 fn decode_csr(r: &mut ByteReader<'_>) -> Result<Csr> {
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut offsets = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        offsets.push(r.get_usize().map_err(Error::Storage)?);
-    }
-    let targets = get_u32s(r)?;
-    let edge_rows = get_u32s(r)?;
+    let offsets = r.get_list(ByteReader::get_usize)?;
+    let (targets, edge_rows) = (r.get_list(ByteReader::get_u32)?, r.get_list(ByteReader::get_u32)?);
     Csr::from_raw_parts(offsets, targets, edge_rows).map_err(|e| corrupt(e.to_string()))
 }
 
 fn decode_up_graph(r: &mut ByteReader<'_>) -> Result<UpGraphParts> {
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut offsets = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        offsets.push(r.get_usize().map_err(Error::Storage)?);
-    }
-    let targets = get_u32s(r)?;
-    let weights = get_u64s(r)?;
-    Ok(UpGraphParts { offsets, targets, weights })
+    let offsets = r.get_list(ByteReader::get_usize)?;
+    let targets = r.get_list(ByteReader::get_u32)?;
+    Ok(UpGraphParts { offsets, targets, weights: r.get_list(ByteReader::get_u64)? })
 }
 
-fn get_u32s(r: &mut ByteReader<'_>) -> Result<Vec<u32>> {
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut vals = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        vals.push(r.get_u32().map_err(Error::Storage)?);
-    }
-    Ok(vals)
-}
-
-fn get_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>> {
-    let n = r.get_usize().map_err(Error::Storage)?;
-    let mut vals = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        vals.push(r.get_u64().map_err(Error::Storage)?);
-    }
-    Ok(vals)
-}
-
-fn get_opt_i64s(r: &mut ByteReader<'_>) -> Result<Option<Vec<i64>>> {
-    match r.get_u8().map_err(Error::Storage)? {
-        0 => Ok(None),
-        _ => {
-            let n = r.get_usize().map_err(Error::Storage)?;
-            let mut vals = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                vals.push(r.get_i64().map_err(Error::Storage)?);
-            }
-            Ok(Some(vals))
-        }
-    }
+fn get_weights(r: &mut ByteReader<'_>) -> Result<Option<Vec<i64>>> {
+    Ok(match r.get_u8()? {
+        0 => None,
+        _ => Some(r.get_list(ByteReader::get_i64)?),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsql_storage::Value;
 
     /// An in-memory database with one built path index of each kind over an
     /// `INTEGER`-keyed and a `VARCHAR`-keyed edge table.
@@ -519,27 +374,39 @@ mod tests {
         db
     }
 
+    /// A database holding `db`'s tables, at their versions, and no index.
+    fn tables_of(db: &Database) -> Database {
+        let fresh = Database::new();
+        let mut snapshot = capture_snapshot(db).unwrap();
+        snapshot.sections.clear();
+        restore_snapshot(&fresh, snapshot).unwrap();
+        fresh
+    }
+
     #[test]
     fn path_section_encode_decode_encode_is_byte_stable() {
         let db = indexed_db();
-        let first = encode_path_section(db.indexes()).unwrap();
-        // Decoding re-registers both entries from the bytes alone; their
+        let first = encode_section(&db, IndexSpace::Path).unwrap();
+        // Decoding registers both definitions from the bytes alone; their
         // tables are unchanged, so the built layer is installed, not dropped.
-        assert_eq!(restore_section(&db, &first, IndexSpace::Path).unwrap(), 0);
-        let entries = db.indexes().snapshot_entries(IndexSpace::Path);
-        assert_eq!(entries.len(), 2);
-        for (def, layer) in &entries {
-            let (_, layer) = layer.as_ref().expect("restored built");
+        let restored = tables_of(&db);
+        assert_eq!(restore_section(&restored, &first, IndexSpace::Path).unwrap(), 0);
+        let catalog = restored.catalog().read();
+        assert_eq!(catalog.indexes().len(), 2);
+        for def in catalog.indexes() {
+            let entry = catalog.entry(&def.table).unwrap();
+            let layer = restored.indexes().built_layer(def, entry).expect("restored built");
             let want = if def.name == "ri" { "int" } else { "generic" };
             assert_eq!(layer.graph.dict.kind(), want, "{}", def.name);
         }
-        assert_eq!(encode_path_section(db.indexes()).unwrap(), first);
+        drop(catalog);
+        assert_eq!(encode_section(&restored, IndexSpace::Path).unwrap(), first);
     }
 
     #[test]
     fn repeated_dictionary_value_is_corrupt_not_a_panic() {
         let db = indexed_db();
-        let mut bytes = encode_path_section(db.indexes()).unwrap();
+        let mut bytes = encode_section(&db, IndexSpace::Path).unwrap();
         for (first, second) in [(Value::Int(1001), Value::Int(1002)), ("AMS".into(), "LIS".into())]
         {
             let (mut pair, mut repeated) = (ByteWriter::new(), ByteWriter::new());
@@ -555,13 +422,13 @@ mod tests {
                 .expect("dictionary values are stored in id order");
             let saved = bytes[at..at + pair.len()].to_vec();
             bytes[at..at + pair.len()].copy_from_slice(&repeated);
-            let err = restore_section(&db, &bytes, IndexSpace::Path).unwrap_err();
+            let err = restore_section(&tables_of(&db), &bytes, IndexSpace::Path).unwrap_err();
             assert!(
                 matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains("duplicate")),
                 "{first}: {err}"
             );
             bytes[at..at + pair.len()].copy_from_slice(&saved);
         }
-        restore_section(&db, &bytes, IndexSpace::Path).unwrap();
+        restore_section(&tables_of(&db), &bytes, IndexSpace::Path).unwrap();
     }
 }

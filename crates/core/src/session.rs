@@ -513,41 +513,6 @@ impl<'db> Session<'db> {
         result
     }
 
-    /// Dispatch one statement. Table changes log themselves (the catalog
-    /// writes each one's record as it applies it); index DDL on a durable
-    /// database is logged here, as its SQL text, after it succeeded. Index
-    /// DDL runs whole under the database's index-DDL lock, which `DROP
-    /// TABLE` also takes, so a table cannot be dropped — and its drop
-    /// logged — while an index on it is built. On a durable database it
-    /// also holds the shared commit lock (taken second) across apply and
-    /// append, so a concurrent `CHECKPOINT` (which takes the commit lock
-    /// exclusively) can never split it across the snapshot/WAL rotation
-    /// boundary.
-    fn dispatch_statement(
-        &self,
-        sql_key: Option<&str>,
-        statement: &ast::Statement,
-        params: &[Value],
-        deadline: Option<Deadline>,
-        collector: Option<&Arc<TraceCollector>>,
-        root: SpanId,
-    ) -> Result<QueryResult> {
-        let dispatch =
-            || self.dispatch_inner(sql_key, statement, params, deadline, collector, root);
-        if !statement_is_index_ddl(statement) {
-            return dispatch();
-        }
-        let _ddl = self.db.lock_index_ddl();
-        let Some(store) = self.db.catalog().store() else {
-            return dispatch();
-        };
-        let record = crate::persist::encode_statement_record(&statement.to_string(), params)?;
-        let _commit = store.commit_shared();
-        let result = dispatch()?;
-        self.db.count_logged(store.append(&record).map_err(Error::Storage)?);
-        Ok(result)
-    }
-
     /// Execute a query plan in an `execute` span under `root` (carrying the
     /// result's `rows`) when tracing, returning the span id too.
     fn execute_plan(
@@ -565,10 +530,11 @@ impl<'db> Session<'db> {
         (table, execute)
     }
 
-    /// The statement dispatcher proper. `collector`/`root` carry the trace
-    /// context when `SET trace` is on or the statement is `EXPLAIN ANALYZE`
-    /// (`root` is the statement span).
-    fn dispatch_inner(
+    /// Dispatch one statement. Every change logs itself: the catalog writes
+    /// each one's record as it applies it. `collector`/`root` carry the
+    /// trace context when `SET trace` is on or the statement is `EXPLAIN
+    /// ANALYZE` (`root` is the statement span).
+    fn dispatch_statement(
         &self,
         sql_key: Option<&str>,
         statement: &ast::Statement,
@@ -642,7 +608,7 @@ impl<'db> Session<'db> {
             ast::Statement::CreateTable { name, columns } => {
                 self.db.create_table_from_ast(name, columns)
             }
-            ast::Statement::DropTable { name } => self.db.drop_table_stmt(name),
+            ast::Statement::DropTable { name } => self.db.drop_stmt(None, name, false),
             ast::Statement::Insert { table, columns, source } => {
                 let ctx = self.ctx(params, deadline);
                 self.db.run_insert(&ctx, table, columns.as_deref(), source)
@@ -657,12 +623,13 @@ impl<'db> Session<'db> {
             }
             ast::Statement::CreateGraphIndex { name, table, src_col, dst_col } => {
                 let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
-                self.db.indexes().create(&ctx, name, table, src_col, dst_col, None, false)?;
+                let indexes = self.db.indexes();
+                let logged = indexes.create(&ctx, name, table, src_col, dst_col, None, false)?;
+                self.db.count_logged(logged);
                 Ok(QueryResult::Ok)
             }
             ast::Statement::DropGraphIndex { name } => {
-                self.db.indexes().drop_index(IndexSpace::Graph, name, false)?;
-                Ok(QueryResult::Ok)
+                self.db.drop_stmt(Some(IndexSpace::Graph), name, false)
             }
             ast::Statement::CreatePathIndex {
                 name,
@@ -679,25 +646,16 @@ impl<'db> Session<'db> {
                     ast::PathIndexMethod::Contraction => PathIndexKind::Contraction,
                 };
                 let accel = Some((weight_col.as_deref(), kind));
-                self.db.indexes().create(
-                    &ctx,
-                    name,
-                    table,
-                    src_col,
-                    dst_col,
-                    accel,
-                    *if_not_exists,
-                )?;
+                let indexes = self.db.indexes();
+                let (src, dst) = (src_col.as_str(), dst_col.as_str());
+                let logged = indexes.create(&ctx, name, table, src, dst, accel, *if_not_exists)?;
+                self.db.count_logged(logged);
                 Ok(QueryResult::Ok)
             }
             ast::Statement::DropPathIndex { name, if_exists } => {
-                self.db.indexes().drop_index(IndexSpace::Path, name, *if_exists)?;
-                Ok(QueryResult::Ok)
+                self.db.drop_stmt(Some(IndexSpace::Path), name, *if_exists)
             }
             ast::Statement::Checkpoint => {
-                // Not dispatched under the shared commit lock (see
-                // `dispatch_statement`): `Database::checkpoint` takes the
-                // commit lock exclusively.
                 let line = match self.db.checkpoint()? {
                     Some(epoch) => format!("checkpoint written (epoch {epoch})"),
                     None => "checkpoint skipped (in-memory database)".to_string(),
@@ -747,18 +705,6 @@ fn statement_verb(statement: &ast::Statement) -> QueryVerb {
         | ast::Statement::ShowPathIndexes
         | ast::Statement::Checkpoint => QueryVerb::Utility,
     }
-}
-
-/// The statements logged as SQL text on a durable database (every other
-/// change is logged by the catalog as its effect).
-fn statement_is_index_ddl(statement: &ast::Statement) -> bool {
-    matches!(
-        statement,
-        ast::Statement::CreateGraphIndex { .. }
-            | ast::Statement::DropGraphIndex { .. }
-            | ast::Statement::CreatePathIndex { .. }
-            | ast::Statement::DropPathIndex { .. }
-    )
 }
 
 /// Hex hash of arbitrary text (the slow-log `sql_hash`: correlates repeat

@@ -1268,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_graph_index_ddl() {
+    fn parses_graph_index_statements() {
         match parse_statement("CREATE GRAPH INDEX gi ON friends EDGE (src, dst)").unwrap() {
             Statement::CreateGraphIndex { name, table, src_col, dst_col } => {
                 assert_eq!((name.as_str(), table.as_str()), ("gi", "friends"));
@@ -1283,7 +1283,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_path_index_ddl() {
+    fn parses_path_index_statements() {
         match parse_statement(
             "CREATE PATH INDEX pi ON roads EDGE (a, b) WEIGHT len USING LANDMARKS(16)",
         )

@@ -31,7 +31,7 @@ use std::sync::Arc;
 const HELP: &str = "\
 Commands:
   \\help            show this help
-  \\tables          list tables (and graph indexes)
+  \\tables          list tables (and graph and path indexes)
   \\load-snb <sf>   generate + load the LDBC-SNB-like dataset at a scale factor
   \\quit            exit
 Any other input is SQL; statements end with ';'.
@@ -188,9 +188,11 @@ fn run_meta(db: &Database, command: &str) -> bool {
                     Err(_) => println!("{name}"),
                 }
             }
-            let indexes = db.indexes().index_names(IndexSpace::Graph);
-            if !indexes.is_empty() {
-                println!("graph indexes: {}", indexes.join(", "));
+            for space in [IndexSpace::Graph, IndexSpace::Path] {
+                let indexes = db.indexes().index_names(space);
+                if !indexes.is_empty() {
+                    println!("{}es: {}", space.noun(), indexes.join(", "));
+                }
             }
         }
         Some("\\import") => {

@@ -1,5 +1,6 @@
 //! Error type for the storage layer.
 
+use crate::catalog::IndexSpace;
 use std::fmt;
 
 /// Errors raised by the storage layer.
@@ -9,6 +10,10 @@ pub enum StorageError {
     TableExists(String),
     /// No table with this name exists in the catalog.
     TableNotFound(String),
+    /// An index with this name already exists in this name space.
+    IndexExists(IndexSpace, String),
+    /// No index with this name exists in this name space.
+    IndexNotFound(IndexSpace, String),
     /// No column with this name exists in the schema.
     ColumnNotFound(String),
     /// A value's type does not match the column type it is stored into.
@@ -57,6 +62,12 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::TableExists(name) => write!(f, "table '{name}' already exists"),
             StorageError::TableNotFound(name) => write!(f, "table '{name}' does not exist"),
+            StorageError::IndexExists(space, name) => {
+                write!(f, "{} '{name}' already exists", space.noun())
+            }
+            StorageError::IndexNotFound(space, name) => {
+                write!(f, "{} '{name}' does not exist", space.noun())
+            }
             StorageError::ColumnNotFound(name) => write!(f, "column '{name}' does not exist"),
             StorageError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")

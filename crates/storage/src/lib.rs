@@ -14,8 +14,9 @@
 //! * [`Schema`] / [`ColumnDef`] — named, typed column metadata;
 //! * [`Table`] — a materialized relation (schema + equal-length columns);
 //! * [`Catalog`] — the named-table store with version counters used for
-//!   graph-index invalidation;
-//! * [`Mutation`] — the one value every table change is: what
+//!   graph-index invalidation, and the index definitions ([`IndexDef`])
+//!   over its tables;
+//! * [`Mutation`] — the one value every catalog change is: what
 //!   [`Catalog::apply`] installs and what the WAL records;
 //! * [`PathValue`] — a shortest path represented as *references to rows of
 //!   the edge table that generated it*, exactly the representation described
@@ -35,7 +36,7 @@ pub mod types;
 pub mod value;
 
 pub use bitmap::Bitmap;
-pub use catalog::Catalog;
+pub use catalog::{AccelDef, Catalog, IndexDef, IndexSpace, PathIndexKind};
 pub use column::{Column, ColumnBuilder};
 pub use date::Date;
 pub use error::StorageError;

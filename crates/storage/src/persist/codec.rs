@@ -107,6 +107,14 @@ impl ByteWriter {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Write a length-prefixed list, each item by `put`.
+    pub fn put_list<T>(&mut self, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
+        self.put_usize(items.len());
+        for item in items {
+            put(self, item);
+        }
+    }
 }
 
 /// A cursor over encoded bytes; every read is bounds-checked and a short
@@ -194,6 +202,18 @@ impl<'a> ByteReader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.get_usize()?;
         Ok(self.take(len, "bytes")?.to_vec())
+    }
+
+    /// Read a list written by [`ByteWriter::put_list`], each item by `get`.
+    /// Every item takes at least a byte, so a corrupt length allocates no
+    /// more than the bytes left.
+    pub fn get_list<T>(&mut self, mut get: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.get_usize()?;
+        let mut items = Vec::with_capacity(n.min(self.remaining()));
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Ok(items)
     }
 }
 

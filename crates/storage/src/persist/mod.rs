@@ -2,10 +2,9 @@
 //!
 //! The layering is deliberate: this module knows how to persist **tables
 //! and bytes**, not engine semantics. WAL frames carry opaque payloads —
-//! the catalog's [`crate::Mutation`] records, and the engine's index DDL
-//! statements — and snapshots carry named opaque *sections* next to the
-//! catalog tables (the engine serializes its index registries and built
-//! acceleration structures into those). That keeps `gsql-storage`
+//! the catalog's [`crate::Mutation`] records — and snapshots carry named
+//! opaque *sections* next to the catalog tables (the engine serializes its
+//! index definitions and built acceleration structures into those). That keeps `gsql-storage`
 //! dependency-free and lets the engine evolve its own records without
 //! touching the on-disk framing.
 //!

@@ -119,42 +119,22 @@ fn get_bools(r: &mut ByteReader<'_>) -> Result<Vec<bool>> {
 
 fn encode_column(w: &mut ByteWriter, col: &Column) -> Result<()> {
     w.put_u8(type_tag(col.data_type())?);
+    let (Column::Int(_, validity)
+    | Column::Double(_, validity)
+    | Column::Str(_, validity)
+    | Column::Bool(_, validity)
+    | Column::Date(_, validity)) = col
+    else {
+        unreachable!("rejected by type_tag")
+    };
+    put_bools(w, validity.len(), validity.iter());
     match col {
-        Column::Int(vals, validity) => {
-            put_bools(w, validity.len(), validity.iter());
-            w.put_usize(vals.len());
-            for &v in vals {
-                w.put_i64(v);
-            }
-        }
-        Column::Double(vals, validity) => {
-            put_bools(w, validity.len(), validity.iter());
-            w.put_usize(vals.len());
-            for &v in vals {
-                w.put_f64(v);
-            }
-        }
-        Column::Str(vals, validity) => {
-            put_bools(w, validity.len(), validity.iter());
-            w.put_usize(vals.len());
-            for v in vals {
-                w.put_str(v);
-            }
-        }
-        Column::Bool(vals, validity) => {
-            put_bools(w, validity.len(), validity.iter());
-            put_bools(w, vals.len(), vals.iter().copied());
-        }
-        Column::Date(vals, validity) => {
-            put_bools(w, validity.len(), validity.iter());
-            w.put_usize(vals.len());
-            for &v in vals {
-                w.put_i32(v);
-            }
-        }
-        Column::Path(_) => {
-            return Err(StorageError::Internal("PATH columns cannot be persisted".into()))
-        }
+        Column::Int(vals, _) => w.put_list(vals, |w, &v| w.put_i64(v)),
+        Column::Double(vals, _) => w.put_list(vals, |w, &v| w.put_f64(v)),
+        Column::Str(vals, _) => w.put_list(vals, |w, v| w.put_str(v)),
+        Column::Bool(vals, _) => put_bools(w, vals.len(), vals.iter().copied()),
+        Column::Date(vals, _) => w.put_list(vals, |w, &v| w.put_i32(v)),
+        Column::Path(_) => unreachable!("rejected by type_tag"),
     }
     Ok(())
 }
@@ -164,39 +144,11 @@ fn decode_column(r: &mut ByteReader<'_>) -> Result<Column> {
     let validity: crate::bitmap::Bitmap = get_bools(r)?.into_iter().collect();
     let validity_len = validity.len();
     let col = match ty {
-        DataType::Int => {
-            let n = r.get_usize()?;
-            let mut vals = Vec::with_capacity(n.min(1 << 24));
-            for _ in 0..n {
-                vals.push(r.get_i64()?);
-            }
-            Column::Int(vals, validity)
-        }
-        DataType::Double => {
-            let n = r.get_usize()?;
-            let mut vals = Vec::with_capacity(n.min(1 << 24));
-            for _ in 0..n {
-                vals.push(r.get_f64()?);
-            }
-            Column::Double(vals, validity)
-        }
-        DataType::Varchar => {
-            let n = r.get_usize()?;
-            let mut vals = Vec::with_capacity(n.min(1 << 24));
-            for _ in 0..n {
-                vals.push(r.get_str()?);
-            }
-            Column::Str(vals, validity)
-        }
+        DataType::Int => Column::Int(r.get_list(ByteReader::get_i64)?, validity),
+        DataType::Double => Column::Double(r.get_list(ByteReader::get_f64)?, validity),
+        DataType::Varchar => Column::Str(r.get_list(ByteReader::get_str)?, validity),
         DataType::Bool => Column::Bool(get_bools(r)?, validity),
-        DataType::Date => {
-            let n = r.get_usize()?;
-            let mut vals = Vec::with_capacity(n.min(1 << 24));
-            for _ in 0..n {
-                vals.push(r.get_i32()?);
-            }
-            Column::Date(vals, validity)
-        }
+        DataType::Date => Column::Date(r.get_list(ByteReader::get_i32)?, validity),
         DataType::Path => unreachable!("rejected by tag_type"),
     };
     if col.len() != validity_len {
@@ -227,18 +179,12 @@ pub(crate) fn encode_table(w: &mut ByteWriter, table: &Table) -> Result<()> {
 
 /// Read a table written by [`encode_table`].
 pub(crate) fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {
-    let n_cols = r.get_usize()?;
-    let mut defs = Vec::with_capacity(n_cols.min(1 << 12));
-    for _ in 0..n_cols {
-        let col_name = r.get_str()?;
-        let ty = tag_type(r.get_u8()?)?;
-        let nullable = r.get_u8()? != 0;
-        let mut def = ColumnDef::new(col_name, ty);
-        def.nullable = nullable;
-        defs.push(def);
-    }
+    let defs = r.get_list(|r| {
+        let (name, ty) = (r.get_str()?, tag_type(r.get_u8()?)?);
+        Ok(ColumnDef { name, ty, nullable: r.get_u8()? != 0 })
+    })?;
     let row_count = r.get_usize()?;
-    let mut columns = Vec::with_capacity(n_cols.min(1 << 12));
+    let mut columns = Vec::with_capacity(defs.len());
     for def in &defs {
         let col = decode_column(r)?;
         if col.len() != row_count {
@@ -267,11 +213,10 @@ pub fn encode_snapshot(snap: &SnapshotData) -> Result<Vec<u8>> {
         w.put_u64(t.version);
         encode_table(&mut w, &t.table)?;
     }
-    w.put_usize(snap.sections.len());
-    for (name, bytes) in &snap.sections {
+    w.put_list(&snap.sections, |w, (name, bytes)| {
         w.put_str(name);
         w.put_bytes(bytes);
-    }
+    });
     let payload = w.into_bytes();
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -301,21 +246,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData> {
     }
     let mut r = ByteReader::new(payload);
     let ddl_version = r.get_u64()?;
-    let n_tables = r.get_usize()?;
-    let mut tables = Vec::with_capacity(n_tables.min(1 << 16));
-    for _ in 0..n_tables {
-        let name = r.get_str()?;
-        let version = r.get_u64()?;
-        let table = decode_table(&mut r)?;
-        tables.push(SnapshotTable { name, version, table: Arc::new(table) });
-    }
-    let n_sections = r.get_usize()?;
-    let mut sections = Vec::with_capacity(n_sections.min(1 << 12));
-    for _ in 0..n_sections {
-        let name = r.get_str()?;
-        let data = r.get_bytes()?;
-        sections.push((name, data));
-    }
+    let tables = r.get_list(|r| {
+        let (name, version) = (r.get_str()?, r.get_u64()?);
+        Ok(SnapshotTable { name, version, table: Arc::new(decode_table(r)?) })
+    })?;
+    let sections = r.get_list(|r| Ok((r.get_str()?, r.get_bytes()?)))?;
     if !r.is_exhausted() {
         return Err(StorageError::Corrupt("trailing bytes after snapshot payload".into()));
     }

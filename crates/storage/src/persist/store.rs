@@ -24,9 +24,8 @@
 //! resumes from epoch `e`. A `.tmp` file is always ignored and deleted.
 //!
 //! Writers and the checkpointer coordinate through a **commit lock**: every
-//! writer ([`crate::Catalog::apply`], and the engine's index DDL) holds the
-//! shared side from before its record is written until the record is
-//! synced, and a checkpoint holds the exclusive side across capture +
+//! writer ([`crate::Catalog::apply`], the only one) holds the shared side
+//! from before its record is written until the record is synced, and a checkpoint holds the exclusive side across capture +
 //! rotation — so no change can land in both the new snapshot and the new
 //! WAL (which would double-apply it on recovery), whoever made it.
 
@@ -191,12 +190,6 @@ impl DurableStore {
         self.inner.lock().expect("store lock poisoned").wal.write(payload)
     }
 
-    /// Durably append one record to the current epoch's WAL. Returns the
-    /// bytes written including framing.
-    pub fn append(&self, payload: &[u8]) -> Result<u64> {
-        self.write(payload)?.sync()
-    }
-
     /// Take a checkpoint: capture a snapshot via `capture` (called under
     /// the exclusive commit lock, so it sees a statement-atomic state) and
     /// rotate to a fresh epoch. Returns the new epoch.
@@ -253,6 +246,11 @@ mod tests {
     use crate::value::Value;
     use std::sync::Arc;
 
+    /// Durably append one record.
+    fn append(store: &DurableStore, payload: &[u8]) {
+        store.write(payload).unwrap().sync().unwrap();
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("gsql-store-test-{}-{tag}", std::process::id()));
@@ -292,15 +290,15 @@ mod tests {
         let dir = temp_dir("rotate");
         {
             let (store, _) = DurableStore::open(&dir).unwrap();
-            store.append(b"one").unwrap();
-            store.append(b"two").unwrap();
+            append(&store, b"one");
+            append(&store, b"two");
         }
         {
             let (store, rec) = DurableStore::open(&dir).unwrap();
             assert_eq!(rec.wal_records, vec![b"one".to_vec(), b"two".to_vec()]);
             let epoch = store.checkpoint(|| Ok(one_table(2))).unwrap();
             assert_eq!(epoch, 1);
-            store.append(b"three").unwrap();
+            append(&store, b"three");
         }
         {
             let (store, rec) = DurableStore::open(&dir).unwrap();
@@ -322,7 +320,7 @@ mod tests {
         {
             let (store, _) = DurableStore::open(&dir).unwrap();
             store.checkpoint(|| Ok(one_table(3))).unwrap();
-            store.append(b"live").unwrap();
+            append(&store, b"live");
         }
         // Simulate a crash between WAL creation and snapshot rename: an
         // epoch-2 WAL with no epoch-2 snapshot, plus a leftover temp file.
@@ -345,9 +343,9 @@ mod tests {
     fn both_epochs_present_prefers_newer_snapshot() {
         let dir = temp_dir("bothepochs");
         let (store, _) = DurableStore::open(&dir).unwrap();
-        store.append(b"a").unwrap();
+        append(&store, b"a");
         store.checkpoint(|| Ok(one_table(1))).unwrap();
-        store.append(b"b").unwrap();
+        append(&store, b"b");
         drop(store);
         // Resurrect a stale epoch-0 pair as if deletion never happened.
         WalWriter::create(&wal_path(&dir, 0)).unwrap();

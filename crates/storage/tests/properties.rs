@@ -5,8 +5,8 @@
 
 use gsql_storage::mutation::STATEMENT_TAG;
 use gsql_storage::{
-    Bitmap, Catalog, Column, ColumnDef, DataType, Date, Mutation, Schema, StorageError, Table,
-    Value,
+    AccelDef, Bitmap, Catalog, Column, ColumnDef, DataType, Date, IndexDef, IndexSpace, Mutation,
+    PathIndexKind, Schema, StorageError, Table, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -284,7 +284,10 @@ fn model_apply(
                 next
             })
         }
-        Mutation::Create(_) | Mutation::Drop => unreachable!("data mutations only"),
+        Mutation::Create(_)
+        | Mutation::Drop
+        | Mutation::CreateIndex(_)
+        | Mutation::DropIndex(_) => unreachable!("data mutations only"),
     }
 }
 
@@ -344,17 +347,32 @@ fn one_of_each(rng: &mut SmallRng) -> Vec<Mutation> {
     let new_rows = valid(rng, positions.len());
     let base_version = rng.gen();
     let appended = rng.gen_range(0..6);
+    let column = |rng: &mut SmallRng| schema.column(rng.gen_range(0..schema.len())).name.clone();
+    let accel = rng.gen_bool(0.5).then(|| AccelDef {
+        weight_col: rng.gen_bool(0.5).then(|| column(rng)),
+        weight_key: rng.gen_bool(0.5).then(|| rng.gen_range(0..schema.len())),
+        kind: match rng.gen_bool(0.5) {
+            true => PathIndexKind::Landmarks(rng.gen_range(1..=64)),
+            false => PathIndexKind::Contraction,
+        },
+    });
+    let (src_col, dst_col) = (column(rng), column(rng));
+    let def = IndexDef { name: String::new(), table: "edges".into(), src_col, dst_col, accel };
+    let space = if rng.gen_bool(0.5) { IndexSpace::Graph } else { IndexSpace::Path };
     vec![
         Mutation::Create(table),
         Mutation::Drop,
         Mutation::Append(valid(rng, appended)),
         Mutation::Delete { base_version, positions: positions.clone() },
         Mutation::Update { base_version, positions, new_rows },
+        Mutation::CreateIndex(def),
+        Mutation::DropIndex(space),
     ]
 }
 
-/// Every record kind decodes to the mutation it encodes: the same table
-/// name, the same rows, and the same bytes when encoded again.
+/// Every record kind decodes to the mutation it encodes: the same table or
+/// index name, the same rows or definition, and the same bytes when encoded
+/// again.
 #[test]
 fn every_record_kind_round_trips() {
     for_each_case(|rng| {
@@ -373,6 +391,10 @@ fn every_record_kind_round_trips() {
                     Mutation::Update { base_version: va, positions: pa, new_rows: ra },
                     Mutation::Update { base_version: vb, positions: pb, new_rows: rb },
                 ) => assert_eq!((va, pa, ra), (vb, pb, rb)),
+                // A definition's name is the record's.
+                (Mutation::CreateIndex(a), Mutation::CreateIndex(b)) => {
+                    assert_eq!(IndexDef { name: name.clone(), ..a.clone() }, *b)
+                }
                 (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
             }
         }
@@ -393,7 +415,7 @@ fn truncated_records_and_unknown_tags_are_corrupt() {
             let mut longer = bytes.clone();
             longer.push(0);
             assert!(matches!(Mutation::decode(&longer), Err(StorageError::Corrupt(_))));
-            for tag in [0, STATEMENT_TAG, 7, rng.gen_range(7..=255)] {
+            for tag in [0, STATEMENT_TAG, 9, rng.gen_range(9..=255)] {
                 let mut other = bytes.clone();
                 other[0] = tag;
                 let err = Mutation::decode(&other).unwrap_err();

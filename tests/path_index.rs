@@ -502,8 +502,8 @@ fn batch_mutation_invalidates_index() {
 
 /// An index build polls the statement deadline: under `timeout_ms = 1`,
 /// `CREATE PATH INDEX … USING CONTRACTION` over a grid whose contraction
-/// takes at least 50 ms fails with a typed timeout, leaves no index, and
-/// releases the index-DDL lock, so a following `DROP TABLE` runs at once.
+/// takes at least 50 ms fails with a typed timeout and leaves no index, and
+/// a following `DROP TABLE` runs at once.
 #[test]
 fn a_contraction_build_past_the_statement_timeout_fails_typed_and_leaves_nothing() {
     let side = 80;
@@ -537,4 +537,56 @@ fn a_contraction_build_past_the_statement_timeout_fails_typed_and_leaves_nothing
     assert_eq!(db.indexes().index_names(IndexSpace::Path), ["full"]);
     db.execute("DROP TABLE grid").unwrap();
     assert!(db.catalog().get("grid").is_err());
+}
+
+/// A lazy rebuild that outlives its table is never served to the table
+/// that replaces it: `DROP TABLE`, `CREATE TABLE`, inserts that bring the
+/// new table to the old one's version, and the same `CREATE PATH INDEX`,
+/// all while the old table's contraction runs, leave the new table
+/// answering from its own two edges once that contraction has finished.
+#[test]
+fn a_rebuild_outliving_its_table_is_not_served_to_a_recreated_one() {
+    let side = 120;
+    let edges: Vec<String> = (0..side * side)
+        .flat_map(|v| {
+            let right = (v % side + 1 < side).then(|| [(v, v + 1), (v + 1, v)]);
+            let down = (v + side < side * side).then(|| [(v, v + side), (v + side, v)]);
+            right.into_iter().chain(down).flatten()
+        })
+        .map(|(s, d)| format!("({s}, {d})"))
+        .collect();
+    let db = Database::new();
+    let (table, index) = (
+        "CREATE TABLE grid (s INTEGER NOT NULL, d INTEGER NOT NULL)",
+        "CREATE PATH INDEX pc ON grid EDGE (s, d) USING CONTRACTION",
+    );
+    db.execute(table).unwrap();
+    db.execute(&format!("INSERT INTO grid VALUES {}", edges.join(", "))).unwrap();
+    db.execute(index).unwrap();
+    // Version 2: the index is stale.
+    db.execute("INSERT INTO grid VALUES (0, 1)").unwrap();
+    let hops = |to: i64| {
+        let sql =
+            format!("SELECT CHEAPEST SUM(1) AS hops WHERE 0 REACHES {to} OVER grid EDGE (s, d)");
+        db.query(&sql).map(|t| (0..t.row_count()).map(|i| t.row(i)[0].clone()).collect::<Vec<_>>())
+    };
+    let graphs = || db.metrics().graph_builds_total("path_index");
+    let built = graphs();
+    std::thread::scope(|scope| {
+        let rebuild = scope.spawn(|| hops(3));
+        // The graph is built: the contraction is running.
+        while graphs() == built {
+            assert!(!rebuild.is_finished(), "{:?}", rebuild.join());
+            std::thread::yield_now();
+        }
+        db.execute("DROP TABLE grid").unwrap();
+        db.execute(table).unwrap();
+        db.execute("INSERT INTO grid VALUES (0, 1)").unwrap();
+        db.execute("INSERT INTO grid VALUES (1, 2)").unwrap();
+        db.execute(index).unwrap();
+        assert_eq!(rebuild.join().unwrap().unwrap(), [Value::Int(3)], "the old grid's answer");
+    });
+    assert_eq!(hops(3).unwrap(), []);
+    assert_eq!(hops(2).unwrap(), [Value::Int(2)]);
+    assert_eq!(db.indexes().index_names(IndexSpace::Path), ["pc"]);
 }

@@ -659,8 +659,10 @@ fn data_dir_with_split_index_counters_reopens_unchanged() {
 }
 
 /// `DROP TABLE` issued while `CREATE PATH INDEX` builds over that table
-/// waits for the build: the WAL logs the index before the drop, so the
-/// directory reopens, and no index outlives its table, before or after.
+/// does not wait for the build: the create counts as having happened before
+/// the drop, so it succeeds and leaves no definition, artifact or WAL
+/// record. The directory reopens, and no index outlives its table, before
+/// or after.
 #[test]
 fn drop_table_during_a_path_index_build_leaves_a_directory_that_opens() {
     // A grid whose contraction takes far longer than a drop.
@@ -694,4 +696,102 @@ fn drop_table_during_a_path_index_build_leaves_a_directory_that_opens() {
     let db = Database::open(dir.path()).unwrap();
     assert!(db.catalog().get("grid").is_err());
     assert!(db.indexes().index_names(IndexSpace::Path).is_empty());
+}
+
+/// A table dropped through the catalog API takes its index definitions
+/// with it, as `DROP TABLE` does: a checkpoint taken after the drop holds
+/// no index over the missing table, so the directory reopens, with no
+/// index.
+#[test]
+fn a_table_dropped_through_the_catalog_takes_its_path_index_along() {
+    let dir = TempDir::new("catalog-drop");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(ROADS).unwrap();
+        db.execute(ROAD_ROWS).unwrap();
+        db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+        assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(11)]]);
+        db.catalog().drop_table("e").unwrap();
+        db.execute("CHECKPOINT").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    assert!(db.catalog().get("e").is_err());
+    assert!(db.indexes().index_names(IndexSpace::Path).is_empty());
+    assert!(db.indexes().list(db.catalog()).is_empty());
+}
+
+/// Index DDL on a durable database logs its effect, like every other
+/// change: each record it writes is a `Mutation`, and a reopen replays them
+/// without building anything.
+#[test]
+fn index_definitions_log_only_mutation_records() {
+    let dir = TempDir::new("index-records");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        for sql in [
+            ROADS,
+            ROAD_ROWS,
+            "CREATE GRAPH INDEX gi ON e EDGE (s, d)",
+            "CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION",
+            "CREATE PATH INDEX pa ON e EDGE (s, d) USING LANDMARKS(2)",
+            "CREATE PATH INDEX IF NOT EXISTS pa ON e EDGE (s, d) USING LANDMARKS(4)",
+            "DROP GRAPH INDEX gi",
+            "DROP PATH INDEX pa",
+            "DROP PATH INDEX IF EXISTS pa",
+        ] {
+            db.execute(sql).unwrap();
+        }
+    }
+    let scan = gsql_storage::persist::scan_wal(&dir.path().join("wal-0.log")).unwrap();
+    let records: Vec<String> = scan
+        .records
+        .iter()
+        .map(|bytes| format!("{:?}", gsql_storage::Mutation::decode(bytes).unwrap().1))
+        .map(|m| m.split(['(', ' ']).next().unwrap().to_string())
+        .collect();
+    let index = ["CreateIndex", "CreateIndex", "CreateIndex", "DropIndex", "DropIndex"];
+    assert_eq!(records, [&["Create", "Append"][..], &index].concat());
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(db.indexes().index_names(IndexSpace::Path), ["pc"]);
+    assert!(db.indexes().index_names(IndexSpace::Graph).is_empty());
+    assert_eq!(db.indexes().list(db.catalog())[0].status, "stale", "registered, not built");
+    assert_eq!(rows(&db, CHEAPEST), vec![vec![Value::Int(11)]]);
+    assert_eq!(db.indexes().builds(), 1, "the first query built it");
+}
+
+/// A `CHECKPOINT` issued while `CREATE PATH INDEX` builds does not wait for
+/// the build, which runs outside every lock. The definition, logged after
+/// the checkpoint, reopens from the new epoch's WAL, unbuilt.
+#[test]
+fn checkpoint_during_a_path_index_build_does_not_wait_for_it() {
+    let side = 100;
+    let edges: Vec<String> = (0..side * side)
+        .flat_map(|v| {
+            let right = (v % side + 1 < side).then(|| [(v, v + 1), (v + 1, v)]);
+            let down = (v + side < side * side).then(|| [(v, v + side), (v + side, v)]);
+            right.into_iter().chain(down).flatten()
+        })
+        .map(|(s, d)| format!("({s}, {d})"))
+        .collect();
+    let dir = TempDir::new("checkpoint-build");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute("CREATE TABLE grid (s INTEGER NOT NULL, d INTEGER NOT NULL)").unwrap();
+        db.execute(&format!("INSERT INTO grid VALUES {}", edges.join(", "))).unwrap();
+        std::thread::scope(|scope| {
+            let sql = "CREATE PATH INDEX pc ON grid EDGE (s, d) USING CONTRACTION";
+            let create = scope.spawn(|| db.execute(sql));
+            while db.metrics().graph_builds_total("path_index") == 0 {
+                assert!(!create.is_finished(), "{:?}", create.join());
+                std::thread::yield_now();
+            }
+            let t = db.query("CHECKPOINT").unwrap();
+            assert_eq!(t.row(0)[0], Value::from("checkpoint written (epoch 1)"));
+            assert!(!create.is_finished(), "the checkpoint waited for the contraction");
+            create.join().unwrap().unwrap();
+        });
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let listing = db.indexes().list(db.catalog());
+    assert_eq!((listing[0].name.as_str(), listing[0].status), ("pc", "stale"));
 }
