@@ -20,12 +20,13 @@
 //!   destination and is never expanded (it cannot lie on any `s → t` path);
 //! * symmetrically, a vertex the source provably cannot reach is never
 //!   expanded backwards.
+//!
+//! Potentials are memoized per search, as in [`crate::alt_multi_target`].
 
 use crate::landmarks::Landmarks;
-use crate::{answer, INF};
+use crate::{point_queries, potential, Scratch, ALT_SCRATCH, INF};
 use gsql_graph::{check_vertices, Budget, Csr, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The outcome of one ALT point-to-point search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,42 +63,10 @@ impl Search for AltPoint<'_> {
     ) -> gsql_graph::Result<Vec<PairResult>> {
         let AltPoint { forward, backward, weights, landmarks } = *self;
         check_vertices(pairs, forward.num_vertices())?;
-        let results = budget.fan_out(
-            pairs.len(),
-            || (),
-            |(), i| {
-                let r = alt_bidirectional(
-                    forward, backward, weights, landmarks, pairs[i].0, pairs[i].1,
-                );
-                budget.traversal(TraversalKind::Alt, r.settled);
-                answer(r.dist.unwrap_or(INF))
-            },
-        )?;
-        budget.shape("landmarks", landmarks.len());
-        Ok(results)
-    }
-}
-
-/// Memoized potential: `lb` is evaluated lazily (`O(k)` per vertex) and
-/// cached for the duration of one query.
-struct Potential<'a> {
-    landmarks: &'a Landmarks,
-    cache: Vec<u64>,
-    known: Vec<bool>,
-}
-
-impl<'a> Potential<'a> {
-    fn new(landmarks: &'a Landmarks, n: usize) -> Potential<'a> {
-        Potential { landmarks, cache: vec![0; n], known: vec![false; n] }
-    }
-
-    fn get(&mut self, v: u32, eval: impl Fn(&Landmarks, u32) -> u64) -> u64 {
-        let vi = v as usize;
-        if !self.known[vi] {
-            self.cache[vi] = eval(self.landmarks, v);
-            self.known[vi] = true;
-        }
-        self.cache[vi]
+        point_queries(pairs, budget, TraversalKind::Alt, ("landmarks", landmarks.len()), |s, d| {
+            let r = alt_bidirectional(forward, backward, weights, landmarks, s, d);
+            (r.dist, r.settled)
+        })
     }
 }
 
@@ -121,67 +90,56 @@ pub fn alt_bidirectional(
     if source == dest {
         return AltResult { dist: Some(0), settled: 0 };
     }
+    let mut scratch = ALT_SCRATCH.lease();
+    let Scratch { sides: [fwd, bwd], potentials: [pi_f, pi_b] } = &mut *scratch;
     // π potentials, lazily evaluated: πf(v) = lb(v, t), πb(v) = lb(s, v).
-    let mut pi_f = Potential::new(landmarks, n);
-    let mut pi_b = Potential::new(landmarks, n);
-    let eval_f = |lm: &Landmarks, v: u32| lm.lower_bound(v, dest);
-    let eval_b = |lm: &Landmarks, v: u32| lm.lower_bound(source, v);
-    if pi_f.get(source, eval_f) == INF {
+    pi_f.fit(n);
+    pi_b.fit(n);
+    let eval_f = |v: u32| landmarks.lower_bound(v, dest);
+    let eval_b = |v: u32| landmarks.lower_bound(source, v);
+    if potential(pi_f, source, eval_f) == INF {
         // A landmark proves the pair disconnected: zero search effort.
         return AltResult { dist: None, settled: 0 };
     }
 
-    // Doubled distances (2·d); u64::MAX = unlabeled.
-    let mut dist_f = vec![u64::MAX; n];
-    let mut dist_b = vec![u64::MAX; n];
-    let mut settled_f = vec![false; n];
-    let mut settled_b = vec![false; n];
-    dist_f[source as usize] = 0;
-    dist_b[dest as usize] = 0;
-
-    // Keys live in the doubled reduced space: key_f(v) = 2·d_f(v) + P(v),
-    // key_b(v) = 2·d_b(v) − P(v) with P(v) = πf(v) − πb(v). Consistency of
-    // the average potentials keeps popped keys non-decreasing; i128 rules
-    // out any overflow concern.
-    let mut heap_f: BinaryHeap<Reverse<(i128, u32)>> = BinaryHeap::new();
-    let mut heap_b: BinaryHeap<Reverse<(i128, u32)>> = BinaryHeap::new();
-    let p_source = pi_f.get(source, eval_f) as i128 - pi_b.get(source, eval_b) as i128;
-    let p_dest = pi_f.get(dest, eval_f) as i128 - pi_b.get(dest, eval_b) as i128;
-    heap_f.push(Reverse((p_source, source)));
-    heap_b.push(Reverse((-p_dest, dest)));
+    // Distances are doubled (2·d). Keys live in the doubled reduced space:
+    // key_f(v) = 2·d_f(v) + P(v), key_b(v) = 2·d_b(v) − P(v) with
+    // P(v) = πf(v) − πb(v). Consistency of the average potentials keeps
+    // popped keys non-decreasing; i128 rules out any overflow concern.
+    let p_source =
+        potential(pi_f, source, eval_f) as i128 - potential(pi_b, source, eval_b) as i128;
+    let p_dest = potential(pi_f, dest, eval_f) as i128 - potential(pi_b, dest, eval_b) as i128;
+    fwd.start(n, source, p_source);
+    bwd.start(n, dest, -p_dest);
 
     // Best doubled meeting cost: μ = min over meets v of 2·d_f(v) + 2·d_b(v).
-    let mut mu = u64::MAX;
-    let mut settled = 0usize;
+    let mut mu = INF;
 
     // When either heap empties, that search has settled every vertex it
     // can reach, so any optimal path already produced its meeting point
     // and μ is final — the loop ends.
-    while let (Some(Reverse((tf, _))), Some(Reverse((tb, _)))) = (heap_f.peek(), heap_b.peek()) {
+    while let (Some(Reverse((tf, _))), Some(Reverse((tb, _)))) = (fwd.heap.peek(), bwd.heap.peek())
+    {
         let (top_f, top_b) = (*tf, *tb);
         // Classic bidirectional stop: no undiscovered path can beat μ once
         // the two frontiers' keys add up past it. (Stale keys only delay
         // the stop, never trigger it early.)
-        if mu != u64::MAX && top_f + top_b >= mu as i128 {
+        if mu != INF && top_f + top_b >= mu as i128 {
             break;
         }
         let forward_turn = top_f <= top_b;
-        let (graph, heap, my_dist, other_dist, my_settled) = if forward_turn {
-            (forward, &mut heap_f, &mut dist_f, &dist_b, &mut settled_f)
-        } else {
-            (backward, &mut heap_b, &mut dist_b, &dist_f, &mut settled_b)
-        };
-        let Some(Reverse((_, u))) = heap.pop() else { break };
+        let (graph, mine, other) =
+            if forward_turn { (forward, &mut *fwd, &*bwd) } else { (backward, &mut *bwd, &*fwd) };
+        let Some(Reverse((_, u))) = mine.heap.pop() else { break };
         let ui = u as usize;
-        if my_settled[ui] {
+        if mine.done[ui] {
             continue; // stale entry
         }
-        my_settled[ui] = true;
-        settled += 1;
-        let du = my_dist[ui];
+        mine.done.set(u, true);
+        let du = mine.dist[ui];
         for (slot, v) in graph.neighbors(u) {
             let vi = v as usize;
-            if my_settled[vi] {
+            if mine.done[vi] {
                 continue;
             }
             let w = match weights {
@@ -189,34 +147,34 @@ pub fn alt_bidirectional(
                 Some((wf, wb)) => (if forward_turn { wf[slot] } else { wb[slot] }) as u64,
             };
             let nd = du + 2 * w;
-            if nd >= my_dist[vi] {
+            if nd >= mine.dist[vi] {
                 continue;
             }
             // Goal-direction prunes: a vertex that provably cannot reach
             // the destination (forward) or be reached from the source
             // (backward) lies on no s→t path.
-            let pf_v = pi_f.get(v, eval_f);
-            let pb_v = pi_b.get(v, eval_b);
+            let pf_v = potential(pi_f, v, eval_f);
+            let pb_v = potential(pi_b, v, eval_b);
             if (forward_turn && pf_v == INF) || (!forward_turn && pb_v == INF) {
                 continue;
             }
-            my_dist[vi] = nd;
-            if other_dist[vi] != u64::MAX {
-                mu = mu.min(nd + other_dist[vi]);
+            mine.dist.set(v, nd);
+            if other.dist[vi] != INF {
+                mu = mu.min(nd + other.dist[vi]);
             }
             let p_v = pf_v as i128 - pb_v as i128;
             let key = nd as i128 + if forward_turn { p_v } else { -p_v };
-            heap.push(Reverse((key, v)));
+            mine.heap.push(Reverse((key, v)));
         }
     }
 
-    let dist = if mu == u64::MAX {
+    let dist = if mu == INF {
         None
     } else {
         debug_assert_eq!(mu % 2, 0, "doubled distances are always even");
         Some(mu / 2)
     };
-    AltResult { dist, settled }
+    AltResult { dist, settled: fwd.done.labelled() + bwd.done.labelled() }
 }
 
 #[cfg(test)]

@@ -64,11 +64,10 @@
 //! sparse rounds, is what grows faster than `|V|`.
 
 use crate::INF;
-use gsql_graph::{Budget, Csr, GraphError};
+use gsql_graph::{Arena, Budget, Csr, GraphError, Spares};
 use gsql_parallel::Pool;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 /// One upward search graph in CSR form: for every vertex, its edges toward
 /// higher-ranked vertices.
@@ -153,7 +152,7 @@ impl ContractionHierarchy {
     ) -> Result<ContractionHierarchy, GraphError> {
         let n = forward.num_vertices() as usize;
         let pool = Pool::new(budget.threads);
-        let spares = Spares::default();
+        let spares = Spares::new();
         budget.poll()?;
         let mut overlay = Overlay::new(forward, weights);
         let mut deleted_neighbors: Vec<u32> = vec![0; n];
@@ -392,18 +391,17 @@ fn splitmix64(mut x: u64) -> u64 {
 /// heap ties by vertex id, so they are identical at every pool width.
 fn shortcut_sets(
     pool: &Pool,
-    spares: &Spares,
+    spares: &Spares<WitnessSearch>,
     vs: &[u32],
     overlay: &Overlay,
     banned: Option<&[bool]>,
     limits: Limits,
 ) -> Vec<Vec<Shortcut>> {
-    let n = overlay.out.len();
     let tasks: Vec<(u32, Link)> =
         vs.iter().flat_map(|&v| overlay.inc[v as usize].iter().map(move |&l| (v, l))).collect();
     let per_task = pool.map_with(
         tasks.len(),
-        || spares.lease(n),
+        || spares.lease(),
         |witness, i| {
             let (v, into) = tasks[i];
             witness.run(overlay, v, into, banned, limits);
@@ -580,44 +578,6 @@ impl Stage {
     }
 }
 
-/// The witness searches of one build, kept across rounds: each parallel
-/// phase leases one per worker and returns it when the worker ends.
-#[derive(Default)]
-struct Spares(Mutex<Vec<WitnessSearch>>);
-
-impl Spares {
-    fn lease(&self, n: usize) -> Lease<'_> {
-        let spare = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        Lease { search: spare.unwrap_or_else(|| WitnessSearch::new(n)), home: self }
-    }
-}
-
-/// A leased [`WitnessSearch`], handed back to its [`Spares`] on drop.
-struct Lease<'a> {
-    search: WitnessSearch,
-    home: &'a Spares,
-}
-
-impl std::ops::Deref for Lease<'_> {
-    type Target = WitnessSearch;
-    fn deref(&self) -> &WitnessSearch {
-        &self.search
-    }
-}
-
-impl std::ops::DerefMut for Lease<'_> {
-    fn deref_mut(&mut self) -> &mut WitnessSearch {
-        &mut self.search
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        let search = std::mem::take(&mut self.search);
-        self.home.0.lock().unwrap_or_else(|e| e.into_inner()).push(search);
-    }
-}
-
 /// A witness-search label: distance, hop count and the run it belongs to.
 #[derive(Debug, Clone, Copy, Default)]
 struct Label {
@@ -643,17 +603,13 @@ struct WitnessSearch {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl WitnessSearch {
-    fn new(n: usize) -> WitnessSearch {
-        WitnessSearch {
-            labels: vec![Label::default(); n],
-            target: vec![0; n],
-            via: vec![0; n],
-            run: 0,
-            heap: BinaryHeap::new(),
-        }
-    }
+/// A build's [`Spares`] keeps its witness searches across rounds; run
+/// stamps forget a search when the next starts, so a lease clears nothing.
+impl Arena for WitnessSearch {
+    fn clear(&mut self) {}
+}
 
+impl WitnessSearch {
     /// Label of `v` from the last [`WitnessSearch::run`], [`INF`] when `v`
     /// was not reached within the limits.
     fn dist(&self, v: u32) -> u64 {
@@ -682,6 +638,13 @@ impl WitnessSearch {
         limits: Limits,
     ) {
         let (source, first, targets) = (into.head, into.weight, &overlay.out[v as usize]);
+        let n = overlay.out.len();
+        if self.labels.len() < n {
+            // A fresh search (or a smaller build's) grows to the overlay.
+            self.labels.resize(n, Label::default());
+            self.target.resize(n, 0);
+            self.via.resize(n, 0);
+        }
         self.run = self.run.wrapping_add(1);
         if self.run == 0 {
             // Stamps wrapped: forget every label and target of old runs.

@@ -18,12 +18,13 @@
 //!   beaten via an *incoming* edge from a higher-ranked, already-labelled
 //!   vertex is not expanded — the path through `u` at this label cannot be
 //!   part of a shortest up-down path.
+//!
+//! Its upward step also runs [`ch_many_to_many`](crate::ch_many_to_many).
 
-use crate::ch::ContractionHierarchy;
-use crate::{answer, INF};
+use crate::ch::{ContractionHierarchy, UpGraph};
+use crate::{point_queries, Side, INF, SCRATCH};
 use gsql_graph::{check_vertices, Budget, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The outcome of one CH point-to-point query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,17 +51,10 @@ impl Search for ChPoint<'_> {
     ) -> gsql_graph::Result<Vec<PairResult>> {
         let ch = self.0;
         check_vertices(pairs, ch.num_vertices())?;
-        let results = budget.fan_out(
-            pairs.len(),
-            || (),
-            |(), i| {
-                let r = ch_query(ch, pairs[i].0, pairs[i].1);
-                budget.traversal(TraversalKind::Ch, r.settled);
-                answer(r.dist.unwrap_or(INF))
-            },
-        )?;
-        budget.shape("shortcuts", ch.shortcuts());
-        Ok(results)
+        point_queries(pairs, budget, TraversalKind::Ch, ("shortcuts", ch.shortcuts()), |s, d| {
+            let r = ch_query(ch, s, d);
+            (r.dist, r.settled)
+        })
     }
 }
 
@@ -73,73 +67,66 @@ pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
     if source == dest {
         return ChResult { dist: Some(0), settled: 0 };
     }
-    let mut dist_f = vec![u64::MAX; n];
-    let mut dist_b = vec![u64::MAX; n];
-    let mut done_f = vec![false; n];
-    let mut done_b = vec![false; n];
-    dist_f[source as usize] = 0;
-    dist_b[dest as usize] = 0;
-    let mut heap_f: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut heap_b: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    heap_f.push(Reverse((0, source)));
-    heap_b.push(Reverse((0, dest)));
+    let mut scratch = SCRATCH.lease();
+    let [fwd, bwd] = &mut scratch.sides;
+    fwd.start(n, source, 0);
+    bwd.start(n, dest, 0);
 
-    let mut mu = u64::MAX;
-    let mut settled = 0usize;
+    let mut mu = INF;
     loop {
         // A direction is live while it still holds keys below μ.
-        let live = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
-            heap.peek().is_some_and(|Reverse((d, _))| *d < mu)
-        };
-        let forward_turn = match (live(&heap_f), live(&heap_b)) {
-            (false, false) => break,
-            (true, false) => true,
-            (false, true) => false,
+        let live =
+            |side: &Side<u64>| side.heap.peek().map(|Reverse((d, _))| *d).filter(|&d| d < mu);
+        let forward_turn = match (live(fwd), live(bwd)) {
+            (None, None) => break,
             // Both live: expand the cheaper frontier (forward on ties).
-            (true, true) => {
-                let Reverse((df, _)) = heap_f.peek().expect("live");
-                let Reverse((db, _)) = heap_b.peek().expect("live");
-                df <= db
-            }
+            (Some(df), Some(db)) => df <= db,
+            (forward, _) => forward.is_some(),
         };
-        let (graph, stall_graph, heap, my_dist, other_dist, my_done) = if forward_turn {
-            (&ch.fwd_up, &ch.bwd_up, &mut heap_f, &mut dist_f, &dist_b, &mut done_f)
+        let (mine, other, graph, stall_graph) = if forward_turn {
+            (&mut *fwd, &*bwd, &ch.fwd_up, &ch.bwd_up)
         } else {
-            (&ch.bwd_up, &ch.fwd_up, &mut heap_b, &mut dist_b, &dist_f, &mut done_b)
+            (&mut *bwd, &*fwd, &ch.bwd_up, &ch.fwd_up)
         };
-        let Some(Reverse((du, u))) = heap.pop() else { break };
-        let ui = u as usize;
-        if my_done[ui] {
-            continue; // stale entry
-        }
-        my_done[ui] = true;
-        settled += 1;
+        let Some((u, du, _)) = mine.upward_step(graph, stall_graph) else { continue };
         // Any labelled meeting point yields a real up-down path; tentative
         // labels on the other side only ever shrink, so μ stays an upper
-        // bound that ends exact.
-        if other_dist[ui] != u64::MAX {
-            mu = mu.min(du.saturating_add(other_dist[ui]));
+        // bound that ends exact (an unlabelled one saturates to INF).
+        mu = mu.min(du.saturating_add(other.dist[u as usize]));
+    }
+    let settled = fwd.done.labelled() + bwd.done.labelled();
+    ChResult { dist: (mu != INF).then_some(mu), settled }
+}
+
+impl Side<u64> {
+    /// Pop the cheapest queued vertex `u` (`None`: a stale entry), settle
+    /// it at `du` and, unless a labelled neighbour in `stall_graph`
+    /// strictly beats `du` (stall-on-demand), relax its edges in `graph`.
+    /// Returns `(u, du, stalled)`.
+    pub(crate) fn upward_step(
+        &mut self,
+        graph: &UpGraph,
+        stall_graph: &UpGraph,
+    ) -> Option<(u32, u64, bool)> {
+        let Reverse((du, u)) = self.heap.pop()?;
+        if self.done[u as usize] {
+            return None; // stale entry
         }
-        // Stall-on-demand: an incoming edge from a labelled higher-ranked
-        // vertex that strictly beats `du` proves this label useless.
-        if stall_graph.neighbors(u).any(|(w, wt)| {
-            let dw = my_dist[w as usize];
-            dw != u64::MAX && dw.saturating_add(wt) < du
-        }) {
-            continue;
-        }
-        for (v, wt) in graph.neighbors(u) {
-            let vi = v as usize;
-            let nd = du.saturating_add(wt);
-            if nd < my_dist[vi] {
-                my_dist[vi] = nd;
-                heap.push(Reverse((nd, v)));
+        self.done.set(u, true);
+        // An unlabelled neighbour saturates to INF, which beats nothing.
+        let stalled =
+            stall_graph.neighbors(u).any(|(w, wt)| self.dist[w as usize].saturating_add(wt) < du);
+        if !stalled {
+            for (v, wt) in graph.neighbors(u) {
+                let nd = du.saturating_add(wt);
+                if nd < self.dist[v as usize] {
+                    self.dist.set(v, nd);
+                    self.heap.push(Reverse((nd, v)));
+                }
             }
         }
+        Some((u, du, stalled))
     }
-
-    let dist = if mu == u64::MAX { None } else { Some(mu) };
-    ChResult { dist, settled }
 }
 
 #[cfg(test)]

@@ -1,57 +1,39 @@
 //! # gsql-accel
 //!
 //! The path-acceleration subsystem: preprocessing that makes repeated
-//! **point-to-point** shortest-path queries fast.
+//! **point-to-point** shortest-path queries fast. The paper's §6 graph
+//! index removes the per-query CSR build, but plain Dijkstra still settles
+//! every vertex cheaper than the destination. Two standard tiers prune it:
 //!
-//! The paper's §6 graph index removes the per-query CSR construction cost,
-//! but every point-to-point query still explores the graph *blindly* from
-//! the source: plain Dijkstra settles every vertex cheaper than the
-//! destination. This crate adds the standard goal-directed remedy — **ALT**
-//! (A\*, Landmarks, Triangle inequality; Goldberg & Harrelson, SODA'05):
-//!
-//! * [`Landmarks`] precomputes, for `k` landmark vertices chosen by
-//!   farthest-point selection, the exact forward (`d(L, v)`) and backward
-//!   (`d(v, L)`) distance vectors — one BFS/Dijkstra per vector, fanned out
-//!   over the `gsql-parallel` worker pool;
-//! * the triangle inequality turns those vectors into admissible,
-//!   *consistent* lower bounds `lb(u, v) ≤ d(u, v)`;
-//! * [`alt_bidirectional`] runs a bidirectional A\* whose forward and
-//!   backward searches are guided by those bounds (average-potential
-//!   formulation, so the two searches stay consistent with each other) and
-//!   reports how many vertices each query actually **settled** — the
-//!   pruning the preprocessing buys.
-//!
-//! Distances are computed in exact integer arithmetic (doubled potentials,
-//! never halved until the final division), so the returned cost is
-//! **bit-identical** to what plain Dijkstra over the same weights returns.
-//! Unreachability is also exact: either a landmark bound proves it upfront
-//! or both frontiers exhaust.
-//!
-//! On top of landmarks sits the second standard preprocessing tier,
-//! **contraction hierarchies** (Geisberger et al., WEA'08):
-//!
-//! * [`ContractionHierarchy`] contracts vertices in an edge-difference +
+//! * **ALT** (A\*, Landmarks, Triangle inequality; Goldberg & Harrelson,
+//!   SODA'05): [`Landmarks`] precomputes exact forward and backward
+//!   distance vectors of `k` farthest-point landmarks (one BFS/Dijkstra
+//!   each, fanned out over the `gsql-parallel` pool), whose triangle
+//!   inequalities are *consistent* lower bounds `lb(u, v) ≤ d(u, v)`;
+//!   [`alt_bidirectional`] runs a bidirectional A\* over them in the
+//!   average-potential formulation, in doubled integer space, and proves
+//!   unreachability exactly (a landmark bound, or both frontiers exhaust);
+//! * **contraction hierarchies** (Geisberger et al., WEA'08):
+//!   [`ContractionHierarchy`] contracts vertices in an edge-difference +
 //!   deleted-neighbours order, inserting witness-checked shortcuts, and
-//!   materializes the upward/downward search graphs;
-//! * [`ch_query()`] answers point-to-point queries with a bidirectional
-//!   upward Dijkstra plus stall-on-demand, settling a near-constant cone
-//!   on road-like graphs.
+//!   [`ch_query()`] runs a bidirectional upward Dijkstra with
+//!   stall-on-demand, settling a near-constant cone on road-like graphs.
 //!
-//! Shortcut weights are exact integer sums, so CH costs are bit-identical
-//! to plain Dijkstra too — the same guarantee ALT gives, which is what
-//! lets the SQL layer swap either in transparently.
+//! Batched workloads get their own drivers in [`m2m`]: [`ch_many_to_many`]
+//! shares the target side of the matrix through buckets (`S + T` upward
+//! searches instead of `S` Dijkstras) and [`alt_multi_target`] answers one
+//! source's targets with a single goal-directed search. Every cost is an
+//! exact integer sum, bit-identical to plain Dijkstra at every thread
+//! count — which is what lets the SQL layer swap any of them in.
 //!
-//! Batched (many-to-many) workloads get their own drivers in [`m2m`]:
-//! [`ch_many_to_many`] shares the target side of the matrix through
-//! per-vertex buckets (`S + T` upward searches instead of `S` full
-//! Dijkstras) and [`alt_multi_target`] answers one source's whole target
-//! set with a single goal-directed search — both exact and bit-identical at
-//! every thread count.
+//! Every query keeps its labels in one `Scratch` of [`gsql_graph::Labels`],
+//! leased from a [`gsql_graph::Spares`] pool at entry and handed back
+//! cleared, so no query allocates `O(|V|)` memory.
 //!
 //! The engine reaches all four through `gsql-graph`'s one
 //! [`Search`](gsql_graph::Search) interface: [`AltPoint`], [`ChPoint`],
 //! [`AltMulti`] and [`ChM2m`] each answer a pair batch within a
-//! [`Budget`](gsql_graph::Budget) — fanning out over its workers, timing
+//! [`Budget`] — fanning out over its workers, timing
 //! out only with `GraphError::DeadlineExceeded`, and reporting their
 //! `TraversalKind`, settled count and shape (`landmarks`, `shortcuts` or
 //! `buckets`) to its observer. They compute costs only: every returned
@@ -69,11 +51,111 @@ pub use ch_query::{ch_query, ChPoint, ChResult};
 pub use landmarks::Landmarks;
 pub use m2m::{alt_multi_target, ch_many_to_many, AltMulti, ChM2m, M2mResult};
 
-use gsql_graph::{CostValue, PairResult};
+use gsql_graph::{Arena, Budget, CostValue, Labels, PairResult, Spares, TraversalKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Sentinel distance meaning "unreachable" (matches the graph runtime's
 /// Dijkstra contract).
 pub const INF: u64 = u64::MAX;
+
+/// One point query per pair over `budget`'s workers — `query` returns the
+/// exact cost (`None`: unreachable) and the vertices it settled — each
+/// reported as `kind`, then the answering structure's `shape`.
+fn point_queries(
+    pairs: &[(u32, u32)],
+    budget: &Budget<'_>,
+    kind: TraversalKind,
+    shape: (&'static str, usize),
+    query: impl Fn(u32, u32) -> (Option<u64>, usize) + Sync,
+) -> gsql_graph::Result<Vec<PairResult>> {
+    let results = budget.fan_out(
+        pairs.len(),
+        || (),
+        |(), i| {
+            let (dist, settled) = query(pairs[i].0, pairs[i].1);
+            budget.traversal(kind, settled);
+            answer(dist.unwrap_or(INF))
+        },
+    )?;
+    budget.shape(shape.0, shape.1);
+    Ok(results)
+}
+
+/// One direction of a label-setting search: tentative distances, the
+/// settled set and the queue, keyed by `K`.
+#[derive(Debug)]
+struct Side<K> {
+    dist: Labels<u64>,
+    done: Labels<bool>,
+    heap: BinaryHeap<Reverse<(K, u32)>>,
+}
+
+impl<K: Ord> Side<K> {
+    /// Forget the last search, in the time it took.
+    fn clear(&mut self) {
+        self.dist.clear();
+        self.done.clear();
+        self.heap.clear();
+    }
+
+    /// Forget the last search, cover `n` vertices and queue `root` at
+    /// distance 0 under `key`.
+    fn start(&mut self, n: usize, root: u32, key: K) {
+        self.clear();
+        self.dist.fit(n);
+        self.done.fit(n);
+        self.dist.set(root, 0);
+        self.heap.push(Reverse((key, root)));
+    }
+}
+
+/// A memoized potential not yet evaluated (an equal bound is re-evaluated).
+const UNKNOWN: u64 = INF - 1;
+
+/// The memoized potential of `v`: `eval` runs once per vertex and search.
+fn potential(memo: &mut Labels<u64>, v: u32, eval: impl FnOnce(u32) -> u64) -> u64 {
+    match memo[v as usize] {
+        UNKNOWN => {
+            let p = eval(v);
+            memo.set(v, p);
+            p
+        }
+        p => p,
+    }
+}
+
+/// The working memory of every accelerated query, leased at its entry:
+/// two search directions and two potentials, of which a search uses what
+/// it needs.
+#[derive(Debug)]
+struct Scratch<K> {
+    sides: [Side<K>; 2],
+    potentials: [Labels<u64>; 2],
+}
+
+impl<K: Ord> Default for Scratch<K> {
+    fn default() -> Scratch<K> {
+        let side =
+            || Side { dist: Labels::new(INF), done: Labels::new(false), heap: BinaryHeap::new() };
+        Scratch {
+            sides: [side(), side()],
+            potentials: [Labels::new(UNKNOWN), Labels::new(UNKNOWN)],
+        }
+    }
+}
+
+impl<K: Ord> Arena for Scratch<K> {
+    fn clear(&mut self) {
+        self.sides.iter_mut().for_each(Side::clear);
+        self.potentials.iter_mut().for_each(Labels::clear);
+    }
+}
+
+/// The idle scratches of the CH searches and multi-target ALT.
+static SCRATCH: Spares<Scratch<u64>> = Spares::new();
+/// The idle scratches of point-to-point ALT, whose keys may be negative.
+static ALT_SCRATCH: Spares<Scratch<i128>> = Spares::new();
 
 /// The pair result of an exact distance ([`INF`] = unreachable): a cost, no
 /// path.

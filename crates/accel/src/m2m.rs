@@ -38,17 +38,16 @@
 //!
 //! Both drivers fan out through [`Budget::fan_out`] — bucket construction
 //! over targets, forward scans and multi-target searches over sources —
-//! with per-worker scratch and results merged in input order, so the matrix
-//! is bit-identical at every thread count. The deadline is polled between
-//! per-vertex searches (the "bucket phases"), like every other search; an
-//! expired one is [`GraphError::DeadlineExceeded`].
+//! each worker on one leased scratch, results merged in input order, so
+//! the matrix is bit-identical at every thread count. The deadline is
+//! polled between per-vertex searches (the "bucket phases"), like every
+//! other search; an expired one is [`GraphError::DeadlineExceeded`].
 
-use crate::ch::{ContractionHierarchy, UpGraph};
+use crate::ch::ContractionHierarchy;
 use crate::landmarks::Landmarks;
-use crate::{answer, INF};
+use crate::{answer, potential, Scratch, Side, INF, SCRATCH};
 use gsql_graph::{check_vertices, Budget, Csr, GraphError, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -73,80 +72,6 @@ impl M2mResult {
     }
 }
 
-/// Reusable scratch for one upward search: touched-list clearing keeps a
-/// run `O(cone size)` instead of `O(n)`.
-struct UpwardScratch {
-    dist: Vec<u64>,
-    done: Vec<bool>,
-    touched: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-impl UpwardScratch {
-    fn new(n: usize) -> UpwardScratch {
-        UpwardScratch {
-            dist: vec![u64::MAX; n],
-            done: vec![false; n],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Exhaustive upward Dijkstra from `root` over `graph`, with
-    /// stall-on-demand against `stall_graph` (the opposite direction's
-    /// upward edges). Calls `emit(v, d)` for every settled, unstalled
-    /// vertex — exactly the set whose labels can be the apex of a shortest
-    /// up-down path. Returns the settled vertex count.
-    fn run(
-        &mut self,
-        graph: &UpGraph,
-        stall_graph: &UpGraph,
-        root: u32,
-        mut emit: impl FnMut(u32, u64),
-    ) -> usize {
-        for &v in &self.touched {
-            self.dist[v as usize] = u64::MAX;
-            self.done[v as usize] = false;
-        }
-        self.touched.clear();
-        self.heap.clear();
-        self.dist[root as usize] = 0;
-        self.touched.push(root);
-        self.heap.push(Reverse((0, root)));
-        let mut settled = 0usize;
-        while let Some(Reverse((du, u))) = self.heap.pop() {
-            let ui = u as usize;
-            if self.done[ui] {
-                continue; // stale entry
-            }
-            self.done[ui] = true;
-            settled += 1;
-            // Stall-on-demand: a strictly better label through a
-            // higher-ranked neighbour proves this one useless as an apex.
-            let stalled = stall_graph.neighbors(u).any(|(w, wt)| {
-                let dw = self.dist[w as usize];
-                dw != u64::MAX && dw.saturating_add(wt) < du
-            });
-            if stalled {
-                continue;
-            }
-            emit(u, du);
-            for (v, wt) in graph.neighbors(u) {
-                let vi = v as usize;
-                let nd = du.saturating_add(wt);
-                if nd < self.dist[vi] {
-                    if self.dist[vi] == u64::MAX {
-                        self.touched.push(v);
-                    }
-                    self.dist[vi] = nd;
-                    self.heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        settled
-    }
-}
-
 /// The full `sources × targets` distance matrix over a contraction
 /// hierarchy, via target buckets: `|targets|` backward and `|sources|`
 /// forward upward searches, both phases fanned out over a pool of
@@ -166,52 +91,65 @@ pub fn ch_many_to_many(
     }
     debug_assert!(sources.iter().chain(targets).all(|&v| (v as usize) < n));
     let budget = Budget { threads, deadline, observer: None };
-    let scratch = || UpwardScratch::new(n);
-
-    // Bucket phase: each backward search collects its deposits locally;
-    // the merge runs sequentially in target order, so bucket contents are
-    // independent of the thread count (and the min-fold below is
-    // order-independent anyway).
-    let per_target: Vec<(Vec<(u32, u64)>, usize)> =
-        budget.fan_out(targets.len(), scratch, |scratch, ti| {
-            let mut deposits = Vec::new();
-            let settled = scratch.run(&ch.bwd_up, &ch.fwd_up, targets[ti], |v, d| {
-                deposits.push((v, d));
-            });
-            (deposits, settled)
-        })?;
-    let mut settled: usize = per_target.iter().map(|(_, s)| s).sum();
-    let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-    let mut bucket_entries = 0usize;
-    for (ti, (deposits, _)) in per_target.iter().enumerate() {
-        bucket_entries += deposits.len();
-        for &(v, d) in deposits {
-            buckets[v as usize].push((ti as u32, d));
-        }
-    }
-
-    // Scan phase: one forward upward search per source, reading the
-    // (now immutable) buckets at every unstalled settled vertex.
-    let num_targets = targets.len();
-    let rows: Vec<(Vec<u64>, usize)> = budget.fan_out(sources.len(), scratch, |scratch, si| {
-        let mut row = vec![INF; num_targets];
-        let settled = scratch.run(&ch.fwd_up, &ch.bwd_up, sources[si], |v, d| {
-            for &(ti, bd) in &buckets[v as usize] {
-                let total = d.saturating_add(bd);
-                let best = &mut row[ti as usize];
-                if total < *best {
-                    *best = total;
+    // Exhaustive upward search from `root`: `emit(v, d)` at every settled,
+    // unstalled vertex (the possible apexes). Returns the settled count.
+    let upward =
+        |scratch: &mut Scratch<u64>, graph, stall_graph, root, emit: &mut dyn FnMut(u32, u64)| {
+            let side = &mut scratch.sides[0];
+            side.start(n, root, 0);
+            while !side.heap.is_empty() {
+                if let Some((v, d, false)) = side.upward_step(graph, stall_graph) {
+                    emit(v, d);
                 }
             }
-        });
-        (row, settled)
-    })?;
+            side.done.labelled()
+        };
+
+    // Bucket phase: each backward search collects its deposits locally;
+    // the merge sorts them by (vertex, target index), so bucket contents
+    // are independent of the thread count (and the min-fold below is
+    // order-independent anyway).
+    let per_target: Vec<(Vec<(u32, u64)>, usize)> = budget.fan_out(
+        targets.len(),
+        || SCRATCH.lease(),
+        |scratch, ti| {
+            let mut deposits = Vec::new();
+            let settled = upward(scratch, &ch.bwd_up, &ch.fwd_up, targets[ti], &mut |v, d| {
+                deposits.push((v, d))
+            });
+            (deposits, settled)
+        },
+    )?;
+    let mut settled: usize = per_target.iter().map(|(_, s)| s).sum();
+    let mut buckets: Vec<(u32, u32, u64)> = (per_target.iter().enumerate())
+        .flat_map(|(ti, (deposits, _))| deposits.iter().map(move |&(v, d)| (v, ti as u32, d)))
+        .collect();
+    buckets.sort_unstable();
+
+    // Scan phase: one forward upward search per source, reading the
+    // (now immutable) bucket of every unstalled settled vertex.
+    let num_targets = targets.len();
+    let rows: Vec<(Vec<u64>, usize)> = budget.fan_out(
+        sources.len(),
+        || SCRATCH.lease(),
+        |scratch, si| {
+            let mut row = vec![INF; num_targets];
+            let settled = upward(scratch, &ch.fwd_up, &ch.bwd_up, sources[si], &mut |v, d| {
+                let first = buckets.partition_point(|&(b, _, _)| b < v);
+                for &(_, ti, bd) in buckets[first..].iter().take_while(|&&(b, _, _)| b == v) {
+                    let best = &mut row[ti as usize];
+                    *best = (*best).min(d.saturating_add(bd));
+                }
+            });
+            (row, settled)
+        },
+    )?;
     let mut dist = Vec::with_capacity(sources.len() * num_targets);
     for (row, s) in rows {
         settled += s;
         dist.extend_from_slice(&row);
     }
-    Ok(M2mResult { dist, settled, bucket_entries })
+    Ok(M2mResult { dist, settled, bucket_entries: buckets.len() })
 }
 
 /// [`ch_many_to_many`] as a [`Search`]: the matrix of the batch's distinct
@@ -328,47 +266,31 @@ pub fn alt_multi_target(
 ) -> (Vec<u64>, usize) {
     let n = forward.num_vertices() as usize;
     let bounds = MultiTargetBounds::new(landmarks, targets);
-    if bounds.potential(landmarks, source) == INF {
+    let mut scratch = SCRATCH.lease();
+    let Scratch { sides: [side, _], potentials: [pi, _] } = &mut *scratch;
+    pi.fit(n);
+    let mut bound = |v: u32| potential(pi, v, |v| bounds.potential(landmarks, v));
+    let source_potential = bound(source);
+    if source_potential == INF {
         // A landmark proves the source disconnected from every target.
         return (vec![INF; targets.len()], 0);
     }
-    // Memoized potential: 0 = unknown is safe to collide with a real 0.
-    let mut pi = vec![u64::MAX; n];
-    let mut pi_known = vec![false; n];
-    let mut potential = |v: u32| -> u64 {
-        let vi = v as usize;
-        if !pi_known[vi] {
-            pi[vi] = bounds.potential(landmarks, v);
-            pi_known[vi] = true;
-        }
-        pi[vi]
-    };
+    let mut pending = targets.to_vec();
+    pending.sort_unstable();
+    pending.dedup();
+    let mut remaining = pending.len();
 
-    let mut is_target = vec![false; n];
-    let mut remaining = 0usize;
-    for &t in targets {
-        if !is_target[t as usize] {
-            is_target[t as usize] = true;
-            remaining += 1;
-        }
-    }
-
-    let mut dist = vec![u64::MAX; n];
-    let mut done = vec![false; n];
-    dist[source as usize] = 0;
     // Keys are d(v) + π(v); π never exceeds any real target distance, so
     // saturating adds cannot disturb finite answers.
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    heap.push(Reverse((potential(source), source)));
-    let mut settled = 0usize;
+    side.start(n, source, source_potential);
+    let Side { dist, done, heap } = side;
     while let Some(Reverse((_, u))) = heap.pop() {
         let ui = u as usize;
         if done[ui] {
             continue; // stale entry
         }
-        done[ui] = true;
-        settled += 1;
-        if is_target[ui] {
+        done.set(u, true);
+        if pending.binary_search(&u).is_ok() {
             remaining -= 1;
             if remaining == 0 {
                 break; // every distinct target has its exact distance
@@ -385,19 +307,16 @@ pub fn alt_multi_target(
             if nd >= dist[vi] {
                 continue;
             }
-            let p = potential(v);
+            let p = bound(v);
             if p == INF {
                 continue; // provably reaches no target: on no useful path
             }
-            dist[vi] = nd;
+            dist.set(v, nd);
             heap.push(Reverse((nd.saturating_add(p), v)));
         }
     }
-    let dist = targets
-        .iter()
-        .map(|&t| if done[t as usize] { dist[t as usize] } else { u64::MAX })
-        .collect();
-    (dist, settled)
+    let dist = targets.iter().map(|&t| if done[t as usize] { dist[t as usize] } else { INF });
+    (dist.collect(), done.labelled())
 }
 
 /// [`alt_multi_target`] as a [`Search`]: one multi-target search per

@@ -6,10 +6,14 @@
 //! and irregular batches with repeated sources and duplicate targets
 //! included — and must be bit-identical at `threads = 1` and `threads = 4`.
 //! On a road-like grid the CH matrix must also settle at least three times
-//! fewer vertices than per-source Dijkstra. Uses the workspace's offline
-//! `rand` shim, so it runs by default.
+//! fewer vertices than per-source Dijkstra. Last, every accelerated search
+//! kind must answer on pooled arenas exactly as on fresh ones. Uses the
+//! workspace's offline `rand` shim, so it runs by default.
 
-use gsql_accel::{ch_many_to_many, AltMulti, ChM2m, ContractionHierarchy, Landmarks, INF};
+use gsql_accel::{
+    alt_bidirectional, ch_many_to_many, ch_query, AltMulti, AltPoint, ChM2m, ChPoint,
+    ContractionHierarchy, Landmarks, INF,
+};
 use gsql_graph::{
     bfs, dijkstra_int, dijkstra_int_into, reverse_csr, Budget, Csr, DijkstraIntScratch, Search,
     TraversalKind, TraversalObserver,
@@ -282,4 +286,67 @@ fn ch_matrix_settles_3x_fewer_vertices_than_per_source_dijkstra_on_a_grid() {
         3 * settled <= plain_settled,
         "CH many-to-many settled {settled}, per-source Dijkstra {plain_settled}"
     );
+}
+
+/// Every accelerated search kind over one case at `threads` workers — the
+/// four [`Search`] impls over the batch, then the frozen `ch_query` and
+/// `alt_bidirectional` per pair — as (distances, settled) per kind, every
+/// distance checked against fresh-arena Dijkstra.
+fn every_accelerated_kind_once(case: &Case, threads: usize) -> Vec<(Vec<u64>, usize)> {
+    let graph = &case.graph;
+    let rev = reverse_csr(graph);
+    let (wf, wb) = (slot_weights(graph, &case.raw), slot_weights(&rev, &case.raw));
+    let ch = ContractionHierarchy::build(graph, Some(&wf), threads);
+    let lm = Landmarks::build(graph, &rev, Some((&wf, &wb)), 4, threads);
+    let mut rng = StdRng::seed_from_u64(u64::from(graph.num_vertices()));
+    let (sources, targets) = (
+        random_side(&mut rng, graph.num_vertices(), 12),
+        random_side(&mut rng, graph.num_vertices(), 12),
+    );
+    let pairs = cross(&sources, &targets);
+    let truth = truth_matrix(graph, Some(&wf), &sources, &targets);
+    let alt =
+        AltPoint { forward: graph, backward: &rev, weights: Some((&wf, &wb)), landmarks: &lm };
+    let multi = AltMulti { forward: graph, weights: Some(&wf), landmarks: &lm };
+    let searches: [&dyn Search; 4] = [&alt, &ChPoint(&ch), &multi, &ChM2m(&ch)];
+    let mut kinds: Vec<(Vec<u64>, usize)> =
+        searches.iter().map(|s| run(*s, &pairs, threads)).collect();
+    let frozen = |query: &dyn Fn(u32, u32) -> (Option<u64>, usize)| {
+        let answers: Vec<(Option<u64>, usize)> = pairs.iter().map(|&(s, d)| query(s, d)).collect();
+        (answers.iter().map(|a| a.0.unwrap_or(INF)).collect(), answers.iter().map(|a| a.1).sum())
+    };
+    kinds.push(frozen(&|s, d| {
+        let r = ch_query(&ch, s, d);
+        (r.dist, r.settled)
+    }));
+    kinds.push(frozen(&|s, d| {
+        let r = alt_bidirectional(graph, &rev, Some((&wf, &wb)), &lm, s, d);
+        (r.dist, r.settled)
+    }));
+    for (kind, (dist, _)) in kinds.iter().enumerate() {
+        assert_eq!(dist, &truth, "kind {kind} threads {threads}");
+    }
+    kinds
+}
+
+/// Every search leases its labels from a pool the whole process shares, so
+/// the arena a search gets may have served a larger or a smaller graph. A
+/// large seeded graph, then a small one, then the large one again, on one
+/// calling thread at one worker and at four: each pass equals fresh-arena
+/// Dijkstra, and the third repeats the first's settled counts exactly.
+#[test]
+fn pooled_arenas_answer_like_fresh_ones_across_graph_sizes() {
+    let case = |seed: u64, n: u32, m: usize| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
+        let dst: Vec<u32> = (0..m).map(|_| rng.gen_range(0..n)).collect();
+        let raw = (0..m).map(|_| rng.gen_range(1..100)).collect();
+        Case { graph: Csr::from_edges(n, &src, &dst).unwrap(), raw }
+    };
+    let (large, small) = (case(50, 1_500, 4_500), case(51, 40, 90));
+    for threads in [1, 4] {
+        let first = every_accelerated_kind_once(&large, threads);
+        every_accelerated_kind_once(&small, threads);
+        assert_eq!(every_accelerated_kind_once(&large, threads), first, "threads {threads}");
+    }
 }

@@ -13,6 +13,7 @@
 //! lets Figure 1b's batched execution amortize the graph-construction cost.
 //! [`BatchComputer`] is its builder-style entry point.
 
+use crate::arena::{Arena, Lease, Spares};
 use crate::bfs::{bfs_into, BfsScratch};
 use crate::csr::Csr;
 use crate::dijkstra::{
@@ -144,7 +145,7 @@ impl PreparedWeights {
 /// answered from one computation — the batch is deduplicated up front and
 /// the shared result cloned back into every input position. Groups spread
 /// across the budget's workers (dynamic stealing — traversal costs are
-/// irregular), each worker reusing one scratch arena per algorithm; results
+/// irregular), each worker leasing one scratch arena per algorithm; results
 /// are always in input-pair order, bit-for-bit identical at every width.
 ///
 /// When `want_path` is false the traversals still run (that is how the
@@ -249,25 +250,36 @@ impl Search for SourceSearch<'_> {
             }
             slot.push(s);
         }
-        let search = |scratch: &mut GroupScratch, source, targets: &[u32]| {
+        let search = |scratch: &mut Lease<GroupScratch>, source, targets: &[u32]| {
             self.search(scratch, source, targets, budget, want_path)
         };
+        let lease = || GROUPS.lease();
         if uniq.len() == pairs.len() {
-            return budget.per_source(pairs, GroupScratch::default, search);
+            return budget.per_source(pairs, lease, search);
         }
-        let uniq_results = budget.per_source(&uniq, GroupScratch::default, search)?;
+        let uniq_results = budget.per_source(&uniq, lease, search)?;
         Ok(slot.into_iter().map(|s| uniq_results[s].clone()).collect())
     }
 }
 
-/// Per-worker traversal scratch: one arena per algorithm family, grown on
-/// first use and reused across every group the worker processes.
+/// Per-worker traversal scratch: one arena per algorithm family.
 #[derive(Debug, Default)]
 struct GroupScratch {
     bfs: BfsScratch,
     int: DijkstraIntScratch,
     float: DijkstraFloatScratch,
 }
+
+impl Arena for GroupScratch {
+    fn clear(&mut self) {
+        self.bfs.clear();
+        self.int.clear();
+        self.float.clear();
+    }
+}
+
+/// The idle group scratches of every [`SourceSearch`] run.
+static GROUPS: Spares<GroupScratch> = Spares::new();
 
 /// The batch entry point over one CSR: a [`SourceSearch`] with its
 /// [`Budget`] configured builder-style (sequential, unobserved and without

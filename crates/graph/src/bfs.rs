@@ -1,7 +1,7 @@
 //! Breadth-first search for unweighted shortest paths.
 
 use crate::csr::Csr;
-use crate::{NO_EDGE, NO_VERTEX};
+use crate::dijkstra::SourceScratch;
 
 /// Result of a (possibly early-terminated) BFS from one source.
 #[derive(Debug, Clone)]
@@ -10,59 +10,15 @@ pub struct BfsResult {
     /// was not reached (either unreachable or cut off by early exit).
     pub dist: Vec<u32>,
     /// `parent_edge[v]` = CSR slot of the edge that discovered `v`, or
-    /// [`NO_EDGE`] for the source / unreached vertices.
+    /// [`NO_EDGE`](crate::NO_EDGE) for the source / unreached vertices.
     pub parent_edge: Vec<u32>,
-    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
+    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`](crate::NO_VERTEX).
     pub parent: Vec<u32>,
 }
 
-/// Reusable BFS working memory: the distance / parent arenas plus the
-/// frontier queue and target set.
-///
-/// A batch run performs one traversal per distinct source; reusing one
-/// scratch per worker turns the per-traversal `O(|V|)` allocations into
-/// `O(|V|)` resets of already-owned memory. After [`bfs_into`] the `dist`,
-/// `parent` and `parent_edge` fields hold the traversal result (same
-/// contract as [`BfsResult`]).
-#[derive(Debug, Default)]
-pub struct BfsScratch {
-    /// `dist[v]` = hops from the source, or `u32::MAX` when unreached.
-    pub dist: Vec<u32>,
-    /// `parent_edge[v]` = CSR slot of the discovering edge, or [`NO_EDGE`].
-    pub parent_edge: Vec<u32>,
-    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
-    pub parent: Vec<u32>,
-    queue: std::collections::VecDeque<u32>,
-    is_target: Vec<bool>,
-    settled_n: usize,
-}
-
-impl BfsScratch {
-    /// Fresh, empty scratch; arenas grow on first use.
-    pub fn new() -> BfsScratch {
-        BfsScratch::default()
-    }
-
-    /// Number of vertices labelled (discovered) by the last run — BFS's
-    /// analogue of Dijkstra's settled count. Maintained incrementally, so
-    /// reading it is O(1).
-    pub fn settled_count(&self) -> usize {
-        self.settled_n
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.settled_n = 0;
-        self.dist.clear();
-        self.dist.resize(n, u32::MAX);
-        self.parent_edge.clear();
-        self.parent_edge.resize(n, NO_EDGE);
-        self.parent.clear();
-        self.parent.resize(n, NO_VERTEX);
-        self.is_target.clear();
-        self.is_target.resize(n, false);
-        self.queue.clear();
-    }
-}
+/// Reusable BFS working memory. A vertex is settled when discovered, so
+/// `settled_count` is the number of vertices the last run labelled.
+pub type BfsScratch = SourceScratch<u32>;
 
 /// Run a BFS from `source`.
 ///
@@ -76,31 +32,19 @@ impl BfsScratch {
 pub fn bfs(graph: &Csr, source: u32, targets: &[u32]) -> BfsResult {
     let mut scratch = BfsScratch::new();
     bfs_into(graph, source, targets, &mut scratch);
-    BfsResult { dist: scratch.dist, parent_edge: scratch.parent_edge, parent: scratch.parent }
+    BfsResult {
+        dist: scratch.dist.into_vec(),
+        parent_edge: scratch.parent_edge.into_vec(),
+        parent: scratch.parent.into_vec(),
+    }
 }
 
-/// [`bfs`] into a caller-owned [`BfsScratch`], avoiding per-traversal
-/// allocations. The result lives in the scratch's public arenas.
+/// [`bfs`] into a caller-owned [`BfsScratch`], which first forgets its last
+/// run in the time that run took. The result lives in the scratch's public
+/// labels.
 pub fn bfs_into(graph: &Csr, source: u32, targets: &[u32], scratch: &mut BfsScratch) {
-    let n = graph.num_vertices() as usize;
-    scratch.reset(n);
-    let BfsScratch { dist, parent_edge, parent, queue, is_target, settled_n } = scratch;
-
-    let mut remaining: usize;
-    if targets.is_empty() {
-        remaining = usize::MAX; // never hits zero: full exploration
-    } else {
-        remaining = 0;
-        for &t in targets.iter() {
-            let slot = &mut is_target[t as usize];
-            if !*slot {
-                *slot = true;
-                remaining += 1;
-            }
-        }
-    }
-
-    dist[source as usize] = 0;
+    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0, targets);
+    let SourceScratch { dist, parent_edge, parent, is_target, queue, settled_n, .. } = scratch;
     *settled_n = 1;
     if is_target[source as usize] {
         remaining -= 1;
@@ -113,15 +57,14 @@ pub fn bfs_into(graph: &Csr, source: u32, targets: &[u32], scratch: &mut BfsScra
     'outer: while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
         for (slot, v) in graph.neighbors(u) {
-            let vi = v as usize;
-            if dist[vi] != u32::MAX {
+            if dist[v as usize] != u32::MAX {
                 continue;
             }
-            dist[vi] = du + 1;
             *settled_n += 1;
-            parent_edge[vi] = slot as u32;
-            parent[vi] = u;
-            if is_target[vi] {
+            dist.set(v, du + 1);
+            parent_edge.set_along(v, slot as u32);
+            parent.set_along(v, u);
+            if is_target[v as usize] {
                 remaining -= 1;
                 if remaining == 0 {
                     break 'outer;
@@ -135,6 +78,7 @@ pub fn bfs_into(graph: &Csr, source: u32, targets: &[u32], scratch: &mut BfsScra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NO_VERTEX;
 
     fn diamond() -> Csr {
         // 0->1, 0->2, 1->3, 2->3, 3->4
@@ -220,9 +164,9 @@ mod tests {
         for source in 0..g.num_vertices() {
             bfs_into(&g, source, &[], &mut scratch);
             let fresh = bfs(&g, source, &[]);
-            assert_eq!(scratch.dist, fresh.dist, "source {source}");
-            assert_eq!(scratch.parent, fresh.parent, "source {source}");
-            assert_eq!(scratch.parent_edge, fresh.parent_edge, "source {source}");
+            assert_eq!(*scratch.dist, fresh.dist, "source {source}");
+            assert_eq!(*scratch.parent, fresh.parent, "source {source}");
+            assert_eq!(*scratch.parent_edge, fresh.parent_edge, "source {source}");
         }
     }
 

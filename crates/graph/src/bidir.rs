@@ -7,8 +7,10 @@
 //! explores `O(b^(d/2))` vertices instead of `O(b^d)`.
 //!
 //! It requires the reverse graph, which [`reverse_csr`] builds once (and
-//! which a graph index can cache alongside the forward CSR).
+//! which a graph index can cache alongside the forward CSR). Its two sides
+//! are leased from a [`Spares`] pool, so a search costs what it labels.
 
+use crate::arena::{Arena, Labels, Spares};
 use crate::batch::{CostValue, PairResult};
 use crate::csr::Csr;
 use crate::search::{check_vertices, Budget, Search};
@@ -57,45 +59,39 @@ pub struct BidirResult {
     pub settled: u32,
 }
 
-/// One direction's working memory. `parent`/`edge` are only ever read for
-/// vertices labelled in the current search, so `dist` is the one arena that
-/// needs resetting — sparsely, through `touched`.
-#[derive(Debug, Default)]
+/// One direction's working memory: its labels and two frontier levels.
+#[derive(Debug)]
 struct Side {
-    dist: Vec<u32>,
-    parent: Vec<u32>,
-    /// ORIGINAL edge rows (not CSR slots: the two sides index different CSRs).
-    edge: Vec<u32>,
+    dist: Labels<u32>,
+    /// `(parent, edge row)`, set along `dist` — ORIGINAL edge rows (not
+    /// CSR slots: the two sides index different CSRs).
+    via: Labels<(u32, u32)>,
     frontier: Vec<u32>,
     next: Vec<u32>,
-    touched: Vec<u32>,
 }
 
-impl Side {
-    /// Forget the previous search (O(vertices it labelled)), fit the arenas
-    /// to `n` vertices and label `root` at distance 0.
-    fn start(&mut self, n: usize, root: u32) {
-        for &v in &self.touched {
-            self.dist[v as usize] = u32::MAX;
-        }
-        self.touched.clear();
-        self.dist.resize(n, u32::MAX);
-        self.parent.resize(n, NO_VERTEX);
-        self.edge.resize(n, NO_EDGE);
-        self.frontier.clear();
-        self.next.clear(); // a search that met mid-level left its partial next level
-        self.frontier.push(root);
-        self.dist[root as usize] = 0;
-        self.touched.push(root);
+impl Default for Side {
+    fn default() -> Side {
+        let (frontier, next) = (Vec::new(), Vec::new());
+        Side { dist: Labels::new(u32::MAX), via: Labels::new((NO_VERTEX, NO_EDGE)), frontier, next }
     }
 }
 
-thread_local! {
-    /// Forward and backward [`Side`]s, kept per thread: a search labels a
-    /// few hundred vertices, so allocating and filling six `n`-sized arrays
-    /// per call would cost more than the search itself.
-    static SCRATCH: std::cell::RefCell<[Side; 2]> = Default::default();
+impl Arena for [Side; 2] {
+    fn clear(&mut self) {
+        for side in self {
+            side.via.clear_along(&side.dist);
+            side.dist.clear();
+            side.frontier.clear();
+            side.next.clear(); // a search that met mid-level left its partial next level
+        }
+    }
 }
+
+/// The idle forward/backward [`Side`] pairs: a search labels a few hundred
+/// vertices, so allocating and filling `n`-sized labels per call would
+/// cost more than the search itself.
+static SIDES: Spares<[Side; 2]> = Spares::new();
 
 /// Bidirectional BFS over a graph and its reversal, as a [`Search`]: one
 /// early-exit search per pair (the pairs fan out over the budget's
@@ -120,10 +116,11 @@ impl Search for BidirBfs<'_> {
         check_vertices(pairs, self.forward.num_vertices())?;
         budget.fan_out(
             pairs.len(),
-            || (),
-            |(), i| {
+            || SIDES.lease(),
+            |sides, i| {
                 let (source, dest) = pairs[i];
-                let (hit, settled) = search(self.forward, self.backward, source, dest, want_path);
+                let (forward, backward) = (self.forward, self.backward);
+                let (hit, settled) = search(sides, forward, backward, source, dest, want_path);
                 budget.traversal(TraversalKind::BidirBfs, settled);
                 hit.map_or(PairResult::UNREACHABLE, |(dist, path)| {
                     PairResult::reached(CostValue::Int(i64::from(dist)), want_path.then_some(path))
@@ -144,7 +141,7 @@ pub fn bidirectional_bfs(
     source: u32,
     dest: u32,
 ) -> Option<BidirResult> {
-    let (hit, settled) = search(forward, backward, source, dest, true);
+    let (hit, settled) = search(&mut SIDES.lease(), forward, backward, source, dest, true);
     hit.map(|(dist, path)| BidirResult { dist, path, settled: settled as u32 })
 }
 
@@ -161,6 +158,7 @@ pub fn bidirectional_bfs(
 /// balls); a vertex labelled `f + 1` from one side that the other side
 /// already holds (at depth ≤ `b`) closes a path of at most that length.
 fn search(
+    sides: &mut [Side; 2],
     forward: &Csr,
     backward: &Csr,
     source: u32,
@@ -171,67 +169,68 @@ fn search(
     if source == dest {
         return (Some((0, Vec::new())), 1);
     }
-    SCRATCH.with(|scratch| {
-        let [fwd, bwd] = &mut *scratch.borrow_mut();
-        let n = forward.num_vertices() as usize;
-        fwd.start(n, source);
-        bwd.start(n, dest);
+    sides.clear();
+    let n = forward.num_vertices() as usize;
+    let [fwd, bwd] = sides;
+    for (side, root) in [(&mut *fwd, source), (&mut *bwd, dest)] {
+        side.dist.fit(n);
+        side.via.fit(n);
+        side.dist.set(root, 0);
+        side.frontier.push(root);
+    }
 
-        let mut meet = None;
-        'search: while !fwd.frontier.is_empty() && !bwd.frontier.is_empty() {
-            // Expand the smaller frontier (classic balancing heuristic).
-            let (graph, mine, other) = if fwd.frontier.len() <= bwd.frontier.len() {
-                (forward, &mut *fwd, &*bwd)
-            } else {
-                (backward, &mut *bwd, &*fwd)
-            };
-            let Side { dist, parent, edge, frontier, next, touched } = mine;
-            for &u in frontier.iter() {
-                let du = dist[u as usize];
-                for (slot, v) in graph.neighbors(u) {
-                    let vi = v as usize;
-                    if dist[vi] != u32::MAX {
-                        continue;
-                    }
-                    dist[vi] = du + 1;
-                    parent[vi] = u;
-                    edge[vi] = graph.edge_row(slot);
-                    touched.push(v);
-                    if other.dist[vi] != u32::MAX {
-                        meet = Some(v);
-                        break 'search;
-                    }
-                    next.push(v);
-                }
-            }
-            std::mem::swap(frontier, next);
-            next.clear();
-        }
-
-        let settled = fwd.touched.len() + bwd.touched.len();
-        let Some(meet) = meet else {
-            return (None, settled);
+    let mut meet = None;
+    'search: while !fwd.frontier.is_empty() && !bwd.frontier.is_empty() {
+        // Expand the smaller frontier (classic balancing heuristic).
+        let (graph, mine, other) = if fwd.frontier.len() <= bwd.frontier.len() {
+            (forward, &mut *fwd, &*bwd)
+        } else {
+            (backward, &mut *bwd, &*fwd)
         };
-        let dist = fwd.dist[meet as usize] + bwd.dist[meet as usize];
-        if !want_path {
-            return (Some((dist, Vec::new())), settled);
+        let Side { dist, via, frontier, next } = mine;
+        for &u in frontier.iter() {
+            let du = dist[u as usize];
+            for (slot, v) in graph.neighbors(u) {
+                let vi = v as usize;
+                if dist[vi] != u32::MAX {
+                    continue;
+                }
+                dist.set(v, du + 1);
+                via.set_along(v, (u, graph.edge_row(slot)));
+                if other.dist[vi] != u32::MAX {
+                    meet = Some(v);
+                    break 'search;
+                }
+                next.push(v);
+            }
         }
-        // Stitch: source ~> meet (forward parents, reversed walk), then
-        // meet ~> dest (backward parents walk forward).
-        let mut path = Vec::with_capacity(dist as usize);
+        std::mem::swap(frontier, next);
+        next.clear();
+    }
+
+    let settled = fwd.dist.labelled() + bwd.dist.labelled();
+    let Some(meet) = meet else {
+        return (None, settled);
+    };
+    let dist = fwd.dist[meet as usize] + bwd.dist[meet as usize];
+    if !want_path {
+        return (Some((dist, Vec::new())), settled);
+    }
+    // Stitch: source ~> meet (forward parents, reversed walk), then
+    // meet ~> dest (backward parents walk forward).
+    let mut path = Vec::with_capacity(dist as usize);
+    for (side, root) in [(&*fwd, source), (&*bwd, dest)] {
         let mut v = meet;
-        while v != source {
-            path.push(fwd.edge[v as usize]);
-            v = fwd.parent[v as usize];
+        while v != root {
+            let (parent, row) = side.via[v as usize];
+            path.push(row);
+            v = parent;
         }
-        path.reverse();
-        let mut v = meet;
-        while v != dest {
-            path.push(bwd.edge[v as usize]);
-            v = bwd.parent[v as usize];
+        if root == source {
+            path.reverse(); // the forward walk runs meet → source
         }
-        (Some((dist, path)), settled)
-    })
+    }
+    (Some((dist, path)), settled)
 }
 
 #[cfg(test)]
@@ -332,8 +331,8 @@ mod tests {
     fn stops_at_the_first_meeting_on_a_dense_graph() {
         // Degree ≈ 16 over 4 000 vertices: a plain BFS labels most of the
         // graph before it finds the destination; two balls that stop the
-        // moment they touch label a small fraction of it. The scratch is
-        // the thread's, shared with every other search of this test.
+        // moment they touch label a small fraction of it. The sides are
+        // leased from the one pool every other search of this test uses.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(2017);
         let n: u32 = 4_000;

@@ -11,13 +11,15 @@
 //!
 //! Weights are supplied **in CSR slot order** (see
 //! [`Csr::permute_weights_int`](crate::csr::Csr::permute_weights_int)), which
-//! also guarantees they were validated to be strictly positive.
+//! also guarantees they were validated to be strictly positive. Both, and
+//! [`bfs_into`](crate::bfs_into), run on one [`SourceScratch`].
 
+use crate::arena::{Arena, Labels};
 use crate::csr::Csr;
 use crate::radix_heap::RadixHeap;
 use crate::{NO_EDGE, NO_VERTEX};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Result of an integer-weight Dijkstra run.
 #[derive(Debug, Clone)]
@@ -30,49 +32,105 @@ pub struct DijkstraIntResult {
     pub parent: Vec<u32>,
 }
 
-/// Reusable working memory for [`dijkstra_int_into`]: distance / parent
-/// arenas plus the settled and target sets. After a run the `dist`,
-/// `parent` and `parent_edge` fields hold the result (same contract as
-/// [`DijkstraIntResult`]).
-#[derive(Debug, Default)]
-pub struct DijkstraIntScratch {
-    /// `dist[v]` = cheapest cost, or `u64::MAX` when unreached.
-    pub dist: Vec<u64>,
-    /// `parent_edge[v]` = CSR slot of the final edge, or [`NO_EDGE`].
-    pub parent_edge: Vec<u32>,
-    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
-    pub parent: Vec<u32>,
-    settled: Vec<bool>,
-    is_target: Vec<bool>,
-    settled_n: usize,
+/// A distance type of a single-source search.
+pub trait Distance: Copy + PartialEq {
+    /// The distance of a vertex the search did not reach.
+    const UNREACHED: Self;
 }
 
-impl DijkstraIntScratch {
-    /// Fresh, empty scratch; arenas grow on first use.
-    pub fn new() -> DijkstraIntScratch {
-        DijkstraIntScratch::default()
+impl Distance for u32 {
+    const UNREACHED: u32 = u32::MAX;
+}
+
+impl Distance for u64 {
+    const UNREACHED: u64 = u64::MAX;
+}
+
+impl Distance for f64 {
+    const UNREACHED: f64 = f64::INFINITY;
+}
+
+/// Reusable working memory of one single-source search — BFS
+/// ([`BfsScratch`](crate::BfsScratch)), integer or float Dijkstra. After a
+/// run the `dist`, `parent` and `parent_edge` labels hold the result (same
+/// contract as [`DijkstraIntResult`]).
+#[derive(Debug)]
+pub struct SourceScratch<D> {
+    /// `dist[v]` = cheapest cost, or [`Distance::UNREACHED`].
+    pub dist: Labels<D>,
+    /// `parent_edge[v]` = CSR slot of the final edge, or [`NO_EDGE`].
+    pub parent_edge: Labels<u32>,
+    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
+    pub parent: Labels<u32>,
+    pub(crate) settled: Labels<bool>,
+    pub(crate) is_target: Labels<bool>,
+    pub(crate) queue: VecDeque<u32>,
+    pub(crate) settled_n: usize,
+}
+
+/// The scratch of the radix-heap Dijkstra over integer weights.
+pub type DijkstraIntScratch = SourceScratch<u64>;
+/// The scratch of the binary-heap Dijkstra over float weights.
+pub type DijkstraFloatScratch = SourceScratch<f64>;
+
+impl<D: Distance> Default for SourceScratch<D> {
+    fn default() -> SourceScratch<D> {
+        SourceScratch {
+            dist: Labels::new(D::UNREACHED),
+            parent_edge: Labels::new(NO_EDGE),
+            parent: Labels::new(NO_VERTEX),
+            settled: Labels::new(false),
+            is_target: Labels::new(false),
+            queue: VecDeque::new(),
+            settled_n: 0,
+        }
+    }
+}
+
+impl<D: Distance> Arena for SourceScratch<D> {
+    fn clear(&mut self) {
+        self.parent_edge.clear_along(&self.dist);
+        self.parent.clear_along(&self.dist);
+        self.dist.clear();
+        self.settled.clear();
+        self.is_target.clear();
+        self.queue.clear();
+    }
+}
+
+impl<D: Distance> SourceScratch<D> {
+    /// Fresh, empty scratch; labels grow on first use.
+    pub fn new() -> SourceScratch<D> {
+        SourceScratch::default()
     }
 
-    /// Number of vertices settled (popped with their final distance) by the
-    /// last run — the work metric goal-directed search tries to shrink.
-    /// Maintained incrementally, so reading it is O(1) (it is recorded per
-    /// traversal by the always-on metrics layer).
+    /// Number of vertices settled (labelled with their final distance) by
+    /// the last run — the work metric goal-directed search tries to shrink.
+    /// O(1) (it is recorded per traversal by the always-on metrics layer).
     pub fn settled_count(&self) -> usize {
         self.settled_n
     }
 
-    fn reset(&mut self, n: usize) {
+    /// Forget the last run (in the time it took), fit `n` vertices, label
+    /// `source` at `zero` and mark the distinct `targets`; returns how many
+    /// there are (`usize::MAX`: no early exit, explore everything).
+    pub(crate) fn start(&mut self, n: usize, source: u32, zero: D, targets: &[u32]) -> usize {
+        self.clear();
         self.settled_n = 0;
-        self.dist.clear();
-        self.dist.resize(n, u64::MAX);
-        self.parent_edge.clear();
-        self.parent_edge.resize(n, NO_EDGE);
-        self.parent.clear();
-        self.parent.resize(n, NO_VERTEX);
-        self.settled.clear();
-        self.settled.resize(n, false);
-        self.is_target.clear();
-        self.is_target.resize(n, false);
+        self.dist.fit(n);
+        self.parent_edge.fit(n);
+        self.parent.fit(n);
+        self.settled.fit(n);
+        self.is_target.fit(n);
+        self.dist.set(source, zero);
+        for &t in targets {
+            self.is_target.set(t, true);
+        }
+        if targets.is_empty() {
+            usize::MAX
+        } else {
+            self.is_target.labelled()
+        }
     }
 }
 
@@ -90,15 +148,15 @@ pub fn dijkstra_int(
     let mut scratch = DijkstraIntScratch::new();
     dijkstra_int_into(graph, source, targets, weights, &mut scratch);
     DijkstraIntResult {
-        dist: scratch.dist,
-        parent_edge: scratch.parent_edge,
-        parent: scratch.parent,
+        dist: scratch.dist.into_vec(),
+        parent_edge: scratch.parent_edge.into_vec(),
+        parent: scratch.parent.into_vec(),
     }
 }
 
-/// [`dijkstra_int`] into a caller-owned scratch, avoiding per-traversal
-/// allocations of the `O(|V|)` arenas. The result lives in the scratch's
-/// public fields.
+/// [`dijkstra_int`] into a caller-owned scratch, which first forgets its
+/// last run in the time that run took. The result lives in the scratch's
+/// public labels.
 pub fn dijkstra_int_into(
     graph: &Csr,
     source: u32,
@@ -106,14 +164,11 @@ pub fn dijkstra_int_into(
     weights: &[i64],
     scratch: &mut DijkstraIntScratch,
 ) {
-    let n = graph.num_vertices() as usize;
     debug_assert_eq!(weights.len(), graph.num_edges());
-    scratch.reset(n);
-    let DijkstraIntScratch { dist, parent_edge, parent, settled, is_target, settled_n } = scratch;
-    let mut remaining = mark_targets(is_target, targets);
+    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0, targets);
+    let SourceScratch { dist, parent_edge, parent, settled, is_target, settled_n, .. } = scratch;
 
     let mut heap: RadixHeap<u32> = RadixHeap::new();
-    dist[source as usize] = 0;
     heap.push(0, source);
 
     while let Some((d, u)) = heap.pop() {
@@ -121,10 +176,10 @@ pub fn dijkstra_int_into(
         if settled[ui] {
             continue; // stale entry
         }
-        settled[ui] = true;
+        settled.set(u, true);
         *settled_n += 1;
         if is_target[ui] {
-            is_target[ui] = false;
+            is_target.set(u, false);
             remaining -= 1;
             if remaining == 0 {
                 break;
@@ -138,9 +193,9 @@ pub fn dijkstra_int_into(
             let w = weights[slot] as u64;
             let nd = d + w;
             if nd < dist[vi] {
-                dist[vi] = nd;
-                parent_edge[vi] = slot as u32;
-                parent[vi] = u;
+                dist.set(v, nd);
+                parent_edge.set_along(v, slot as u32);
+                parent.set_along(v, u);
                 heap.push(nd, v);
             }
         }
@@ -162,52 +217,9 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Reusable working memory for [`dijkstra_float_into`]; the float
-/// counterpart of [`DijkstraIntScratch`]. After a run the `dist`, `parent`
-/// and `parent_edge` fields hold the result.
-#[derive(Debug, Default)]
-pub struct DijkstraFloatScratch {
-    /// `dist[v]` = cheapest cost, or `f64::INFINITY` when unreached.
-    pub dist: Vec<f64>,
-    /// `parent_edge[v]` = CSR slot of the final edge, or [`NO_EDGE`].
-    pub parent_edge: Vec<u32>,
-    /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
-    pub parent: Vec<u32>,
-    settled: Vec<bool>,
-    is_target: Vec<bool>,
-    settled_n: usize,
-}
-
-impl DijkstraFloatScratch {
-    /// Fresh, empty scratch; arenas grow on first use.
-    pub fn new() -> DijkstraFloatScratch {
-        DijkstraFloatScratch::default()
-    }
-
-    /// Number of vertices settled by the last run (see
-    /// [`DijkstraIntScratch::settled_count`]); O(1).
-    pub fn settled_count(&self) -> usize {
-        self.settled_n
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.settled_n = 0;
-        self.dist.clear();
-        self.dist.resize(n, f64::INFINITY);
-        self.parent_edge.clear();
-        self.parent_edge.resize(n, NO_EDGE);
-        self.parent.clear();
-        self.parent.resize(n, NO_VERTEX);
-        self.settled.clear();
-        self.settled.resize(n, false);
-        self.is_target.clear();
-        self.is_target.resize(n, false);
-    }
-}
-
 /// Dijkstra with a binary heap over strictly positive float weights, into a
 /// caller-owned scratch: the same contract as [`dijkstra_int`], the result
-/// in the scratch's public fields (unreached vertices keep
+/// in the scratch's public labels (unreached vertices keep
 /// `f64::INFINITY`).
 pub fn dijkstra_float_into(
     graph: &Csr,
@@ -216,14 +228,11 @@ pub fn dijkstra_float_into(
     weights: &[f64],
     scratch: &mut DijkstraFloatScratch,
 ) {
-    let n = graph.num_vertices() as usize;
     debug_assert_eq!(weights.len(), graph.num_edges());
-    scratch.reset(n);
-    let DijkstraFloatScratch { dist, parent_edge, parent, settled, is_target, settled_n } = scratch;
-    let mut remaining = mark_targets(is_target, targets);
+    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0.0, targets);
+    let SourceScratch { dist, parent_edge, parent, settled, is_target, settled_n, .. } = scratch;
 
     let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-    dist[source as usize] = 0.0;
     heap.push(Reverse((OrdF64(0.0), source)));
 
     while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
@@ -231,10 +240,10 @@ pub fn dijkstra_float_into(
         if settled[ui] {
             continue;
         }
-        settled[ui] = true;
+        settled.set(u, true);
         *settled_n += 1;
         if is_target[ui] {
-            is_target[ui] = false;
+            is_target.set(u, false);
             remaining -= 1;
             if remaining == 0 {
                 break;
@@ -247,30 +256,13 @@ pub fn dijkstra_float_into(
             }
             let nd = d + weights[slot];
             if nd < dist[vi] {
-                dist[vi] = nd;
-                parent_edge[vi] = slot as u32;
-                parent[vi] = u;
+                dist.set(v, nd);
+                parent_edge.set_along(v, slot as u32);
+                parent.set_along(v, u);
                 heap.push(Reverse((OrdF64(nd), v)));
             }
         }
     }
-}
-
-/// Mark the dedup'd targets in the (pre-cleared) membership vector.
-/// `usize::MAX` encodes "no early exit" (full exploration).
-fn mark_targets(is_target: &mut [bool], targets: &[u32]) -> usize {
-    if targets.is_empty() {
-        return usize::MAX;
-    }
-    let mut remaining = 0;
-    for &t in targets {
-        let slot = &mut is_target[t as usize];
-        if !*slot {
-            *slot = true;
-            remaining += 1;
-        }
-    }
-    remaining
 }
 
 #[cfg(test)]
@@ -388,12 +380,12 @@ mod tests {
         for source in 0..g.num_vertices() {
             dijkstra_int_into(&g, source, &[], &wi, &mut si);
             let fresh = dijkstra_int(&g, source, &[], &wi);
-            assert_eq!(si.dist, fresh.dist, "int source {source}");
-            assert_eq!(si.parent, fresh.parent, "int source {source}");
+            assert_eq!(*si.dist, fresh.dist, "int source {source}");
+            assert_eq!(*si.parent, fresh.parent, "int source {source}");
             dijkstra_float_into(&g, source, &[], &wf, &mut sf);
             let freshf = dijkstra_float(&g, source, &[], &wf);
-            assert_eq!(sf.dist, freshf.dist, "float source {source}");
-            assert_eq!(sf.parent, freshf.parent, "float source {source}");
+            assert_eq!(*sf.dist, *freshf.dist, "float source {source}");
+            assert_eq!(*sf.parent, *freshf.parent, "float source {source}");
         }
     }
 

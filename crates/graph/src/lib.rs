@@ -32,12 +32,14 @@
 //!   to [`SourceSearch`].
 //!
 //! The runtime is **source-parallel**: distinct-source groups spread across
-//! a scoped worker pool (gsql-parallel) with per-worker scratch arenas, and
-//! the weight gather chunks over CSR slots. Every parallel path produces
+//! a scoped worker pool (gsql-parallel), and the weight gather chunks over
+//! CSR slots. Every search keeps its per-vertex state in [`Labels`] leased
+//! from a [`Spares`] pool ([`arena`]). Every parallel path produces
 //! output bit-for-bit identical to its sequential form, and one thread
 //! restores the sequential code exactly. CSR construction and reversal are
 //! one sequential counting sort each.
 
+pub mod arena;
 pub mod batch;
 pub mod bfs;
 pub mod bidir;
@@ -48,13 +50,14 @@ pub mod path;
 pub mod radix_heap;
 pub mod search;
 
+pub use arena::{Arena, Labels, Lease, Spares};
 pub use batch::{BatchComputer, CostValue, PairResult, PreparedWeights, SourceSearch, WeightSpec};
 pub use bfs::{bfs, bfs_into, BfsResult, BfsScratch};
 pub use bidir::{bidirectional_bfs, reverse_csr, BidirBfs, BidirResult};
 pub use csr::Csr;
 pub use dijkstra::{
     dijkstra_float_into, dijkstra_int, dijkstra_int_into, DijkstraFloatScratch, DijkstraIntResult,
-    DijkstraIntScratch,
+    DijkstraIntScratch, Distance, SourceScratch,
 };
 pub use error::GraphError;
 pub use path::reconstruct_path;

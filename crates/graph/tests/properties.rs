@@ -4,15 +4,20 @@
 //! a small dense vertex domain, parallel edges and self-loops included)
 //! with random positive weights from a fixed seed, then checks an invariant
 //! the paper's runtime relies on. The last property checks every
-//! `gsql-graph` [`Search`] impl against Bellman–Ford. Uses the workspace's
-//! offline `rand` shim, so it runs in the default test suite.
+//! `gsql-graph` [`Search`] impl against Bellman–Ford, and one large seeded
+//! graph checks that searches on pooled arenas answer like fresh ones.
+//! Uses the workspace's offline `rand` shim, so it runs in the default test
+//! suite.
 
 use gsql_graph::{
-    bfs, dijkstra_float_into, dijkstra_int, reverse_csr, BatchComputer, BidirBfs, Budget,
-    CostValue, Csr, DijkstraFloatScratch, PairResult, PreparedWeights, RadixHeap, Search,
-    SourceSearch, WeightSpec,
+    bfs, bfs_into, dijkstra_float_into, dijkstra_int, dijkstra_int_into, reconstruct_path,
+    reverse_csr, BatchComputer, BfsScratch, BidirBfs, Budget, CostValue, Csr, DijkstraFloatScratch,
+    DijkstraIntScratch, PairResult, PreparedWeights, RadixHeap, Search, SourceSearch,
+    TraversalKind, TraversalObserver, WeightSpec,
 };
 use rand::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Graphs per property.
 const CASES: u64 = 200;
@@ -303,4 +308,132 @@ fn every_search_matches_bellman_ford() {
             }
         }
     });
+}
+
+/// Settled totals per [`TraversalKind`], as the searches report them.
+#[derive(Default)]
+struct SettledByKind([AtomicUsize; 7]);
+
+impl TraversalObserver for SettledByKind {
+    fn traversal(&self, kind: TraversalKind, settled: usize) {
+        self.0[kind as usize].fetch_add(settled, Ordering::Relaxed);
+    }
+}
+
+/// What one pass of every search kind over a graph produced: each answer
+/// (cost and path) in order, and the settled totals per kind.
+type Pass = (Vec<(Option<CostValue>, Option<Vec<u32>>)>, Vec<usize>);
+
+/// Every search kind of this crate over `g` at `threads` workers — the
+/// BFS, integer and float Dijkstra and bidirectional BFS [`Search`]es, then
+/// the frozen `bfs` and `dijkstra_int` per pair. Every answer is checked
+/// against fresh-arena Dijkstra and every path against the graph; the BFS
+/// and Dijkstra settled totals against runs on fresh scratches.
+fn every_kind_once(g: &Graph, threads: usize) -> Pass {
+    let csr = g.csr();
+    let rev = reverse_csr(&csr);
+    let raw = g.weights();
+    let wi = csr.permute_weights_int(&raw).unwrap();
+    let raw_float: Vec<f64> = raw.iter().map(|&w| w as f64).collect();
+    let wf = csr.permute_weights_float(&raw_float).unwrap();
+    let int = PreparedWeights::new(&csr, &WeightSpec::Int(raw.clone()), 1).unwrap();
+    let float = PreparedWeights::new(&csr, &WeightSpec::Float(raw_float), 1).unwrap();
+    let pairs = g.pairs(&mut StdRng::seed_from_u64(u64::from(g.n)), 200);
+    let mut targets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(s, d) in &pairs {
+        targets.entry(s).or_default().push(d);
+    }
+    let truth: BTreeMap<u32, [Vec<u64>; 2]> = (targets.keys())
+        .map(|&s| {
+            let hops = bfs(&csr, s, &[]).dist.into_iter();
+            let hops = hops.map(|d| if d == u32::MAX { u64::MAX } else { d.into() }).collect();
+            (s, [hops, dijkstra_int(&csr, s, &[], &wi).dist])
+        })
+        .collect();
+    let observer = SettledByKind::default();
+    let budget = Budget { threads, observer: Some(&observer), ..Budget::default() };
+    let searches: [(&str, &dyn Search, bool); 4] = [
+        ("bfs", &SourceSearch::bfs(&csr), true),
+        ("dijkstra int", &SourceSearch::new(&csr, &int), false),
+        ("dijkstra float", &SourceSearch::new(&csr, &float), false),
+        ("bidir-bfs", &BidirBfs { forward: &csr, backward: &rev }, true),
+    ];
+    let mut answers = Vec::new();
+    let mut check = |name: &str,
+                     hops: bool,
+                     (s, d): (u32, u32),
+                     cost: Option<CostValue>,
+                     path: Option<Vec<u32>>| {
+        let what = format!("{name} threads {threads} pair ({s}, {d})");
+        let want = truth[&s][usize::from(!hops)][d as usize];
+        assert_eq!(cost.map(|c| c.as_f64()), (want != u64::MAX).then_some(want as f64), "{what}");
+        if let (Some(c), Some(path)) = (cost, &path) {
+            assert_path(g, path, (s, d), c.as_f64() as i64, hops, &what);
+        }
+        answers.push((cost, path));
+    };
+    for (name, search, hops) in searches {
+        for (r, &pair) in search.run(&pairs, &budget, true).unwrap().into_iter().zip(&pairs) {
+            check(name, hops, pair, r.cost, r.path);
+        }
+    }
+    for &(s, d) in &pairs {
+        let r = bfs(&csr, s, &[d]);
+        let cost =
+            (r.dist[d as usize] != u32::MAX).then(|| CostValue::Int(r.dist[d as usize].into()));
+        check(
+            "frozen bfs",
+            true,
+            (s, d),
+            cost,
+            reconstruct_path(&csr, &r.parent, &r.parent_edge, s, d),
+        );
+        let r = dijkstra_int(&csr, s, &[d], &wi);
+        let cost =
+            (r.dist[d as usize] != u64::MAX).then(|| CostValue::Int(r.dist[d as usize] as i64));
+        check(
+            "frozen dijkstra",
+            false,
+            (s, d),
+            cost,
+            reconstruct_path(&csr, &r.parent, &r.parent_edge, s, d),
+        );
+    }
+    let settled: Vec<usize> = observer.0.iter().map(|k| k.load(Ordering::Relaxed)).collect();
+    let (mut fresh_bfs, mut fresh_dijkstra) = (0, 0);
+    for (&s, t) in &targets {
+        let mut b = BfsScratch::new();
+        bfs_into(&csr, s, t, &mut b);
+        let mut i = DijkstraIntScratch::new();
+        dijkstra_int_into(&csr, s, t, &wi, &mut i);
+        let mut f = DijkstraFloatScratch::new();
+        dijkstra_float_into(&csr, s, t, &wf, &mut f);
+        fresh_bfs += b.settled_count();
+        fresh_dijkstra += i.settled_count() + f.settled_count();
+    }
+    assert_eq!(settled[TraversalKind::Bfs as usize], fresh_bfs, "bfs threads {threads}");
+    assert_eq!(settled[TraversalKind::Dijkstra as usize], fresh_dijkstra, "threads {threads}");
+    (answers, settled)
+}
+
+/// Every search leases its labels from a pool the whole process shares, so
+/// the arena a search gets may have served a larger or a smaller graph. A
+/// large seeded graph, then a small one, then the large one again, on one
+/// calling thread at one worker and at four: each pass answers like
+/// fresh-arena Dijkstra, and the third repeats the first's answers, paths
+/// and settled counts exactly.
+#[test]
+fn pooled_arenas_answer_like_fresh_ones_across_graph_sizes() {
+    let graph = |seed: u64, n: u32, m: usize| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges =
+            (0..m).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..50)));
+        Graph { n, edges: edges.collect() }
+    };
+    let (large, small) = (graph(40, 2_000, 5_000), graph(41, 40, 90));
+    for threads in [1, 4] {
+        let first = every_kind_once(&large, threads);
+        every_kind_once(&small, threads);
+        assert_eq!(every_kind_once(&large, threads), first, "threads {threads}");
+    }
 }

@@ -95,11 +95,6 @@ pub struct ServerConfig {
     /// `SET name = value` pairs every request's session starts from (e.g.
     /// `("threads", "4")`).
     pub settings: Vec<(String, String)>,
-    /// Data directory for a durable serving tier. The server itself never
-    /// reads this — it serves whatever [`Database`] it is handed — but the
-    /// launcher (`gsql-shell --serve --data-dir <path>`) uses it to decide
-    /// between `Database::open` and an in-memory `Database::new`.
-    pub data_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -110,7 +105,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             default_timeout_ms: None,
             settings: Vec::new(),
-            data_dir: None,
         }
     }
 }

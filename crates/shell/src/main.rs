@@ -156,7 +156,6 @@ fn run_server(args: &[String]) {
     if let Some(v) = flag("--timeout-ms").and_then(|v| v.parse().ok()) {
         config.default_timeout_ms = Some(v);
     }
-    config.data_dir = flag("--data-dir").map(std::path::PathBuf::from);
     let workers = config.workers;
     match serve(Arc::new(db), config) {
         Ok(server) => {
