@@ -130,18 +130,17 @@ pub fn alt_bidirectional(
         let forward_turn = top_f <= top_b;
         let (graph, mine, other) =
             if forward_turn { (forward, &mut *fwd, &*bwd) } else { (backward, &mut *bwd, &*fwd) };
-        let Some(Reverse((_, u))) = mine.heap.pop() else { break };
-        let ui = u as usize;
-        if mine.done[ui] {
+        let Some(Reverse((key, u))) = mine.heap.pop() else { break };
+        let du = mine.dist[u as usize];
+        // The potentials of a labelled vertex are memoized: no evaluation.
+        let p_u = potential(pi_f, u, eval_f) as i128 - potential(pi_b, u, eval_b) as i128;
+        if key > du as i128 + if forward_turn { p_u } else { -p_u } {
             continue; // stale entry
         }
-        mine.done.set(u, true);
-        let du = mine.dist[ui];
+        mine.settled += 1;
+        // The potentials are consistent: a settled label never improves.
         for (slot, v) in graph.neighbors(u) {
             let vi = v as usize;
-            if mine.done[vi] {
-                continue;
-            }
             let w = match weights {
                 None => 1,
                 Some((wf, wb)) => (if forward_turn { wf[slot] } else { wb[slot] }) as u64,
@@ -174,7 +173,7 @@ pub fn alt_bidirectional(
         debug_assert_eq!(mu % 2, 0, "doubled distances are always even");
         Some(mu / 2)
     };
-    AltResult { dist, settled: fwd.done.labelled() + bwd.done.labelled() }
+    AltResult { dist, settled: fwd.settled + bwd.settled }
 }
 
 #[cfg(test)]

@@ -81,21 +81,9 @@ pub(crate) struct UpGraph {
 impl UpGraph {
     /// Flatten per-vertex adjacency (already sorted by target) into CSR.
     fn from_adj(adj: &[Vec<(u32, u64)>]) -> UpGraph {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for list in adj {
-            total += list.len();
-            offsets.push(total);
-        }
-        let mut targets = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        for list in adj {
-            for &(t, w) in list {
-                targets.push(t);
-                weights.push(w);
-            }
-        }
+        let starts = adj.iter().scan(0, |at, list| Some(std::mem::replace(at, *at + list.len())));
+        let offsets = starts.chain([adj.iter().map(Vec::len).sum()]).collect();
+        let (targets, weights) = adj.iter().flatten().copied().unzip();
         UpGraph { offsets, targets, weights }
     }
 
@@ -129,6 +117,9 @@ pub struct ContractionHierarchy {
 }
 
 impl ContractionHierarchy {
+    /// The largest weight total a hierarchy holds: costs are `i64`.
+    pub const MAX_WEIGHT_TOTAL: u64 = i64::MAX as u64;
+
     /// Build a hierarchy over `forward` with per-CSR-slot `weights`
     /// (`None` = unit weights), exactly as [`Csr::permute_weights_int`]
     /// produces them — non-negative; the SQL layer additionally validates
@@ -136,7 +127,7 @@ impl ContractionHierarchy {
     ///
     /// `threads` sizes the worker pool; the result is identical for every
     /// thread count. No deadline: [`ContractionHierarchy::build_within`]
-    /// is the bounded form.
+    /// is the bounded form. Panics on weights above [`Self::MAX_WEIGHT_TOTAL`].
     pub fn build(forward: &Csr, weights: Option<&[i64]>, threads: usize) -> ContractionHierarchy {
         let budget = Budget { threads, ..Budget::default() };
         Self::build_within(forward, weights, &budget).expect("no deadline was set")
@@ -144,7 +135,8 @@ impl ContractionHierarchy {
 
     /// [`ContractionHierarchy::build`] on `budget`'s workers, polling its
     /// deadline once per contraction round: a build that outlives it fails
-    /// with [`GraphError::DeadlineExceeded`] and returns nothing.
+    /// with [`GraphError::DeadlineExceeded`] and returns nothing; weights
+    /// above [`Self::MAX_WEIGHT_TOTAL`] with [`GraphError::WeightTotalTooLarge`].
     pub fn build_within(
         forward: &Csr,
         weights: Option<&[i64]>,
@@ -153,6 +145,7 @@ impl ContractionHierarchy {
         let n = forward.num_vertices() as usize;
         let pool = Pool::new(budget.threads);
         let spares = Spares::new();
+        crate::check_total(weights, Self::MAX_WEIGHT_TOTAL)?;
         budget.poll()?;
         let mut overlay = Overlay::new(forward, weights);
         let mut deleted_neighbors: Vec<u32> = vec![0; n];

@@ -94,25 +94,26 @@ pub fn ch_query(ch: &ContractionHierarchy, source: u32, dest: u32) -> ChResult {
         // bound that ends exact (an unlabelled one saturates to INF).
         mu = mu.min(du.saturating_add(other.dist[u as usize]));
     }
-    let settled = fwd.done.labelled() + bwd.done.labelled();
+    let settled = fwd.settled + bwd.settled;
     ChResult { dist: (mu != INF).then_some(mu), settled }
 }
 
 impl Side<u64> {
     /// Pop the cheapest queued vertex `u` (`None`: a stale entry), settle
     /// it at `du` and, unless a labelled neighbour in `stall_graph`
-    /// strictly beats `du` (stall-on-demand), relax its edges in `graph`.
-    /// Returns `(u, du, stalled)`.
+    /// strictly beats `du` (stall-on-demand), relax its edges in `graph`
+    /// (a settled vertex's label never improves). Returns
+    /// `(u, du, stalled)`.
     pub(crate) fn upward_step(
         &mut self,
         graph: &UpGraph,
         stall_graph: &UpGraph,
     ) -> Option<(u32, u64, bool)> {
         let Reverse((du, u)) = self.heap.pop()?;
-        if self.done[u as usize] {
+        if du > self.dist[u as usize] {
             return None; // stale entry
         }
-        self.done.set(u, true);
+        self.settled += 1;
         // An unlabelled neighbour saturates to INF, which beats nothing.
         let stalled =
             stall_graph.neighbors(u).any(|(w, wt)| self.dist[w as usize].saturating_add(wt) < du);

@@ -34,6 +34,9 @@ pub struct Landmarks {
 }
 
 impl Landmarks {
+    /// The largest weight total: ALT adds two doubled distances below [`INF`].
+    pub const MAX_WEIGHT_TOTAL: u64 = INF / 4;
+
     /// Build an index of (up to) `k` landmarks over `forward` and its
     /// reversal `backward`.
     ///
@@ -43,7 +46,8 @@ impl Landmarks {
     /// strictly positive. The `2k` exact distance vectors are independent
     /// traversals and fan out over a pool of `threads` workers; the result
     /// is identical for every thread count. No deadline:
-    /// [`Landmarks::build_within`] is the bounded form.
+    /// [`Landmarks::build_within`] is the bounded form. Panics on weights
+    /// above [`Self::MAX_WEIGHT_TOTAL`].
     pub fn build(
         forward: &Csr,
         backward: &Csr,
@@ -57,7 +61,8 @@ impl Landmarks {
 
     /// [`Landmarks::build`] on `budget`'s workers, polling its deadline
     /// once per distance vector: a build that outlives it fails with
-    /// [`GraphError::DeadlineExceeded`] and returns nothing.
+    /// [`GraphError::DeadlineExceeded`] and returns nothing; weights above
+    /// [`Self::MAX_WEIGHT_TOTAL`] with [`GraphError::WeightTotalTooLarge`].
     pub fn build_within(
         forward: &Csr,
         backward: &Csr,
@@ -67,6 +72,7 @@ impl Landmarks {
     ) -> Result<Landmarks, GraphError> {
         let n = forward.num_vertices();
         debug_assert_eq!(backward.num_vertices(), n);
+        crate::check_total(weights.map(|(f, _)| f), Self::MAX_WEIGHT_TOTAL)?;
         budget.poll()?;
         let landmarks = select_landmarks(forward, k.min(n as usize));
         // One traversal per (landmark, direction): 2k independent tasks.

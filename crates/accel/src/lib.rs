@@ -51,13 +51,21 @@ pub use ch_query::{ch_query, ChPoint, ChResult};
 pub use landmarks::Landmarks;
 pub use m2m::{alt_multi_target, ch_many_to_many, AltMulti, ChM2m, M2mResult};
 
-use gsql_graph::{Arena, Budget, CostValue, Labels, PairResult, Spares, TraversalKind};
+use gsql_graph::{Arena, Budget, CostValue, GraphError, Labels, PairResult, Spares, TraversalKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Sentinel distance meaning "unreachable" (matches the graph runtime's
 /// Dijkstra contract).
 pub const INF: u64 = u64::MAX;
+
+/// Refuse slot `weights` totalling above `limit`, what a layer's arithmetic
+/// holds: a label of its searches is a simple path's cost, at most the total.
+fn check_total(weights: Option<&[i64]>, limit: u64) -> Result<(), GraphError> {
+    let total = weights.unwrap_or_default().iter().map(|&w| w as u128).sum();
+    let fits = total <= u128::from(limit);
+    fits.then_some(()).ok_or(GraphError::WeightTotalTooLarge { total, limit })
+}
 
 /// One point query per pair over `budget`'s workers — `query` returns the
 /// exact cost (`None`: unreachable) and the vertices it settled — each
@@ -82,21 +90,23 @@ fn point_queries(
     Ok(results)
 }
 
-/// One direction of a label-setting search: tentative distances, the
-/// settled set and the queue, keyed by `K`.
+/// One direction of a label-setting search: tentative distances, the queue
+/// keyed by `K`, and how many vertices it settled. A vertex is queued only
+/// when its label strictly improves, so a popped entry is stale exactly when
+/// its key is above its label's: the one pop that is not settles it.
 #[derive(Debug)]
 struct Side<K> {
     dist: Labels<u64>,
-    done: Labels<bool>,
     heap: BinaryHeap<Reverse<(K, u32)>>,
+    settled: usize,
 }
 
 impl<K: Ord> Side<K> {
     /// Forget the last search, in the time it took.
     fn clear(&mut self) {
         self.dist.clear();
-        self.done.clear();
         self.heap.clear();
+        self.settled = 0;
     }
 
     /// Forget the last search, cover `n` vertices and queue `root` at
@@ -104,7 +114,6 @@ impl<K: Ord> Side<K> {
     fn start(&mut self, n: usize, root: u32, key: K) {
         self.clear();
         self.dist.fit(n);
-        self.done.fit(n);
         self.dist.set(root, 0);
         self.heap.push(Reverse((key, root)));
     }
@@ -126,8 +135,8 @@ fn potential(memo: &mut Labels<u64>, v: u32, eval: impl FnOnce(u32) -> u64) -> u
 }
 
 /// The working memory of every accelerated query, leased at its entry:
-/// two search directions and two potentials, of which a search uses what
-/// it needs.
+/// two search directions (labels, queue and settled count each) and two
+/// potentials, of which a search uses what it needs.
 #[derive(Debug)]
 struct Scratch<K> {
     sides: [Side<K>; 2],
@@ -136,8 +145,7 @@ struct Scratch<K> {
 
 impl<K: Ord> Default for Scratch<K> {
     fn default() -> Scratch<K> {
-        let side =
-            || Side { dist: Labels::new(INF), done: Labels::new(false), heap: BinaryHeap::new() };
+        let side = || Side { dist: Labels::new(INF), heap: BinaryHeap::new(), settled: 0 };
         Scratch {
             sides: [side(), side()],
             potentials: [Labels::new(UNKNOWN), Labels::new(UNKNOWN)],

@@ -102,7 +102,7 @@ pub fn ch_many_to_many(
                     emit(v, d);
                 }
             }
-            side.done.labelled()
+            side.settled
         };
 
     // Bucket phase: each backward search collects its deposits locally;
@@ -283,13 +283,13 @@ pub fn alt_multi_target(
     // Keys are d(v) + π(v); π never exceeds any real target distance, so
     // saturating adds cannot disturb finite answers.
     side.start(n, source, source_potential);
-    let Side { dist, done, heap } = side;
-    while let Some(Reverse((_, u))) = heap.pop() {
+    let Side { dist, heap, settled } = side;
+    while let Some(Reverse((key, u))) = heap.pop() {
         let ui = u as usize;
-        if done[ui] {
+        if key > dist[ui].saturating_add(bound(u)) {
             continue; // stale entry
         }
-        done.set(u, true);
+        *settled += 1;
         if pending.binary_search(&u).is_ok() {
             remaining -= 1;
             if remaining == 0 {
@@ -299,9 +299,6 @@ pub fn alt_multi_target(
         let du = dist[ui];
         for (slot, v) in forward.neighbors(u) {
             let vi = v as usize;
-            if done[vi] {
-                continue;
-            }
             let w = weights.map_or(1, |ws| ws[slot] as u64);
             let nd = du.saturating_add(w);
             if nd >= dist[vi] {
@@ -315,8 +312,9 @@ pub fn alt_multi_target(
             heap.push(Reverse((nd.saturating_add(p), v)));
         }
     }
-    let dist = targets.iter().map(|&t| if done[t as usize] { dist[t as usize] } else { INF });
-    (dist.collect(), done.labelled())
+    // Every distinct target was settled, or the heap ran dry and every
+    // labelled vertex was: a target's label is its answer.
+    (targets.iter().map(|&t| dist[t as usize]).collect(), *settled)
 }
 
 /// [`alt_multi_target`] as a [`Search`]: one multi-target search per
@@ -351,7 +349,7 @@ impl Search for AltMulti<'_> {
                 let (dist, searched) =
                     alt_multi_target(forward, weights, landmarks, source, targets);
                 settled.fetch_add(searched, Ordering::Relaxed);
-                dist.into_iter().map(answer).collect()
+                Ok(dist.into_iter().map(answer).collect())
             },
         )?;
         budget.traversal(TraversalKind::AltMulti, settled.into_inner());

@@ -15,7 +15,7 @@ use gsql_accel::{
     ContractionHierarchy, Landmarks, INF,
 };
 use gsql_graph::{
-    bfs, dijkstra_int, dijkstra_int_into, reverse_csr, Budget, Csr, DijkstraIntScratch, Search,
+    bfs, dijkstra_int, dijkstra_into, reverse_csr, Budget, Csr, Search, SourceScratch,
     TraversalKind, TraversalObserver,
 };
 use rand::prelude::*;
@@ -273,10 +273,10 @@ fn ch_matrix_settles_3x_fewer_vertices_than_per_source_dijkstra_on_a_grid() {
     };
     let (sources, targets) = (distinct(12), distinct(12));
 
-    let mut scratch = DijkstraIntScratch::new();
+    let mut scratch = SourceScratch::<u64>::new();
     let (mut plain_settled, mut truth) = (0, Vec::new());
     for &s in &sources {
-        dijkstra_int_into(&graph, s, &[], &wf, &mut scratch);
+        dijkstra_into(&graph, s, &[], &wf, &mut scratch);
         plain_settled += scratch.settled_count();
         truth.extend(targets.iter().map(|&t| scratch.dist[t as usize]));
     }

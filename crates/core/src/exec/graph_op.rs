@@ -371,7 +371,7 @@ impl SpecResults {
             (None, CostValue::Int(c)) => Value::Int(c),
             (None, CostValue::Float(c)) => Value::Double(c),
             (Some(Value::Int(k)), CostValue::Int(hops)) => {
-                Value::Int(hops.checked_mul(*k).ok_or_else(|| exec_err!("cost overflow"))?)
+                Value::Int(hops.checked_mul(*k).ok_or(Error::Graph(GraphError::CostOverflow))?)
             }
             (Some(Value::Double(k)), CostValue::Int(hops)) => Value::Double(hops as f64 * k),
             (Some(s), c) => {

@@ -1,7 +1,9 @@
 //! The one search arena: per-vertex [`Labels`] that reset in the time a
 //! search took to write them, and the [`Spares`] pool every query-time
 //! search leases its working memory from, so a point query neither
-//! allocates nor clears `O(|V|)` memory once its pool is warm.
+//! allocates nor clears `O(|V|)` memory once its pool is warm. A search
+//! keeps as labels only what it reads back: whether a vertex is settled is
+//! not one of them (a pop is stale when its key is above the label).
 
 use std::ops::Deref;
 use std::sync::Mutex;

@@ -16,9 +16,7 @@
 use crate::arena::{Arena, Lease, Spares};
 use crate::bfs::{bfs_into, BfsScratch};
 use crate::csr::Csr;
-use crate::dijkstra::{
-    dijkstra_float_into, dijkstra_int_into, DijkstraFloatScratch, DijkstraIntScratch,
-};
+use crate::dijkstra::{dijkstra_into, Distance, SourceScratch, Weighted};
 use crate::error::GraphError;
 use crate::path::reconstruct_path;
 use crate::search::{check_vertices, Budget, Search};
@@ -178,51 +176,59 @@ impl<'g> SourceSearch<'g> {
         targets: &[u32],
         budget: &Budget<'_>,
         want_path: bool,
-    ) -> Vec<PairResult> {
-        let answers = |parent: &[u32],
-                       parent_edge: &[u32],
-                       cost: &dyn Fn(usize) -> Option<CostValue>| {
-            let path = |dest| reconstruct_path(self.graph, parent, parent_edge, source, dest);
-            targets
-                .iter()
-                .map(|&dest| match cost(dest as usize) {
-                    None => PairResult::UNREACHABLE,
-                    Some(c) => {
-                        PairResult::reached(c, want_path.then(|| path(dest).expect("reachable")))
-                    }
-                })
-                .collect()
-        };
+    ) -> Result<Vec<PairResult>> {
+        let group = Group { source, targets, budget, want_path };
         match &self.weights.0 {
             Slots::None => {
-                let r = &mut scratch.bfs;
-                bfs_into(self.graph, source, targets, r);
-                budget.traversal(TraversalKind::Bfs, r.settled_count());
-                let d = &r.dist;
-                answers(&r.parent, &r.parent_edge, &|t| {
-                    (d[t] != u32::MAX).then(|| CostValue::Int(i64::from(d[t])))
-                })
+                bfs_into(self.graph, source, targets, &mut scratch.bfs);
+                self.answer(&scratch.bfs, TraversalKind::Bfs, group)
             }
-            Slots::Int(w) => {
-                let r = &mut scratch.int;
-                dijkstra_int_into(self.graph, source, targets, w, r);
-                budget.traversal(TraversalKind::Dijkstra, r.settled_count());
-                let d = &r.dist;
-                answers(&r.parent, &r.parent_edge, &|t| {
-                    (d[t] != u64::MAX).then(|| CostValue::Int(d[t] as i64))
-                })
-            }
-            Slots::Float(w) => {
-                let r = &mut scratch.float;
-                dijkstra_float_into(self.graph, source, targets, w, r);
-                budget.traversal(TraversalKind::Dijkstra, r.settled_count());
-                let d = &r.dist;
-                answers(&r.parent, &r.parent_edge, &|t| {
-                    (!d[t].is_infinite()).then(|| CostValue::Float(d[t]))
-                })
-            }
+            Slots::Int(w) => self.dijkstra(&mut scratch.int, w, group),
+            Slots::Float(w) => self.dijkstra(&mut scratch.float, w, group),
         }
     }
+
+    /// [`Self::search`] by Dijkstra over `weights`.
+    fn dijkstra<D: Weighted>(
+        &self,
+        scratch: &mut SourceScratch<D>,
+        weights: &[D::Weight],
+        group: Group<'_, '_>,
+    ) -> Result<Vec<PairResult>> {
+        dijkstra_into(self.graph, group.source, group.targets, weights, scratch);
+        self.answer(scratch, TraversalKind::Dijkstra, group)
+    }
+
+    /// Report the traversal `scratch` holds as `kind`, then read each
+    /// target's cost (and path) off it.
+    fn answer<D: Distance>(
+        &self,
+        scratch: &SourceScratch<D>,
+        kind: TraversalKind,
+        group: Group<'_, '_>,
+    ) -> Result<Vec<PairResult>> {
+        let Group { source, targets, budget, want_path } = group;
+        budget.traversal(kind, scratch.settled_count());
+        let path = |dest| {
+            reconstruct_path(self.graph, &scratch.parent, &scratch.parent_edge, source, dest)
+                .expect("reachable")
+        };
+        targets
+            .iter()
+            .map(|&dest| match scratch.dist[dest as usize] {
+                d if d == D::UNREACHED => Ok(PairResult::UNREACHABLE),
+                d => Ok(PairResult::reached(d.cost()?, want_path.then(|| path(dest)))),
+            })
+            .collect()
+    }
+}
+
+/// One source group of a [`SourceSearch`] run.
+struct Group<'a, 'b> {
+    source: u32,
+    targets: &'a [u32],
+    budget: &'a Budget<'b>,
+    want_path: bool,
 }
 
 impl Search for SourceSearch<'_> {
@@ -266,8 +272,8 @@ impl Search for SourceSearch<'_> {
 #[derive(Debug, Default)]
 struct GroupScratch {
     bfs: BfsScratch,
-    int: DijkstraIntScratch,
-    float: DijkstraFloatScratch,
+    int: SourceScratch<u64>,
+    float: SourceScratch<f64>,
 }
 
 impl Arena for GroupScratch {

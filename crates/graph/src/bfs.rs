@@ -43,9 +43,9 @@ pub fn bfs(graph: &Csr, source: u32, targets: &[u32]) -> BfsResult {
 /// run in the time that run took. The result lives in the scratch's public
 /// labels.
 pub fn bfs_into(graph: &Csr, source: u32, targets: &[u32], scratch: &mut BfsScratch) {
-    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0, targets);
-    let SourceScratch { dist, parent_edge, parent, is_target, queue, settled_n, .. } = scratch;
-    *settled_n = 1;
+    let mut remaining = scratch.start(graph.num_vertices() as usize, source, targets);
+    let SourceScratch { dist, parent_edge, parent, is_target, queue, settled, .. } = scratch;
+    *settled = 1;
     if is_target[source as usize] {
         remaining -= 1;
         if remaining == 0 {
@@ -60,7 +60,7 @@ pub fn bfs_into(graph: &Csr, source: u32, targets: &[u32], scratch: &mut BfsScra
             if dist[v as usize] != u32::MAX {
                 continue;
             }
-            *settled_n += 1;
+            *settled += 1;
             dist.set(v, du + 1);
             parent_edge.set_along(v, slot as u32);
             parent.set_along(v, u);

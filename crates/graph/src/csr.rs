@@ -12,7 +12,7 @@
 
 use crate::error::GraphError;
 use crate::Result;
-use gsql_parallel::{Pool, SharedSlice};
+use gsql_parallel::Pool;
 
 /// A directed graph in CSR form over dense vertex ids `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,46 +202,25 @@ impl Csr {
                 m
             )));
         }
-        let pool = Pool::new(threads);
-        if pool.is_sequential() || pool.chunks(m).len() <= 1 {
-            let mut out = Vec::with_capacity(m);
-            for &row in &self.edge_rows {
+        // Each chunk gathers its slots and stops at its first offending one;
+        // chunks are inspected in slot order, so the error is exactly the
+        // first a sequential scan would report.
+        let chunks = Pool::new(threads).map_chunks(m, |range| {
+            let mut out = Vec::with_capacity(range.len());
+            for &row in &self.edge_rows[range] {
                 let w = weights[row as usize];
                 if !valid(&w) {
-                    return Err(GraphError::NonPositiveWeight {
-                        edge_row: row,
-                        weight: w.to_string(),
-                    });
+                    let weight = w.to_string();
+                    return Err(GraphError::NonPositiveWeight { edge_row: row, weight });
                 }
                 out.push(w);
             }
-            return Ok(out);
-        }
-        let mut out = vec![weights[0]; m];
-        // Every chunk runs to completion (no fail-fast): chunk results are
-        // inspected in slot order below, so the winning error is exactly
-        // the first offending slot a sequential scan would report.
-        let results: Vec<Result<()>> = {
-            let shared = SharedSlice::new(&mut out);
-            pool.map_chunks(m, |range| {
-                for slot in range {
-                    let row = self.edge_rows[slot];
-                    let w = weights[row as usize];
-                    if !valid(&w) {
-                        return Err(GraphError::NonPositiveWeight {
-                            edge_row: row,
-                            weight: w.to_string(),
-                        });
-                    }
-                    // SAFETY: chunks partition the slot range; each slot is
-                    // written by exactly one chunk.
-                    unsafe { shared.write(slot, w) };
-                }
-                Ok(())
-            })
-        };
-        for r in results {
-            r?;
+            Ok(out)
+        });
+        let mut chunks = chunks.into_iter();
+        let mut out = chunks.next().expect("at least one chunk")?;
+        for chunk in chunks {
+            out.extend(chunk?);
         }
         Ok(out)
     }

@@ -1,30 +1,36 @@
 //! Dijkstra's algorithm for weighted shortest paths.
 //!
-//! Two variants, matching the paper's runtime (§3.2):
+//! One kernel, [`dijkstra_into`], whose [`Weighted`] distance type supplies
+//! the queue and the addition (§3.2):
 //!
-//! * [`dijkstra_int`] — strictly positive **integer** weights, driven by the
-//!   monotone [`RadixHeap`] (Ahuja et al.);
-//! * [`dijkstra_float_into`] — strictly positive **floating-point** weights,
-//!   driven by a standard binary heap (a radix queue requires integer keys,
-//!   which is why the paper's example casts `weight * 2` to `int`; we keep
-//!   a float fallback so arbitrary numeric weight expressions work).
+//! * `u64` — **integer** weights and the monotone [`RadixHeap`] (Ahuja et
+//!   al.); labels clamp at [`COST_LIMIT`], so a sum never wraps;
+//! * `f64` — **floating-point** weights and a binary heap (a radix queue
+//!   needs integer keys, which is why the paper's example casts
+//!   `weight * 2` to `int`; the fallback serves any numeric expression).
 //!
-//! Weights are supplied **in CSR slot order** (see
-//! [`Csr::permute_weights_int`](crate::csr::Csr::permute_weights_int)), which
-//! also guarantees they were validated to be strictly positive. Both, and
-//! [`bfs_into`](crate::bfs_into), run on one [`SourceScratch`].
+//! A vertex is queued only when its label strictly improves, so a popped
+//! entry is stale exactly when its key is above the label; the one pop that
+//! is not settles the vertex. Settled is a count, not a label.
+//!
+//! Weights come **in CSR slot order**, validated strictly positive (see
+//! [`Csr::permute_weights_int`](crate::csr::Csr::permute_weights_int)). The
+//! kernel and [`bfs_into`](crate::bfs_into) run on one [`SourceScratch`].
 
 use crate::arena::{Arena, Labels};
+use crate::batch::CostValue;
 use crate::csr::Csr;
+use crate::error::GraphError;
 use crate::radix_heap::RadixHeap;
-use crate::{NO_EDGE, NO_VERTEX};
+use crate::{Result, NO_EDGE, NO_VERTEX};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Result of an integer-weight Dijkstra run.
 #[derive(Debug, Clone)]
 pub struct DijkstraIntResult {
-    /// `dist[v]` = cost of the cheapest path, or `u64::MAX` if unreached.
+    /// `dist[v]` = cost of the cheapest path (at most [`COST_LIMIT`]), or
+    /// `u64::MAX` if unreached.
     pub dist: Vec<u64>,
     /// `parent_edge[v]` = CSR slot of the final edge of the cheapest path.
     pub parent_edge: Vec<u32>,
@@ -32,27 +38,89 @@ pub struct DijkstraIntResult {
     pub parent: Vec<u32>,
 }
 
-/// A distance type of a single-source search.
-pub trait Distance: Copy + PartialEq {
+/// The label at which integer distances clamp: one above `i64::MAX`, the
+/// largest cost, so it stands for every larger sum. Both terms of a sum
+/// are below 2⁶³, so it never wraps.
+pub const COST_LIMIT: u64 = 1 << 63;
+
+/// A distance type of a single-source search; the source is at
+/// `D::default()`.
+pub trait Distance: Copy + PartialOrd + Default {
     /// The distance of a vertex the search did not reach.
     const UNREACHED: Self;
+    /// The cost of a vertex reached at this distance, or
+    /// [`GraphError::CostOverflow`] when a cost cannot hold it.
+    fn cost(self) -> Result<CostValue>;
 }
 
 impl Distance for u32 {
     const UNREACHED: u32 = u32::MAX;
+    fn cost(self) -> Result<CostValue> {
+        Ok(CostValue::Int(i64::from(self)))
+    }
 }
 
 impl Distance for u64 {
     const UNREACHED: u64 = u64::MAX;
+    fn cost(self) -> Result<CostValue> {
+        i64::try_from(self).map(CostValue::Int).map_err(|_| GraphError::CostOverflow)
+    }
 }
 
 impl Distance for f64 {
     const UNREACHED: f64 = f64::INFINITY;
+    fn cost(self) -> Result<CostValue> {
+        Ok(CostValue::Float(self))
+    }
+}
+
+/// A distance type Dijkstra runs on: the edge weight, the addition and the
+/// queue of vertices by tentative distance.
+pub trait Weighted: Distance {
+    /// The weight of one edge, strictly positive.
+    type Weight: Copy;
+    /// The queue.
+    type Queue: Default;
+    /// `self` plus `weight`.
+    fn add(self, weight: Self::Weight) -> Self;
+    /// Queue `v` at `key`.
+    fn push(queue: &mut Self::Queue, key: Self, v: u32);
+    /// The queued vertex of least key, with its key.
+    fn pop(queue: &mut Self::Queue) -> Option<(Self, u32)>;
+}
+
+impl Weighted for u64 {
+    type Weight = i64;
+    type Queue = RadixHeap<u32>;
+    fn add(self, weight: i64) -> u64 {
+        (self + weight as u64).min(COST_LIMIT)
+    }
+    fn push(queue: &mut RadixHeap<u32>, key: u64, v: u32) {
+        queue.push(key, v);
+    }
+    fn pop(queue: &mut RadixHeap<u32>) -> Option<(u64, u32)> {
+        queue.pop()
+    }
+}
+
+/// Keyed by bit pattern: non-negative floats order as their bits do.
+impl Weighted for f64 {
+    type Weight = f64;
+    type Queue = BinaryHeap<Reverse<(u64, u32)>>;
+    fn add(self, weight: f64) -> f64 {
+        self + weight
+    }
+    fn push(queue: &mut Self::Queue, key: f64, v: u32) {
+        queue.push(Reverse((key.to_bits(), v)));
+    }
+    fn pop(queue: &mut Self::Queue) -> Option<(f64, u32)> {
+        queue.pop().map(|Reverse((key, v))| (f64::from_bits(key), v))
+    }
 }
 
 /// Reusable working memory of one single-source search — BFS
-/// ([`BfsScratch`](crate::BfsScratch)), integer or float Dijkstra. After a
-/// run the `dist`, `parent` and `parent_edge` labels hold the result (same
+/// ([`BfsScratch`](crate::BfsScratch)) or Dijkstra. After a run the
+/// `dist`, `parent` and `parent_edge` labels hold the result (same
 /// contract as [`DijkstraIntResult`]).
 #[derive(Debug)]
 pub struct SourceScratch<D> {
@@ -62,16 +130,10 @@ pub struct SourceScratch<D> {
     pub parent_edge: Labels<u32>,
     /// `parent[v]` = predecessor vertex, or [`NO_VERTEX`].
     pub parent: Labels<u32>,
-    pub(crate) settled: Labels<bool>,
     pub(crate) is_target: Labels<bool>,
     pub(crate) queue: VecDeque<u32>,
-    pub(crate) settled_n: usize,
+    pub(crate) settled: usize,
 }
-
-/// The scratch of the radix-heap Dijkstra over integer weights.
-pub type DijkstraIntScratch = SourceScratch<u64>;
-/// The scratch of the binary-heap Dijkstra over float weights.
-pub type DijkstraFloatScratch = SourceScratch<f64>;
 
 impl<D: Distance> Default for SourceScratch<D> {
     fn default() -> SourceScratch<D> {
@@ -79,10 +141,9 @@ impl<D: Distance> Default for SourceScratch<D> {
             dist: Labels::new(D::UNREACHED),
             parent_edge: Labels::new(NO_EDGE),
             parent: Labels::new(NO_VERTEX),
-            settled: Labels::new(false),
             is_target: Labels::new(false),
             queue: VecDeque::new(),
-            settled_n: 0,
+            settled: 0,
         }
     }
 }
@@ -92,7 +153,6 @@ impl<D: Distance> Arena for SourceScratch<D> {
         self.parent_edge.clear_along(&self.dist);
         self.parent.clear_along(&self.dist);
         self.dist.clear();
-        self.settled.clear();
         self.is_target.clear();
         self.queue.clear();
     }
@@ -108,21 +168,20 @@ impl<D: Distance> SourceScratch<D> {
     /// the last run — the work metric goal-directed search tries to shrink.
     /// O(1) (it is recorded per traversal by the always-on metrics layer).
     pub fn settled_count(&self) -> usize {
-        self.settled_n
+        self.settled
     }
 
     /// Forget the last run (in the time it took), fit `n` vertices, label
-    /// `source` at `zero` and mark the distinct `targets`; returns how many
+    /// `source` at zero and mark the distinct `targets`; returns how many
     /// there are (`usize::MAX`: no early exit, explore everything).
-    pub(crate) fn start(&mut self, n: usize, source: u32, zero: D, targets: &[u32]) -> usize {
+    pub(crate) fn start(&mut self, n: usize, source: u32, targets: &[u32]) -> usize {
         self.clear();
-        self.settled_n = 0;
+        self.settled = 0;
         self.dist.fit(n);
         self.parent_edge.fit(n);
         self.parent.fit(n);
-        self.settled.fit(n);
         self.is_target.fit(n);
-        self.dist.set(source, zero);
+        self.dist.set(source, D::default());
         for &t in targets {
             self.is_target.set(t, true);
         }
@@ -145,8 +204,8 @@ pub fn dijkstra_int(
     targets: &[u32],
     weights: &[i64],
 ) -> DijkstraIntResult {
-    let mut scratch = DijkstraIntScratch::new();
-    dijkstra_int_into(graph, source, targets, weights, &mut scratch);
+    let mut scratch = SourceScratch::<u64>::new();
+    dijkstra_into(graph, source, targets, weights, &mut scratch);
     DijkstraIntResult {
         dist: scratch.dist.into_vec(),
         parent_edge: scratch.parent_edge.into_vec(),
@@ -154,112 +213,44 @@ pub fn dijkstra_int(
     }
 }
 
-/// [`dijkstra_int`] into a caller-owned scratch, which first forgets its
-/// last run in the time that run took. The result lives in the scratch's
-/// public labels.
-pub fn dijkstra_int_into(
+/// Dijkstra from `source` over strictly positive `weights` in CSR slot
+/// order, into a caller-owned scratch, which first forgets its last run in
+/// the time that run took. When `targets` is non-empty the search stops
+/// once every target is **settled** (popped with its final distance). The
+/// result lives in the scratch's public labels; unreached vertices keep
+/// [`Distance::UNREACHED`].
+pub fn dijkstra_into<D: Weighted>(
     graph: &Csr,
     source: u32,
     targets: &[u32],
-    weights: &[i64],
-    scratch: &mut DijkstraIntScratch,
+    weights: &[D::Weight],
+    scratch: &mut SourceScratch<D>,
 ) {
     debug_assert_eq!(weights.len(), graph.num_edges());
-    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0, targets);
-    let SourceScratch { dist, parent_edge, parent, settled, is_target, settled_n, .. } = scratch;
+    let mut remaining = scratch.start(graph.num_vertices() as usize, source, targets);
+    let SourceScratch { dist, parent_edge, parent, is_target, settled, .. } = scratch;
 
-    let mut heap: RadixHeap<u32> = RadixHeap::new();
-    heap.push(0, source);
-
-    while let Some((d, u)) = heap.pop() {
-        let ui = u as usize;
-        if settled[ui] {
-            continue; // stale entry
+    let mut queue = D::Queue::default();
+    D::push(&mut queue, D::default(), source);
+    while let Some((d, u)) = D::pop(&mut queue) {
+        if d > dist[u as usize] {
+            continue; // stale entry: `u` was queued again, cheaper
         }
-        settled.set(u, true);
-        *settled_n += 1;
-        if is_target[ui] {
-            is_target.set(u, false);
+        *settled += 1;
+        if is_target[u as usize] {
             remaining -= 1;
             if remaining == 0 {
                 break;
             }
         }
+        // A settled neighbour's label is at most `d`, so it never improves.
         for (slot, v) in graph.neighbors(u) {
-            let vi = v as usize;
-            if settled[vi] {
-                continue;
-            }
-            let w = weights[slot] as u64;
-            let nd = d + w;
-            if nd < dist[vi] {
+            let nd = d.add(weights[slot]);
+            if nd < dist[v as usize] {
                 dist.set(v, nd);
                 parent_edge.set_along(v, slot as u32);
                 parent.set_along(v, u);
-                heap.push(nd, v);
-            }
-        }
-    }
-}
-
-/// An `f64` wrapper with a total order, for use inside the binary heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Dijkstra with a binary heap over strictly positive float weights, into a
-/// caller-owned scratch: the same contract as [`dijkstra_int`], the result
-/// in the scratch's public labels (unreached vertices keep
-/// `f64::INFINITY`).
-pub fn dijkstra_float_into(
-    graph: &Csr,
-    source: u32,
-    targets: &[u32],
-    weights: &[f64],
-    scratch: &mut DijkstraFloatScratch,
-) {
-    debug_assert_eq!(weights.len(), graph.num_edges());
-    let mut remaining = scratch.start(graph.num_vertices() as usize, source, 0.0, targets);
-    let SourceScratch { dist, parent_edge, parent, settled, is_target, settled_n, .. } = scratch;
-
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-    heap.push(Reverse((OrdF64(0.0), source)));
-
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-        let ui = u as usize;
-        if settled[ui] {
-            continue;
-        }
-        settled.set(u, true);
-        *settled_n += 1;
-        if is_target[ui] {
-            is_target.set(u, false);
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        for (slot, v) in graph.neighbors(u) {
-            let vi = v as usize;
-            if settled[vi] {
-                continue;
-            }
-            let nd = d + weights[slot];
-            if nd < dist[vi] {
-                dist.set(v, nd);
-                parent_edge.set_along(v, slot as u32);
-                parent.set_along(v, u);
-                heap.push(Reverse((OrdF64(nd), v)));
+                D::push(&mut queue, nd, v);
             }
         }
     }
@@ -274,9 +265,9 @@ mod tests {
         Csr::from_edges(5, &[0, 0, 1, 2, 3], &[1, 2, 3, 3, 4]).unwrap()
     }
 
-    fn dijkstra_float(g: &Csr, source: u32, targets: &[u32], w: &[f64]) -> DijkstraFloatScratch {
-        let mut scratch = DijkstraFloatScratch::new();
-        dijkstra_float_into(g, source, targets, w, &mut scratch);
+    fn dijkstra_float(g: &Csr, source: u32, targets: &[u32], w: &[f64]) -> SourceScratch<f64> {
+        let mut scratch = SourceScratch::<f64>::new();
+        dijkstra_into(g, source, targets, w, &mut scratch);
         scratch
     }
 
@@ -375,14 +366,14 @@ mod tests {
     fn scratch_reuse_matches_fresh_runs() {
         let (g, wi) = diamond_weights([2, 3, 4, 1, 6]);
         let wf = g.permute_weights_float(&[2.0, 3.0, 4.0, 1.0, 6.0]).unwrap();
-        let mut si = DijkstraIntScratch::new();
-        let mut sf = DijkstraFloatScratch::new();
+        let mut si = SourceScratch::<u64>::new();
+        let mut sf = SourceScratch::<f64>::new();
         for source in 0..g.num_vertices() {
-            dijkstra_int_into(&g, source, &[], &wi, &mut si);
+            dijkstra_into(&g, source, &[], &wi, &mut si);
             let fresh = dijkstra_int(&g, source, &[], &wi);
             assert_eq!(*si.dist, fresh.dist, "int source {source}");
             assert_eq!(*si.parent, fresh.parent, "int source {source}");
-            dijkstra_float_into(&g, source, &[], &wf, &mut sf);
+            dijkstra_into(&g, source, &[], &wf, &mut sf);
             let freshf = dijkstra_float(&g, source, &[], &wf);
             assert_eq!(*sf.dist, *freshf.dist, "float source {source}");
             assert_eq!(*sf.parent, *freshf.parent, "float source {source}");
@@ -390,20 +381,34 @@ mod tests {
     }
 
     #[test]
-    fn settled_count_matches_marked_vertices() {
+    fn settled_count_matches_labelled_vertices() {
+        // An exhaustive run settles exactly the vertices it labelled...
         let (g, w) = diamond_weights([1, 1, 1, 1, 1]);
-        let mut s = DijkstraIntScratch::new();
-        dijkstra_int_into(&g, 0, &[], &w, &mut s);
-        assert_eq!(s.settled_count(), s.settled.iter().filter(|&&x| x).count());
+        let labelled = |dist: &[u64]| dist.iter().filter(|&&d| d != u64::MAX).count();
+        let mut s = SourceScratch::<u64>::new();
+        dijkstra_into(&g, 0, &[], &w, &mut s);
+        assert_eq!(s.settled_count(), labelled(&s.dist));
         assert_eq!(s.settled_count(), 5);
-        // Early exit settles fewer vertices, and the counter tracks it.
-        dijkstra_int_into(&g, 0, &[1], &w, &mut s);
-        assert_eq!(s.settled_count(), s.settled.iter().filter(|&&x| x).count());
-        assert!(s.settled_count() < 5);
+        // ...and an early exit settles fewer, though it labelled more.
+        dijkstra_into(&g, 0, &[1], &w, &mut s);
+        assert!(s.settled_count() < labelled(&s.dist));
         let wf = g.permute_weights_float(&[1.0; 5]).unwrap();
-        let mut sf = DijkstraFloatScratch::new();
-        dijkstra_float_into(&g, 0, &[], &wf, &mut sf);
+        let mut sf = SourceScratch::<f64>::new();
+        dijkstra_into(&g, 0, &[], &wf, &mut sf);
         assert_eq!(sf.settled_count(), 5);
+    }
+
+    #[test]
+    fn integer_labels_clamp_instead_of_wrapping() {
+        // 0 -> 1 -> 2 -> 3, each edge 2^62: the true cost of 3 is 3·2^62.
+        let g = Csr::from_edges(4, &[0, 1, 2], &[1, 2, 3]).unwrap();
+        let w = g.permute_weights_int(&[1 << 62; 3]).unwrap();
+        let r = dijkstra_int(&g, 0, &[], &w);
+        assert_eq!(r.dist, [0, 1 << 62, COST_LIMIT, COST_LIMIT]);
+        assert_eq!(r.dist[1].cost(), Ok(CostValue::Int(1 << 62)));
+        assert_eq!(r.dist[3].cost(), Err(GraphError::CostOverflow));
+        let top = g.permute_weights_int(&[i64::MAX; 3]).unwrap();
+        assert_eq!(dijkstra_int(&g, 0, &[], &top).dist[3], COST_LIMIT);
     }
 
     #[test]

@@ -29,6 +29,16 @@ pub enum GraphError {
     },
     /// Mismatched array lengths in the runtime invocation.
     LengthMismatch(String),
+    /// A requested pair's shortest path costs more than `i64::MAX`.
+    CostOverflow,
+    /// An acceleration layer refused weights whose total (the most a label
+    /// of its searches can reach) is above the `limit` its arithmetic holds.
+    WeightTotalTooLarge {
+        /// The sum of every edge weight.
+        total: u128,
+        /// The largest total the layer holds.
+        limit: u64,
+    },
     /// A batch traversal was abandoned because its deadline passed (the
     /// engine's statement timeout). Raised between per-source traversals,
     /// so already-computed groups are discarded, never returned partially.
@@ -50,6 +60,11 @@ impl fmt::Display for GraphError {
                 write!(f, "vertex id {id} out of range (|V| = {n})")
             }
             GraphError::LengthMismatch(msg) => write!(f, "length mismatch: {msg}"),
+            GraphError::CostOverflow => write!(f, "cost overflow: a cost above {}", i64::MAX),
+            GraphError::WeightTotalTooLarge { total, limit } => write!(
+                f,
+                "path index weights total {total}, above the {limit} its searches add up exactly"
+            ),
             GraphError::DeadlineExceeded => {
                 write!(f, "graph traversal abandoned: statement deadline exceeded")
             }

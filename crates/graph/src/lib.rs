@@ -15,10 +15,10 @@
 //!   sort + prefix sum, storing for every CSR slot the **original edge-table
 //!   row id**, which is what paths are made of (§3.3);
 //! * [`bfs()`] — breadth-first search for unweighted shortest paths;
-//! * [`dijkstra_int`] — Dijkstra with a **radix heap** (Ahuja et al. \[11\])
-//!   for strictly positive integer weights;
-//! * [`dijkstra_float_into`] — Dijkstra with a binary heap for strictly
-//!   positive floating-point weights;
+//! * [`dijkstra_into`] — the one Dijkstra kernel: a **radix heap** (Ahuja
+//!   et al. \[11\]) over strictly positive integer weights, a binary heap
+//!   over strictly positive floating-point ones ([`Weighted`]);
+//!   [`dijkstra_int`] is its integer form returning owned vectors;
 //! * [`Search`] — the one library call every traversal kind answers:
 //!   `run(pairs, &Budget, want_path)` returns per-pair reachability, cost
 //!   and path ([`PairResult`]). A [`Budget`] carries the worker-pool width,
@@ -56,8 +56,7 @@ pub use bfs::{bfs, bfs_into, BfsResult, BfsScratch};
 pub use bidir::{bidirectional_bfs, reverse_csr, BidirBfs, BidirResult};
 pub use csr::Csr;
 pub use dijkstra::{
-    dijkstra_float_into, dijkstra_int, dijkstra_int_into, DijkstraFloatScratch, DijkstraIntResult,
-    DijkstraIntScratch, Distance, SourceScratch,
+    dijkstra_int, dijkstra_into, DijkstraIntResult, Distance, SourceScratch, Weighted, COST_LIMIT,
 };
 pub use error::GraphError;
 pub use path::reconstruct_path;

@@ -77,12 +77,13 @@ impl Budget<'_> {
 
     /// One search per distinct source: `search(scratch, source, targets)`
     /// answers the targets of one source group in order, and the answers
-    /// are scattered back into input-pair order.
+    /// are scattered back into input-pair order. The first group's error
+    /// (in source order) fails the run.
     pub fn per_source<S>(
         &self,
         pairs: &[(u32, u32)],
         init: impl Fn() -> S + Sync,
-        search: impl Fn(&mut S, u32, &[u32]) -> Vec<PairResult> + Sync,
+        search: impl Fn(&mut S, u32, &[u32]) -> Result<Vec<PairResult>> + Sync,
     ) -> Result<Vec<PairResult>> {
         // Input indices grouped by source: one group per distinct source.
         let mut order: Vec<usize> = (0..pairs.len()).collect();
@@ -92,6 +93,7 @@ impl Budget<'_> {
             let targets: Vec<u32> = groups[g].iter().map(|&i| pairs[i].1).collect();
             search(scratch, pairs[groups[g][0]].0, &targets)
         })?;
+        let answers = answers.into_iter().collect::<Result<Vec<_>>>()?;
         let mut results = vec![PairResult::UNREACHABLE; pairs.len()];
         for (group, answer) in groups.iter().zip(answers) {
             for (&i, r) in group.iter().zip(answer) {
@@ -189,7 +191,7 @@ mod tests {
                 || (),
                 |(), source, targets| {
                     let cost = |t: &u32| crate::CostValue::Int(i64::from(source * 10 + t));
-                    targets.iter().map(|t| PairResult::reached(cost(t), None)).collect()
+                    Ok(targets.iter().map(|t| PairResult::reached(cost(t), None)).collect())
                 },
             )
             .unwrap();

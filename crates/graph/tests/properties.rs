@@ -10,10 +10,9 @@
 //! suite.
 
 use gsql_graph::{
-    bfs, bfs_into, dijkstra_float_into, dijkstra_int, dijkstra_int_into, reconstruct_path,
-    reverse_csr, BatchComputer, BfsScratch, BidirBfs, Budget, CostValue, Csr, DijkstraFloatScratch,
-    DijkstraIntScratch, PairResult, PreparedWeights, RadixHeap, Search, SourceSearch,
-    TraversalKind, TraversalObserver, WeightSpec,
+    bfs, bfs_into, dijkstra_int, dijkstra_into, reconstruct_path, reverse_csr, BatchComputer,
+    BfsScratch, BidirBfs, Budget, CostValue, Csr, PairResult, PreparedWeights, RadixHeap, Search,
+    SourceScratch, SourceSearch, TraversalKind, TraversalObserver, WeightSpec,
 };
 use rand::prelude::*;
 use std::collections::BTreeMap;
@@ -132,8 +131,8 @@ fn dijkstra_float_matches_int() {
         let wi = csr.permute_weights_int(&w).unwrap();
         let wf: Vec<f64> = w.iter().map(|&x| x as f64).collect();
         let wf = csr.permute_weights_float(&wf).unwrap();
-        let mut rf = DijkstraFloatScratch::new();
-        dijkstra_float_into(&csr, 0, &[], &wf, &mut rf);
+        let mut rf = SourceScratch::<f64>::new();
+        dijkstra_into(&csr, 0, &[], &wf, &mut rf);
         let ri = dijkstra_int(&csr, 0, &[], &wi);
         for v in 0..g.n as usize {
             if ri.dist[v] == u64::MAX {
@@ -404,10 +403,10 @@ fn every_kind_once(g: &Graph, threads: usize) -> Pass {
     for (&s, t) in &targets {
         let mut b = BfsScratch::new();
         bfs_into(&csr, s, t, &mut b);
-        let mut i = DijkstraIntScratch::new();
-        dijkstra_int_into(&csr, s, t, &wi, &mut i);
-        let mut f = DijkstraFloatScratch::new();
-        dijkstra_float_into(&csr, s, t, &wf, &mut f);
+        let mut i = SourceScratch::<u64>::new();
+        dijkstra_into(&csr, s, t, &wi, &mut i);
+        let mut f = SourceScratch::<f64>::new();
+        dijkstra_into(&csr, s, t, &wf, &mut f);
         fresh_bfs += b.settled_count();
         fresh_dijkstra += i.settled_count() + f.settled_count();
     }

@@ -29,7 +29,6 @@
 //! * [`Pool::broadcast`] — one call per worker, the pipeline driver's
 //!   shape over a shared [`MorselQueue`].
 
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -309,58 +308,6 @@ impl Pool {
     }
 }
 
-/// A shareable view over a mutable slice for **disjoint** parallel scatter
-/// writes (e.g. the placement pass of a parallel counting sort, where every
-/// output slot is written by exactly one worker).
-///
-/// The borrow checker cannot see slot-level disjointness, so writes go
-/// through a raw pointer; the safety contract is on the caller.
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the only access is `write`, whose contract requires each index to
-// be written by at most one thread with no concurrent access to that index.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wrap a mutable slice for scattered writes.
-    pub fn new(slice: &'a mut [T]) -> SharedSlice<'a, T> {
-        SharedSlice { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: PhantomData }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Write `value` at `index`, overwriting (not dropping through) the old
-    /// element.
-    ///
-    /// # Safety
-    /// Each index must be written by **at most one** thread for the
-    /// lifetime of this view, with no concurrent reads of that index. `T`
-    /// must be `Copy`-like in the sense that overwriting without dropping
-    /// is acceptable (all engine uses are plain integers).
-    ///
-    /// # Panics
-    /// Panics when `index` is out of bounds.
-    pub unsafe fn write(&self, index: usize, value: T) {
-        assert!(index < self.len, "SharedSlice index {index} out of range {}", self.len);
-        // SAFETY: bounds checked above; disjointness is the caller's
-        // contract.
-        unsafe { self.ptr.add(index).write(value) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,21 +384,6 @@ mod tests {
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
         let sums = pool.map_chunks(10_000, |r| r.sum::<usize>());
         assert_eq!(sums.len(), 1);
-    }
-
-    #[test]
-    fn shared_slice_disjoint_scatter() {
-        let mut data = vec![0u32; 5000];
-        let shared = SharedSlice::new(&mut data);
-        Pool::new(4).map_chunks(5000, |r| {
-            for i in r {
-                // Reversal permutation: disjoint target slots.
-                unsafe { shared.write(4999 - i, i as u32) };
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v as usize, 4999 - i);
-        }
     }
 
     #[test]

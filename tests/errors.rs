@@ -224,3 +224,66 @@ fn script_stops_at_first_error_side_effects_kept() {
     let count = db.query("SELECT COUNT(*) FROM persons").unwrap();
     assert_eq!(count.row(0)[0], Value::Int(3));
 }
+
+/// Three edges of weight 2⁶² make a path of cost 3·2⁶², above the largest
+/// INTEGER. Plain Dijkstra and Dijkstra over a graph index fail the
+/// statement with the cost overflow error instead of a wrapped cost, while
+/// the float fallback and a pair whose cost fits still answer. A landmark
+/// or contraction path index refuses such a weight column with a typed
+/// error, both at `CREATE PATH INDEX` and at the lazy rebuild of an index
+/// created before the column grew.
+#[test]
+fn integer_costs_beyond_the_largest_integer_fail_typed_on_every_layer() {
+    use gsql::graph::GraphError;
+    let big = 1i64 << 62;
+    let db = Database::new();
+    db.execute_script(&format!(
+        "CREATE TABLE e (s INTEGER, d INTEGER, w INTEGER);
+         INSERT INTO e VALUES (1, 2, {big}), (2, 3, {big}), (3, 4, {big});"
+    ))
+    .unwrap();
+    let cost = |sql: &str| db.query(sql).map(|t| t.row(0)[0].clone());
+    let int = |to: i64| {
+        cost(&format!("SELECT CHEAPEST SUM(f: f.w) AS c WHERE 1 REACHES {to} OVER e f EDGE (s, d)"))
+    };
+    let assert_overflow = |what: &str| match int(4) {
+        Err(Error::Graph(GraphError::CostOverflow)) => {}
+        other => panic!("{what}: expected a cost overflow, got {other:?}"),
+    };
+    assert_overflow("plain graph");
+    assert_eq!(int(2).unwrap(), Value::Int(big));
+    let float = "SELECT CHEAPEST SUM(f: f.w * 1.0) AS c WHERE 1 REACHES 4 OVER e f EDGE (s, d)";
+    assert_eq!(cost(float).unwrap(), Value::Double(3.0 * big as f64));
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    assert_overflow("graph index");
+
+    let refused = |result: gsql::Result<()>, expected: u128, what: &str| match result {
+        Err(Error::Graph(GraphError::WeightTotalTooLarge { total, .. })) => {
+            assert_eq!(total, expected, "{what}")
+        }
+        other => panic!("{what}: expected a refused weight total, got {other:?}"),
+    };
+    for using in ["LANDMARKS(1)", "CONTRACTION"] {
+        let create = format!("CREATE PATH INDEX p ON e EDGE (s, d) WEIGHT w USING {using}");
+        refused(db.execute(&create).map(|_| ()), 3 * big as u128, &create);
+        assert_overflow(using);
+        assert!(db.indexes().index_names(gsql::IndexSpace::Path).is_empty(), "{using}");
+    }
+
+    // Indexes built while the total fit refuse the lazy rebuild after it
+    // grew; the statement that needed the index fails typed.
+    for using in ["LANDMARKS(1)", "CONTRACTION"] {
+        db.execute_script(&format!(
+            "CREATE TABLE r (s INTEGER, d INTEGER, w INTEGER);
+             INSERT INTO r VALUES (1, 2, 5), (2, 3, 5);
+             CREATE PATH INDEX pr ON r EDGE (s, d) WEIGHT w USING {using};"
+        ))
+        .unwrap();
+        let sql = "SELECT CHEAPEST SUM(f: f.w) AS c WHERE 1 REACHES 3 OVER r f EDGE (s, d)";
+        assert_eq!(cost(sql).unwrap(), Value::Int(10), "{using}");
+        db.execute(&format!("INSERT INTO r VALUES (3, 4, {big}), (4, 5, {big}), (5, 6, {big})"))
+            .unwrap();
+        refused(cost(sql).map(|_| ()), 3 * big as u128 + 10, using);
+        db.execute("DROP TABLE r").unwrap();
+    }
+}
