@@ -202,26 +202,24 @@ impl Csr {
                 m
             )));
         }
-        // Each chunk gathers its slots and stops at its first offending one;
-        // chunks are inspected in slot order, so the error is exactly the
-        // first a sequential scan would report.
-        let chunks = Pool::new(threads).map_chunks(m, |range| {
-            let mut out = Vec::with_capacity(range.len());
-            for &row in &self.edge_rows[range] {
+        let Some(&first) = weights.first() else { return Ok(Vec::new()) };
+        let mut out = vec![first; m];
+        // Each chunk writes its own part of `out` and stops at its first
+        // offending slot; chunk results are inspected in slot order, so the
+        // error is exactly the first a sequential scan would report.
+        let results = Pool::new(threads).map_chunks_mut(&mut out, |range, part| {
+            for (slot, out) in range.zip(part) {
+                let row = self.edge_rows[slot];
                 let w = weights[row as usize];
                 if !valid(&w) {
                     let weight = w.to_string();
                     return Err(GraphError::NonPositiveWeight { edge_row: row, weight });
                 }
-                out.push(w);
+                *out = w;
             }
-            Ok(out)
+            Ok(())
         });
-        let mut chunks = chunks.into_iter();
-        let mut out = chunks.next().expect("at least one chunk")?;
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
+        results.into_iter().collect::<Result<()>>()?;
         Ok(out)
     }
 }

@@ -211,17 +211,35 @@ impl Pool {
     /// chunk (= index) order, so concatenating them reproduces the
     /// sequential output exactly.
     pub fn map_chunks<T: Send>(&self, len: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
-        let chunks = self.chunks(len);
-        if chunks.len() <= 1 {
-            return chunks.into_iter().map(f).collect();
+        // A slice of `()` is free: it only carries the length.
+        self.map_chunks_mut(&mut vec![(); len], |range, _| f(range))
+    }
+
+    /// [`Pool::map_chunks`] over the indices of `data`, each chunk also
+    /// handed its own part of `data` to write: disjoint `&mut` slices, so
+    /// parallel writes need no synchronisation.
+    pub fn map_chunks_mut<D: Send, T: Send>(
+        &self,
+        data: &mut [D],
+        f: impl Fn(Range<usize>, &mut [D]) -> T + Sync,
+    ) -> Vec<T> {
+        let mut rest = data;
+        let mut parts = Vec::new();
+        for range in self.chunks(rest.len()) {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            parts.push((range, part));
+            rest = tail;
+        }
+        if parts.len() <= 1 {
+            return parts.into_iter().map(|(range, part)| f(range, part)).collect();
         }
         let f = &f;
         std::thread::scope(|s| {
-            let mut rest = chunks.into_iter();
-            let first = rest.next().expect("at least one chunk");
-            let handles: Vec<_> = rest.map(|r| s.spawn(move || f(r))).collect();
+            let mut rest = parts.into_iter();
+            let (range, part) = rest.next().expect("at least one chunk");
+            let handles: Vec<_> = rest.map(|(r, p)| s.spawn(move || f(r, p))).collect();
             let mut out = Vec::with_capacity(handles.len() + 1);
-            out.push(f(first));
+            out.push(f(range, part));
             for h in handles {
                 out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
             }
@@ -384,6 +402,23 @@ mod tests {
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
         let sums = pool.map_chunks(10_000, |r| r.sum::<usize>());
         assert_eq!(sums.len(), 1);
+    }
+
+    #[test]
+    fn map_chunks_mut_hands_each_chunk_its_own_part() {
+        for threads in [1, 4] {
+            let mut data = vec![0usize; 5000];
+            let sums = Pool::new(threads).map_chunks_mut(&mut data, |range, part| {
+                assert_eq!(range.len(), part.len());
+                for (i, x) in range.clone().zip(part) {
+                    *x = 4999 - i;
+                }
+                range.len()
+            });
+            assert_eq!(sums.iter().sum::<usize>(), 5000, "threads {threads}");
+            assert!(data.iter().enumerate().all(|(i, &x)| x == 4999 - i), "threads {threads}");
+        }
+        assert!(Pool::new(4).map_chunks_mut(&mut [0u8; 0], |r, _| r.len()) == [0]);
     }
 
     #[test]
