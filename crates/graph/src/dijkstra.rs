@@ -39,8 +39,8 @@ pub struct DijkstraIntResult {
 }
 
 /// The label at which integer distances clamp: one above `i64::MAX`, the
-/// largest cost, so it stands for every larger sum. Both terms of a sum
-/// are below 2⁶³, so it never wraps.
+/// largest cost, so it stands for every larger sum. A label is at most
+/// 2⁶³ and a weight below it, so a sum never wraps.
 pub const COST_LIMIT: u64 = 1 << 63;
 
 /// A distance type of a single-source search; the source is at

@@ -20,8 +20,10 @@
 //! Three scheduling shapes are provided:
 //!
 //! * [`Pool::map_chunks`] — *static* contiguous chunking, for uniform
-//!   per-item work (sort runs, row hashing, join builds, weight
-//!   permutation). Chunk results concatenate in chunk order.
+//!   per-item work (sort runs, row hashing, join builds). Chunk results
+//!   concatenate in chunk order. [`Pool::map_chunks_mut`] also hands each
+//!   chunk its own `&mut` part of a slice (the weight permutation writes
+//!   in place through it).
 //! * [`Pool::map`] / [`Pool::map_with`] — *dynamic* index stealing over an
 //!   atomic cursor, for irregular per-item work (one graph traversal per
 //!   distinct source). `map_with` gives every worker a private scratch
