@@ -81,9 +81,21 @@ pub(crate) struct UpGraph {
 impl UpGraph {
     /// Flatten per-vertex adjacency (already sorted by target) into CSR.
     fn from_adj(adj: &[Vec<(u32, u64)>]) -> UpGraph {
-        let starts = adj.iter().scan(0, |at, list| Some(std::mem::replace(at, *at + list.len())));
-        let offsets = starts.chain([adj.iter().map(Vec::len).sum()]).collect();
-        let (targets, weights) = adj.iter().flatten().copied().unzip();
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
+        offsets.push(0usize);
+        let mut total = 0usize;
+        for list in adj {
+            total += list.len();
+            offsets.push(total);
+        }
+        let mut targets = Vec::with_capacity(total);
+        let mut weights = Vec::with_capacity(total);
+        for list in adj {
+            for &(t, w) in list {
+                targets.push(t);
+                weights.push(w);
+            }
+        }
         UpGraph { offsets, targets, weights }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::error::GraphError;
 use crate::Result;
-use gsql_parallel::Pool;
+use gsql_parallel::{Pool, SharedSlice};
 
 /// A directed graph in CSR form over dense vertex ids `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,24 +202,47 @@ impl Csr {
                 m
             )));
         }
-        let Some(&first) = weights.first() else { return Ok(Vec::new()) };
-        let mut out = vec![first; m];
-        // Each chunk writes its own part of `out` and stops at its first
-        // offending slot; chunk results are inspected in slot order, so the
-        // error is exactly the first a sequential scan would report.
-        let results = Pool::new(threads).map_chunks_mut(&mut out, |range, part| {
-            for (slot, out) in range.zip(part) {
-                let row = self.edge_rows[slot];
+        let pool = Pool::new(threads);
+        if pool.is_sequential() || pool.chunks(m).len() <= 1 {
+            let mut out = Vec::with_capacity(m);
+            for &row in &self.edge_rows {
                 let w = weights[row as usize];
                 if !valid(&w) {
-                    let weight = w.to_string();
-                    return Err(GraphError::NonPositiveWeight { edge_row: row, weight });
+                    return Err(GraphError::NonPositiveWeight {
+                        edge_row: row,
+                        weight: w.to_string(),
+                    });
                 }
-                *out = w;
+                out.push(w);
             }
-            Ok(())
-        });
-        results.into_iter().collect::<Result<()>>()?;
+            return Ok(out);
+        }
+        let mut out = vec![weights[0]; m];
+        // Every chunk runs to completion (no fail-fast): chunk results are
+        // inspected in slot order below, so the winning error is exactly
+        // the first offending slot a sequential scan would report.
+        let results: Vec<Result<()>> = {
+            let shared = SharedSlice::new(&mut out);
+            pool.map_chunks(m, |range| {
+                for slot in range {
+                    let row = self.edge_rows[slot];
+                    let w = weights[row as usize];
+                    if !valid(&w) {
+                        return Err(GraphError::NonPositiveWeight {
+                            edge_row: row,
+                            weight: w.to_string(),
+                        });
+                    }
+                    // SAFETY: chunks partition the slot range; each slot is
+                    // written by exactly one chunk.
+                    unsafe { shared.write(slot, w) };
+                }
+                Ok(())
+            })
+        };
+        for r in results {
+            r?;
+        }
         Ok(out)
     }
 }

@@ -4,7 +4,7 @@
 //! the queue and the addition (§3.2):
 //!
 //! * `u64` — **integer** weights and the monotone [`RadixHeap`] (Ahuja et
-//!   al.); labels clamp at [`COST_LIMIT`], so a sum never wraps;
+//!   al.); labels clamp at 2⁶³, so a sum never wraps;
 //! * `f64` — **floating-point** weights and a binary heap (a radix queue
 //!   needs integer keys, which is why the paper's example casts
 //!   `weight * 2` to `int`; the fallback serves any numeric expression).
@@ -29,7 +29,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Result of an integer-weight Dijkstra run.
 #[derive(Debug, Clone)]
 pub struct DijkstraIntResult {
-    /// `dist[v]` = cost of the cheapest path (at most [`COST_LIMIT`]), or
+    /// `dist[v]` = cost of the cheapest path (at most 2⁶³), or
     /// `u64::MAX` if unreached.
     pub dist: Vec<u64>,
     /// `parent_edge[v]` = CSR slot of the final edge of the cheapest path.
@@ -41,7 +41,7 @@ pub struct DijkstraIntResult {
 /// The label at which integer distances clamp: one above `i64::MAX`, the
 /// largest cost, so it stands for every larger sum. A label is at most
 /// 2⁶³ and a weight below it, so a sum never wraps.
-pub const COST_LIMIT: u64 = 1 << 63;
+pub(crate) const COST_LIMIT: u64 = 1 << 63;
 
 /// A distance type of a single-source search; the source is at
 /// `D::default()`.

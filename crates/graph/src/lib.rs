@@ -56,7 +56,7 @@ pub use bfs::{bfs, bfs_into, BfsResult, BfsScratch};
 pub use bidir::{bidirectional_bfs, reverse_csr, BidirBfs, BidirResult};
 pub use csr::Csr;
 pub use dijkstra::{
-    dijkstra_int, dijkstra_into, DijkstraIntResult, Distance, SourceScratch, Weighted, COST_LIMIT,
+    dijkstra_int, dijkstra_into, DijkstraIntResult, Distance, SourceScratch, Weighted,
 };
 pub use error::GraphError;
 pub use path::reconstruct_path;

@@ -20,10 +20,8 @@
 //! Three scheduling shapes are provided:
 //!
 //! * [`Pool::map_chunks`] — *static* contiguous chunking, for uniform
-//!   per-item work (sort runs, row hashing, join builds). Chunk results
-//!   concatenate in chunk order. [`Pool::map_chunks_mut`] also hands each
-//!   chunk its own `&mut` part of a slice (the weight permutation writes
-//!   in place through it).
+//!   per-item work (sort runs, row hashing, join builds, weight
+//!   permutation). Chunk results concatenate in chunk order.
 //! * [`Pool::map`] / [`Pool::map_with`] — *dynamic* index stealing over an
 //!   atomic cursor, for irregular per-item work (one graph traversal per
 //!   distinct source). `map_with` gives every worker a private scratch
@@ -31,6 +29,7 @@
 //! * [`Pool::broadcast`] — one call per worker, the pipeline driver's
 //!   shape over a shared [`MorselQueue`].
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -213,35 +212,17 @@ impl Pool {
     /// chunk (= index) order, so concatenating them reproduces the
     /// sequential output exactly.
     pub fn map_chunks<T: Send>(&self, len: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
-        // A slice of `()` is free: it only carries the length.
-        self.map_chunks_mut(&mut vec![(); len], |range, _| f(range))
-    }
-
-    /// [`Pool::map_chunks`] over the indices of `data`, each chunk also
-    /// handed its own part of `data` to write: disjoint `&mut` slices, so
-    /// parallel writes need no synchronisation.
-    pub fn map_chunks_mut<D: Send, T: Send>(
-        &self,
-        data: &mut [D],
-        f: impl Fn(Range<usize>, &mut [D]) -> T + Sync,
-    ) -> Vec<T> {
-        let mut rest = data;
-        let mut parts = Vec::new();
-        for range in self.chunks(rest.len()) {
-            let (part, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-            parts.push((range, part));
-            rest = tail;
-        }
-        if parts.len() <= 1 {
-            return parts.into_iter().map(|(range, part)| f(range, part)).collect();
+        let chunks = self.chunks(len);
+        if chunks.len() <= 1 {
+            return chunks.into_iter().map(f).collect();
         }
         let f = &f;
         std::thread::scope(|s| {
-            let mut rest = parts.into_iter();
-            let (range, part) = rest.next().expect("at least one chunk");
-            let handles: Vec<_> = rest.map(|(r, p)| s.spawn(move || f(r, p))).collect();
+            let mut rest = chunks.into_iter();
+            let first = rest.next().expect("at least one chunk");
+            let handles: Vec<_> = rest.map(|r| s.spawn(move || f(r))).collect();
             let mut out = Vec::with_capacity(handles.len() + 1);
-            out.push(f(range, part));
+            out.push(f(first));
             for h in handles {
                 out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
             }
@@ -328,6 +309,58 @@ impl Pool {
     }
 }
 
+/// A shareable view over a mutable slice for **disjoint** parallel scatter
+/// writes (e.g. the placement pass of a parallel counting sort, where every
+/// output slot is written by exactly one worker).
+///
+/// The borrow checker cannot see slot-level disjointness, so writes go
+/// through a raw pointer; the safety contract is on the caller.
+pub struct SharedSlice<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _marker: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: the only access is `write`, whose contract requires each index to
+// be written by at most one thread with no concurrent access to that index.
+unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
+
+impl<'a, T> SharedSlice<'a, T> {
+    /// Wrap a mutable slice for scattered writes.
+    pub fn new(slice: &'a mut [T]) -> SharedSlice<'a, T> {
+        SharedSlice { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: PhantomData }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the slice is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Write `value` at `index`, overwriting (not dropping through) the old
+    /// element.
+    ///
+    /// # Safety
+    /// Each index must be written by **at most one** thread for the
+    /// lifetime of this view, with no concurrent reads of that index. `T`
+    /// must be `Copy`-like in the sense that overwriting without dropping
+    /// is acceptable (all engine uses are plain integers).
+    ///
+    /// # Panics
+    /// Panics when `index` is out of bounds.
+    pub unsafe fn write(&self, index: usize, value: T) {
+        assert!(index < self.len, "SharedSlice index {index} out of range {}", self.len);
+        // SAFETY: bounds checked above; disjointness is the caller's
+        // contract.
+        unsafe { self.ptr.add(index).write(value) };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,20 +440,18 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_mut_hands_each_chunk_its_own_part() {
-        for threads in [1, 4] {
-            let mut data = vec![0usize; 5000];
-            let sums = Pool::new(threads).map_chunks_mut(&mut data, |range, part| {
-                assert_eq!(range.len(), part.len());
-                for (i, x) in range.clone().zip(part) {
-                    *x = 4999 - i;
-                }
-                range.len()
-            });
-            assert_eq!(sums.iter().sum::<usize>(), 5000, "threads {threads}");
-            assert!(data.iter().enumerate().all(|(i, &x)| x == 4999 - i), "threads {threads}");
+    fn shared_slice_disjoint_scatter() {
+        let mut data = vec![0u32; 5000];
+        let shared = SharedSlice::new(&mut data);
+        Pool::new(4).map_chunks(5000, |r| {
+            for i in r {
+                // Reversal permutation: disjoint target slots.
+                unsafe { shared.write(4999 - i, i as u32) };
+            }
+        });
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(v as usize, 4999 - i);
         }
-        assert!(Pool::new(4).map_chunks_mut(&mut [0u8; 0], |r, _| r.len()) == [0]);
     }
 
     #[test]
