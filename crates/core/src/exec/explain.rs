@@ -82,9 +82,13 @@ fn notes(forest: &SpanForest<'_>, parent: SpanId, out: &mut String) {
         let edges = int(forest, id, "edges");
         let note = match forest.name(id) {
             "graph_build" => format!(
-                "graph build: V={}, E={edges}, dict={}, {ms:.2} ms",
+                "graph build: V={}, E={edges}, dict={}, {}{ms:.2} ms",
                 int(forest, id, "vertices"),
                 text(forest, id, "dict"),
+                match text(forest, id, "source") {
+                    "extension" => format!("extended by {} row(s), ", int(forest, id, "appended")),
+                    _ => String::new(),
+                },
             ),
             "weights" if text(forest, id, "cached") == "true" => {
                 format!("weights: E={edges}, cached")

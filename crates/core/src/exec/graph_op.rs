@@ -74,6 +74,11 @@ impl MaterializedGraph {
         self.dict.lookup(v)
     }
 
+    /// The vertex values in dense-id order.
+    pub fn vertices(&self) -> Vec<Value> {
+        self.dict.values()
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> u32 {
         self.csr.num_vertices()
@@ -88,6 +93,12 @@ impl MaterializedGraph {
     /// lifetime.
     pub fn reverse(&self) -> &Csr {
         self.reverse.get_or_init(|| gsql_graph::reverse_csr(&self.csr))
+    }
+
+    /// Whether the reverse CSR is built yet.
+    #[cfg(test)]
+    pub(crate) fn has_reverse(&self) -> bool {
+        self.reverse.get().is_some()
     }
 
     /// Reassemble a graph from persisted parts (warm restart). The reverse
@@ -132,6 +143,24 @@ pub(crate) fn null_filtered_edges(edges: Arc<Table>, src_key: usize, dst_key: us
 /// vertex dictionary (dense ids in first-seen order), then one sequential
 /// counting sort over ids that are in range by construction.
 pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<MaterializedGraph> {
+    grow_graph(None, edges, src_key, dst_key)
+}
+
+/// The graph of `edges`, built from nothing or extended from `base`: a
+/// graph over the same key columns of an earlier version of the same table,
+/// which has only had rows appended since. An extension interns only the
+/// appended rows and grows both CSRs by one merge pass — the reverse CSR
+/// only if `base` had built one — and starts an empty weight cache. Row
+/// ids, dictionary ids and every slot are those of a build from nothing
+/// ([`VertexDict::intern_rows`], [`Csr::appended`]), so what the graph
+/// answers, and what a checkpoint persists of it, cannot tell the two
+/// apart.
+pub(crate) fn grow_graph(
+    base: Option<&MaterializedGraph>,
+    edges: Arc<Table>,
+    src_key: usize,
+    dst_key: usize,
+) -> Result<MaterializedGraph> {
     // Exclude edges with NULL endpoints so the snapshot's row ids equal the
     // CSR's edge-row ids.
     let edges = null_filtered_edges(edges, src_key, dst_key);
@@ -143,17 +172,26 @@ pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<
             u32::MAX / 2
         ));
     }
-    let (dict, src_ids, dst_ids) = VertexDict::encode(edges.column(src_key), edges.column(dst_key));
-    let csr = Csr::from_dense_edges(dict.len() as u32, &src_ids, &dst_ids);
-    Ok(MaterializedGraph {
-        edges,
-        csr,
-        dict,
-        src_key,
-        dst_key,
-        reverse: std::sync::OnceLock::new(),
-        weights: WeightCache::default(),
-    })
+    let (src, dst) = (edges.column(src_key), edges.column(dst_key));
+    let empty = Csr::default();
+    let (mut dict, csr, reverse) = match base {
+        Some(base) => {
+            debug_assert!((base.src_key, base.dst_key) == (src_key, dst_key));
+            debug_assert!(base.edges.row_count() <= edges.row_count(), "a table that grew");
+            (base.dict.clone(), &base.csr, base.reverse.get())
+        }
+        None => (VertexDict::new(src, dst), &empty, None),
+    };
+    let appended = csr.num_edges()..edges.row_count();
+    let (src_ids, dst_ids) = dict.intern_rows(src, dst, appended);
+    let n = dict.len() as u32;
+    let csr = csr.appended(n, &src_ids, &dst_ids);
+    let slot = std::sync::OnceLock::new();
+    if let Some(reverse) = reverse {
+        let _ = slot.set(reverse.appended_reverse(n, &src_ids, &dst_ids));
+    }
+    let weights = WeightCache::default();
+    Ok(MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot, weights })
 }
 
 /// Alias of [`build_graph`], kept for the committed benchmark, which
@@ -172,7 +210,9 @@ pub fn build_graph_with_threads(
 }
 
 /// Who asked for a graph build — the `source` label of
-/// `gsql_graph_builds_total` and of the `graph_build` span.
+/// `gsql_graph_builds_total` and of the `graph_build` span, unless the
+/// build extended an older graph, which is labelled `extension` whoever
+/// asked.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BuildSource {
     /// An unindexed statement building its own graph.
@@ -193,29 +233,34 @@ impl BuildSource {
     }
 }
 
-/// [`build_graph`], made visible: a `graph_build` span under the current
+/// [`grow_graph`], made visible: a `graph_build` span under the current
 /// trace parent (which `EXPLAIN ANALYZE` prints as the graph operator's
-/// `graph build: …` note) plus the build counter and duration histogram.
+/// `graph build: …` note) carrying the rows an extension `appended` (0 for
+/// a build from nothing), plus the build counter and duration histogram.
 /// Every build the engine runs goes through here.
 pub(crate) fn build_graph_observed(
     ctx: &ExecContext<'_>,
     source: BuildSource,
+    base: Option<&MaterializedGraph>,
     edges: Arc<Table>,
     src_key: usize,
     dst_key: usize,
 ) -> Result<MaterializedGraph> {
     let span = ctx.trace_begin("graph_build");
     let t0 = Instant::now();
-    let result = build_graph(edges, src_key, dst_key);
+    let result = grow_graph(base, edges, src_key, dst_key);
+    let source = if base.is_some() { "extension" } else { source.as_str() };
     if let Some(m) = ctx.metrics() {
-        m.record_graph_build(source.as_str(), t0.elapsed().as_micros() as u64);
+        m.record_graph_build(source, t0.elapsed().as_micros() as u64);
     }
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        let mut attrs = vec![("source".to_string(), TraceValue::from(source.as_str()))];
+        let mut attrs = vec![("source".to_string(), TraceValue::from(source))];
         if let Ok(graph) = &result {
+            let appended = base.map_or(0, |base| graph.num_edges() - base.num_edges());
             attrs.push(("edges".to_string(), TraceValue::from(graph.num_edges())));
             attrs.push(("vertices".to_string(), TraceValue::from(graph.num_vertices() as usize)));
             attrs.push(("dict".to_string(), TraceValue::from(graph.dict.kind())));
+            attrs.push(("appended".to_string(), TraceValue::from(appended)));
         }
         t.end_with(id, attrs);
     }
@@ -373,7 +418,10 @@ impl SpecResults {
             (Some(Value::Int(k)), CostValue::Int(hops)) => {
                 Value::Int(hops.checked_mul(*k).ok_or(Error::Graph(GraphError::CostOverflow))?)
             }
-            (Some(Value::Double(k)), CostValue::Int(hops)) => Value::Double(hops as f64 * k),
+            (Some(Value::Double(k)), CostValue::Int(hops)) => match hops as f64 * k {
+                c if c < f64::MAX => Value::Double(c),
+                _ => return Err(Error::Graph(GraphError::CostOverflow)),
+            },
             (Some(s), c) => {
                 return Err(exec_err!("inconsistent scale {s} for cost {c:?}"));
             }
@@ -587,7 +635,7 @@ fn obtain_graph(
         }
     }
     let edges = ex.execute(edge)?;
-    let graph = build_graph_observed(ctx, BuildSource::Statement, edges, src_key, dst_key)?;
+    let graph = build_graph_observed(ctx, BuildSource::Statement, None, edges, src_key, dst_key)?;
     Ok(Served { graph: Arc::new(graph), layer: None, index: None })
 }
 

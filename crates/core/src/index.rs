@@ -31,9 +31,22 @@
 //! identity and version of the table entry it was built from — read once
 //! per build — and serves only while the catalog holds that definition over
 //! that table at that version. Any DML makes the next query that needs it
-//! rebuild lazily; a dropped or re-created table, or a redefined index, is
+//! build lazily; a dropped or re-created table, or a redefined index, is
 //! never served an old build. GRAPH and PATH names are separate name spaces
 //! ([`IndexSpace`]).
+//!
+//! That build is how the index stays "amenable to the updates": when the
+//! table has only had rows appended since an artifact over the same edges
+//! was built ([`TableEntry::rewritten_at`]), the new graph **extends** that
+//! artifact's graph — the dictionary interns only the appended rows, both
+//! CSRs grow by one merge pass — so an `INSERT` costs its reader
+//! `O(|V| + |E|)` copying and `O(appended rows)` hashing, and the graph is
+//! identical to one built from scratch. A `DELETE` or `UPDATE` rebuilds
+//! the graph from the table; an acceleration layer is always rebuilt, over
+//! the new graph, since an inserted edge can shorten any distance its
+//! landmarks bound or its shortcuts encode. Each build makes a new
+//! immutable graph from immutable inputs, so two statements racing to
+//! build one produce identical graphs.
 //!
 //! Plans never name an index. **One selection rule** (`serve`, and
 //! `explain_line` for `EXPLAIN`) matches a graph operator's edge scan
@@ -330,22 +343,30 @@ impl IndexRegistry {
 
     /// Build what `def` serves at `entry` — the one build path of creates
     /// and lazy rebuilds. `entry` is read once by the caller: the graph
-    /// comes from it (or from an artifact over the same edges built from
-    /// it), and the caller stamps the result with it.
+    /// comes from it, and the caller stamps the result with it. An artifact
+    /// over the same edges built from `entry` lends its graph as it is; one
+    /// built from an older version of the same table that has only grown
+    /// since ([`TableEntry::rewritten_at`]) lends its graph to be extended
+    /// by the appended rows. The acceleration layer is always built anew.
     fn build(
         &self,
         ctx: &ExecContext<'_>,
         def: &IndexDef,
         entry: &TableEntry,
     ) -> Result<(Arc<MaterializedGraph>, Option<Arc<AccelLayer>>)> {
-        let shared = self.read().iter().find_map(|a| {
-            let same =
-                a.stamp == stamp(entry) && a.def.covers(&def.table, &def.src_col, &def.dst_col);
-            same.then(|| Arc::clone(&a.graph))
-        });
-        let graph = match shared {
-            Some(graph) => graph,
-            None => {
+        let base = {
+            let artifacts = self.read();
+            let over = artifacts.iter().filter(|a| {
+                let (id, version) = a.stamp;
+                id == entry.id
+                    && (entry.rewritten_at..=entry.version).contains(&version)
+                    && a.def.covers(&def.table, &def.src_col, &def.dst_col)
+            });
+            over.max_by_key(|a| a.stamp.1).map(|a| (a.stamp.1, Arc::clone(&a.graph)))
+        };
+        let graph = match base {
+            Some((version, graph)) if version == entry.version => graph,
+            base => {
                 let schema = entry.table.schema();
                 let column = |c: &str| {
                     schema
@@ -357,8 +378,8 @@ impl IndexRegistry {
                     IndexSpace::Path => BuildSource::PathIndex,
                 };
                 let (src_key, dst_key) = (column(&def.src_col)?, column(&def.dst_col)?);
-                let edges = Arc::clone(&entry.table);
-                Arc::new(build_graph_observed(ctx, source, edges, src_key, dst_key)?)
+                let (base, edges) = (base.as_ref().map(|(_, g)| &**g), Arc::clone(&entry.table));
+                Arc::new(build_graph_observed(ctx, source, base, edges, src_key, dst_key)?)
             }
         };
         let layer = match &def.accel {
@@ -385,6 +406,16 @@ impl IndexRegistry {
         let mut artifacts = self.write();
         artifacts.retain(|a| current(a) && new.as_ref().is_none_or(|n| n.def != a.def));
         artifacts.extend(new.filter(|n| current(n)));
+    }
+
+    /// The graph built for index `name` in `space` from its table's current
+    /// version, if there is one: what the next query the index serves reads
+    /// (`None` when that query builds it first).
+    pub fn graph(&self, space: IndexSpace, name: &str) -> Option<Arc<MaterializedGraph>> {
+        let catalog = self.catalog.read();
+        let def = catalog.index(space, name)?;
+        let entry = catalog.entry(&def.table)?;
+        self.read().iter().find(|a| a.serves(def, entry)).map(|a| Arc::clone(&a.graph))
     }
 
     /// The layer built for path index `def` from `entry`, if any: what a
@@ -645,6 +676,33 @@ mod tests {
         assert!(reg.serve(&ctx(&catalog), "roads", "a", "b", &[hops()]).unwrap().is_none());
         assert!(reg.read().is_empty());
         assert_eq!(reg.builds(), 0, "a graph index has no layer");
+    }
+
+    /// An append extends the served graph — its reverse CSR too, when the
+    /// old graph had built one — into the graph a build would make; a
+    /// delete rebuilds it.
+    #[test]
+    fn appends_extend_the_graph_and_deletes_rebuild_it() {
+        let (catalog, reg) = setup();
+        graph_index(&reg, &catalog, "gi").unwrap();
+        let first = serve(&reg, &catalog, hops()).graph;
+        first.reverse();
+        let built = || crate::build_graph(catalog.get("roads").unwrap(), 0, 1).unwrap();
+        let same = |graph: &MaterializedGraph, built: &MaterializedGraph| {
+            assert_eq!(graph.vertices(), built.vertices());
+            assert_eq!((&graph.csr, graph.reverse()), (&built.csr, built.reverse()));
+        };
+        insert(&catalog, 4, 9, 1);
+        insert(&catalog, 9, 1, 1);
+        let grown = serve(&reg, &catalog, hops()).graph;
+        assert!(grown.has_reverse(), "the reverse CSR was extended");
+        same(&grown, &built());
+        let entry = catalog.entry("roads").unwrap();
+        let delete = Mutation::Delete { base_version: entry.version, positions: vec![0] };
+        catalog.apply("roads", delete).unwrap();
+        let rebuilt = serve(&reg, &catalog, hops()).graph;
+        assert!(!rebuilt.has_reverse(), "a rebuild starts without one");
+        same(&rebuilt, &built());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use crate::exec::keys::{cells_eq, hash_rows, Cells, IdTable};
 use gsql_storage::{Column, ColumnBuilder, DataType, Value};
+use std::ops::Range;
 
 /// Vertex key value → dense id, plus the ids' values in id order.
 #[derive(Debug)]
@@ -35,59 +36,70 @@ pub(crate) enum VertexDict {
 }
 
 impl VertexDict {
-    /// Encode the key columns of an edge snapshot without NULL endpoints
-    /// into dense id arrays, returning `(dictionary, src ids, dst ids)`.
-    pub(crate) fn encode(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
-        match (src.as_int_slice(), dst.as_int_slice()) {
-            (Some((s, _)), Some((d, _))) => {
-                let mut dict = IntDict::default();
-                let mut src_ids = Vec::with_capacity(s.len());
-                let mut dst_ids = Vec::with_capacity(d.len());
-                for (&s, &d) in s.iter().zip(d) {
+    /// An empty dictionary for the key columns `src` and `dst`: `Int` when
+    /// both are `INTEGER`, `Generic` otherwise.
+    pub(crate) fn new(src: &Column, dst: &Column) -> VertexDict {
+        match (src.data_type(), dst.data_type()) {
+            (DataType::Int, DataType::Int) => VertexDict::Int(IntDict::default()),
+            (ty, _) => VertexDict::generic(ty),
+        }
+    }
+
+    /// Encode every row of two key columns without NULLs into a new
+    /// dictionary, returning `(dictionary, src ids, dst ids)` — what a graph
+    /// build does.
+    #[cfg(test)]
+    fn encode(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
+        let mut dict = VertexDict::new(src, dst);
+        let (src_ids, dst_ids) = dict.intern_rows(src, dst, 0..src.len().min(dst.len()));
+        (dict, src_ids, dst_ids)
+    }
+
+    /// An empty `Generic` dictionary over `key_type` keys.
+    fn generic(key_type: DataType) -> VertexDict {
+        VertexDict::Generic { ids: IdTable::with_capacity(16), keys: Column::empty(key_type) }
+    }
+
+    /// The ids of the key cells of `rows` (of two columns without NULLs),
+    /// as `(src ids, dst ids)`, assigning the next ids to keys not seen
+    /// before in row order, source before destination. Interning an edge
+    /// table's rows in two steps therefore gives every key the id encoding
+    /// them all at once gives it — which is how a graph over a table that
+    /// only grew is extended rather than rebuilt.
+    ///
+    /// # Panics
+    /// Panics on non-`INTEGER` columns for an `Int` dictionary.
+    pub(crate) fn intern_rows(
+        &mut self,
+        src: &Column,
+        dst: &Column,
+        rows: Range<usize>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        match self {
+            VertexDict::Int(dict) => {
+                let (Some((s, _)), Some((d, _))) = (src.as_int_slice(), dst.as_int_slice()) else {
+                    panic!("an INTEGER dictionary interns INTEGER keys");
+                };
+                let mut src_ids = Vec::with_capacity(rows.len());
+                let mut dst_ids = Vec::with_capacity(rows.len());
+                for (&s, &d) in s[rows.clone()].iter().zip(&d[rows]) {
                     src_ids.push(dict.intern(s));
                     dst_ids.push(dict.intern(d));
                 }
-                (VertexDict::Int(dict), src_ids, dst_ids)
+                (src_ids, dst_ids)
             }
-            _ => Self::encode_generic(src, dst),
+            VertexDict::Generic { ids, keys } => intern_generic(ids, keys, src, dst, rows),
         }
     }
 
     /// [`VertexDict::encode`] through the `Generic` representation whatever
-    /// the key type (the fallback arm; tests also force it on `INTEGER`
-    /// keys as the reference the `Int` representation must agree with).
-    ///
-    /// While encoding, an id's key is read back from the row that first
-    /// showed it; the keys are gathered into one column at the end.
+    /// the key type (tests force it on `INTEGER` keys as the reference the
+    /// `Int` representation must agree with).
+    #[cfg(test)]
     fn encode_generic(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
-        let n_rows = src.len().min(dst.len());
-        let sides = [Cells::of_column(src), Cells::of_column(dst)];
-        let [src_hashes, dst_hashes] = sides.map(|side| hash_rows(&[side], 0..n_rows));
-        let mut ids = IdTable::with_capacity(16);
-        // Each id's first-seen cell: `row << 1 | side` (0 = source).
-        let mut first: Vec<usize> = Vec::new();
-        let mut out = [Vec::with_capacity(n_rows), Vec::with_capacity(n_rows)];
-        for (row, hashes) in src_hashes.into_iter().zip(dst_hashes).enumerate() {
-            for (side, hash) in [hashes.0, hashes.1].into_iter().enumerate() {
-                let (id, new) = ids.find_or_insert(hash, |id| {
-                    cells_eq(sides[side], row, sides[first[id] & 1], first[id] >> 1)
-                });
-                if new {
-                    first.push(row << 1 | side);
-                }
-                out[side].push(id as u32);
-            }
-        }
-        let mut keys = Column::nulls(src.data_type(), first.len());
-        for (side, col) in [src, dst].into_iter().enumerate() {
-            let (at, rows): (Vec<usize>, Vec<usize>) = (0..first.len())
-                .filter(|&id| first[id] & 1 == side)
-                .map(|id| (id, first[id] >> 1))
-                .unzip();
-            keys.scatter(&at, &col.take(&rows)).expect("EDGE key columns share one type");
-        }
-        let [src_ids, dst_ids] = out;
-        (VertexDict::Generic { ids, keys }, src_ids, dst_ids)
+        let mut dict = VertexDict::generic(src.data_type());
+        let (src_ids, dst_ids) = dict.intern_rows(src, dst, 0..src.len().min(dst.len()));
+        (dict, src_ids, dst_ids)
     }
 
     /// Rebuild a dictionary from its values in id order (warm restart).
@@ -180,6 +192,65 @@ impl VertexDict {
     }
 }
 
+/// The `Generic` arm of [`VertexDict::intern_rows`]: the key kernel's
+/// hash and SQL equality over an [`IdTable`]. A known id's key is read from
+/// `keys`; a new id's key from the row that first showed it, until the new
+/// keys are appended to `keys` at the end.
+fn intern_generic(
+    ids: &mut IdTable,
+    keys: &mut Column,
+    src: &Column,
+    dst: &Column,
+    rows: Range<usize>,
+) -> (Vec<u32>, Vec<u32>) {
+    let known = ids.hashes().len();
+    let stored = Cells::with_nulls(keys, false);
+    let sides = [Cells::of_column(src), Cells::of_column(dst)];
+    let [src_hashes, dst_hashes] = sides.map(|side| hash_rows(&[side], rows.clone()));
+    // Each new id's first-seen cell: `row << 1 | side` (0 = source).
+    let mut first: Vec<usize> = Vec::new();
+    let mut out = [Vec::with_capacity(rows.len()), Vec::with_capacity(rows.len())];
+    for (row, hashes) in rows.zip(src_hashes.into_iter().zip(dst_hashes)) {
+        for (side, hash) in [hashes.0, hashes.1].into_iter().enumerate() {
+            let (id, new) = ids.find_or_insert(hash, |id| match id.checked_sub(known) {
+                None => cells_eq(sides[side], row, stored, id),
+                Some(at) => cells_eq(sides[side], row, sides[first[at] & 1], first[at] >> 1),
+            });
+            if new {
+                first.push(row << 1 | side);
+            }
+            out[side].push(id as u32);
+        }
+    }
+    let mut fresh = Column::nulls(keys.data_type(), first.len());
+    for (side, col) in [src, dst].into_iter().enumerate() {
+        let (at, rows): (Vec<usize>, Vec<usize>) =
+            (0..first.len()).filter(|&i| first[i] & 1 == side).map(|i| (i, first[i] >> 1)).unzip();
+        fresh.scatter(&at, &col.take(&rows)).expect("EDGE key columns share one type");
+    }
+    keys.extend_from(&fresh).expect("EDGE key columns share one type");
+    let [src_ids, dst_ids] = out;
+    (src_ids, dst_ids)
+}
+
+/// A copy to intern more rows into, leaving the original to the graph that
+/// holds it. (`IdTable` has no `Clone`: re-inserting its hashes in id order
+/// rebuilds the same ids.)
+impl Clone for VertexDict {
+    fn clone(&self) -> VertexDict {
+        match self {
+            VertexDict::Int(dict) => VertexDict::Int(dict.clone()),
+            VertexDict::Generic { ids, keys } => {
+                let mut copy = IdTable::with_capacity(ids.hashes().len());
+                for &hash in ids.hashes() {
+                    copy.find_or_insert(hash, |_| false);
+                }
+                VertexDict::Generic { ids: copy, keys: keys.clone() }
+            }
+        }
+    }
+}
+
 /// Marks a vacant [`IntDict`] slot. Occupancy lives in the id, not the key,
 /// so `i64::MIN` and `i64::MAX` are ordinary keys.
 const VACANT: u32 = u32::MAX;
@@ -197,7 +268,7 @@ struct Slot {
 ///
 /// The hash is fixed, not keyed: keys crafted to collide can only slow
 /// down graph builds over the table that holds them.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct IntDict {
     /// Power-of-two sized, at most half full; empty until the first key.
     slots: Vec<Slot>,
@@ -460,6 +531,27 @@ mod tests {
                 for d in [1e300, -1e300, 9.3e18, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
                     let v = Value::Double(d);
                     assert_eq!((typed.lookup(&v), generic.lookup(&v)), (None, None), "{d}");
+                }
+            }
+
+            // Interning in two steps, through a copy, assigns the ids of one
+            // step: what extending a graph by appended rows relies on.
+            let n_rows = src.len();
+            for (dict, split) in [(&typed, n_rows / 3), (&generic, n_rows / 2), (&typed, n_rows)] {
+                let head = src.slice_rows(0..split);
+                let (head_dict, head_src, head_dst) = match dict {
+                    VertexDict::Int(_) => VertexDict::encode(&head, &dst.slice_rows(0..split)),
+                    VertexDict::Generic { .. } => {
+                        VertexDict::encode_generic(&head, &dst.slice_rows(0..split))
+                    }
+                };
+                let mut grown = head_dict.clone();
+                let (tail_src, tail_dst) = grown.intern_rows(src, dst, split..n_rows);
+                assert_eq!([head_src, tail_src].concat(), want_src, "{kind:?} split {split}");
+                assert_eq!([head_dst, tail_dst].concat(), want_dst, "{kind:?} split {split}");
+                assert_eq!((grown.values(), grown.kind()), (vertices.clone(), dict.kind()));
+                for v in &vertices {
+                    assert_eq!(grown.lookup(v), dict.lookup(v), "{kind:?} {v}");
                 }
             }
 

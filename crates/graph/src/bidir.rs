@@ -20,31 +20,19 @@ use crate::{Result, TraversalKind, NO_EDGE, NO_VERTEX};
 /// same original edge-row ids (so paths found backwards still reference the
 /// original edge table).
 ///
-/// A direct transpose: in-degree histogram, prefix sum, then one scatter
-/// walking the forward slots in order — so each reversed adjacency list is
-/// ordered by forward slot.
+/// The CSR construction kernel over the empty graph, fed the forward slots
+/// in order — so each reversed adjacency list is ordered by forward slot,
+/// the order [`Csr::appended_reverse`] keeps when the graph grows.
 pub fn reverse_csr(graph: &Csr) -> Csr {
-    let n = graph.num_vertices() as usize;
-    let mut offsets = vec![0usize; n + 1];
-    for &t in &graph.targets {
-        offsets[t as usize + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let mut targets = vec![0u32; graph.num_edges()];
-    let mut edge_rows = vec![0u32; graph.num_edges()];
-    let mut cursor = offsets[..n].to_vec();
-    for u in 0..n {
-        for p in graph.offsets[u]..graph.offsets[u + 1] {
-            let t = graph.targets[p] as usize;
-            let slot = cursor[t];
-            cursor[t] += 1;
-            targets[slot] = u as u32;
-            edge_rows[slot] = graph.edge_rows[p];
+    let Csr { offsets, targets, edge_rows } = graph;
+    let mut u = 0;
+    let slots = (0..graph.num_edges()).map(move |slot| {
+        while offsets[u + 1] <= slot {
+            u += 1;
         }
-    }
-    Csr { offsets, targets, edge_rows }
+        (targets[slot], u as u32, edge_rows[slot])
+    });
+    Csr::default().merged(graph.num_vertices(), slots, true)
 }
 
 /// Result of a bidirectional search.

@@ -9,12 +9,24 @@
 //! shortest path can be reported as a list of row references into the edge
 //! table (the §3.3 nested-table representation) and so that per-query weight
 //! columns can be permuted into CSR order.
+//!
+//! There is one construction kernel: a graph **grown** by edges whose row
+//! ids follow its own — the graph of an edge table after rows were appended
+//! to it. A build ([`Csr::from_dense_edges`]) grows the empty graph; a
+//! reversal ([`crate::reverse_csr`]) grows the empty graph by the forward
+//! slots; a graph index whose table only had rows appended grows its CSR
+//! ([`Csr::appended`]) and its reverse ([`Csr::appended_reverse`]) by the
+//! new rows, in `O(|V| + |E|)` with no dictionary or sort over the old
+//! edges. Out-lists are ordered by row id and reversed lists by forward
+//! slot, so a grown graph is identical, slot for slot, to one built from
+//! all its rows at once.
 
 use crate::error::GraphError;
 use crate::Result;
 use gsql_parallel::{Pool, SharedSlice};
 
-/// A directed graph in CSR form over dense vertex ids `0..n`.
+/// A directed graph in CSR form over dense vertex ids `0..n`; the
+/// default is the empty graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes the out-edges of `v` in
@@ -24,6 +36,12 @@ pub struct Csr {
     pub(crate) targets: Vec<u32>,
     /// Original edge-table row id of each CSR slot.
     pub(crate) edge_rows: Vec<u32>,
+}
+
+impl Default for Csr {
+    fn default() -> Csr {
+        Csr { offsets: vec![0], targets: Vec::new(), edge_rows: Vec::new() }
+    }
 }
 
 impl Csr {
@@ -52,32 +70,109 @@ impl Csr {
     /// The trusted constructor, for callers whose ids are `< num_vertices`
     /// by construction (a vertex dictionary's output): the counting sort +
     /// prefix sum the paper describes, `O(|V| + |E|)`, with no validation
-    /// pass. Sequential on purpose — a chunk-parallel variant did not beat
-    /// this loop on any benchmark workload (README, "Graph construction").
+    /// pass — [`Csr::appended`] to the empty graph. Sequential on purpose: a
+    /// chunk-parallel variant did not beat this loop on any benchmark
+    /// workload (README, "Graph construction").
     ///
     /// # Panics
     /// Panics on arrays of different lengths and (index out of bounds) on a
     /// source id `>= num_vertices`; use [`Csr::from_edges`] for input that
     /// has not been checked.
     pub fn from_dense_edges(num_vertices: u32, src: &[u32], dst: &[u32]) -> Csr {
+        Csr::default().appended(num_vertices, src, dst)
+    }
+
+    /// This graph grown to `num_vertices` vertices (ids are kept) plus the
+    /// edges `src[i] -> dst[i]`, which keep row ids `num_edges() + i`: the
+    /// graph of an edge table after rows were appended to it. Each
+    /// out-list is ordered by row id, as [`Csr::from_dense_edges`] orders
+    /// it, so when this graph's row ids are `0..num_edges()` the result is
+    /// identical to building all the edges at once. `O(|V| + |E|)`.
+    ///
+    /// # Panics
+    /// As [`Csr::from_dense_edges`], and when `num_vertices` is below this
+    /// graph's vertex count.
+    pub fn appended(&self, num_vertices: u32, src: &[u32], dst: &[u32]) -> Csr {
         assert_eq!(src.len(), dst.len(), "one destination per source");
         debug_assert!(src.iter().chain(dst).all(|&v| v < num_vertices));
-        let n = num_vertices as usize;
+        let first = self.num_edges() as u32;
+        let new = src.iter().zip(dst).enumerate();
+        self.merged(num_vertices, new.map(|(i, (&s, &d))| (s, d, first + i as u32)), false)
+    }
+
+    /// The reverse graph ([`crate::reverse_csr`]) of a graph after
+    /// [`Csr::appended`] added `src[i] -> dst[i]` to it, where `self` is the
+    /// reverse of the graph before. Each reversed list stays ordered by the
+    /// forward graph's slots, so for a forward graph whose out-lists are
+    /// ordered by row id (every graph [`Csr::appended`] builds) the result
+    /// is identical to reversing the grown graph. `O(|V| + |E|)` plus a
+    /// sort of the reversed lists the new edges land in.
+    ///
+    /// # Panics
+    /// As [`Csr::appended`].
+    pub fn appended_reverse(&self, num_vertices: u32, src: &[u32], dst: &[u32]) -> Csr {
+        assert_eq!(src.len(), dst.len(), "one destination per source");
+        debug_assert!(src.iter().chain(dst).all(|&v| v < num_vertices));
+        let first = self.num_edges() as u32;
+        // Forward slot order: by source, then by row.
+        let mut order: Vec<u32> = (0..src.len() as u32).collect();
+        order.sort_by_key(|&i| src[i as usize]);
+        let new = order.iter().map(|&i| (dst[i as usize], src[i as usize], first + i));
+        self.merged(num_vertices, new, true)
+    }
+
+    /// The one construction kernel: this graph grown to `num_vertices`
+    /// vertices plus the edges `new` yields as `(from, to, row)`, each
+    /// placed in `from`'s list. A list holds its old slots, then its new
+    /// ones in the order `new` yields them; with `by_target`, a list that
+    /// gained slots is then sorted by `(target, row)` — the order of a
+    /// reversed list whose old and new slots interleave. Counting pass,
+    /// prefix sum, one copy of the old lists, one scatter.
+    pub(crate) fn merged<I>(&self, num_vertices: u32, new: I, by_target: bool) -> Csr
+    where
+        I: Iterator<Item = (u32, u32, u32)> + Clone,
+    {
+        let (n, old_n) = (num_vertices as usize, self.num_vertices() as usize);
+        assert!(old_n <= n, "a graph grows: {n} vertices for a graph of {old_n}");
         let mut offsets = vec![0usize; n + 1];
-        for &s in src {
-            offsets[s as usize + 1] += 1;
+        for v in 0..old_n {
+            offsets[v + 1] = self.offsets[v + 1] - self.offsets[v];
+        }
+        for (from, _, _) in new.clone() {
+            offsets[from as usize + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let mut targets = vec![0u32; src.len()];
-        let mut edge_rows = vec![0u32; src.len()];
+        let m = offsets[n];
+        let mut targets = vec![0u32; m];
+        let mut edge_rows = vec![0u32; m];
         let mut cursor = offsets[..n].to_vec();
-        for (row, (&s, &d)) in src.iter().zip(dst).enumerate() {
-            let slot = cursor[s as usize];
-            cursor[s as usize] += 1;
-            targets[slot] = d;
-            edge_rows[slot] = row as u32;
+        for v in 0..old_n {
+            let (old, at) = (self.offsets[v]..self.offsets[v + 1], cursor[v]);
+            cursor[v] += old.len();
+            targets[at..cursor[v]].copy_from_slice(&self.targets[old.clone()]);
+            edge_rows[at..cursor[v]].copy_from_slice(&self.edge_rows[old]);
+        }
+        for (from, to, row) in new {
+            let slot = cursor[from as usize];
+            cursor[from as usize] += 1;
+            targets[slot] = to;
+            edge_rows[slot] = row;
+        }
+        if by_target {
+            for v in 0..old_n {
+                let mid = offsets[v] + self.out_degree(v as u32);
+                let list = offsets[v]..offsets[v + 1];
+                let key = |slot: usize| (targets[slot], edge_rows[slot]);
+                if list.start < mid && mid < list.end && key(mid - 1) > key(mid) {
+                    let mut slots: Vec<(u32, u32)> = list.clone().map(key).collect();
+                    slots.sort_unstable();
+                    for (slot, (t, row)) in list.zip(slots) {
+                        (targets[slot], edge_rows[slot]) = (t, row);
+                    }
+                }
+            }
         }
         Csr { offsets, targets, edge_rows }
     }

@@ -7,7 +7,9 @@
 //!   al.); labels clamp at 2⁶³, so a sum never wraps;
 //! * `f64` — **floating-point** weights and a binary heap (a radix queue
 //!   needs integer keys, which is why the paper's example casts
-//!   `weight * 2` to `int`; the fallback serves any numeric expression).
+//!   `weight * 2` to `int`; the fallback serves any numeric expression);
+//!   labels clamp at `f64::MAX`, so a sum that overflows still labels its
+//!   vertex below the unreached `+∞`.
 //!
 //! A vertex is queued only when its label strictly improves, so a popped
 //! entry is stale exactly when its key is above the label; the one pop that
@@ -67,10 +69,16 @@ impl Distance for u64 {
     }
 }
 
+/// A label at `f64::MAX` is a clamped sum: the sum that overflowed, or
+/// one that only rounded down to it, so no cost there is exact.
 impl Distance for f64 {
     const UNREACHED: f64 = f64::INFINITY;
     fn cost(self) -> Result<CostValue> {
-        Ok(CostValue::Float(self))
+        if self < f64::MAX {
+            Ok(CostValue::Float(self))
+        } else {
+            Err(GraphError::CostOverflow)
+        }
     }
 }
 
@@ -108,7 +116,7 @@ impl Weighted for f64 {
     type Weight = f64;
     type Queue = BinaryHeap<Reverse<(u64, u32)>>;
     fn add(self, weight: f64) -> f64 {
-        self + weight
+        (self + weight).min(f64::MAX)
     }
     fn push(queue: &mut Self::Queue, key: f64, v: u32) {
         queue.push(Reverse((key.to_bits(), v)));

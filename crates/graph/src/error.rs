@@ -29,7 +29,8 @@ pub enum GraphError {
     },
     /// Mismatched array lengths in the runtime invocation.
     LengthMismatch(String),
-    /// A requested pair's shortest path costs more than `i64::MAX`.
+    /// A requested pair's shortest path costs more than `i64::MAX`
+    /// (integer weights) or reaches `f64::MAX` (floating-point weights).
     CostOverflow,
     /// An acceleration layer refused weights whose total (the most a label
     /// of its searches can reach) is above the `limit` its arithmetic holds.
@@ -60,7 +61,12 @@ impl fmt::Display for GraphError {
                 write!(f, "vertex id {id} out of range (|V| = {n})")
             }
             GraphError::LengthMismatch(msg) => write!(f, "length mismatch: {msg}"),
-            GraphError::CostOverflow => write!(f, "cost overflow: a cost above {}", i64::MAX),
+            GraphError::CostOverflow => write!(
+                f,
+                "cost overflow: a cost above {} (INTEGER) or of {:e} or more (DOUBLE)",
+                i64::MAX,
+                f64::MAX
+            ),
             GraphError::WeightTotalTooLarge { total, limit } => write!(
                 f,
                 "path index weights total {total}, above the {limit} its searches add up exactly"

@@ -241,6 +241,47 @@ fn chunked_batches_concatenate_to_whole_batch() {
 }
 
 /// The radix heap pops keys in nondecreasing order for any input.
+/// The construction kernel grows a graph: a CSR built from the first rows
+/// of an edge list and then extended by the rest — in one or two steps,
+/// over at least as many vertices as the first rows use, with an empty
+/// first or last part included — equals the CSR built from all the rows,
+/// and so does its reverse. Searches over the grown graph answer as over
+/// the built one, at one worker and at four.
+#[test]
+fn extended_csr_equals_the_built_one() {
+    for_graphs(0xe87e, |g, rng| {
+        let full = g.csr();
+        let (src, dst): (Vec<u32>, Vec<u32>) = g.edges.iter().map(|e| (e.0, e.1)).unzip();
+        let m = src.len();
+        let mut cuts = [rng.gen_range(0..=m), rng.gen_range(0..=m)];
+        cuts.sort();
+        for (a, b) in [(0, 0), (m, m), (0, m), (cuts[0], cuts[0]), (cuts[0], cuts[1])] {
+            // Vertices the first `a` rows use, and perhaps a few more.
+            let used = src[..a].iter().chain(&dst[..a]).map(|&v| v + 1).max().unwrap_or(0);
+            let n0 = rng.gen_range(used..=g.n);
+            let base = Csr::from_dense_edges(n0, &src[..a], &dst[..a]);
+            let n1 = src[..b].iter().chain(&dst[..b]).map(|&v| v + 1).fold(n0, u32::max);
+            let mid = base.appended(n1, &src[a..b], &dst[a..b]);
+            let grown = mid.appended(g.n, &src[b..], &dst[b..]);
+            assert_eq!(grown, full, "split {a}/{b} of {m}");
+            let reverse = reverse_csr(&base).appended_reverse(n1, &src[a..b], &dst[a..b]);
+            let reverse = reverse.appended_reverse(g.n, &src[b..], &dst[b..]);
+            assert_eq!(reverse, reverse_csr(&full), "reverse, split {a}/{b} of {m}");
+        }
+        let pairs = g.pairs(rng, 8);
+        let grown = Csr::from_dense_edges(0, &[], &[]).appended(g.n, &src, &dst);
+        for threads in [1, 4] {
+            let budget = Budget { threads, ..Default::default() };
+            let run = |csr: &Csr| {
+                let spec = WeightSpec::Int(g.weights());
+                let weights = PreparedWeights::new(csr, &spec, threads).unwrap();
+                SourceSearch::new(csr, &weights).run(&pairs, &budget, true).unwrap()
+            };
+            same(&run(&grown), &run(&full), &format!("threads {threads}"));
+        }
+    });
+}
+
 #[test]
 fn radix_heap_sorts() {
     for case in 0..CASES {

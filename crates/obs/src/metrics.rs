@@ -464,9 +464,10 @@ impl QueryOutcome {
 pub const ACCEL_KINDS: [&str; 7] =
     ["bfs", "dijkstra", "bidir-bfs", "alt", "ch", "alt-multi", "ch-m2m"];
 
-/// Who asked for a graph build: the `source` label of
+/// Who asked for a graph build — or `extension` for a graph index's graph
+/// grown by the rows appended since it was built: the `source` label of
 /// `gsql_graph_builds_total` (see [`EngineMetrics::record_graph_build`]).
-const BUILD_SOURCES: [&str; 3] = ["statement", "graph_index", "path_index"];
+const BUILD_SOURCES: [&str; 4] = ["statement", "graph_index", "path_index", "extension"];
 
 /// The typed catalog of engine-wide instruments, all registered on one
 /// [`Registry`]. Owned by the `Database`; every layer records through it.
@@ -488,7 +489,7 @@ pub struct EngineMetrics {
     queue_wait: Arc<Histogram>,
     traversals: [Arc<Counter>; 7],
     settled: [Arc<Histogram>; 7],
-    graph_builds: [Arc<Counter>; 3],
+    graph_builds: [Arc<Counter>; 4],
     graph_build_duration: Arc<Histogram>,
     /// Indexed weighted statements served a resident weight vector.
     pub weight_cache_hits: Arc<Counter>,
@@ -567,7 +568,7 @@ impl EngineMetrics {
         let graph_builds = std::array::from_fn(|s| {
             registry.counter_with(
                 "gsql_graph_builds_total",
-                "Graphs built from an edge table (dictionary + CSR), by who asked.",
+                "Graphs built from an edge table (dictionary + CSR), by who asked, or extended.",
                 &[("source", BUILD_SOURCES[s])],
             )
         });

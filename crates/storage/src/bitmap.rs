@@ -29,6 +29,14 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
+    /// A copy with room for `extra` more bits, so pushing them reallocates
+    /// nothing.
+    pub fn with_headroom(&self, extra: usize) -> Bitmap {
+        let mut words = Vec::with_capacity((self.len + extra).div_ceil(64));
+        words.extend_from_slice(&self.words);
+        Bitmap { words, len: self.len }
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {

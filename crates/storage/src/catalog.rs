@@ -35,6 +35,12 @@ pub struct TableEntry {
     pub table: Arc<Table>,
     /// Bumped on every `Append`, `Delete` and `Update` of this table.
     pub version: u64,
+    /// The last version at which existing rows changed: the create (0), a
+    /// `Delete`, an `Update`, or the version a snapshot restored. An
+    /// `Append` leaves it, so the table at every version from this one on
+    /// is a prefix of the table at `version` — what a graph built at such a
+    /// version can be extended from.
+    pub rewritten_at: u64,
     /// Unique among the tables this catalog has held, in this process.
     pub id: u64,
 }
@@ -220,9 +226,10 @@ fn changed(name: &str, entry: &TableEntry, mutation: Mutation) -> Result<Table> 
     };
     match mutation {
         Mutation::Append(rows) => {
-            // The copy-on-write clone keeps running queries on the old
-            // snapshot and leaves the entry untouched when a row fails.
-            let mut next = (**table).clone();
+            // The copy-on-write copy keeps running queries on the old
+            // snapshot and leaves the entry untouched when a row fails. It
+            // has room for the new rows, so pushing them copies nothing.
+            let mut next = table.with_headroom(rows.len());
             next.append_rows(rows)?;
             Ok(next)
         }
@@ -324,7 +331,8 @@ impl Catalog {
             },
             Mutation::Create(table) if !state.tables.contains_key(&key) => {
                 state.last_id += 1;
-                Next::Table(TableEntry { table: Arc::new(table), version: 0, id: state.last_id })
+                let (table, id) = (Arc::new(table), state.last_id);
+                Next::Table(TableEntry { table, version: 0, rewritten_at: 0, id })
             }
             Mutation::Create(_) => return Err(StorageError::TableExists(name.to_string())),
             Mutation::Drop if state.tables.contains_key(&key) => Next::DropTable,
@@ -333,8 +341,11 @@ impl Catalog {
                     .tables
                     .get(&key)
                     .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
+                let version = entry.version + 1;
+                let rewritten_at =
+                    if matches!(data, Mutation::Append(_)) { entry.rewritten_at } else { version };
                 let table = Arc::new(changed(name, entry, data)?);
-                Next::Table(TableEntry { table, version: entry.version + 1, id: entry.id })
+                Next::Table(TableEntry { table, version, rewritten_at, id: entry.id })
             }
         };
         let unsynced = match (store, record) {
@@ -427,7 +438,7 @@ impl Catalog {
         }
         state.last_id += 1;
         let id = state.last_id;
-        state.tables.insert(key, TableEntry { table, version, id });
+        state.tables.insert(key, TableEntry { table, version, rewritten_at: version, id });
         Ok(())
     }
 
@@ -441,6 +452,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::schema::ColumnDef;
     use crate::types::DataType;
     use crate::value::Value;
@@ -502,6 +514,37 @@ mod tests {
         assert_eq!(ids(&cat), int_rows(&[7, 9]));
         assert_eq!(cat.entry("t").unwrap().version, 3);
         assert_eq!(after_append.rows().collect::<Vec<_>>(), int_rows(&[1, 2, 3]));
+    }
+
+    /// Appends move the version and leave `rewritten_at`; a delete, an
+    /// update and a restore move both. An append's copy has exactly the
+    /// room its rows need.
+    #[test]
+    fn only_appends_leave_the_rewrite_version() {
+        let cat = Catalog::new();
+        cat.create_table("t", schema()).unwrap();
+        let versions = |cat: &Catalog| {
+            let e = cat.entry("t").unwrap();
+            (e.version, e.rewritten_at)
+        };
+        assert_eq!(versions(&cat), (0, 0));
+        cat.apply("t", Mutation::Append(int_rows(&[1, 2, 3]))).unwrap();
+        cat.apply("t", Mutation::Append(int_rows(&[4]))).unwrap();
+        assert_eq!(versions(&cat), (2, 0));
+        let table = cat.get("t").unwrap();
+        let Column::Int(values, _) = table.column(0) else { panic!("an INTEGER column") };
+        assert_eq!((values.as_slice(), values.capacity()), ([1, 2, 3, 4].as_slice(), 4));
+        let update =
+            Mutation::Update { base_version: 2, positions: vec![0], new_rows: int_rows(&[9]) };
+        cat.apply("t", update).unwrap();
+        assert_eq!(versions(&cat), (3, 3));
+        cat.apply("t", Mutation::Append(int_rows(&[5]))).unwrap();
+        assert_eq!(versions(&cat), (4, 3));
+        cat.apply("t", Mutation::Delete { base_version: 4, positions: vec![1] }).unwrap();
+        assert_eq!(versions(&cat), (5, 5));
+        let restored = Catalog::new();
+        restored.restore_table("t", cat.get("t").unwrap(), 5).unwrap();
+        assert_eq!(versions(&restored), (5, 5));
     }
 
     #[test]

@@ -295,6 +295,24 @@ impl Column {
         }
     }
 
+    /// A copy with room for `extra` more cells, so pushing them
+    /// reallocates nothing.
+    pub fn with_headroom(&self, extra: usize) -> Column {
+        fn copy<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        }
+        match self {
+            Column::Int(v, b) => Column::Int(copy(v, extra), b.with_headroom(extra)),
+            Column::Double(v, b) => Column::Double(copy(v, extra), b.with_headroom(extra)),
+            Column::Str(v, b) => Column::Str(copy(v, extra), b.with_headroom(extra)),
+            Column::Bool(v, b) => Column::Bool(copy(v, extra), b.with_headroom(extra)),
+            Column::Date(v, b) => Column::Date(copy(v, extra), b.with_headroom(extra)),
+            Column::Path(v) => Column::Path(copy(v, extra)),
+        }
+    }
+
     /// Append all rows of `other` (must have the same type).
     pub fn extend_from(&mut self, other: &Column) -> Result<()> {
         if self.data_type() != other.data_type() {

@@ -98,6 +98,13 @@ impl Table {
         Ok(())
     }
 
+    /// A copy with room for `extra` more rows in every column, so
+    /// appending them reallocates nothing.
+    pub fn with_headroom(&self, extra: usize) -> Table {
+        let columns = self.columns.iter().map(|c| c.with_headroom(extra)).collect();
+        Table { schema: self.schema.clone(), columns, row_count: self.row_count }
+    }
+
     /// Row `i` as a vector of values.
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(i)).collect()

@@ -225,6 +225,36 @@ fn script_stops_at_first_error_side_effects_kept() {
     assert_eq!(count.row(0)[0], Value::Int(3));
 }
 
+/// A `DOUBLE` cost that overflows fails the statement with the typed cost
+/// overflow, as an integer one does, for one pair and for a batch — it is
+/// not reported as unreachable, although the overflowed sum is `+∞`. The
+/// hop query over the same edges still reaches the vertex, and a pair whose
+/// cost fits still answers.
+#[test]
+fn float_costs_that_overflow_fail_typed_instead_of_vanishing() {
+    use gsql::graph::GraphError;
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE e (s INTEGER, d INTEGER, w DOUBLE);
+         INSERT INTO e VALUES (1, 2, 1e308), (2, 3, 1e308);",
+    )
+    .unwrap();
+    let one = "SELECT CHEAPEST SUM(f: f.w) AS c WHERE 1 REACHES 3 OVER e f EDGE (s, d)";
+    let batch = "WITH pairs (x, y) AS (VALUES (1, 2), (1, 3), (2, 3)) \
+                 SELECT pairs.x, pairs.y, CHEAPEST SUM(f: f.w) AS c FROM pairs \
+                 WHERE pairs.x REACHES pairs.y OVER e f EDGE (s, d)";
+    for sql in [one, batch] {
+        match db.query(sql) {
+            Err(Error::Graph(GraphError::CostOverflow)) => {}
+            other => panic!("expected a cost overflow, got {other:?}: {sql}"),
+        }
+    }
+    let hops = db.query("SELECT 1 WHERE 1 REACHES 3 OVER e EDGE (s, d)").unwrap();
+    assert_eq!(hops.row_count(), 1);
+    let fits = "SELECT CHEAPEST SUM(f: f.w) AS c WHERE 1 REACHES 2 OVER e f EDGE (s, d)";
+    assert_eq!(db.query(fits).unwrap().row(0)[0], Value::Double(1e308));
+}
+
 /// Three edges of weight 2⁶² make a path of cost 3·2⁶², above the largest
 /// INTEGER. Plain Dijkstra and Dijkstra over a graph index fail the
 /// statement with the cost overflow error instead of a wrapped cost, while

@@ -352,3 +352,127 @@ fn big_batch_grouping_is_consistent() {
         }
     });
 }
+
+/// The statement that reads a seeded history's next answer.
+fn history_read(rng: &mut rand::rngs::StdRng, domain: i64) -> String {
+    use rand::Rng;
+    let (a, b) = (rng.gen_range(0..domain), rng.gen_range(0..domain));
+    let pairs: Vec<String> = (0..rng.gen_range(2..6))
+        .map(|_| format!("({}, {})", rng.gen_range(0..domain), rng.gen_range(0..domain)))
+        .collect();
+    let batch = |spec: &str| {
+        format!(
+            "WITH pairs (x, y) AS (VALUES {}) SELECT pairs.x, pairs.y, {spec} FROM pairs \
+             WHERE pairs.x REACHES pairs.y OVER e f EDGE (s, d)",
+            pairs.join(", ")
+        )
+    };
+    match rng.gen_range(0..5) {
+        // A graph-index read: bidirectional BFS over the reverse CSR.
+        0 => format!("SELECT CHEAPEST SUM(1) AS c WHERE {a} REACHES {b} OVER e EDGE (s, d)"),
+        // The landmark layer: point-to-point ALT.
+        1 => format!("SELECT CHEAPEST SUM(f: f.w) AS c WHERE {a} REACHES {b} OVER e f EDGE (s, d)"),
+        // A path: Dijkstra over the graph index.
+        2 => format!(
+            "SELECT CHEAPEST SUM(f: f.w) AS (c, p) WHERE {a} REACHES {b} OVER e f EDGE (s, d)"
+        ),
+        3 => batch("CHEAPEST SUM(1) AS c"),
+        _ => batch("CHEAPEST SUM(f: f.w) AS c"),
+    }
+}
+
+/// The statement that makes a seeded history's next write: one row or a
+/// few, over a vertex domain that grows (so new vertices keep arriving),
+/// with duplicate edges, self-loops and NULL endpoints; or a `DELETE` or an
+/// `UPDATE`.
+fn history_write(rng: &mut rand::rngs::StdRng, domain: i64) -> String {
+    use rand::Rng;
+    let end = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..12) {
+        0 => "NULL".to_string(),
+        _ => rng.gen_range(0..domain).to_string(),
+    };
+    let row = |rng: &mut rand::rngs::StdRng| {
+        let s = end(rng);
+        let d = if rng.gen_range(0..8) == 0 { s.clone() } else { end(rng) };
+        format!("({s}, {d}, {})", rng.gen_range(1..9))
+    };
+    match rng.gen_range(0..10) {
+        0 => format!("DELETE FROM e WHERE s = {}", rng.gen_range(0..domain)),
+        1 => format!(
+            "UPDATE e SET d = {} WHERE s = {}",
+            rng.gen_range(0..domain),
+            rng.gen_range(0..domain)
+        ),
+        2..=4 => {
+            let rows: Vec<String> = (0..rng.gen_range(2..6)).map(|_| row(rng)).collect();
+            format!("INSERT INTO e VALUES {}", rows.join(", "))
+        }
+        _ => format!("INSERT INTO e VALUES {}", row(rng)),
+    }
+}
+
+/// Seeded histories of writes and reads over a table with a graph index
+/// and a `LANDMARKS` path index, most writes appends. After every read the
+/// answer equals a fresh unindexed database's over the same rows, and every
+/// graph an index holds for the table's current version — built, shared or
+/// extended — is the graph `build_graph` makes of the current snapshot:
+/// the same dictionary and both CSRs slot for slot. In the durable
+/// configurations the path index's graph is restored from the snapshot and
+/// first extended by the WAL's rows.
+#[test]
+fn served_graphs_equal_a_fresh_build_after_every_write() {
+    use gsql::engine::build_graph;
+    use gsql::{Database, IndexSpace};
+    use rand::SeedableRng;
+
+    let setup = [
+        "CREATE TABLE e (s INTEGER, d INTEGER, w INTEGER NOT NULL)",
+        "INSERT INTO e VALUES (1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 4, 5), (4, 4, 1)",
+        "CREATE PATH INDEX pl ON e EDGE (s, d) WEIGHT w USING LANDMARKS(2)",
+        "CREATE GRAPH INDEX gi ON e EDGE (s, d)",
+        "INSERT INTO e VALUES (4, 5, 2), (NULL, 1, 1)",
+        "INSERT INTO e VALUES (5, 1, 4)",
+    ];
+    sweep(&setup, |run| {
+        let db = run.db();
+        for seed in 0..3u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0000 + seed);
+            for step in 0..40 {
+                let domain = 6 + step / 4;
+                if rand::Rng::gen_range(&mut rng, 0..5) < 2 {
+                    run.session().execute(&history_write(&mut rng, domain)).unwrap();
+                    continue;
+                }
+                let sql = history_read(&mut rng, domain);
+                let got = run.query(&sql);
+                let snapshot = db.catalog().get("e").unwrap();
+                let fresh = Database::new();
+                fresh.execute("CREATE TABLE e (s INTEGER, d INTEGER, w INTEGER NOT NULL)").unwrap();
+                if !snapshot.is_empty() {
+                    let row = |r: Vec<Value>| format!("({}, {}, {})", r[0], r[1], r[2]);
+                    let rows: Vec<String> = snapshot.rows().map(row).collect();
+                    fresh.execute(&format!("INSERT INTO e VALUES {}", rows.join(", "))).unwrap();
+                }
+                let what = format!("seed {seed} step {step}: {sql}");
+                assert_eq!(common::answer(&got), common::answer(&fresh.query(&sql)), "{what}");
+
+                let built = build_graph(snapshot, 0, 1).unwrap();
+                let served: Vec<_> = [(IndexSpace::Graph, "gi"), (IndexSpace::Path, "pl")]
+                    .into_iter()
+                    .filter_map(|(space, name)| db.indexes().graph(space, name))
+                    .collect();
+                assert!(!served.is_empty(), "the read was served by an index: {what}");
+                for graph in served {
+                    assert_eq!(graph.vertices(), built.vertices(), "{what}");
+                    assert_eq!(graph.csr.raw_parts(), built.csr.raw_parts(), "{what}");
+                    assert_eq!(graph.reverse().raw_parts(), built.reverse().raw_parts(), "{what}");
+                    assert_eq!(graph.edges.row_count(), built.edges.row_count(), "{what}");
+                }
+            }
+        }
+        let m = db.metrics();
+        assert!(m.graph_builds_total("extension") > 0, "appends extended the graph");
+        let rebuilds = m.graph_builds_total("graph_index") + m.graph_builds_total("path_index");
+        assert!(rebuilds > 2, "deletes and updates rebuilt it: {rebuilds}");
+    });
+}

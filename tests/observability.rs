@@ -346,16 +346,50 @@ fn graph_build_is_visible_from_every_build_site() {
         assert_eq!(count, 0, "{doc}");
         assert_eq!(m.graph_builds_total("graph_index"), 1);
 
-        // The first indexed read after a write pays the lazy rebuild.
+        // The first indexed read after an INSERT extends the graph by the
+        // appended row: one extension, no full build.
         session.execute("INSERT INTO e VALUES (1, 40, 1)").unwrap();
         session.query_with_params(q13, &args).unwrap();
         let (count, span, doc) = build_spans("indexed Q13 after INSERT");
         assert_eq!(count, 1, "{doc}");
         let span = span.unwrap();
-        assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("graph_index"), "{doc}");
+        assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("extension"), "{doc}");
+        assert_eq!(attr(&span, "appended").and_then(Json::as_i64), Some(1), "{doc}");
         assert_eq!(attr(&span, "edges").and_then(Json::as_i64), Some(401), "{doc}");
-        assert_eq!(m.graph_builds_total("graph_index"), 2);
+        assert_eq!(m.graph_builds_total("extension"), 1);
+        assert_eq!(m.graph_builds_total("graph_index"), 1);
         assert_eq!(m.graph_builds_total("statement"), 1, "indexed reads never build per statement");
+
+        // After a DELETE the first read rebuilds in full; the row is put
+        // back, so the read after that extends again.
+        session.execute("DELETE FROM e WHERE s = 1 AND d = 40 AND w = 1").unwrap();
+        session.query_with_params(q13, &args).unwrap();
+        let (count, span, doc) = build_spans("indexed Q13 after DELETE");
+        assert_eq!(count, 1, "{doc}");
+        let span = span.unwrap();
+        assert_eq!(attr(&span, "source").and_then(Json::as_str), Some("graph_index"), "{doc}");
+        assert_eq!(attr(&span, "appended").and_then(Json::as_i64), Some(0), "{doc}");
+        assert_eq!(m.graph_builds_total("graph_index"), 2);
+        assert_eq!(m.graph_builds_total("extension"), 1);
+        session.execute("INSERT INTO e VALUES (1, 40, 1)").unwrap();
+        session.query_with_params(q13, &args).unwrap();
+        assert_eq!(m.graph_builds_total("extension"), 2);
+        let explained = session
+            .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) AS (c, p) WHERE 1 REACHES 40 OVER e EDGE (s, d)")
+            .unwrap();
+        let lines: Vec<String> =
+            explained.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+        assert!(!lines.iter().any(|l| l.contains("graph build:")), "a fresh index: {lines:?}");
+        session.execute("INSERT INTO e VALUES (2, 40, 1), (3, 40, 1)").unwrap();
+        let explained = session
+            .query("EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) WHERE 1 REACHES 40 OVER e EDGE (s, d)")
+            .unwrap();
+        let lines: Vec<String> =
+            explained.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+        let noted: Vec<&String> = lines.iter().filter(|l| l.contains("graph build:")).collect();
+        assert_eq!(noted.len(), 1, "{lines:?}");
+        assert!(noted[0].contains("E=403, dict=int, extended by 2 row(s), "), "{lines:?}");
+        assert_eq!(m.graph_builds_total("extension"), 3);
 
         // EXPLAIN ANALYZE attributes the build to the graph operator, not to
         // the input operators that run after it.
@@ -373,7 +407,7 @@ fn graph_build_is_visible_from_every_build_site() {
             if rebuilt {
                 assert_eq!(noted.len(), 1, "{lines:?}");
                 assert!(noted[0].trim_start().starts_with("GraphSelect"), "{lines:?}");
-                assert!(noted[0].contains("V=") && noted[0].contains("E=401"), "{lines:?}");
+                assert!(noted[0].contains("V=") && noted[0].contains("E=403"), "{lines:?}");
                 assert!(noted[0].contains("dict=int") && noted[0].contains(" ms"), "{lines:?}");
             } else {
                 assert!(noted.is_empty(), "a fresh index builds nothing: {lines:?}");
@@ -485,7 +519,8 @@ fn duplicate_create_graph_index_builds_nothing() {
 fn graph_and_path_index_share_one_build_per_table_version() {
     let db = graph_db();
     let m = db.metrics();
-    let graph_builds = || m.graph_builds_total("graph_index") + m.graph_builds_total("path_index");
+    let sources = ["graph_index", "path_index", "extension"];
+    let graph_builds = || sources.map(|s| m.graph_builds_total(s)).iter().sum::<u64>();
     db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
     db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) USING CONTRACTION").unwrap();
     assert_eq!((graph_builds(), db.indexes().builds()), (1, 1));

@@ -570,7 +570,8 @@ fn a_rebuild_outliving_its_table_is_not_served_to_a_recreated_one() {
             format!("SELECT CHEAPEST SUM(1) AS hops WHERE 0 REACHES {to} OVER grid EDGE (s, d)");
         db.query(&sql).map(|t| (0..t.row_count()).map(|i| t.row(i)[0].clone()).collect::<Vec<_>>())
     };
-    let graphs = || db.metrics().graph_builds_total("path_index");
+    // The stale graph is extended by the appended row, not rebuilt.
+    let graphs = || db.metrics().graph_builds_total("extension");
     let built = graphs();
     std::thread::scope(|scope| {
         let rebuild = scope.spawn(|| hops(3));
