@@ -81,6 +81,7 @@ pub struct Database {
 
 impl Default for Database {
     fn default() -> Database {
+        fix_malloc_thresholds();
         let catalog = Arc::new(Catalog::new());
         Database {
             indexes: IndexRegistry::new(Arc::clone(&catalog)),
@@ -89,6 +90,37 @@ impl Default for Database {
             metrics: Arc::default(),
             slow_log: Arc::default(),
         }
+    }
+}
+
+/// Fix glibc malloc's mmap and trim thresholds, once per process, so that a
+/// statement's buffers are reused by the next statement rather than handed
+/// back to the kernel and faulted in again.
+///
+/// Left alone, glibc raises both thresholds to the largest block freed so
+/// far, so whether a statement's few megabytes stay resident depends on
+/// what the process allocated before and where its heaps happen to end:
+/// two builds whose allocations of 100 kB or more are the same sequence
+/// read `rel_pipeline` (a scan–join–group statement over a 48 k-row table)
+/// at 36 and at 1 400 minor faults per statement, 9 against 16 ms. With
+/// blocks below 4 MiB served from the heap and a heap trimmed only past
+/// 32 MiB free, every build reads the first figure. Other allocators and
+/// platforms are left as they are.
+fn fix_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
+        }
+        const M_TRIM_THRESHOLD: std::ffi::c_int = -1;
+        const M_MMAP_THRESHOLD: std::ffi::c_int = -3;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` only sets allocator parameters, under glibc's
+        // own arena lock; both values are in the ranges glibc accepts.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, 4 << 20);
+            mallopt(M_TRIM_THRESHOLD, 32 << 20);
+        });
     }
 }
 

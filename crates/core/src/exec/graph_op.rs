@@ -95,12 +95,6 @@ impl MaterializedGraph {
         self.reverse.get_or_init(|| gsql_graph::reverse_csr(&self.csr))
     }
 
-    /// Whether the reverse CSR is built yet.
-    #[cfg(test)]
-    pub(crate) fn has_reverse(&self) -> bool {
-        self.reverse.get().is_some()
-    }
-
     /// Reassemble a graph from persisted parts (warm restart). The reverse
     /// CSR is installed eagerly — a restored path index must answer its
     /// first query without any build work. Weight vectors are not
@@ -829,6 +823,31 @@ mod tests {
         }
         t.append_row(vec![Value::Null, Value::Int(99), Value::Int(1)]).unwrap(); // NULL endpoint: must be dropped
         Arc::new(t)
+    }
+
+    /// An extension grows the reverse CSR only when the old graph had
+    /// built one.
+    #[test]
+    fn an_extension_carries_the_reverse_csr_it_finds() {
+        let table = |rows: &[(i64, i64)]| {
+            let schema = Schema::new(vec![
+                ColumnDef::not_null("s", DataType::Int),
+                ColumnDef::not_null("d", DataType::Int),
+            ]);
+            let mut t = Table::empty(schema);
+            t.append_rows(rows.iter().map(|&(s, d)| vec![Value::Int(s), Value::Int(d)]).collect())
+                .unwrap();
+            Arc::new(t)
+        };
+        let (old, new) = ([(1, 2), (2, 3)], [(1, 2), (2, 3), (3, 1), (7, 1)]);
+        let base = build_graph(table(&old), 0, 1).unwrap();
+        let grown = grow_graph(Some(&base), table(&new), 0, 1).unwrap();
+        assert!(grown.reverse.get().is_none());
+        base.reverse();
+        let grown = grow_graph(Some(&base), table(&new), 0, 1).unwrap();
+        let built = build_graph(table(&new), 0, 1).unwrap();
+        assert_eq!(grown.reverse.get(), Some(built.reverse()));
+        assert_eq!((&grown.csr, grown.vertices()), (&built.csr, built.vertices()));
     }
 
     #[test]

@@ -45,16 +45,6 @@ impl VertexDict {
         }
     }
 
-    /// Encode every row of two key columns without NULLs into a new
-    /// dictionary, returning `(dictionary, src ids, dst ids)` — what a graph
-    /// build does.
-    #[cfg(test)]
-    fn encode(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
-        let mut dict = VertexDict::new(src, dst);
-        let (src_ids, dst_ids) = dict.intern_rows(src, dst, 0..src.len().min(dst.len()));
-        (dict, src_ids, dst_ids)
-    }
-
     /// An empty `Generic` dictionary over `key_type` keys.
     fn generic(key_type: DataType) -> VertexDict {
         VertexDict::Generic { ids: IdTable::with_capacity(16), keys: Column::empty(key_type) }
@@ -90,16 +80,6 @@ impl VertexDict {
             }
             VertexDict::Generic { ids, keys } => intern_generic(ids, keys, src, dst, rows),
         }
-    }
-
-    /// [`VertexDict::encode`] through the `Generic` representation whatever
-    /// the key type (tests force it on `INTEGER` keys as the reference the
-    /// `Int` representation must agree with).
-    #[cfg(test)]
-    fn encode_generic(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
-        let mut dict = VertexDict::generic(src.data_type());
-        let (src_ids, dst_ids) = dict.intern_rows(src, dst, 0..src.len().min(dst.len()));
-        (dict, src_ids, dst_ids)
     }
 
     /// Rebuild a dictionary from its values in id order (warm restart).
@@ -368,6 +348,27 @@ mod tests {
         Boolean,
     }
 
+    /// Every row of two key columns without NULLs interned into a new
+    /// dictionary, as a graph build does: `(dictionary, src ids, dst ids)`.
+    fn encode(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
+        encode_into(VertexDict::new(src, dst), src, dst)
+    }
+
+    /// [`encode`] through the `Generic` representation whatever the key
+    /// type: the reference the `Int` representation must agree with.
+    fn encode_generic(src: &Column, dst: &Column) -> (VertexDict, Vec<u32>, Vec<u32>) {
+        encode_into(VertexDict::generic(src.data_type()), src, dst)
+    }
+
+    fn encode_into(
+        mut dict: VertexDict,
+        src: &Column,
+        dst: &Column,
+    ) -> (VertexDict, Vec<u32>, Vec<u32>) {
+        let (src_ids, dst_ids) = dict.intern_rows(src, dst, 0..src.len());
+        (dict, src_ids, dst_ids)
+    }
+
     const KINDS: [Keys; 6] =
         [Keys::Int, Keys::IntExtremes, Keys::IntBig, Keys::Varchar, Keys::Date, Keys::Boolean];
 
@@ -471,8 +472,8 @@ mod tests {
         tables(|kind, rows| {
             let graph = build_graph(Arc::new(edge_table(kind, rows)), 0, 1).unwrap();
             let (src, dst) = (graph.edges.column(0), graph.edges.column(1));
-            let (typed, typed_src, typed_dst) = VertexDict::encode(src, dst);
-            let (generic, generic_src, generic_dst) = VertexDict::encode_generic(src, dst);
+            let (typed, typed_src, typed_dst) = encode(src, dst);
+            let (generic, generic_src, generic_dst) = encode_generic(src, dst);
             let is_int = kind.data_type() == DataType::Int;
             assert_eq!(typed.kind(), if is_int { "int" } else { "generic" }, "{kind:?}");
             assert_eq!(generic.kind(), "generic");
@@ -540,10 +541,8 @@ mod tests {
             for (dict, split) in [(&typed, n_rows / 3), (&generic, n_rows / 2), (&typed, n_rows)] {
                 let head = src.slice_rows(0..split);
                 let (head_dict, head_src, head_dst) = match dict {
-                    VertexDict::Int(_) => VertexDict::encode(&head, &dst.slice_rows(0..split)),
-                    VertexDict::Generic { .. } => {
-                        VertexDict::encode_generic(&head, &dst.slice_rows(0..split))
-                    }
+                    VertexDict::Int(_) => encode(&head, &dst.slice_rows(0..split)),
+                    VertexDict::Generic { .. } => encode_generic(&head, &dst.slice_rows(0..split)),
                 };
                 let mut grown = head_dict.clone();
                 let (tail_src, tail_dst) = grown.intern_rows(src, dst, split..n_rows);
@@ -584,7 +583,7 @@ mod tests {
         // 20 000 rows over 100 keys: the table stays at 256 slots.
         let keys: Vec<i64> = (0..20_000).map(|i| (i % 100) * 1_000_003 - 50).collect();
         let column = Column::from_ints(keys.clone());
-        let (dict, src, dst) = VertexDict::encode(&column, &column);
+        let (dict, src, dst) = encode(&column, &column);
         assert_eq!(src, dst);
         assert_eq!(dict.len(), 100);
         let VertexDict::Int(table) = &dict else {
