@@ -102,10 +102,10 @@ impl Default for Database {
 /// what the process allocated before and where its heaps happen to end:
 /// two builds whose allocations of 100 kB or more are the same sequence
 /// read `rel_pipeline` (a scan–join–group statement over a 48 k-row table)
-/// at 36 and at 1 400 minor faults per statement, 9 against 16 ms. With
-/// blocks below 4 MiB served from the heap and a heap trimmed only past
-/// 32 MiB free, every build reads the first figure. Other allocators and
-/// platforms are left as they are.
+/// at 36 and at 1 400 minor faults per statement, ≈ 9 against 16 ms on a
+/// 2-vCPU box. With blocks below 4 MiB served from the heap and a heap
+/// trimmed only past 32 MiB free, it reads 13–16.
+/// Other allocators and platforms are left as they are.
 fn fix_malloc_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
