@@ -306,11 +306,15 @@ impl ContractionHierarchy {
         }
     }
 
-    /// Reassemble a hierarchy from serialized parts, validating the CSR
-    /// invariants ([`ContractionHierarchy::to_parts`] round-trips exactly).
-    /// The error string names the violated invariant.
-    pub fn from_parts(parts: ChParts) -> Result<ContractionHierarchy, String> {
+    /// Reassemble a hierarchy of a graph of `num_vertices` vertices from
+    /// serialized parts, validating that it covers exactly those vertices
+    /// and the CSR invariants ([`ContractionHierarchy::to_parts`]
+    /// round-trips exactly). The error string names the violated invariant.
+    pub fn from_parts(num_vertices: u32, parts: ChParts) -> Result<ContractionHierarchy, String> {
         let n = parts.rank.len();
+        if n != num_vertices as usize {
+            return Err(format!("hierarchy ranks {n} vertices of a graph of {num_vertices}"));
+        }
         let check = |side: &str, p: &UpGraphParts| -> Result<(), String> {
             if p.offsets.len() != n + 1 {
                 return Err(format!(

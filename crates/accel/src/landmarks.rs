@@ -112,11 +112,12 @@ impl Landmarks {
         (self.landmarks.clone(), self.fwd.clone(), self.bwd.clone())
     }
 
-    /// Reassemble an index from serialized parts, validating that every
-    /// landmark has one forward and one backward vector and that all
-    /// vectors cover the same vertex count. The error string names the
-    /// violated invariant.
+    /// Reassemble an index of a graph of `num_vertices` vertices from
+    /// serialized parts, validating that every landmark is a vertex with
+    /// one forward and one backward vector, each covering exactly those
+    /// vertices. The error string names the violated invariant.
     pub fn from_parts(
+        num_vertices: u32,
         landmarks: Vec<u32>,
         fwd: Vec<Vec<u64>>,
         bwd: Vec<Vec<u64>>,
@@ -129,11 +130,11 @@ impl Landmarks {
                 bwd.len()
             ));
         }
-        let n = fwd.first().map(Vec::len).unwrap_or(0);
+        let n = num_vertices as usize;
         if fwd.iter().chain(bwd.iter()).any(|v| v.len() != n) {
-            return Err("landmark distance vectors have inconsistent lengths".into());
+            return Err(format!("landmark distance vectors do not cover the graph's {n} vertices"));
         }
-        if landmarks.iter().any(|&lm| lm as usize >= n.max(1)) && n > 0 {
+        if landmarks.iter().any(|&lm| lm >= num_vertices) {
             return Err("landmark vertex id out of range".into());
         }
         Ok(Landmarks { landmarks, fwd, bwd })

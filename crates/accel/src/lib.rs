@@ -39,6 +39,8 @@
 //! `buckets`) to its observer. They compute costs only: every returned
 //! `path` is `None`. Landmark selection and contraction stay builders.
 
+#![forbid(unsafe_code)]
+
 pub mod alt;
 pub mod ch;
 pub mod ch_query;

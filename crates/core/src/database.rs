@@ -105,7 +105,9 @@ impl Default for Database {
 /// at 36 and at 1 400 minor faults per statement, ≈ 9 against 16 ms on a
 /// 2-vCPU box. With blocks below 4 MiB served from the heap and a heap
 /// trimmed only past 32 MiB free, it reads 13–16.
-/// Other allocators and platforms are left as they are.
+/// Other allocators and platforms are left as they are. This is the
+/// engine's only `unsafe` code: the crate denies it everywhere else.
+#[allow(unsafe_code)]
 fn fix_malloc_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

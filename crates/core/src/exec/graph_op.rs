@@ -94,31 +94,11 @@ impl MaterializedGraph {
     pub fn reverse(&self) -> &Csr {
         self.reverse.get_or_init(|| gsql_graph::reverse_csr(&self.csr))
     }
-
-    /// Reassemble a graph from persisted parts (warm restart). The reverse
-    /// CSR is installed eagerly — a restored path index must answer its
-    /// first query without any build work. Weight vectors are not
-    /// persisted: the cache starts empty and the first weighted query
-    /// after the reopen evaluates its expression again.
-    pub(crate) fn from_saved(
-        edges: Arc<Table>,
-        csr: Csr,
-        reverse: Csr,
-        dict: VertexDict,
-        src_key: usize,
-        dst_key: usize,
-    ) -> MaterializedGraph {
-        let slot = std::sync::OnceLock::new();
-        slot.set(reverse).expect("fresh OnceLock");
-        let weights = WeightCache::default();
-        MaterializedGraph { edges, csr, dict, src_key, dst_key, reverse: slot, weights }
-    }
 }
 
 /// The NULL-endpoint filter every materialized graph applies to its edge
-/// snapshot, factored out so warm-start restoration recomputes **exactly**
-/// the snapshot the index was built over.
-pub(crate) fn null_filtered_edges(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Arc<Table> {
+/// snapshot: `edges` itself when no endpoint is NULL.
+fn null_filtered_edges(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Arc<Table> {
     let src_col = edges.column(src_key);
     let dst_col = edges.column(dst_key);
     if src_col.null_count() == 0 && dst_col.null_count() == 0 {
@@ -294,7 +274,10 @@ fn prepare_weights(
     from_index: bool,
 ) -> Result<Arc<PreparedWeights>> {
     let span = ctx.trace_begin("weights");
-    let result = slot_weights(spec, graph, ctx, from_index);
+    let result = slot_weights(&spec.weight, graph, ctx, from_index, || {
+        let weights = edge_weights(&spec.weight, spec.weight_ty, graph, ctx)?;
+        PreparedWeights::new(&graph.csr, &weights, ctx.threads()).map_err(Error::Graph)
+    });
     let cached = matches!(result, Ok((_, true)));
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
         t.end_with(
@@ -308,25 +291,25 @@ fn prepare_weights(
     result.map(|(weights, _)| weights)
 }
 
-/// The per-edge weights of `spec` in `graph`'s slot order, and whether they
-/// came from the graph's weight cache.
+/// The weights of `expr` in `graph`'s CSR slot order, and whether they
+/// came from the graph's weight cache — what a weighted `CHEAPEST SUM` and
+/// a path index's layer read.
 ///
 /// Only graphs that outlive the statement (`from_index`) consult the cache;
 /// an ad-hoc graph dies with its statement, so caching on it would be a
-/// copy nobody reads. On a miss the expression is evaluated over every
-/// edge, NULL-checked, validated strictly positive and permuted — any
-/// failure is returned and nothing is stored, so it repeats on the next
-/// statement exactly as it did before there was a cache.
-fn slot_weights(
-    spec: &CheapestSpec,
+/// copy nobody reads. On a miss the weights are `gather`ed — any failure is
+/// returned and nothing is stored, so it repeats on the next statement
+/// exactly as it did before there was a cache.
+pub(crate) fn slot_weights(
+    expr: &BoundExpr,
     graph: &MaterializedGraph,
     ctx: &ExecContext<'_>,
     from_index: bool,
+    gather: impl FnOnce() -> Result<PreparedWeights>,
 ) -> Result<(Arc<PreparedWeights>, bool)> {
-    let params = ctx.params();
-    let key = if from_index { weight_cache::constants(&spec.weight, params) } else { None };
+    let key = if from_index { weight_cache::constants(expr, ctx.params()) } else { None };
     if let Some(constants) = &key {
-        let hit = graph.weights.get(&spec.weight, constants);
+        let hit = graph.weights.get(expr, constants);
         if let Some(m) = ctx.metrics() {
             m.record_weight_cache(hit.is_some());
         }
@@ -334,30 +317,36 @@ fn slot_weights(
             return Ok((weights, true));
         }
     }
+    let weights = Arc::new(gather()?);
+    if let Some(constants) = &key {
+        let metrics = ctx.metrics().map(Arc::as_ref);
+        graph.weights.insert(expr, constants, Arc::clone(&weights), metrics);
+    }
+    Ok((weights, false))
+}
+
+/// `expr`, of type `ty`, evaluated over every edge of `graph` and
+/// NULL-checked, in edge-row order: what [`PreparedWeights::new`] validates
+/// strictly positive and gathers into the slot order of `graph`'s CSR or
+/// its reverse. Every slot-weight vector the engine holds comes from there.
+pub(crate) fn edge_weights(
+    expr: &BoundExpr,
+    ty: DataType,
+    graph: &MaterializedGraph,
+    ctx: &ExecContext<'_>,
+) -> Result<WeightSpec> {
     let edges = &graph.edges;
-    let col = eval_to_column(&spec.weight, edges, &Sel::all(edges), params, spec.weight_ty)?;
+    let col = eval_to_column(expr, edges, &Sel::all(edges), ctx.params(), ty)?;
     if col.null_count() > 0 {
         let row = (0..col.len()).find(|&i| col.is_null(i)).expect("a NULL was counted");
         return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
     }
     // The evaluated column's buffer moves into the spec: no second copy.
-    let weight_spec = match col {
-        Column::Int(vals, _) => WeightSpec::Int(vals),
-        Column::Double(vals, _) => WeightSpec::Float(vals),
-        other => {
-            return Err(exec_err!(
-                "CHEAPEST SUM weight must be numeric, found {}",
-                other.data_type()
-            ))
-        }
-    };
-    let weights = PreparedWeights::new(&graph.csr, &weight_spec, ctx.threads());
-    let weights = Arc::new(weights.map_err(Error::Graph)?);
-    if let Some(constants) = &key {
-        let metrics = ctx.metrics().map(Arc::as_ref);
-        graph.weights.insert(&spec.weight, constants, Arc::clone(&weights), metrics);
+    match col {
+        Column::Int(vals, _) => Ok(WeightSpec::Int(vals)),
+        Column::Double(vals, _) => Ok(WeightSpec::Float(vals)),
+        other => Err(exec_err!("CHEAPEST SUM weight must be numeric, found {}", other.data_type())),
     }
-    Ok((weights, false))
 }
 
 /// Bridges every search's reports onto the engine metrics registry and

@@ -26,11 +26,13 @@
 //!
 //! Every index over one edge configuration shares one graph per table
 //! snapshot, so a graph index and a path index over the same edges cost one
-//! build and share one weight cache. **One stale-stamp rule** covers graph
-//! and layer: an artifact carries the definition it was built for and the
-//! identity and version of the table entry it was built from — read once
-//! per build — and serves only while the catalog holds that definition over
-//! that table at that version. Any DML makes the next query that needs it
+//! build and share one weight cache: a path index's weight vector is the
+//! graph's cached vector for its weight column, the one a `CHEAPEST SUM`
+//! over that column reads, and the layer has no weight code of its own.
+//! **One stale-stamp rule** covers graph and layer: an artifact carries the
+//! definition it was built for and the identity and version of the table
+//! entry it was built from — read once per build — and serves only while
+//! the catalog holds that definition over that table at that version. Any DML makes the next query that needs it
 //! build lazily; a dropped or re-created table, or a redefined index, is
 //! never served an old build. GRAPH and PATH names are separate name spaces
 //! ([`IndexSpace`]).
@@ -56,12 +58,14 @@
 
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
-use crate::exec::graph_op::{build_graph_observed, graph_err, BuildSource, MaterializedGraph};
+use crate::exec::graph_op::{
+    build_graph_observed, edge_weights, graph_err, slot_weights, BuildSource, MaterializedGraph,
+};
 use crate::plan::{BoundExpr, CheapestSpec};
 use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
-use gsql_graph::{Budget, Search, TraversalKind};
+use gsql_graph::{Budget, PreparedWeights, Search, TraversalKind};
 use gsql_storage::catalog::TableEntry;
-use gsql_storage::{AccelDef, Catalog, Column, DataType, IndexDef, StorageError};
+use gsql_storage::{AccelDef, Catalog, DataType, IndexDef, Schema, StorageError};
 pub use gsql_storage::{IndexSpace, PathIndexKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -78,6 +82,15 @@ type Stamp = (u64, u64);
 
 fn stamp(entry: &TableEntry) -> Stamp {
     (entry.id, entry.version)
+}
+
+/// The ordinals of `def`'s source and destination columns in `schema`, its
+/// table's: the key columns a build of `def` reads.
+pub(crate) fn key_columns(def: &IndexDef, schema: &Schema) -> Result<(usize, usize)> {
+    let column = |c: &str| {
+        schema.index_of(c).ok_or_else(|| bind_err!("no column '{c}' in table '{}'", def.table))
+    };
+    Ok((column(&def.src_col)?, column(&def.dst_col)?))
 }
 
 /// The graph a graph operator reads, and where it came from.
@@ -354,30 +367,14 @@ impl IndexRegistry {
         def: &IndexDef,
         entry: &TableEntry,
     ) -> Result<(Arc<MaterializedGraph>, Option<Arc<AccelLayer>>)> {
-        let base = {
-            let artifacts = self.read();
-            let over = artifacts.iter().filter(|a| {
-                let (id, version) = a.stamp;
-                id == entry.id
-                    && (entry.rewritten_at..=entry.version).contains(&version)
-                    && a.def.covers(&def.table, &def.src_col, &def.dst_col)
-            });
-            over.max_by_key(|a| a.stamp.1).map(|a| (a.stamp.1, Arc::clone(&a.graph)))
-        };
-        let graph = match base {
+        let graph = match self.base_graph(def, entry) {
             Some((version, graph)) if version == entry.version => graph,
             base => {
-                let schema = entry.table.schema();
-                let column = |c: &str| {
-                    schema
-                        .index_of(c)
-                        .ok_or_else(|| bind_err!("no column '{c}' in table '{}'", def.table))
-                };
                 let source = match def.space() {
                     IndexSpace::Graph => BuildSource::GraphIndex,
                     IndexSpace::Path => BuildSource::PathIndex,
                 };
-                let (src_key, dst_key) = (column(&def.src_col)?, column(&def.dst_col)?);
+                let (src_key, dst_key) = key_columns(def, entry.table.schema())?;
                 let (base, edges) = (base.as_ref().map(|(_, g)| &**g), Arc::clone(&entry.table));
                 Arc::new(build_graph_observed(ctx, source, base, edges, src_key, dst_key)?)
             }
@@ -391,6 +388,26 @@ impl IndexRegistry {
             }
         };
         Ok((graph, layer))
+    }
+
+    /// The newest graph an artifact over `def`'s edges holds that `entry`
+    /// derives from, and the version it was built from: one built from
+    /// `entry` itself, served as it is, or from an older version of the
+    /// same table that has only had rows appended since
+    /// ([`TableEntry::rewritten_at`]), to be extended.
+    pub(crate) fn base_graph(
+        &self,
+        def: &IndexDef,
+        entry: &TableEntry,
+    ) -> Option<(u64, Arc<MaterializedGraph>)> {
+        let artifacts = self.read();
+        let over = artifacts.iter().filter(|a| {
+            let (id, version) = a.stamp;
+            id == entry.id
+                && (entry.rewritten_at..=entry.version).contains(&version)
+                && a.def.covers(&def.table, &def.src_col, &def.dst_col)
+        });
+        over.max_by_key(|a| a.stamp.1).map(|a| (a.stamp.1, Arc::clone(&a.graph)))
     }
 
     /// Keep the artifacts the catalog still defines, over the tables they
@@ -468,6 +485,16 @@ pub(crate) enum AccelIndex {
     Ch(ContractionHierarchy),
 }
 
+/// The slot weights of an acceleration layer's weight column: forward, and
+/// backward over the reverse CSR.
+type LayerWeights = (Arc<PreparedWeights>, PreparedWeights);
+
+/// The integer slots of `weights`, forward and backward.
+pub(crate) fn int_slots(weights: &Option<LayerWeights>) -> Option<(&[i64], &[i64])> {
+    let (forward, backward) = weights.as_ref()?;
+    forward.as_int().zip(backward.as_int())
+}
+
 /// The acceleration layer of a path index: the structure, the graph it was
 /// built over, and that graph's validated slot weights.
 #[derive(Debug)]
@@ -477,68 +504,59 @@ pub(crate) struct AccelLayer {
     pub graph: Arc<MaterializedGraph>,
     /// The landmark index or contraction hierarchy.
     pub accel: AccelIndex,
-    /// Weights in forward-CSR slot order (present iff the index declares a
-    /// weight column).
-    pub weights_fwd: Option<Vec<i64>>,
-    /// Weights in reverse-CSR slot order (present iff `weights_fwd` is).
-    pub weights_bwd: Option<Vec<i64>>,
+    /// The weight column's slot weights (present iff the index declares
+    /// one), from [`AccelLayer::derive_weights`].
+    pub weights: Option<LayerWeights>,
 }
 
 impl AccelLayer {
+    /// The slot weights of `accel`'s weight column over `graph`, or `None`
+    /// for a hop index. The column is evaluated once ([`edge_weights`]) and
+    /// gathered into the slots of both CSRs by [`PreparedWeights::new`]; the
+    /// forward vector is the one in the graph's weight cache — the same
+    /// `Arc` a `CHEAPEST SUM` over that column on that graph reads, put
+    /// there now on a miss. A NULL or a weight that is not strictly
+    /// positive fails as it fails a query.
+    pub(crate) fn derive_weights(
+        ctx: &ExecContext<'_>,
+        graph: &MaterializedGraph,
+        accel: &AccelDef,
+    ) -> Result<Option<LayerWeights>> {
+        let Some(index) = accel.weight_key else { return Ok(None) };
+        let column = BoundExpr::Column { index, ty: DataType::Int };
+        let weights = edge_weights(&column, DataType::Int, graph, ctx)?;
+        let gather = |csr| PreparedWeights::new(csr, &weights, ctx.threads()).map_err(Error::Graph);
+        let (forward, _) = slot_weights(&column, graph, ctx, true, || gather(&graph.csr))?;
+        Ok(Some((forward, gather(graph.reverse())?)))
+    }
+
     /// Build the layer of `accel` over `graph`: the reverse CSR, the
-    /// validated slot weights of the weight column (strictly positive and
-    /// integral), and the structure, with the context's `threads` workers
-    /// and within the statement deadline ([`Error::Timeout`] past it).
+    /// weights ([`AccelLayer::derive_weights`]), and the structure, with the
+    /// context's `threads` workers and within the statement deadline
+    /// ([`Error::Timeout`] past it).
     fn build(
         ctx: &ExecContext<'_>,
         graph: &Arc<MaterializedGraph>,
         accel: &AccelDef,
     ) -> Result<AccelLayer> {
-        let threads = ctx.threads();
-        let reverse = graph.reverse();
-        let (weights_fwd, weights_bwd) = match accel.weight_key {
-            None => (None, None),
-            Some(wk) => {
-                // Row-indexed weights off the NULL-filtered snapshot line up
-                // with the CSR's edge-row ids.
-                let raw = match graph.edges.column(wk) {
-                    Column::Int(vals, validity) => {
-                        if let Some(row) = (0..vals.len()).find(|&i| !validity.get(i)) {
-                            return Err(Error::Graph(gsql_graph::GraphError::NullWeight {
-                                edge_row: row as u32,
-                            }));
-                        }
-                        vals
-                    }
-                    other => {
-                        return Err(bind_err!(
-                            "PATH INDEX WEIGHT column must be INTEGER, found {}",
-                            other.data_type()
-                        ))
-                    }
-                };
-                let permute = |csr: &gsql_graph::Csr| {
-                    csr.permute_weights_int_with_threads(raw, threads).map_err(Error::Graph)
-                };
-                (Some(permute(&graph.csr)?), Some(permute(reverse)?))
-            }
-        };
-        let weights = weights_fwd.as_deref().zip(weights_bwd.as_deref());
+        let weights = AccelLayer::derive_weights(ctx, graph, accel)?;
+        let slots = int_slots(&weights);
         // The build polls the statement deadline between its steps; a
         // timeout returns before anything is installed.
-        let budget = Budget { threads, deadline: ctx.deadline_instant(), observer: None };
+        let budget =
+            Budget { threads: ctx.threads(), deadline: ctx.deadline_instant(), observer: None };
         let timed_out = |e| graph_err(ctx, e);
         let structure = match accel.kind {
             PathIndexKind::Landmarks(k) => AccelIndex::Alt(
-                Landmarks::build_within(&graph.csr, reverse, weights, k as usize, &budget)
+                Landmarks::build_within(&graph.csr, graph.reverse(), slots, k as usize, &budget)
                     .map_err(timed_out)?,
             ),
             PathIndexKind::Contraction => AccelIndex::Ch(
-                ContractionHierarchy::build_within(&graph.csr, weights_fwd.as_deref(), &budget)
+                ContractionHierarchy::build_within(&graph.csr, slots.map(|(f, _)| f), &budget)
                     .map_err(timed_out)?,
             ),
         };
-        Ok(AccelLayer { graph: Arc::clone(graph), accel: structure, weights_fwd, weights_bwd })
+        Ok(AccelLayer { graph: Arc::clone(graph), accel: structure, weights })
     }
 
     /// Whether the layer is an ALT landmark index.
@@ -560,14 +578,14 @@ impl AccelLayer {
     /// aggregated over that source's targets).
     pub(crate) fn searcher(&self, pairs: usize) -> (Box<dyn Search + '_>, TraversalKind) {
         let (forward, backward) = (&self.graph.csr, self.graph.reverse());
-        let weights = self.weights_fwd.as_deref().zip(self.weights_bwd.as_deref());
+        let weights = int_slots(&self.weights);
         match (&self.accel, pairs == 1) {
             (AccelIndex::Alt(landmarks), true) => {
                 (Box::new(AltPoint { forward, backward, weights, landmarks }), TraversalKind::Alt)
             }
             (AccelIndex::Ch(ch), true) => (Box::new(ChPoint(ch)), TraversalKind::Ch),
             (AccelIndex::Alt(landmarks), false) => {
-                let weights = self.weights_fwd.as_deref();
+                let weights = weights.map(|(f, _)| f);
                 (Box::new(AltMulti { forward, weights, landmarks }), TraversalKind::AltMulti)
             }
             (AccelIndex::Ch(ch), false) => (Box::new(ChM2m(ch)), TraversalKind::ChM2m),
@@ -747,7 +765,7 @@ mod tests {
             assert_eq!(index.as_deref(), Some(name));
             let layer = layer.expect("a path index has a layer");
             assert!(Arc::ptr_eq(&graph, &layer.graph));
-            assert!(layer.weights_fwd.is_some());
+            assert!(layer.weights.is_some());
             // Exact accelerated distance through the cheap 1→2→3 route, for
             // one pair and for a batch.
             let s = graph.lookup(&Value::Int(1)).unwrap();

@@ -53,6 +53,8 @@
 //! [`Database::execute`] / [`Database::query`] remain as one-shot
 //! conveniences that open a temporary session internally.
 
+#![deny(unsafe_code)]
+
 pub mod bind;
 pub mod context;
 pub mod database;

@@ -20,36 +20,40 @@
 //! * **Snapshot sections** serialize the index definitions in two
 //!   sections, one per DDL name space. Graph-index entries persist their
 //!   definitions only; path-index entries persist the full built
-//!   acceleration layer — graph, landmark distance vectors or CH shortcut
-//!   CSRs — stamped with the owning table's version, so a warm restart
-//!   answers accelerated queries with **zero** rebuild work, and a restored
-//!   layer's graph also serves every graph index over the same edges. A
-//!   version mismatch (the snapshot predates later WAL mutations) simply
-//!   restores the definition and leaves the usual lazy rebuild to run. Both
-//!   section headers are written as 0. Data directories from before index
-//!   DDL stopped moving the schema version carry an index counter there;
-//!   restore adds both headers into the catalog's DDL version, so such a
-//!   directory reopens at the `schema_version` it had.
-//!   The weight vectors a graph caches for `CHEAPEST SUM`
-//!   ([`crate::weight_cache`]) are not written by either section: every
-//!   restored graph starts with an empty cache and the first weighted
-//!   query after a reopen evaluates its expression again.
+//!   acceleration layer — graph, slot weights, landmark distance vectors or
+//!   CH shortcut CSRs — stamped with the owning table's version, so a warm
+//!   restart answers accelerated queries with **zero** layer builds, and a
+//!   restored layer's graph also serves every graph index over the same
+//!   edges. A version mismatch (the snapshot predates later WAL mutations)
+//!   simply restores the definition and leaves the usual lazy rebuild to
+//!   run. Both section headers are written as 0. Data directories from
+//!   before index DDL stopped moving the schema version carry an index
+//!   counter there; restore adds both headers into the catalog's DDL
+//!   version, so such a directory reopens at the `schema_version` it had.
 //!
-//! Every decode path is bounds-checked and cross-validated (vector
-//! lengths, CSR invariants, kind tags); corrupt bytes surface as
-//! [`StorageError::Corrupt`], never as a panic.
+//! Everything in a layer but its landmark or contraction structure is a
+//! function of the edge table, so a restore trusts none of those bytes: it
+//! derives the graph from the restored table as a build does ([`build_graph`],
+//! or the graph of a layer restored before it over the same edges) and the
+//! weights through [`AccelLayer::derive_weights`], in `O(|V| + |E|)` and
+//! counting no build. It serves the persisted structure only when the
+//! persisted key ordinals, dictionary, CSRs and weights equal the derived
+//! ones byte for byte and the structure covers exactly the derived vertices; otherwise,
+//! like any malformed or inconsistent bytes, the section is
+//! [`StorageError::Corrupt`], never a panic.
 
+use crate::context::ExecContext;
 use crate::database::Database;
-use crate::error::Error;
-use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
-use crate::index::{AccelIndex, AccelLayer, IndexSpace, PathIndexKind};
-use crate::vertex_dict::VertexDict;
+use crate::error::{exec_err, Error};
+use crate::exec::graph_op::{build_graph, MaterializedGraph};
+use crate::index::{int_slots, key_columns, AccelIndex, AccelLayer, IndexSpace, PathIndexKind};
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
-use gsql_graph::Csr;
 use gsql_storage::catalog::TableEntry;
 use gsql_storage::mutation::STATEMENT_TAG;
 use gsql_storage::persist::{get_value, put_value, ByteReader, ByteWriter};
-use gsql_storage::{AccelDef, IndexDef, Mutation, SnapshotData, SnapshotTable, StorageError};
+use gsql_storage::{
+    AccelDef, DataType, IndexDef, Mutation, SnapshotData, SnapshotTable, StorageError, Value,
+};
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -114,43 +118,112 @@ fn encode_section(db: &Database, space: IndexSpace) -> std::result::Result<Vec<u
     w.put_u64(0);
     w.put_usize(defs.len());
     for def in defs {
-        for s in [&def.name, &def.table, &def.src_col, &def.dst_col] {
-            w.put_str(s);
-        }
-        let Some(accel) = &def.accel else { continue };
-        accel.encode(&mut w);
         let entry = catalog.entry(&def.table);
-        match entry.and_then(|entry| Some((entry, db.indexes().built_layer(def, entry)?))) {
-            None => w.put_u8(0),
-            Some((entry, layer)) => {
-                w.put_u8(1);
-                w.put_u64(entry.version);
-                encode_layer(&mut w, &layer).map_err(|e| StorageError::Internal(e.to_string()))?;
-            }
-        }
+        let layer = entry.and_then(|e| Some((e.version, db.indexes().built_layer(def, e)?)));
+        let built = layer.as_ref().map(|(version, l)| {
+            (*version, GraphParts::of(&l.graph, int_slots(&l.weights)), &l.accel)
+        });
+        encode_entry(&mut w, def, built).map_err(|e| StorageError::Internal(e.to_string()))?;
     }
     Ok(w.into_bytes())
 }
 
-fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
-    let graph = &data.graph;
-    w.put_usize(graph.src_key);
-    w.put_usize(graph.dst_key);
-    // Dictionary values in dense-id order (ids are 0..n contiguous).
-    let vals = graph.dict.values();
-    w.put_usize(vals.len());
-    for v in &vals {
-        put_value(w, v)?;
+/// One entry of a section: the definition and, for a path index, the layer
+/// `built` from its table at a version — its graph parts and its structure
+/// — if any.
+fn encode_entry(
+    w: &mut ByteWriter,
+    def: &IndexDef,
+    built: Option<(u64, GraphParts<'_>, &AccelIndex)>,
+) -> Result<()> {
+    for s in [&def.name, &def.table, &def.src_col, &def.dst_col] {
+        w.put_str(s);
     }
-    encode_csr(w, &graph.csr);
-    encode_csr(w, graph.reverse());
-    for weights in [&data.weights_fwd, &data.weights_bwd] {
-        w.put_u8(weights.is_some() as u8);
-        if let Some(weights) = weights {
-            w.put_list(weights, |w, &v| w.put_i64(v));
+    let Some(accel) = &def.accel else { return Ok(()) };
+    accel.encode(w);
+    match built {
+        None => w.put_u8(0),
+        Some((version, parts, accel)) => {
+            w.put_u8(1);
+            w.put_u64(version);
+            parts.encode(w)?;
+            encode_accel(w, accel);
         }
     }
-    match &data.accel {
+    Ok(())
+}
+
+/// A CSR's `(offsets, targets, edge_rows)`.
+type CsrParts<'a> = (&'a [usize], &'a [u32], &'a [u32]);
+
+/// The parts of a path-index layer a restore derives from the table, in
+/// the order a checkpoint writes them ahead of the structure: the key
+/// column ordinals, the dictionary values in dense-id order, the forward
+/// and reverse CSR arrays, and the forward and backward slot weights.
+struct GraphParts<'a> {
+    keys: [usize; 2],
+    values: Vec<Value>,
+    csrs: [CsrParts<'a>; 2],
+    weights: [Option<&'a [i64]>; 2],
+}
+
+impl GraphParts<'_> {
+    fn of<'a>(
+        graph: &'a MaterializedGraph,
+        weights: Option<(&'a [i64], &'a [i64])>,
+    ) -> GraphParts<'a> {
+        GraphParts {
+            keys: [graph.src_key, graph.dst_key],
+            values: graph.vertices(),
+            csrs: [graph.csr.raw_parts(), graph.reverse().raw_parts()],
+            weights: [weights.map(|(f, _)| f), weights.map(|(_, b)| b)],
+        }
+    }
+
+    fn encode(&self, w: &mut ByteWriter) -> Result<()> {
+        for key in self.keys {
+            w.put_usize(key);
+        }
+        w.put_usize(self.values.len());
+        for v in &self.values {
+            put_value(w, v)?;
+        }
+        for (offsets, targets, edge_rows) in self.csrs {
+            w.put_list(offsets, |w, &o| w.put_usize(o));
+            w.put_list(targets, |w, &v| w.put_u32(v));
+            w.put_list(edge_rows, |w, &v| w.put_u32(v));
+        }
+        for weights in self.weights {
+            w.put_u8(weights.is_some() as u8);
+            if let Some(weights) = weights {
+                w.put_list(weights, |w, &v| w.put_i64(v));
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume the parts [`GraphParts::encode`] wrote, keeping none of
+    /// them.
+    fn skip(r: &mut ByteReader<'_>) -> Result<()> {
+        r.get_usize()?;
+        r.get_usize()?;
+        r.get_list(|r| get_value(r).map(drop))?;
+        for _ in 0..2 {
+            r.get_list(|r| r.get_usize().map(drop))?;
+            r.get_list(|r| r.get_u32().map(drop))?;
+            r.get_list(|r| r.get_u32().map(drop))?;
+        }
+        for _ in 0..2 {
+            if r.get_u8()? != 0 {
+                r.get_list(|r| r.get_i64().map(drop))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn encode_accel(w: &mut ByteWriter, accel: &AccelIndex) {
+    match accel {
         AccelIndex::Alt(lm) => {
             w.put_u8(0);
             let (landmarks, fwd, bwd) = lm.to_parts();
@@ -171,14 +244,6 @@ fn encode_layer(w: &mut ByteWriter, data: &AccelLayer) -> Result<()> {
             w.put_u64(parts.shortcuts);
         }
     }
-    Ok(())
-}
-
-fn encode_csr(w: &mut ByteWriter, csr: &Csr) {
-    let (offsets, targets, edge_rows) = csr.raw_parts();
-    w.put_list(offsets, |w, &o| w.put_usize(o));
-    w.put_list(targets, |w, &v| w.put_u32(v));
-    w.put_list(edge_rows, |w, &v| w.put_u32(v));
 }
 
 // ------------------------------------------------------ snapshot restore
@@ -223,7 +288,7 @@ fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64
             let accel = AccelDef::decode(&mut r)?;
             if r.get_u8()? != 0 {
                 let table_version = r.get_u64()?;
-                built = decode_layer(db, &def.table, &accel, table_version, &mut r)?;
+                built = decode_layer(db, &def, &accel, table_version, &mut r)?;
             }
             def.accel = Some(accel);
         }
@@ -244,97 +309,100 @@ fn restore_section(db: &Database, bytes: &[u8], space: IndexSpace) -> Result<u64
     Ok(version)
 }
 
-/// Decode one persisted layer. The payload is always consumed (so the
-/// reader stays aligned for the next entry); the result is `None` — restore
-/// the definition, rebuild lazily — when the owning table's version moved
-/// past the one the layer was built against. Otherwise it comes with the
-/// table entry it was built from.
+/// Decode one persisted layer of path index `def`. The payload is always
+/// consumed (so the reader stays aligned for the next entry); the result
+/// is `None` — restore the definition, rebuild lazily — when the owning
+/// table's version moved past the one the layer was built against.
+/// Otherwise the layer is the persisted structure over the graph and
+/// weights derived from the table (see the [module docs](self)), with the
+/// table entry they came from.
 fn decode_layer(
     db: &Database,
-    table: &str,
+    def: &IndexDef,
     accel_def: &AccelDef,
     table_version: u64,
     r: &mut ByteReader<'_>,
 ) -> Result<Option<(TableEntry, AccelLayer)>> {
-    let src_key = r.get_usize()?;
-    let dst_key = r.get_usize()?;
-    let vals = r.get_list(get_value)?;
-    let (csr, reverse) = (decode_csr(r)?, decode_csr(r)?);
-    let (weights_fwd, weights_bwd) = (get_weights(r)?, get_weights(r)?);
-    let accel = match r.get_u8()? {
+    let Ok(entry) = db.catalog().entry(&def.table) else {
+        return Err(corrupt(format!("path index references missing table '{}'", def.table)));
+    };
+    // Stale built data (WAL mutations past the snapshot): consume the bytes
+    // unchecked, so decoding continues, and fall back to the lazy rebuild.
+    if entry.version != table_version {
+        GraphParts::skip(r)?;
+        let _ = decode_structure(r, accel_def, 0)?;
+        return Ok(None);
+    }
+
+    let name = &def.name;
+    let derive = || -> Result<_> {
+        let schema = entry.table.schema();
+        let (src_key, dst_key) = key_columns(def, schema)?;
+        let weight = accel_def.weight_col.as_deref().map(|c| schema.index_of(c));
+        let is_int = |k: usize| schema.column(k).ty == DataType::Int;
+        if weight != accel_def.weight_key.map(Some) || !accel_def.weight_key.is_none_or(is_int) {
+            return Err(exec_err!("its weight column is not an INTEGER column of the table"));
+        }
+        let graph = match db.indexes().base_graph(def, &entry) {
+            Some((version, graph)) if version == entry.version => graph,
+            _ => Arc::new(build_graph(Arc::clone(&entry.table), src_key, dst_key)?),
+        };
+        let ctx =
+            ExecContext::new(db.catalog(), &[], None).with_metrics(Some(Arc::clone(db.metrics())));
+        let weights = AccelLayer::derive_weights(&ctx, &graph, accel_def)?;
+        Ok((graph, weights))
+    };
+    let (graph, weights) =
+        derive().map_err(|e| corrupt(format!("path index '{name}' cannot be restored: {e}")))?;
+    // Byte for byte: `Value`'s `==` is SQL equality, under which `3 = 3.0`.
+    let mut derived = ByteWriter::new();
+    GraphParts::of(&graph, int_slots(&weights)).encode(&mut derived)?;
+    let derived = derived.into_bytes();
+    if r.remaining() < derived.len() || r.get_raw(derived.len())? != derived {
+        let table = &def.table;
+        return Err(corrupt(format!(
+            "path index '{name}' persisted a graph that differs from the one table '{table}' derives"
+        )));
+    }
+    let accel = decode_structure(r, accel_def, graph.num_vertices())?
+        .map_err(|e| corrupt(format!("path index '{name}': {e}")))?;
+    Ok(Some((entry, AccelLayer { graph, accel, weights })))
+}
+
+/// Decode the persisted landmark or contraction structure of `accel_def`,
+/// and check that it covers exactly `n` vertices (the inner error says how
+/// it does not).
+fn decode_structure(
+    r: &mut ByteReader<'_>,
+    accel_def: &AccelDef,
+    n: u32,
+) -> Result<std::result::Result<AccelIndex, String>> {
+    let tag = r.get_u8()?;
+    // Kind/data agreement: a corrupt file must not smuggle a CH payload
+    // into an entry the planner believes is ALT (or vice versa).
+    let tag_matches = match accel_def.kind {
+        PathIndexKind::Landmarks(_) => tag == 0,
+        PathIndexKind::Contraction => tag == 1,
+    };
+    let structure = match tag {
         0 => {
             let landmarks = r.get_list(ByteReader::get_u32)?;
             let fwd = r.get_list(|r| r.get_list(ByteReader::get_u64))?;
             let bwd = r.get_list(|r| r.get_list(ByteReader::get_u64))?;
-            AccelIndex::Alt(Landmarks::from_parts(landmarks, fwd, bwd).map_err(corrupt)?)
+            Landmarks::from_parts(n, landmarks, fwd, bwd).map(AccelIndex::Alt)
         }
         1 => {
             let rank = r.get_list(ByteReader::get_u32)?;
             let (fwd, bwd) = (decode_up_graph(r)?, decode_up_graph(r)?);
-            let shortcuts = r.get_u64()?;
-            AccelIndex::Ch(
-                ContractionHierarchy::from_parts(ChParts { rank, fwd, bwd, shortcuts })
-                    .map_err(corrupt)?,
-            )
+            let parts = ChParts { rank, fwd, bwd, shortcuts: r.get_u64()? };
+            ContractionHierarchy::from_parts(n, parts).map(AccelIndex::Ch)
         }
         other => return Err(corrupt(format!("unknown accel tag {other}"))),
     };
-
-    // Kind/data agreement: a corrupt file must not smuggle a CH payload
-    // into an entry the planner believes is ALT (or vice versa).
-    let tag_matches = matches!(
-        (&accel, accel_def.kind),
-        (AccelIndex::Alt(_), PathIndexKind::Landmarks(_))
-            | (AccelIndex::Ch(_), PathIndexKind::Contraction)
-    );
     if !tag_matches {
         return Err(corrupt("path-index accel payload does not match declared kind"));
     }
-
-    // Stale built data (WAL mutations past the snapshot): fall back to the
-    // lazy rebuild. The bytes were consumed above, so decoding continues.
-    let Ok(current) = db.catalog().entry(table) else {
-        return Err(corrupt(format!("path index references missing table '{table}'")));
-    };
-    if current.version != table_version {
-        return Ok(None);
-    }
-
-    // Recompute the NULL-filtered edge snapshot off the restored base table
-    // — deterministic for a matching version, and not index-build work.
-    let edges = null_filtered_edges(Arc::clone(&current.table), src_key, dst_key);
-    if csr.num_edges() != edges.row_count() {
-        return Err(corrupt(format!(
-            "persisted CSR has {} edges but table '{table}' yields {}",
-            csr.num_edges(),
-            edges.row_count()
-        )));
-    }
-    if csr.num_vertices() as usize != vals.len() {
-        return Err(corrupt("persisted dictionary size disagrees with CSR vertex count"));
-    }
-    if reverse.num_vertices() != csr.num_vertices() || reverse.num_edges() != csr.num_edges() {
-        return Err(corrupt("persisted reverse CSR disagrees with forward CSR"));
-    }
-    if let Some((f, b)) = weights_fwd.as_ref().zip(weights_bwd.as_ref()) {
-        if f.len() != csr.num_edges() || b.len() != csr.num_edges() {
-            return Err(corrupt("persisted weight arrays disagree with CSR edge count"));
-        }
-    }
-    if accel_def.weight_key.is_some() != weights_fwd.is_some() {
-        return Err(corrupt("persisted weights disagree with the declared weight column"));
-    }
-    let key_type = edges.schema().column(src_key).ty;
-    let dict = VertexDict::from_values(key_type, vals).map_err(corrupt)?;
-    let graph =
-        Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
-    Ok(Some((current, AccelLayer { graph, accel, weights_fwd, weights_bwd })))
-}
-
-fn decode_csr(r: &mut ByteReader<'_>) -> Result<Csr> {
-    let offsets = r.get_list(ByteReader::get_usize)?;
-    let (targets, edge_rows) = (r.get_list(ByteReader::get_u32)?, r.get_list(ByteReader::get_u32)?);
-    Csr::from_raw_parts(offsets, targets, edge_rows).map_err(|e| corrupt(e.to_string()))
+    Ok(structure)
 }
 
 fn decode_up_graph(r: &mut ByteReader<'_>) -> Result<UpGraphParts> {
@@ -343,17 +411,10 @@ fn decode_up_graph(r: &mut ByteReader<'_>) -> Result<UpGraphParts> {
     Ok(UpGraphParts { offsets, targets, weights: r.get_list(ByteReader::get_u64)? })
 }
 
-fn get_weights(r: &mut ByteReader<'_>) -> Result<Option<Vec<i64>>> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        _ => Some(r.get_list(ByteReader::get_i64)?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsql_storage::Value;
+    use gsql_graph::Csr;
 
     /// An in-memory database with one built path index of each kind over an
     /// `INTEGER`-keyed and a `VARCHAR`-keyed edge table.
@@ -424,11 +485,152 @@ mod tests {
             bytes[at..at + pair.len()].copy_from_slice(&repeated);
             let err = restore_section(&tables_of(&db), &bytes, IndexSpace::Path).unwrap_err();
             assert!(
-                matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains("duplicate")),
+                matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains(DIFFERS)),
                 "{first}: {err}"
             );
             bytes[at..at + pair.len()].copy_from_slice(&saved);
         }
         restore_section(&tables_of(&db), &bytes, IndexSpace::Path).unwrap();
+    }
+
+    /// Path index `name` of `db`: its definition, its table's version and
+    /// its built layer.
+    fn built(db: &Database, name: &str) -> (IndexDef, u64, Arc<AccelLayer>) {
+        let catalog = db.catalog().read();
+        let def = catalog.index(IndexSpace::Path, name).expect("defined").clone();
+        let entry = catalog.entry(&def.table).expect("its table");
+        let layer = db.indexes().built_layer(&def, entry).expect("built");
+        (def, entry.version, layer)
+    }
+
+    /// The graph parts of `layer`.
+    fn parts_of(layer: &AccelLayer) -> GraphParts<'_> {
+        GraphParts::of(&layer.graph, int_slots(&layer.weights))
+    }
+
+    /// A path section holding `def` and a layer of `parts` and `accel`
+    /// built at `version`.
+    fn section(def: &IndexDef, version: u64, parts: GraphParts<'_>, accel: &AccelIndex) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(0);
+        w.put_usize(1);
+        encode_entry(&mut w, def, Some((version, parts, accel))).unwrap();
+        w.into_bytes()
+    }
+
+    /// Restore `bytes` into a database holding `db`'s tables, expecting
+    /// `Corrupt` saying `what`; returns that database (which holds no index).
+    fn restore_corrupt(db: &Database, bytes: &[u8], what: &str) -> Database {
+        let restored = tables_of(db);
+        let err = restore_section(&restored, bytes, IndexSpace::Path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Storage(StorageError::Corrupt(m)) if m.contains(what)),
+            "{what}: {err}"
+        );
+        assert!(restored.catalog().read().indexes().is_empty(), "{what}: nothing registered");
+        restored
+    }
+
+    /// The rows of `sql` over `db`, rendered.
+    fn answer(db: &Database, sql: &str) -> Vec<String> {
+        let t = db.query(sql).unwrap();
+        t.rows().map(|row| row.iter().map(|v| format!("{v} ")).collect()).collect()
+    }
+
+    /// `sql` answers over `restored` as over an unindexed copy of `db`'s
+    /// tables, and it is not empty.
+    fn answers_unindexed(restored: &Database, db: &Database, sql: &str) {
+        let want = answer(&tables_of(db), sql);
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(answer(restored, sql), want, "{sql}");
+    }
+
+    const FLIGHT: &str = "SELECT CHEAPEST SUM(f: f.mins) AS cost \
+                          WHERE 'AMS' REACHES 'JFK' OVER flights f EDGE (org, dst)";
+
+    /// What a restore reports for a layer whose graph parts were changed.
+    const DIFFERS: &str = "persisted a graph that differs";
+
+    #[test]
+    fn a_key_ordinal_past_the_table_is_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "ri");
+        let mut parts = parts_of(&layer);
+        parts.keys[0] = 3;
+        restore_corrupt(&db, &section(&def, version, parts, &layer.accel), DIFFERS);
+    }
+
+    #[test]
+    fn a_dictionary_value_of_another_type_is_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "ri");
+        let mut parts = parts_of(&layer);
+        // `1001 = 1001.0` in SQL, but the bytes differ.
+        let Value::Int(key) = parts.values[0] else { panic!("ri has INTEGER keys") };
+        parts.values[0] = Value::Double(key as f64);
+        restore_corrupt(&db, &section(&def, version, parts, &layer.accel), DIFFERS);
+    }
+
+    #[test]
+    fn a_weight_ordinal_past_the_table_is_corrupt() {
+        let db = indexed_db();
+        let (mut def, version, layer) = built(&db, "ri");
+        def.accel.as_mut().unwrap().weight_key = Some(7);
+        let bytes = section(&def, version, parts_of(&layer), &layer.accel);
+        restore_corrupt(&db, &bytes, "weight column");
+    }
+
+    #[test]
+    fn an_edge_row_past_the_table_is_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "ri");
+        let mut parts = parts_of(&layer);
+        let mut rows = parts.csrs[0].2.to_vec();
+        rows[0] = 99;
+        parts.csrs[0].2 = &rows;
+        let restored = restore_corrupt(&db, &section(&def, version, parts, &layer.accel), DIFFERS);
+        // A weighted path query over a graph index on the same edges.
+        restored.execute("CREATE GRAPH INDEX rg ON roads EDGE (a, b)").unwrap();
+        let sql = "SELECT CHEAPEST SUM(f: f.len) AS (cost, path) \
+                   WHERE 1001 REACHES 1004 OVER roads f EDGE (a, b)";
+        answers_unindexed(&restored, &db, sql);
+    }
+
+    #[test]
+    fn landmark_vectors_short_of_the_vertices_are_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "fi");
+        let AccelIndex::Alt(landmarks) = &layer.accel else { panic!("fi is ALT") };
+        let n = layer.graph.num_vertices();
+        let (ids, mut fwd, mut bwd) = landmarks.to_parts();
+        for v in fwd.iter_mut().chain(&mut bwd) {
+            v.pop();
+        }
+        let ids = ids.iter().map(|&id| id.min(n - 2)).collect();
+        let short = AccelIndex::Alt(Landmarks::from_parts(n - 1, ids, fwd, bwd).unwrap());
+        let bytes = section(&def, version, parts_of(&layer), &short);
+        let restored = restore_corrupt(&db, &bytes, "cover");
+        answers_unindexed(&restored, &db, FLIGHT);
+    }
+
+    #[test]
+    fn negated_weights_are_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "fi");
+        let mut parts = parts_of(&layer);
+        let negated = parts.weights.map(|w| w.unwrap().iter().map(|w| -w).collect::<Vec<_>>());
+        parts.weights = [Some(&negated[0]), Some(&negated[1])];
+        let restored = restore_corrupt(&db, &section(&def, version, parts, &layer.accel), DIFFERS);
+        answers_unindexed(&restored, &db, FLIGHT);
+    }
+
+    #[test]
+    fn a_hierarchy_short_of_the_vertices_is_corrupt() {
+        let db = indexed_db();
+        let (def, version, layer) = built(&db, "ri");
+        let n = layer.graph.num_vertices();
+        let fewer = Csr::from_edges(n - 1, &[], &[]).unwrap();
+        let short = AccelIndex::Ch(ContractionHierarchy::build(&fewer, None, 1));
+        restore_corrupt(&db, &section(&def, version, parts_of(&layer), &short), "ranks");
     }
 }

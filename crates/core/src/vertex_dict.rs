@@ -22,7 +22,7 @@
 //! every returned path and the persisted path-index bytes.
 
 use crate::exec::keys::{cells_eq, hash_rows, Cells, IdTable};
-use gsql_storage::{Column, ColumnBuilder, DataType, Value};
+use gsql_storage::{Column, DataType, Value};
 use std::ops::Range;
 
 /// Vertex key value → dense id, plus the ids' values in id order.
@@ -80,42 +80,6 @@ impl VertexDict {
             }
             VertexDict::Generic { ids, keys } => intern_generic(ids, keys, src, dst, rows),
         }
-    }
-
-    /// Rebuild a dictionary from its values in id order (warm restart).
-    /// Every value must be a non-NULL `key_type` value and appear once;
-    /// anything else means the persisted bytes are corrupt.
-    pub(crate) fn from_values(
-        key_type: DataType,
-        values: Vec<Value>,
-    ) -> Result<VertexDict, String> {
-        if let Some(bad) = values.iter().find(|v| v.data_type() != Some(key_type)) {
-            return Err(format!("persisted dictionary holds {bad} under a {key_type} key"));
-        }
-        let n = values.len();
-        let dict = if key_type == DataType::Int {
-            let mut dict = IntDict::default();
-            for v in &values {
-                dict.intern(v.as_int().expect("type checked above"));
-            }
-            VertexDict::Int(dict)
-        } else {
-            let mut keys = ColumnBuilder::new(key_type);
-            for v in values {
-                keys.push(v).expect("type checked above");
-            }
-            let keys = keys.finish();
-            let cells = Cells::with_nulls(&keys, false);
-            let mut ids = IdTable::with_capacity(n);
-            for (row, hash) in hash_rows(&[cells], 0..n).into_iter().enumerate() {
-                ids.find_or_insert(hash, |id| cells_eq(cells, row, cells, id));
-            }
-            VertexDict::Generic { ids, keys }
-        };
-        if dict.len() != n {
-            return Err("persisted dictionary contains duplicate vertex values".to_string());
-        }
-        Ok(dict)
     }
 
     /// The dense id of `v`, under SQL equality: `Double(3.0)` finds key `3`;
@@ -553,29 +517,7 @@ mod tests {
                     assert_eq!(grown.lookup(v), dict.lookup(v), "{kind:?} {v}");
                 }
             }
-
-            // Persistence: values in id order rebuild the same dictionary.
-            let restored = VertexDict::from_values(kind.data_type(), typed.values()).unwrap();
-            assert_eq!(restored.kind(), typed.kind());
-            assert_eq!(restored.values(), vertices);
-            for (id, v) in vertices.iter().enumerate() {
-                assert_eq!(restored.lookup(v), Some(id as u32));
-            }
         });
-    }
-
-    #[test]
-    fn from_values_rejects_duplicates_nulls_and_foreign_types() {
-        for (ty, values) in [
-            (DataType::Int, vec![Value::Int(1), Value::Int(2), Value::Int(1)]),
-            (DataType::Varchar, vec![Value::from("a"), Value::from("a")]),
-            (DataType::Int, vec![Value::Int(1), Value::Null]),
-            (DataType::Int, vec![Value::from("1")]),
-            (DataType::Date, vec![Value::Int(1)]),
-        ] {
-            assert!(VertexDict::from_values(ty, values.clone()).is_err(), "{ty} {values:?}");
-        }
-        assert_eq!(VertexDict::from_values(DataType::Int, Vec::new()).unwrap().len(), 0);
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //!   the `?` parameters it references.
 //! * **Lifetime**: the graph's. A graph snapshot belongs to exactly one
 //!   table version — a write produces a new graph with an empty cache, a
-//!   `DROP` drops both — so nothing is ever invalidated, and nothing is
-//!   persisted (the first weighted query after a reopen recomputes).
+//!   `DROP` drops both — so nothing is ever invalidated. Nothing is read
+//!   back from a snapshot either: a path index restored on reopen derives
+//!   its weight column's vector into its graph's cache, and any other
+//!   expression is evaluated by the first weighted query after the reopen.
+//! * **Sharing**: a path index's layer takes the forward vector of its
+//!   `WEIGHT` column from here (the key is the bare column), so the layer
+//!   and a `CHEAPEST SUM` over that column on the same graph hold one `Arc`.
 //! * **Size**: [`CAPACITY`] vectors of `8 B × edges`, least recently used
 //!   evicted first. Only vectors that passed validation are stored; a
 //!   failing expression fails again on every statement.

@@ -6,6 +6,8 @@
 //! # writes /tmp/snb/persons.csv and /tmp/snb/friends.csv
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gsql_datagen::{SnbDataset, SnbParams};
 use gsql_storage::csv::write_csv;
 use std::io::BufWriter;

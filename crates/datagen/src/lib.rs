@@ -21,6 +21,8 @@
 //! [`road`] additionally generates weighted grid road networks for the
 //! routing example.
 
+#![forbid(unsafe_code)]
+
 pub mod names;
 pub mod road;
 pub mod snb;

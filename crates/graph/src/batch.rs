@@ -109,10 +109,8 @@ impl PreparedWeights {
     pub fn new(graph: &Csr, spec: &WeightSpec, threads: usize) -> Result<PreparedWeights> {
         Ok(PreparedWeights(match spec {
             WeightSpec::Unweighted => Slots::None,
-            WeightSpec::Int(w) => Slots::Int(graph.permute_weights_int_with_threads(w, threads)?),
-            WeightSpec::Float(w) => {
-                Slots::Float(graph.permute_weights_float_with_threads(w, threads)?)
-            }
+            WeightSpec::Int(w) => Slots::Int(graph.permute_weights(w, threads)?),
+            WeightSpec::Float(w) => Slots::Float(graph.permute_weights(w, threads)?),
         }))
     }
 
@@ -123,6 +121,14 @@ impl PreparedWeights {
             Slots::None => None,
             Slots::Int(w) => Some(w.len()),
             Slots::Float(w) => Some(w.len()),
+        }
+    }
+
+    /// The slot weights, when they are integers.
+    pub fn as_int(&self) -> Option<&[i64]> {
+        match &self.0 {
+            Slots::Int(w) => Some(w),
+            _ => None,
         }
     }
 

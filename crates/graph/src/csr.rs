@@ -23,7 +23,7 @@
 
 use crate::error::GraphError;
 use crate::Result;
-use gsql_parallel::{Pool, SharedSlice};
+use gsql_parallel::Pool;
 
 /// A directed graph in CSR form over dense vertex ids `0..n`; the
 /// default is the empty graph.
@@ -177,38 +177,11 @@ impl Csr {
         Csr { offsets, targets, edge_rows }
     }
 
-    /// Borrow the raw CSR arrays `(offsets, targets, edge_rows)` for
-    /// serialization.
+    /// Borrow the raw CSR arrays `(offsets, targets, edge_rows)`: what a
+    /// checkpoint writes, and what a restore compares with the CSR it
+    /// derives from the table.
     pub fn raw_parts(&self) -> (&[usize], &[u32], &[u32]) {
         (&self.offsets, &self.targets, &self.edge_rows)
-    }
-
-    /// Reassemble a CSR from raw arrays (the inverse of
-    /// [`Csr::raw_parts`]), validating the structural invariants so corrupt
-    /// serialized data cannot produce a panicking graph.
-    pub fn from_raw_parts(
-        offsets: Vec<usize>,
-        targets: Vec<u32>,
-        edge_rows: Vec<u32>,
-    ) -> Result<Csr> {
-        if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(GraphError::LengthMismatch(
-                "CSR offsets must start at 0 and be non-decreasing".into(),
-            ));
-        }
-        let m = *offsets.last().unwrap_or(&0);
-        if targets.len() != m || edge_rows.len() != m {
-            return Err(GraphError::LengthMismatch(format!(
-                "CSR declares {m} edges but has {} targets and {} edge rows",
-                targets.len(),
-                edge_rows.len()
-            )));
-        }
-        let n = (offsets.len() - 1) as u32;
-        if let Some(&bad) = targets.iter().find(|&&t| t >= n) {
-            return Err(GraphError::VertexOutOfRange { id: bad, n });
-        }
-        Ok(Csr { offsets, targets, edge_rows })
     }
 
     /// Number of vertices.
@@ -246,48 +219,28 @@ impl Csr {
     /// strict positivity contract of `CHEAPEST SUM` on the way.
     ///
     /// `weights[row]` is the weight of original edge row `row`; the result
-    /// is aligned with the CSR's slots.
+    /// is aligned with the CSR's slots. This is the one-worker form of the
+    /// gather [`crate::PreparedWeights::new`] runs.
     pub fn permute_weights_int(&self, weights: &[i64]) -> Result<Vec<i64>> {
-        self.permute_weights_int_with_threads(weights, 1)
-    }
-
-    /// [`Csr::permute_weights_int`] with the gather chunked over a scoped
-    /// worker pool. Each chunk of CSR slots gathers (and validates) its
-    /// range independently; the reported error is the one the sequential
-    /// slot-order scan would surface (the failing chunks all finish, and
-    /// the earliest chunk's first offending slot wins), so the output —
-    /// values and errors alike — is identical to the sequential gather.
-    pub fn permute_weights_int_with_threads(
-        &self,
-        weights: &[i64],
-        threads: usize,
-    ) -> Result<Vec<i64>> {
-        self.permute_weights_with(weights, threads, |w| *w > 0)
+        self.permute_weights(weights, 1)
     }
 
     /// Floating-point variant of [`Csr::permute_weights_int`]. NaN weights
     /// are rejected alongside non-positive ones.
     pub fn permute_weights_float(&self, weights: &[f64]) -> Result<Vec<f64>> {
-        self.permute_weights_float_with_threads(weights, 1)
+        self.permute_weights(weights, 1)
     }
 
-    /// [`Csr::permute_weights_float`] with the chunked parallel gather of
-    /// [`Csr::permute_weights_int_with_threads`] (same error semantics).
-    pub fn permute_weights_float_with_threads(
-        &self,
-        weights: &[f64],
-        threads: usize,
-    ) -> Result<Vec<f64>> {
-        self.permute_weights_with(weights, threads, |w| *w > 0.0 && !w.is_nan())
-    }
-
-    /// The shared gather: `out[slot] = weights[edge_rows[slot]]`, chunked
-    /// over the pool, rejecting any weight failing `valid`.
-    fn permute_weights_with<T: Copy + Send + Sync + ToString>(
+    /// The one gather: `out[slot] = weights[edge_rows[slot]]`, rejecting any
+    /// weight that is not strictly positive. The slots are chunked over a
+    /// pool of `threads` workers, each writing its own part of the output;
+    /// every chunk runs to completion and the first failing chunk's first
+    /// offending slot is reported, so values and errors alike are those of
+    /// a sequential scan at every width.
+    pub(crate) fn permute_weights<T: Weight>(
         &self,
         weights: &[T],
         threads: usize,
-        valid: impl Fn(&T) -> bool + Sync,
     ) -> Result<Vec<T>> {
         let m = self.num_edges();
         if weights.len() != m {
@@ -297,48 +250,41 @@ impl Csr {
                 m
             )));
         }
-        let pool = Pool::new(threads);
-        if pool.is_sequential() || pool.chunks(m).len() <= 1 {
-            let mut out = Vec::with_capacity(m);
-            for &row in &self.edge_rows {
+        let mut out = vec![T::default(); m];
+        let chunks = Pool::new(threads).map_chunks_mut(&mut out, |slots, part| {
+            for (slot, out) in slots.zip(part) {
+                let row = self.edge_rows[slot];
                 let w = weights[row as usize];
-                if !valid(&w) {
+                if !w.is_positive() {
                     return Err(GraphError::NonPositiveWeight {
                         edge_row: row,
                         weight: w.to_string(),
                     });
                 }
-                out.push(w);
+                *out = w;
             }
-            return Ok(out);
-        }
-        let mut out = vec![weights[0]; m];
-        // Every chunk runs to completion (no fail-fast): chunk results are
-        // inspected in slot order below, so the winning error is exactly
-        // the first offending slot a sequential scan would report.
-        let results: Vec<Result<()>> = {
-            let shared = SharedSlice::new(&mut out);
-            pool.map_chunks(m, |range| {
-                for slot in range {
-                    let row = self.edge_rows[slot];
-                    let w = weights[row as usize];
-                    if !valid(&w) {
-                        return Err(GraphError::NonPositiveWeight {
-                            edge_row: row,
-                            weight: w.to_string(),
-                        });
-                    }
-                    // SAFETY: chunks partition the slot range; each slot is
-                    // written by exactly one chunk.
-                    unsafe { shared.write(slot, w) };
-                }
-                Ok(())
-            })
-        };
-        for r in results {
-            r?;
-        }
+            Ok(())
+        });
+        chunks.into_iter().collect::<Result<()>>()?;
         Ok(out)
+    }
+}
+
+/// A `CHEAPEST SUM` weight type: what [`Csr::permute_weights`] gathers.
+pub(crate) trait Weight: Copy + Default + Send + Sync + ToString {
+    /// The strict positivity contract (NaN fails it).
+    fn is_positive(self) -> bool;
+}
+
+impl Weight for i64 {
+    fn is_positive(self) -> bool {
+        self > 0
+    }
+}
+
+impl Weight for f64 {
+    fn is_positive(self) -> bool {
+        self > 0.0
     }
 }
 
@@ -435,8 +381,8 @@ mod tests {
         let seq_i = g.permute_weights_int(&wi).unwrap();
         let seq_f = g.permute_weights_float(&wf).unwrap();
         for threads in [2, 4, 8] {
-            assert_eq!(g.permute_weights_int_with_threads(&wi, threads).unwrap(), seq_i);
-            assert_eq!(g.permute_weights_float_with_threads(&wf, threads).unwrap(), seq_f);
+            assert_eq!(g.permute_weights(&wi, threads).unwrap(), seq_i);
+            assert_eq!(g.permute_weights(&wf, threads).unwrap(), seq_f);
         }
     }
 
@@ -454,7 +400,7 @@ mod tests {
         wi[4000] = -5;
         let seq = g.permute_weights_int(&wi).unwrap_err();
         for threads in [2, 4, 8] {
-            let par = g.permute_weights_int_with_threads(&wi, threads).unwrap_err();
+            let par = g.permute_weights(&wi, threads).unwrap_err();
             assert_eq!(par, seq, "threads {threads}");
         }
         let mut wf: Vec<f64> = vec![1.0; m as usize];
@@ -462,7 +408,7 @@ mod tests {
         wf[3900] = -1.0;
         let seq = g.permute_weights_float(&wf).unwrap_err();
         for threads in [2, 4, 8] {
-            let par = g.permute_weights_float_with_threads(&wf, threads).unwrap_err();
+            let par = g.permute_weights(&wf, threads).unwrap_err();
             assert_eq!(par, seq, "threads {threads}");
         }
     }

@@ -39,6 +39,8 @@
 //! restores the sequential code exactly. CSR construction and reversal are
 //! one sequential counting sort each.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod batch;
 pub mod bfs;

@@ -22,6 +22,8 @@
 //! appends to a mutex-guarded buffer owned by a single query. Engine code
 //! must never branch on an instrument's value.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod slowlog;
 pub mod trace;

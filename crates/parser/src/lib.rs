@@ -18,6 +18,8 @@
 //! The crate is standalone: it produces an [`ast`] that the `gsql-core`
 //! binder consumes, with no dependency on the storage layer.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod display;
 pub mod error;

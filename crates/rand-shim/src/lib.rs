@@ -11,6 +11,8 @@
 //! workspace depends on specific values, only on determinism and rough
 //! uniformity.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core source of randomness: a stream of `u64`s.

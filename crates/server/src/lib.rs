@@ -62,6 +62,8 @@
 //! assert_eq!(report.dropped(), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod http;
 pub mod json;

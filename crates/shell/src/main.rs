@@ -22,6 +22,8 @@
 //! curl -d '{"sql": "SELECT 1"}' http://127.0.0.1:7432/query
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gsql_core::{Database, IndexSpace, QueryResult, Session};
 use gsql_datagen::{SnbDataset, SnbParams};
 use gsql_server::{serve, ServerConfig};

@@ -22,6 +22,8 @@
 //!   the edge table that generated it*, exactly the representation described
 //!   in §3.3 of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod catalog;
 pub mod column;

@@ -198,6 +198,11 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| StorageError::Corrupt("invalid UTF-8 in string".into()))
     }
 
+    /// Read the next `n` bytes as they are.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n, "bytes")
+    }
+
     /// Read length-prefixed raw bytes.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.get_usize()?;

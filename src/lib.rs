@@ -44,6 +44,8 @@
 //! assert_eq!(hops.row(0)[0], Value::Int(2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gsql_core::{
     Database, Deadline, Error, ExecContext, IndexRegistry, IndexSpace, LogicalPlan, PlanCacheStats,
     PreparedStatement, QueryResult, Result, Session, SessionSettings,

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{find_span, sweep, TempDir};
+use common::{find_span, render, sweep, TempDir};
 use gsql_core::{Database, IndexSpace};
 use gsql_datagen::{SnbDataset, SnbParams};
 use gsql_server::json::{self, Json};
@@ -572,6 +572,92 @@ fn restored_path_index_graph_serves_the_graph_index() {
     let m = db.metrics();
     let builds = ["statement", "graph_index", "path_index"].map(|s| m.graph_builds_total(s));
     assert_eq!((builds, db.indexes().builds()), ([0, 0, 0], 0), "a warm reopen builds nothing");
+}
+
+/// A checkpoint of a graph that grew by appended rows — extended, not
+/// built — reopens warm. A restore derives the graph from the table with a
+/// full build and serves the persisted layer only over an identical graph,
+/// so an extension that drifted from a full build would fail the reopen as
+/// corrupt.
+#[test]
+fn a_checkpointed_extension_reopens_built() {
+    use rand::{Rng, SeedableRng};
+    const TABLE: &str = "CREATE TABLE e (s INTEGER, d INTEGER, w INTEGER NOT NULL)";
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    let mut rows = vec![(Some(1), Some(2), 5), (Some(2), Some(3), 5), (Some(3), Some(4), 1)];
+    let mut inserts = vec!["INSERT INTO e VALUES (1, 2, 5), (2, 3, 5), (3, 4, 1)".to_string()];
+    for i in 0..12 {
+        let w = rng.gen_range(1..10);
+        let known = rows[rng.gen_range(0..rows.len())];
+        let row = match i % 4 {
+            // An edge to a new vertex.
+            0 => (known.0.or(known.1), Some(10 + i), w),
+            // A duplicate of an edge.
+            1 => (known.0, known.1, w),
+            // A NULL endpoint.
+            2 => (None, Some(rng.gen_range(1..5)), w),
+            // An edge between old vertices, into lists the reverse CSR
+            // must merge in source order.
+            _ => (Some(1), known.1.or(Some(4)), w),
+        };
+        rows.push(row);
+        let key = |k: Option<i64>| k.map_or("NULL".to_string(), |k| k.to_string());
+        inserts.push(format!("INSERT INTO e VALUES ({}, {}, {w})", key(row.0), key(row.1)));
+    }
+    let pairs: Vec<(i64, i64)> =
+        (0..6).map(|_| (rng.gen_range(1..5), rng.gen_range(1..22))).collect();
+    let queries: Vec<String> = pairs
+        .iter()
+        .flat_map(|(a, b)| {
+            [
+                format!("SELECT CHEAPEST SUM(1) AS h WHERE {a} REACHES {b} OVER e EDGE (s, d)"),
+                format!("SELECT CHEAPEST SUM(f: f.w) AS c WHERE {a} REACHES {b} OVER e f EDGE (s, d)"),
+                format!(
+                    "SELECT CHEAPEST SUM(f: f.w) AS (c, p) WHERE {a} REACHES {b} OVER e f EDGE (s, d)"
+                ),
+            ]
+        })
+        .chain([format!(
+            "WITH pairs (x, y) AS (VALUES {}) SELECT pairs.x, pairs.y, CHEAPEST SUM(f: f.w) AS c \
+             FROM pairs WHERE pairs.x REACHES pairs.y OVER e f EDGE (s, d)",
+            pairs.iter().map(|(a, b)| format!("({a}, {b})")).collect::<Vec<_>>().join(", ")
+        )])
+        .collect();
+    let answers = |db: &Database| -> Vec<String> {
+        queries.iter().map(|sql| render(&db.query(sql).unwrap())).collect()
+    };
+    let unindexed = Database::new();
+    for sql in std::iter::once(TABLE.to_string()).chain(inserts.iter().cloned()) {
+        unindexed.execute(&sql).unwrap();
+    }
+
+    let dir = TempDir::new("extended");
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(TABLE).unwrap();
+        db.execute(&inserts[0]).unwrap();
+        db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+        db.execute("CREATE PATH INDEX pa ON e EDGE (s, d) WEIGHT w USING LANDMARKS(2)").unwrap();
+        for (insert, &(a, b)) in inserts[1..].iter().zip(pairs.iter().cycle()) {
+            db.execute(insert).unwrap();
+            // The graph index extends its graph; the path index builds its
+            // layer over that graph.
+            let read =
+                |spec: &str| format!("SELECT {spec} WHERE {a} REACHES {b} OVER e f EDGE (s, d)");
+            db.query(&read("CHEAPEST SUM(f: f.w) AS (c, p)")).unwrap();
+            db.query(&read("CHEAPEST SUM(f: f.w) AS c")).unwrap();
+        }
+        let m = db.metrics();
+        assert_eq!(m.graph_builds_total("extension"), 12, "every insert extended the graph");
+        assert_eq!(m.graph_builds_total("graph_index") + m.graph_builds_total("path_index"), 1);
+        assert_eq!(answers(&db), answers(&unindexed));
+        db.execute("CHECKPOINT").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let listing = db.indexes().list(db.catalog());
+    assert!(listing.iter().all(|l| l.status == "built"), "{listing:?}");
+    assert_eq!(answers(&db), answers(&unindexed));
+    assert_eq!(db.indexes().builds(), 0, "a warm reopen builds no layer");
 }
 
 /// A data directory written before graph and path indexes shared one

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{render, sweep, Run};
+use common::{render, sweep, Run, TempDir};
 use gsql::{Database, Table, Value};
 use std::sync::Arc;
 
@@ -268,4 +268,40 @@ fn batches_and_graph_joins_share_the_vector_with_point_queries() {
             .unwrap();
         assert_eq!(counters(db), (hits + 1, misses));
     });
+}
+
+/// A path index's weight vector is its graph's cached vector. A weighted
+/// query that asks for a path is not covered by the layer, so Dijkstra runs
+/// over the graph the path index shares with the graph index — and reads
+/// the vector the index build put in that graph's cache, holding no second
+/// copy. A warm reopen derives the layer's weights from the restored table
+/// into the restored graph's cache, so the same holds there.
+#[test]
+fn a_path_index_and_a_query_share_one_weight_vector() {
+    let sql = q14("f.w");
+    let args = [Value::Int(1), Value::Int(40)];
+    let shared = |db: &Database| -> String {
+        assert_eq!(db.metrics().weight_cache_bytes.get(), 8 * EDGES, "the layer's vector");
+        let before = counters(db);
+        let t = db.query_with_params(&sql, &args).unwrap();
+        assert_eq!(counters(db), (before.0 + 1, before.1), "the query hits");
+        assert_eq!(db.metrics().weight_cache_bytes.get(), 8 * EDGES, "and holds no copy");
+        render(&t)
+    };
+    let dir = TempDir::new("shared-weights");
+    let expected = {
+        let db = Database::open(dir.path()).unwrap();
+        for statement in weighted_setup() {
+            db.execute(&statement).unwrap();
+        }
+        db.execute("CREATE PATH INDEX pw ON e EDGE (s, d) WEIGHT w USING LANDMARKS(2)").unwrap();
+        let expected = shared(&db);
+        db.execute("CHECKPOINT").unwrap();
+        expected
+    };
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(shared(&db), expected);
+    assert_eq!(db.indexes().builds(), 0, "a warm reopen builds no layer");
+    let plain = db.query_with_params(&sql.replace("OVER e f", "OVER e_plain f"), &args).unwrap();
+    assert_eq!(render(&plain), expected);
 }
