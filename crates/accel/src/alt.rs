@@ -24,7 +24,7 @@
 //! Potentials are memoized per search, as in [`crate::alt_multi_target`].
 
 use crate::landmarks::Landmarks;
-use crate::{point_queries, potential, Scratch, ALT_SCRATCH, INF};
+use crate::{answer, potential, Scratch, ALT_SCRATCH, INF};
 use gsql_graph::{check_vertices, Budget, Csr, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
 
@@ -39,7 +39,7 @@ pub struct AltResult {
 }
 
 /// [`alt_bidirectional`] as a [`Search`]: one point-to-point search per
-/// pair over the budget's workers, each reported as [`TraversalKind::Alt`],
+/// pair ([`Budget::per_pair`]), each reported as [`TraversalKind::Alt`],
 /// then the shape `landmarks = k`. Costs only: `want_path` is ignored.
 #[derive(Debug, Clone, Copy)]
 pub struct AltPoint<'a> {
@@ -63,10 +63,17 @@ impl Search for AltPoint<'_> {
     ) -> gsql_graph::Result<Vec<PairResult>> {
         let AltPoint { forward, backward, weights, landmarks } = *self;
         check_vertices(pairs, forward.num_vertices())?;
-        point_queries(pairs, budget, TraversalKind::Alt, ("landmarks", landmarks.len()), |s, d| {
-            let r = alt_bidirectional(forward, backward, weights, landmarks, s, d);
-            (r.dist, r.settled)
-        })
+        let results = budget.per_pair(
+            pairs,
+            TraversalKind::Alt,
+            || (),
+            |(), s, d| {
+                let r = alt_bidirectional(forward, backward, weights, landmarks, s, d);
+                (answer(r.dist.unwrap_or(INF)), r.settled)
+            },
+        )?;
+        budget.shape("landmarks", landmarks.len());
+        Ok(results)
     }
 }
 

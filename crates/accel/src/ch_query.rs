@@ -22,7 +22,7 @@
 //! Its upward step also runs [`ch_many_to_many`](crate::ch_many_to_many).
 
 use crate::ch::{ContractionHierarchy, UpGraph};
-use crate::{point_queries, Side, INF, SCRATCH};
+use crate::{answer, Side, INF, SCRATCH};
 use gsql_graph::{check_vertices, Budget, PairResult, Search, TraversalKind};
 use std::cmp::Reverse;
 
@@ -36,9 +36,9 @@ pub struct ChResult {
     pub settled: usize,
 }
 
-/// [`ch_query`] as a [`Search`]: one point-to-point query per pair over the
-/// budget's workers, each reported as [`TraversalKind::Ch`], then the shape
-/// `shortcuts`. Costs only: `want_path` is ignored.
+/// [`ch_query`] as a [`Search`]: one point-to-point query per pair
+/// ([`Budget::per_pair`]), each reported as [`TraversalKind::Ch`], then
+/// the shape `shortcuts`. Costs only: `want_path` is ignored.
 #[derive(Debug, Clone, Copy)]
 pub struct ChPoint<'a>(pub &'a ContractionHierarchy);
 
@@ -51,10 +51,17 @@ impl Search for ChPoint<'_> {
     ) -> gsql_graph::Result<Vec<PairResult>> {
         let ch = self.0;
         check_vertices(pairs, ch.num_vertices())?;
-        point_queries(pairs, budget, TraversalKind::Ch, ("shortcuts", ch.shortcuts()), |s, d| {
-            let r = ch_query(ch, s, d);
-            (r.dist, r.settled)
-        })
+        let results = budget.per_pair(
+            pairs,
+            TraversalKind::Ch,
+            || (),
+            |(), s, d| {
+                let r = ch_query(ch, s, d);
+                (answer(r.dist.unwrap_or(INF)), r.settled)
+            },
+        )?;
+        budget.shape("shortcuts", ch.shortcuts());
+        Ok(results)
     }
 }
 

@@ -33,11 +33,16 @@
 //! The engine reaches all four through `gsql-graph`'s one
 //! [`Search`](gsql_graph::Search) interface: [`AltPoint`], [`ChPoint`],
 //! [`AltMulti`] and [`ChM2m`] each answer a pair batch within a
-//! [`Budget`] — fanning out over its workers, timing
+//! [`Budget`](gsql_graph::Budget) — fanning out over its workers, timing
 //! out only with `GraphError::DeadlineExceeded`, and reporting their
 //! `TraversalKind`, settled count and shape (`landmarks`, `shortcuts` or
-//! `buckets`) to its observer. They compute costs only: every returned
-//! `path` is `None`. Landmark selection and contraction stay builders.
+//! `buckets`) to its observer. The point searches fan out through the
+//! budget's one per-pair call, `Budget::per_pair`, as bidirectional BFS
+//! does; the batched ones through `Budget::per_source` or their own
+//! bucket sweep. They compute costs only: every returned `path` is `None`.
+//! Which of them answers a statement is the engine's choice, made in one
+//! place (its traversal dispatcher). Landmark selection and contraction
+//! stay builders.
 
 #![forbid(unsafe_code)]
 
@@ -53,7 +58,7 @@ pub use ch_query::{ch_query, ChPoint, ChResult};
 pub use landmarks::Landmarks;
 pub use m2m::{alt_multi_target, ch_many_to_many, AltMulti, ChM2m, M2mResult};
 
-use gsql_graph::{Arena, Budget, CostValue, GraphError, Labels, PairResult, Spares, TraversalKind};
+use gsql_graph::{Arena, CostValue, GraphError, Labels, PairResult, Spares};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -67,29 +72,6 @@ fn check_total(weights: Option<&[i64]>, limit: u64) -> Result<(), GraphError> {
     let total = weights.unwrap_or_default().iter().map(|&w| w as u128).sum();
     let fits = total <= u128::from(limit);
     fits.then_some(()).ok_or(GraphError::WeightTotalTooLarge { total, limit })
-}
-
-/// One point query per pair over `budget`'s workers — `query` returns the
-/// exact cost (`None`: unreachable) and the vertices it settled — each
-/// reported as `kind`, then the answering structure's `shape`.
-fn point_queries(
-    pairs: &[(u32, u32)],
-    budget: &Budget<'_>,
-    kind: TraversalKind,
-    shape: (&'static str, usize),
-    query: impl Fn(u32, u32) -> (Option<u64>, usize) + Sync,
-) -> gsql_graph::Result<Vec<PairResult>> {
-    let results = budget.fan_out(
-        pairs.len(),
-        || (),
-        |(), i| {
-            let (dist, settled) = query(pairs[i].0, pairs[i].1);
-            budget.traversal(kind, settled);
-            answer(dist.unwrap_or(INF))
-        },
-    )?;
-    budget.shape(shape.0, shape.1);
-    Ok(results)
 }
 
 /// One direction of a label-setting search: tentative distances, the queue

@@ -472,16 +472,7 @@ impl<'a> Binder<'a> {
             }
             let src_key = edge_scope.resolve(None, &r.src_col)?;
             let dst_key = edge_scope.resolve(None, &r.dst_col)?;
-            let s_ty = edge_scope.column(src_key).ty;
-            let d_ty = edge_scope.column(dst_key).ty;
-            if s_ty != d_ty {
-                return Err(bind_err!(
-                    "EDGE columns must have matching types, found {s_ty} and {d_ty}"
-                ));
-            }
-            if !s_ty.is_vertex_key() {
-                return Err(bind_err!("type {s_ty} cannot be used as a graph vertex key"));
-            }
+            let s_ty = edge_key_type(edge_scope.column(src_key).ty, edge_scope.column(dst_key).ty)?;
 
             // --- X and Y over the current scope ---
             let binder = ExprBinder::new(&scope);
@@ -972,6 +963,20 @@ enum OrderTarget {
 struct AggInfo {
     group_asts: Vec<ast::Expr>,
     agg_asts: Vec<ast::Expr>,
+}
+
+/// The vertex key type of EDGE columns typed `src` and `dst` — the one
+/// check of `REACHES … EDGE (s, d)` and `CREATE GRAPH|PATH INDEX … EDGE
+/// (s, d)` alike: the two types match, and a vertex dictionary can key by
+/// them.
+pub(crate) fn edge_key_type(src: DataType, dst: DataType) -> Result<DataType> {
+    if src != dst {
+        return Err(bind_err!("EDGE columns must have matching types, found {src} and {dst}"));
+    }
+    if !src.is_vertex_key() {
+        return Err(bind_err!("type {src} cannot be used as a graph vertex key"));
+    }
+    Ok(src)
 }
 
 /// Split a WHERE tree into REACHES conjuncts and ordinary conjuncts.

@@ -9,9 +9,11 @@
 //! 4. the `X`/`Y` values are mapped into `H` — values that are not vertices
 //!    are filtered out ("the values from X and Y are then joined with V,
 //!    performing an initial filtering");
-//! 5. the external library (gsql-graph) computes reachability and the
-//!    requested shortest paths, batching all pairs with the same source
-//!    into one traversal;
+//! 5. the external library (gsql-graph, or gsql-accel over a path index)
+//!    computes reachability and the requested shortest paths, batching all
+//!    pairs with the same source into one traversal. `dispatch` alone
+//!    chooses the search and `traverse` runs it once, so several constant
+//!    `CHEAPEST SUM`s share one hop traversal;
 //! 6. the result set is materialized back: surviving input rows, one cost
 //!    column per `CHEAPEST SUM`, and path columns holding row references
 //!    into the edge snapshot (§3.3).
@@ -20,10 +22,11 @@ use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column, Sel};
-use crate::index::{AccelLayer, Served};
+use crate::index::{int_slots, AccelIndex, AccelLayer, Served};
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use crate::vertex_dict::VertexDict;
 use crate::weight_cache::{self, WeightCache};
+use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint};
 use gsql_graph::{
     BidirBfs, Budget, CostValue, Csr, GraphError, PairResult, PreparedWeights, Search,
     SourceSearch, TraversalKind, TraversalObserver, WeightSpec,
@@ -383,17 +386,18 @@ impl TraversalObserver for MetricsObserver<'_> {
     }
 }
 
-/// Per-spec results for a batch of pairs.
+/// How one spec reads its answers over a batch of pairs: its own Dijkstra
+/// run, or (`own` is `None`) the route's shared run, scaled at read time by
+/// a constant weight's `scale`.
 struct SpecResults {
-    results: Vec<PairResult>,
+    own: Option<Vec<PairResult>>,
     scale: Option<Value>,
     want_path: bool,
     cost_ty: DataType,
 }
 
 impl SpecResults {
-    fn cost_of(&self, pair_idx: usize) -> Result<Value> {
-        let r = &self.results[pair_idx];
+    fn cost_of(&self, r: &PairResult) -> Result<Value> {
         let raw = r.cost.ok_or_else(|| exec_err!("cost requested for unreachable pair"))?;
         let v = match (&self.scale, raw) {
             (None, CostValue::Int(c)) => Value::Int(c),
@@ -417,49 +421,65 @@ impl SpecResults {
         }
     }
 
-    fn path_of(&self, pair_idx: usize, edges: &Arc<Table>) -> Result<Value> {
-        let r = &self.results[pair_idx];
+    fn path_of(&self, r: &PairResult, edges: &Arc<Table>) -> Result<Value> {
         let rows = r.path.clone().ok_or_else(|| exec_err!("path requested but not computed"))?;
         Ok(Value::Path(PathValue { edges: Arc::clone(edges), rows }))
     }
 }
 
-/// The traversal dispatcher: the search that answers `pairs` pairs for the
-/// hop specs of a statement — constant weights, or the bare reachability
-/// probe — over `graph`, which came from an index (`from_index`) with an
-/// acceleration `layer` attached or not; plus the kind and the reason the
-/// `traversal` span (and so the operator's `EXPLAIN ANALYZE` line)
-/// reports. The first matching rule wins:
+/// What answers a graph operator's pairs, as [`dispatch`] chose it: one
+/// run of `search` answers the bare reachability probe and every constant
+/// spec — every spec when `per_edge` (an acceleration layer covers them
+/// all) — and each other spec runs its own Dijkstra over its weights.
+pub(crate) struct Route<'a> {
+    pub search: Box<dyn Search + 'a>,
+    pub per_edge: bool,
+    /// The kind and reason the `traversal` span reports.
+    pub kind: TraversalKind,
+    pub reason: &'static str,
+}
+
+/// The traversal dispatcher, the one place that decides what answers a
+/// graph operator: the [`Route`] for `pairs` pairs and `specs` over the
+/// graph `served`, which came from an index or not, with an acceleration
+/// layer attached or not (a served layer covers every spec). The first
+/// matching rule wins:
 ///
 /// | shape | search | kind | reason |
 /// | --- | --- | --- | --- |
-/// | a CH layer covers every spec, one pair | CH point search | `ch` | path index covers every spec |
-/// | an ALT layer covers every spec, one pair with a per-edge weight | ALT point search | `alt` | path index covers every spec |
-/// | the layer covers every spec, more pairs | accelerated many-to-many | `alt-multi` / `ch-m2m` | path index covers every spec |
-/// | a spec has per-edge weights | Dijkstra for it; hop specs by the rules below | `dijkstra` | per-edge weights |
+/// | a CH layer, one pair | CH point search | `ch` | path index covers every spec |
+/// | an ALT layer, one pair with a per-edge weight | ALT point search | `alt` | path index covers every spec |
+/// | a layer, more pairs | accelerated many-to-many | `alt-multi` / `ch-m2m` | path index covers every spec |
+/// | a spec has per-edge weights | Dijkstra for each such spec; the others by the rules below | `dijkstra` | per-edge weights |
 /// | indexed graph, one pair | bidirectional BFS | `bidir-bfs` | indexed single pair, hop weights |
 /// | indexed graph, other pair counts | BFS per source | `bfs` | pair batch, hop weights |
 /// | graph built for this statement | BFS per source | `bfs` | ad-hoc graph, hop weights |
 ///
 /// A layer covers a spec that asks for no path and whose weight is a
-/// constant over a hop index, or the index's own weight column; the
-/// registry serves a layer only when it covers every spec, and one
-/// accelerated run then answers them all. One pair whose specs are all
-/// constant (or absent) skips an ALT layer: bidirectional BFS settles a
-/// few vertices where ALT's bound evaluation costs more than it prunes.
-fn dispatch<'a>(
-    graph: &'a MaterializedGraph,
-    pairs: usize,
-    specs: &[CheapestSpec],
-    from_index: bool,
-    layer: Option<&'a AccelLayer>,
-) -> (Box<dyn Search + 'a>, TraversalKind, &'static str) {
+/// constant over a hop index, or the index's own weight column. One pair
+/// whose specs are all constant (or absent) skips an ALT layer:
+/// bidirectional BFS settles a few vertices where ALT's bound evaluation
+/// costs more than it prunes. No pair at all skips any layer.
+pub(crate) fn dispatch<'a>(served: &'a Served, pairs: usize, specs: &[CheapestSpec]) -> Route<'a> {
     let hop_point = pairs == 1 && specs.iter().all(|s| s.weight.is_constant());
-    let layer = layer.filter(|l| pairs > 0 && !(hop_point && l.is_alt()));
-    if let Some(layer) = layer {
-        let (search, kind) = layer.searcher(pairs);
-        return (search, kind, "path index covers every spec");
+    let skip_alt = |l: &&AccelLayer| hop_point && matches!(l.accel, AccelIndex::Alt(_));
+    if let Some(layer) = served.layer.as_deref().filter(|l| pairs > 0 && !skip_alt(l)) {
+        let (forward, backward) = (&layer.graph.csr, layer.graph.reverse());
+        let weights = int_slots(&layer.weights);
+        let (search, kind): (Box<dyn Search>, _) = match (&layer.accel, pairs == 1) {
+            (AccelIndex::Alt(landmarks), true) => {
+                (Box::new(AltPoint { forward, backward, weights, landmarks }), TraversalKind::Alt)
+            }
+            (AccelIndex::Ch(ch), true) => (Box::new(ChPoint(ch)), TraversalKind::Ch),
+            (AccelIndex::Alt(landmarks), false) => {
+                let weights = weights.map(|(f, _)| f);
+                (Box::new(AltMulti { forward, weights, landmarks }), TraversalKind::AltMulti)
+            }
+            (AccelIndex::Ch(ch), false) => (Box::new(ChM2m(ch)), TraversalKind::ChM2m),
+        };
+        return Route { search, per_edge: true, kind, reason: "path index covers every spec" };
     }
+    let (graph, from_index) = (&*served.graph, served.index.is_some());
     let bidir = from_index && pairs == 1;
     let search: Box<dyn Search> = if bidir {
         Box::new(BidirBfs { forward: &graph.csr, backward: graph.reverse() })
@@ -475,71 +495,71 @@ fn dispatch<'a>(
     } else {
         (TraversalKind::Bfs, "ad-hoc graph, hop weights")
     };
-    (search, kind, reason)
+    Route { search, per_edge: false, kind, reason }
 }
 
-/// Run every spec (or the bare reachability probe) over a pair batch — the
-/// one traversal entry point. [`dispatch`] picks the hop search; then each
-/// spec is one [`Search::run`] — the hop search for a constant weight,
-/// Dijkstra over a per-edge weight's prepared vector — except that one
-/// accelerated run answers every spec. The work runs in one `traversal`
-/// span (a per-edge spec's `weights` span nests under it) that carries the
-/// kind and reason, and every search reports to one [`MetricsObserver`]
-/// through its [`Budget`]: the context's worker-pool width (results merged
-/// in input order — identical to sequential) and statement deadline,
-/// polled between per-vertex searches so a timeout interrupts a long batch
-/// mid-flight. The span also names the index that served the graph.
+/// Run the [`Route`] [`dispatch`] picks over a pair batch — the one
+/// traversal entry point. Once every constant weight is validated, the
+/// route's search runs at most once, for the bare reachability probe
+/// (paper §3.2) and every spec it covers, with paths if any of them asks;
+/// only a per-edge spec it does not cover runs its own Dijkstra. The work
+/// runs in one `traversal` span (a `weights` span nests under it) carrying
+/// the kind, the reason and the serving index, and every search reports to
+/// one [`MetricsObserver`] through its [`Budget`]: the context's width
+/// (results in input order, identical to sequential) and the statement
+/// deadline, polled between per-vertex searches.
 fn traverse(
     ctx: &ExecContext<'_>,
     served: &Served,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
-) -> Result<(Vec<bool>, Vec<SpecResults>)> {
+) -> Result<(Vec<bool>, Vec<PairResult>, Vec<SpecResults>)> {
     let (graph, from_index) = (&*served.graph, served.index.is_some());
-    let layer = served.layer.as_deref();
-    let (hops, kind, reason) = dispatch(graph, pairs.len(), specs, from_index, layer);
+    let route = dispatch(served, pairs.len(), specs);
     let observer = MetricsObserver::new(ctx);
     let budget = Budget {
         threads: ctx.threads(),
         deadline: ctx.deadline_instant(),
         observer: Some(&observer),
     };
-    // Only the plain kinds run per spec; an accelerated search covers all.
-    let plain = [TraversalKind::Bfs, TraversalKind::Dijkstra, TraversalKind::BidirBfs];
-    let accelerated = !plain.contains(&kind);
     let run = |search: &dyn Search, want_path| {
         search.run(pairs, &budget, want_path).map_err(|e| graph_err(ctx, e))
     };
     let span = ctx.trace_begin("traversal").map(|id| (id, ctx.swap_trace_parent(id)));
     let result = (|| {
-        // One accelerated run answers every spec; with no spec, one run is
-        // the bare reachability probe, paths discarded (paper §3.2).
-        let shared = if accelerated || specs.is_empty() { Some(run(&*hops, false)?) } else { None };
+        for spec in specs {
+            hop_scale(spec, ctx.params())?;
+        }
+        let shares = |spec: &CheapestSpec| route.per_edge || spec.weight.is_constant();
+        let shared = if specs.is_empty() || specs.iter().any(shares) {
+            let want_path = specs.iter().any(|s| shares(s) && s.want_path);
+            Some(run(&*route.search, want_path)?)
+        } else {
+            None
+        };
         let mut all = Vec::with_capacity(specs.len());
         for spec in specs {
-            let scale = hop_scale(spec, ctx.params())?;
-            let results = match (&shared, &scale) {
-                (Some(results), _) => results.clone(),
-                (None, Some(_)) => run(&*hops, spec.want_path)?,
-                (None, None) => {
-                    let weights = prepare_weights(spec, graph, ctx, from_index)?;
-                    run(&SourceSearch::new(&graph.csr, &weights), spec.want_path)?
-                }
+            let own = if shares(spec) {
+                None
+            } else {
+                let weights = prepare_weights(spec, graph, ctx, from_index)?;
+                Some(run(&SourceSearch::new(&graph.csr, &weights), spec.want_path)?)
             };
-            let (want_path, cost_ty) = (spec.want_path, spec.weight_ty);
-            all.push(SpecResults { results, scale, want_path, cost_ty });
+            let (scale, want_path, cost_ty) =
+                (hop_scale(spec, ctx.params())?, spec.want_path, spec.weight_ty);
+            all.push(SpecResults { own, scale, want_path, cost_ty });
         }
         // Reachability is weight-independent (all weights finite and
         // positive), so the first answer's flags select the surviving rows.
-        let first = shared.as_ref().unwrap_or_else(|| &all[0].results);
-        Ok((first.iter().map(|r| r.reachable).collect(), all))
+        let first = shared.as_ref().or_else(|| all[0].own.as_ref()).expect("a search ran");
+        Ok((first.iter().map(|r| r.reachable).collect(), shared.unwrap_or_default(), all))
     })();
     if let (Some(t), Some((id, outer))) = (ctx.trace(), span) {
         ctx.swap_trace_parent(outer);
         let (traversals, settled) = observer.totals();
         let mut attrs = vec![
-            ("kind".to_string(), TraceValue::from(kind.as_str())),
-            ("reason".to_string(), TraceValue::from(reason)),
+            ("kind".to_string(), TraceValue::from(route.kind.as_str())),
+            ("reason".to_string(), TraceValue::from(route.reason)),
             ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
             ("traversals".to_string(), TraceValue::from(traversals as i64)),
             ("settled".to_string(), TraceValue::from(settled as i64)),
@@ -657,14 +677,14 @@ fn execute_graph_select(
         candidates.push(row);
         pairs.push((sid, did));
     }
-    let (reachable, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
+    let (reachable, shared, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
 
     let kept: Vec<usize> = (0..pairs.len()).filter(|&i| reachable[i]).collect();
     let kept_input_rows: Vec<usize> = kept.iter().map(|&i| candidates[i]).collect();
 
     let mut columns: Vec<Column> =
         input_table.columns().iter().map(|c| c.take(&kept_input_rows)).collect();
-    append_spec_columns(&mut columns, &spec_results, &kept, &graph.edges)?;
+    append_spec_columns(&mut columns, &shared, &spec_results, &kept, &graph.edges)?;
     output_table(schema, columns, kept.len())
 }
 
@@ -719,7 +739,7 @@ fn execute_graph_join(
             pairs.push((s, d));
         }
     }
-    let (reachable, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
+    let (reachable, shared, spec_results) = traverse(ex.ctx(), &served, &pairs, specs)?;
     // `pairs` is the row-major product of two sorted, deduplicated arrays,
     // so a pair's position is its endpoints' ranks.
     let rank = |ids: &[u32], id: u32| ids.binary_search(&id).expect("id collected above");
@@ -745,7 +765,7 @@ fn execute_graph_join(
     let mut columns: Vec<Column> =
         left_table.columns().iter().map(|c| c.take(&left_rows)).collect();
     columns.extend(right_table.columns().iter().map(|c| c.take(&right_rows)));
-    append_spec_columns(&mut columns, &spec_results, &kept_pairs, &graph.edges)?;
+    append_spec_columns(&mut columns, &shared, &spec_results, &kept_pairs, &graph.edges)?;
     output_table(schema, columns, kept_pairs.len())
 }
 
@@ -760,24 +780,26 @@ fn output_table(schema: &PlanSchema, columns: Vec<Column>, rows: usize) -> Resul
     Table::from_columns(schema, columns).map(Arc::new).map_err(Error::Storage)
 }
 
-/// Append the cost (and path) columns for every spec.
+/// Append the cost (and path) columns for every spec, read off its own run
+/// or the `shared` one.
 fn append_spec_columns(
     columns: &mut Vec<Column>,
+    shared: &[PairResult],
     spec_results: &[SpecResults],
     kept_pairs: &[usize],
     edges: &Arc<Table>,
 ) -> Result<()> {
     for sr in spec_results {
-        let cost_ty = sr.cost_ty;
-        let mut cost_builder = ColumnBuilder::new(cost_ty);
+        let results = sr.own.as_deref().unwrap_or(shared);
+        let mut cost_builder = ColumnBuilder::new(sr.cost_ty);
         for &pi in kept_pairs {
-            cost_builder.push(sr.cost_of(pi)?).map_err(Error::Storage)?;
+            cost_builder.push(sr.cost_of(&results[pi])?).map_err(Error::Storage)?;
         }
         columns.push(cost_builder.finish());
         if sr.want_path {
             let mut path_builder = ColumnBuilder::new(DataType::Path);
             for &pi in kept_pairs {
-                path_builder.push(sr.path_of(pi, edges)?).map_err(Error::Storage)?;
+                path_builder.push(sr.path_of(&results[pi], edges)?).map_err(Error::Storage)?;
             }
             columns.push(path_builder.finish());
         }

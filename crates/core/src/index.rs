@@ -54,16 +54,19 @@
 //! `explain_line` for `EXPLAIN`) matches a graph operator's edge scan
 //! `(table, src, dst)` against the catalog's definitions each time the
 //! operator runs, so creating or dropping an index changes what the next
-//! execution of a cached plan reads, without re-planning it.
+//! execution of a cached plan reads, without re-planning it. The registry
+//! chooses no search: which one answers over a graph and its `AccelLayer`
+//! is the traversal dispatcher's decision (`exec::graph_op::dispatch`).
 
+use crate::bind::binder::edge_key_type;
 use crate::context::ExecContext;
 use crate::error::{bind_err, Error};
 use crate::exec::graph_op::{
     build_graph_observed, edge_weights, graph_err, slot_weights, BuildSource, MaterializedGraph,
 };
 use crate::plan::{BoundExpr, CheapestSpec};
-use gsql_accel::{AltMulti, AltPoint, ChM2m, ChPoint, ContractionHierarchy, Landmarks};
-use gsql_graph::{Budget, PreparedWeights, Search, TraversalKind};
+use gsql_accel::{ContractionHierarchy, Landmarks};
+use gsql_graph::{Budget, PreparedWeights};
 use gsql_storage::catalog::TableEntry;
 use gsql_storage::{AccelDef, Catalog, DataType, IndexDef, Schema, StorageError};
 pub use gsql_storage::{IndexSpace, PathIndexKind};
@@ -313,16 +316,7 @@ impl IndexRegistry {
         let column = |c: &str| {
             schema.index_of(c).ok_or_else(|| bind_err!("no column '{c}' in table '{table}'"))
         };
-        let s_ty = schema.column(column(src_col)?).ty;
-        let d_ty = schema.column(column(dst_col)?).ty;
-        if s_ty != d_ty {
-            return Err(bind_err!(
-                "EDGE columns must have matching types, found {s_ty} and {d_ty}"
-            ));
-        }
-        if !s_ty.is_vertex_key() {
-            return Err(bind_err!("type {s_ty} cannot be used as a graph vertex key"));
-        }
+        edge_key_type(schema.column(column(src_col)?).ty, schema.column(column(dst_col)?).ty)?;
         let accel = match accel {
             None => None,
             Some((weight_col, kind)) => {
@@ -558,39 +552,6 @@ impl AccelLayer {
         };
         Ok(AccelLayer { graph: Arc::clone(graph), accel: structure, weights })
     }
-
-    /// Whether the layer is an ALT landmark index.
-    pub(crate) fn is_alt(&self) -> bool {
-        matches!(self.accel, AccelIndex::Alt(_))
-    }
-
-    /// The accelerated search that answers `pairs` pairs over the layer's
-    /// native weights (hop distances for an unweighted index), and its
-    /// kind. Costs are bit-identical to per-pair Dijkstra at every thread
-    /// count.
-    ///
-    /// One pair runs the point-to-point search. More run the many-to-many
-    /// tier: a CH answers the whole matrix bucket-style — one backward
-    /// upward search per distinct target filling per-vertex buckets, one
-    /// forward upward search per distinct source scanning them, `S + T`
-    /// searches for `S × T` pairs — and ALT runs one multi-target
-    /// goal-directed search per distinct source (the landmark bound
-    /// aggregated over that source's targets).
-    pub(crate) fn searcher(&self, pairs: usize) -> (Box<dyn Search + '_>, TraversalKind) {
-        let (forward, backward) = (&self.graph.csr, self.graph.reverse());
-        let weights = int_slots(&self.weights);
-        match (&self.accel, pairs == 1) {
-            (AccelIndex::Alt(landmarks), true) => {
-                (Box::new(AltPoint { forward, backward, weights, landmarks }), TraversalKind::Alt)
-            }
-            (AccelIndex::Ch(ch), true) => (Box::new(ChPoint(ch)), TraversalKind::Ch),
-            (AccelIndex::Alt(landmarks), false) => {
-                let weights = weights.map(|(f, _)| f);
-                (Box::new(AltMulti { forward, weights, landmarks }), TraversalKind::AltMulti)
-            }
-            (AccelIndex::Ch(ch), false) => (Box::new(ChM2m(ch)), TraversalKind::ChM2m),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -761,24 +722,28 @@ mod tests {
             [("pa", PathIndexKind::Landmarks(2)), ("pc", PathIndexKind::Contraction)]
         {
             path_index(&reg, &catalog, name, Some("len"), kind).unwrap();
-            let Served { graph, layer, index } = serve(&reg, &catalog, by_len());
-            assert_eq!(index.as_deref(), Some(name));
-            let layer = layer.expect("a path index has a layer");
-            assert!(Arc::ptr_eq(&graph, &layer.graph));
+            let served = serve(&reg, &catalog, by_len());
+            assert_eq!(served.index.as_deref(), Some(name));
+            let layer = served.layer.as_ref().expect("a path index has a layer");
+            assert!(Arc::ptr_eq(&served.graph, &layer.graph));
             assert!(layer.weights.is_some());
             // Exact accelerated distance through the cheap 1→2→3 route, for
-            // one pair and for a batch.
-            let s = graph.lookup(&Value::Int(1)).unwrap();
-            let d = graph.lookup(&Value::Int(3)).unwrap();
-            let costs = |pairs: &[(u32, u32)]| -> Vec<Option<f64>> {
+            // one pair and for a batch, on the route the dispatcher picks.
+            let s = served.graph.lookup(&Value::Int(1)).unwrap();
+            let d = served.graph.lookup(&Value::Int(3)).unwrap();
+            let costs = |pairs: &[(u32, u32)]| {
                 let budget = gsql_graph::Budget { threads: 2, ..Default::default() };
-                let results = layer.searcher(pairs.len()).0.run(pairs, &budget, false).unwrap();
-                results.iter().map(|r| r.cost.map(|c| c.as_f64())).collect()
+                let route = crate::exec::graph_op::dispatch(&served, pairs.len(), &[by_len()]);
+                let results = route.search.run(pairs, &budget, false).unwrap();
+                let costs: Vec<_> = results.iter().map(|r| r.cost.map(|c| c.as_f64())).collect();
+                (route.kind.as_str(), costs)
             };
-            assert_eq!(costs(&[(s, d)]), [Some(10.0)], "{name}");
-            assert_eq!(costs(&[(s, d), (d, s), (s, d)]), [Some(10.0), None, Some(10.0)], "{name}");
+            let (point, batch) = if name == "pa" { ("alt", "alt-multi") } else { ("ch", "ch-m2m") };
+            assert_eq!(costs(&[(s, d)]), (point, vec![Some(10.0)]), "{name}");
+            let want = vec![Some(10.0), None, Some(10.0)];
+            assert_eq!(costs(&[(s, d), (d, s), (s, d)]), (batch, want), "{name}");
             let again = serve(&reg, &catalog, by_len()).layer;
-            assert!(Arc::ptr_eq(&layer, &again.unwrap()));
+            assert!(Arc::ptr_eq(layer, &again.unwrap()));
         }
         assert_eq!(reg.builds(), 2);
     }

@@ -13,7 +13,7 @@
 //! lets Figure 1b's batched execution amortize the graph-construction cost.
 //! [`BatchComputer`] is its builder-style entry point.
 
-use crate::arena::{Arena, Lease, Spares};
+use crate::arena::{Arena, Spares};
 use crate::bfs::{bfs_into, BfsScratch};
 use crate::csr::Csr;
 use crate::dijkstra::{dijkstra_into, Distance, SourceScratch, Weighted};
@@ -21,7 +21,6 @@ use crate::error::GraphError;
 use crate::path::reconstruct_path;
 use crate::search::{check_vertices, Budget, Search};
 use crate::{Result, TraversalKind, TraversalObserver};
-use std::collections::HashMap;
 
 /// Weight specification for one `CHEAPEST SUM` evaluation.
 ///
@@ -145,12 +144,12 @@ impl PreparedWeights {
 /// Pairs are grouped by source; each distinct source costs one traversal
 /// with early exit once all its destinations are settled, and reports it to
 /// the budget's observer as [`TraversalKind::Bfs`] or
-/// [`TraversalKind::Dijkstra`]. Duplicate `(source, dest)` pairs are
-/// answered from one computation — the batch is deduplicated up front and
-/// the shared result cloned back into every input position. Groups spread
-/// across the budget's workers (dynamic stealing — traversal costs are
-/// irregular), each worker leasing one scratch arena per algorithm; results
-/// are always in input-pair order, bit-for-bit identical at every width.
+/// [`TraversalKind::Dijkstra`]. A duplicate `(source, dest)` pair is one
+/// more target of its source's group, read off the same traversal, so it
+/// costs no search of its own. Groups spread across the budget's workers
+/// (dynamic stealing — traversal costs are irregular), each worker leasing
+/// one scratch arena per algorithm; results are always in input-pair order,
+/// bit-for-bit identical at every width.
 ///
 /// When `want_path` is false the traversals still run (that is how the
 /// paper's library assesses reachability) but no path vectors are
@@ -251,26 +250,11 @@ impl Search for SourceSearch<'_> {
             )));
         }
         check_vertices(pairs, self.graph.num_vertices())?;
-        let mut first_of: HashMap<(u32, u32), usize> = HashMap::with_capacity(pairs.len());
-        let mut uniq: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-        let mut slot: Vec<usize> = Vec::with_capacity(pairs.len());
-        for &p in pairs {
-            let next = uniq.len();
-            let s = *first_of.entry(p).or_insert(next);
-            if s == next {
-                uniq.push(p);
-            }
-            slot.push(s);
-        }
-        let search = |scratch: &mut Lease<GroupScratch>, source, targets: &[u32]| {
-            self.search(scratch, source, targets, budget, want_path)
-        };
-        let lease = || GROUPS.lease();
-        if uniq.len() == pairs.len() {
-            return budget.per_source(pairs, lease, search);
-        }
-        let uniq_results = budget.per_source(&uniq, lease, search)?;
-        Ok(slot.into_iter().map(|s| uniq_results[s].clone()).collect())
+        budget.per_source(
+            pairs,
+            || GROUPS.lease(),
+            |scratch, source, targets| self.search(scratch, source, targets, budget, want_path),
+        )
     }
 }
 

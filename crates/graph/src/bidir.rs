@@ -82,10 +82,10 @@ impl Arena for [Side; 2] {
 static SIDES: Spares<[Side; 2]> = Spares::new();
 
 /// Bidirectional BFS over a graph and its reversal, as a [`Search`]: one
-/// early-exit search per pair (the pairs fan out over the budget's
-/// workers), each reported as [`TraversalKind::BidirBfs`] with the
-/// vertices it labelled — whether or not it found a path. Costs are hop
-/// counts, identical to [`SourceSearch::bfs`](crate::SourceSearch::bfs).
+/// early-exit search per pair ([`Budget::per_pair`]), each reported as
+/// [`TraversalKind::BidirBfs`] with the vertices it labelled — whether or
+/// not it found a path. Costs are hop counts, identical to
+/// [`SourceSearch::bfs`](crate::SourceSearch::bfs).
 #[derive(Debug, Clone, Copy)]
 pub struct BidirBfs<'g> {
     /// The graph.
@@ -101,18 +101,18 @@ impl Search for BidirBfs<'_> {
         budget: &Budget<'_>,
         want_path: bool,
     ) -> Result<Vec<PairResult>> {
-        check_vertices(pairs, self.forward.num_vertices())?;
-        budget.fan_out(
-            pairs.len(),
+        let BidirBfs { forward, backward } = *self;
+        check_vertices(pairs, forward.num_vertices())?;
+        budget.per_pair(
+            pairs,
+            TraversalKind::BidirBfs,
             || SIDES.lease(),
-            |sides, i| {
-                let (source, dest) = pairs[i];
-                let (forward, backward) = (self.forward, self.backward);
+            |sides, source, dest| {
                 let (hit, settled) = search(sides, forward, backward, source, dest, want_path);
-                budget.traversal(TraversalKind::BidirBfs, settled);
-                hit.map_or(PairResult::UNREACHABLE, |(dist, path)| {
+                let answer = hit.map_or(PairResult::UNREACHABLE, |(dist, path)| {
                     PairResult::reached(CostValue::Int(i64::from(dist)), want_path.then_some(path))
-                })
+                });
+                (answer, settled)
             },
         )
     }

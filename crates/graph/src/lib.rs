@@ -28,8 +28,12 @@
 //!   [`SourceSearch`] — one BFS or Dijkstra per distinct source with
 //!   multi-destination early exit, which is what makes Figure 1b's batching
 //!   amortization work — and [`BidirBfs`]; `gsql-accel` adds the
-//!   accelerated kinds. [`BatchComputer`] is the builder-style entry point
-//!   to [`SourceSearch`].
+//!   accelerated kinds. The budget also holds the two fan-outs the searches
+//!   share: [`Budget::per_source`] groups the pairs by source (a repeated
+//!   pair is one more target of its group) and [`Budget::per_pair`] runs
+//!   one point search per pair, reporting each as its kind.
+//!   [`BatchComputer`] is the builder-style entry point to
+//!   [`SourceSearch`].
 //!
 //! The runtime is **source-parallel**: distinct-source groups spread across
 //! a scoped worker pool (gsql-parallel), and the weight gather chunks over

@@ -75,6 +75,25 @@ impl Budget<'_> {
             .ok_or(GraphError::DeadlineExceeded)
     }
 
+    /// One search per pair: `search(scratch, source, dest)` answers one
+    /// pair and returns the vertices it settled, reported as one traversal
+    /// of `kind` whether or not it found a path. The pairs are
+    /// [`Budget::fan_out`] tasks, so each worker leases one scratch from
+    /// `init` and the answers come back in input-pair order.
+    pub fn per_pair<S>(
+        &self,
+        pairs: &[(u32, u32)],
+        kind: TraversalKind,
+        init: impl Fn() -> S + Sync,
+        search: impl Fn(&mut S, u32, u32) -> (PairResult, usize) + Sync,
+    ) -> Result<Vec<PairResult>> {
+        self.fan_out(pairs.len(), init, |scratch, i| {
+            let (answer, settled) = search(scratch, pairs[i].0, pairs[i].1);
+            self.traversal(kind, settled);
+            answer
+        })
+    }
+
     /// One search per distinct source: `search(scratch, source, targets)`
     /// answers the targets of one source group in order, and the answers
     /// are scattered back into input-pair order. The first group's error

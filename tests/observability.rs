@@ -120,6 +120,53 @@ fn metrics_count_queries_pipelines_and_traversals() {
             let want = before + u64::from(*kind == "bfs");
             assert_eq!(m.traversals_total(kind), want, "threads {threads}: {kind} traversals");
         }
+
+        // Two constant specs share one hop search: one BFS per distinct
+        // source over an ad-hoc graph and over an indexed batch that repeats
+        // a pair, one bidirectional BFS per indexed pair. The doubled cost
+        // reads twice the shared hop count, and the path is the one the
+        // one-spec statement returns.
+        let shapes = [
+            ("ad-hoc", "(1, 40)", "bfs", 1),
+            ("indexed pair", "(1, 40)", "bidir-bfs", 1),
+            ("indexed batch", "(1, 40), (2, 41), (1, 40), (1, 7)", "bfs", 2),
+        ];
+        for (shape, values, kind, searches) in shapes {
+            if shape == "indexed pair" {
+                session.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+            }
+            let sql = |specs: &str| {
+                format!(
+                    "WITH pairs (x, y) AS (VALUES {values}) SELECT x, y, {specs} FROM pairs \
+                     WHERE x REACHES y OVER e EDGE (s, d)"
+                )
+            };
+            let one = session.query(&sql("CHEAPEST SUM(1) AS (h, p)")).unwrap();
+            let before: Vec<u64> = ACCEL_KINDS.iter().map(|k| m.traversals_total(k)).collect();
+            let two = session.query(&sql("CHEAPEST SUM(1) AS (h, p), CHEAPEST SUM(2) AS b"));
+            let two = two.unwrap();
+            for (k, before) in ACCEL_KINDS.iter().zip(before) {
+                let want = before + if *k == kind { searches } else { 0 };
+                assert_eq!(
+                    m.traversals_total(k),
+                    want,
+                    "threads {threads} {shape}: {k} traversals"
+                );
+            }
+            assert_eq!(two.row_count(), one.row_count(), "threads {threads} {shape}");
+            assert!(two.row_count() > 0, "threads {threads} {shape}: a reachable pair");
+            let rows = |p: &Value| match p {
+                Value::Path(p) => p.rows.clone(),
+                other => panic!("not a path: {other:?}"),
+            };
+            for i in 0..two.row_count() {
+                let (one, two) = (one.row(i), two.row(i));
+                assert_eq!(two[..3], one[..3], "threads {threads} {shape} row {i}");
+                assert_eq!(rows(&two[3]), rows(&one[3]), "threads {threads} {shape} row {i}");
+                let Value::Int(h) = two[2] else { panic!("hop count {:?}", two[2]) };
+                assert_eq!(two[4], Value::Int(2 * h), "threads {threads} {shape} row {i}");
+            }
+        }
     }
 }
 
